@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .attacks import TsfConfig, tsf_forge_subframes
@@ -108,12 +107,7 @@ def _run_one(path: str, out_dir: str | None) -> tuple:
 def _cmd_run(args) -> int:
     worst = 0
     try:
-        if args.jobs > 1 and len(args.scenario) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(
-                    lambda p: _run_one(p, args.out_dir), args.scenario))
-        else:
-            results = [_run_one(p, args.out_dir) for p in args.scenario]
+        results = [_run_one(p, args.out_dir) for p in args.scenario]
     except Exception as exc:    # noqa: BLE001 - surfaced as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -184,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", nargs="+")
     p.add_argument("--out-dir", default=None,
                    help="write <name>.report.json files instead of stdout")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="report operations")

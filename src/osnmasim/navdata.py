@@ -25,13 +25,11 @@ from dataclasses import dataclass
 
 from .gst import Gst
 from .pages import (
-    EVEN_DATA,
-    HKROOT,
-    MACK,
     ODD_DATA,
     PageContent,
     SLOTS_PER_SUBFRAME,
     Subframe,
+    extract_osnma,
     getbitu,
     seal_page,
     setbitu,
@@ -75,10 +73,18 @@ class NavFields:
         return self.clock_bias_m + self.iono_bias_m
 
 
-def _set_signed(buf: bytearray, pos: int, bits: int, value: int) -> None:
+def _set_unsigned(buf: bytearray, name: str, pos: int, bits: int,
+                  value: int) -> None:
+    if not (isinstance(value, int) and 0 <= value < (1 << bits)):
+        raise ValueError(f"{name} {value!r} does not fit {bits} unsigned bits")
+    setbitu(buf, pos, bits, value)
+
+
+def _set_signed(buf: bytearray, name: str, pos: int, bits: int,
+                value: int) -> None:
     if not -(1 << (bits - 1)) <= value < (1 << (bits - 1)):
-        raise ValueError(f"value {value} does not fit {bits} signed bits")
-    setbitu(buf, pos, bits, value & ((1 << bits) - 1))
+        raise ValueError(f"{name} {value} does not fit {bits} signed bits")
+    setbitu(buf, pos, bits, value)
 
 
 def _get_signed(buf: bytes, pos: int, bits: int) -> int:
@@ -92,17 +98,19 @@ def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,
                    clock_bias_m: float = 0.0, iono_a0: int = 0) -> bytes:
     """Assemble a subframe navigation blob from field values.
 
-    Positions and biases are quantized to millimetres on encoding.
+    Positions and biases are quantized to millimetres on encoding.  A value
+    outside its field's range raises ValueError naming the field.
     """
     buf = bytearray(NAV_BLOB_BYTES)
-    setbitu(buf, WN_POS, WN_BITS, wn)
-    setbitu(buf, TOW_POS, TOW_BITS, tow)
-    setbitu(buf, PRN_POS, PRN_BITS, prn)
+    _set_unsigned(buf, "wn", WN_POS, WN_BITS, wn)
+    _set_unsigned(buf, "tow", TOW_POS, TOW_BITS, tow)
+    _set_unsigned(buf, "prn", PRN_POS, PRN_BITS, prn)
     for axis, coord in enumerate(sat_ecef_m):
-        _set_signed(buf, EPH_POS + axis * EPH_AXIS_BITS, EPH_AXIS_BITS,
-                    round(coord * MM_PER_M))
-    _set_signed(buf, CLOCK_POS, CLOCK_BITS, round(clock_bias_m * MM_PER_M))
-    setbitu(buf, IONO_A0_POS, IONO_A0_BITS, iono_a0)
+        _set_signed(buf, f"sat_ecef_m[{axis}]", EPH_POS + axis * EPH_AXIS_BITS,
+                    EPH_AXIS_BITS, round(coord * MM_PER_M))
+    _set_signed(buf, "clock_bias_m", CLOCK_POS, CLOCK_BITS,
+                round(clock_bias_m * MM_PER_M))
+    _set_unsigned(buf, "iono_a0", IONO_A0_POS, IONO_A0_BITS, iono_a0)
     return bytes(buf)
 
 
@@ -161,27 +169,12 @@ def replace_nav(sf: Subframe, nav_blob: bytes) -> Subframe:
 
     Every page is resealed, so the result passes CRC checks bit for bit.
     """
-    from .pages import extract_osnma
     hkroot, mack_blob = extract_osnma(sf)
     return build_subframe(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)
 
 
 def replace_mack(sf: Subframe, mack_blob: bytes) -> Subframe:
     """Rebuild a subframe around a new 480-bit MACK blob."""
-    from .pages import extract_osnma
     hkroot, _ = extract_osnma(sf)
     return build_subframe(sf.gst, sf.prn, subframe_nav_data(sf), hkroot, mack_blob)
 
-
-def peek_gst_from_page(raw: bytes) -> Gst | None:
-    """Read the GST word out of a raw first-of-subframe page.
-
-    The word sits in the first data portion, so the blob offsets shift by
-    the two framing bits.  Returns None when the field is not a valid GST.
-    """
-    wn = getbitu(raw, EVEN_DATA[0] + WN_POS, WN_BITS)
-    tow = getbitu(raw, EVEN_DATA[0] + TOW_POS, TOW_BITS)
-    try:
-        return Gst(wn, tow)
-    except ValueError:
-        return None

@@ -22,6 +22,9 @@ The CRC protects everything transmitted before it except the even tail:
 even bits 0..113 followed by odd bits 0..81 (196 bits).  This region was
 calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
+
+The codec holds a page as one 240-bit int, MSB first: encoding, sealing and
+decoding read and write fields, flags and the CRC region by shift and mask.
 """
 
 from __future__ import annotations
@@ -105,23 +108,32 @@ def crc24q(data: bytes, nbits: int | None = None) -> int:
     return crc
 
 
+def _field_span(buf, pos: int, length: int) -> tuple:
+    """First byte, end byte and right shift of a bit field within buf."""
+    first, end = pos >> 3, (pos + length + 7) >> 3
+    if end > len(buf):
+        raise IndexError(f"bits {pos}..{pos + length - 1} outside "
+                         f"{8 * len(buf)}-bit buffer")
+    return first, end, 8 * end - pos - length
+
+
 def getbitu(buf: bytes, pos: int, length: int) -> int:
     """Read an unsigned big-endian bit field."""
-    val = 0
-    for i in range(pos, pos + length):
-        val = (val << 1) | ((buf[i >> 3] >> (7 - (i & 7))) & 1)
-    return val
+    if length <= 0:
+        return 0
+    first, end, shift = _field_span(buf, pos, length)
+    return (int.from_bytes(buf[first:end], "big") >> shift) & ((1 << length) - 1)
 
 
 def setbitu(buf: bytearray, pos: int, length: int, value: int) -> None:
-    """Write an unsigned big-endian bit field in place."""
-    for i in range(length):
-        p = pos + i
-        mask = 0x80 >> (p & 7)
-        if (value >> (length - 1 - i)) & 1:
-            buf[p >> 3] |= mask
-        else:
-            buf[p >> 3] &= 0xFF ^ mask
+    """Write the low ``length`` bits of value as a big-endian field in place."""
+    if length <= 0:
+        return
+    first, end, shift = _field_span(buf, pos, length)
+    mask = ((1 << length) - 1) << shift
+    chunk = int.from_bytes(buf[first:end], "big")
+    chunk = (chunk & ~mask) | ((value << shift) & mask)
+    buf[first:end] = chunk.to_bytes(end - first, "big")
 
 
 def flip_page_bit(raw: bytes, bit: int) -> bytes:
@@ -142,52 +154,62 @@ class PageContent:
     fill: int = 0           # 14 trailing framing bits
 
 
-_WIDTHS = (
-    ("even_data", 112),
-    ("odd_data", 16),
-    ("hkroot", 8),
-    ("mack", 32),
-    ("crc", 24),
-    ("reserved", 24),
-    ("fill", 14),
+# PageContent attribute -> geometry
+_FIELDS = (
+    ("even_data", EVEN_DATA),
+    ("odd_data", ODD_DATA),
+    ("hkroot", HKROOT),
+    ("mack", MACK),
+    ("crc", CRC),
+    ("reserved", RESERVED),
+    ("fill", FILL),
 )
 
+# even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
+_FLAG_MASK = (0b11 << (PAGE_BITS - 2)) | (0b11 << (PAGE_BITS - 122))
+_FLAGS = 0b10 << (PAGE_BITS - 122)
 
-def _check_widths(page: PageContent) -> None:
-    for name, width in _WIDTHS:
-        value = getattr(page, name)
-        if not 0 <= value < (1 << width):
-            raise FieldWidthError(f"{name} does not fit in {width} bits: {value:#x}")
+
+def _field(value: int, geometry: tuple) -> int:
+    """Read a field of the page held as one 240-bit int."""
+    pos, width = geometry
+    return (value >> (PAGE_BITS - pos - width)) & ((1 << width) - 1)
+
+
+def _page_int(page: PageContent) -> int:
+    """The page as one 240-bit int, MSB first; every field width checked."""
+    value = _FLAGS
+    for name, (pos, width) in _FIELDS:
+        field = getattr(page, name)
+        if not 0 <= field < (1 << width):
+            raise FieldWidthError(f"{name} does not fit in {width} bits: {field:#x}")
+        value |= field << (PAGE_BITS - pos - width)
+    return value
+
+
+def _int_crc(value: int) -> int:
+    """CRC-24Q over the protected region of a page held as an int."""
+    region = ((value >> (PAGE_BITS - _PROTECTED_EVEN_BITS)) << _PROTECTED_ODD_BITS) \
+        | _field(value, (120, _PROTECTED_ODD_BITS))
+    # left-align into whole bytes for the table-driven CRC
+    padded = region << (-_PROTECTED_BITS % 8)
+    return crc24q(padded.to_bytes((_PROTECTED_BITS + 7) // 8, "big"), _PROTECTED_BITS)
+
+
+def _raw_int(raw: bytes) -> int:
+    if len(raw) != PAGE_BYTES:
+        raise LengthError(f"expected {PAGE_BYTES} bytes, got {len(raw)}")
+    return int.from_bytes(raw, "big")
 
 
 def encode_page(page: PageContent) -> bytes:
     """Serialize a page to its 240-bit transmission form."""
-    _check_widths(page)
-    buf = bytearray(PAGE_BYTES)
-    # even/odd flags and nominal page type
-    setbitu(buf, 0, 2, 0b00)
-    setbitu(buf, 120, 2, 0b10)
-    setbitu(buf, *EVEN_DATA, page.even_data)
-    setbitu(buf, *ODD_DATA, page.odd_data)
-    setbitu(buf, *HKROOT, page.hkroot)
-    setbitu(buf, *MACK, page.mack)
-    setbitu(buf, *RESERVED, page.reserved)
-    setbitu(buf, *CRC, page.crc)
-    setbitu(buf, *FILL, page.fill)
-    return bytes(buf)
-
-
-def _raw_crc(raw: bytes) -> int:
-    region = (getbitu(raw, 0, _PROTECTED_EVEN_BITS) << _PROTECTED_ODD_BITS) \
-        | getbitu(raw, 120, _PROTECTED_ODD_BITS)
-    # left-align into whole bytes for the table-driven CRC
-    padded = region << (8 - _PROTECTED_BITS % 8)
-    return crc24q(padded.to_bytes((_PROTECTED_BITS + 7) // 8, "big"), _PROTECTED_BITS)
+    return _page_int(page).to_bytes(PAGE_BYTES, "big")
 
 
 def compute_crc(page: PageContent) -> int:
     """CRC-24Q over the page's protected region."""
-    return _raw_crc(encode_page(page))
+    return _int_crc(_page_int(page))
 
 
 def seal_page(page: PageContent) -> PageContent:
@@ -197,11 +219,10 @@ def seal_page(page: PageContent) -> PageContent:
 
 def reseal_raw(raw: bytes) -> bytes:
     """Recompute and replace the CRC field of a raw 240-bit page."""
-    if len(raw) != PAGE_BYTES:
-        raise LengthError(f"expected {PAGE_BYTES} bytes, got {len(raw)}")
-    buf = bytearray(raw)
-    setbitu(buf, *CRC, _raw_crc(raw))
-    return bytes(buf)
+    value = _raw_int(raw)
+    shift = PAGE_BITS - CRC[0] - CRC[1]
+    value = (value & ~(((1 << CRC[1]) - 1) << shift)) | (_int_crc(value) << shift)
+    return value.to_bytes(PAGE_BYTES, "big")
 
 
 def decode_page(raw: bytes) -> PageContent | None:
@@ -211,21 +232,20 @@ def decode_page(raw: bytes) -> PageContent | None:
     (even/odd, page type) are inconsistent -- both model bit errors or
     jamming at the message level.
     """
-    if len(raw) != PAGE_BYTES:
-        raise LengthError(f"expected {PAGE_BYTES} bytes, got {len(raw)}")
-    if getbitu(raw, 0, 2) != 0b00 or getbitu(raw, 120, 2) != 0b10:
+    value = _raw_int(raw)
+    if value & _FLAG_MASK != _FLAGS:
         return None
-    crc_field = getbitu(raw, *CRC)
-    if _raw_crc(raw) != crc_field:
+    crc_field = _field(value, CRC)
+    if _int_crc(value) != crc_field:
         return None
     return PageContent(
-        even_data=getbitu(raw, *EVEN_DATA),
-        odd_data=getbitu(raw, *ODD_DATA),
-        hkroot=getbitu(raw, *HKROOT),
-        mack=getbitu(raw, *MACK),
+        even_data=_field(value, EVEN_DATA),
+        odd_data=_field(value, ODD_DATA),
+        hkroot=_field(value, HKROOT),
+        mack=_field(value, MACK),
         crc=crc_field,
-        reserved=getbitu(raw, *RESERVED),
-        fill=getbitu(raw, *FILL),
+        reserved=_field(value, RESERVED),
+        fill=_field(value, FILL),
     )
 
 
@@ -281,22 +301,22 @@ def assemble_round(events, gst: Gst, prn: int,
     are destroyed.
     """
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
-    relevant = [e for e in events if e.prn == prn]
+    # (adversary, authentic) events overlapping each slot; an event starting
+    # inside slot k covers slot k, and slot k + 1 unless it starts on the grid
+    covering = [([], []) for _ in range(SLOTS_PER_SUBFRAME)]
+    for e in events:
+        if e.prn != prn:
+            continue
+        k, offset = divmod(e.t_ms - w0, PAGE_MS)
+        for j in (k, k + 1) if offset else (k,):
+            if 0 <= j < SLOTS_PER_SUBFRAME:
+                covering[j][e.source is Source.AUTHENTIC].append(e)
     slots = []
-    for j in range(SLOTS_PER_SUBFRAME):
-        s0 = w0 + PAGE_MS * j
-        s1 = s0 + PAGE_MS
-        adv = [e for e in relevant
-               if e.source is Source.ADVERSARY and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
-        auth = [e for e in relevant
-                if e.source is Source.AUTHENTIC and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
+    for j, (adv, auth) in enumerate(covering):
+        owners = adv or auth
         page = None
-        if adv:
-            if len(adv) == 1 and adv[0].t_ms == s0:
-                page = decode_page(adv[0].raw)
-        elif auth:
-            if len(auth) == 1 and auth[0].t_ms == s0:
-                page = decode_page(auth[0].raw)
+        if len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j:
+            page = decode_page(owners[0].raw)
         slots.append(page)
     return Subframe(gst=gst, prn=prn, pages=tuple(slots))
 

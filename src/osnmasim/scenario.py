@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import attacks
 from .gst import (
@@ -26,7 +27,7 @@ from .gst import (
 )
 from .mack import pack_mack, generate_subframe_tags
 from .navdata import build_nav_data, parse_nav_data, subframe_nav_data, build_subframe
-from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source
+from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, encode_page
 from .positioning import (
     NoConvergenceError,
     SatState,
@@ -56,7 +57,7 @@ _FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
 
 @dataclass
 class ConstellationBundle:
-    vectors: TestVectorSet
+    subframes: dict                       # prn -> sealed subframes by GST
     chain: TeslaChain
     root_msg: RootKeyMessage
     private_key: object
@@ -65,6 +66,11 @@ class ConstellationBundle:
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
     n_subframes: int
+
+    @cached_property
+    def vectors(self) -> TestVectorSet:
+        """The subframes as a vector set, encoded on first access."""
+        return TestVectorSet.from_subframes(self.subframes)
 
     @property
     def pubkey_pem(self) -> str:
@@ -158,7 +164,7 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
                                hk_blocks[j % len(hk_blocks)], mack_blob))
 
     return ConstellationBundle(
-        vectors=TestVectorSet.from_subframes(subframes),
+        subframes=subframes,
         chain=chain, root_msg=root_msg,
         private_key=private_key, public_key=public_key,
         sat_states=sat_states, receiver_ecef=recv_ecef,
@@ -228,7 +234,6 @@ class Scenario:
 
 def live_events(subframes_by_prn: dict) -> list:
     """Authentic page events on the true clock (arrival time == GST)."""
-    from .pages import encode_page
     events = []
     for prn, sf_list in sorted(subframes_by_prn.items()):
         for sf in sf_list:
@@ -279,7 +284,7 @@ def run_scenario(sc: Scenario) -> dict:
     """Execute one scenario and return the JSON-ready report."""
     bundle = generate_synthetic_constellation(
         sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    authentic_sfs = bundle.vectors.subframes()
+    authentic_sfs = bundle.subframes
     live = live_events(authentic_sfs)
     lrt = LrtSource(offset_ms=sc.lrt_offset_ms,
                     error_bound_ms=sc.lrt_error_bound_ms)
@@ -349,14 +354,17 @@ def run_scenario(sc: Scenario) -> dict:
         raise ValueError("scenario produced no page events")
     t0 = min(e.t_ms for e in events)
     receiver.power_on(bundle.gst0, true_ms=t0)
+    windows = [[] for _ in range(sc.duration_rounds)]
+    for e in events:
+        r = (e.t_ms - t0) // SUBFRAME_MS
+        if r < sc.duration_rounds:
+            windows[r].append(e)
 
     raw_fixes = []
     auth_fixes = {}
     seen_subframes: dict = {}
-    for r in range(sc.duration_rounds):
-        w0 = t0 + r * SUBFRAME_MS
-        window = [e for e in events if w0 <= e.t_ms < w0 + SUBFRAME_MS]
-        result = receiver.ingest_round(window, w0)
+    for r, window in enumerate(windows):
+        result = receiver.ingest_round(window, t0 + r * SUBFRAME_MS)
         for prn, sf in result.subframes.items():
             if sf.complete:
                 seen_subframes[(sf.gst.total_seconds(), prn)] = sf

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .gst import Gst
-from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page
+from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page, encode_page
 
 HEADER = ["wn", "tow", "prn", "page_index", "page_hex"]
 
@@ -47,7 +47,6 @@ class TestVectorSet:
     rows: list = field(default_factory=list)   # (wn, tow, prn, page_index, hex)
 
     def add_subframe(self, sf: Subframe) -> None:
-        from .pages import encode_page
         for idx, page in enumerate(sf.pages, start=1):
             if page is None:
                 raise ValueError("vector sets store intact pages only")

@@ -71,10 +71,10 @@ def test_run_writes_report_and_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_run_jobs_batch(tmp_path):
+def test_run_batch(tmp_path):
     rc = main(["run", str(SCENARIO_DIR / "baseline.json"),
                str(SCENARIO_DIR / "cr_delay_1_5.json"),
-               "--jobs", "2", "--out-dir", str(tmp_path)])
+               "--out-dir", str(tmp_path)])
     assert rc == 2
     assert (tmp_path / "baseline.report.json").exists()
     assert (tmp_path / "cr_delay_1_5.report.json").exists()

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,13 +7,22 @@ from hypothesis import given, strategies as st
 from osnmasim.gst import Gst
 from osnmasim.pages import (
     CRC,
+    EVEN_DATA,
+    FILL,
     FieldWidthError,
+    HKROOT,
     IncompleteError,
     LengthError,
+    MACK,
+    ODD_DATA,
+    PAGE_BYTES,
     PAGE_MS,
     PageContent,
     PageEvent,
+    RESERVED,
+    SLOTS_PER_SUBFRAME,
     Source,
+    Subframe,
     assemble_round,
     compute_crc,
     crc24q,
@@ -34,6 +44,82 @@ PAGE_INTACT_C = bytes.fromhex(
     "021333662a4249dd4a6ebb4cae1900bd2a5c9e8497ba6aaaaa6a9778c100")
 
 GST0 = Gst(1251, 277200)
+
+
+# -- reference implementations: one bit, one slot at a time -------------------
+
+
+def ref_getbitu(buf, pos, length):
+    val = 0
+    for i in range(pos, pos + length):
+        val = (val << 1) | ((buf[i >> 3] >> (7 - (i & 7))) & 1)
+    return val
+
+
+def ref_setbitu(buf, pos, length, value):
+    for i in range(length):
+        p = pos + i
+        mask = 0x80 >> (p & 7)
+        if (value >> (length - 1 - i)) & 1:
+            buf[p >> 3] |= mask
+        else:
+            buf[p >> 3] &= 0xFF ^ mask
+
+
+def ref_encode_page(page):
+    buf = bytearray(PAGE_BYTES)
+    ref_setbitu(buf, 0, 2, 0b00)
+    ref_setbitu(buf, 120, 2, 0b10)
+    for geometry, value in ((EVEN_DATA, page.even_data), (ODD_DATA, page.odd_data),
+                            (HKROOT, page.hkroot), (MACK, page.mack),
+                            (RESERVED, page.reserved), (CRC, page.crc),
+                            (FILL, page.fill)):
+        ref_setbitu(buf, *geometry, value)
+    return bytes(buf)
+
+
+def ref_crc(raw):
+    """Bitwise CRC-24Q over even bits 0..113 then odd bits 120..201."""
+    crc = 0
+    for i in [*range(0, 114), *range(120, 202)]:
+        top = (crc >> 23) & 1
+        crc = (crc << 1) & 0xFFFFFF
+        if top ^ ref_getbitu(raw, i, 1):
+            crc ^= 0x864CFB
+    return crc
+
+
+def ref_decode_page(raw):
+    if ref_getbitu(raw, 0, 2) != 0b00 or ref_getbitu(raw, 120, 2) != 0b10:
+        return None
+    if ref_crc(raw) != ref_getbitu(raw, *CRC):
+        return None
+    return PageContent(
+        even_data=ref_getbitu(raw, *EVEN_DATA), odd_data=ref_getbitu(raw, *ODD_DATA),
+        hkroot=ref_getbitu(raw, *HKROOT), mack=ref_getbitu(raw, *MACK),
+        crc=ref_getbitu(raw, *CRC), reserved=ref_getbitu(raw, *RESERVED),
+        fill=ref_getbitu(raw, *FILL))
+
+
+def ref_assemble_round(events, gst, prn, window_start_ms):
+    relevant = [e for e in events if e.prn == prn]
+    slots = []
+    for j in range(SLOTS_PER_SUBFRAME):
+        s0 = window_start_ms + PAGE_MS * j
+        s1 = s0 + PAGE_MS
+        adv = [e for e in relevant
+               if e.source is Source.ADVERSARY and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
+        auth = [e for e in relevant
+                if e.source is Source.AUTHENTIC and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
+        page = None
+        if adv:
+            if len(adv) == 1 and adv[0].t_ms == s0:
+                page = decode_page(adv[0].raw)
+        elif auth:
+            if len(auth) == 1 and auth[0].t_ms == s0:
+                page = decode_page(auth[0].raw)
+        slots.append(page)
+    return Subframe(gst=gst, prn=prn, pages=tuple(slots))
 
 
 def test_crc_zero_region_is_zero():
@@ -116,6 +202,118 @@ def test_getbitu_setbitu_inverse():
         value = rng.getrandbits(width)
         setbitu(buf, pos, width, value)
         assert getbitu(buf, pos, width) == value
+
+
+@st.composite
+def bit_fields(draw):
+    """A buffer (a page or a nav blob) and a field that fits inside it."""
+    nbytes = draw(st.sampled_from([PAGE_BYTES, 240]))
+    buf = draw(st.binary(min_size=nbytes, max_size=nbytes))
+    length = draw(st.integers(1, 128))
+    pos = draw(st.integers(0, 8 * nbytes - length))
+    return buf, pos, length
+
+
+@given(bit_fields())
+def test_getbitu_matches_reference(field):
+    buf, pos, length = field
+    assert getbitu(buf, pos, length) == ref_getbitu(buf, pos, length)
+
+
+@given(bit_fields(), st.integers(-(1 << 140), 1 << 140))
+def test_setbitu_matches_reference(field, value):
+    """Only the low ``length`` bits are written, the rest of the buffer
+    is untouched, whatever the value's size or sign."""
+    buf, pos, length = field
+    got, want = bytearray(buf), bytearray(buf)
+    setbitu(got, pos, length, value)
+    ref_setbitu(want, pos, length, value)
+    assert got == want
+
+
+def test_bit_field_outside_buffer_raises():
+    with pytest.raises(IndexError):
+        getbitu(bytes(30), 230, 11)
+    buf = bytearray(30)
+    with pytest.raises(IndexError):
+        setbitu(buf, 230, 11, 1)
+    assert buf == bytearray(30)
+
+
+@given(page_contents, st.integers(0, (1 << 24) - 1))
+def test_encode_page_matches_reference(page, crc):
+    page = replace(page, crc=crc)
+    assert encode_page(page) == ref_encode_page(page)
+
+
+@given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES),
+       st.sampled_from([0b00, 0b01, 0b10, 0b11]), st.booleans())
+def test_decode_page_matches_reference(raw, odd_flags, sealed):
+    """Any page, tail bits included: flags and CRC are checked and every
+    field is read as the bit-at-a-time reference reads it."""
+    buf = bytearray(raw)
+    ref_setbitu(buf, 0, 2, 0b00)
+    ref_setbitu(buf, 120, 2, odd_flags)
+    if sealed:
+        ref_setbitu(buf, *CRC, ref_crc(buf))
+    assert decode_page(bytes(buf)) == ref_decode_page(buf)
+
+
+@pytest.mark.parametrize("name, width", [
+    ("even_data", 112), ("odd_data", 16), ("hkroot", 8), ("mack", 32),
+    ("crc", 24), ("reserved", 24), ("fill", 14)])
+def test_encode_names_the_oversized_field(name, width):
+    fields = dict(even_data=0, odd_data=0, hkroot=0, mack=0)
+    for value in (1 << width, -1):
+        fields[name] = value
+        with pytest.raises(FieldWidthError, match=name):
+            encode_page(PageContent(**fields))
+
+
+def test_decode_rejects_inconsistent_flags():
+    raw = encode_page(seal_page(PageContent(even_data=5, odd_data=6,
+                                            hkroot=7, mack=8)))
+    for bit in (0, 1, 120, 121):
+        assert decode_page(reseal_raw(flip_page_bit(raw, bit))) is None
+
+
+_T0 = GST0.total_millis()
+
+
+def _event(slot, offset, index, flip, prn, source):
+    raw = _page_raw(index)
+    if flip is not None:
+        raw = flip_page_bit(raw, flip)
+    return PageEvent(t_ms=_T0 + PAGE_MS * slot + offset, prn=prn,
+                     source=source, raw=raw)
+
+
+page_events = st.builds(
+    _event,
+    slot=st.integers(-1, SLOTS_PER_SUBFRAME),
+    offset=st.sampled_from([0, 0, 0, 0, 1, 500, 1999, -1, -700]),
+    index=st.integers(0, 14),
+    flip=st.none() | st.integers(0, 239),
+    prn=st.sampled_from([5, 5, 5, 6]),
+    source=st.sampled_from(list(Source)),
+)
+
+
+@st.composite
+def event_streams(draw):
+    """A live stream with gaps plus stray pages for two PRNs around one
+    window: aligned and offset starts, duplicates, damaged pages and
+    adversary overlaps."""
+    events = _events(indices=draw(st.sets(st.integers(0, 14))))
+    events += draw(st.lists(page_events, max_size=20))
+    events += draw(st.lists(st.sampled_from(events), max_size=5)) if events else []
+    return events
+
+
+@given(event_streams(), st.sampled_from([5, 6]))
+def test_assemble_round_matches_reference(events, prn):
+    assert assemble_round(events, GST0, prn, _T0) == \
+        ref_assemble_round(events, GST0, prn, _T0)
 
 
 def test_reseal_raw_restores_validity():

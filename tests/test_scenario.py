@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -116,3 +117,28 @@ def test_shipped_scenarios(name):
     assert report["receiver"]["status"] == status
     assert report["exit_code"] == exit_code
     assert set(_outcomes(report)) == outcomes
+
+
+# sha256 of `osnmasim run scenarios/*.json` reports; the same values are
+# pinned in perfbench/workloads.py
+REPORT_DIGESTS = {
+    "baseline": "ff4ee49091737ff927cf0c5391cc14df0987f3fd678aa89fe727dc01c09ea819",
+    "cr_delay_1_4": "d517cfe9688b85bede4135c1831bdb29d1fa4cb73a8bc4c38ff8a4d7969ae789",
+    "cr_delay_1_5": "0f53a5e6046f568f115077e8c253424c684aa3c40729cc652e7250cdea9cca1f",
+    "tsf_full": "342f9e5bd329f352fcd5fda4182e8db2de5325a0a65214e2e83080993ec3bcc3",
+    "tsf_nav_only": "194f7d62d8a6e3c27686928cc2228ce3048dbb33920f0d24e6a3b6b667c435c4",
+    "tsr_realtime_29_5": "cd732cce5377140dff05eaafc97bd81419501d6415afb6778d2814b88f24d793",
+    "tsr_realtime_30_5": "92cba294ac708a1a24ca895372bc17cba8162ff5e6068ecdffda445589b7e8c8",
+    "tsr_recorded_32_mitm": "c13dab28633c4e575af3904127eb3754f6ce47de7ae436999ab60d49838c6a91",
+    "tsr_recorded_32_no_mitm": "559f7f863eacbb2be9704e2af2504d884db4086319ea5d4e94d6f68315b8563e",
+}
+
+
+def test_shipped_reports_are_byte_identical():
+    """Every shipped scenario's report keeps its pinned bytes."""
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    assert {p.stem for p in paths} == set(REPORT_DIGESTS)
+    for path in paths:
+        text = report_to_json(run_scenario(Scenario.load(path)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_DIGESTS[path.stem], path.name
