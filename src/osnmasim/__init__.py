@@ -13,7 +13,6 @@ from .gst import (
     SymmetricBound,
     TsStartup,
     check_time_sync,
-    gst_total_seconds,
     ts_startup,
 )
 from .pages import (
@@ -34,7 +33,6 @@ from .tesla import (
     TeslaKey,
     build_root_message,
     derive_prev_key,
-    generate_chain,
     sign_root,
     verify_key,
     verify_root,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import LrtSource
-from .mack import TAG_BITS_DEFAULT, generate_subframe_tags, pack_mack, unpack_mack
+from .mack import generate_subframe_tags, pack_mack, unpack_mack
 from .navdata import (
     build_nav_data,
     parse_nav_data,
@@ -45,7 +45,6 @@ class RecordedStream:
 class CrTiming:
     replay_delay_ms: int
     t_acq_ms: int
-    page_ms: int = PAGE_MS
 
     def __post_init__(self):
         if self.replay_delay_ms < 0 or self.t_acq_ms < 0:
@@ -55,10 +54,7 @@ class CrTiming:
 @dataclass(frozen=True)
 class TsfConfig:
     target_ecef_m: tuple
-    clock_offset_s: float = 0.0
     seg_count: int = 6
-    tag_bits: int = TAG_BITS_DEFAULT
-    mf: int = 0                      # MAC function id (HMAC-SHA-256)
     forge_tags: bool = True
     iono_a0: int = 0
     clock_bias_m: float = 0.0
@@ -93,8 +89,7 @@ def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
     if delay_ms < 0:
         raise ValueError("delay must be >= 0")
     return LrtSource(offset_ms=source.offset_ms - delay_ms,
-                     error_bound_ms=source.error_bound_ms,
-                     base_ms=source.base_ms)
+                     error_bound_ms=source.error_bound_ms)
 
 
 def forge_nav_blob(aux_blob: bytes, cfg: TsfConfig) -> bytes:
@@ -130,32 +125,15 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
         if not cfg.forge_tags:
             continue
         _, key_mack = extract_osnma(out[i + 2])
-        _, key_bits = unpack_mack(key_mack, cfg.seg_count, cfg.tag_bits)
+        _, key_bits = unpack_mack(key_mack, cfg.seg_count)
         key = TeslaKey(key_bits, out[i + 2].gst)
         tags = generate_subframe_tags(forged_blob, key,
                                       prn_d=out[i].prn, prn_a=out[i].prn,
                                       gst_sf=out[i + 1].gst,
-                                      seg_count=cfg.seg_count,
-                                      tag_bits=cfg.tag_bits)
-        _, own_key = unpack_mack(extract_osnma(out[i + 1])[1],
-                                 cfg.seg_count, cfg.tag_bits)
-        out[i + 1] = replace_mack(out[i + 1],
-                                  pack_mack(tags, own_key, cfg.tag_bits))
+                                      seg_count=cfg.seg_count)
+        _, own_key = unpack_mack(extract_osnma(out[i + 1])[1], cfg.seg_count)
+        out[i + 1] = replace_mack(out[i + 1], pack_mack(tags, own_key))
     return out
-
-
-@dataclass
-class _Grid:
-    """Slot bookkeeping for the concatenating replay splice."""
-
-    start_ms: int
-    page_ms: int
-
-    def slot_start(self, index: int) -> int:
-        return self.start_ms + index * self.page_ms
-
-    def first_slot_at_or_after(self, t_ms: int) -> int:
-        return -((self.start_ms - t_ms) // self.page_ms)
 
 
 def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:
@@ -168,28 +146,28 @@ def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:
     the receiver's slot grid; a later takeover leaves every subsequent
     round carrying pages shifted by a whole number of slots.
     """
-    page_ms = timing.page_ms
     live_sorted = sorted(live, key=lambda e: (e.t_ms, e.prn))
     if not live_sorted:
         return []
-    grid = _Grid(start_ms=live_sorted[0].t_ms, page_ms=page_ms)
-    onset = grid.slot_start(0) + onset_round * SUBFRAME_MS + timing.replay_delay_ms
+    start = live_sorted[0].t_ms              # slot 0 of the receiver's grid
+    onset = start + onset_round * SUBFRAME_MS + timing.replay_delay_ms
     takeover = onset + timing.t_acq_ms
     offset_in_round = timing.replay_delay_ms + timing.t_acq_ms
-    shift = 0 if offset_in_round <= page_ms else offset_in_round // page_ms
+    shift = 0 if offset_in_round <= PAGE_MS else offset_in_round // PAGE_MS
 
-    out = [e for e in live_sorted if e.t_ms + page_ms <= onset]
+    out = [e for e in live_sorted if e.t_ms + PAGE_MS <= onset]
 
     # replayed pages re-slotted onto the grid, ordered per satellite
     per_prn: dict = {}
     for e in sorted(replayed, key=lambda e: (e.t_ms, e.prn)):
         per_prn.setdefault(e.prn, []).append(e)
-    first_slot = grid.first_slot_at_or_after(takeover)
+    # first grid slot at or after the takeover
+    first_slot = -((start - takeover) // PAGE_MS)
     for prn, stream in per_prn.items():
         for slot in range(first_slot, len(stream) + shift):
             content = slot - shift
             if 0 <= content < len(stream):
-                out.append(PageEvent(t_ms=grid.slot_start(slot), prn=prn,
+                out.append(PageEvent(t_ms=start + slot * PAGE_MS, prn=prn,
                                      source=Source.ADVERSARY,
                                      raw=stream[content].raw))
     return sorted(out, key=lambda e: (e.t_ms, e.prn))

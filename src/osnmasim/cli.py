@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -48,19 +49,11 @@ def _cmd_gen_constellation(args) -> int:
 
 
 def _cmd_gen_chain(args) -> int:
-    import random
-
     rng = random.Random(args.seed)
-    gst0 = Gst(args.wn, args.tow)
-    chain = TeslaChain.generate(rng.randbytes(16), args.n, gst0)
-    doc = {
-        "gst0": gst0.as_dict(),
-        "delta_t": chain.delta_t,
-        "n": chain.n,
-        "seed_hex": chain.seed.bits.hex(),
-        "root_hex": chain.root.bits.hex(),
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    chain = TeslaChain.generate(rng.randbytes(16), args.n,
+                                Gst(args.wn, args.tow))
+    Path(args.out).write_text(
+        json.dumps(chain.as_dict(), indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.out} (chain of {chain.n} keys)")
     return 0
 
@@ -85,15 +78,18 @@ def _cmd_forge_tsf(args) -> int:
     target = geodetic_to_ecef(args.lat, args.lon, args.height)
     cfg = TsfConfig(target_ecef_m=target, seg_count=args.segments,
                     forge_tags=not args.no_tags, iono_a0=args.iono_a0)
-    forged = {prn: tsf_forge_subframes(sfs, cfg)
-              for prn, sfs in vectors.subframes().items()}
+    try:
+        forged = {prn: tsf_forge_subframes(sfs, cfg)
+                  for prn, sfs in vectors.subframes().items()}
+    except ValueError as exc:       # out-of-range --iono-a0 or --segments
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     TestVectorSet.from_subframes(forged).save(args.out)
     print(f"wrote {args.out}")
     return 0
 
 
-def _run_one(path: str, out_dir: str | None) -> tuple:
-    scenario = Scenario.load(path)
+def _run_one(path: str, scenario: Scenario, out_dir: str | None) -> int:
     report = run_scenario(scenario)
     text = report_to_json(report)
     if out_dir is not None:
@@ -101,20 +97,21 @@ def _run_one(path: str, out_dir: str | None) -> tuple:
         out.write_text(text)
     else:
         sys.stdout.write(text)
-    return path, report["exit_code"]
+    return report["exit_code"]
 
 
 def _cmd_run(args) -> int:
-    worst = 0
+    # every file is checked before the first scenario runs
     try:
-        results = [_run_one(p, args.out_dir) for p in args.scenario]
+        scenarios = [Scenario.load(p) for p in args.scenario]
+        codes = [_run_one(p, sc, args.out_dir)
+                 for p, sc in zip(args.scenario, scenarios)]
     except Exception as exc:    # noqa: BLE001 - surfaced as exit code 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for path, code in results:
+    for path, code in zip(args.scenario, codes):
         print(f"{path}: exit {code}", file=sys.stderr)
-        worst = max(worst, code)
-    return worst
+    return max(codes)
 
 
 def _cmd_report_diff(args) -> int:

@@ -16,10 +16,6 @@ SECONDS_PER_WEEK = 604_800
 SUBFRAME_SECONDS = 30
 MS_PER_S = 1000
 
-# GST ran ahead of UTC by a fixed number of leap seconds at the time the
-# reference captures were made.  Display-only; no decision depends on it.
-GST_UTC_OFFSET_S = 18
-
 
 def to_millis(seconds) -> int:
     """Convert a seconds value (int, float, str or Decimal) to integer ms.
@@ -28,11 +24,6 @@ def to_millis(seconds) -> int:
     Decimal keeps boundary comparisons exact.
     """
     return int((Decimal(str(seconds)) * MS_PER_S).to_integral_value())
-
-
-def millis_to_seconds_str(ms: int) -> str:
-    """Render integer milliseconds as a decimal-seconds string."""
-    return str(Decimal(ms) / MS_PER_S)
 
 
 @dataclass(frozen=True)
@@ -64,11 +55,6 @@ class Gst:
         return {"wn": self.wn, "tow": self.tow}
 
 
-def gst_total_seconds(g: Gst) -> int:
-    """Total seconds since GST epoch (wn * 604800 + tow)."""
-    return g.total_seconds()
-
-
 @dataclass(frozen=True)
 class SymmetricBound:
     """TS rule |GST - LRT| < B, with B the LRT error bound in ms."""
@@ -92,21 +78,18 @@ class LrtSource:
     """A local-reference-time source (crystal clock or NTP-derived).
 
     Reading the source at true time t yields t + offset_ms.  error_bound_ms
-    is the trust interval the receiver attaches to each reading; base_ms is
-    the anchor used when read() is called without an explicit time.
+    is the trust interval the receiver attaches to each reading.
     """
 
     offset_ms: int = 0
     error_bound_ms: int = 0
-    base_ms: int = 0
 
     def __post_init__(self):
         if self.error_bound_ms < 0:
             raise ValueError("error bound must be >= 0")
 
-    def read(self, true_ms: int | None = None) -> int:
-        t = self.base_ms if true_ms is None else true_ms
-        return t + self.offset_ms
+    def read(self, true_ms: int) -> int:
+        return true_ms + self.offset_ms
 
 
 class TsStartup(Enum):
@@ -124,7 +107,7 @@ def check_time_sync(gst: Gst, lrt_ms: int, policy: TsPolicy) -> bool:
 
 
 def ts_startup(gst: Gst, source: LrtSource, policy: TsPolicy,
-               true_ms: int | None = None) -> TsStartup:
+               true_ms: int = 0) -> TsStartup:
     """Run the startup TS flow.
 
     Under SymmetricBound the source's error bound is checked first: a bound

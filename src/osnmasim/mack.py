@@ -22,7 +22,6 @@ MACK_BYTES = MACK_BITS // 8
 KEY_BITS = 128
 TAG_REGION_BITS = MACK_BITS - KEY_BITS      # 352
 TAG_BITS_DEFAULT = 40
-MAX_TAGS = TAG_REGION_BITS // TAG_BITS_DEFAULT
 
 
 class CapacityError(ValueError):
@@ -80,7 +79,8 @@ def unpack_mack(blob: bytes, n_tags: int,
     if len(blob) != MACK_BYTES:
         raise ValueError(f"MACK blob must be {MACK_BYTES} bytes")
     if n_tags * tag_bits > TAG_REGION_BITS:
-        raise CapacityError("geometry exceeds the tag region")
+        raise CapacityError(f"{n_tags} segments of {tag_bits}-bit tags exceed "
+                            f"the {TAG_REGION_BITS}-bit tag region")
     value = int.from_bytes(blob, "big")
     key = (value & ((1 << KEY_BITS) - 1)).to_bytes(KEY_BITS // 8, "big")
     region = value >> KEY_BITS

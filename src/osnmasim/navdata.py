@@ -45,7 +45,6 @@ PRN_POS, PRN_BITS = 38, 8
 EPH_POS, EPH_AXIS_BITS = 128, 48          # x, y, z consecutive
 CLOCK_POS, CLOCK_BITS = 272, 32
 IONO_A0_POS, IONO_A0_BITS = 12 * PAGE_DATA_BITS + 6, 11
-IONO_BLOCK_POS, IONO_BLOCK_BITS = IONO_A0_POS, 41
 
 IONO_A0_UNIT_M = 0.1
 MM_PER_M = 1000

@@ -22,7 +22,7 @@ from .gst import (
     TsStartup,
     ts_startup,
 )
-from .mack import TAG_BITS_DEFAULT, unpack_mack, verify_tags
+from .mack import unpack_mack, verify_tags
 from .navdata import subframe_nav_data
 from .pages import SUBFRAME_MS, Subframe, assemble_round, extract_osnma
 from .tesla import (
@@ -30,6 +30,7 @@ from .tesla import (
     DsmAccumulator,
     GstOrderError,
     TeslaKey,
+    build_root_message,
     load_public_key_pem,
     verify_key,
     verify_root,
@@ -68,7 +69,6 @@ class ReceiverConfig:
     policy: TsPolicy
     pubkey_pem: str
     seg_count: int = 6
-    tag_bits: int = TAG_BITS_DEFAULT
     key_reject_threshold: int = 1
 
 
@@ -201,7 +201,8 @@ class Receiver:
         msg = self._dsm.feed(hkroot)
         if msg is None:
             return
-        body = msg.signature and self._root_body(msg)
+        body = msg.signature and build_root_message(
+            msg.nma_header, msg.mf, msg.wnk, msg.towk, msg.kroot)
         if body and verify_root(body, msg.signature, self._pubkey):
             self.root = msg
             self.trusted_key = msg.root_key
@@ -211,16 +212,9 @@ class Receiver:
         else:
             self._dsm.reset()
 
-    @staticmethod
-    def _root_body(msg) -> bytes:
-        from .tesla import build_root_message
-        return build_root_message(msg.nma_header, msg.mf, msg.wnk, msg.towk,
-                                  msg.kroot)
-
     def _key_of(self, sf: Subframe) -> TeslaKey:
         _, mack = extract_osnma(sf)
-        _, key_bits = unpack_mack(mack, self.config.seg_count,
-                                  self.config.tag_bits)
+        _, key_bits = unpack_mack(mack, self.config.seg_count)
         return TeslaKey(key_bits, sf.gst)
 
     def _verify_triple(self, window, trusted: TeslaKey) -> AuthResult:
@@ -234,13 +228,11 @@ class Receiver:
             return self._reject_key(data_sf)
 
         _, tag_mack = extract_osnma(tag_sf)
-        tags, _ = unpack_mack(tag_mack, self.config.seg_count,
-                              self.config.tag_bits)
+        tags, _ = unpack_mack(tag_mack, self.config.seg_count)
         matches = verify_tags(subframe_nav_data(data_sf), tags, candidate,
                               prn_d=data_sf.prn, prn_a=data_sf.prn,
                               gst_sf=tag_sf.gst,
-                              seg_count=self.config.seg_count,
-                              tag_bits=self.config.tag_bits)
+                              seg_count=self.config.seg_count)
         if not all(matches):
             return AuthResult(data_sf.gst, data_sf.prn, Outcome.TAG_MISMATCH)
         if self.status is Status.SUSPENDED:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 from . import attacks
 from .gst import (
@@ -59,32 +59,18 @@ _FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
 class ConstellationBundle:
     subframes: dict                       # prn -> sealed subframes by GST
     chain: TeslaChain
-    root_msg: RootKeyMessage
-    private_key: object
-    public_key: object
+    pubkey_pem: str
     sat_states: dict                      # prn -> SatState
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
-    n_subframes: int
 
     @cached_property
     def vectors(self) -> TestVectorSet:
         """The subframes as a vector set, encoded on first access."""
         return TestVectorSet.from_subframes(self.subframes)
 
-    @property
-    def pubkey_pem(self) -> str:
-        return public_key_pem(self.public_key)
-
     def chain_json(self) -> dict:
-        return {
-            "gst0": self.chain.gst0.as_dict(),
-            "delta_t": self.chain.delta_t,
-            "n": self.chain.n,
-            "seed_hex": self.chain.seed.bits.hex(),
-            "root_hex": self.chain.root.bits.hex(),
-            "pubkey_pem": self.pubkey_pem,
-        }
+        return {**self.chain.as_dict(), "pubkey_pem": self.pubkey_pem}
 
 
 def _sky_direction(lat_deg, lon_deg, az_deg, el_deg):
@@ -164,14 +150,143 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
                                hk_blocks[j % len(hk_blocks)], mack_blob))
 
     return ConstellationBundle(
-        subframes=subframes,
-        chain=chain, root_msg=root_msg,
-        private_key=private_key, public_key=public_key,
-        sat_states=sat_states, receiver_ecef=recv_ecef,
-        gst0=gst0, n_subframes=n_subframes)
+        subframes=subframes, chain=chain,
+        pubkey_pem=public_key_pem(public_key), sat_states=sat_states,
+        receiver_ecef=recv_ecef, gst0=gst0)
 
 
 # -- scenario configuration --------------------------------------------------
+
+
+class ScenarioError(ValueError):
+    """A scenario file that breaks the schema; names the JSON path."""
+
+
+NUMBER, SECONDS = (int, float), (int, float, str)    # seconds are read into ms
+
+
+def _read(block, keys: dict, path: str) -> dict:
+    """Check a JSON object against its key table and fill in defaults.
+
+    ``keys`` maps each key to ``(kind, default)``; kind is a type, a tuple
+    of types (booleans are never numbers) or a nested key table.  A None
+    default marks a value that another key supplies.  Values keep the
+    declared key order."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{path}: expected an object, got {block!r}")
+    for key in block:
+        if key not in keys:
+            raise ScenarioError(f"{path}.{key}: unknown key")
+    out = {}
+    for key, (kind, default) in keys.items():
+        where, value = f"{path}.{key}", block.get(key, default)
+        if isinstance(kind, dict):
+            out[key] = _read(value, kind, where)
+        elif value is None and key not in block:
+            out[key] = None
+        elif isinstance(value, bool) != (kind is bool) \
+                or not isinstance(value, kind):
+            names = getattr(kind, "__name__", None) or " or ".join(
+                t.__name__ for t in kind)
+            raise ScenarioError(f"{where}: expected {names}, got {value!r}")
+        elif kind is SECONDS:
+            try:
+                out[key] = to_millis(value)
+            except (ValueError, ArithmeticError):
+                raise ScenarioError(f"{where}: {value!r} is not a number "
+                                    "of seconds") from None
+        else:
+            out[key] = value
+    return out
+
+
+def _read_typed(block: dict, table: dict, path: str):
+    """Read a block whose ``type`` (by default the first) selects its entry."""
+    kind = block.get("type", next(iter(table)))
+    if not isinstance(kind, str) or kind not in table:
+        raise ScenarioError(f"{path}.type: unknown type {kind!r}, "
+                            f"expected one of {', '.join(table)}")
+    keys, then = table[kind]
+    rest = {k: v for k, v in block.items() if k != "type"}
+    return then, _read(rest, keys, path)
+
+
+# type: (declared keys with defaults, policy class)
+POLICIES = {
+    "alternate": ({"t_l_s": (SECONDS, 30)}, AlternateThreshold),
+    "symmetric": ({"b_s": (SECONDS, 15)}, SymmetricBound),
+}
+
+SCENARIO_KEYS = {
+    "name": (str, "unnamed"), "seed": (int, 0),
+    "constellation": ({
+        "sats": (int, 8), "subframes": (int, 14),
+        "wn": (int, DEFAULT_GST0.wn), "tow": (int, DEFAULT_GST0.tow),
+        "receiver": ({"lat_deg": (NUMBER, DEFAULT_SITE[0]),
+                      "lon_deg": (NUMBER, DEFAULT_SITE[1]),
+                      "height_m": (NUMBER, DEFAULT_SITE[2])}, {})}, {}),
+    "receiver": ({"policy": (dict, {}), "lrt_offset_s": (SECONDS, 0),
+                  "lrt_error_bound_s": (SECONDS, 0), "seg_count": (int, 6),
+                  "key_reject_threshold": (int, 1)}, {}),
+    "attack": (dict, {"type": "none"}),
+    "duration_rounds": (int, None),           # default: constellation.subframes
+}
+
+
+# -- attacks ---------------------------------------------------------------
+#
+# A generator maps (values, scenario, bundle, live events, lrt) to (events,
+# lrt, truth); truth is (observed subframes, true position, clock offset in
+# s), or None for the authentic constellation seen from the site.
+
+
+def _tsr_realtime(a, sc, bundle, live, lrt):
+    return attacks.replay_realtime(live, a["delay_s"]), lrt, None
+
+
+def _tsr_recorded(a, sc, bundle, live, lrt):
+    rec = attacks.RecordedStream(events=tuple(live), t_record_ms=live[0].t_ms)
+    return (attacks.replay_recorded(rec, rec.t_record_ms + a["staleness_s"]),
+            attacks.ntp_mitm_delay(lrt, a["mitm_delay_s"]), None)
+
+
+def _tsf(a, sc, bundle, live, lrt):                 # replays forged subframes
+    target = geodetic_to_ecef(*a["target"].values())
+    cfg = attacks.TsfConfig(target_ecef_m=target, seg_count=sc.seg_count,
+                            forge_tags=a["forge_tags"], iono_a0=a["iono_a0"],
+                            clock_bias_m=a["clock_bias_m"])
+    forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
+              for prn, sfs in bundle.subframes.items()}
+    if a["mitm_delay_s"] is None:
+        a = {**a, "mitm_delay_s": a["staleness_s"]}
+    events, lrt, _ = _tsr_recorded(a, sc, bundle, live_events(forged), lrt)
+    return events, lrt, (forged, target, float(a["clock_offset_s"]))
+
+
+def _cr(a, sc, bundle, live, lrt):
+    timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
+    replay_copy = attacks.replay_realtime(live, timing.replay_delay_ms)
+    events = attacks.cr_compose(live, replay_copy, timing, a["onset_round"])
+    return events, lrt, None
+
+
+# type: (declared keys with defaults, generator)
+ATTACKS = {
+    "none": ({}, lambda a, sc, bundle, live, lrt: (live, lrt, None)),
+    "tsr_realtime": ({"delay_s": (SECONDS, 0)}, _tsr_realtime),
+    "tsr_recorded": ({"staleness_s": (SECONDS, 0),
+                      "mitm_delay_s": (SECONDS, 0)}, _tsr_recorded),
+    "tsf": ({"target": ({"lat_deg": (NUMBER, 4.0), "lon_deg": (NUMBER, 50.0),
+                         "height_m": (NUMBER, 100.0)}, {}),
+             "clock_offset_s": (NUMBER, 0.0), "forge_tags": (bool, True),
+             "iono_a0": (int, 0), "clock_bias_m": (NUMBER, 0.0),
+             "staleness_s": (SECONDS, 60 * SUBFRAME_SECONDS),
+             "mitm_delay_s": (SECONDS, None)}, _tsf),   # default: staleness_s
+    # a concatenating replay targets a receiver that is already
+    # authenticating; root acquisition takes one DSM cycle of rounds
+    "cr": ({"replay_delay_s": (SECONDS, 0), "t_acq_s": (SECONDS, "0.6"),
+            "onset_round": (int, 8)}, _cr),
+}
 
 
 @dataclass
@@ -183,53 +298,44 @@ class Scenario:
     gst0: Gst
     site: tuple
     policy: object
-    lrt_offset_ms: int
-    lrt_error_bound_ms: int
+    lrt: LrtSource
     seg_count: int
     key_reject_threshold: int
-    attack: dict
+    attack: dict                  # the attack block as written
+    attack_events: object         # the generator, its values bound
     duration_rounds: int
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        con = cfg.get("constellation", {})
-        rcv = cfg.get("receiver", {})
-        pol = rcv.get("policy", {"type": "alternate", "t_l_s": 30})
-        if pol["type"] == "alternate":
-            policy = AlternateThreshold(to_millis(pol.get("t_l_s", 30)))
-        elif pol["type"] == "symmetric":
-            policy = SymmetricBound(to_millis(pol.get("b_s", 15)))
-        else:
-            raise ValueError(f"unknown policy type {pol['type']!r}")
-        site_cfg = con.get("receiver", {})
-        site = (site_cfg.get("lat_deg", DEFAULT_SITE[0]),
-                site_cfg.get("lon_deg", DEFAULT_SITE[1]),
-                site_cfg.get("height_m", DEFAULT_SITE[2]))
-        n_subframes = con.get("subframes", 14)
+        """Read a scenario; a ScenarioError names the first bad JSON path."""
+        top = _read(cfg, SCENARIO_KEYS, "$")
+        con, rcv = top["constellation"], top["receiver"]
+        policy, pol = _read_typed(rcv["policy"], POLICIES, "$.receiver.policy")
+        generator, values = _read_typed(top["attack"], ATTACKS, "$.attack")
+        rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
+        if not 1 <= rounds <= con["subframes"]:
+            raise ScenarioError(f"$.duration_rounds: {rounds} is outside "
+                                f"1..{con['subframes']} (constellation.subframes)")
+        if not 0 <= values.get("onset_round", 0) < rounds:
+            raise ScenarioError(f"$.attack.onset_round: {values['onset_round']}"
+                                f" is outside 0..{rounds - 1} (duration_rounds)")
         return cls(
-            name=cfg.get("name", "unnamed"),
-            seed=cfg.get("seed", 0),
-            n_sats=con.get("sats", 8),
-            n_subframes=n_subframes,
-            gst0=Gst(con.get("wn", DEFAULT_GST0.wn),
-                     con.get("tow", DEFAULT_GST0.tow)),
-            site=site,
-            policy=policy,
-            lrt_offset_ms=to_millis(rcv.get("lrt_offset_s", 0)),
-            lrt_error_bound_ms=to_millis(rcv.get("lrt_error_bound_s", 0)),
-            seg_count=rcv.get("seg_count", 6),
-            key_reject_threshold=rcv.get("key_reject_threshold", 1),
-            attack=cfg.get("attack", {"type": "none"}),
-            duration_rounds=min(cfg.get("duration_rounds", n_subframes),
-                                n_subframes),
-            raw=cfg,
-        )
+            name=top["name"], seed=top["seed"], n_sats=con["sats"],
+            n_subframes=con["subframes"], gst0=Gst(con["wn"], con["tow"]),
+            site=tuple(con["receiver"].values()), policy=policy(*pol.values()),
+            lrt=LrtSource(rcv["lrt_offset_s"], rcv["lrt_error_bound_s"]),
+            seg_count=rcv["seg_count"],
+            key_reject_threshold=rcv["key_reject_threshold"],
+            attack=dict(top["attack"]),
+            attack_events=partial(generator, values), duration_rounds=rounds)
 
     @classmethod
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:       # bad JSON or a ScenarioError
+                raise ScenarioError(f"{path}: {exc}") from None
 
 
 def live_events(subframes_by_prn: dict) -> list:
@@ -284,74 +390,14 @@ def run_scenario(sc: Scenario) -> dict:
     """Execute one scenario and return the JSON-ready report."""
     bundle = generate_synthetic_constellation(
         sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    authentic_sfs = bundle.subframes
-    live = live_events(authentic_sfs)
-    lrt = LrtSource(offset_ms=sc.lrt_offset_ms,
-                    error_bound_ms=sc.lrt_error_bound_ms)
-
-    attack = dict(sc.attack)
-    kind = attack.get("type", "none")
-    receiver_pos = bundle.receiver_ecef
-    events = live
-    if kind == "none":
-        obs = _observations(authentic_sfs, receiver_pos)
-    elif kind == "tsr_realtime":
-        delay = to_millis(attack.get("delay_s", 0))
-        events = attacks.replay_realtime(live, delay)
-        obs = _observations(authentic_sfs, receiver_pos)
-    elif kind == "tsr_recorded":
-        staleness = to_millis(attack.get("staleness_s", 0))
-        mitm = to_millis(attack.get("mitm_delay_s", 0))
-        rec = attacks.RecordedStream(events=tuple(live),
-                                     t_record_ms=live[0].t_ms)
-        events = attacks.replay_recorded(rec, rec.t_record_ms + staleness)
-        lrt = attacks.ntp_mitm_delay(lrt, mitm)
-        obs = _observations(authentic_sfs, receiver_pos)
-    elif kind == "tsf":
-        target_cfg = attack.get("target", {})
-        target = geodetic_to_ecef(target_cfg.get("lat_deg", 4.0),
-                                  target_cfg.get("lon_deg", 50.0),
-                                  target_cfg.get("height_m", 100.0))
-        cfg = attacks.TsfConfig(
-            target_ecef_m=target,
-            clock_offset_s=float(attack.get("clock_offset_s", 0.0)),
-            seg_count=sc.seg_count,
-            forge_tags=attack.get("forge_tags", True),
-            iono_a0=attack.get("iono_a0", 0),
-            clock_bias_m=attack.get("clock_bias_m", 0.0))
-        forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
-                  for prn, sfs in authentic_sfs.items()}
-        staleness = to_millis(attack.get("staleness_s", 60 * SUBFRAME_SECONDS))
-        mitm = to_millis(attack.get("mitm_delay_s",
-                                    attack.get("staleness_s",
-                                               60 * SUBFRAME_SECONDS)))
-        rec_events = live_events(forged)
-        rec = attacks.RecordedStream(events=tuple(rec_events),
-                                     t_record_ms=rec_events[0].t_ms)
-        events = attacks.replay_recorded(rec, rec.t_record_ms + staleness)
-        lrt = attacks.ntp_mitm_delay(lrt, mitm)
-        receiver_pos = target
-        obs = _observations(forged, receiver_pos,
-                            t_r=cfg.clock_offset_s)
-    elif kind == "cr":
-        timing = attacks.CrTiming(
-            replay_delay_ms=to_millis(attack.get("replay_delay_s", 0)),
-            t_acq_ms=to_millis(attack.get("t_acq_s", "0.6")))
-        # a concatenating replay targets a receiver that is already
-        # authenticating; root acquisition takes one DSM cycle of rounds
-        onset_round = attack.get("onset_round", 8)
-        replay_copy = attacks.replay_realtime(live, timing.replay_delay_ms)
-        events = attacks.cr_compose(live, replay_copy, timing, onset_round)
-        obs = _observations(authentic_sfs, receiver_pos)
-    else:
-        raise ValueError(f"unknown attack type {kind!r}")
+    live = live_events(bundle.subframes)
+    events, lrt, truth = sc.attack_events(sc, bundle, live, sc.lrt)
+    obs = _observations(*(truth or (bundle.subframes, bundle.receiver_ecef, 0.0)))
 
     config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
                             seg_count=sc.seg_count,
                             key_reject_threshold=sc.key_reject_threshold)
     receiver = Receiver(config, lrt)
-    if not events:
-        raise ValueError("scenario produced no page events")
     t0 = min(e.t_ms for e in events)
     receiver.power_on(bundle.gst0, true_ms=t0)
     windows = [[] for _ in range(sc.duration_rounds)]
@@ -368,16 +414,13 @@ def run_scenario(sc: Scenario) -> dict:
         for prn, sf in result.subframes.items():
             if sf.complete:
                 seen_subframes[(sf.gst.total_seconds(), prn)] = sf
-        raw_fixes.append(_solve_from_subframes(
-            {p: s for p, s in result.subframes.items() if s.complete}, obs))
-        authentic = [v for v in result.verdicts
-                     if v.outcome is Outcome.AUTHENTIC]
+        raw_fixes.append(_solve_from_subframes(result.subframes, obs))
         by_gst: dict = {}
-        for v in authentic:
-            by_gst.setdefault(v.gst.total_seconds(), {})[v.prn] = \
-                seen_subframes.get((v.gst.total_seconds(), v.prn))
+        for v in result.verdicts:
+            key = (v.gst.total_seconds(), v.prn)
+            if v.outcome is Outcome.AUTHENTIC and key in seen_subframes:
+                by_gst.setdefault(key[0], {})[v.prn] = seen_subframes[key]
         for gst_s, sf_map in by_gst.items():
-            sf_map = {p: s for p, s in sf_map.items() if s is not None}
             if len(sf_map) >= 4:
                 auth_fixes[str(gst_s)] = _solve_from_subframes(sf_map, obs)
 

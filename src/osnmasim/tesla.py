@@ -86,7 +86,6 @@ class TeslaChain:
 
     keys: tuple
     gst0: Gst
-    delta_t: int = SUBFRAME_SECONDS
 
     @classmethod
     def generate(cls, seed: bytes, n: int, gst0: Gst) -> "TeslaChain":
@@ -119,16 +118,11 @@ class TeslaChain:
     def key_at(self, index: int) -> TeslaKey:
         return self.keys[index]
 
-    def key_for_gst(self, gst: Gst) -> TeslaKey:
-        offset = gst.total_seconds() - self.gst0.total_seconds()
-        index, rem = divmod(offset, self.delta_t)
-        if rem or not 0 <= index <= self.n:
-            raise ValueError(f"no chain slot at {gst}")
-        return self.keys[index]
-
-
-def generate_chain(seed: bytes, n: int, gst0: Gst) -> TeslaChain:
-    return TeslaChain.generate(seed, n, gst0)
+    def as_dict(self) -> dict:
+        """The chain description written to chain JSON files."""
+        return {"gst0": self.gst0.as_dict(), "delta_t": SUBFRAME_SECONDS,
+                "n": self.n, "seed_hex": self.seed.bits.hex(),
+                "root_hex": self.root.bits.hex()}
 
 
 def verify_key(candidate: TeslaKey, trusted: TeslaKey) -> int | None:

@@ -45,7 +45,7 @@ from osnmasim.scenario import (
     report_to_json,
     run_scenario,
 )
-from osnmasim.tesla import NMA_HEADER, generate_chain, verify_key
+from osnmasim.tesla import NMA_HEADER, TeslaChain, verify_key
 
 # ---------------------------------------------------------------------------
 # reference fixtures: intact capture pages and the worked forging example
@@ -259,7 +259,7 @@ def test_criterion_7a_chain_soundness_exhaustive():
     the hash count matching an independent brute-force walk."""
     n = 200
     seed = random.Random(614).randbytes(16)
-    chain = generate_chain(seed, n, GST0)
+    chain = TeslaChain.generate(seed, n, GST0)
 
     # independent oracle: rebuild the chain with hashlib alone
     oracle = [seed]

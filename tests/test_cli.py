@@ -59,6 +59,30 @@ def test_forge_tsf_roundtrip(tmp_path):
     assert len(loaded.rows) == 4 * 9 * 15
 
 
+def test_forge_tsf_out_of_range_iono_is_an_error(tmp_path, capsys):
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "5", "--out-dir", str(out)])
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
+                 "--iono-a0", "3000", "--out", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iono_a0" in err
+    assert not forged.exists()
+
+
+def test_forge_tsf_too_many_segments_is_an_error(tmp_path, capsys):
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "5", "--out-dir", str(out)])
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
+                 "--segments", "12", "--out", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "12 segments" in err
+    assert not forged.exists()
+
+
 def test_run_writes_report_and_exit_code(tmp_path):
     rc = main(["run", str(SCENARIO_DIR / "baseline.json"),
                "--out-dir", str(tmp_path)])
@@ -78,6 +102,20 @@ def test_run_batch(tmp_path):
     assert rc == 2
     assert (tmp_path / "baseline.report.json").exists()
     assert (tmp_path / "cr_delay_1_5.report.json").exists()
+
+
+def test_run_checks_every_file_before_running_any(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    cfg = json.loads((SCENARIO_DIR / "tsr_realtime_30_5.json").read_text())
+    cfg["attack"]["delay"] = cfg["attack"].pop("delay_s")
+    bad.write_text(json.dumps(cfg))
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    assert main(["run", str(SCENARIO_DIR / "baseline.json"), str(bad),
+                 "--out-dir", str(reports)]) == 1
+    assert list(reports.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "bad.json: $.attack.delay: unknown key" in err
 
 
 def test_run_missing_scenario_is_error(tmp_path, capsys):

@@ -8,23 +8,22 @@ from osnmasim.gst import (
     SymmetricBound,
     TsStartup,
     check_time_sync,
-    gst_total_seconds,
     to_millis,
     ts_startup,
 )
 
 
 def test_total_seconds_zero():
-    assert gst_total_seconds(Gst(0, 0)) == 0
+    assert Gst(0, 0).total_seconds() == 0
 
 
 def test_total_seconds_one_week():
-    assert gst_total_seconds(Gst(1, 0)) == 604800
+    assert Gst(1, 0).total_seconds() == 604800
 
 
 def test_total_seconds_reference_subframe():
     # 1251 * 604800 + 277200, the first subframe of the reference capture
-    assert gst_total_seconds(Gst(1251, 277200)) == 756882000
+    assert Gst(1251, 277200).total_seconds() == 756882000
 
 
 def test_tow_range_enforced():

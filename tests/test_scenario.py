@@ -1,18 +1,25 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import osnmasim.scenario
 from osnmasim.scenario import (
+    ATTACKS,
+    POLICIES,
+    SCENARIO_KEYS,
     Scenario,
+    ScenarioError,
     diff_reports,
     report_to_json,
     run_scenario,
 )
 from osnmasim.vectors import CrcError, TestVectorSet
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 def _scenario(attack, sats=8, subframes=14, **extra):
@@ -79,9 +86,136 @@ def test_exit_code_two_on_failure_verdicts():
     assert "tag_mismatch" in _outcomes(report)
 
 
-def test_scenario_duration_clamped():
-    sc = _scenario({"type": "none"}, subframes=8, duration_rounds=99)
-    assert sc.duration_rounds == 8
+def test_scenario_duration_beyond_subframes_rejected():
+    with pytest.raises(ScenarioError, match=r"\$\.duration_rounds"):
+        _scenario({"type": "none"}, subframes=8, duration_rounds=99)
+
+
+def _with(path: str, value):
+    """A valid scenario with one value set at a dotted path."""
+    cfg = {"seed": 7, "constellation": {"sats": 4, "subframes": 12},
+           "receiver": {"policy": {"type": "alternate"}},
+           "attack": {"type": "cr"}, "duration_rounds": 12}
+    *parents, leaf = path.split(".")
+    block = cfg
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[leaf] = value
+    return cfg
+
+
+BAD_CONFIGS = [
+    # (dotted path, value, JSON path the error must name)
+    ("attack", {"type": "tsr_realtime", "delay": "30.5"}, "$.attack.delay"),
+    ("attack", {"type": "tsr_replay"}, "$.attack.type"),
+    ("attack", {"type": ["cr"]}, "$.attack.type"),
+    ("receiver.policy", {"type": "lenient"}, "$.receiver.policy.type"),
+    ("receiver.policy", {"type": "alternate", "t_l": 30},
+     "$.receiver.policy.t_l"),
+    ("receiver.policy", {"type": "symmetric", "b_s": True},
+     "$.receiver.policy.b_s"),
+    ("receiver.lrt_offset_s", True, "$.receiver.lrt_offset_s"),
+    ("receiver.lrt_error_bound_s", "abc", "$.receiver.lrt_error_bound_s"),
+    ("attack", {"type": "cr", "replay_delay_s": None},
+     "$.attack.replay_delay_s"),
+    ("attack", {"type": "cr", "onset_round": 12}, "$.attack.onset_round"),
+    ("attack", {"type": "cr", "onset_round": -1}, "$.attack.onset_round"),
+    ("attack", {"type": "tsf", "target": {"lat": 4}}, "$.attack.target.lat"),
+    ("attack", {"type": "tsf", "forge_tags": "yes"}, "$.attack.forge_tags"),
+    ("attack", "cr", "$.attack"),
+    ("duration_rounds", 0, "$.duration_rounds"),
+    ("duration_rounds", 12.0, "$.duration_rounds"),
+    ("duration_rounds", 13, "$.duration_rounds"),
+    ("seed", True, "$.seed"),
+    ("constellation.receiver.lat", 45.0, "$.constellation.receiver.lat"),
+    ("constellation.sats", "8", "$.constellation.sats"),
+    ("durations_rounds", 12, "$.durations_rounds"),
+]
+
+
+def test_bad_config_table_starts_from_a_valid_config():
+    assert Scenario.from_dict(_with("seed", 7)).duration_rounds == 12
+
+
+@pytest.mark.parametrize("path,value,where", BAD_CONFIGS,
+                         ids=[f"{p}={v!r}" for p, v, _ in BAD_CONFIGS])
+def test_bad_config_names_json_path(monkeypatch, path, value, where):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a constellation was built for a bad config")
+
+    monkeypatch.setattr(osnmasim.scenario, "generate_synthetic_constellation",
+                        no_build)
+    with pytest.raises(ScenarioError) as info:
+        Scenario.from_dict(_with(path, value))
+    assert str(info.value).startswith(where + ":"), str(info.value)
+
+
+def test_load_error_names_file_and_json_path(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(_with("attack.delay", "30.5")))
+    with pytest.raises(ScenarioError, match=r"typo\.json: \$\.attack\.delay"):
+        Scenario.load(path)
+
+
+def test_defaults_fill_unset_keys():
+    sc = Scenario.from_dict({})
+    assert (sc.name, sc.seed, sc.n_sats, sc.n_subframes) == ("unnamed", 0, 8, 14)
+    assert sc.duration_rounds == 14
+    assert sc.attack == {"type": "none"}
+    assert sc.policy.t_l_ms == 30000
+    assert (sc.lrt.offset_ms, sc.lrt.error_bound_ms) == (0, 0)
+
+
+def test_tsf_mitm_delay_defaults_to_staleness():
+    tsf = {"type": "tsf", "staleness_s": 90}
+    implicit = run_scenario(_scenario(tsf, sats=4, subframes=6))
+    explicit = run_scenario(_scenario({**tsf, "mitm_delay_s": 90},
+                                      sats=4, subframes=6))
+    without = run_scenario(_scenario({**tsf, "mitm_delay_s": 0},
+                                     sats=4, subframes=6))
+    assert implicit["receiver"] == explicit["receiver"]
+    assert implicit["receiver"]["status"] != "ts_failed"
+    assert without["receiver"]["status"] == "ts_failed"
+    assert implicit["scenario"]["attack"] == tsf      # the block as written
+
+
+def _readme_scenario_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_scenario_blocks_load():
+    """Every JSON block in README's scenario section passes the schema; a
+    block with a ``type`` is an attack block."""
+    decoder = json.JSONDecoder()
+    blocks = re.findall(r"```json\n(.*?)```", _readme_scenario_section(),
+                        re.S)
+    loaded = 0
+    for block in blocks:
+        pos = 0
+        while block[pos:].strip():
+            pos += len(block[pos:]) - len(block[pos:].lstrip())
+            obj, pos = decoder.raw_decode(block, pos)
+            Scenario.from_dict({"attack": obj} if "type" in obj else obj)
+            loaded += 1
+    assert loaded >= 1 + len(ATTACKS)
+
+
+def _declared_keys(keys: dict):
+    for key, (kind, _) in keys.items():
+        yield key
+        if isinstance(kind, dict):
+            yield from _declared_keys(kind)
+
+
+def test_readme_lists_every_scenario_key():
+    section = _readme_scenario_section()
+    tables = [SCENARIO_KEYS] + [keys for keys, _ in POLICIES.values()] \
+        + [keys for keys, _ in ATTACKS.values()]
+    names = {k for table in tables for k in _declared_keys(table)}
+    names |= set(POLICIES) | set(ATTACKS)
+    missing = sorted(n for n in names if f"`{n}`" not in section)
+    assert not missing
 
 
 def test_diff_reports_flags_paths():

@@ -15,7 +15,6 @@ from osnmasim.tesla import (
     build_root_message,
     derive_prev_key,
     dsm_hkroot_blocks,
-    generate_chain,
     generate_keypair,
     load_public_key_pem,
     parse_root_message,
@@ -35,7 +34,7 @@ REFERENCE_PREV = bytes.fromhex("414e8a2219dda24b0c23ea34ccce04bb")
 
 def test_single_step_chain():
     seed = bytes(range(16))
-    chain = generate_chain(seed, 1, GST0)
+    chain = TeslaChain.generate(seed, 1, GST0)
     assert chain.keys[1].bits == seed
     assert chain.keys[0].bits == hashlib.sha256(seed).digest()[:16]
 
@@ -43,7 +42,7 @@ def test_single_step_chain():
 def test_chain_matches_independent_walk():
     rng = random.Random(5)
     seed = rng.randbytes(16)
-    chain = generate_chain(seed, 100, GST0)
+    chain = TeslaChain.generate(seed, 100, GST0)
     bits = seed
     for _ in range(100):
         bits = hashlib.sha256(bits).digest()[:16]
@@ -51,19 +50,19 @@ def test_chain_matches_independent_walk():
 
 
 def test_distinct_seeds_distinct_roots():
-    a = generate_chain(bytes(16), 10, GST0)
-    b = generate_chain(bytes(15) + b"\x01", 10, GST0)
+    a = TeslaChain.generate(bytes(16), 10, GST0)
+    b = TeslaChain.generate(bytes(15) + b"\x01", 10, GST0)
     assert a.root.bits != b.root.bits
 
 
 def test_chain_slot_gsts():
-    chain = generate_chain(bytes(16), 5, GST0)
+    chain = TeslaChain.generate(bytes(16), 5, GST0)
     for i, key in enumerate(chain.keys):
         assert key.gst.total_seconds() == GST0.total_seconds() + 30 * i
 
 
 def test_derive_prev_key_definitional():
-    chain = generate_chain(b"\xab" * 16, 20, GST0)
+    chain = TeslaChain.generate(b"\xab" * 16, 20, GST0)
     for i in range(20):
         derived = derive_prev_key(chain.keys[i + 1])
         assert derived == chain.keys[i]
@@ -77,18 +76,18 @@ def test_derive_prev_key_reference_vector():
 
 
 def test_verify_adjacent_key():
-    chain = generate_chain(b"\x01" * 16, 10, GST0)
+    chain = TeslaChain.generate(b"\x01" * 16, 10, GST0)
     assert verify_key(chain.keys[4], chain.keys[3]) == 1
 
 
 def test_verify_seven_steps():
-    chain = generate_chain(b"\x02" * 16, 10, GST0)
+    chain = TeslaChain.generate(b"\x02" * 16, 10, GST0)
     lv = 2
     assert verify_key(chain.keys[lv + 7], chain.keys[lv]) == 7
 
 
 def test_verify_counts_match_brute_force_walk():
-    chain = generate_chain(b"\x03" * 16, 40, GST0)
+    chain = TeslaChain.generate(b"\x03" * 16, 40, GST0)
     for j in range(0, 40, 7):
         for i in range(j + 1, 41, 5):
             # oracle: count hash applications until the trusted bits appear
@@ -100,7 +99,7 @@ def test_verify_counts_match_brute_force_walk():
 
 
 def test_stale_key_raises_order_error():
-    chain = generate_chain(b"\x04" * 16, 5, GST0)
+    chain = TeslaChain.generate(b"\x04" * 16, 5, GST0)
     with pytest.raises(GstOrderError):
         verify_key(chain.keys[2], chain.keys[3])
     with pytest.raises(GstOrderError):
@@ -108,7 +107,7 @@ def test_stale_key_raises_order_error():
 
 
 def test_misaligned_gst_raises():
-    chain = generate_chain(b"\x05" * 16, 5, GST0)
+    chain = TeslaChain.generate(b"\x05" * 16, 5, GST0)
     shifted = TeslaKey(chain.keys[3].bits, chain.keys[3].gst.add_seconds(7))
     with pytest.raises(AlignmentError):
         verify_key(shifted, chain.keys[1])
@@ -117,7 +116,7 @@ def test_misaligned_gst_raises():
 def test_slot_shift_flips_verdict():
     """An authentic key presented in the wrong slot fails: the hash count
     no longer lands on the trusted key."""
-    chain = generate_chain(b"\x06" * 16, 10, GST0)
+    chain = TeslaChain.generate(b"\x06" * 16, 10, GST0)
     good = chain.keys[5]
     assert verify_key(good, chain.keys[2]) == 3
     late = TeslaKey(good.bits, good.gst.add_seconds(30))
@@ -127,7 +126,7 @@ def test_slot_shift_flips_verdict():
 
 
 def test_random_keys_rejected():
-    chain = generate_chain(b"\x07" * 16, 20, GST0)
+    chain = TeslaChain.generate(b"\x07" * 16, 20, GST0)
     rng = random.Random(99)
     accepted = sum(
         verify_key(TeslaKey(rng.randbytes(16), chain.keys[9].gst),
@@ -209,7 +208,7 @@ def test_pem_round_trip():
 
 def _signed_root():
     sk, pk = generate_keypair(12)
-    chain = generate_chain(b"\x21" * 16, 8, GST0)
+    chain = TeslaChain.generate(b"\x21" * 16, 8, GST0)
     body = build_root_message(0x52, 0, GST0.wn, GST0.tow, chain.root.bits)
     msg = RootKeyMessage(nma_header=0x52, mf=0, wnk=GST0.wn, towk=GST0.tow,
                          kroot=chain.root.bits, signature=sign_root(body, sk))
