@@ -1,9 +1,9 @@
 """Generators for the four spoofing attacks.
 
 * real-time replay: shift a live stream by a delay, bit-identical content;
-* recorded replay: re-transmit an old capture, paired with an NTP
-  man-in-the-middle delay that drags the victim's reference time back to
-  the capture epoch;
+* non-real-time replay: the same delayed replay with the delay set to the
+  capture's staleness, plus an NTP man-in-the-middle delay that drags the
+  victim's reference time back to the capture epoch;
 * forgery: rewrite navigation data inside recorded subframes, recompute
   tags with the key disclosed two subframes later, reseal page CRCs, keys
   untouched;
@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import LrtSource
-from .mack import generate_subframe_tags, pack_mack, unpack_mack
+from .mack import disclosed_key, generate_subframe_tags, pack_mack
 from .navdata import (
     build_nav_data,
+    build_subframe,
     parse_nav_data,
-    replace_mack,
-    replace_nav,
     subframe_nav_data,
 )
 from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, extract_osnma
@@ -31,14 +30,6 @@ from .tesla import TeslaKey
 
 class InsufficientAuxError(ValueError):
     """Forgery needs at least three consecutive recorded subframes."""
-
-
-@dataclass(frozen=True)
-class RecordedStream:
-    """Whole-subframe capture of an authentic stream."""
-
-    events: tuple
-    t_record_ms: int
 
 
 @dataclass(frozen=True)
@@ -71,19 +62,6 @@ def replay_realtime(live, delay_ms: int) -> list:
     ]
 
 
-def replay_recorded(rec: RecordedStream, replay_start_ms: int) -> list:
-    """Re-timestamp a capture to begin at replay_start; content (and the
-    GSTs inside) stays stale by replay_start - t_record."""
-    if replay_start_ms < rec.t_record_ms:
-        raise ValueError("cannot replay before the capture was taken")
-    shift = replay_start_ms - rec.t_record_ms
-    return [
-        PageEvent(t_ms=e.t_ms + shift, prn=e.prn,
-                  source=Source.ADVERSARY, raw=e.raw)
-        for e in rec.events
-    ]
-
-
 def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
     """Delay NTP request packets: the victim's LRT reads behind true time."""
     if delay_ms < 0:
@@ -110,30 +88,30 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
     """Run the continuous forgery loop over one satellite's subframes.
 
     For each window (n, n+1, n+2): replace the nav data of subframe n,
-    recompute its tags under the key disclosed in subframe n+2, overwrite
-    the tag region of subframe n+1 (key bits preserved) and reseal every
-    modified page.  The last two subframes pass through untouched, so the
-    whole output stream verifies.
+    recompute its tags under the key disclosed in subframe n+2 and
+    overwrite the tag region of subframe n+1 (key bits preserved).  Every
+    rewritten subframe is built and resealed once; the last subframe (the
+    last two without tags) passes through untouched, so the whole output
+    stream verifies.
     """
     n = len(aux)
     if n < 3:
         raise InsufficientAuxError("need at least 3 consecutive subframes")
-    out = list(aux)
+    rewritten = n - 1 if cfg.forge_tags else n - 2
+    navs = [subframe_nav_data(sf) for sf in aux[:rewritten]]
+    hkroots, macks = map(list, zip(*(extract_osnma(sf) for sf in aux)))
     for i in range(n - 2):
-        forged_blob = forge_nav_blob(subframe_nav_data(out[i]), cfg)
-        out[i] = replace_nav(out[i], forged_blob)
-        if not cfg.forge_tags:
-            continue
-        _, key_mack = extract_osnma(out[i + 2])
-        _, key_bits = unpack_mack(key_mack, cfg.seg_count)
-        key = TeslaKey(key_bits, out[i + 2].gst)
-        tags = generate_subframe_tags(forged_blob, key,
-                                      prn_d=out[i].prn, prn_a=out[i].prn,
-                                      gst_sf=out[i + 1].gst,
-                                      seg_count=cfg.seg_count)
-        _, own_key = unpack_mack(extract_osnma(out[i + 1])[1], cfg.seg_count)
-        out[i + 1] = replace_mack(out[i + 1], pack_mack(tags, own_key))
-    return out
+        navs[i] = forge_nav_blob(navs[i], cfg)
+        if cfg.forge_tags:
+            key = TeslaKey(disclosed_key(macks[i + 2]), aux[i + 2].gst)
+            tags = generate_subframe_tags(navs[i], key, prn_d=aux[i].prn,
+                                          prn_a=aux[i].prn,
+                                          gst_sf=aux[i + 1].gst,
+                                          seg_count=cfg.seg_count)
+            macks[i + 1] = pack_mack(tags, disclosed_key(macks[i + 1]))
+    return [build_subframe(sf.gst, sf.prn, nav, hkroot, mack)
+            for sf, nav, hkroot, mack in zip(aux, navs, hkroots, macks)] \
+        + list(aux[rewritten:])
 
 
 def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:

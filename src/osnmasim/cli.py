@@ -9,7 +9,8 @@ Subcommands:
     report diff         compare two reports
 
 Exit codes for `run`: 0 clean, 2 when verification-failure verdicts are
-present, 1 on errors.
+present.  Every subcommand reports bad input or an unreadable file as one
+`error:` line (`invalid:` for `vectors validate`) and exits 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .scenario import (
     run_scenario,
 )
 from .tesla import TeslaChain
-from .vectors import CrcError, SchemaError, TestVectorSet
+from .vectors import TestVectorSet
 
 
 def _cmd_gen_constellation(args) -> int:
@@ -59,31 +60,19 @@ def _cmd_gen_chain(args) -> int:
 
 
 def _cmd_vectors_validate(args) -> int:
-    try:
-        vectors = TestVectorSet.load(args.path, mapping_path=args.mapping)
-    except (SchemaError, CrcError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    vectors = TestVectorSet.load(args.path, mapping_path=args.mapping)
     groups = {(wn, tow, prn) for wn, tow, prn, _, _ in vectors.rows}
     print(f"ok: {len(vectors.rows)} pages, {len(groups)} subframes")
     return 0
 
 
 def _cmd_forge_tsf(args) -> int:
-    try:
-        vectors = TestVectorSet.load(args.vectors)
-    except (SchemaError, CrcError, OSError) as exc:
-        print(f"cannot load vectors: {exc}", file=sys.stderr)
-        return 1
+    vectors = TestVectorSet.load(args.vectors)
     target = geodetic_to_ecef(args.lat, args.lon, args.height)
     cfg = TsfConfig(target_ecef_m=target, seg_count=args.segments,
                     forge_tags=not args.no_tags, iono_a0=args.iono_a0)
-    try:
-        forged = {prn: tsf_forge_subframes(sfs, cfg)
-                  for prn, sfs in vectors.subframes().items()}
-    except ValueError as exc:       # out-of-range --iono-a0 or --segments
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    forged = {prn: tsf_forge_subframes(sfs, cfg)
+              for prn, sfs in vectors.subframes().items()}
     TestVectorSet.from_subframes(forged).save(args.out)
     print(f"wrote {args.out}")
     return 0
@@ -102,13 +91,9 @@ def _run_one(path: str, scenario: Scenario, out_dir: str | None) -> int:
 
 def _cmd_run(args) -> int:
     # every file is checked before the first scenario runs
-    try:
-        scenarios = [Scenario.load(p) for p in args.scenario]
-        codes = [_run_one(p, sc, args.out_dir)
-                 for p, sc in zip(args.scenario, scenarios)]
-    except Exception as exc:    # noqa: BLE001 - surfaced as exit code 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    scenarios = [Scenario.load(p) for p in args.scenario]
+    codes = [_run_one(p, sc, args.out_dir)
+             for p, sc in zip(args.scenario, scenarios)]
     for path, code in zip(args.scenario, codes):
         print(f"{path}: exit {code}", file=sys.stderr)
     return max(codes)
@@ -155,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("path")
     v.add_argument("--mapping", default=None,
                    help="JSON column-mapping file for foreign formats")
-    v.set_defaults(func=_cmd_vectors_validate)
+    v.set_defaults(func=_cmd_vectors_validate, failure="invalid")
 
     p = sub.add_parser("forge", help="attack-side forging tools")
     fsub = p.add_subparsers(dest="forge_command", required=True)
@@ -189,7 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:    # bad input or an unreadable file
+        print(f"{getattr(args, 'failure', 'error')}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

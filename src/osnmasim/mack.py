@@ -21,7 +21,7 @@ MACK_BITS = 480
 MACK_BYTES = MACK_BITS // 8
 KEY_BITS = 128
 TAG_REGION_BITS = MACK_BITS - KEY_BITS      # 352
-TAG_BITS_DEFAULT = 40
+TAG_BITS = 40
 
 
 class CapacityError(ValueError):
@@ -44,52 +44,55 @@ def build_auth_message(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int,
     return head.to_bytes(7, "big") + segment
 
 
-def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS_DEFAULT) -> bytes:
+def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
     """HMAC-SHA-256 truncated to the leading tag_bits."""
     if tag_bits % 8 or not 0 < tag_bits <= 256:
         raise ValueError("tag length must be a multiple of 8 bits, <= 256")
     return hmac.new(key, message, hashlib.sha256).digest()[:tag_bits // 8]
 
 
-def pack_mack(tags, key: bytes, tag_bits: int = TAG_BITS_DEFAULT) -> bytes:
-    """Pack tags and the disclosed key into a 480-bit blob.
+def _check_capacity(n_tags: int) -> None:
+    if n_tags * TAG_BITS > TAG_REGION_BITS:
+        raise CapacityError(f"{n_tags} segments of {TAG_BITS}-bit tags exceed "
+                            f"the {TAG_REGION_BITS}-bit tag region")
+
+
+def pack_mack(tags, key: bytes) -> bytes:
+    """Pack 40-bit tags and the disclosed key into a 480-bit blob.
 
     Tags occupy consecutive bit positions from bit 0; the unused remainder
     of the tag region is zero fill; the key occupies the final 128 bits.
     """
-    total_tag_bits = tag_bits * len(tags)
-    if total_tag_bits > TAG_REGION_BITS:
-        raise CapacityError(
-            f"{len(tags)} tags of {tag_bits} bits exceed {TAG_REGION_BITS} bits")
+    _check_capacity(len(tags))
     if len(key) * 8 != KEY_BITS:
         raise ValueError("chain key must be 128 bits")
     region = 0
     for tag in tags:
-        if len(tag) * 8 != tag_bits:
-            raise ValueError("tag width does not match tag_bits")
-        region = (region << tag_bits) | int.from_bytes(tag, "big")
-    region <<= TAG_REGION_BITS - total_tag_bits
+        if len(tag) * 8 != TAG_BITS:
+            raise ValueError(f"tags must be {TAG_BITS} bits")
+        region = (region << TAG_BITS) | int.from_bytes(tag, "big")
+    region <<= TAG_REGION_BITS - TAG_BITS * len(tags)
     blob = (region << KEY_BITS) | int.from_bytes(key, "big")
     return blob.to_bytes(MACK_BYTES, "big")
 
 
-def unpack_mack(blob: bytes, n_tags: int,
-                tag_bits: int = TAG_BITS_DEFAULT) -> tuple:
-    """Inverse of pack_mack for a known tag geometry."""
+def unpack_mack(blob: bytes, n_tags: int) -> tuple:
+    """Inverse of pack_mack for a known tag count."""
     if len(blob) != MACK_BYTES:
         raise ValueError(f"MACK blob must be {MACK_BYTES} bytes")
-    if n_tags * tag_bits > TAG_REGION_BITS:
-        raise CapacityError(f"{n_tags} segments of {tag_bits}-bit tags exceed "
-                            f"the {TAG_REGION_BITS}-bit tag region")
-    value = int.from_bytes(blob, "big")
-    key = (value & ((1 << KEY_BITS) - 1)).to_bytes(KEY_BITS // 8, "big")
-    region = value >> KEY_BITS
+    _check_capacity(n_tags)
+    region = int.from_bytes(blob, "big") >> KEY_BITS
     tags = []
     for i in range(n_tags):
-        shift = TAG_REGION_BITS - (i + 1) * tag_bits
-        tags.append(((region >> shift) & ((1 << tag_bits) - 1))
-                    .to_bytes(tag_bits // 8, "big"))
-    return tags, key
+        shift = TAG_REGION_BITS - (i + 1) * TAG_BITS
+        tags.append(((region >> shift) & ((1 << TAG_BITS) - 1))
+                    .to_bytes(TAG_BITS // 8, "big"))
+    return tags, disclosed_key(blob)
+
+
+def disclosed_key(blob: bytes) -> bytes:
+    """The chain key bits carried in the last 128 bits of a MACK blob."""
+    return blob[-KEY_BITS // 8:]
 
 
 def split_segments(nav_data: bytes, seg_count: int) -> list:
@@ -102,25 +105,22 @@ def split_segments(nav_data: bytes, seg_count: int) -> list:
 
 
 def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
-                           prn_a: int, gst_sf: Gst, seg_count: int,
-                           tag_bits: int = TAG_BITS_DEFAULT) -> list:
+                           prn_a: int, gst_sf: Gst, seg_count: int) -> list:
     """One tag per nav-data segment, all under the same chain key."""
     return [
         compute_tag(key.bits,
-                    build_auth_message(prn_d, prn_a, gst_sf, i + 1, seg),
-                    tag_bits)
+                    build_auth_message(prn_d, prn_a, gst_sf, i + 1, seg))
         for i, seg in enumerate(split_segments(nav_data, seg_count))
     ]
 
 
 def verify_tags(nav_data: bytes, received, key: TeslaKey, prn_d: int,
-                prn_a: int, gst_sf: Gst, seg_count: int,
-                tag_bits: int = TAG_BITS_DEFAULT) -> list:
+                prn_a: int, gst_sf: Gst, seg_count: int) -> list:
     """Recompute tags locally and compare element-wise.
 
     The key must already have been verified against the chain; an
     all-True result marks the nav data authentic for prn_d.
     """
     local = generate_subframe_tags(nav_data, key, prn_d, prn_a, gst_sf,
-                                   seg_count, tag_bits)
+                                   seg_count)
     return [hmac.compare_digest(a, b) for a, b in zip(local, received)]

@@ -29,7 +29,6 @@ from .pages import (
     PageContent,
     SLOTS_PER_SUBFRAME,
     Subframe,
-    extract_osnma,
     getbitu,
     seal_page,
     setbitu,
@@ -161,19 +160,4 @@ def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
         )
         pages.append(seal_page(page))
     return Subframe(gst=gst, prn=prn, pages=tuple(pages))
-
-
-def replace_nav(sf: Subframe, nav_blob: bytes) -> Subframe:
-    """Rebuild a subframe around new nav data, preserving HKROOT and MACK.
-
-    Every page is resealed, so the result passes CRC checks bit for bit.
-    """
-    hkroot, mack_blob = extract_osnma(sf)
-    return build_subframe(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)
-
-
-def replace_mack(sf: Subframe, mack_blob: bytes) -> Subframe:
-    """Rebuild a subframe around a new 480-bit MACK blob."""
-    hkroot, _ = extract_osnma(sf)
-    return build_subframe(sf.gst, sf.prn, subframe_nav_data(sf), hkroot, mack_blob)
 

@@ -89,22 +89,17 @@ def crc24q(data: bytes, nbits: int | None = None) -> int:
     """CRC-24Q over the leading nbits of data, MSB first.
 
     nbits may end inside the final byte; remaining bits of that byte are
-    ignored.  Zero initial value, no final xor.
+    ignored.  Zero initial value, no final xor, so zero bits in front of the
+    data leave the CRC unchanged: the leading nbits are right-aligned into
+    whole bytes and fed through the table.
     """
     if nbits is None:
         nbits = 8 * len(data)
-    nbytes, rem = divmod(nbits, 8)
+    nbytes = (nbits + 7) // 8
+    lead = int.from_bytes(data[:nbytes], "big") >> (-nbits % 8)
     crc = 0
-    for byte in data[:nbytes]:
+    for byte in lead.to_bytes(nbytes, "big"):
         crc = ((crc << 8) & 0xFFFFFF) ^ _CRC_TABLE[(crc >> 16) ^ byte]
-    if rem:
-        byte = data[nbytes]
-        for k in range(rem):
-            bit = (byte >> (7 - k)) & 1
-            top = (crc >> 23) & 1
-            crc = (crc << 1) & 0xFFFFFF
-            if top ^ bit:
-                crc ^= CRC24Q_POLY & 0xFFFFFF
     return crc
 
 
@@ -191,9 +186,8 @@ def _int_crc(value: int) -> int:
     """CRC-24Q over the protected region of a page held as an int."""
     region = ((value >> (PAGE_BITS - _PROTECTED_EVEN_BITS)) << _PROTECTED_ODD_BITS) \
         | _field(value, (120, _PROTECTED_ODD_BITS))
-    # left-align into whole bytes for the table-driven CRC
-    padded = region << (-_PROTECTED_BITS % 8)
-    return crc24q(padded.to_bytes((_PROTECTED_BITS + 7) // 8, "big"), _PROTECTED_BITS)
+    # right-aligned in whole bytes: the leading zero bits leave the CRC as is
+    return crc24q(region.to_bytes((_PROTECTED_BITS + 7) // 8, "big"))
 
 
 def _raw_int(raw: bytes) -> int:

@@ -22,7 +22,7 @@ from .gst import (
     TsStartup,
     ts_startup,
 )
-from .mack import unpack_mack, verify_tags
+from .mack import disclosed_key, unpack_mack, verify_tags
 from .navdata import subframe_nav_data
 from .pages import SUBFRAME_MS, Subframe, assemble_round, extract_osnma
 from .tesla import (
@@ -30,7 +30,6 @@ from .tesla import (
     DsmAccumulator,
     GstOrderError,
     TeslaKey,
-    build_root_message,
     load_public_key_pem,
     verify_key,
     verify_root,
@@ -74,7 +73,6 @@ class ReceiverConfig:
 
 @dataclass
 class RoundResult:
-    gst: Gst
     subframes: dict = field(default_factory=dict)   # prn -> Subframe
     verdicts: list = field(default_factory=list)
 
@@ -122,7 +120,7 @@ class Receiver:
         the OSNMA pipeline is gated on a successful TS startup.
         """
         gst = self._round_gst()
-        result = RoundResult(gst=gst)
+        result = RoundResult()
         osnma_active = self.status not in (Status.COLD_START, Status.TS_FAILED)
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
@@ -135,11 +133,10 @@ class Receiver:
             result.subframes[prn] = sf
             if not osnma_active:
                 continue
-            verdict = self._process_subframe(sf, trusted_before)
+            verdict, verified = self._process_subframe(sf, trusted_before)
             if verdict is not None:
                 result.verdicts.append(verdict)
-                if verdict.outcome is Outcome.AUTHENTIC:
-                    advanced = self._key_of(self.pending[prn][-1])
+            advanced = verified or advanced
         if advanced is not None:
             self.trusted_key = advanced
         self.verdicts.extend(result.verdicts)
@@ -174,36 +171,33 @@ class Receiver:
         gst_end_ms = gst.total_millis() + SUBFRAME_MS
         self.deltas_ms.append(lrt_ms - gst_end_ms)
 
-    def _process_subframe(self, sf: Subframe, trusted_before) -> AuthResult | None:
+    def _process_subframe(self, sf: Subframe, trusted_before) -> tuple:
+        """The subframe's verdict, or None, and the key it verified."""
         prn = sf.prn
         if not sf.complete:
             self.pending.pop(prn, None)
             if self.status is Status.AUTHENTICATING:
                 self.status = Status.SUSPENDED
                 self._note_status(sf.gst)
-            return AuthResult(sf.gst, prn, Outcome.DISCARDED_INCOMPLETE)
+            return AuthResult(sf.gst, prn, Outcome.DISCARDED_INCOMPLETE), None
 
-        hkroot, _ = extract_osnma(sf)
         if self.root is None:
-            self._feed_dsm(hkroot, sf.gst)
+            self._feed_dsm(extract_osnma(sf)[0], sf.gst)
 
         window = self.pending.setdefault(prn, [])
         window.append(sf)
         if len(window) > 3:
             window.pop(0)
-        if self.status is Status.SPOOF_DETECTED or self.trusted_key is None:
-            return None
-        if len(window) < 3:
-            return None
+        if self.status is Status.SPOOF_DETECTED or self.trusted_key is None \
+                or len(window) < 3:
+            return None, None
         return self._verify_triple(window, trusted_before or self.trusted_key)
 
     def _feed_dsm(self, hkroot: bytes, gst: Gst) -> None:
         msg = self._dsm.feed(hkroot)
         if msg is None:
             return
-        body = msg.signature and build_root_message(
-            msg.nma_header, msg.mf, msg.wnk, msg.towk, msg.kroot)
-        if body and verify_root(body, msg.signature, self._pubkey):
+        if verify_root(msg.body, msg.signature, self._pubkey):
             self.root = msg
             self.trusted_key = msg.root_key
             if self.status is Status.AWAITING_ROOT_KEY:
@@ -212,20 +206,17 @@ class Receiver:
         else:
             self._dsm.reset()
 
-    def _key_of(self, sf: Subframe) -> TeslaKey:
-        _, mack = extract_osnma(sf)
-        _, key_bits = unpack_mack(mack, self.config.seg_count)
-        return TeslaKey(key_bits, sf.gst)
-
-    def _verify_triple(self, window, trusted: TeslaKey) -> AuthResult:
+    def _verify_triple(self, window, trusted: TeslaKey) -> tuple:
+        """The data subframe's verdict and, when authentic, the key that
+        verified it."""
         data_sf, tag_sf, key_sf = window
-        candidate = self._key_of(key_sf)
+        candidate = TeslaKey(disclosed_key(extract_osnma(key_sf)[1]), key_sf.gst)
         try:
             steps = verify_key(candidate, trusted)
         except (GstOrderError, AlignmentError):
             steps = None
         if steps is None:
-            return self._reject_key(data_sf)
+            return self._reject_key(data_sf), None
 
         _, tag_mack = extract_osnma(tag_sf)
         tags, _ = unpack_mack(tag_mack, self.config.seg_count)
@@ -234,11 +225,11 @@ class Receiver:
                               gst_sf=tag_sf.gst,
                               seg_count=self.config.seg_count)
         if not all(matches):
-            return AuthResult(data_sf.gst, data_sf.prn, Outcome.TAG_MISMATCH)
+            return AuthResult(data_sf.gst, data_sf.prn, Outcome.TAG_MISMATCH), None
         if self.status is Status.SUSPENDED:
             self.status = Status.AUTHENTICATING
             self._note_status(data_sf.gst)
-        return AuthResult(data_sf.gst, data_sf.prn, Outcome.AUTHENTIC)
+        return AuthResult(data_sf.gst, data_sf.prn, Outcome.AUTHENTIC), candidate
 
     def _reject_key(self, data_sf: Subframe) -> AuthResult:
         self.key_rejections += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 from . import attacks
@@ -21,12 +21,19 @@ from .gst import (
     AlternateThreshold,
     Gst,
     LrtSource,
+    SECONDS_PER_WEEK,
     SUBFRAME_SECONDS,
     SymmetricBound,
     to_millis,
 )
-from .mack import pack_mack, generate_subframe_tags
-from .navdata import build_nav_data, parse_nav_data, subframe_nav_data, build_subframe
+from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, generate_subframe_tags
+from .navdata import (
+    IONO_A0_BITS,
+    build_nav_data,
+    build_subframe,
+    parse_nav_data,
+    subframe_nav_data,
+)
 from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, encode_page
 from .positioning import (
     NoConvergenceError,
@@ -41,7 +48,6 @@ from .tesla import (
     NMA_HEADER,
     RootKeyMessage,
     TeslaChain,
-    build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
     public_key_pem,
@@ -122,12 +128,10 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     gst_root = gst0.add_seconds(-SUBFRAME_SECONDS)
     chain = TeslaChain.generate(rng.randbytes(16), n_subframes + 2, gst_root)
     private_key, public_key = generate_keypair(rng.getrandbits(256))
-    body = build_root_message(NMA_HEADER, 0, gst_root.wn, gst_root.tow,
-                              chain.root.bits)
-    root_msg = RootKeyMessage(
-        nma_header=NMA_HEADER, mf=0, wnk=gst_root.wn, towk=gst_root.tow,
-        kroot=chain.root.bits, signature=sign_root(body, private_key))
-    hk_blocks = dsm_hkroot_blocks(root_msg)
+    root_msg = RootKeyMessage(nma_header=NMA_HEADER, mf=0, wnk=gst_root.wn,
+                              towk=gst_root.tow, kroot=chain.root.bits)
+    hk_blocks = dsm_hkroot_blocks(
+        replace(root_msg, signature=sign_root(root_msg.body, private_key)))
 
     subframes: dict = {prn: [] for prn in sat_states}
     nav_blobs: dict = {}
@@ -232,6 +236,31 @@ SCENARIO_KEYS = {
     "duration_rounds": (int, None),           # default: constellation.subframes
 }
 
+# value ranges, checked once the types are: path -> (low, high or None);
+# seconds are compared in ms, the attack block's keys only where declared
+RANGES = {
+    "constellation.sats": (4, None),
+    "constellation.wn": (0, None),
+    "constellation.tow": (0, SECONDS_PER_WEEK - 1),
+    "receiver.lrt_error_bound_s": (0, None),
+    "receiver.seg_count": (1, TAG_REGION_BITS // TAG_BITS),
+    "attack.iono_a0": (0, (1 << IONO_A0_BITS) - 1),
+    "attack.delay_s": (0, None), "attack.staleness_s": (0, None),
+    "attack.mitm_delay_s": (0, None), "attack.replay_delay_s": (0, None),
+    "attack.t_acq_s": (0, None),
+}
+
+
+def _check_ranges(cfg: dict, blocks: dict) -> None:
+    """Raise a ScenarioError naming the first read value out of range."""
+    for path, (low, high) in RANGES.items():
+        block, key = path.split(".")
+        value = blocks[block].get(key)
+        if value is None or low <= value and (high is None or value <= high):
+            continue
+        bound = f"outside {low}..{high}" if high is not None else f"below {low}"
+        raise ScenarioError(f"$.{path}: {cfg[block][key]!r} is {bound}")
+
 
 # -- attacks ---------------------------------------------------------------
 #
@@ -244,9 +273,8 @@ def _tsr_realtime(a, sc, bundle, live, lrt):
     return attacks.replay_realtime(live, a["delay_s"]), lrt, None
 
 
-def _tsr_recorded(a, sc, bundle, live, lrt):
-    rec = attacks.RecordedStream(events=tuple(live), t_record_ms=live[0].t_ms)
-    return (attacks.replay_recorded(rec, rec.t_record_ms + a["staleness_s"]),
+def _tsr_recorded(a, sc, bundle, live, lrt):      # a replay delayed by staleness
+    return (attacks.replay_realtime(live, a["staleness_s"]),
             attacks.ntp_mitm_delay(lrt, a["mitm_delay_s"]), None)
 
 
@@ -312,6 +340,8 @@ class Scenario:
         con, rcv = top["constellation"], top["receiver"]
         policy, pol = _read_typed(rcv["policy"], POLICIES, "$.receiver.policy")
         generator, values = _read_typed(top["attack"], ATTACKS, "$.attack")
+        _check_ranges(cfg, {"constellation": con, "receiver": rcv,
+                            "attack": values})
         rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
         if not 1 <= rounds <= con["subframes"]:
             raise ScenarioError(f"$.duration_rounds: {rounds} is outside "

@@ -164,6 +164,12 @@ class RootKeyMessage:
     def root_key(self) -> TeslaKey:
         return TeslaKey(self.kroot, self.gst)
 
+    @property
+    def body(self) -> bytes:
+        """The signed bytes: every field but the signature, packed."""
+        return build_root_message(self.nma_header, self.mf, self.wnk,
+                                  self.towk, self.kroot)
+
 
 def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
                        kroot: bytes) -> bytes:
@@ -250,9 +256,7 @@ def dsm_hkroot_blocks(msg: RootKeyMessage) -> list:
     """
     if len(msg.signature) != SIGNATURE_BYTES:
         raise ValueError("root message must be signed before transport")
-    body = build_root_message(msg.nma_header, msg.mf, msg.wnk, msg.towk,
-                              msg.kroot) + msg.signature
-    payload = bytes([DSM_BLOCKS]) + body
+    payload = bytes([DSM_BLOCKS]) + msg.body + msg.signature
     payload += bytes(DSM_BLOCKS * DSM_PAYLOAD_BYTES - len(payload))
     return [
         bytes([NMA_HEADER, idx])

@@ -38,6 +38,32 @@ class CrcError(ValueError):
         super().__init__(f"{len(pages)} page(s) fail CRC: {pages[:5]}")
 
 
+def _read_mapping(path) -> tuple:
+    """Column names and page-index base, adapted by a JSON mapping file."""
+    mapping = {}
+    if path is not None:
+        with open(path) as fh:
+            mapping = json.load(fh)
+        if not isinstance(mapping, dict):
+            raise SchemaError(f"mapping must be a JSON object, got {mapping!r}")
+    for key in mapping:
+        if key not in ("columns", "page_index_base"):
+            raise SchemaError(f"unknown mapping key {key!r}")
+    renames = mapping.get("columns", {})
+    if not isinstance(renames, dict):
+        raise SchemaError(f"mapping key 'columns' must be an object, "
+                          f"got {renames!r}")
+    for name in renames:
+        if name not in HEADER:
+            raise SchemaError(f"mapping key 'columns' names unknown column "
+                              f"{name!r}, expected one of {HEADER}")
+    base = mapping.get("page_index_base", 1)
+    if isinstance(base, bool) or not isinstance(base, int):
+        raise SchemaError(f"mapping key 'page_index_base' must be an integer, "
+                          f"got {base!r}")
+    return {**{name: name for name in HEADER}, **renames}, base
+
+
 @dataclass
 class TestVectorSet:
     """Ordered page rows, grouped 15 to a subframe."""
@@ -61,13 +87,7 @@ class TestVectorSet:
 
     @classmethod
     def load(cls, path, mapping_path=None) -> "TestVectorSet":
-        columns = {name: name for name in HEADER}
-        index_base = 1
-        if mapping_path is not None:
-            with open(mapping_path) as fh:
-                mapping = json.load(fh)
-            columns.update(mapping.get("columns", {}))
-            index_base = mapping.get("page_index_base", 1)
+        columns, index_base = _read_mapping(mapping_path)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:

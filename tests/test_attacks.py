@@ -1,23 +1,19 @@
-import random
-
 import pytest
 
 from osnmasim.attacks import (
     CrTiming,
     InsufficientAuxError,
-    RecordedStream,
     TsfConfig,
     cr_compose,
+    forge_nav_blob,
     ntp_mitm_delay,
     replay_realtime,
-    replay_recorded,
     tsf_forge_subframes,
 )
 from osnmasim.gst import Gst, LrtSource, to_millis
-from osnmasim.mack import unpack_mack
-from osnmasim.navdata import parse_nav_data, subframe_nav_data
+from osnmasim.mack import generate_subframe_tags, pack_mack, unpack_mack
+from osnmasim.navdata import build_subframe, parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
-    PAGE_MS,
     SUBFRAME_MS,
     Source,
     assemble_round,
@@ -26,7 +22,7 @@ from osnmasim.pages import (
 )
 from osnmasim.positioning import geodetic_to_ecef
 from osnmasim.scenario import live_events
-from osnmasim.tesla import NMA_HEADER
+from osnmasim.tesla import NMA_HEADER, TeslaKey
 
 GST0 = Gst(1251, 277200)
 
@@ -52,29 +48,6 @@ def test_replay_rejects_negative_delay(small_bundle):
     live = live_events(small_bundle.vectors.subframes())
     with pytest.raises(ValueError):
         replay_realtime(live, -1)
-
-
-def test_replay_recorded_identity_at_record_time(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
-    rec = RecordedStream(events=tuple(live), t_record_ms=live[0].t_ms)
-    replayed = replay_recorded(rec, rec.t_record_ms)
-    assert [e.t_ms for e in replayed] == [e.t_ms for e in live]
-    assert [e.raw for e in replayed] == [e.raw for e in live]
-
-
-def test_replay_recorded_staleness_shift(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
-    rec = RecordedStream(events=tuple(live), t_record_ms=live[0].t_ms)
-    replayed = replay_recorded(rec, rec.t_record_ms + 32000)
-    assert replayed[0].t_ms == live[0].t_ms + 32000
-    assert replayed[0].raw == live[0].raw
-
-
-def test_replay_recorded_cannot_precede_capture(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
-    rec = RecordedStream(events=tuple(live), t_record_ms=live[0].t_ms)
-    with pytest.raises(ValueError):
-        replay_recorded(rec, rec.t_record_ms - 1)
 
 
 # -- NTP man in the middle -----------------------------------------------------
@@ -158,6 +131,48 @@ def test_tsf_last_two_subframes_untouched(wide_bundle):
     # the final subframe carries no replacement tags either: bit identical
     assert [encode_page(p) for p in aux[-1].pages] == \
         [encode_page(p) for p in forged[-1].pages]
+
+
+def _replace_nav(sf, nav_blob):
+    hkroot, mack_blob = extract_osnma(sf)
+    return build_subframe(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)
+
+
+def _replace_mack(sf, mack_blob):
+    hkroot, _ = extract_osnma(sf)
+    return build_subframe(sf.gst, sf.prn, subframe_nav_data(sf), hkroot,
+                          mack_blob)
+
+
+def _two_pass_forgery(aux, cfg):
+    """Reference loop: rebuild subframe n around its forged nav data, then
+    rebuild subframe n+1 around the new tags, one window at a time."""
+    out = list(aux)
+    for i in range(len(aux) - 2):
+        forged_blob = forge_nav_blob(subframe_nav_data(out[i]), cfg)
+        out[i] = _replace_nav(out[i], forged_blob)
+        if not cfg.forge_tags:
+            continue
+        _, key_bits = unpack_mack(extract_osnma(out[i + 2])[1], cfg.seg_count)
+        key = TeslaKey(key_bits, out[i + 2].gst)
+        tags = generate_subframe_tags(forged_blob, key,
+                                      prn_d=out[i].prn, prn_a=out[i].prn,
+                                      gst_sf=out[i + 1].gst,
+                                      seg_count=cfg.seg_count)
+        _, own_key = unpack_mack(extract_osnma(out[i + 1])[1], cfg.seg_count)
+        out[i + 1] = _replace_mack(out[i + 1], pack_mack(tags, own_key))
+    return out
+
+
+@pytest.mark.parametrize("forge_tags", [True, False])
+@pytest.mark.parametrize("iono_a0", [0, 2047])
+def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
+    """One build per forged subframe gives the subframes the window-by-window
+    rebuild gives, on every satellite."""
+    cfg = TsfConfig(target_ecef_m=geodetic_to_ecef(4.0, 50.0, 100.0),
+                    forge_tags=forge_tags, iono_a0=iono_a0)
+    for aux in wide_bundle.subframes.values():
+        assert tsf_forge_subframes(aux, cfg) == _two_pass_forgery(aux, cfg)
 
 
 # -- concatenating replay --------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from osnmasim.cli import main
 from osnmasim.vectors import TestVectorSet
 
@@ -134,3 +136,42 @@ def test_report_diff(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "diff", str(a), str(b)]) == 1
     assert capsys.readouterr().out.strip()
+
+
+def test_report_diff_missing_file_is_an_error(tmp_path, capsys):
+    assert main(["report", "diff", str(tmp_path / "a.json"),
+                 str(tmp_path / "b.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a.json" in err
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["gen-constellation", "--sats", "3", "--out-dir"], "four satellites"),
+    (["gen-chain", "--n", "0", "--out"], "one hash step"),
+])
+def test_generator_bad_argument_is_an_error(tmp_path, capsys, argv, words):
+    assert main([*argv, str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mapping,words", [
+    ("{bad", "line 1"),
+    ('{"page_index_base": "0"}', "'page_index_base'"),
+    ('{"colums": {"wn": "WEEK"}}', "'colums'"),
+    ('{"columns": {"week": "WEEK"}}', "'week'"),
+])
+def test_vectors_validate_bad_mapping_is_invalid(tmp_path, capsys, mapping,
+                                                 words):
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(out)])
+    path = tmp_path / "mapping.json"
+    path.write_text(mapping)
+    capsys.readouterr()
+    assert main(["vectors", "validate", str(out / "vectors.csv"),
+                 "--mapping", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid:") and words in captured.err
+    assert "ok" not in captured.out

@@ -7,8 +7,8 @@ from osnmasim.gst import (
     SymmetricBound,
 )
 from osnmasim.mack import pack_mack, unpack_mack
-from osnmasim.navdata import replace_mack
-from osnmasim.pages import PAGE_MS, SUBFRAME_MS
+from osnmasim.navdata import build_subframe, subframe_nav_data
+from osnmasim.pages import PAGE_MS, SUBFRAME_MS, extract_osnma
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
@@ -128,10 +128,11 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 1
     sf5 = sfs[target_prn][5]
-    tags, key = unpack_mack(b"".join(p.mack.to_bytes(4, "big") for p in sf5.pages),
-                            n_tags=6)
+    hkroot, mack = extract_osnma(sf5)
+    tags, key = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
-    sfs[target_prn][5] = replace_mack(sf5, pack_mack(tags, key))
+    sfs[target_prn][5] = build_subframe(sf5.gst, sf5.prn, subframe_nav_data(sf5),
+                                        hkroot, pack_mack(tags, key))
     rx = _receiver(small_bundle)
     results = _drive(rx, live_events(sfs), 9)
 
@@ -151,9 +152,10 @@ def test_tampered_key_bits_reject_key(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 3
     sf6 = sfs[target_prn][6]
-    tags, _ = unpack_mack(b"".join(p.mack.to_bytes(4, "big") for p in sf6.pages),
-                          n_tags=6)
-    sfs[target_prn][6] = replace_mack(sf6, pack_mack(tags, bytes(16)))
+    hkroot, mack = extract_osnma(sf6)
+    tags, _ = unpack_mack(mack, n_tags=6)
+    sfs[target_prn][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
+                                        hkroot, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle, key_reject_threshold=10)
     results = _drive(rx, live_events(sfs), 9)
 
@@ -169,9 +171,10 @@ def test_tampered_key_bits_reject_key(small_bundle):
 def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     sf6 = sfs[1][6]
-    tags, _ = unpack_mack(b"".join(p.mack.to_bytes(4, "big") for p in sf6.pages),
-                          n_tags=6)
-    sfs[1][6] = replace_mack(sf6, pack_mack(tags, bytes(16)))
+    hkroot, mack = extract_osnma(sf6)
+    tags, _ = unpack_mack(mack, n_tags=6)
+    sfs[1][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
+                               hkroot, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle)            # threshold 1
     _drive(rx, live_events(sfs), 9)
     assert rx.status is Status.SPOOF_DETECTED

@@ -130,11 +130,35 @@ BAD_CONFIGS = [
     ("constellation.receiver.lat", 45.0, "$.constellation.receiver.lat"),
     ("constellation.sats", "8", "$.constellation.sats"),
     ("durations_rounds", 12, "$.durations_rounds"),
+    ("constellation.sats", 3, "$.constellation.sats"),
+    ("constellation.wn", -1, "$.constellation.wn"),
+    ("constellation.tow", 700000, "$.constellation.tow"),
+    ("constellation.tow", -1, "$.constellation.tow"),
+    ("receiver.lrt_error_bound_s", -1, "$.receiver.lrt_error_bound_s"),
+    ("receiver.lrt_error_bound_s", "-0.5", "$.receiver.lrt_error_bound_s"),
+    ("receiver.seg_count", 0, "$.receiver.seg_count"),
+    ("receiver.seg_count", 9, "$.receiver.seg_count"),
+    ("attack", {"type": "tsf", "iono_a0": 2048}, "$.attack.iono_a0"),
+    ("attack", {"type": "tsf", "iono_a0": -1}, "$.attack.iono_a0"),
+    ("attack", {"type": "tsr_realtime", "delay_s": "-0.5"}, "$.attack.delay_s"),
+    ("attack", {"type": "tsr_recorded", "staleness_s": -32},
+     "$.attack.staleness_s"),
+    ("attack", {"type": "tsf", "mitm_delay_s": -1}, "$.attack.mitm_delay_s"),
+    ("attack", {"type": "cr", "t_acq_s": -1}, "$.attack.t_acq_s"),
 ]
 
 
 def test_bad_config_table_starts_from_a_valid_config():
     assert Scenario.from_dict(_with("seed", 7)).duration_rounds == 12
+
+
+@pytest.mark.parametrize("path,value", [
+    ("constellation.wn", 0), ("constellation.tow", 604799),
+    ("receiver.seg_count", 1), ("receiver.seg_count", 8),
+    ("attack", {"type": "tsf", "iono_a0": 2047}),
+])
+def test_range_bounds_load(path, value):
+    Scenario.from_dict(_with(path, value))
 
 
 @pytest.mark.parametrize("path,value,where", BAD_CONFIGS,

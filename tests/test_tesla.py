@@ -226,9 +226,9 @@ def test_dsm_blocks_round_trip():
     assert out is not None
     assert out.kroot == msg.kroot
     assert out.signature == msg.signature
-    body = build_root_message(out.nma_header, out.mf, out.wnk, out.towk,
-                              out.kroot)
-    assert verify_root(body, out.signature, pk)
+    assert out.body == build_root_message(out.nma_header, out.mf, out.wnk,
+                                          out.towk, out.kroot)
+    assert verify_root(out.body, out.signature, pk)
 
 
 def test_dsm_blocks_any_join_point():

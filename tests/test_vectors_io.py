@@ -103,3 +103,21 @@ def test_duplicate_page_rejected(small_bundle, tmp_path):
     rows.append(rows[0])
     with pytest.raises(SchemaError):
         TestVectorSet(rows=rows).validate()
+
+
+@pytest.mark.parametrize("mapping,key", [
+    ({"colums": {"wn": "WEEK"}}, "'colums'"),
+    ({"columns": {"week": "WEEK"}}, "'week'"),
+    ({"columns": ["wn", "WEEK"]}, "'columns'"),
+    ({"page_index_base": "0"}, "'page_index_base'"),
+    ({"page_index_base": True}, "'page_index_base'"),
+    ([{"page_index_base": 0}], "JSON object"),
+])
+def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, key):
+    """A mapping that would be misread is rejected with its key named."""
+    native = tmp_path / "native.csv"
+    small_bundle.vectors.save(native)
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps(mapping))
+    with pytest.raises(SchemaError, match=key):
+        TestVectorSet.load(native, mapping_path=path)
