@@ -14,7 +14,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from types import MappingProxyType
 
 from . import attacks
 from .gst import (
@@ -29,6 +30,8 @@ from .gst import (
 from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, generate_subframe_tags
 from .navdata import (
     IONO_A0_BITS,
+    PRN_BITS,
+    WN_BITS,
     build_nav_data,
     build_subframe,
     parse_nav_data,
@@ -61,12 +64,17 @@ DEFAULT_GST0 = Gst(1251, 277200)
 _FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstellationBundle:
-    subframes: dict                       # prn -> sealed subframes by GST
+    """A generated constellation and the values derived from it.
+
+    Consecutive scenarios can share one bundle, so it is read-only: frozen
+    fields, read-only mappings and tuples."""
+
+    subframes: MappingProxyType           # prn -> tuple of sealed subframes by GST
     chain: TeslaChain
     pubkey_pem: str
-    sat_states: dict                      # prn -> SatState
+    sat_states: MappingProxyType          # prn -> SatState
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
 
@@ -74,6 +82,17 @@ class ConstellationBundle:
     def vectors(self) -> TestVectorSet:
         """The subframes as a vector set, encoded on first access."""
         return TestVectorSet.from_subframes(self.subframes)
+
+    @cached_property
+    def live(self) -> tuple:
+        """The authentic page events, encoded on first access."""
+        return tuple(live_events(self.subframes))
+
+    @cached_property
+    def observations(self) -> MappingProxyType:
+        """Pseudoranges from the site to the authentic constellation."""
+        return MappingProxyType(
+            _observations(self.subframes, self.receiver_ecef, 0.0))
 
     def chain_json(self) -> dict:
         return {**self.chain.as_dict(), "pubkey_pem": self.pubkey_pem}
@@ -154,9 +173,17 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
                                hk_blocks[j % len(hk_blocks)], mack_blob))
 
     return ConstellationBundle(
-        subframes=subframes, chain=chain,
-        pubkey_pem=public_key_pem(public_key), sat_states=sat_states,
-        receiver_ecef=recv_ecef, gst0=gst0)
+        subframes=MappingProxyType(
+            {prn: tuple(sfs) for prn, sfs in subframes.items()}),
+        chain=chain, pubkey_pem=public_key_pem(public_key),
+        sat_states=MappingProxyType(sat_states), receiver_ecef=recv_ecef,
+        gst0=gst0)
+
+
+@lru_cache(maxsize=1)
+def _constellation(*inputs) -> ConstellationBundle:
+    """The bundle for the most recent generation inputs, built once."""
+    return generate_synthetic_constellation(*inputs)
 
 
 # -- scenario configuration --------------------------------------------------
@@ -239,8 +266,8 @@ SCENARIO_KEYS = {
 # value ranges, checked once the types are: path -> (low, high or None);
 # seconds are compared in ms, the attack block's keys only where declared
 RANGES = {
-    "constellation.sats": (4, None),
-    "constellation.wn": (0, None),
+    "constellation.sats": (4, (1 << PRN_BITS) - 1),
+    "constellation.wn": (0, (1 << WN_BITS) - 1),
     "constellation.tow": (0, SECONDS_PER_WEEK - 1),
     "receiver.lrt_error_bound_s": (0, None),
     "receiver.seg_count": (1, TAG_REGION_BITS // TAG_BITS),
@@ -342,6 +369,17 @@ class Scenario:
         generator, values = _read_typed(top["attack"], ATTACKS, "$.attack")
         _check_ranges(cfg, {"constellation": con, "receiver": rcv,
                             "attack": values})
+        gst0 = Gst(con["wn"], con["tow"])
+        if gst0.total_seconds() < SUBFRAME_SECONDS:
+            raise ScenarioError(f"$.constellation.tow: {con['tow']} in week 0 "
+                                f"is below {SUBFRAME_SECONDS}, leaving no room "
+                                "for the root slot")
+        last_wn = (gst0.total_seconds() + SUBFRAME_SECONDS
+                   * (con["subframes"] - 1)) // SECONDS_PER_WEEK
+        if last_wn >= 1 << WN_BITS:
+            raise ScenarioError(f"$.constellation.subframes: {con['subframes']}"
+                                f" subframes run into week {last_wn}, past "
+                                f"{(1 << WN_BITS) - 1}")
         rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
         if not 1 <= rounds <= con["subframes"]:
             raise ScenarioError(f"$.duration_rounds: {rounds} is outside "
@@ -351,7 +389,7 @@ class Scenario:
                                 f" is outside 0..{rounds - 1} (duration_rounds)")
         return cls(
             name=top["name"], seed=top["seed"], n_sats=con["sats"],
-            n_subframes=con["subframes"], gst0=Gst(con["wn"], con["tow"]),
+            n_subframes=con["subframes"], gst0=gst0,
             site=tuple(con["receiver"].values()), policy=policy(*pol.values()),
             lrt=LrtSource(rcv["lrt_offset_s"], rcv["lrt_error_bound_s"]),
             seg_count=rcv["seg_count"],
@@ -417,12 +455,15 @@ def _solve_from_subframes(sf_map: dict, obs: dict) -> dict:
 
 
 def run_scenario(sc: Scenario) -> dict:
-    """Execute one scenario and return the JSON-ready report."""
-    bundle = generate_synthetic_constellation(
-        sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    live = live_events(bundle.subframes)
-    events, lrt, truth = sc.attack_events(sc, bundle, live, sc.lrt)
-    obs = _observations(*(truth or (bundle.subframes, bundle.receiver_ecef, 0.0)))
+    """Execute one scenario and return the JSON-ready report.
+
+    The most recent constellation is kept: consecutive scenarios with equal
+    constellation inputs (seed, sizes, start GST, site, tag count) share one
+    build, its authentic page stream and its observations."""
+    bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
+                            sc.site, sc.seg_count)
+    events, lrt, truth = sc.attack_events(sc, bundle, bundle.live, sc.lrt)
+    obs = _observations(*truth) if truth else bundle.observations
 
     config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
                             seg_count=sc.seg_count,

@@ -106,18 +106,30 @@ def test_run_batch(tmp_path):
     assert (tmp_path / "cr_delay_1_5.report.json").exists()
 
 
-def test_run_checks_every_file_before_running_any(tmp_path, capsys):
+def _run_after_baseline(tmp_path, capsys, cfg) -> str:
+    """Run baseline then a bad file; no report may be written."""
     bad = tmp_path / "bad.json"
-    cfg = json.loads((SCENARIO_DIR / "tsr_realtime_30_5.json").read_text())
-    cfg["attack"]["delay"] = cfg["attack"].pop("delay_s")
     bad.write_text(json.dumps(cfg))
     reports = tmp_path / "reports"
     reports.mkdir()
     assert main(["run", str(SCENARIO_DIR / "baseline.json"), str(bad),
                  "--out-dir", str(reports)]) == 1
     assert list(reports.iterdir()) == []
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def test_run_checks_every_file_before_running_any(tmp_path, capsys):
+    cfg = json.loads((SCENARIO_DIR / "tsr_realtime_30_5.json").read_text())
+    cfg["attack"]["delay"] = cfg["attack"].pop("delay_s")
+    err = _run_after_baseline(tmp_path, capsys, cfg)
     assert "bad.json: $.attack.delay: unknown key" in err
+
+
+def test_run_checks_value_ranges_before_running_any(tmp_path, capsys):
+    cfg = json.loads((SCENARIO_DIR / "baseline.json").read_text())
+    cfg["constellation"]["wn"] = 4096
+    err = _run_after_baseline(tmp_path, capsys, cfg)
+    assert "bad.json: $.constellation.wn: 4096 is outside 0..4095" in err
 
 
 def test_run_missing_scenario_is_error(tmp_path, capsys):

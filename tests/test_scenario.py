@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +149,12 @@ BAD_CONFIGS = [
      "$.attack.staleness_s"),
     ("attack", {"type": "tsf", "mitm_delay_s": -1}, "$.attack.mitm_delay_s"),
     ("attack", {"type": "cr", "t_acq_s": -1}, "$.attack.t_acq_s"),
+    ("constellation.wn", 4096, "$.constellation.wn"),
+    ("constellation.sats", 256, "$.constellation.sats"),
+    ("constellation", {"sats": 4, "subframes": 12, "wn": 0, "tow": 29},
+     "$.constellation.tow"),
+    ("constellation", {"sats": 4, "subframes": 12, "wn": 4095, "tow": 604470},
+     "$.constellation.subframes"),
 ]
 
 
@@ -156,6 +166,9 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("constellation.wn", 0), ("constellation.tow", 604799),
     ("receiver.seg_count", 1), ("receiver.seg_count", 8),
     ("attack", {"type": "tsf", "iono_a0": 2047}),
+    ("constellation.wn", 4095), ("constellation.sats", 255),
+    ("constellation", {"sats": 4, "subframes": 12, "wn": 0, "tow": 30}),
+    ("constellation", {"sats": 4, "subframes": 12, "wn": 4095, "tow": 604469}),
 ])
 def test_range_bounds_load(path, value):
     Scenario.from_dict(_with(path, value))
@@ -300,3 +313,62 @@ def test_shipped_reports_are_byte_identical():
         text = report_to_json(run_scenario(Scenario.load(path)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             REPORT_DIGESTS[path.stem], path.name
+
+
+def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
+    """Reports are the same whatever ran before in the process: the nine
+    shipped scenarios in reverse order, with another seed in between."""
+    odd = json.loads((SCENARIO_DIR / "tsf_full.json").read_text())
+    odd["seed"] = 4242
+    odd_path = tmp_path / "odd.json"
+    odd_path.write_text(json.dumps(odd))
+    paths = sorted(SCENARIO_DIR.glob("*.json"), reverse=True)
+    paths.insert(4, odd_path)
+    reports = {p.stem: run_scenario(Scenario.load(p)) for p in paths}
+    for stem, digest in REPORT_DIGESTS.items():
+        text = report_to_json(reports[stem])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, stem
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "osnmasim.cli", "run", str(odd_path)],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert report_to_json(reports["odd"]) == fresh
+
+
+def test_consecutive_equal_constellations_build_once(monkeypatch):
+    builds = []
+    build = osnmasim.scenario.generate_synthetic_constellation
+
+    def counting(*inputs):
+        builds.append(inputs[0])
+        return build(*inputs)
+
+    monkeypatch.setattr(osnmasim.scenario, "generate_synthetic_constellation",
+                        counting)
+    osnmasim.scenario._constellation.cache_clear()
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        run_scenario(Scenario.load(path))
+    assert builds == [20230816]
+
+    builds.clear()
+    a = _scenario({"type": "none"}, sats=4, subframes=6)
+    b = dataclasses.replace(a, seed=8)
+    for sc in (a, b, a):
+        run_scenario(sc)
+    assert builds == [7, 8, 7]
+
+
+def test_bundle_is_read_only(small_bundle):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_bundle.gst0 = small_bundle.gst0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_bundle.live = ()
+    with pytest.raises(TypeError):
+        small_bundle.subframes[1][0] = small_bundle.subframes[1][1]
+    with pytest.raises(TypeError):
+        small_bundle.subframes[1] = ()
+    with pytest.raises(TypeError):
+        small_bundle.live[0] = small_bundle.live[1]
+    with pytest.raises(TypeError):
+        small_bundle.observations[next(iter(small_bundle.observations))] = 0.0
