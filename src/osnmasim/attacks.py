@@ -28,6 +28,10 @@ from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, extract_osnma
 from .tesla import TeslaKey
 
 
+# a forged window is (data, tags, disclosed key): three consecutive subframes
+TSF_MIN_SUBFRAMES = 3
+
+
 class InsufficientAuxError(ValueError):
     """Forgery needs at least three consecutive recorded subframes."""
 
@@ -95,8 +99,9 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
     stream verifies.
     """
     n = len(aux)
-    if n < 3:
-        raise InsufficientAuxError("need at least 3 consecutive subframes")
+    if n < TSF_MIN_SUBFRAMES:
+        raise InsufficientAuxError(
+            f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
     navs = [subframe_nav_data(sf) for sf in aux[:rewritten]]
     hkroots, macks = map(list, zip(*(extract_osnma(sf) for sf in aux)))

@@ -78,11 +78,10 @@ def _cmd_forge_tsf(args) -> int:
     return 0
 
 
-def _run_one(path: str, scenario: Scenario, out_dir: str | None) -> int:
+def _run_one(scenario: Scenario, out: Path | None) -> int:
     report = run_scenario(scenario)
     text = report_to_json(report)
-    if out_dir is not None:
-        out = Path(out_dir) / (Path(path).stem + ".report.json")
+    if out is not None:
         out.write_text(text)
     else:
         sys.stdout.write(text)
@@ -90,10 +89,19 @@ def _run_one(path: str, scenario: Scenario, out_dir: str | None) -> int:
 
 
 def _cmd_run(args) -> int:
-    # every file is checked before the first scenario runs
+    # every file and report path is checked before the first scenario runs
     scenarios = [Scenario.load(p) for p in args.scenario]
-    codes = [_run_one(p, sc, args.out_dir)
-             for p, sc in zip(args.scenario, scenarios)]
+    outs = [None] * len(scenarios)
+    if args.out_dir is not None:
+        outs = [Path(args.out_dir) / (Path(p).stem + ".report.json")
+                for p in args.scenario]
+        for i, out in enumerate(outs):
+            first = outs.index(out)
+            if first != i:
+                raise ValueError(f"{args.scenario[first]} and "
+                                 f"{args.scenario[i]} would both write {out}")
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    codes = [_run_one(sc, out) for sc, out in zip(scenarios, outs)]
     for path, code in zip(args.scenario, codes):
         print(f"{path}: exit {code}", file=sys.stderr)
     return max(codes)

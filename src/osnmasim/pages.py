@@ -24,12 +24,14 @@ calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
 
 The codec holds a page as one 240-bit int, MSB first: encoding, sealing and
-decoding read and write fields, flags and the CRC region by shift and mask.
+decoding read and write fields, flags and the CRC region by constant shifts
+and masks, one straight-line expression per page.  The CRC folds the region's
+bytes through per-byte-position tables, one table lookup and one xor a byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .gst import Gst
@@ -52,10 +54,8 @@ RESERVED = (178, 24)
 CRC = (202, 24)
 FILL = (226, 14)
 
-# CRC-protected region: even bits 0..113 then odd bits 120..201
-_PROTECTED_EVEN_BITS = 114
-_PROTECTED_ODD_BITS = 82
-_PROTECTED_BITS = _PROTECTED_EVEN_BITS + _PROTECTED_ODD_BITS
+# CRC-protected region: even bits 0..113 then odd bits 120..201, right-aligned
+_PROTECTED_BYTES = (114 + 82 + 7) // 8
 
 
 class LengthError(ValueError):
@@ -70,19 +70,24 @@ class IncompleteError(ValueError):
     """A subframe with destroyed pages cannot supply OSNMA material."""
 
 
-def _build_crc_table() -> list:
-    table = []
+def _build_crc_tables() -> list:
+    """Table k maps byte b to the CRC of b followed by PAGE_BYTES-1-k zero
+    bytes, so table k serves byte k of a PAGE_BYTES-byte block."""
+    last = []
     for byte in range(256):
         crc = byte << 16
         for _ in range(8):
             crc <<= 1
             if crc & 0x1000000:
                 crc ^= CRC24Q_POLY
-        table.append(crc & 0xFFFFFF)
-    return table
+        last.append(crc & 0xFFFFFF)
+    tables = [last]
+    for _ in range(PAGE_BYTES - 1):     # one more zero byte after each entry
+        tables.insert(0, [((c << 8) & 0xFFFFFF) ^ last[c >> 16] for c in tables[0]])
+    return tables
 
 
-_CRC_TABLE = _build_crc_table()
+_CRC_TABLES = _build_crc_tables()
 
 
 def crc24q(data: bytes, nbits: int | None = None) -> int:
@@ -91,15 +96,27 @@ def crc24q(data: bytes, nbits: int | None = None) -> int:
     nbits may end inside the final byte; remaining bits of that byte are
     ignored.  Zero initial value, no final xor, so zero bits in front of the
     data leave the CRC unchanged: the leading nbits are right-aligned into
-    whole bytes and fed through the table.
+    whole bytes.  The CRC is linear, so it is the xor of one table entry per
+    byte, looked up in the table of that byte's distance from the end.  Data
+    longer than PAGE_BYTES is padded in front to whole PAGE_BYTES blocks and
+    folded a block at a time: the CRC so far, xored into the first 3 bytes
+    of the next block, is folded through that block's first 3 tables.
     """
     if nbits is None:
         nbits = 8 * len(data)
     nbytes = (nbits + 7) // 8
     lead = int.from_bytes(data[:nbytes], "big") >> (-nbits % 8)
+    if nbytes > PAGE_BYTES:
+        nbytes += -nbytes % PAGE_BYTES
+    buf = lead.to_bytes(nbytes, "big")
+    tables = _CRC_TABLES[-nbytes:]      # a short block ends at the last table
     crc = 0
-    for byte in lead.to_bytes(nbytes, "big"):
-        crc = ((crc << 8) & 0xFFFFFF) ^ _CRC_TABLE[(crc >> 16) ^ byte]
+    for start in range(0, nbytes, PAGE_BYTES):
+        if crc:                         # only past the first of whole blocks
+            crc = tables[0][crc >> 16] ^ tables[1][crc >> 8 & 0xFF] \
+                ^ tables[2][crc & 0xFF]
+        for table, byte in zip(tables, buf[start:start + PAGE_BYTES]):
+            crc ^= table[byte]
     return crc
 
 
@@ -165,29 +182,32 @@ _FLAG_MASK = (0b11 << (PAGE_BITS - 2)) | (0b11 << (PAGE_BITS - 122))
 _FLAGS = 0b10 << (PAGE_BITS - 122)
 
 
-def _field(value: int, geometry: tuple) -> int:
-    """Read a field of the page held as one 240-bit int."""
-    pos, width = geometry
-    return (value >> (PAGE_BITS - pos - width)) & ((1 << width) - 1)
+# The straight-line codec below shifts each field by PAGE_BITS - pos - width
+# of its geometry: even_data 126, odd_data 102, hkroot 94, mack 62,
+# reserved 38, crc 14, fill 0; the protected odd bits 120..201 end at 38.
 
 
 def _page_int(page: PageContent) -> int:
     """The page as one 240-bit int, MSB first; every field width checked."""
-    value = _FLAGS
-    for name, (pos, width) in _FIELDS:
-        field = getattr(page, name)
-        if not 0 <= field < (1 << width):
-            raise FieldWidthError(f"{name} does not fit in {width} bits: {field:#x}")
-        value |= field << (PAGE_BITS - pos - width)
-    return value
+    even, odd, hkroot, mack = page.even_data, page.odd_data, page.hkroot, page.mack
+    crc, reserved, fill = page.crc, page.reserved, page.fill
+    # a negative field shifts to -1, an over-wide one to nonzero
+    if even >> 112 | odd >> 16 | hkroot >> 8 | mack >> 32 | crc >> 24 \
+            | reserved >> 24 | fill >> 14:
+        for name, (pos, width) in _FIELDS:
+            field = getattr(page, name)
+            if not 0 <= field < (1 << width):
+                raise FieldWidthError(
+                    f"{name} does not fit in {width} bits: {field:#x}")
+    return (_FLAGS | even << 126 | odd << 102 | hkroot << 94 | mack << 62
+            | reserved << 38 | crc << 14 | fill)
 
 
 def _int_crc(value: int) -> int:
     """CRC-24Q over the protected region of a page held as an int."""
-    region = ((value >> (PAGE_BITS - _PROTECTED_EVEN_BITS)) << _PROTECTED_ODD_BITS) \
-        | _field(value, (120, _PROTECTED_ODD_BITS))
+    region = value >> 126 << 82 | value >> 38 & (1 << 82) - 1
     # right-aligned in whole bytes: the leading zero bits leave the CRC as is
-    return crc24q(region.to_bytes((_PROTECTED_BITS + 7) // 8, "big"))
+    return crc24q(region.to_bytes(_PROTECTED_BYTES, "big"))
 
 
 def _raw_int(raw: bytes) -> int:
@@ -208,7 +228,8 @@ def compute_crc(page: PageContent) -> int:
 
 def seal_page(page: PageContent) -> PageContent:
     """Return the page with its CRC field recomputed."""
-    return replace(page, crc=compute_crc(page))
+    return PageContent(page.even_data, page.odd_data, page.hkroot, page.mack,
+                       compute_crc(page), page.reserved, page.fill)
 
 
 def reseal_raw(raw: bytes) -> bytes:
@@ -229,18 +250,12 @@ def decode_page(raw: bytes) -> PageContent | None:
     value = _raw_int(raw)
     if value & _FLAG_MASK != _FLAGS:
         return None
-    crc_field = _field(value, CRC)
-    if _int_crc(value) != crc_field:
+    crc = value >> 14 & 0xFFFFFF
+    if _int_crc(value) != crc:
         return None
-    return PageContent(
-        even_data=_field(value, EVEN_DATA),
-        odd_data=_field(value, ODD_DATA),
-        hkroot=_field(value, HKROOT),
-        mack=_field(value, MACK),
-        crc=crc_field,
-        reserved=_field(value, RESERVED),
-        fill=_field(value, FILL),
-    )
+    return PageContent(value >> 126 & (1 << 112) - 1, value >> 102 & 0xFFFF,
+                       value >> 94 & 0xFF, value >> 62 & 0xFFFFFFFF, crc,
+                       value >> 38 & 0xFFFFFF, value & 0x3FFF)
 
 
 class Source(Enum):

@@ -98,7 +98,12 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
 
 
 def solve_position(sats, pseudoranges) -> Fix:
-    """Solve receiver position and clock offset from >= 4 pseudoranges."""
+    """Solve receiver position and clock offset from >= 4 pseudoranges.
+
+    Each Gauss-Newton step factorises the Jacobian once: the singular values
+    of its least-squares solve also give the rank test, so a rank below 4
+    (smallest singular value at most 1e-8) raises SingularGeometryError.
+    """
     if len(sats) < 4:
         raise ValueError("need at least four satellites")
     if len(sats) != len(pseudoranges):
@@ -115,9 +120,11 @@ def solve_position(sats, pseudoranges) -> Fix:
             ranges = np.maximum(ranges, 1e-9)
         residual = rho - (ranges + x[3])
         jac = np.column_stack([diff / ranges[:, None], np.ones(len(sats))])
-        if np.linalg.matrix_rank(jac, tol=1e-8) < 4:
+        # one SVD a step: the least-squares solve returns the singular values
+        # (descending) that the rank test reads
+        step, _, _, sv = np.linalg.lstsq(jac, residual, rcond=None)
+        if sv[-1] <= 1e-8:
             raise SingularGeometryError("satellite geometry is degenerate")
-        step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
 
         # damping: halve the step while it makes the residual worse
         res_norm = float(np.linalg.norm(residual))

@@ -39,6 +39,7 @@ from .navdata import (
 )
 from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, encode_page
 from .positioning import (
+    Fix,
     NoConvergenceError,
     SatState,
     SingularGeometryError,
@@ -380,6 +381,10 @@ class Scenario:
             raise ScenarioError(f"$.constellation.subframes: {con['subframes']}"
                                 f" subframes run into week {last_wn}, past "
                                 f"{(1 << WN_BITS) - 1}")
+        if generator is _tsf and con["subframes"] < attacks.TSF_MIN_SUBFRAMES:
+            raise ScenarioError(f"$.constellation.subframes: {con['subframes']}"
+                                f" is below {attacks.TSF_MIN_SUBFRAMES}, the "
+                                "fewest a tsf forgery runs over")
         rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
         if not 1 <= rounds <= con["subframes"]:
             raise ScenarioError(f"$.duration_rounds: {rounds} is outside "
@@ -436,22 +441,38 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     return obs
 
 
-def _solve_from_subframes(sf_map: dict, obs: dict) -> dict:
-    """Correct observed ranges with broadcast biases and solve a fix."""
-    sats, rhos = [], []
+def _solve_from_subframes(sf_map: dict, obs: dict, solved: dict) -> dict:
+    """Correct observed ranges with broadcast biases and solve a fix.
+
+    ``solved`` holds this scenario's fixes (a Fix or an error message),
+    keyed on the usable (gst seconds, prn): every round has its own GST, so
+    equal keys name the same subframes, and each distinct set is solved once.
+    """
+    usable = {}
     for prn, sf in sorted(sf_map.items()):
         key = (sf.gst.total_seconds(), prn)
-        if key not in obs or not sf.complete:
-            continue
+        if key in obs and sf.complete:
+            usable[key] = sf
+    keys = tuple(usable)
+    if keys not in solved:
+        solved[keys] = _solve(usable, obs)
+    fix = solved[keys]
+    return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
+
+
+def _solve(usable: dict, obs: dict):
+    """The Fix from subframes keyed by (gst seconds, prn), or why none."""
+    if len(usable) < 4:
+        return "fewer than four usable satellites"
+    sats, rhos = [], []
+    for key, sf in usable.items():
         nav = parse_nav_data(subframe_nav_data(sf))
-        sats.append(SatState(prn=prn, position=nav.sat_ecef_m))
+        sats.append(SatState(prn=key[1], position=nav.sat_ecef_m))
         rhos.append(obs[key] - nav.range_bias_m)
-    if len(sats) < 4:
-        return {"error": "fewer than four usable satellites"}
     try:
-        return solve_position(sats, rhos).as_dict()
+        return solve_position(sats, rhos)
     except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
-        return {"error": str(exc)}
+        return str(exc)
 
 
 def run_scenario(sc: Scenario) -> dict:
@@ -479,13 +500,14 @@ def run_scenario(sc: Scenario) -> dict:
 
     raw_fixes = []
     auth_fixes = {}
+    solved: dict = {}                   # an authenticated fix reuses its raw fix
     seen_subframes: dict = {}
     for r, window in enumerate(windows):
         result = receiver.ingest_round(window, t0 + r * SUBFRAME_MS)
         for prn, sf in result.subframes.items():
             if sf.complete:
                 seen_subframes[(sf.gst.total_seconds(), prn)] = sf
-        raw_fixes.append(_solve_from_subframes(result.subframes, obs))
+        raw_fixes.append(_solve_from_subframes(result.subframes, obs, solved))
         by_gst: dict = {}
         for v in result.verdicts:
             key = (v.gst.total_seconds(), v.prn)
@@ -493,7 +515,8 @@ def run_scenario(sc: Scenario) -> dict:
                 by_gst.setdefault(key[0], {})[v.prn] = seen_subframes[key]
         for gst_s, sf_map in by_gst.items():
             if len(sf_map) >= 4:
-                auth_fixes[str(gst_s)] = _solve_from_subframes(sf_map, obs)
+                auth_fixes[str(gst_s)] = _solve_from_subframes(sf_map, obs,
+                                                               solved)
 
     failure = any(v.outcome in _FAILURE_OUTCOMES for v in receiver.verdicts)
     return {

@@ -132,6 +132,28 @@ def test_run_checks_value_ranges_before_running_any(tmp_path, capsys):
     assert "bad.json: $.constellation.wn: 4096 is outside 0..4095" in err
 
 
+def test_run_creates_missing_out_dir(tmp_path):
+    out = tmp_path / "new" / "reports"
+    assert main(["run", str(SCENARIO_DIR / "baseline.json"),
+                 "--out-dir", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["baseline.report.json"]
+
+
+def test_run_rejects_two_files_with_one_report_path(tmp_path, capsys):
+    text = (SCENARIO_DIR / "baseline.json").read_text()
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "x.json").write_text(text)
+    out = tmp_path / "reports"
+    assert main(["run", str(tmp_path / "a" / "x.json"),
+                 str(tmp_path / "b" / "x.json"), "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(tmp_path / "a" / "x.json") in err
+    assert str(tmp_path / "b" / "x.json") in err
+
+
 def test_run_missing_scenario_is_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "error" in capsys.readouterr().err

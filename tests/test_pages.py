@@ -89,6 +89,17 @@ def ref_crc(raw):
     return crc
 
 
+def ref_crc24q(data, nbits):
+    """Bitwise CRC-24Q over the leading nbits of data."""
+    crc = 0
+    for i in range(nbits):
+        top = (crc >> 23) & 1
+        crc = (crc << 1) & 0xFFFFFF
+        if top ^ ref_getbitu(data, i, 1):
+            crc ^= 0x864CFB
+    return crc
+
+
 def ref_decode_page(raw):
     if ref_getbitu(raw, 0, 2) != 0b00 or ref_getbitu(raw, 120, 2) != 0b10:
         return None
@@ -138,6 +149,28 @@ def test_crc_known_value_byte_aligned():
             if top ^ bit:
                 bitwise ^= 0x864CFB
     assert crc24q(data) == bitwise
+
+
+@st.composite
+def crc_inputs(draw):
+    nbits = draw(st.integers(0, 8 * 96))
+    return draw(st.binary(min_size=(nbits + 7) // 8, max_size=96)), nbits
+
+
+@given(crc_inputs())
+def test_crc24q_matches_bitwise_reference(case):
+    # up to 96 bytes: past the PAGE_BYTES tables, folded block by block
+    data, nbits = case
+    assert crc24q(data, nbits) == ref_crc24q(data, nbits)
+
+
+def test_crc24q_every_length_matches_bitwise_reference():
+    rng = random.Random(24)
+    for length in range(97):
+        data = rng.randbytes(length)
+        for nbits in {8 * length, rng.randint(0, 8 * length)}:
+            assert crc24q(data, nbits) == ref_crc24q(data, nbits), (length, nbits)
+        assert crc24q(data) == ref_crc24q(data, 8 * length), length
 
 
 def test_reference_pages_self_verify():

@@ -94,6 +94,15 @@ def test_coplanar_satellites_raise():
         solve_position(sats, rho)
 
 
+def test_duplicate_satellite_geometry_raises():
+    """Four ranges from three distinct satellites leave rank 3."""
+    receiver, sats = _random_geometry(random.Random(5), n_sats=3)
+    sats = [*sats, SatState(4, sats[0].position)]
+    rho = forge_pseudoranges(receiver, 0.0, sats)
+    with pytest.raises(SingularGeometryError):
+        solve_position(sats, rho)
+
+
 def test_fewer_than_four_satellites_rejected():
     sats = [SatState(i, (i * 1e6, 2e7, 3e6)) for i in range(3)]
     with pytest.raises(ValueError):

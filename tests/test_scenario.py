@@ -96,10 +96,13 @@ def test_scenario_duration_beyond_subframes_rejected():
 
 
 def _with(path: str, value):
-    """A valid scenario with one value set at a dotted path."""
+    """A valid scenario with one value set at a dotted path; the path "$"
+    sets several top-level keys at once."""
     cfg = {"seed": 7, "constellation": {"sats": 4, "subframes": 12},
            "receiver": {"policy": {"type": "alternate"}},
            "attack": {"type": "cr"}, "duration_rounds": 12}
+    if path == "$":
+        return {**cfg, **value}
     *parents, leaf = path.split(".")
     block = cfg
     for name in parents:
@@ -155,6 +158,9 @@ BAD_CONFIGS = [
      "$.constellation.tow"),
     ("constellation", {"sats": 4, "subframes": 12, "wn": 4095, "tow": 604470},
      "$.constellation.subframes"),
+    ("$", {"constellation": {"sats": 4, "subframes": 2},
+           "attack": {"type": "tsf"}, "duration_rounds": 2},
+     "$.constellation.subframes"),
 ]
 
 
@@ -169,6 +175,8 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("constellation.wn", 4095), ("constellation.sats", 255),
     ("constellation", {"sats": 4, "subframes": 12, "wn": 0, "tow": 30}),
     ("constellation", {"sats": 4, "subframes": 12, "wn": 4095, "tow": 604469}),
+    ("$", {"constellation": {"sats": 4, "subframes": 3},
+           "attack": {"type": "tsf"}, "duration_rounds": 3}),
 ])
 def test_range_bounds_load(path, value):
     Scenario.from_dict(_with(path, value))
@@ -313,6 +321,26 @@ def test_shipped_reports_are_byte_identical():
         text = report_to_json(run_scenario(Scenario.load(path)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             REPORT_DIGESTS[path.stem], path.name
+
+
+def test_each_distinct_fix_is_solved_once(monkeypatch):
+    """An authenticated fix reuses the raw fix of its round: the nine
+    shipped scenarios solve 142 satellite sets, not one per fix."""
+    calls = {}
+    solve = osnmasim.scenario.solve_position
+
+    def counting(sats, rhos):
+        calls[stem] = calls.get(stem, 0) + 1
+        return solve(sats, rhos)
+
+    monkeypatch.setattr(osnmasim.scenario, "solve_position", counting)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        stem = path.stem
+        text = report_to_json(run_scenario(Scenario.load(path)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_DIGESTS[stem], stem
+    assert sum(calls.values()) == 142
+    assert calls["baseline"] == 16
 
 
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
