@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .gst import Gst
 from .pages import (
+    EVEN_DATA,
     ODD_DATA,
     PageContent,
     SLOTS_PER_SUBFRAME,
@@ -149,15 +150,15 @@ def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
         raise ValueError("mack blob must supply four bytes per page")
     if len(nav_blob) != NAV_BLOB_BYTES:
         raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
+    nav = int.from_bytes(nav_blob, "big")
+    macks = int.from_bytes(mack_blob, "big")
     pages = []
-    for p in range(SLOTS_PER_SUBFRAME):
-        chunk = getbitu(nav_blob, p * PAGE_DATA_BITS, PAGE_DATA_BITS)
-        page = PageContent(
-            even_data=chunk >> ODD_DATA[1],
-            odd_data=chunk & ((1 << ODD_DATA[1]) - 1),
-            hkroot=hkroot[p],
-            mack=int.from_bytes(mack_blob[4 * p:4 * p + 4], "big"),
-        )
-        pages.append(seal_page(page))
+    for p, hk in enumerate(hkroot):
+        chunk = nav >> NAV_BLOB_BITS - PAGE_DATA_BITS * (p + 1)
+        pages.append(seal_page(PageContent(
+            even_data=chunk >> ODD_DATA[1] & (1 << EVEN_DATA[1]) - 1,
+            odd_data=chunk & (1 << ODD_DATA[1]) - 1,
+            hkroot=hk,
+            mack=macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF,
+        )))
     return Subframe(gst=gst, prn=prn, pages=tuple(pages))
-

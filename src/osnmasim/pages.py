@@ -23,16 +23,21 @@ even bits 0..113 followed by odd bits 0..81 (196 bits).  This region was
 calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
 
-The codec holds a page as one 240-bit int, MSB first: encoding, sealing and
-decoding read and write fields, flags and the CRC region by constant shifts
-and masks, one straight-line expression per page.  The CRC folds the region's
-bytes through per-byte-position tables, one table lookup and one xor a byte.
+A page record (PageContent) and an arriving page (PageEvent) are immutable
+named tuples.  The codec holds a page as one 240-bit int, MSB first:
+encoding, sealing and decoding read and write fields and flags by constant
+shifts and masks, one straight-line expression per page.  The page CRC is
+read straight from the transmitted bytes: CRC-24Q is linear, so it is the
+xor of one table entry per raw byte 0..25, each table holding the CRC share
+of that byte's protected bits (byte 14 gives its top 2 bits, the tail being
+unprotected, and byte 25 its top 2, bits 200..201).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .gst import Gst
 
@@ -54,9 +59,6 @@ RESERVED = (178, 24)
 CRC = (202, 24)
 FILL = (226, 14)
 
-# CRC-protected region: even bits 0..113 then odd bits 120..201, right-aligned
-_PROTECTED_BYTES = (114 + 82 + 7) // 8
-
 
 class LengthError(ValueError):
     """Raw page input is not exactly 240 bits."""
@@ -70,24 +72,19 @@ class IncompleteError(ValueError):
     """A subframe with destroyed pages cannot supply OSNMA material."""
 
 
-def _build_crc_tables() -> list:
-    """Table k maps byte b to the CRC of b followed by PAGE_BYTES-1-k zero
-    bytes, so table k serves byte k of a PAGE_BYTES-byte block."""
-    last = []
+def _build_crc_table() -> list:
+    table = []
     for byte in range(256):
         crc = byte << 16
         for _ in range(8):
             crc <<= 1
             if crc & 0x1000000:
                 crc ^= CRC24Q_POLY
-        last.append(crc & 0xFFFFFF)
-    tables = [last]
-    for _ in range(PAGE_BYTES - 1):     # one more zero byte after each entry
-        tables.insert(0, [((c << 8) & 0xFFFFFF) ^ last[c >> 16] for c in tables[0]])
-    return tables
+        table.append(crc & 0xFFFFFF)
+    return table
 
 
-_CRC_TABLES = _build_crc_tables()
+_CRC_TABLE = _build_crc_table()
 
 
 def crc24q(data: bytes, nbits: int | None = None) -> int:
@@ -96,27 +93,47 @@ def crc24q(data: bytes, nbits: int | None = None) -> int:
     nbits may end inside the final byte; remaining bits of that byte are
     ignored.  Zero initial value, no final xor, so zero bits in front of the
     data leave the CRC unchanged: the leading nbits are right-aligned into
-    whole bytes.  The CRC is linear, so it is the xor of one table entry per
-    byte, looked up in the table of that byte's distance from the end.  Data
-    longer than PAGE_BYTES is padded in front to whole PAGE_BYTES blocks and
-    folded a block at a time: the CRC so far, xored into the first 3 bytes
-    of the next block, is folded through that block's first 3 tables.
+    whole bytes and fed through the table.
     """
     if nbits is None:
         nbits = 8 * len(data)
     nbytes = (nbits + 7) // 8
     lead = int.from_bytes(data[:nbytes], "big") >> (-nbits % 8)
-    if nbytes > PAGE_BYTES:
-        nbytes += -nbytes % PAGE_BYTES
-    buf = lead.to_bytes(nbytes, "big")
-    tables = _CRC_TABLES[-nbytes:]      # a short block ends at the last table
     crc = 0
-    for start in range(0, nbytes, PAGE_BYTES):
-        if crc:                         # only past the first of whole blocks
-            crc = tables[0][crc >> 16] ^ tables[1][crc >> 8 & 0xFF] \
-                ^ tables[2][crc & 0xFF]
-        for table, byte in zip(tables, buf[start:start + PAGE_BYTES]):
-            crc ^= table[byte]
+    for byte in lead.to_bytes(nbytes, "big"):
+        crc = ((crc << 8) & 0xFFFFFF) ^ _CRC_TABLE[(crc >> 16) ^ byte]
+    return crc
+
+
+def _build_page_crc_tables() -> list:
+    """Table k maps raw page byte k to the CRC share of its protected bits.
+
+    The protected region is even bits 0..113 then odd bits 120..201; a
+    region bit's share is the crc24q of the region with that bit alone set.
+    """
+    tail, tail_bits = EVEN_TAIL
+    region_bits = CRC[0] - tail_bits
+    region_bytes = (region_bits + 7) // 8
+    tables = []
+    for k in range(CRC[0] // 8 + 1):                    # bytes 0..25
+        table = [0]
+        for bit in range(8 * k + 7, 8 * k - 1, -1):     # weights 1, 2, .., 128
+            pos = bit if bit < tail else bit - tail_bits    # place in region
+            share = 0 if tail <= bit < tail + tail_bits or bit >= CRC[0] \
+                else crc24q((1 << region_bits - 1 - pos).to_bytes(region_bytes, "big"))
+            table += [x ^ share for x in table]
+        tables.append(table)
+    return tables
+
+
+_PAGE_CRC_TABLES = _build_page_crc_tables()
+
+
+def _page_crc(raw: bytes) -> int:
+    """CRC-24Q over the protected region of a page's transmitted bytes."""
+    crc = 0
+    for table, byte in zip(_PAGE_CRC_TABLES, raw):
+        crc ^= table[byte]
     return crc
 
 
@@ -155,8 +172,7 @@ def flip_page_bit(raw: bytes, bit: int) -> bytes:
     return bytes(buf)
 
 
-@dataclass(frozen=True)
-class PageContent:
+class PageContent(NamedTuple):
     even_data: int          # 112-bit navigation-data portion
     odd_data: int           # 16-bit navigation-data portion
     hkroot: int             # 8-bit root-key transport byte
@@ -184,13 +200,12 @@ _FLAGS = 0b10 << (PAGE_BITS - 122)
 
 # The straight-line codec below shifts each field by PAGE_BITS - pos - width
 # of its geometry: even_data 126, odd_data 102, hkroot 94, mack 62,
-# reserved 38, crc 14, fill 0; the protected odd bits 120..201 end at 38.
+# reserved 38, crc 14, fill 0.
 
 
 def _page_int(page: PageContent) -> int:
     """The page as one 240-bit int, MSB first; every field width checked."""
-    even, odd, hkroot, mack = page.even_data, page.odd_data, page.hkroot, page.mack
-    crc, reserved, fill = page.crc, page.reserved, page.fill
+    even, odd, hkroot, mack, crc, reserved, fill = page
     # a negative field shifts to -1, an over-wide one to nonzero
     if even >> 112 | odd >> 16 | hkroot >> 8 | mack >> 32 | crc >> 24 \
             | reserved >> 24 | fill >> 14:
@@ -201,13 +216,6 @@ def _page_int(page: PageContent) -> int:
                     f"{name} does not fit in {width} bits: {field:#x}")
     return (_FLAGS | even << 126 | odd << 102 | hkroot << 94 | mack << 62
             | reserved << 38 | crc << 14 | fill)
-
-
-def _int_crc(value: int) -> int:
-    """CRC-24Q over the protected region of a page held as an int."""
-    region = value >> 126 << 82 | value >> 38 & (1 << 82) - 1
-    # right-aligned in whole bytes: the leading zero bits leave the CRC as is
-    return crc24q(region.to_bytes(_PROTECTED_BYTES, "big"))
 
 
 def _raw_int(raw: bytes) -> int:
@@ -223,20 +231,21 @@ def encode_page(page: PageContent) -> bytes:
 
 def compute_crc(page: PageContent) -> int:
     """CRC-24Q over the page's protected region."""
-    return _int_crc(_page_int(page))
+    return _page_crc(encode_page(page))
 
 
 def seal_page(page: PageContent) -> PageContent:
     """Return the page with its CRC field recomputed."""
-    return PageContent(page.even_data, page.odd_data, page.hkroot, page.mack,
-                       compute_crc(page), page.reserved, page.fill)
+    even, odd, hkroot, mack, _, reserved, fill = page
+    return PageContent(even, odd, hkroot, mack, compute_crc(page), reserved,
+                       fill)
 
 
 def reseal_raw(raw: bytes) -> bytes:
     """Recompute and replace the CRC field of a raw 240-bit page."""
     value = _raw_int(raw)
     shift = PAGE_BITS - CRC[0] - CRC[1]
-    value = (value & ~(((1 << CRC[1]) - 1) << shift)) | (_int_crc(value) << shift)
+    value = (value & ~(((1 << CRC[1]) - 1) << shift)) | (_page_crc(raw) << shift)
     return value.to_bytes(PAGE_BYTES, "big")
 
 
@@ -251,7 +260,7 @@ def decode_page(raw: bytes) -> PageContent | None:
     if value & _FLAG_MASK != _FLAGS:
         return None
     crc = value >> 14 & 0xFFFFFF
-    if _int_crc(value) != crc:
+    if _page_crc(raw) != crc:
         return None
     return PageContent(value >> 126 & (1 << 112) - 1, value >> 102 & 0xFFFF,
                        value >> 94 & 0xFF, value >> 62 & 0xFFFFFFFF, crc,
@@ -263,8 +272,7 @@ class Source(Enum):
     ADVERSARY = "adversary"
 
 
-@dataclass(frozen=True)
-class PageEvent:
+class PageEvent(NamedTuple):
     """A page arriving at the receiver antenna: wall time, origin, bits."""
 
     t_ms: int

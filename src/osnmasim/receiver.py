@@ -125,11 +125,14 @@ class Receiver:
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
 
-        prns = sorted({e.prn for e in events} | set(self.pending))
+        # a pending satellite that sends nothing still gets a destroyed round
+        by_prn: dict = {prn: [] for prn in self.pending}
+        for e in events:
+            by_prn.setdefault(e.prn, []).append(e)
         trusted_before = self.trusted_key
         advanced: TeslaKey | None = None
-        for prn in prns:
-            sf = assemble_round(events, gst, prn, window_start_ms)
+        for prn in sorted(by_prn):
+            sf = assemble_round(by_prn[prn], gst, prn, window_start_ms)
             result.subframes[prn] = sf
             if not osnma_active:
                 continue

@@ -292,43 +292,50 @@ def _check_ranges(cfg: dict, blocks: dict) -> None:
 
 # -- attacks ---------------------------------------------------------------
 #
-# A generator maps (values, scenario, bundle, live events, lrt) to (events,
-# lrt, truth); truth is (observed subframes, true position, clock offset in
-# s), or None for the authentic constellation seen from the site.
+# A generator maps (values, scenario, bundle, lrt) to (events, lrt, truth);
+# truth is (observed subframes, true position, clock offset in s), or None
+# for the authentic constellation seen from the site.  Only a generator that
+# replays the authentic stream reads bundle.live, which encodes it.
 
 
-def _tsr_realtime(a, sc, bundle, live, lrt):
-    return attacks.replay_realtime(live, a["delay_s"]), lrt, None
+def _tsr_realtime(a, sc, bundle, lrt):
+    return attacks.replay_realtime(bundle.live, a["delay_s"]), lrt, None
 
 
-def _tsr_recorded(a, sc, bundle, live, lrt):      # a replay delayed by staleness
-    return (attacks.replay_realtime(live, a["staleness_s"]),
-            attacks.ntp_mitm_delay(lrt, a["mitm_delay_s"]), None)
+def _replay_recorded(stream, staleness_s, mitm_delay_s, lrt):
+    """A replay of stream delayed by staleness, behind an NTP MITM."""
+    return (attacks.replay_realtime(stream, staleness_s),
+            attacks.ntp_mitm_delay(lrt, mitm_delay_s))
 
 
-def _tsf(a, sc, bundle, live, lrt):                 # replays forged subframes
+def _tsr_recorded(a, sc, bundle, lrt):
+    return (*_replay_recorded(bundle.live, a["staleness_s"],
+                              a["mitm_delay_s"], lrt), None)
+
+
+def _tsf(a, sc, bundle, lrt):                       # replays forged subframes
     target = geodetic_to_ecef(*a["target"].values())
     cfg = attacks.TsfConfig(target_ecef_m=target, seg_count=sc.seg_count,
                             forge_tags=a["forge_tags"], iono_a0=a["iono_a0"],
                             clock_bias_m=a["clock_bias_m"])
     forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
               for prn, sfs in bundle.subframes.items()}
-    if a["mitm_delay_s"] is None:
-        a = {**a, "mitm_delay_s": a["staleness_s"]}
-    events, lrt, _ = _tsr_recorded(a, sc, bundle, live_events(forged), lrt)
-    return events, lrt, (forged, target, float(a["clock_offset_s"]))
+    mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
+    return (*_replay_recorded(live_events(forged), a["staleness_s"], mitm, lrt),
+            (forged, target, float(a["clock_offset_s"])))
 
 
-def _cr(a, sc, bundle, live, lrt):
+def _cr(a, sc, bundle, lrt):
     timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
-    replay_copy = attacks.replay_realtime(live, timing.replay_delay_ms)
-    events = attacks.cr_compose(live, replay_copy, timing, a["onset_round"])
+    replay_copy = attacks.replay_realtime(bundle.live, timing.replay_delay_ms)
+    events = attacks.cr_compose(bundle.live, replay_copy, timing,
+                                a["onset_round"])
     return events, lrt, None
 
 
 # type: (declared keys with defaults, generator)
 ATTACKS = {
-    "none": ({}, lambda a, sc, bundle, live, lrt: (live, lrt, None)),
+    "none": ({}, lambda a, sc, bundle, lrt: (bundle.live, lrt, None)),
     "tsr_realtime": ({"delay_s": (SECONDS, 0)}, _tsr_realtime),
     "tsr_recorded": ({"staleness_s": (SECONDS, 0),
                       "mitm_delay_s": (SECONDS, 0)}, _tsr_recorded),
@@ -483,7 +490,7 @@ def run_scenario(sc: Scenario) -> dict:
     build, its authentic page stream and its observations."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
-    events, lrt, truth = sc.attack_events(sc, bundle, bundle.live, sc.lrt)
+    events, lrt, truth = sc.attack_events(sc, bundle, sc.lrt)
     obs = _observations(*truth) if truth else bundle.observations
 
     config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
@@ -538,7 +545,10 @@ def report_to_json(report: dict) -> str:
 
 
 def diff_reports(a: dict, b: dict, prefix: str = "") -> list:
-    """Dotted paths at which two reports differ."""
+    """Dotted paths at which two reports differ.
+
+    Values differ when their JSON texts do: 1, 1.0 and true differ, and so
+    do 0.0 and -0.0."""
     diffs = []
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
@@ -552,6 +562,6 @@ def diff_reports(a: dict, b: dict, prefix: str = "") -> list:
             diffs.append(f"{prefix}.length")
         for i, (xa, xb) in enumerate(zip(a, b)):
             diffs.extend(diff_reports(xa, xb, f"{prefix}[{i}]"))
-    elif a != b:
+    elif json.dumps(a) != json.dumps(b):
         diffs.append(prefix or "<root>")
     return diffs

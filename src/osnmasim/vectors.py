@@ -13,10 +13,15 @@ import csv
 import json
 from dataclasses import dataclass, field
 
-from .gst import Gst
+from .gst import Gst, SECONDS_PER_WEEK
+from .navdata import PRN_BITS, WN_BITS
 from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page, encode_page
 
 HEADER = ["wn", "tow", "prn", "page_index", "page_hex"]
+
+# the values a subframe's navigation data can carry
+_RANGES = {"wn": (0, (1 << WN_BITS) - 1), "tow": (0, SECONDS_PER_WEEK - 1),
+          "prn": (1, (1 << PRN_BITS) - 1)}
 
 
 class SchemaError(ValueError):
@@ -115,6 +120,10 @@ class TestVectorSet:
             except ValueError:
                 raise SchemaError(f"not an integer: {raw!r}",
                                   row=lineno, column=name) from None
+        for (name, (low, high)), value in zip(_RANGES.items(), out):
+            if not low <= value <= high:
+                raise SchemaError(f"{name} {value} is outside {low}..{high}",
+                                  row=lineno, column=name)
         out[3] = out[3] - index_base + 1
         page_hex = (row.get(columns["page_hex"]) or "").strip().lower()
         if len(page_hex) != 2 * PAGE_BYTES:

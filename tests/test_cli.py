@@ -50,6 +50,30 @@ def test_vectors_validate_rejects_corruption(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
+def test_vectors_out_of_range_tow_is_invalid(tmp_path, capsys):
+    """A tow no GST can hold is named with its row at load, by both
+    vectors validate and forge tsf."""
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(out)])
+    path = out / "vectors.csv"
+    lines = path.read_text().splitlines()
+    for r in range(1, 16):
+        wn, _, rest = lines[r].split(",", 2)
+        lines[r] = ",".join([wn, "700000", rest])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["vectors", "validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid:") and "ok" not in captured.out
+    assert "tow 700000" in captured.err and "row 2, column 'tow'" in captured.err
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(path),
+                 "--out", str(forged)]) == 1
+    assert "row 2, column 'tow'" in capsys.readouterr().err
+    assert not forged.exists()
+
+
 def test_forge_tsf_roundtrip(tmp_path):
     out = tmp_path / "con"
     main(["gen-constellation", "--seed", "3", "--sats", "4",

@@ -1,10 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from osnmasim.gst import Gst
+from osnmasim.navdata import build_subframe
 from osnmasim.pages import (
     CRC,
     EVEN_DATA,
@@ -202,6 +202,7 @@ page_contents = st.builds(
     odd_data=st.integers(0, (1 << 16) - 1),
     hkroot=st.integers(0, 255),
     mack=st.integers(0, (1 << 32) - 1),
+    crc=st.just(0),     # builds draws every named-tuple field, defaults too
     reserved=st.integers(0, (1 << 24) - 1),
     fill=st.integers(0, (1 << 14) - 1),
 )
@@ -275,7 +276,7 @@ def test_bit_field_outside_buffer_raises():
 
 @given(page_contents, st.integers(0, (1 << 24) - 1))
 def test_encode_page_matches_reference(page, crc):
-    page = replace(page, crc=crc)
+    page = page._replace(crc=crc)
     assert encode_page(page) == ref_encode_page(page)
 
 
@@ -347,6 +348,36 @@ def event_streams(draw):
 def test_assemble_round_matches_reference(events, prn):
     assert assemble_round(events, GST0, prn, _T0) == \
         ref_assemble_round(events, GST0, prn, _T0)
+
+
+@given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES))
+def test_page_crc_matches_bitwise_reference(raw):
+    """Any page, flags, tail and CRC bits included: the CRC read from the
+    raw bytes is the bitwise CRC of the protected region, and resealing
+    writes it into the CRC field alone."""
+    want = bytearray(raw)
+    ref_setbitu(want, *CRC, ref_crc(raw))
+    assert reseal_raw(raw) == want
+    assert (decode_page(raw) is None) == \
+        (ref_decode_page(raw) is None)
+
+
+@given(st.binary(min_size=240, max_size=240),
+       st.binary(min_size=SLOTS_PER_SUBFRAME, max_size=SLOTS_PER_SUBFRAME),
+       st.binary(min_size=60, max_size=60))
+def test_build_subframe_pages_match_seal_page(nav, hkroot, mack):
+    """Each page equals sealing its fields read bitwise from the blobs,
+    and encodes to the bitwise encoding."""
+    sf = build_subframe(GST0, 5, nav, hkroot, mack)
+    for p, page in enumerate(sf.pages):
+        fields = PageContent(
+            even_data=ref_getbitu(nav, 128 * p, 112),
+            odd_data=ref_getbitu(nav, 128 * p + 112, 16), hkroot=hkroot[p],
+            mack=ref_getbitu(mack, 32 * p, 32))
+        assert type(page) is PageContent
+        assert page == seal_page(fields)
+        assert encode_page(page) == ref_encode_page(page)
+        assert page.crc == ref_crc(ref_encode_page(page))
 
 
 def test_reseal_raw_restores_validity():

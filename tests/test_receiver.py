@@ -122,6 +122,21 @@ def test_destroyed_round_suspends_then_recovers(small_bundle):
     assert resume[0].gst == GST0.add_seconds(30 * 9)
 
 
+def test_silent_pending_satellite_gets_a_destroyed_round(small_bundle):
+    """A satellite with buffered subframes that sends nothing in a round
+    still gets that round: every slot destroyed, the window discarded."""
+    events = [e for e in live_events(small_bundle.vectors.subframes())
+              if not (e.prn == 2 and GST0.total_millis() + 8 * SUBFRAME_MS
+                      <= e.t_ms < GST0.total_millis() + 9 * SUBFRAME_MS)]
+    rx = _receiver(small_bundle)
+    results = _drive(rx, events, 10)
+    assert results[8].subframes[2].destroyed_slots == tuple(range(15))
+    assert [v.outcome for v in results[8].verdicts if v.prn == 2] == \
+        [Outcome.DISCARDED_INCOMPLETE]
+    assert sorted(results[8].subframes) == sorted(results[7].subframes)
+    assert results[9].subframes[2].complete
+
+
 def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     """Tags for subframe i live in subframe i+1: corrupting that region
     flags subframe i only."""

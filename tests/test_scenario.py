@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import osnmasim.receiver
 import osnmasim.scenario
 from osnmasim.scenario import (
     ATTACKS,
@@ -271,6 +272,14 @@ def test_diff_reports_flags_paths():
     assert any("delta" in d or "scenario" in d for d in diffs)
 
 
+@pytest.mark.parametrize("a, b", [
+    (1, 1.0), (1, True), (1.0, True), (0, False), (-0.0, 0.0), (0, 0.0)])
+def test_diff_reports_flags_scalar_type_and_sign(a, b):
+    assert diff_reports({"x": a}, {"x": b}) == ["x"]
+    assert diff_reports({"x": b}, {"x": a}) == ["x"]
+    assert diff_reports([a], [a]) == []
+
+
 SHIPPED = {
     "baseline.json": ("authenticating", 0, {"authentic"}),
     "tsr_realtime_29_5.json": ("authenticating", 0, {"authentic"}),
@@ -341,6 +350,47 @@ def test_each_distinct_fix_is_solved_once(monkeypatch):
             REPORT_DIGESTS[stem], stem
     assert sum(calls.values()) == 142
     assert calls["baseline"] == 16
+
+
+def test_each_event_is_assembled_once_per_round(monkeypatch):
+    """A round's events are split by PRN once: the events handed to
+    assemble_round over a round add up to the round's event count."""
+    rounds = []
+    assemble = osnmasim.receiver.assemble_round
+    ingest = osnmasim.receiver.Receiver.ingest_round
+
+    def counting(events, *args):
+        rounds[-1][1] += len(events)
+        return assemble(events, *args)
+
+    def recording(self, events, window_start_ms):
+        rounds.append([len(events), 0])
+        return ingest(self, events, window_start_ms)
+
+    monkeypatch.setattr(osnmasim.receiver, "assemble_round", counting)
+    monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        text = report_to_json(run_scenario(Scenario.load(path)))
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            REPORT_DIGESTS[path.stem], path.stem
+    assert rounds and all(handed == count for count, handed in rounds)
+
+
+def test_forgery_encodes_only_the_forged_stream(monkeypatch):
+    """A tsf run never replays the authentic stream, so it encodes one
+    page stream: the forged one."""
+    calls = []
+    encode = osnmasim.scenario.live_events
+
+    def counting(subframes_by_prn):
+        calls.append(len(subframes_by_prn))
+        return encode(subframes_by_prn)
+
+    monkeypatch.setattr(osnmasim.scenario, "live_events", counting)
+    osnmasim.scenario._constellation.cache_clear()
+    report = run_scenario(_scenario({"type": "tsf"}, sats=4, subframes=10))
+    assert report["auth_fixes"]
+    assert calls == [4]
 
 
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):

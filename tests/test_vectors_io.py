@@ -121,3 +121,40 @@ def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, key):
     path.write_text(json.dumps(mapping))
     with pytest.raises(SchemaError, match=key):
         TestVectorSet.load(native, mapping_path=path)
+
+
+def _with_column(path, column, value, rows):
+    """Rewrite one column in the given data rows (1-based) of a CSV."""
+    lines = path.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    for r in rows:
+        cells = lines[r].split(",")
+        cells[index] = str(value)
+        lines[r] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("column,value", [
+    ("wn", -1), ("wn", 4096), ("tow", -1), ("tow", 604800), ("tow", 700000),
+    ("prn", 0), ("prn", 256), ("prn", 300)])
+def test_out_of_range_value_schema_error(small_bundle, tmp_path, column,
+                                         value):
+    """A value no subframe can carry is rejected at load, its row and
+    column named, before grouping or CRC checks."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    _with_column(path, column, value, range(16, 31))
+    with pytest.raises(SchemaError, match=f"{column} {value} is outside") \
+            as err:
+        TestVectorSet.load(path)
+    assert (err.value.row, err.value.column) == (17, column)
+
+
+@pytest.mark.parametrize("column,value", [
+    ("wn", 0), ("wn", 4095), ("tow", 0), ("tow", 604799), ("prn", 1),
+    ("prn", 255)])
+def test_range_limits_load(small_bundle, tmp_path, column, value):
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    _with_column(path, column, value, range(1, 16))
+    assert len(TestVectorSet.load(path).rows) == len(small_bundle.vectors.rows)
