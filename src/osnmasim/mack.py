@@ -11,7 +11,6 @@ in the next page's.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 from .gst import Gst
@@ -48,7 +47,7 @@ def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
     """HMAC-SHA-256 truncated to the leading tag_bits."""
     if tag_bits % 8 or not 0 < tag_bits <= 256:
         raise ValueError("tag length must be a multiple of 8 bits, <= 256")
-    return hmac.new(key, message, hashlib.sha256).digest()[:tag_bits // 8]
+    return hmac.digest(key, message, "sha256")[:tag_bits // 8]
 
 
 def _check_capacity(n_tags: int) -> None:

@@ -30,9 +30,7 @@ from .pages import (
     PageContent,
     SLOTS_PER_SUBFRAME,
     Subframe,
-    getbitu,
     seal_page,
-    setbitu,
 )
 
 NAV_BLOB_BYTES = 240
@@ -72,25 +70,20 @@ class NavFields:
         return self.clock_bias_m + self.iono_bias_m
 
 
-def _set_unsigned(buf: bytearray, name: str, pos: int, bits: int,
-                  value: int) -> None:
-    if not (isinstance(value, int) and 0 <= value < (1 << bits)):
-        raise ValueError(f"{name} {value!r} does not fit {bits} unsigned bits")
-    setbitu(buf, pos, bits, value)
+def _field(name: str, pos: int, bits: int, value, signed: bool = False) -> int:
+    """value placed at its blob position in the blob int, two's complement
+    when signed; a value outside the field's range raises ValueError naming
+    the field."""
+    low = -(1 << bits - 1) if signed else 0
+    if not (isinstance(value, int) and low <= value < low + (1 << bits)):
+        kind = "signed" if signed else "unsigned"
+        raise ValueError(f"{name} {value!r} does not fit {bits} {kind} bits")
+    return (value & (1 << bits) - 1) << NAV_BLOB_BITS - pos - bits
 
 
-def _set_signed(buf: bytearray, name: str, pos: int, bits: int,
-                value: int) -> None:
-    if not -(1 << (bits - 1)) <= value < (1 << (bits - 1)):
-        raise ValueError(f"{name} {value} does not fit {bits} signed bits")
-    setbitu(buf, pos, bits, value)
-
-
-def _get_signed(buf: bytes, pos: int, bits: int) -> int:
-    raw = getbitu(buf, pos, bits)
-    if raw >= 1 << (bits - 1):
-        raw -= 1 << bits
-    return raw
+def _get(blob: int, pos: int, bits: int, signed: bool = False) -> int:
+    raw = blob >> NAV_BLOB_BITS - pos - bits & (1 << bits) - 1
+    return raw - (1 << bits) if signed and raw >> bits - 1 else raw
 
 
 def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,
@@ -100,45 +93,43 @@ def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,
     Positions and biases are quantized to millimetres on encoding.  A value
     outside its field's range raises ValueError naming the field.
     """
-    buf = bytearray(NAV_BLOB_BYTES)
-    _set_unsigned(buf, "wn", WN_POS, WN_BITS, wn)
-    _set_unsigned(buf, "tow", TOW_POS, TOW_BITS, tow)
-    _set_unsigned(buf, "prn", PRN_POS, PRN_BITS, prn)
-    for axis, coord in enumerate(sat_ecef_m):
-        _set_signed(buf, f"sat_ecef_m[{axis}]", EPH_POS + axis * EPH_AXIS_BITS,
-                    EPH_AXIS_BITS, round(coord * MM_PER_M))
-    _set_signed(buf, "clock_bias_m", CLOCK_POS, CLOCK_BITS,
-                round(clock_bias_m * MM_PER_M))
-    _set_unsigned(buf, "iono_a0", IONO_A0_POS, IONO_A0_BITS, iono_a0)
-    return bytes(buf)
+    coords = tuple(sat_ecef_m)
+    if len(coords) != 3:
+        raise ValueError(f"sat_ecef_m needs 3 axes, got {len(coords)}")
+    blob = (_field("wn", WN_POS, WN_BITS, wn)
+            | _field("tow", TOW_POS, TOW_BITS, tow)
+            | _field("prn", PRN_POS, PRN_BITS, prn))
+    for axis, coord in enumerate(coords):
+        blob |= _field(f"sat_ecef_m[{axis}]", EPH_POS + axis * EPH_AXIS_BITS,
+                       EPH_AXIS_BITS, round(coord * MM_PER_M), signed=True)
+    blob |= _field("clock_bias_m", CLOCK_POS, CLOCK_BITS,
+                   round(clock_bias_m * MM_PER_M), signed=True)
+    blob |= _field("iono_a0", IONO_A0_POS, IONO_A0_BITS, iono_a0)
+    return blob.to_bytes(NAV_BLOB_BYTES, "big")
 
 
 def parse_nav_data(blob: bytes) -> NavFields:
     if len(blob) != NAV_BLOB_BYTES:
         raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
-    ecef = tuple(
-        _get_signed(blob, EPH_POS + axis * EPH_AXIS_BITS, EPH_AXIS_BITS) / MM_PER_M
-        for axis in range(3)
-    )
+    nav = int.from_bytes(blob, "big")
     return NavFields(
-        wn=getbitu(blob, WN_POS, WN_BITS),
-        tow=getbitu(blob, TOW_POS, TOW_BITS),
-        prn=getbitu(blob, PRN_POS, PRN_BITS),
-        sat_ecef_m=ecef,
-        clock_bias_m=_get_signed(blob, CLOCK_POS, CLOCK_BITS) / MM_PER_M,
-        iono_a0=getbitu(blob, IONO_A0_POS, IONO_A0_BITS),
+        wn=_get(nav, WN_POS, WN_BITS),
+        tow=_get(nav, TOW_POS, TOW_BITS),
+        prn=_get(nav, PRN_POS, PRN_BITS),
+        sat_ecef_m=tuple(
+            _get(nav, EPH_POS + axis * EPH_AXIS_BITS, EPH_AXIS_BITS, True)
+            / MM_PER_M for axis in range(3)),
+        clock_bias_m=_get(nav, CLOCK_POS, CLOCK_BITS, True) / MM_PER_M,
+        iono_a0=_get(nav, IONO_A0_POS, IONO_A0_BITS),
     )
 
 
 def subframe_nav_data(sf: Subframe) -> bytes:
-    """Concatenate the data portions of a complete subframe."""
-    parts = []
-    for page in sf.pages:
-        if page is None:
-            raise ValueError("nav data undefined over destroyed pages")
-        parts.append(((page.even_data << ODD_DATA[1]) | page.odd_data)
-                     .to_bytes(PAGE_DATA_BITS // 8, "big"))
-    return b"".join(parts)
+    """Concatenate the data portions of a complete subframe.
+
+    The concatenation is made once per subframe and kept on it
+    (``Subframe.nav_data``); a destroyed page raises ValueError."""
+    return sf.nav_data
 
 
 def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,

@@ -30,13 +30,16 @@ shifts and masks, one straight-line expression per page.  The page CRC is
 read straight from the transmitted bytes: CRC-24Q is linear, so it is the
 xor of one table entry per raw byte 0..25, each table holding the CRC share
 of that byte's protected bits (byte 14 gives its top 2 bits, the tail being
-unprotected, and byte 25 its top 2, bits 200..201).
+unprotected, and byte 25 its top 2, bits 200..201).  Round assembly decodes
+each distinct 30-byte page once per process: a replay retransmits authentic
+bytes bit for bit, and decoding is a pure function of those bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .gst import Gst
@@ -135,34 +138,6 @@ def _page_crc(raw: bytes) -> int:
     for table, byte in zip(_PAGE_CRC_TABLES, raw):
         crc ^= table[byte]
     return crc
-
-
-def _field_span(buf, pos: int, length: int) -> tuple:
-    """First byte, end byte and right shift of a bit field within buf."""
-    first, end = pos >> 3, (pos + length + 7) >> 3
-    if end > len(buf):
-        raise IndexError(f"bits {pos}..{pos + length - 1} outside "
-                         f"{8 * len(buf)}-bit buffer")
-    return first, end, 8 * end - pos - length
-
-
-def getbitu(buf: bytes, pos: int, length: int) -> int:
-    """Read an unsigned big-endian bit field."""
-    if length <= 0:
-        return 0
-    first, end, shift = _field_span(buf, pos, length)
-    return (int.from_bytes(buf[first:end], "big") >> shift) & ((1 << length) - 1)
-
-
-def setbitu(buf: bytearray, pos: int, length: int, value: int) -> None:
-    """Write the low ``length`` bits of value as a big-endian field in place."""
-    if length <= 0:
-        return
-    first, end, shift = _field_span(buf, pos, length)
-    mask = ((1 << length) - 1) << shift
-    chunk = int.from_bytes(buf[first:end], "big")
-    chunk = (chunk & ~mask) | ((value << shift) & mask)
-    buf[first:end] = chunk.to_bytes(end - first, "big")
 
 
 def flip_page_bit(raw: bytes, bit: int) -> bytes:
@@ -267,6 +242,17 @@ def decode_page(raw: bytes) -> PageContent | None:
                        value >> 38 & 0xFFFFFF, value & 0x3FFF)
 
 
+@lru_cache(maxsize=1 << 15)
+def _decoded(raw: bytes) -> PageContent | None:
+    """decode_page of raw, computed once per distinct 30 bytes.
+
+    The key is the transmitted bytes alone, never where they came from:
+    bytes that differ in any bit miss and go through the full flag and CRC
+    checks, and bytes seen before get the (immutable) result they got then.
+    """
+    return decode_page(raw)
+
+
 class Source(Enum):
     AUTHENTIC = "authentic"
     ADVERSARY = "adversary"
@@ -306,6 +292,14 @@ class Subframe:
     def destroyed_slots(self) -> tuple:
         return tuple(i for i, p in enumerate(self.pages) if p is None)
 
+    @cached_property
+    def nav_data(self) -> bytes:
+        """The pages' data portions concatenated, computed once per subframe."""
+        if not self.complete:
+            raise ValueError("nav data undefined over destroyed pages")
+        return b"".join((p.even_data << ODD_DATA[1] | p.odd_data).to_bytes(
+            (EVEN_DATA[1] + ODD_DATA[1]) // 8, "big") for p in self.pages)
+
 
 def assemble_round(events, gst: Gst, prn: int,
                    window_start_ms: int | None = None) -> Subframe:
@@ -316,6 +310,11 @@ def assemble_round(events, gst: Gst, prn: int,
     coverage); when streams overlap, an adversary page that fully covers the
     slot captures it, any partial overlap destroys the slot.  Empty slots
     are destroyed.
+
+    Each slot owner's page is decoded through the process-wide memo
+    ``_decoded``: bytes equal bit for bit to bytes received before, in this
+    round or any earlier one, get the same result without a second decode;
+    any other bytes are checked in full.
     """
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
     # (adversary, authentic) events overlapping each slot; an event starting
@@ -333,7 +332,7 @@ def assemble_round(events, gst: Gst, prn: int,
         owners = adv or auth
         page = None
         if len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j:
-            page = decode_page(owners[0].raw)
+            page = _decoded(owners[0].raw)
         slots.append(page)
     return Subframe(gst=gst, prn=prn, pages=tuple(slots))
 

@@ -448,36 +448,39 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     return obs
 
 
-def _solve_from_subframes(sf_map: dict, obs: dict, solved: dict) -> dict:
-    """Correct observed ranges with broadcast biases and solve a fix.
+def _solver_inputs(subframes: dict, obs: dict) -> dict:
+    """What each complete subframe gives the solver, by (gst seconds, prn):
+    the broadcast satellite and its observed range corrected with the
+    broadcast biases."""
+    inputs = {}
+    for prn, sf in sorted(subframes.items()):
+        if sf.complete:
+            key = (sf.gst.total_seconds(), prn)
+            nav = parse_nav_data(subframe_nav_data(sf))
+            inputs[key] = (SatState(prn=prn, position=nav.sat_ecef_m),
+                           obs[key] - nav.range_bias_m)
+    return inputs
 
-    ``solved`` holds this scenario's fixes (a Fix or an error message),
-    keyed on the usable (gst seconds, prn): every round has its own GST, so
-    equal keys name the same subframes, and each distinct set is solved once.
+
+def _solve_from_inputs(inputs) -> dict:
+    """A fix report from solver inputs in PRN order.
+
+    The inputs key the process-wide memo ``_fix``: equal inputs, in this
+    scenario or an earlier one, are solved once.  Each call returns a fresh
+    report dict.
     """
-    usable = {}
-    for prn, sf in sorted(sf_map.items()):
-        key = (sf.gst.total_seconds(), prn)
-        if key in obs and sf.complete:
-            usable[key] = sf
-    keys = tuple(usable)
-    if keys not in solved:
-        solved[keys] = _solve(usable, obs)
-    fix = solved[keys]
+    fix = _fix(tuple(inputs))
     return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
 
 
-def _solve(usable: dict, obs: dict):
-    """The Fix from subframes keyed by (gst seconds, prn), or why none."""
-    if len(usable) < 4:
+@lru_cache(maxsize=1 << 10)
+def _fix(inputs: tuple):
+    """The Fix from (satellite, corrected range) pairs, or why none."""
+    if len(inputs) < 4:
         return "fewer than four usable satellites"
-    sats, rhos = [], []
-    for key, sf in usable.items():
-        nav = parse_nav_data(subframe_nav_data(sf))
-        sats.append(SatState(prn=key[1], position=nav.sat_ecef_m))
-        rhos.append(obs[key] - nav.range_bias_m)
+    sats, rhos = zip(*inputs)
     try:
-        return solve_position(sats, rhos)
+        return solve_position(list(sats), list(rhos))
     except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
         return str(exc)
 
@@ -507,23 +510,21 @@ def run_scenario(sc: Scenario) -> dict:
 
     raw_fixes = []
     auth_fixes = {}
-    solved: dict = {}                   # an authenticated fix reuses its raw fix
-    seen_subframes: dict = {}
+    seen: dict = {}                 # solver inputs of every complete subframe
     for r, window in enumerate(windows):
         result = receiver.ingest_round(window, t0 + r * SUBFRAME_MS)
-        for prn, sf in result.subframes.items():
-            if sf.complete:
-                seen_subframes[(sf.gst.total_seconds(), prn)] = sf
-        raw_fixes.append(_solve_from_subframes(result.subframes, obs, solved))
+        inputs = _solver_inputs(result.subframes, obs)
+        seen.update(inputs)
+        raw_fixes.append(_solve_from_inputs(inputs.values()))
         by_gst: dict = {}
         for v in result.verdicts:
             key = (v.gst.total_seconds(), v.prn)
-            if v.outcome is Outcome.AUTHENTIC and key in seen_subframes:
-                by_gst.setdefault(key[0], {})[v.prn] = seen_subframes[key]
-        for gst_s, sf_map in by_gst.items():
-            if len(sf_map) >= 4:
-                auth_fixes[str(gst_s)] = _solve_from_subframes(sf_map, obs,
-                                                               solved)
+            if v.outcome is Outcome.AUTHENTIC and key in seen:
+                by_gst.setdefault(key[0], {})[v.prn] = seen[key]
+        for gst_s, by_prn in by_gst.items():
+            if len(by_prn) >= 4:
+                auth_fixes[str(gst_s)] = _solve_from_inputs(
+                    by_prn[prn] for prn in sorted(by_prn))
 
     failure = any(v.outcome in _FAILURE_OUTCOMES for v in receiver.verdicts)
     return {

@@ -25,10 +25,8 @@ from osnmasim.pages import (
     encode_page,
     extract_osnma,
     flip_page_bit,
-    getbitu,
     reseal_raw,
     seal_page,
-    setbitu,
 )
 from osnmasim.positioning import (
     SatState,
@@ -134,13 +132,16 @@ def test_criterion_2_page_forging_vectors():
 
     # forging the tag page: writing the 32-bit tag part into MACK
     # reproduces the published intermediate in every non-checksum bit
-    patched = bytearray(PAGE_TAG_FINAL)
-    setbitu(patched, *MACK, int.from_bytes(MAC_TAG40[:4], "big"))
+    pos, width = MACK
+    shift = 240 - pos - width
+    patched = (int.from_bytes(PAGE_TAG_FINAL, "big")
+               & ~(((1 << width) - 1) << shift)
+               | int.from_bytes(MAC_TAG40[:4], "big") << shift)
     crc_bits = set(range(202, 226))
-    diff = [i for i in range(240)
-            if getbitu(bytes(patched), i, 1) != getbitu(PAGE_TAG_REPLACED, i, 1)]
+    changed = patched ^ int.from_bytes(PAGE_TAG_REPLACED, "big")
+    diff = [i for i in range(240) if changed >> (239 - i) & 1]
     assert all(i in crc_bits for i in diff)
-    assert reseal_raw(bytes(patched)) == PAGE_TAG_RESEALED
+    assert reseal_raw(patched.to_bytes(30, "big")) == PAGE_TAG_RESEALED
     assert decode_page(PAGE_TAG_RESEALED) is not None
     print("\nACCEPTANCE 2: PASS - page-forging pipeline reproduces the "
           "reference pages bit-exactly")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from osnmasim import pages
 from osnmasim.gst import Gst
 from osnmasim.navdata import build_subframe
 from osnmasim.pages import (
@@ -30,10 +31,8 @@ from osnmasim.pages import (
     encode_page,
     extract_osnma,
     flip_page_bit,
-    getbitu,
     reseal_raw,
     seal_page,
-    setbitu,
 )
 
 # intact reference pages: the unmodified capture page and the finished
@@ -227,51 +226,59 @@ def test_single_bit_flip_detection(page, bit):
         assert decode_page(flipped) is None
 
 
-def test_getbitu_setbitu_inverse():
-    rng = random.Random(3)
-    buf = bytearray(30)
-    for _ in range(200):
-        pos = rng.randrange(0, 200)
-        width = rng.randrange(1, min(41, 240 - pos))
-        value = rng.getrandbits(width)
-        setbitu(buf, pos, width, value)
-        assert getbitu(buf, pos, width) == value
+def _assembled(raw, source=Source.AUTHENTIC):
+    """Slot 0 of a round whose one event carries raw."""
+    w0 = GST0.total_millis()
+    event = PageEvent(t_ms=w0, prn=1, source=source, raw=raw)
+    return assemble_round([event], GST0, 1, w0).pages[0]
 
 
-@st.composite
-def bit_fields(draw):
-    """A buffer (a page or a nav blob) and a field that fits inside it."""
-    nbytes = draw(st.sampled_from([PAGE_BYTES, 240]))
-    buf = draw(st.binary(min_size=nbytes, max_size=nbytes))
-    length = draw(st.integers(1, 128))
-    pos = draw(st.integers(0, 8 * nbytes - length))
-    return buf, pos, length
+@given(page_contents, st.integers(0, 239), st.sampled_from(Source))
+def test_decode_memo_decodes_a_flipped_copy_afresh(page, bit, source):
+    """A page assembled before does not answer for a copy one bit away: the
+    copy gets exactly what a fresh decode gives, which is a destroyed page
+    whenever the bit is a flag, in the protected region or in the CRC."""
+    raw = encode_page(seal_page(page))
+    assert _assembled(raw) == decode_page(raw) == seal_page(page)
+    flipped = flip_page_bit(raw, bit)
+    got = _assembled(flipped, source)
+    assert got == decode_page(flipped)
+    if bit < 114 or 120 <= bit < 226:
+        assert got is None
+    assert _assembled(raw, source) == seal_page(page)
 
 
-@given(bit_fields())
-def test_getbitu_matches_reference(field):
-    buf, pos, length = field
-    assert getbitu(buf, pos, length) == ref_getbitu(buf, pos, length)
+def test_decode_memo_decodes_a_resealed_forgery_to_its_own_fields():
+    authentic = _assembled(PAGE_INTACT_A)
+    forged = reseal_raw(flip_page_bit(PAGE_INTACT_A, 20))    # even_data bit 93
+    page = _assembled(forged, Source.ADVERSARY)
+    assert page == decode_page(forged)
+    assert page.even_data == authentic.even_data ^ 1 << 93
+    assert page.crc != authentic.crc
 
 
-@given(bit_fields(), st.integers(-(1 << 140), 1 << 140))
-def test_setbitu_matches_reference(field, value):
-    """Only the low ``length`` bits are written, the rest of the buffer
-    is untouched, whatever the value's size or sign."""
-    buf, pos, length = field
-    got, want = bytearray(buf), bytearray(buf)
-    setbitu(got, pos, length, value)
-    ref_setbitu(want, pos, length, value)
-    assert got == want
+def test_decode_memo_keys_on_bytes_alone(monkeypatch):
+    """Equal bytes are decoded once whatever their source; other bytes,
+    even a destroyed copy, are decoded in full."""
+    calls = []
+    decode = pages.decode_page
+
+    def counting(raw):
+        calls.append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(pages, "decode_page", counting)
+    pages._decoded.cache_clear()
+    broken = flip_page_bit(PAGE_INTACT_A, 5)
+    for raw in (PAGE_INTACT_A, PAGE_INTACT_A, broken, broken):
+        for source in Source:
+            _assembled(raw, source)
+    assert calls == [PAGE_INTACT_A, broken]
+    assert _assembled(broken) is None
 
 
-def test_bit_field_outside_buffer_raises():
-    with pytest.raises(IndexError):
-        getbitu(bytes(30), 230, 11)
-    buf = bytearray(30)
-    with pytest.raises(IndexError):
-        setbitu(buf, 230, 11, 1)
-    assert buf == bytearray(30)
+def test_decode_memo_is_bounded():
+    assert pages._decoded.cache_info().maxsize is not None
 
 
 @given(page_contents, st.integers(0, (1 << 24) - 1))
@@ -473,4 +480,4 @@ def test_crc_field_position_nonaligned():
     # CRC field crosses byte boundaries: spot-check the extraction offsets
     raw = encode_page(seal_page(PageContent(even_data=1, odd_data=2,
                                             hkroot=3, mack=4)))
-    assert getbitu(raw, *CRC) == decode_page(raw).crc
+    assert ref_getbitu(raw, *CRC) == decode_page(raw).crc

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import osnmasim.pages
 import osnmasim.receiver
 import osnmasim.scenario
+from osnmasim.pages import Subframe
 from osnmasim.scenario import (
     ATTACKS,
     POLICIES,
@@ -332,9 +334,15 @@ def test_shipped_reports_are_byte_identical():
             REPORT_DIGESTS[path.stem], path.name
 
 
+def _clear_memos():
+    osnmasim.pages._decoded.cache_clear()
+    osnmasim.scenario._fix.cache_clear()
+
+
 def test_each_distinct_fix_is_solved_once(monkeypatch):
-    """An authenticated fix reuses the raw fix of its round: the nine
-    shipped scenarios solve 142 satellite sets, not one per fix."""
+    """Equal solver inputs are solved once per process: the nine shipped
+    scenarios share one constellation and solve 9 distinct inputs, and the
+    static sky of baseline gives every fix the same inputs."""
     calls = {}
     solve = osnmasim.scenario.solve_position
 
@@ -343,13 +351,14 @@ def test_each_distinct_fix_is_solved_once(monkeypatch):
         return solve(sats, rhos)
 
     monkeypatch.setattr(osnmasim.scenario, "solve_position", counting)
+    _clear_memos()
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         stem = path.stem
         text = report_to_json(run_scenario(Scenario.load(path)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             REPORT_DIGESTS[stem], stem
-    assert sum(calls.values()) == 142
-    assert calls["baseline"] == 16
+    assert sum(calls.values()) == 9
+    assert calls["baseline"] == 1
 
 
 def test_each_event_is_assembled_once_per_round(monkeypatch):
@@ -376,6 +385,37 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
     assert rounds and all(handed == count for count, handed in rounds)
 
 
+def test_each_subframe_is_concatenated_once(monkeypatch):
+    """A subframe's nav data is joined once however many read it (the
+    observations, the receiver's tag check, each fix): on a run of
+    long_clean's size, every received subframe is joined exactly once."""
+    joins = {}
+    received = []
+    join = Subframe.nav_data.func
+    assemble = osnmasim.receiver.assemble_round
+
+    def counting(sf):
+        joins[id(sf)] = joins.get(id(sf), 0) + 1
+        return join(sf)
+
+    def recording(*args):
+        received.append(assemble(*args))
+        return received[-1]
+
+    monkeypatch.setattr(Subframe.nav_data, "func", counting)
+    monkeypatch.setattr(osnmasim.receiver, "assemble_round", recording)
+    osnmasim.scenario._constellation.cache_clear()
+    report = run_scenario(_scenario({"type": "none"}, subframes=128))
+    assert report["receiver"]["status"] == "authenticating"
+    assert len(received) == 8 * 128 and all(sf.complete for sf in received)
+    assert all(joins.get(id(sf)) == 1 for sf in received)
+    assert set(joins.values()) == {1} and len(joins) == 2 * 8 * 128
+
+
+def test_fix_memo_is_bounded():
+    assert osnmasim.scenario._fix.cache_info().maxsize is not None
+
+
 def test_forgery_encodes_only_the_forged_stream(monkeypatch):
     """A tsf run never replays the authentic stream, so it encodes one
     page stream: the forged one."""
@@ -395,17 +435,22 @@ def test_forgery_encodes_only_the_forged_stream(monkeypatch):
 
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
     """Reports are the same whatever ran before in the process: the nine
-    shipped scenarios in reverse order, with another seed in between."""
+    shipped scenarios in reverse order, with another seed in between, run
+    over emptied memos and again over the memos that run filled."""
     odd = json.loads((SCENARIO_DIR / "tsf_full.json").read_text())
     odd["seed"] = 4242
     odd_path = tmp_path / "odd.json"
     odd_path.write_text(json.dumps(odd))
     paths = sorted(SCENARIO_DIR.glob("*.json"), reverse=True)
     paths.insert(4, odd_path)
-    reports = {p.stem: run_scenario(Scenario.load(p)) for p in paths}
-    for stem, digest in REPORT_DIGESTS.items():
-        text = report_to_json(reports[stem])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, stem
+    for warm in (False, True):
+        if not warm:
+            _clear_memos()
+        reports = {p.stem: run_scenario(Scenario.load(p)) for p in paths}
+        for stem, digest in REPORT_DIGESTS.items():
+            text = report_to_json(reports[stem])
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, \
+                (stem, warm)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     fresh = subprocess.run(
