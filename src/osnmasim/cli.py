@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .attacks import TsfConfig, tsf_forge_subframes
 from .gst import Gst
-from .positioning import geodetic_to_ecef
+from .positioning import LAT_RANGE, LON_RANGE, geodetic_to_ecef
 from .scenario import (
     DEFAULT_GST0,
     Scenario,
@@ -67,6 +67,10 @@ def _cmd_vectors_validate(args) -> int:
 
 
 def _cmd_forge_tsf(args) -> int:
+    for flag, value, (low, high) in (("--lat", args.lat, LAT_RANGE),
+                                     ("--lon", args.lon, LON_RANGE)):
+        if not low <= value <= high:
+            raise ValueError(f"{flag} {value} is outside {low}..{high}")
     vectors = TestVectorSet.load(args.vectors)
     target = geodetic_to_ecef(args.lat, args.lon, args.height)
     cfg = TsfConfig(target_ecef_m=target, seg_count=args.segments,

@@ -134,7 +134,8 @@ def subframe_nav_data(sf: Subframe) -> bytes:
 
 def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
                    mack_blob: bytes) -> Subframe:
-    """Distribute a nav blob plus OSNMA material over 15 sealed pages."""
+    """Distribute a nav blob plus OSNMA material over 15 pages, each sealed
+    straight to its transmitted bytes."""
     if len(hkroot) != SLOTS_PER_SUBFRAME:
         raise ValueError("hkroot must supply one byte per page")
     if len(mack_blob) != 4 * SLOTS_PER_SUBFRAME:
@@ -143,13 +144,13 @@ def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
         raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
     nav = int.from_bytes(nav_blob, "big")
     macks = int.from_bytes(mack_blob, "big")
-    pages = []
+    raws = []
     for p, hk in enumerate(hkroot):
         chunk = nav >> NAV_BLOB_BITS - PAGE_DATA_BITS * (p + 1)
-        pages.append(seal_page(PageContent(
+        raws.append(seal_page(PageContent(
             even_data=chunk >> ODD_DATA[1] & (1 << EVEN_DATA[1]) - 1,
             odd_data=chunk & (1 << ODD_DATA[1]) - 1,
             hkroot=hk,
             mack=macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF,
         )))
-    return Subframe(gst=gst, prn=prn, pages=tuple(pages))
+    return Subframe(gst=gst, prn=prn, raws=tuple(raws))

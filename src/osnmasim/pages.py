@@ -23,16 +23,18 @@ even bits 0..113 followed by odd bits 0..81 (196 bits).  This region was
 calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
 
-A page record (PageContent) and an arriving page (PageEvent) are immutable
-named tuples.  The codec holds a page as one 240-bit int, MSB first:
-encoding, sealing and decoding read and write fields and flags by constant
-shifts and masks, one straight-line expression per page.  The page CRC is
-read straight from the transmitted bytes: CRC-24Q is linear, so it is the
-xor of one table entry per raw byte 0..25, each table holding the CRC share
-of that byte's protected bits (byte 14 gives its top 2 bits, the tail being
-unprotected, and byte 25 its top 2, bits 200..201).  Round assembly decodes
-each distinct 30-byte page once per process: a replay retransmits authentic
-bytes bit for bit, and decoding is a pure function of those bytes.
+A page is its 30 transmitted bytes from sealing to reception: subframes
+hold them, page events carry them, replays pass them on, and a receiver
+checks them and reads navigation data and OSNMA blobs out of them by
+constant shifts.  PageContent is only the codec's view of one page's
+fields, what seal_page and encode_page take and decode_page gives back.
+The page CRC is read straight from the transmitted bytes: CRC-24Q is
+linear, so it is the xor of one table entry per raw byte 0..25, each table
+holding the CRC share of that byte's protected bits (byte 14 gives its top
+2 bits, the tail being unprotected, and byte 25 its top 2, bits 200..201).
+Round assembly checks each distinct 30-byte page once per process: a replay
+retransmits authentic bytes bit for bit, and the check is a pure function
+of those bytes.
 """
 
 from __future__ import annotations
@@ -157,17 +159,6 @@ class PageContent(NamedTuple):
     fill: int = 0           # 14 trailing framing bits
 
 
-# PageContent attribute -> geometry
-_FIELDS = (
-    ("even_data", EVEN_DATA),
-    ("odd_data", ODD_DATA),
-    ("hkroot", HKROOT),
-    ("mack", MACK),
-    ("crc", CRC),
-    ("reserved", RESERVED),
-    ("fill", FILL),
-)
-
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
 _FLAG_MASK = (0b11 << (PAGE_BITS - 2)) | (0b11 << (PAGE_BITS - 122))
 _FLAGS = 0b10 << (PAGE_BITS - 122)
@@ -184,8 +175,8 @@ def _page_int(page: PageContent) -> int:
     # a negative field shifts to -1, an over-wide one to nonzero
     if even >> 112 | odd >> 16 | hkroot >> 8 | mack >> 32 | crc >> 24 \
             | reserved >> 24 | fill >> 14:
-        for name, (pos, width) in _FIELDS:
-            field = getattr(page, name)
+        for name, field, (_, width) in zip(PageContent._fields, page, (
+                EVEN_DATA, ODD_DATA, HKROOT, MACK, CRC, RESERVED, FILL)):
             if not 0 <= field < (1 << width):
                 raise FieldWidthError(
                     f"{name} does not fit in {width} bits: {field:#x}")
@@ -200,28 +191,20 @@ def _raw_int(raw: bytes) -> int:
 
 
 def encode_page(page: PageContent) -> bytes:
-    """Serialize a page to its 240-bit transmission form."""
+    """Serialize a page to its 240-bit transmission form, CRC as given."""
     return _page_int(page).to_bytes(PAGE_BYTES, "big")
-
-
-def compute_crc(page: PageContent) -> int:
-    """CRC-24Q over the page's protected region."""
-    return _page_crc(encode_page(page))
-
-
-def seal_page(page: PageContent) -> PageContent:
-    """Return the page with its CRC field recomputed."""
-    even, odd, hkroot, mack, _, reserved, fill = page
-    return PageContent(even, odd, hkroot, mack, compute_crc(page), reserved,
-                       fill)
 
 
 def reseal_raw(raw: bytes) -> bytes:
     """Recompute and replace the CRC field of a raw 240-bit page."""
-    value = _raw_int(raw)
-    shift = PAGE_BITS - CRC[0] - CRC[1]
-    value = (value & ~(((1 << CRC[1]) - 1) << shift)) | (_page_crc(raw) << shift)
-    return value.to_bytes(PAGE_BYTES, "big")
+    return (_raw_int(raw) & ~(0xFFFFFF << 14) | _page_crc(raw) << 14).to_bytes(
+        PAGE_BYTES, "big")
+
+
+def seal_page(page: PageContent) -> bytes:
+    """The page's transmitted bytes with its CRC computed; every field,
+    the CRC given too, is width checked."""
+    return reseal_raw(encode_page(page))
 
 
 def decode_page(raw: bytes) -> PageContent | None:
@@ -243,14 +226,15 @@ def decode_page(raw: bytes) -> PageContent | None:
 
 
 @lru_cache(maxsize=1 << 15)
-def _decoded(raw: bytes) -> PageContent | None:
-    """decode_page of raw, computed once per distinct 30 bytes.
+def _decoded(raw: bytes) -> bool:
+    """Whether raw passes decode_page's flag and CRC checks, computed once
+    per distinct 30 bytes.
 
     The key is the transmitted bytes alone, never where they came from:
-    bytes that differ in any bit miss and go through the full flag and CRC
-    checks, and bytes seen before get the (immutable) result they got then.
+    bytes that differ in any bit miss and go through the full checks, and
+    bytes seen before get the result they got then.
     """
-    return decode_page(raw)
+    return decode_page(raw) is not None
 
 
 class Source(Enum):
@@ -271,34 +255,60 @@ class PageEvent(NamedTuple):
 class Subframe:
     """Fifteen 2-second page slots stamped with the GST of the round.
 
-    Each slot holds a PageContent or None for a destroyed page.  The
-    subframe is produced even when slots are destroyed; OSNMA material is
-    only extractable from complete subframes.
+    Each slot holds a page's 30 sealed bytes or None for a destroyed page.
+    The subframe is produced even when slots are destroyed; OSNMA material
+    is only extractable from complete subframes.  The navigation data and
+    the OSNMA blobs are read out of the bytes by constant shifts, once per
+    subframe.
     """
 
     gst: Gst
     prn: int
-    pages: tuple
+    raws: tuple
 
     def __post_init__(self):
-        if len(self.pages) != SLOTS_PER_SUBFRAME:
+        if len(self.raws) != SLOTS_PER_SUBFRAME:
             raise ValueError(f"subframe needs {SLOTS_PER_SUBFRAME} slots")
 
     @property
     def complete(self) -> bool:
-        return all(p is not None for p in self.pages)
+        return None not in self.raws
 
     @property
     def destroyed_slots(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.pages) if p is None)
+        return tuple(i for i, raw in enumerate(self.raws) if raw is None)
+
+    @property
+    def pages(self) -> tuple:
+        """The slots decoded afresh on each access, None for a destroyed one."""
+        return tuple(None if raw is None else decode_page(raw)
+                     for raw in self.raws)
 
     @cached_property
     def nav_data(self) -> bytes:
         """The pages' data portions concatenated, computed once per subframe."""
         if not self.complete:
             raise ValueError("nav data undefined over destroyed pages")
-        return b"".join((p.even_data << ODD_DATA[1] | p.odd_data).to_bytes(
-            (EVEN_DATA[1] + ODD_DATA[1]) // 8, "big") for p in self.pages)
+        blob = 0
+        for raw in self.raws:
+            value = int.from_bytes(raw, "big")
+            blob = blob << 128 | (value >> 126 & (1 << 112) - 1) << 16 \
+                | value >> 102 & 0xFFFF
+        return blob.to_bytes(SLOTS_PER_SUBFRAME * 16, "big")
+
+    @cached_property
+    def osnma(self) -> tuple:
+        """The HKROOT and MACK portions concatenated, as 15 and 60 bytes;
+        computed once per subframe."""
+        if not self.complete:
+            raise IncompleteError(f"destroyed slots: {self.destroyed_slots}")
+        hkroot = mack = 0
+        for raw in self.raws:
+            value = int.from_bytes(raw, "big") >> 62     # HKROOT, then MACK
+            hkroot = hkroot << 8 | value >> 32 & 0xFF
+            mack = mack << 32 | value & 0xFFFFFFFF
+        return (hkroot.to_bytes(SLOTS_PER_SUBFRAME, "big"),
+                mack.to_bytes(4 * SLOTS_PER_SUBFRAME, "big"))
 
 
 def assemble_round(events, gst: Gst, prn: int,
@@ -311,10 +321,10 @@ def assemble_round(events, gst: Gst, prn: int,
     slot captures it, any partial overlap destroys the slot.  Empty slots
     are destroyed.
 
-    Each slot owner's page is decoded through the process-wide memo
+    Each slot owner's page is checked through the process-wide memo
     ``_decoded``: bytes equal bit for bit to bytes received before, in this
-    round or any earlier one, get the same result without a second decode;
-    any other bytes are checked in full.
+    round or any earlier one, get the same result without a second check;
+    any other bytes are checked in full.  A slot keeps the bytes that pass.
     """
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
     # (adversary, authentic) events overlapping each slot; an event starting
@@ -330,11 +340,12 @@ def assemble_round(events, gst: Gst, prn: int,
     slots = []
     for j, (adv, auth) in enumerate(covering):
         owners = adv or auth
-        page = None
-        if len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j:
-            page = _decoded(owners[0].raw)
-        slots.append(page)
-    return Subframe(gst=gst, prn=prn, pages=tuple(slots))
+        raw = None
+        if len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j \
+                and _decoded(owners[0].raw):
+            raw = owners[0].raw
+        slots.append(raw)
+    return Subframe(gst=gst, prn=prn, raws=tuple(slots))
 
 
 def extract_osnma(sf: Subframe) -> tuple:
@@ -343,8 +354,4 @@ def extract_osnma(sf: Subframe) -> tuple:
     Returns (hkroot, mack) as 15 and 60 bytes.  Broken rounds carry no
     usable OSNMA material and raise IncompleteError.
     """
-    if not sf.complete:
-        raise IncompleteError(f"destroyed slots: {sf.destroyed_slots}")
-    hkroot = bytes(p.hkroot for p in sf.pages)
-    mack = b"".join(p.mack.to_bytes(4, "big") for p in sf.pages)
-    return hkroot, mack
+    return sf.osnma

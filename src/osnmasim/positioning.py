@@ -20,6 +20,7 @@ WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
 
 POS_TOL_M = 1e-6
 MAX_ITER = 50
+LAT_RANGE, LON_RANGE = (-90, 90), (-180, 180)      # geodetic input, degrees
 
 
 class SingularGeometryError(ValueError):

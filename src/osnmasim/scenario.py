@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import ChainMap, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
@@ -37,8 +38,10 @@ from .navdata import (
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, encode_page
+from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source
 from .positioning import (
+    LAT_RANGE,
+    LON_RANGE,
     Fix,
     NoConvergenceError,
     SatState,
@@ -81,12 +84,12 @@ class ConstellationBundle:
 
     @cached_property
     def vectors(self) -> TestVectorSet:
-        """The subframes as a vector set, encoded on first access."""
+        """The subframes as a vector set, built on first access."""
         return TestVectorSet.from_subframes(self.subframes)
 
     @cached_property
     def live(self) -> tuple:
-        """The authentic page events, encoded on first access."""
+        """The authentic page events, built on first access."""
         return tuple(live_events(self.subframes))
 
     @cached_property
@@ -125,6 +128,8 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     """
     if n_sats < 4:
         raise ValueError("need at least four satellites")
+    if n_subframes < 1:
+        raise ValueError(f"subframes {n_subframes} is below 1")
     if gst0.total_seconds() < SUBFRAME_SECONDS:
         raise ValueError("first subframe must leave room for the root slot")
     rng = random.Random(seed)
@@ -270,24 +275,34 @@ RANGES = {
     "constellation.sats": (4, (1 << PRN_BITS) - 1),
     "constellation.wn": (0, (1 << WN_BITS) - 1),
     "constellation.tow": (0, SECONDS_PER_WEEK - 1),
+    "constellation.receiver.lat_deg": LAT_RANGE,
+    "constellation.receiver.lon_deg": LON_RANGE,
     "receiver.lrt_error_bound_s": (0, None),
     "receiver.seg_count": (1, TAG_REGION_BITS // TAG_BITS),
     "attack.iono_a0": (0, (1 << IONO_A0_BITS) - 1),
     "attack.delay_s": (0, None), "attack.staleness_s": (0, None),
     "attack.mitm_delay_s": (0, None), "attack.replay_delay_s": (0, None),
     "attack.t_acq_s": (0, None),
+    "attack.target.lat_deg": LAT_RANGE, "attack.target.lon_deg": LON_RANGE,
 }
+
+
+def _at(tree, path: str):
+    """The value at a dotted path of nested objects, or None."""
+    for key in path.split("."):
+        tree = tree.get(key) if isinstance(tree, dict) else None
+    return tree
 
 
 def _check_ranges(cfg: dict, blocks: dict) -> None:
     """Raise a ScenarioError naming the first read value out of range."""
     for path, (low, high) in RANGES.items():
-        block, key = path.split(".")
-        value = blocks[block].get(key)
+        value = _at(blocks, path)
         if value is None or low <= value and (high is None or value <= high):
             continue
         bound = f"outside {low}..{high}" if high is not None else f"below {low}"
-        raise ScenarioError(f"$.{path}: {cfg[block][key]!r} is {bound}")
+        # a value out of range is never a default, so the file has it
+        raise ScenarioError(f"$.{path}: {_at(cfg, path)!r} is {bound}")
 
 
 # -- attacks ---------------------------------------------------------------
@@ -295,7 +310,7 @@ def _check_ranges(cfg: dict, blocks: dict) -> None:
 # A generator maps (values, scenario, bundle, lrt) to (events, lrt, truth);
 # truth is (observed subframes, true position, clock offset in s), or None
 # for the authentic constellation seen from the site.  Only a generator that
-# replays the authentic stream reads bundle.live, which encodes it.
+# replays the authentic stream reads bundle.live, which builds it.
 
 
 def _tsr_realtime(a, sc, bundle, lrt):
@@ -424,10 +439,9 @@ def live_events(subframes_by_prn: dict) -> list:
     for prn, sf_list in sorted(subframes_by_prn.items()):
         for sf in sf_list:
             base = sf.gst.total_millis()
-            for k, page in enumerate(sf.pages):
+            for k, raw in enumerate(sf.raws):
                 events.append(PageEvent(t_ms=base + k * PAGE_MS, prn=prn,
-                                        source=Source.AUTHENTIC,
-                                        raw=encode_page(page)))
+                                        source=Source.AUTHENTIC, raw=raw))
     return sorted(events, key=lambda e: (e.t_ms, e.prn))
 
 
@@ -510,11 +524,14 @@ def run_scenario(sc: Scenario) -> dict:
 
     raw_fixes = []
     auth_fixes = {}
-    seen: dict = {}                 # solver inputs of every complete subframe
+    # a verdict names the data subframe of its three-round window, so the
+    # solver inputs of the last three rounds are all a verdict can need
+    recent: deque = deque(maxlen=3)
     for r, window in enumerate(windows):
         result = receiver.ingest_round(window, t0 + r * SUBFRAME_MS)
         inputs = _solver_inputs(result.subframes, obs)
-        seen.update(inputs)
+        recent.append(inputs)
+        seen = ChainMap(*recent)
         raw_fixes.append(_solve_from_inputs(inputs.values()))
         by_gst: dict = {}
         for v in result.verdicts:

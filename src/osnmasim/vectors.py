@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .gst import Gst, SECONDS_PER_WEEK
 from .navdata import PRN_BITS, WN_BITS
-from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page, encode_page
+from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page
 
 HEADER = ["wn", "tow", "prn", "page_index", "page_hex"]
 
@@ -78,11 +78,10 @@ class TestVectorSet:
     rows: list = field(default_factory=list)   # (wn, tow, prn, page_index, hex)
 
     def add_subframe(self, sf: Subframe) -> None:
-        for idx, page in enumerate(sf.pages, start=1):
-            if page is None:
+        for idx, raw in enumerate(sf.raws, start=1):
+            if raw is None:
                 raise ValueError("vector sets store intact pages only")
-            self.rows.append((sf.gst.wn, sf.gst.tow, sf.prn, idx,
-                              encode_page(page).hex()))
+            self.rows.append((sf.gst.wn, sf.gst.tow, sf.prn, idx, raw.hex()))
 
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -158,16 +157,18 @@ class TestVectorSet:
             raise CrcError(failed)
 
     def subframes(self) -> dict:
-        """Decode into per-satellite subframe lists ordered by GST."""
+        """Group into per-satellite subframe lists ordered by GST; a page
+        that fails its flag or CRC check is a destroyed slot."""
         grouped: dict = {}
         for wn, tow, prn, idx, page_hex in self.rows:
+            raw = bytes.fromhex(page_hex)
             grouped.setdefault((prn, Gst(wn, tow)), {})[idx] = \
-                decode_page(bytes.fromhex(page_hex))
+                raw if decode_page(raw) is not None else None
         out: dict = {}
         for (prn, gst) in sorted(grouped, key=lambda k: (k[0], k[1].total_seconds())):
-            pages = grouped[(prn, gst)]
+            raws = grouped[(prn, gst)]
             sf = Subframe(gst=gst, prn=prn,
-                          pages=tuple(pages[i] for i in range(1, 16)))
+                          raws=tuple(raws[i] for i in range(1, 16)))
             out.setdefault(prn, []).append(sf)
         return out
 

@@ -304,11 +304,11 @@ def test_criterion_7c_round_trip_sweeps():
     """10^4 page encode/decode and MACK pack/unpack round trips."""
     rng = random.Random(77)
     for _ in range(10_000):
-        page = seal_page(PageContent(
+        raw = seal_page(PageContent(
             even_data=rng.getrandbits(112), odd_data=rng.getrandbits(16),
             hkroot=rng.getrandbits(8), mack=rng.getrandbits(32),
             reserved=rng.getrandbits(24), fill=rng.getrandbits(14)))
-        assert decode_page(encode_page(page)) == page
+        assert encode_page(decode_page(raw)) == raw
     for _ in range(10_000):
         n_tags = rng.randint(0, 8)
         tags = [rng.randbytes(5) for _ in range(n_tags)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -206,6 +207,8 @@ def test_report_diff_missing_file_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv,words", [
     (["gen-constellation", "--sats", "3", "--out-dir"], "four satellites"),
     (["gen-chain", "--n", "0", "--out"], "one hash step"),
+    (["gen-constellation", "--subframes", "0", "--out-dir"], "subframes"),
+    (["gen-constellation", "--subframes", "-2", "--out-dir"], "subframes"),
 ])
 def test_generator_bad_argument_is_an_error(tmp_path, capsys, argv, words):
     assert main([*argv, str(tmp_path / "out")]) == 1
@@ -233,3 +236,43 @@ def test_vectors_validate_bad_mapping_is_invalid(tmp_path, capsys, mapping,
     captured = capsys.readouterr()
     assert captured.err.startswith("invalid:") and words in captured.err
     assert "ok" not in captured.out
+
+
+# sha256 of the outputs of `gen-constellation --seed 3 --sats 4
+# --subframes 6` and of `forge tsf` (default target) on its vector set
+GEN_FORGE_DIGESTS = {
+    "vectors.csv": "928649d13965171ed31d9eb6b9098c57bcf7762a7034eac3d60934c5991b9840",
+    "chain.json": "521de5361a4eb47e7b28c80f66757489fd873071e4a211564fcd4fcb7b7e2bac",
+    "forged.csv": "7f5232a1899ec8085a24791fca706011ad6355c4c36062e7e05b596eba6dc0ef",
+    "forged_no_tags.csv": "2d002d12a0efb57926c636dd9ed2cab8d4dd1d091397257f0c00f03f23517e08",
+}
+
+
+def test_generated_and_forged_files_keep_their_bytes(tmp_path):
+    out = tmp_path / "con"
+    assert main(["gen-constellation", "--seed", "3", "--sats", "4",
+                 "--subframes", "6", "--out-dir", str(out)]) == 0
+    vectors = str(out / "vectors.csv")
+    assert main(["forge", "tsf", "--vectors", vectors,
+                 "--out", str(out / "forged.csv")]) == 0
+    assert main(["forge", "tsf", "--vectors", vectors, "--no-tags",
+                 "--out", str(out / "forged_no_tags.csv")]) == 0
+    for name, digest in GEN_FORGE_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == \
+            digest, name
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lat", "-120"), ("--lat", "90.5"), ("--lat", "nan"),
+    ("--lon", "400"), ("--lon", "-180.5")])
+def test_forge_tsf_rejects_out_of_range_target(tmp_path, capsys, flag, value):
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(out)])
+    capsys.readouterr()
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
+                 flag, value, "--out", str(forged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not forged.exists()

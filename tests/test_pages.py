@@ -25,7 +25,6 @@ from osnmasim.pages import (
     Source,
     Subframe,
     assemble_round,
-    compute_crc,
     crc24q,
     decode_page,
     encode_page,
@@ -121,15 +120,17 @@ def ref_assemble_round(events, gst, prn, window_start_ms):
                if e.source is Source.ADVERSARY and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
         auth = [e for e in relevant
                 if e.source is Source.AUTHENTIC and e.t_ms < s1 and e.t_ms + PAGE_MS > s0]
-        page = None
+        owner = None
         if adv:
             if len(adv) == 1 and adv[0].t_ms == s0:
-                page = decode_page(adv[0].raw)
+                owner = adv[0].raw
         elif auth:
             if len(auth) == 1 and auth[0].t_ms == s0:
-                page = decode_page(auth[0].raw)
-        slots.append(page)
-    return Subframe(gst=gst, prn=prn, pages=tuple(slots))
+                owner = auth[0].raw
+        if owner is not None and ref_decode_page(owner) is None:
+            owner = None
+        slots.append(owner)
+    return Subframe(gst=gst, prn=prn, raws=tuple(slots))
 
 
 def test_crc_zero_region_is_zero():
@@ -176,7 +177,7 @@ def test_reference_pages_self_verify():
     for raw in (PAGE_INTACT_A, PAGE_INTACT_C):
         page = decode_page(raw)
         assert page is not None
-        assert compute_crc(page) == page.crc
+        assert seal_page(page) == raw          # the CRC sealing computes
 
 
 def test_reference_pages_round_trip():
@@ -210,14 +211,25 @@ page_contents = st.builds(
 @given(page_contents)
 def test_encode_decode_round_trip(page):
     sealed = seal_page(page)
-    assert decode_page(encode_page(sealed)) == sealed
+    assert encode_page(decode_page(sealed)) == sealed
+
+
+@given(page_contents)
+def test_sealed_page_decodes_to_its_fields_with_the_crc_filled_in(page):
+    assert decode_page(seal_page(page)) == \
+        page._replace(crc=ref_crc(ref_encode_page(page)))
+
+
+@given(page_contents, st.integers(0, (1 << 24) - 1))
+def test_seal_page_ignores_the_given_crc(page, crc):
+    assert seal_page(page._replace(crc=crc)) == seal_page(page)
 
 
 @given(page_contents, st.integers(0, 239))
 def test_single_bit_flip_detection(page, bit):
     """Flips inside the protected region (or the CRC itself) destroy the
     page; flips in the 20 framing bits do not touch the checksum."""
-    raw = encode_page(seal_page(page))
+    raw = seal_page(page)
     flipped = flip_page_bit(raw, bit)
     unprotected = set(range(114, 120)) | set(range(226, 240))
     if bit in unprotected:
@@ -226,11 +238,13 @@ def test_single_bit_flip_detection(page, bit):
         assert decode_page(flipped) is None
 
 
-def _assembled(raw, source=Source.AUTHENTIC):
-    """Slot 0 of a round whose one event carries raw."""
+def _assembled(raw, source=Source.AUTHENTIC, decoded=False):
+    """Slot 0 of a round whose one event carries raw: its bytes, or with
+    decoded its fields."""
     w0 = GST0.total_millis()
     event = PageEvent(t_ms=w0, prn=1, source=source, raw=raw)
-    return assemble_round([event], GST0, 1, w0).pages[0]
+    sf = assemble_round([event], GST0, 1, w0)
+    return sf.pages[0] if decoded else sf.raws[0]
 
 
 @given(page_contents, st.integers(0, 239), st.sampled_from(Source))
@@ -238,20 +252,53 @@ def test_decode_memo_decodes_a_flipped_copy_afresh(page, bit, source):
     """A page assembled before does not answer for a copy one bit away: the
     copy gets exactly what a fresh decode gives, which is a destroyed page
     whenever the bit is a flag, in the protected region or in the CRC."""
-    raw = encode_page(seal_page(page))
-    assert _assembled(raw) == decode_page(raw) == seal_page(page)
+    raw = seal_page(page)
+    assert _assembled(raw) == raw
+    assert _assembled(raw, decoded=True) == decode_page(raw) is not None
     flipped = flip_page_bit(raw, bit)
     got = _assembled(flipped, source)
-    assert got == decode_page(flipped)
+    assert got == (None if decode_page(flipped) is None else flipped)
+    assert _assembled(flipped, source, decoded=True) == decode_page(flipped)
     if bit < 114 or 120 <= bit < 226:
         assert got is None
-    assert _assembled(raw, source) == seal_page(page)
+    assert _assembled(raw, source) == raw
+
+
+@given(page_contents, st.sampled_from([*range(114), *range(120, 226)]),
+       st.integers(0, SLOTS_PER_SUBFRAME - 1), st.sampled_from(Source))
+def test_flip_destroys_a_slot_after_the_intact_bytes_were_checked(
+        page, bit, slot, source):
+    """A flag or protected bit flipped in one page of a round destroys that
+    slot alone, though the unflipped bytes passed the checks a round before."""
+    events = _events()
+    events[slot] = events[slot]._replace(raw=seal_page(page))
+    assert assemble_round(events, GST0, prn=5).complete
+    events[slot] = events[slot]._replace(
+        source=source, raw=flip_page_bit(seal_page(page), bit))
+    assert assemble_round(events, GST0, prn=5).destroyed_slots == (slot,)
+
+
+@given(st.lists(page_contents, min_size=SLOTS_PER_SUBFRAME,
+                max_size=SLOTS_PER_SUBFRAME))
+def test_received_blobs_match_the_decoded_pages(fields):
+    """A received subframe's nav data and OSNMA blobs, read from its bytes,
+    equal the ones rebuilt from its decoded pages."""
+    events = [PageEvent(t_ms=_T0 + PAGE_MS * i, prn=5, source=Source.AUTHENTIC,
+                        raw=seal_page(f)) for i, f in enumerate(fields)]
+    sf = assemble_round(events, GST0, prn=5)
+    assert sf.complete
+    assert sf.nav_data == b"".join(
+        (p.even_data << 16 | p.odd_data).to_bytes(16, "big") for p in sf.pages)
+    assert extract_osnma(sf) == (
+        bytes(p.hkroot for p in sf.pages),
+        b"".join(p.mack.to_bytes(4, "big") for p in sf.pages))
 
 
 def test_decode_memo_decodes_a_resealed_forgery_to_its_own_fields():
-    authentic = _assembled(PAGE_INTACT_A)
+    authentic = _assembled(PAGE_INTACT_A, decoded=True)
     forged = reseal_raw(flip_page_bit(PAGE_INTACT_A, 20))    # even_data bit 93
-    page = _assembled(forged, Source.ADVERSARY)
+    assert _assembled(forged, Source.ADVERSARY) == forged
+    page = _assembled(forged, Source.ADVERSARY, decoded=True)
     assert page == decode_page(forged)
     assert page.even_data == authentic.even_data ^ 1 << 93
     assert page.crc != authentic.crc
@@ -312,8 +359,7 @@ def test_encode_names_the_oversized_field(name, width):
 
 
 def test_decode_rejects_inconsistent_flags():
-    raw = encode_page(seal_page(PageContent(even_data=5, odd_data=6,
-                                            hkroot=7, mack=8)))
+    raw = seal_page(PageContent(even_data=5, odd_data=6, hkroot=7, mack=8))
     for bit in (0, 1, 120, 121):
         assert decode_page(reseal_raw(flip_page_bit(raw, bit))) is None
 
@@ -373,18 +419,19 @@ def test_page_crc_matches_bitwise_reference(raw):
        st.binary(min_size=SLOTS_PER_SUBFRAME, max_size=SLOTS_PER_SUBFRAME),
        st.binary(min_size=60, max_size=60))
 def test_build_subframe_pages_match_seal_page(nav, hkroot, mack):
-    """Each page equals sealing its fields read bitwise from the blobs,
-    and encodes to the bitwise encoding."""
+    """Each page is the bytes of sealing its fields read bitwise from the
+    blobs, and equals the bitwise encoding with the bitwise CRC."""
     sf = build_subframe(GST0, 5, nav, hkroot, mack)
-    for p, page in enumerate(sf.pages):
+    for p, (raw, page) in enumerate(zip(sf.raws, sf.pages)):
         fields = PageContent(
             even_data=ref_getbitu(nav, 128 * p, 112),
             odd_data=ref_getbitu(nav, 128 * p + 112, 16), hkroot=hkroot[p],
             mack=ref_getbitu(mack, 32 * p, 32))
-        assert type(page) is PageContent
-        assert page == seal_page(fields)
-        assert encode_page(page) == ref_encode_page(page)
+        assert type(raw) is bytes
+        assert raw == seal_page(fields)
+        assert raw == ref_encode_page(page)
         assert page.crc == ref_crc(ref_encode_page(page))
+        assert page == fields._replace(crc=page.crc)
 
 
 def test_reseal_raw_restores_validity():
@@ -394,8 +441,8 @@ def test_reseal_raw_restores_validity():
 
 
 def _page_raw(i):
-    return encode_page(seal_page(PageContent(
-        even_data=i, odd_data=i, hkroot=0x52 if i == 0 else i, mack=i)))
+    return seal_page(PageContent(
+        even_data=i, odd_data=i, hkroot=0x52 if i == 0 else i, mack=i))
 
 
 def _events(source=Source.AUTHENTIC, start=None, indices=range(15)):
@@ -478,6 +525,5 @@ def test_page_misalignment_shifts_hkroot_by_8k_bits(k):
 
 def test_crc_field_position_nonaligned():
     # CRC field crosses byte boundaries: spot-check the extraction offsets
-    raw = encode_page(seal_page(PageContent(even_data=1, odd_data=2,
-                                            hkroot=3, mack=4)))
+    raw = seal_page(PageContent(even_data=1, odd_data=2, hkroot=3, mack=4))
     assert ref_getbitu(raw, *CRC) == decode_page(raw).crc

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -164,7 +165,29 @@ BAD_CONFIGS = [
     ("$", {"constellation": {"sats": 4, "subframes": 2},
            "attack": {"type": "tsf"}, "duration_rounds": 2},
      "$.constellation.subframes"),
+    ("attack", {"type": "tsf", "target": {"lat_deg": -120, "lon_deg": 400}},
+     "$.attack.target.lat_deg"),
+    ("attack", {"type": "tsf", "target": {"lat_deg": 90.5}},
+     "$.attack.target.lat_deg"),
+    ("attack", {"type": "tsf", "target": {"lon_deg": 400}},
+     "$.attack.target.lon_deg"),
+    ("attack", {"type": "tsf", "target": {"lon_deg": -180.5}},
+     "$.attack.target.lon_deg"),
+    ("constellation.receiver", {"lat_deg": 95}, "$.constellation.receiver.lat_deg"),
+    ("constellation.receiver", {"lat_deg": -90.5},
+     "$.constellation.receiver.lat_deg"),
+    ("constellation.receiver", {"lon_deg": 181},
+     "$.constellation.receiver.lon_deg"),
+    ("constellation.receiver", {"lon_deg": -400},
+     "$.constellation.receiver.lon_deg"),
 ]
+
+
+def test_out_of_range_geodetic_error_quotes_the_written_value():
+    with pytest.raises(ScenarioError, match=r"^\$\.attack\.target\.lat_deg: "
+                       r"-120 is outside -90\.\.90$"):
+        Scenario.from_dict(_with("attack", {
+            "type": "tsf", "target": {"lat_deg": -120, "lon_deg": 400}}))
 
 
 def test_bad_config_table_starts_from_a_valid_config():
@@ -180,6 +203,10 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("constellation", {"sats": 4, "subframes": 12, "wn": 4095, "tow": 604469}),
     ("$", {"constellation": {"sats": 4, "subframes": 3},
            "attack": {"type": "tsf"}, "duration_rounds": 3}),
+    ("attack", {"type": "tsf", "target": {"lat_deg": -90, "lon_deg": 180}}),
+    ("attack", {"type": "tsf", "target": {"lat_deg": 90, "lon_deg": -180}}),
+    ("constellation.receiver", {"lat_deg": -90, "lon_deg": -180}),
+    ("constellation.receiver", {"lat_deg": 90.0, "lon_deg": 180.0}),
 ])
 def test_range_bounds_load(path, value):
     Scenario.from_dict(_with(path, value))
@@ -310,7 +337,7 @@ def test_shipped_scenarios(name):
 
 
 # sha256 of `osnmasim run scenarios/*.json` reports; the same values are
-# pinned in perfbench/workloads.py
+# pinned in perfbench/workloads.py, which a test below checks
 REPORT_DIGESTS = {
     "baseline": "ff4ee49091737ff927cf0c5391cc14df0987f3fd678aa89fe727dc01c09ea819",
     "cr_delay_1_4": "d517cfe9688b85bede4135c1831bdb29d1fa4cb73a8bc4c38ff8a4d7969ae789",
@@ -322,6 +349,18 @@ REPORT_DIGESTS = {
     "tsr_recorded_32_mitm": "c13dab28633c4e575af3904127eb3754f6ce47de7ae436999ab60d49838c6a91",
     "tsr_recorded_32_no_mitm": "559f7f863eacbb2be9704e2af2504d884db4086319ea5d4e94d6f68315b8563e",
 }
+
+
+def test_report_digests_match_the_benchmark_pins(monkeypatch):
+    """The nine paper entries of the benchmark's digest table are these."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for dataclasses
+    spec.loader.exec_module(workloads)
+    assert set(workloads.PAPER_SCENARIOS) == set(REPORT_DIGESTS)
+    assert {stem: workloads.DIGESTS[stem]
+            for stem in workloads.PAPER_SCENARIOS} == REPORT_DIGESTS
 
 
 def test_shipped_reports_are_byte_identical():
