@@ -24,7 +24,7 @@ from .navdata import (
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source, extract_osnma
+from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source
 from .tesla import TeslaKey
 
 
@@ -104,7 +104,7 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
     navs = [subframe_nav_data(sf) for sf in aux[:rewritten]]
-    hkroots, macks = map(list, zip(*(extract_osnma(sf) for sf in aux)))
+    hkroots, macks = map(list, zip(*(sf.osnma for sf in aux)))
     for i in range(n - 2):
         navs[i] = forge_nav_blob(navs[i], cfg)
         if cfg.forge_tags:
@@ -119,7 +119,7 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
         + list(aux[rewritten:])
 
 
-def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:
+def cr_compose(live, timing: CrTiming, onset_round: int = 0) -> list:
     """Merge a live stream with its real-time replayed copy.
 
     The replay begins replay_delay after the start of onset_round and the
@@ -127,7 +127,8 @@ def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:
     anything after it are lost.  When the takeover lands inside (or exactly
     at the end of) the first page window, the replayed pages line up with
     the receiver's slot grid; a later takeover leaves every subsequent
-    round carrying pages shifted by a whole number of slots.
+    round carrying pages shifted by a whole number of slots.  The copy is
+    live's pages, per satellite in live's order, re-slotted onto the grid.
     """
     live_sorted = sorted(live, key=lambda e: (e.t_ms, e.prn))
     if not live_sorted:
@@ -140,9 +141,9 @@ def cr_compose(live, replayed, timing: CrTiming, onset_round: int = 0) -> list:
 
     out = [e for e in live_sorted if e.t_ms + PAGE_MS <= onset]
 
-    # replayed pages re-slotted onto the grid, ordered per satellite
+    # the replayed copy, ordered per satellite
     per_prn: dict = {}
-    for e in sorted(replayed, key=lambda e: (e.t_ms, e.prn)):
+    for e in live_sorted:
         per_prn.setdefault(e.prn, []).append(e)
     # first grid slot at or after the takeover
     first_slot = -((start - takeover) // PAGE_MS)

@@ -299,7 +299,7 @@ class Subframe:
     @cached_property
     def osnma(self) -> tuple:
         """The HKROOT and MACK portions concatenated, as 15 and 60 bytes;
-        computed once per subframe."""
+        computed once per subframe; a destroyed slot raises IncompleteError."""
         if not self.complete:
             raise IncompleteError(f"destroyed slots: {self.destroyed_slots}")
         hkroot = mack = 0
@@ -347,11 +347,3 @@ def assemble_round(events, gst: Gst, prn: int,
         slots.append(raw)
     return Subframe(gst=gst, prn=prn, raws=tuple(slots))
 
-
-def extract_osnma(sf: Subframe) -> tuple:
-    """Concatenate the per-page HKROOT and MACK portions of a subframe.
-
-    Returns (hkroot, mack) as 15 and 60 bytes.  Broken rounds carry no
-    usable OSNMA material and raise IncompleteError.
-    """
-    return sf.osnma

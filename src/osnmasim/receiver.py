@@ -24,7 +24,7 @@ from .gst import (
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
 from .navdata import subframe_nav_data
-from .pages import SUBFRAME_MS, Subframe, assemble_round, extract_osnma
+from .pages import SUBFRAME_MS, Subframe, assemble_round
 from .tesla import (
     AlignmentError,
     DsmAccumulator,
@@ -185,7 +185,7 @@ class Receiver:
             return AuthResult(sf.gst, prn, Outcome.DISCARDED_INCOMPLETE), None
 
         if self.root is None:
-            self._feed_dsm(extract_osnma(sf)[0], sf.gst)
+            self._feed_dsm(sf.osnma[0], sf.gst)
 
         window = self.pending.setdefault(prn, [])
         window.append(sf)
@@ -213,7 +213,7 @@ class Receiver:
         """The data subframe's verdict and, when authentic, the key that
         verified it."""
         data_sf, tag_sf, key_sf = window
-        candidate = TeslaKey(disclosed_key(extract_osnma(key_sf)[1]), key_sf.gst)
+        candidate = TeslaKey(disclosed_key(key_sf.osnma[1]), key_sf.gst)
         try:
             steps = verify_key(candidate, trusted)
         except (GstOrderError, AlignmentError):
@@ -221,7 +221,7 @@ class Receiver:
         if steps is None:
             return self._reject_key(data_sf), None
 
-        _, tag_mack = extract_osnma(tag_sf)
+        _, tag_mack = tag_sf.osnma
         tags, _ = unpack_mack(tag_mack, self.config.seg_count)
         matches = verify_tags(subframe_nav_data(data_sf), tags, candidate,
                               prn_d=data_sf.prn, prn_a=data_sf.prn,

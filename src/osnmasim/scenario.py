@@ -30,7 +30,9 @@ from .gst import (
 )
 from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, generate_subframe_tags
 from .navdata import (
+    CLOCK_BITS,
     IONO_A0_BITS,
+    MM_PER_M,
     PRN_BITS,
     WN_BITS,
     build_nav_data,
@@ -205,35 +207,43 @@ NUMBER, SECONDS = (int, float), (int, float, str)    # seconds are read into ms
 def _read(block, keys: dict, path: str) -> dict:
     """Check a JSON object against its key table and fill in defaults.
 
-    ``keys`` maps each key to ``(kind, default)``; kind is a type, a tuple
-    of types (booleans are never numbers) or a nested key table.  A None
-    default marks a value that another key supplies.  Values keep the
-    declared key order."""
+    ``keys`` maps each key to ``(kind, default)`` or ``(kind, default, low,
+    high)``; kind is a type, a tuple of types (booleans are never numbers)
+    or a nested key table, and a None high leaves the range open.  Numbers
+    must be finite, and seconds are compared in ms.  A None default marks a
+    value that another key supplies.  Values keep the declared key order."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{path}: expected an object, got {block!r}")
     for key in block:
         if key not in keys:
             raise ScenarioError(f"{path}.{key}: unknown key")
     out = {}
-    for key, (kind, default) in keys.items():
+    for key, (kind, default, *bounds) in keys.items():
         where, value = f"{path}.{key}", block.get(key, default)
         if isinstance(kind, dict):
             out[key] = _read(value, kind, where)
-        elif value is None and key not in block:
+            continue
+        if value is None and key not in block:
             out[key] = None
-        elif isinstance(value, bool) != (kind is bool) \
+            continue
+        if isinstance(value, bool) != (kind is bool) \
                 or not isinstance(value, kind):
             names = getattr(kind, "__name__", None) or " or ".join(
                 t.__name__ for t in kind)
             raise ScenarioError(f"{where}: expected {names}, got {value!r}")
-        elif kind is SECONDS:
-            try:
-                out[key] = to_millis(value)
-            except (ValueError, ArithmeticError):
-                raise ScenarioError(f"{where}: {value!r} is not a number "
-                                    "of seconds") from None
-        else:
-            out[key] = value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{where}: {value!r} is not a finite number")
+        try:
+            out[key] = to_millis(value) if kind is SECONDS else value
+        except (ValueError, ArithmeticError):
+            raise ScenarioError(f"{where}: {value!r} is not a number "
+                                "of seconds") from None
+        if bounds:
+            low, high = bounds
+            if not (low <= out[key] and (high is None or out[key] <= high)):
+                bound = f"outside {low}..{high}" if high is not None \
+                    else f"below {low}"
+                raise ScenarioError(f"{where}: {value!r} is {bound}")
     return out
 
 
@@ -248,7 +258,9 @@ def _read_typed(block: dict, table: dict, path: str):
     return then, _read(rest, keys, path)
 
 
-# type: (declared keys with defaults, policy class)
+_CLOCK_MM = 1 << CLOCK_BITS - 1        # the clock bias is sent in signed mm
+
+# type: (declared keys, policy class)
 POLICIES = {
     "alternate": ({"t_l_s": (SECONDS, 30)}, AlternateThreshold),
     "symmetric": ({"b_s": (SECONDS, 15)}, SymmetricBound),
@@ -257,53 +269,20 @@ POLICIES = {
 SCENARIO_KEYS = {
     "name": (str, "unnamed"), "seed": (int, 0),
     "constellation": ({
-        "sats": (int, 8), "subframes": (int, 14),
-        "wn": (int, DEFAULT_GST0.wn), "tow": (int, DEFAULT_GST0.tow),
-        "receiver": ({"lat_deg": (NUMBER, DEFAULT_SITE[0]),
-                      "lon_deg": (NUMBER, DEFAULT_SITE[1]),
+        "sats": (int, 8, 4, (1 << PRN_BITS) - 1),
+        "subframes": (int, 14, 1, None),
+        "wn": (int, DEFAULT_GST0.wn, 0, (1 << WN_BITS) - 1),
+        "tow": (int, DEFAULT_GST0.tow, 0, SECONDS_PER_WEEK - 1),
+        "receiver": ({"lat_deg": (NUMBER, DEFAULT_SITE[0], *LAT_RANGE),
+                      "lon_deg": (NUMBER, DEFAULT_SITE[1], *LON_RANGE),
                       "height_m": (NUMBER, DEFAULT_SITE[2])}, {})}, {}),
     "receiver": ({"policy": (dict, {}), "lrt_offset_s": (SECONDS, 0),
-                  "lrt_error_bound_s": (SECONDS, 0), "seg_count": (int, 6),
-                  "key_reject_threshold": (int, 1)}, {}),
+                  "lrt_error_bound_s": (SECONDS, 0, 0, None),
+                  "seg_count": (int, 6, 1, TAG_REGION_BITS // TAG_BITS),
+                  "key_reject_threshold": (int, 1, 1, None)}, {}),
     "attack": (dict, {"type": "none"}),
     "duration_rounds": (int, None),           # default: constellation.subframes
 }
-
-# value ranges, checked once the types are: path -> (low, high or None);
-# seconds are compared in ms, the attack block's keys only where declared
-RANGES = {
-    "constellation.sats": (4, (1 << PRN_BITS) - 1),
-    "constellation.wn": (0, (1 << WN_BITS) - 1),
-    "constellation.tow": (0, SECONDS_PER_WEEK - 1),
-    "constellation.receiver.lat_deg": LAT_RANGE,
-    "constellation.receiver.lon_deg": LON_RANGE,
-    "receiver.lrt_error_bound_s": (0, None),
-    "receiver.seg_count": (1, TAG_REGION_BITS // TAG_BITS),
-    "attack.iono_a0": (0, (1 << IONO_A0_BITS) - 1),
-    "attack.delay_s": (0, None), "attack.staleness_s": (0, None),
-    "attack.mitm_delay_s": (0, None), "attack.replay_delay_s": (0, None),
-    "attack.t_acq_s": (0, None),
-    "attack.target.lat_deg": LAT_RANGE, "attack.target.lon_deg": LON_RANGE,
-}
-
-
-def _at(tree, path: str):
-    """The value at a dotted path of nested objects, or None."""
-    for key in path.split("."):
-        tree = tree.get(key) if isinstance(tree, dict) else None
-    return tree
-
-
-def _check_ranges(cfg: dict, blocks: dict) -> None:
-    """Raise a ScenarioError naming the first read value out of range."""
-    for path, (low, high) in RANGES.items():
-        value = _at(blocks, path)
-        if value is None or low <= value and (high is None or value <= high):
-            continue
-        bound = f"outside {low}..{high}" if high is not None else f"below {low}"
-        # a value out of range is never a default, so the file has it
-        raise ScenarioError(f"$.{path}: {_at(cfg, path)!r} is {bound}")
-
 
 # -- attacks ---------------------------------------------------------------
 #
@@ -342,27 +321,29 @@ def _tsf(a, sc, bundle, lrt):                       # replays forged subframes
 
 def _cr(a, sc, bundle, lrt):
     timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
-    replay_copy = attacks.replay_realtime(bundle.live, timing.replay_delay_ms)
-    events = attacks.cr_compose(bundle.live, replay_copy, timing,
-                                a["onset_round"])
-    return events, lrt, None
+    return attacks.cr_compose(bundle.live, timing, a["onset_round"]), lrt, None
 
 
-# type: (declared keys with defaults, generator)
+# type: (declared keys, generator)
 ATTACKS = {
     "none": ({}, lambda a, sc, bundle, lrt: (bundle.live, lrt, None)),
-    "tsr_realtime": ({"delay_s": (SECONDS, 0)}, _tsr_realtime),
-    "tsr_recorded": ({"staleness_s": (SECONDS, 0),
-                      "mitm_delay_s": (SECONDS, 0)}, _tsr_recorded),
-    "tsf": ({"target": ({"lat_deg": (NUMBER, 4.0), "lon_deg": (NUMBER, 50.0),
+    "tsr_realtime": ({"delay_s": (SECONDS, 0, 0, None)}, _tsr_realtime),
+    "tsr_recorded": ({"staleness_s": (SECONDS, 0, 0, None),
+                      "mitm_delay_s": (SECONDS, 0, 0, None)}, _tsr_recorded),
+    "tsf": ({"target": ({"lat_deg": (NUMBER, 4.0, *LAT_RANGE),
+                         "lon_deg": (NUMBER, 50.0, *LON_RANGE),
                          "height_m": (NUMBER, 100.0)}, {}),
              "clock_offset_s": (NUMBER, 0.0), "forge_tags": (bool, True),
-             "iono_a0": (int, 0), "clock_bias_m": (NUMBER, 0.0),
-             "staleness_s": (SECONDS, 60 * SUBFRAME_SECONDS),
-             "mitm_delay_s": (SECONDS, None)}, _tsf),   # default: staleness_s
+             "iono_a0": (int, 0, 0, (1 << IONO_A0_BITS) - 1),
+             "clock_bias_m": (NUMBER, 0.0, -_CLOCK_MM / MM_PER_M,
+                              (_CLOCK_MM - 1) / MM_PER_M),
+             "staleness_s": (SECONDS, 60 * SUBFRAME_SECONDS, 0, None),
+             "mitm_delay_s": (SECONDS, None, 0, None)},  # default: staleness_s
+            _tsf),
     # a concatenating replay targets a receiver that is already
     # authenticating; root acquisition takes one DSM cycle of rounds
-    "cr": ({"replay_delay_s": (SECONDS, 0), "t_acq_s": (SECONDS, "0.6"),
+    "cr": ({"replay_delay_s": (SECONDS, 0, 0, None),
+            "t_acq_s": (SECONDS, "0.6", 0, None),
             "onset_round": (int, 8)}, _cr),
 }
 
@@ -390,8 +371,6 @@ class Scenario:
         con, rcv = top["constellation"], top["receiver"]
         policy, pol = _read_typed(rcv["policy"], POLICIES, "$.receiver.policy")
         generator, values = _read_typed(top["attack"], ATTACKS, "$.attack")
-        _check_ranges(cfg, {"constellation": con, "receiver": rcv,
-                            "attack": values})
         gst0 = Gst(con["wn"], con["tow"])
         if gst0.total_seconds() < SUBFRAME_SECONDS:
             raise ScenarioError(f"$.constellation.tow: {con['tow']} in week 0 "

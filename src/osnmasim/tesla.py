@@ -70,12 +70,6 @@ class TeslaKey:
             raise ValueError(f"chain keys are {KEY_BYTES} bytes")
 
 
-def derive_prev_key(key: TeslaKey) -> TeslaKey:
-    """Walk one step towards the root: hash the key, step the slot back."""
-    return TeslaKey(truncate_hash(key.bits),
-                    key.gst.add_seconds(-SUBFRAME_SECONDS))
-
-
 @dataclass(frozen=True)
 class TeslaChain:
     """A generated chain, ordered root first.

@@ -18,6 +18,7 @@ from .navdata import PRN_BITS, WN_BITS
 from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, decode_page
 
 HEADER = ["wn", "tow", "prn", "page_index", "page_hex"]
+_HEX = frozenset("0123456789abcdef")
 
 # the values a subframe's navigation data can carry
 _RANGES = {"wn": (0, (1 << WN_BITS) - 1), "tow": (0, SECONDS_PER_WEEK - 1),
@@ -128,15 +129,14 @@ class TestVectorSet:
         if len(page_hex) != 2 * PAGE_BYTES:
             raise SchemaError(f"page_hex must be {2 * PAGE_BYTES} hex chars",
                               row=lineno, column="page_hex")
-        try:
-            bytes.fromhex(page_hex)
-        except ValueError:
+        if not _HEX.issuperset(page_hex):
             raise SchemaError("page_hex is not hex",
-                              row=lineno, column="page_hex") from None
+                              row=lineno, column="page_hex")
         return (*out, page_hex)
 
     def validate(self) -> None:
-        """Schema and CRC validation over all rows."""
+        """Schema and CRC validation over all rows; the only place a row's
+        page is checked."""
         groups: dict = {}
         for wn, tow, prn, idx, page_hex in self.rows:
             if not 1 <= idx <= SLOTS_PER_SUBFRAME:
@@ -157,13 +157,14 @@ class TestVectorSet:
             raise CrcError(failed)
 
     def subframes(self) -> dict:
-        """Group into per-satellite subframe lists ordered by GST; a page
-        that fails its flag or CRC check is a destroyed slot."""
+        """Group into per-satellite subframe lists ordered by GST.
+
+        Pages are not checked again: ``load`` validates every row, and
+        ``from_subframes`` takes the sealed pages of subframes."""
         grouped: dict = {}
         for wn, tow, prn, idx, page_hex in self.rows:
-            raw = bytes.fromhex(page_hex)
             grouped.setdefault((prn, Gst(wn, tow)), {})[idx] = \
-                raw if decode_page(raw) is not None else None
+                bytes.fromhex(page_hex)
         out: dict = {}
         for (prn, gst) in sorted(grouped, key=lambda k: (k[0], k[1].total_seconds())):
             raws = grouped[(prn, gst)]

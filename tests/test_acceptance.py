@@ -23,7 +23,6 @@ from osnmasim.pages import (
     assemble_round,
     decode_page,
     encode_page,
-    extract_osnma,
     flip_page_bit,
     reseal_raw,
     seal_page,
@@ -240,16 +239,15 @@ def test_criterion_6_cr_cutoff():
     assert after and not any(v["outcome"] == "authentic" for v in after)
 
     # the one-page shift, observed on the merged stream itself
-    from osnmasim.attacks import CrTiming, cr_compose, replay_realtime
+    from osnmasim.attacks import CrTiming, cr_compose
     bundle = generate_synthetic_constellation(20230816, 8, 16, GST0)
     live = live_events(bundle.vectors.subframes())
     timing = CrTiming(replay_delay_ms=1500, t_acq_ms=600)
-    merged = cr_compose(live, replay_realtime(live, 1500), timing,
-                        onset_round=8)
+    merged = cr_compose(live, timing, onset_round=8)
     w0 = GST0.total_millis() + 10 * SUBFRAME_MS
     window = [e for e in merged if w0 <= e.t_ms < w0 + SUBFRAME_MS]
     sf = assemble_round(window, GST0.add_seconds(300), prn=1, window_start_ms=w0)
-    hkroot, _ = extract_osnma(sf)
+    hkroot, _ = sf.osnma
     assert hkroot[0] != NMA_HEADER
     print("\nACCEPTANCE 6: PASS - CR cutoff at 1.4 s resumes, 1.5 s shifts "
           "HKROOT off its header and never authenticates")

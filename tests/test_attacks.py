@@ -17,7 +17,6 @@ from osnmasim.pages import (
     SUBFRAME_MS,
     Source,
     assemble_round,
-    extract_osnma,
 )
 from osnmasim.positioning import geodetic_to_ecef
 from osnmasim.scenario import live_events
@@ -91,8 +90,8 @@ def test_tsf_output_invariants(wide_bundle):
     assert len(forged) == len(aux)
     for before, after in zip(aux, forged):
         assert after.complete
-        _, mack_before = extract_osnma(before)
-        _, mack_after = extract_osnma(after)
+        _, mack_before = before.osnma
+        _, mack_after = after.osnma
         _, key_before = unpack_mack(mack_before, 6)
         _, key_after = unpack_mack(mack_after, 6)
         assert key_after == key_before
@@ -115,8 +114,8 @@ def test_tsf_nav_only_keeps_tags(wide_bundle):
     aux = wide_bundle.vectors.subframes()[4]
     forged = tsf_forge_subframes(aux, _target_cfg(forge_tags=False))
     for before, after in zip(aux, forged):
-        tags_b, _ = unpack_mack(extract_osnma(before)[1], 6)
-        tags_a, _ = unpack_mack(extract_osnma(after)[1], 6)
+        tags_b, _ = unpack_mack(before.osnma[1], 6)
+        tags_a, _ = unpack_mack(after.osnma[1], 6)
         assert tags_a == tags_b
         assert after.complete                  # CRCs still resealed
 
@@ -132,12 +131,12 @@ def test_tsf_last_two_subframes_untouched(wide_bundle):
 
 
 def _replace_nav(sf, nav_blob):
-    hkroot, mack_blob = extract_osnma(sf)
+    hkroot, mack_blob = sf.osnma
     return build_subframe(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)
 
 
 def _replace_mack(sf, mack_blob):
-    hkroot, _ = extract_osnma(sf)
+    hkroot, _ = sf.osnma
     return build_subframe(sf.gst, sf.prn, subframe_nav_data(sf), hkroot,
                           mack_blob)
 
@@ -151,13 +150,13 @@ def _two_pass_forgery(aux, cfg):
         out[i] = _replace_nav(out[i], forged_blob)
         if not cfg.forge_tags:
             continue
-        _, key_bits = unpack_mack(extract_osnma(out[i + 2])[1], cfg.seg_count)
+        _, key_bits = unpack_mack(out[i + 2].osnma[1], cfg.seg_count)
         key = TeslaKey(key_bits, out[i + 2].gst)
         tags = generate_subframe_tags(forged_blob, key,
                                       prn_d=out[i].prn, prn_a=out[i].prn,
                                       gst_sf=out[i + 1].gst,
                                       seg_count=cfg.seg_count)
-        _, own_key = unpack_mack(extract_osnma(out[i + 1])[1], cfg.seg_count)
+        _, own_key = unpack_mack(out[i + 1].osnma[1], cfg.seg_count)
         out[i + 1] = _replace_mack(out[i + 1], pack_mack(tags, own_key))
     return out
 
@@ -180,8 +179,7 @@ def _cr_events(bundle, delay_s, t_acq_s="0.6", onset_round=2):
     live = live_events(bundle.vectors.subframes())
     timing = CrTiming(replay_delay_ms=to_millis(delay_s),
                       t_acq_ms=to_millis(t_acq_s))
-    replayed = replay_realtime(live, timing.replay_delay_ms)
-    return live, cr_compose(live, replayed, timing, onset_round=onset_round)
+    return live, cr_compose(live, timing, onset_round=onset_round)
 
 
 def _round_subframe(events, round_idx, prn):
@@ -210,7 +208,7 @@ def test_cr_aligned_boundary_one_destroyed_round(small_bundle):
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete
-        hkroot, _ = extract_osnma(sf)
+        hkroot, _ = sf.osnma
         assert hkroot[0] == NMA_HEADER
         live_sf = _round_subframe(live, r, prn=1)
         assert sf.raws == live_sf.raws
@@ -225,10 +223,10 @@ def test_cr_late_takeover_shifts_one_page(small_bundle):
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete
-        hkroot, _ = extract_osnma(sf)
+        hkroot, _ = sf.osnma
         assert hkroot[0] != NMA_HEADER
-        prev_hk, _ = extract_osnma(_round_subframe(live, r - 1, prn=1))
-        this_hk, _ = extract_osnma(_round_subframe(live, r, prn=1))
+        prev_hk, _ = _round_subframe(live, r - 1, prn=1).osnma
+        this_hk, _ = _round_subframe(live, r, prn=1).osnma
         assert hkroot == prev_hk[-1:] + this_hk[:-1]
 
 
@@ -242,7 +240,7 @@ def test_cr_alignment_boundary_rule(small_bundle, delay_s, aligned):
     _, merged = _cr_events(small_bundle, delay_s)
     sf = _round_subframe(merged, 4, prn=2)
     assert sf.complete
-    hkroot, _ = extract_osnma(sf)
+    hkroot, _ = sf.osnma
     assert (hkroot[0] == NMA_HEADER) == aligned
 
 

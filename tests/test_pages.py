@@ -28,7 +28,6 @@ from osnmasim.pages import (
     crc24q,
     decode_page,
     encode_page,
-    extract_osnma,
     flip_page_bit,
     reseal_raw,
     seal_page,
@@ -289,7 +288,7 @@ def test_received_blobs_match_the_decoded_pages(fields):
     assert sf.complete
     assert sf.nav_data == b"".join(
         (p.even_data << 16 | p.odd_data).to_bytes(16, "big") for p in sf.pages)
-    assert extract_osnma(sf) == (
+    assert sf.osnma == (
         bytes(p.hkroot for p in sf.pages),
         b"".join(p.mack.to_bytes(4, "big") for p in sf.pages))
 
@@ -490,20 +489,20 @@ def test_assemble_ignores_other_prn():
     assert sf.destroyed_slots == tuple(range(15))
 
 
-def test_extract_osnma_concatenation():
+def test_subframe_osnma_concatenation():
     sf = assemble_round(_events(), GST0, prn=5)
-    hkroot, mack = extract_osnma(sf)
+    hkroot, mack = sf.osnma
     assert len(hkroot) == 15 and len(mack) == 60
     assert hkroot[0] == 0x52
     assert hkroot[1:] == bytes(range(1, 15))
     assert mack == b"".join(i.to_bytes(4, "big") for i in range(15))
 
 
-def test_extract_osnma_incomplete_raises():
+def test_subframe_osnma_incomplete_raises():
     events = _events(indices=range(14))
     sf = assemble_round(events, GST0, prn=5)
     with pytest.raises(IncompleteError):
-        extract_osnma(sf)
+        sf.osnma
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -517,8 +516,8 @@ def test_page_misalignment_shifts_hkroot_by_8k_bits(k):
         for i in range(15)
     ]
     shifted = assemble_round(shifted_events, GST0, prn=5)
-    hk_aligned, _ = extract_osnma(aligned)
-    hk_shifted, _ = extract_osnma(shifted)
+    hk_aligned, _ = aligned.osnma
+    hk_shifted, _ = shifted.osnma
     assert hk_shifted == hk_aligned[-k:] + hk_aligned[:-k]
     assert hk_shifted[0] != 0x52
 

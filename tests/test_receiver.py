@@ -8,7 +8,7 @@ from osnmasim.gst import (
 )
 from osnmasim.mack import pack_mack, unpack_mack
 from osnmasim.navdata import build_subframe, subframe_nav_data
-from osnmasim.pages import PAGE_MS, SUBFRAME_MS, extract_osnma
+from osnmasim.pages import PAGE_MS, SUBFRAME_MS
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
@@ -143,7 +143,7 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 1
     sf5 = sfs[target_prn][5]
-    hkroot, mack = extract_osnma(sf5)
+    hkroot, mack = sf5.osnma
     tags, key = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
     sfs[target_prn][5] = build_subframe(sf5.gst, sf5.prn, subframe_nav_data(sf5),
@@ -167,7 +167,7 @@ def test_tampered_key_bits_reject_key(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 3
     sf6 = sfs[target_prn][6]
-    hkroot, mack = extract_osnma(sf6)
+    hkroot, mack = sf6.osnma
     tags, _ = unpack_mack(mack, n_tags=6)
     sfs[target_prn][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
                                         hkroot, pack_mack(tags, bytes(16)))
@@ -186,7 +186,7 @@ def test_tampered_key_bits_reject_key(small_bundle):
 def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     sf6 = sfs[1][6]
-    hkroot, mack = extract_osnma(sf6)
+    hkroot, mack = sf6.osnma
     tags, _ = unpack_mack(mack, n_tags=6)
     sfs[1][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
                                hkroot, pack_mack(tags, bytes(16)))

@@ -13,6 +13,7 @@ import pytest
 import osnmasim.pages
 import osnmasim.receiver
 import osnmasim.scenario
+from osnmasim.navdata import build_nav_data, parse_nav_data
 from osnmasim.pages import Subframe
 from osnmasim.scenario import (
     ATTACKS,
@@ -180,6 +181,22 @@ BAD_CONFIGS = [
      "$.constellation.receiver.lon_deg"),
     ("constellation.receiver", {"lon_deg": -400},
      "$.constellation.receiver.lon_deg"),
+    ("constellation.subframes", 0, "$.constellation.subframes"),
+    ("receiver.key_reject_threshold", 0, "$.receiver.key_reject_threshold"),
+    ("receiver.key_reject_threshold", -5, "$.receiver.key_reject_threshold"),
+    ("attack", {"type": "tsf", "clock_bias_m": 3e6}, "$.attack.clock_bias_m"),
+    ("attack", {"type": "tsf", "clock_bias_m": -2147483.649},
+     "$.attack.clock_bias_m"),
+    ("attack", {"type": "tsf", "clock_bias_m": float("inf")},
+     "$.attack.clock_bias_m"),
+    ("attack", {"type": "tsf", "clock_offset_s": float("nan")},
+     "$.attack.clock_offset_s"),
+    ("constellation.receiver", {"height_m": float("nan")},
+     "$.constellation.receiver.height_m"),
+    ("constellation.receiver", {"lat_deg": float("nan")},
+     "$.constellation.receiver.lat_deg"),
+    ("constellation.receiver", {"lon_deg": float("inf")},
+     "$.constellation.receiver.lon_deg"),
 ]
 
 
@@ -207,9 +224,34 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("attack", {"type": "tsf", "target": {"lat_deg": 90, "lon_deg": -180}}),
     ("constellation.receiver", {"lat_deg": -90, "lon_deg": -180}),
     ("constellation.receiver", {"lat_deg": 90.0, "lon_deg": 180.0}),
+    ("$", {"constellation": {"sats": 4, "subframes": 1},
+           "attack": {"type": "none"}, "duration_rounds": 1}),
+    ("receiver.key_reject_threshold", 1),
+    ("attack", {"type": "tsf", "clock_bias_m": -2147483.648}),
+    ("attack", {"type": "tsf", "clock_bias_m": 2147483.647}),
 ])
 def test_range_bounds_load(path, value):
     Scenario.from_dict(_with(path, value))
+
+
+def test_clock_bias_bounds_are_the_broadcast_field_edges():
+    """Both clock-bias bounds fit the signed mm field and read back as
+    written; one mm beyond either does not fit."""
+    _, _, low, high = ATTACKS["tsf"][0]["clock_bias_m"]
+    for edge, beyond in ((low, low - 0.001), (high, high + 0.001)):
+        blob = build_nav_data(1251, 277200, 1, (0.0, 0.0, 0.0), edge)
+        assert parse_nav_data(blob).clock_bias_m == edge
+        with pytest.raises(ValueError, match="clock_bias_m"):
+            build_nav_data(1251, 277200, 1, (0.0, 0.0, 0.0), beyond)
+
+
+def test_non_finite_json_number_names_its_path(tmp_path):
+    """Python's json reads NaN and Infinity; a scenario file rejects them."""
+    path = tmp_path / "inf.json"
+    path.write_text('{"attack": {"type": "tsf", "clock_bias_m": Infinity}}')
+    with pytest.raises(ScenarioError, match=r"inf\.json: \$\.attack\."
+                       r"clock_bias_m: inf is not a finite number$"):
+        Scenario.load(path)
 
 
 @pytest.mark.parametrize("path,value,where", BAD_CONFIGS,
@@ -277,7 +319,7 @@ def test_readme_scenario_blocks_load():
 
 
 def _declared_keys(keys: dict):
-    for key, (kind, _) in keys.items():
+    for key, (kind, *_) in keys.items():
         yield key
         if isinstance(kind, dict):
             yield from _declared_keys(kind)
@@ -291,6 +333,39 @@ def test_readme_lists_every_scenario_key():
     names |= set(POLICIES) | set(ATTACKS)
     missing = sorted(n for n in names if f"`{n}`" not in section)
     assert not missing
+
+
+def _bounded_keys(keys: dict, block: str, row=None):
+    """(README block, row key, key, low, high) for each bounded key; a key
+    nested below a block's key is listed in that key's row."""
+    for key, (kind, _, *bounds) in keys.items():
+        if isinstance(kind, dict):
+            yield from _bounded_keys(kind, *(
+                (key, None) if block == "top level" else (block, row or key)))
+        elif bounds:
+            yield (block, row or key, key, *bounds)
+
+
+def test_readme_states_every_declared_bound():
+    """Each bound in a key table appears in its key's README table row:
+    ``low..high`` or ``>= low``, after the key's name when the row is its
+    parent's.  Seconds bounds are in ms, which reads the same at 0."""
+    rows, block = {}, None
+    for line in _readme_scenario_section().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if line.startswith("| ") and len(cells) == 4:
+            block = cells[0] or block
+            rows[(block, cells[1])] = line
+    tables = [(SCENARIO_KEYS, "top level")] \
+        + [(keys, name) for name, (keys, _) in POLICIES.items()] \
+        + [(keys, name) for name, (keys, _) in ATTACKS.items()]
+    bounded = [b for keys, name in tables for b in _bounded_keys(keys, name)]
+    assert len(bounded) >= 20
+    for block, row, key, low, high in bounded:
+        text = f"{low}..{high}" if high is not None else f">= {low}"
+        if row != key:
+            text = f"`{key}` ({text})"
+        assert text in rows[(block, row)], (block, key, text)
 
 
 def test_diff_reports_flags_paths():

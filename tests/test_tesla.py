@@ -13,13 +13,13 @@ from osnmasim.tesla import (
     TeslaChain,
     TeslaKey,
     build_root_message,
-    derive_prev_key,
     dsm_hkroot_blocks,
     generate_keypair,
     load_public_key_pem,
     parse_root_message,
     public_key_pem,
     sign_root,
+    truncate_hash,
     verify_key,
     verify_root,
 )
@@ -61,18 +61,18 @@ def test_chain_slot_gsts():
         assert key.gst.total_seconds() == GST0.total_seconds() + 30 * i
 
 
-def test_derive_prev_key_definitional():
+def test_chain_key_hashes_to_its_predecessor():
     chain = TeslaChain.generate(b"\xab" * 16, 20, GST0)
     for i in range(20):
-        derived = derive_prev_key(chain.keys[i + 1])
+        key = chain.keys[i + 1]
+        derived = TeslaKey(truncate_hash(key.bits), key.gst.add_seconds(-30))
         assert derived == chain.keys[i]
 
 
-def test_derive_prev_key_reference_vector():
+def test_reference_key_verifies_its_predecessor():
     key = TeslaKey(REFERENCE_KEY, Gst(1251, 277260))
-    prev = derive_prev_key(key)
-    assert prev.bits == REFERENCE_PREV
-    assert prev.gst == Gst(1251, 277230)
+    assert truncate_hash(key.bits) == REFERENCE_PREV
+    assert verify_key(key, TeslaKey(REFERENCE_PREV, Gst(1251, 277230))) == 1
 
 
 def test_verify_adjacent_key():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import osnmasim.vectors
 from osnmasim.vectors import CrcError, SchemaError, TestVectorSet
 
 # an intact capture page, CRC-consistent, usable as a drop-in page 13
@@ -41,6 +42,41 @@ def test_bad_hex_schema_error(small_bundle, tmp_path):
         TestVectorSet.load(path)
     assert err.value.row == 2
     assert err.value.column == "page_hex"
+
+
+def test_spaced_hex_schema_error(small_bundle, tmp_path):
+    """Hex with spaces between bytes is rejected at its row, though
+    ``bytes.fromhex`` would read it as 29 bytes."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    text = path.read_text().splitlines()
+    wn, tow, prn, idx, page_hex = text[1].split(",")
+    text[1] = ",".join([wn, tow, prn, idx,
+                        page_hex[:2] + "  " + page_hex[4:]])
+    path.write_text("\n".join(text) + "\n")
+    with pytest.raises(SchemaError) as err:
+        TestVectorSet.load(path)
+    assert (err.value.row, err.value.column) == (2, "page_hex")
+
+
+def test_each_page_is_decoded_once(small_bundle, tmp_path, monkeypatch):
+    """Loading a file and grouping it into subframes checks each row's page
+    once, in load's validation."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    calls = []
+
+    def counted(raw):
+        calls.append(raw)
+        return decode_page(raw)
+
+    decode_page = osnmasim.vectors.decode_page
+    monkeypatch.setattr(osnmasim.vectors, "decode_page", counted)
+    loaded = TestVectorSet.load(path)
+    subframes = loaded.subframes()
+    assert len(calls) == len(loaded.rows) \
+        == 15 * sum(map(len, subframes.values()))
+    assert sorted(calls) == sorted(bytes.fromhex(r[4]) for r in loaded.rows)
 
 
 def test_corrupted_page_crc_error(small_bundle, tmp_path):
