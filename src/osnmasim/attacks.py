@@ -22,9 +22,8 @@ from .navdata import (
     build_nav_data,
     build_subframe,
     parse_nav_data,
-    subframe_nav_data,
 )
-from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source
+from .pages import PAGE_MS, PageEvent, SLOTS_PER_SUBFRAME, SUBFRAME_MS, Source
 from .tesla import TeslaKey
 
 
@@ -55,15 +54,35 @@ class TsfConfig:
     clock_bias_m: float = 0.0
 
 
-def replay_realtime(live, delay_ms: int) -> list:
-    """Record-and-replay with a fixed forwarding delay, bits untouched."""
+def _pages(prn: int, sf, delay_ms: int, source: Source) -> list:
+    """A subframe's pages as events, each delay_ms after its slot's GST."""
+    base = sf.gst.total_millis() + delay_ms
+    return [PageEvent(base + k * PAGE_MS, prn, source, raw)
+            for k, raw in enumerate(sf.raws)]
+
+
+def shifted_stream(subframes: dict, delay_ms: int = 0,
+                   source: Source = Source.AUTHENTIC) -> tuple:
+    """Every satellite's subframes, their pages delay_ms after their GST.
+
+    Returns the first window start and the function of r that gives round
+    r's events by PRN: each satellite's subframe r, bits untouched.
+    """
+    t0 = min(sfs[0].gst.total_millis() for sfs in subframes.values()) + delay_ms
+
+    def round_events(r: int) -> dict:
+        return {prn: _pages(prn, sfs[r], delay_ms, source)
+                for prn, sfs in subframes.items() if r < len(sfs)}
+
+    return t0, round_events
+
+
+def replay_realtime(subframes: dict, delay_ms: int) -> tuple:
+    """Record-and-replay with a fixed forwarding delay, bits untouched: the
+    shifted stream of adversary pages."""
     if delay_ms < 0:
         raise ValueError("delay must be >= 0")
-    return [
-        PageEvent(t_ms=e.t_ms + delay_ms, prn=e.prn,
-                  source=Source.ADVERSARY, raw=e.raw)
-        for e in live
-    ]
+    return shifted_stream(subframes, delay_ms, Source.ADVERSARY)
 
 
 def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
@@ -103,7 +122,7 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
         raise InsufficientAuxError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
-    navs = [subframe_nav_data(sf) for sf in aux[:rewritten]]
+    navs = [sf.join_nav_data() for sf in aux[:rewritten]]
     hkroots, macks = map(list, zip(*(sf.osnma for sf in aux)))
     for i in range(n - 2):
         navs[i] = forge_nav_blob(navs[i], cfg)
@@ -119,39 +138,52 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
         + list(aux[rewritten:])
 
 
-def cr_compose(live, timing: CrTiming, onset_round: int = 0) -> list:
-    """Merge a live stream with its real-time replayed copy.
+def _page(sfs, content: int) -> bytes:
+    """Page content % 15 of subframe content // 15."""
+    j, k = divmod(content, SLOTS_PER_SUBFRAME)
+    return sfs[j].raws[k]
+
+
+def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple:
+    """Splice a real-time replayed copy onto a tracked live stream.
 
     The replay begins replay_delay after the start of onset_round and the
     receiver needs t_acq to lock on.  Live pages overlapping the onset or
     anything after it are lost.  When the takeover lands inside (or exactly
     at the end of) the first page window, the replayed pages line up with
     the receiver's slot grid; a later takeover leaves every subsequent
-    round carrying pages shifted by a whole number of slots.  The copy is
-    live's pages, per satellite in live's order, re-slotted onto the grid.
+    round carrying pages shifted by a whole number of slots.  Grid slot g
+    starts 2 s * g after the first live page; from the first slot at or
+    after the takeover on, slot g carries content g - shift, page
+    (g - shift) % 15 of subframe (g - shift) // 15.
+
+    Returns the first window start and the function of r that gives round
+    r's events by PRN.  The windows start at the first page sent: the first
+    live page, or the first replayed one when the onset leaves no live page.
     """
-    live_sorted = sorted(live, key=lambda e: (e.t_ms, e.prn))
-    if not live_sorted:
-        return []
-    start = live_sorted[0].t_ms              # slot 0 of the receiver's grid
+    start = min(sfs[0].gst.total_millis() for sfs in subframes.values())
     onset = start + onset_round * SUBFRAME_MS + timing.replay_delay_ms
     takeover = onset + timing.t_acq_ms
     offset_in_round = timing.replay_delay_ms + timing.t_acq_ms
     shift = 0 if offset_in_round <= PAGE_MS else offset_in_round // PAGE_MS
-
-    out = [e for e in live_sorted if e.t_ms + PAGE_MS <= onset]
-
-    # the replayed copy, ordered per satellite
-    per_prn: dict = {}
-    for e in live_sorted:
-        per_prn.setdefault(e.prn, []).append(e)
-    # first grid slot at or after the takeover
+    live_end = (onset - start) // PAGE_MS     # live slots below it survive
     first_slot = -((start - takeover) // PAGE_MS)
-    for prn, stream in per_prn.items():
-        for slot in range(first_slot, len(stream) + shift):
-            content = slot - shift
-            if 0 <= content < len(stream):
-                out.append(PageEvent(t_ms=start + slot * PAGE_MS, prn=prn,
-                                     source=Source.ADVERSARY,
-                                     raw=stream[content].raw))
-    return sorted(out, key=lambda e: (e.t_ms, e.prn))
+    base = first_slot if live_end == 0 else 0    # first slot of window 0
+
+    def round_events(r: int) -> dict:
+        lo = base + r * SLOTS_PER_SUBFRAME
+        hi = lo + SLOTS_PER_SUBFRAME
+        out = {}
+        for prn, sfs in subframes.items():
+            total = len(sfs) * SLOTS_PER_SUBFRAME
+            live = range(lo, min(hi, live_end, total))
+            copy = range(max(lo, first_slot, shift), min(hi, total + shift))
+            events = [PageEvent(start + g * PAGE_MS, prn, Source.AUTHENTIC,
+                                _page(sfs, g)) for g in live] \
+                + [PageEvent(start + g * PAGE_MS, prn, Source.ADVERSARY,
+                             _page(sfs, g - shift)) for g in copy]
+            if events:
+                out[prn] = events
+        return out
+
+    return start + base * PAGE_MS, round_events

@@ -29,8 +29,8 @@ from .scenario import (
     Scenario,
     diff_reports,
     generate_synthetic_constellation,
-    report_to_json,
     run_scenario,
+    write_report,
 )
 from .tesla import TeslaChain
 from .vectors import TestVectorSet
@@ -84,11 +84,11 @@ def _cmd_forge_tsf(args) -> int:
 
 def _run_one(scenario: Scenario, out: Path | None) -> int:
     report = run_scenario(scenario)
-    text = report_to_json(report)
-    if out is not None:
-        out.write_text(text)
+    if out is None:
+        write_report(report, sys.stdout)
     else:
-        sys.stdout.write(text)
+        with open(out, "w") as fh:
+            write_report(report, fh)
     return report["exit_code"]
 
 

@@ -17,13 +17,21 @@ SUBFRAME_SECONDS = 30
 MS_PER_S = 1000
 
 
+class SubMillisecondError(ValueError):
+    """A seconds value carries digits below the millisecond."""
+
+
 def to_millis(seconds) -> int:
     """Convert a seconds value (int, float, str or Decimal) to integer ms.
 
     Configs carry short decimals ("29.5", "0.771"); routing them through
-    Decimal keeps boundary comparisons exact.
+    Decimal keeps boundary comparisons exact.  Digits below the millisecond
+    raise SubMillisecondError rather than being rounded away.
     """
-    return int((Decimal(str(seconds)) * MS_PER_S).to_integral_value())
+    ms = Decimal(str(seconds)) * MS_PER_S
+    if ms.is_finite() and ms != ms.to_integral_value():
+        raise SubMillisecondError(f"{seconds!r} has digits below the millisecond")
+    return int(ms)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .gst import Gst
@@ -225,16 +225,26 @@ def decode_page(raw: bytes) -> PageContent | None:
                        value >> 38 & 0xFFFFFF, value & 0x3FFF)
 
 
-@lru_cache(maxsize=1 << 15)
+# 30 transmitted bytes -> whether they pass decode_page's checks; emptied
+# whenever it reaches _CHECKS_MAX entries
+_checks: dict = {}
+_CHECKS_MAX = 1 << 15
+
+
 def _decoded(raw: bytes) -> bool:
     """Whether raw passes decode_page's flag and CRC checks, computed once
-    per distinct 30 bytes.
+    per distinct 30 bytes while the memo ``_checks`` holds them.
 
     The key is the transmitted bytes alone, never where they came from:
     bytes that differ in any bit miss and go through the full checks, and
     bytes seen before get the result they got then.
     """
-    return decode_page(raw) is not None
+    ok = _checks.get(raw)
+    if ok is None:
+        if len(_checks) >= _CHECKS_MAX:
+            _checks.clear()
+        ok = _checks[raw] = decode_page(raw) is not None
+    return ok
 
 
 class Source(Enum):
@@ -284,9 +294,8 @@ class Subframe:
         return tuple(None if raw is None else decode_page(raw)
                      for raw in self.raws)
 
-    @cached_property
-    def nav_data(self) -> bytes:
-        """The pages' data portions concatenated, computed once per subframe."""
+    def join_nav_data(self) -> bytes:
+        """The pages' data portions concatenated, joined afresh on each call."""
         if not self.complete:
             raise ValueError("nav data undefined over destroyed pages")
         blob = 0
@@ -295,6 +304,11 @@ class Subframe:
             blob = blob << 128 | (value >> 126 & (1 << 112) - 1) << 16 \
                 | value >> 102 & 0xFFFF
         return blob.to_bytes(SLOTS_PER_SUBFRAME * 16, "big")
+
+    @cached_property
+    def nav_data(self) -> bytes:
+        """join_nav_data(), computed once per subframe and kept on it."""
+        return self.join_nav_data()
 
     @cached_property
     def osnma(self) -> tuple:
@@ -322,7 +336,7 @@ def assemble_round(events, gst: Gst, prn: int,
     are destroyed.
 
     Each slot owner's page is checked through the process-wide memo
-    ``_decoded``: bytes equal bit for bit to bytes received before, in this
+    ``_checks``: bytes equal bit for bit to bytes received before, in this
     round or any earlier one, get the same result without a second check;
     any other bytes are checked in full.  A slot keeps the bytes that pass.
     """

@@ -113,9 +113,11 @@ class Receiver:
 
     # -- per-round processing ----------------------------------------------
 
-    def ingest_round(self, events, window_start_ms: int) -> RoundResult:
+    def ingest_round(self, events_by_prn: dict, window_start_ms: int) -> RoundResult:
         """Assemble one 30-s round per satellite and run the pipeline.
 
+        events_by_prn maps each PRN to the page events it sent this round; a
+        pending satellite that sends nothing still gets a destroyed round.
         Navigation data is parsed whatever the authentication status; only
         the OSNMA pipeline is gated on a successful TS startup.
         """
@@ -125,14 +127,11 @@ class Receiver:
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
 
-        # a pending satellite that sends nothing still gets a destroyed round
-        by_prn: dict = {prn: [] for prn in self.pending}
-        for e in events:
-            by_prn.setdefault(e.prn, []).append(e)
         trusted_before = self.trusted_key
         advanced: TeslaKey | None = None
-        for prn in sorted(by_prn):
-            sf = assemble_round(by_prn[prn], gst, prn, window_start_ms)
+        for prn in sorted(self.pending.keys() | events_by_prn.keys()):
+            sf = assemble_round(events_by_prn.get(prn, ()), gst, prn,
+                                window_start_ms)
             result.subframes[prn] = sf
             if not osnma_active:
                 continue

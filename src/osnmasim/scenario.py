@@ -10,6 +10,7 @@ byte for byte.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
@@ -25,12 +26,14 @@ from .gst import (
     LrtSource,
     SECONDS_PER_WEEK,
     SUBFRAME_SECONDS,
+    SubMillisecondError,
     SymmetricBound,
     to_millis,
 )
 from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, generate_subframe_tags
 from .navdata import (
     CLOCK_BITS,
+    EPH_AXIS_BITS,
     IONO_A0_BITS,
     MM_PER_M,
     PRN_BITS,
@@ -40,10 +43,12 @@ from .navdata import (
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import PAGE_MS, PageEvent, SUBFRAME_MS, Source
+from .pages import SUBFRAME_MS
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
+    WGS84_A,
+    WGS84_E2,
     Fix,
     NoConvergenceError,
     SatState,
@@ -65,6 +70,7 @@ from .tesla import (
 from .vectors import TestVectorSet
 
 DEFAULT_SITE = (45.0, 7.6, 240.0)          # lat deg, lon deg, height m
+SAT_RANGE_M = (22e6, 27e6)                 # site-to-satellite ranges drawn
 DEFAULT_GST0 = Gst(1251, 277200)
 
 _FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
@@ -88,11 +94,6 @@ class ConstellationBundle:
     def vectors(self) -> TestVectorSet:
         """The subframes as a vector set, built on first access."""
         return TestVectorSet.from_subframes(self.subframes)
-
-    @cached_property
-    def live(self) -> tuple:
-        """The authentic page events, built on first access."""
-        return tuple(live_events(self.subframes))
 
     @cached_property
     def observations(self) -> MappingProxyType:
@@ -144,7 +145,7 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
         direction = _sky_direction(site[0], site[1],
                                    rng.uniform(0.0, 360.0),
                                    rng.uniform(20.0, 80.0))
-        rng_m = rng.uniform(22e6, 27e6)
+        rng_m = rng.uniform(*SAT_RANGE_M)
         pos = tuple(r + rng_m * d for r, d in zip(recv_ecef, direction))
         # quantize to the nav-data grid so broadcast and truth agree exactly
         pos = tuple(round(c * 1000) / 1000 for c in pos)
@@ -235,6 +236,8 @@ def _read(block, keys: dict, path: str) -> dict:
             raise ScenarioError(f"{where}: {value!r} is not a finite number")
         try:
             out[key] = to_millis(value) if kind is SECONDS else value
+        except SubMillisecondError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
         except (ValueError, ArithmeticError):
             raise ScenarioError(f"{where}: {value!r} is not a number "
                                 "of seconds") from None
@@ -259,6 +262,12 @@ def _read_typed(block: dict, table: dict, path: str):
 
 
 _CLOCK_MM = 1 << CLOCK_BITS - 1        # the clock bias is sent in signed mm
+# A site height that loads also generates.  No axis of the site is further
+# from the centre than the prime-vertical radius, largest at the poles, plus
+# |height|; a satellite adds at most the largest range; and each satellite
+# axis is sent in signed mm of EPH_AXIS_BITS.
+_SITE_HEIGHT_M = int(((1 << EPH_AXIS_BITS - 1) - 1) / MM_PER_M
+                     - SAT_RANGE_M[1] - WGS84_A / math.sqrt(1 - WGS84_E2))
 
 # type: (declared keys, policy class)
 POLICIES = {
@@ -275,7 +284,8 @@ SCENARIO_KEYS = {
         "tow": (int, DEFAULT_GST0.tow, 0, SECONDS_PER_WEEK - 1),
         "receiver": ({"lat_deg": (NUMBER, DEFAULT_SITE[0], *LAT_RANGE),
                       "lon_deg": (NUMBER, DEFAULT_SITE[1], *LON_RANGE),
-                      "height_m": (NUMBER, DEFAULT_SITE[2])}, {})}, {}),
+                      "height_m": (NUMBER, DEFAULT_SITE[2],
+                                   -_SITE_HEIGHT_M, _SITE_HEIGHT_M)}, {})}, {}),
     "receiver": ({"policy": (dict, {}), "lrt_offset_s": (SECONDS, 0),
                   "lrt_error_bound_s": (SECONDS, 0, 0, None),
                   "seg_count": (int, 6, 1, TAG_REGION_BITS // TAG_BITS),
@@ -286,24 +296,29 @@ SCENARIO_KEYS = {
 
 # -- attacks ---------------------------------------------------------------
 #
-# A generator maps (values, scenario, bundle, lrt) to (events, lrt, truth);
-# truth is (observed subframes, true position, clock offset in s), or None
-# for the authentic constellation seen from the site.  Only a generator that
-# replays the authentic stream reads bundle.live, which builds it.
+# A generator maps (values, scenario, bundle, lrt) to (stream, lrt, truth).
+# The stream is (t0, round_events): the first window start in ms, and the
+# function of r that gives round r's page events by PRN, read straight from
+# the sealed subframes.  truth is (observed subframes, true position, clock
+# offset in s), or None for the authentic constellation seen from the site.
+
+
+def _none(a, sc, bundle, lrt):
+    return attacks.shifted_stream(bundle.subframes), lrt, None
 
 
 def _tsr_realtime(a, sc, bundle, lrt):
-    return attacks.replay_realtime(bundle.live, a["delay_s"]), lrt, None
+    return attacks.replay_realtime(bundle.subframes, a["delay_s"]), lrt, None
 
 
-def _replay_recorded(stream, staleness_s, mitm_delay_s, lrt):
-    """A replay of stream delayed by staleness, behind an NTP MITM."""
-    return (attacks.replay_realtime(stream, staleness_s),
+def _replay_recorded(subframes, staleness_s, mitm_delay_s, lrt):
+    """A replay of subframes delayed by staleness, behind an NTP MITM."""
+    return (attacks.replay_realtime(subframes, staleness_s),
             attacks.ntp_mitm_delay(lrt, mitm_delay_s))
 
 
 def _tsr_recorded(a, sc, bundle, lrt):
-    return (*_replay_recorded(bundle.live, a["staleness_s"],
+    return (*_replay_recorded(bundle.subframes, a["staleness_s"],
                               a["mitm_delay_s"], lrt), None)
 
 
@@ -315,18 +330,19 @@ def _tsf(a, sc, bundle, lrt):                       # replays forged subframes
     forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
               for prn, sfs in bundle.subframes.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
-    return (*_replay_recorded(live_events(forged), a["staleness_s"], mitm, lrt),
+    return (*_replay_recorded(forged, a["staleness_s"], mitm, lrt),
             (forged, target, float(a["clock_offset_s"])))
 
 
 def _cr(a, sc, bundle, lrt):
     timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
-    return attacks.cr_compose(bundle.live, timing, a["onset_round"]), lrt, None
+    return (attacks.cr_compose(bundle.subframes, timing, a["onset_round"]),
+            lrt, None)
 
 
 # type: (declared keys, generator)
 ATTACKS = {
-    "none": ({}, lambda a, sc, bundle, lrt: (bundle.live, lrt, None)),
+    "none": ({}, _none),
     "tsr_realtime": ({"delay_s": (SECONDS, 0, 0, None)}, _tsr_realtime),
     "tsr_recorded": ({"staleness_s": (SECONDS, 0, 0, None),
                       "mitm_delay_s": (SECONDS, 0, 0, None)}, _tsr_recorded),
@@ -413,15 +429,12 @@ class Scenario:
 
 
 def live_events(subframes_by_prn: dict) -> list:
-    """Authentic page events on the true clock (arrival time == GST)."""
-    events = []
-    for prn, sf_list in sorted(subframes_by_prn.items()):
-        for sf in sf_list:
-            base = sf.gst.total_millis()
-            for k, raw in enumerate(sf.raws):
-                events.append(PageEvent(t_ms=base + k * PAGE_MS, prn=prn,
-                                        source=Source.AUTHENTIC, raw=raw))
-    return sorted(events, key=lambda e: (e.t_ms, e.prn))
+    """Authentic page events on the true clock (arrival time == GST): the
+    rounds of the ``none`` attack's stream, one after another."""
+    _, round_events = attacks.shifted_stream(subframes_by_prn)
+    rounds = max(map(len, subframes_by_prn.values()))
+    return [e for r in range(rounds)
+            for _, events in sorted(round_events(r).items()) for e in events]
 
 
 def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dict:
@@ -434,7 +447,7 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     obs = {}
     for prn, sf_list in subframes_by_prn.items():
         for sf in sf_list:
-            nav = parse_nav_data(subframe_nav_data(sf))
+            nav = parse_nav_data(sf.join_nav_data())   # keep no blob on sf
             sat = SatState(prn=prn, position=nav.sat_ecef_m)
             rho = forge_pseudoranges(receiver_pos, t_r, [sat])[0]
             obs[(sf.gst.total_seconds(), prn)] = rho + nav.range_bias_m
@@ -483,31 +496,26 @@ def run_scenario(sc: Scenario) -> dict:
 
     The most recent constellation is kept: consecutive scenarios with equal
     constellation inputs (seed, sizes, start GST, site, tag count) share one
-    build, its authentic page stream and its observations."""
+    build and its observations.  Page events are made one round at a time,
+    as the receiver takes them."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
-    events, lrt, truth = sc.attack_events(sc, bundle, sc.lrt)
+    (t0, round_events), lrt, truth = sc.attack_events(sc, bundle, sc.lrt)
     obs = _observations(*truth) if truth else bundle.observations
 
     config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
                             seg_count=sc.seg_count,
                             key_reject_threshold=sc.key_reject_threshold)
     receiver = Receiver(config, lrt)
-    t0 = min(e.t_ms for e in events)
     receiver.power_on(bundle.gst0, true_ms=t0)
-    windows = [[] for _ in range(sc.duration_rounds)]
-    for e in events:
-        r = (e.t_ms - t0) // SUBFRAME_MS
-        if r < sc.duration_rounds:
-            windows[r].append(e)
 
     raw_fixes = []
     auth_fixes = {}
     # a verdict names the data subframe of its three-round window, so the
     # solver inputs of the last three rounds are all a verdict can need
     recent: deque = deque(maxlen=3)
-    for r, window in enumerate(windows):
-        result = receiver.ingest_round(window, t0 + r * SUBFRAME_MS)
+    for r in range(sc.duration_rounds):
+        result = receiver.ingest_round(round_events(r), t0 + r * SUBFRAME_MS)
         inputs = _solver_inputs(result.subframes, obs)
         recent.append(inputs)
         seen = ChainMap(*recent)
@@ -537,8 +545,17 @@ def run_scenario(sc: Scenario) -> dict:
     }
 
 
+def write_report(report: dict, fh) -> None:
+    """Write a report's JSON text to a text file, chunk by chunk."""
+    json.dump(report, fh, sort_keys=True, indent=2)
+    fh.write("\n")
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The text write_report writes."""
+    buf = io.StringIO()
+    write_report(report, buf)
+    return buf.getvalue()
 
 
 def diff_reports(a: dict, b: dict, prefix: str = "") -> list:

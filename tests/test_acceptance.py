@@ -43,6 +43,7 @@ from osnmasim.scenario import (
     run_scenario,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaChain, verify_key
+from stream_reference import by_prn
 
 # ---------------------------------------------------------------------------
 # reference fixtures: intact capture pages and the worked forging example
@@ -241,12 +242,12 @@ def test_criterion_6_cr_cutoff():
     # the one-page shift, observed on the merged stream itself
     from osnmasim.attacks import CrTiming, cr_compose
     bundle = generate_synthetic_constellation(20230816, 8, 16, GST0)
-    live = live_events(bundle.vectors.subframes())
     timing = CrTiming(replay_delay_ms=1500, t_acq_ms=600)
-    merged = cr_compose(live, timing, onset_round=8)
-    w0 = GST0.total_millis() + 10 * SUBFRAME_MS
-    window = [e for e in merged if w0 <= e.t_ms < w0 + SUBFRAME_MS]
-    sf = assemble_round(window, GST0.add_seconds(300), prn=1, window_start_ms=w0)
+    t0, merged = cr_compose(bundle.vectors.subframes(), timing, onset_round=8)
+    w0 = t0 + 10 * SUBFRAME_MS
+    assert w0 == GST0.total_millis() + 10 * SUBFRAME_MS
+    sf = assemble_round(merged(10)[1], GST0.add_seconds(300), prn=1,
+                        window_start_ms=w0)
     hkroot, _ = sf.osnma
     assert hkroot[0] != NMA_HEADER
     print("\nACCEPTANCE 6: PASS - CR cutoff at 1.4 s resumes, 1.5 s shifts "
@@ -367,8 +368,8 @@ def test_criterion_7e_ima_resume_property(ima_bundle):
         rx.power_on(GST0, GST0.total_millis())
         for r in range(n_rounds):
             w0 = GST0.total_millis() + r * SUBFRAME_MS
-            rx.ingest_round([e for e in events
-                             if w0 <= e.t_ms < w0 + SUBFRAME_MS], w0)
+            rx.ingest_round(by_prn(e for e in events
+                                   if w0 <= e.t_ms < w0 + SUBFRAME_MS), w0)
         got = {(v.gst.total_seconds() - GST0.total_seconds()) // 30
                for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC}
         expected = {r for r in range(4, n_rounds - 2)

@@ -8,6 +8,7 @@ from osnmasim.attacks import (
     forge_nav_blob,
     ntp_mitm_delay,
     replay_realtime,
+    shifted_stream,
     tsf_forge_subframes,
 )
 from osnmasim.gst import Gst, LrtSource, to_millis
@@ -19,7 +20,6 @@ from osnmasim.pages import (
     assemble_round,
 )
 from osnmasim.positioning import geodetic_to_ecef
-from osnmasim.scenario import live_events
 from osnmasim.tesla import NMA_HEADER, TeslaKey
 
 GST0 = Gst(1251, 277200)
@@ -29,23 +29,30 @@ GST0 = Gst(1251, 277200)
 
 
 def test_replay_realtime_zero_delay_identity(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
-    replayed = replay_realtime(live, 0)
-    assert [e.t_ms for e in replayed] == [e.t_ms for e in live]
-    assert all(e.source is Source.ADVERSARY for e in replayed)
+    live_t0, live = shifted_stream(small_bundle.subframes)
+    t0, replayed = replay_realtime(small_bundle.subframes, 0)
+    assert t0 == live_t0 == GST0.total_millis()
+    for r in range(len(small_bundle.subframes[1])):
+        assert {prn: [e.t_ms for e in evs] for prn, evs in replayed(r).items()} \
+            == {prn: [e.t_ms for e in evs] for prn, evs in live(r).items()}
+        assert all(e.source is Source.ADVERSARY
+                   for evs in replayed(r).values() for e in evs)
 
 
 def test_replay_preserves_bits_exactly(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
-    replayed = replay_realtime(live, 29500)
-    assert [e.raw for e in replayed] == [e.raw for e in live]
-    assert all(r.t_ms - l.t_ms == 29500 for r, l in zip(replayed, live))
+    live_t0, live = shifted_stream(small_bundle.subframes)
+    t0, replayed = replay_realtime(small_bundle.subframes, 29500)
+    assert t0 - live_t0 == 29500
+    for r in range(len(small_bundle.subframes[1])):
+        for prn, events in replayed(r).items():
+            assert [e.raw for e in events] == [e.raw for e in live(r)[prn]]
+            assert all(a.t_ms - b.t_ms == 29500
+                       for a, b in zip(events, live(r)[prn]))
 
 
 def test_replay_rejects_negative_delay(small_bundle):
-    live = live_events(small_bundle.vectors.subframes())
     with pytest.raises(ValueError):
-        replay_realtime(live, -1)
+        replay_realtime(small_bundle.subframes, -1)
 
 
 # -- NTP man in the middle -----------------------------------------------------
@@ -176,17 +183,17 @@ def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
 
 
 def _cr_events(bundle, delay_s, t_acq_s="0.6", onset_round=2):
-    live = live_events(bundle.vectors.subframes())
     timing = CrTiming(replay_delay_ms=to_millis(delay_s),
                       t_acq_ms=to_millis(t_acq_s))
-    return live, cr_compose(live, timing, onset_round=onset_round)
+    return (shifted_stream(bundle.subframes),
+            cr_compose(bundle.subframes, timing, onset_round=onset_round))
 
 
-def _round_subframe(events, round_idx, prn):
-    w0 = GST0.total_millis() + round_idx * SUBFRAME_MS
+def _round_subframe(stream, round_idx, prn):
+    t0, round_events = stream
+    w0 = t0 + round_idx * SUBFRAME_MS
     gst = GST0.add_seconds(30 * round_idx)
-    window = [e for e in events if w0 <= e.t_ms < w0 + SUBFRAME_MS]
-    return assemble_round(window, gst, prn, w0)
+    return assemble_round(round_events(round_idx).get(prn, []), gst, prn, w0)
 
 
 def test_cr_seamless_zero_latency(small_bundle):
@@ -245,6 +252,8 @@ def test_cr_alignment_boundary_rule(small_bundle, delay_s, aligned):
 
 
 def test_cr_preserves_page_bits(small_bundle):
-    live, merged = _cr_events(small_bundle, "1.5")
-    live_raws = {e.raw for e in live}
-    assert all(e.raw in live_raws for e in merged)
+    (_, live), (_, merged) = _cr_events(small_bundle, "1.5")
+    rounds = range(len(small_bundle.subframes[1]))
+    live_raws = {e.raw for r in rounds for evs in live(r).values() for e in evs}
+    assert all(e.raw in live_raws
+               for r in rounds for evs in merged(r).values() for e in evs)

@@ -122,6 +122,15 @@ def test_run_writes_report_and_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_run_writes_the_same_bytes_to_a_file_and_to_stdout(tmp_path, capsys):
+    path = str(SCENARIO_DIR / "cr_delay_1_4.json")
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out.encode() == \
+        (tmp_path / "cr_delay_1_4.report.json").read_bytes()
+
+
 def test_run_batch(tmp_path):
     rc = main(["run", str(SCENARIO_DIR / "baseline.json"),
                str(SCENARIO_DIR / "cr_delay_1_5.json"),

@@ -5,6 +5,7 @@ from osnmasim.gst import (
     AlternateThreshold,
     Gst,
     LrtSource,
+    SubMillisecondError,
     SymmetricBound,
     TsStartup,
     check_time_sync,
@@ -42,6 +43,12 @@ def test_to_millis_exact_decimals():
     assert to_millis("29.5") == 29500
     assert to_millis(0.771) == 771
     assert to_millis(30) == 30000
+
+
+@pytest.mark.parametrize("seconds", ["29.5004", 0.0005, "1e-4", 1.0001])
+def test_to_millis_rejects_sub_millisecond_digits(seconds):
+    with pytest.raises(SubMillisecondError, match="below the millisecond"):
+        to_millis(seconds)
 
 
 def _delta_case(delta_ms, policy):

@@ -314,7 +314,7 @@ def test_decode_memo_keys_on_bytes_alone(monkeypatch):
         return decode(raw)
 
     monkeypatch.setattr(pages, "decode_page", counting)
-    pages._decoded.cache_clear()
+    pages._checks.clear()
     broken = flip_page_bit(PAGE_INTACT_A, 5)
     for raw in (PAGE_INTACT_A, PAGE_INTACT_A, broken, broken):
         for source in Source:
@@ -323,8 +323,17 @@ def test_decode_memo_keys_on_bytes_alone(monkeypatch):
     assert _assembled(broken) is None
 
 
-def test_decode_memo_is_bounded():
-    assert pages._decoded.cache_info().maxsize is not None
+def test_decode_memo_is_bounded(monkeypatch):
+    """The memo holds at most _CHECKS_MAX pages and starts afresh when full;
+    every page still gets its own result."""
+    assert pages._CHECKS_MAX == 1 << 15
+    monkeypatch.setattr(pages, "_CHECKS_MAX", 4)
+    monkeypatch.setattr(pages, "_checks", {})
+    raws = [flip_page_bit(PAGE_INTACT_A, bit) for bit in range(2, 12)]
+    for raw in raws + [PAGE_INTACT_A]:
+        assert _assembled(raw) == (raw if decode_page(raw) else None)
+        assert 1 <= len(pages._checks) <= 4
+    assert PAGE_INTACT_A in pages._checks
 
 
 @given(page_contents, st.integers(0, (1 << 24) - 1))

@@ -12,6 +12,7 @@ from osnmasim.pages import PAGE_MS, SUBFRAME_MS
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
+from stream_reference import by_prn
 
 GST0 = Gst(1251, 277200)
 
@@ -29,7 +30,7 @@ def _drive(receiver, events, rounds, t0=None):
     for r in range(rounds):
         w0 = t0 + r * SUBFRAME_MS
         window = [e for e in events if w0 <= e.t_ms < w0 + SUBFRAME_MS]
-        results.append(receiver.ingest_round(window, w0))
+        results.append(receiver.ingest_round(by_prn(window), w0))
     return results
 
 

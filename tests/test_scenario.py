@@ -6,10 +6,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import osnmasim.attacks
 import osnmasim.pages
 import osnmasim.receiver
 import osnmasim.scenario
@@ -22,8 +24,10 @@ from osnmasim.scenario import (
     Scenario,
     ScenarioError,
     diff_reports,
+    generate_synthetic_constellation,
     report_to_json,
     run_scenario,
+    write_report,
 )
 from osnmasim.vectors import CrcError, TestVectorSet
 
@@ -197,6 +201,13 @@ BAD_CONFIGS = [
      "$.constellation.receiver.lat_deg"),
     ("constellation.receiver", {"lon_deg": float("inf")},
      "$.constellation.receiver.lon_deg"),
+    ("constellation.receiver", {"height_m": 1e12},
+     "$.constellation.receiver.height_m"),
+    ("constellation.receiver", {"height_m": -140704088762},
+     "$.constellation.receiver.height_m"),
+    ("attack", {"type": "tsr_realtime", "delay_s": "29.5004"},
+     "$.attack.delay_s"),
+    ("attack", {"type": "cr", "t_acq_s": 0.0005}, "$.attack.t_acq_s"),
 ]
 
 
@@ -229,6 +240,8 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("receiver.key_reject_threshold", 1),
     ("attack", {"type": "tsf", "clock_bias_m": -2147483.648}),
     ("attack", {"type": "tsf", "clock_bias_m": 2147483.647}),
+    ("constellation.receiver", {"lat_deg": 90, "height_m": 140704088761}),
+    ("attack", {"type": "tsr_realtime", "delay_s": "29.500"}),
 ])
 def test_range_bounds_load(path, value):
     Scenario.from_dict(_with(path, value))
@@ -243,6 +256,18 @@ def test_clock_bias_bounds_are_the_broadcast_field_edges():
         assert parse_nav_data(blob).clock_bias_m == edge
         with pytest.raises(ValueError, match="clock_bias_m"):
             build_nav_data(1251, 277200, 1, (0.0, 0.0, 0.0), beyond)
+
+
+@pytest.mark.parametrize("lat_deg,lon_deg", [(90, 0), (-90, 180), (0, 0),
+                                             (45, 7.6)])
+def test_every_site_height_that_loads_generates(lat_deg, lon_deg):
+    """At either height bound, on the poles and the equator, every
+    satellite position fits the broadcast ephemeris field."""
+    _, _, low, high = SCENARIO_KEYS["constellation"][0]["receiver"][0]["height_m"]
+    for height in (low, high):
+        site = {"lat_deg": lat_deg, "lon_deg": lon_deg, "height_m": height}
+        sc = Scenario.from_dict(_with("constellation.receiver", site))
+        generate_synthetic_constellation(sc.seed, 4, 1, sc.gst0, sc.site)
 
 
 def test_non_finite_json_number_names_its_path(tmp_path):
@@ -449,7 +474,7 @@ def test_shipped_reports_are_byte_identical():
 
 
 def _clear_memos():
-    osnmasim.pages._decoded.cache_clear()
+    osnmasim.pages._checks.clear()
     osnmasim.scenario._fix.cache_clear()
 
 
@@ -476,7 +501,7 @@ def test_each_distinct_fix_is_solved_once(monkeypatch):
 
 
 def test_each_event_is_assembled_once_per_round(monkeypatch):
-    """A round's events are split by PRN once: the events handed to
+    """A round's events come split by PRN: the events handed to
     assemble_round over a round add up to the round's event count."""
     rounds = []
     assemble = osnmasim.receiver.assemble_round
@@ -486,9 +511,9 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
         rounds[-1][1] += len(events)
         return assemble(events, *args)
 
-    def recording(self, events, window_start_ms):
-        rounds.append([len(events), 0])
-        return ingest(self, events, window_start_ms)
+    def recording(self, events_by_prn, window_start_ms):
+        rounds.append([sum(map(len, events_by_prn.values())), 0])
+        return ingest(self, events_by_prn, window_start_ms)
 
     monkeypatch.setattr(osnmasim.receiver, "assemble_round", counting)
     monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
@@ -502,10 +527,11 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
 def test_each_subframe_is_concatenated_once(monkeypatch):
     """A subframe's nav data is joined once however many read it (the
     observations, the receiver's tag check, each fix): on a run of
-    long_clean's size, every received subframe is joined exactly once."""
+    long_clean's size, every bundle subframe and every received subframe is
+    joined exactly once, and no bundle subframe keeps its joined blob."""
     joins = {}
     received = []
-    join = Subframe.nav_data.func
+    join = Subframe.join_nav_data
     assemble = osnmasim.receiver.assemble_round
 
     def counting(sf):
@@ -516,14 +542,44 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
         received.append(assemble(*args))
         return received[-1]
 
-    monkeypatch.setattr(Subframe.nav_data, "func", counting)
+    monkeypatch.setattr(Subframe, "join_nav_data", counting)
     monkeypatch.setattr(osnmasim.receiver, "assemble_round", recording)
     osnmasim.scenario._constellation.cache_clear()
-    report = run_scenario(_scenario({"type": "none"}, subframes=128))
+    sc = _scenario({"type": "none"}, subframes=128)
+    report = run_scenario(sc)
     assert report["receiver"]["status"] == "authenticating"
     assert len(received) == 8 * 128 and all(sf.complete for sf in received)
     assert all(joins.get(id(sf)) == 1 for sf in received)
     assert set(joins.values()) == {1} and len(joins) == 2 * 8 * 128
+    bundle = osnmasim.scenario._constellation(
+        sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
+    assert not any("nav_data" in vars(sf)
+                   for sfs in bundle.subframes.values() for sf in sfs)
+
+
+def _traced_peak(subframes: int) -> int:
+    """Traced peak bytes of an 8-satellite baseline run over emptied memos,
+    its report written to a file as the CLI writes it."""
+    _clear_memos()
+    osnmasim.scenario._constellation.cache_clear()
+    sc = _scenario({"type": "none"}, subframes=subframes)
+    tracemalloc.start()
+    try:
+        report = run_scenario(sc)
+        with open(os.devnull, "w") as fh:
+            write_report(report, fh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_per_subframe_is_bounded():
+    """Page events are made one round at a time, so a longer run holds
+    more of only what grows with it: sealed pages, checked pages, verdicts
+    and the report.  From 8x32 to 8x128 the traced peak grows by at most
+    3.5 KB per added subframe (whole-run event lists took about 6.5 KB)."""
+    growth = (_traced_peak(128) - _traced_peak(32)) / (8 * 96)
+    assert growth <= 3500, growth
 
 
 def test_fix_memo_is_bounded():
@@ -531,20 +587,26 @@ def test_fix_memo_is_bounded():
 
 
 def test_forgery_encodes_only_the_forged_stream(monkeypatch):
-    """A tsf run never replays the authentic stream, so it encodes one
-    page stream: the forged one."""
-    calls = []
-    encode = osnmasim.scenario.live_events
+    """A tsf run never replays the authentic stream: its one replay is of
+    the forged subframes."""
+    replayed = []
+    replay = osnmasim.attacks.replay_realtime
 
-    def counting(subframes_by_prn):
-        calls.append(len(subframes_by_prn))
-        return encode(subframes_by_prn)
+    def recording(subframes, delay_ms):
+        replayed.append(subframes)
+        return replay(subframes, delay_ms)
 
-    monkeypatch.setattr(osnmasim.scenario, "live_events", counting)
+    monkeypatch.setattr(osnmasim.attacks, "replay_realtime", recording)
     osnmasim.scenario._constellation.cache_clear()
-    report = run_scenario(_scenario({"type": "tsf"}, sats=4, subframes=10))
+    sc = _scenario({"type": "tsf"}, sats=4, subframes=10)
+    report = run_scenario(sc)
     assert report["auth_fixes"]
-    assert calls == [4]
+    bundle = osnmasim.scenario._constellation(sc.seed, sc.n_sats,
+                                              sc.n_subframes, sc.gst0,
+                                              sc.site, sc.seg_count)
+    assert len(replayed) == 1 and len(replayed[0]) == 4
+    assert all(replayed[0][prn][0] != sfs[0]
+               for prn, sfs in bundle.subframes.items())
 
 
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
@@ -599,13 +661,9 @@ def test_consecutive_equal_constellations_build_once(monkeypatch):
 def test_bundle_is_read_only(small_bundle):
     with pytest.raises(dataclasses.FrozenInstanceError):
         small_bundle.gst0 = small_bundle.gst0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        small_bundle.live = ()
     with pytest.raises(TypeError):
         small_bundle.subframes[1][0] = small_bundle.subframes[1][1]
     with pytest.raises(TypeError):
         small_bundle.subframes[1] = ()
-    with pytest.raises(TypeError):
-        small_bundle.live[0] = small_bundle.live[1]
     with pytest.raises(TypeError):
         small_bundle.observations[next(iter(small_bundle.observations))] = 0.0
