@@ -20,7 +20,7 @@ from .gst import LrtSource
 from .mack import disclosed_key, generate_subframe_tags, pack_mack
 from .navdata import (
     build_nav_data,
-    build_subframe,
+    build_subframes,
     parse_nav_data,
 )
 from .pages import PAGE_MS, PageEvent, SLOTS_PER_SUBFRAME, SUBFRAME_MS, Source
@@ -115,7 +115,8 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
     overwrite the tag region of subframe n+1 (key bits preserved).  Every
     rewritten subframe is built and resealed once; the last subframe (the
     last two without tags) passes through untouched, so the whole output
-    stream verifies.
+    stream verifies.  The rewritten subframes' pages are sealed in one
+    kernel call.
     """
     n = len(aux)
     if n < TSF_MIN_SUBFRAMES:
@@ -133,8 +134,9 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
                                           gst_sf=aux[i + 1].gst,
                                           seg_count=cfg.seg_count)
             macks[i + 1] = pack_mack(tags, disclosed_key(macks[i + 1]))
-    return [build_subframe(sf.gst, sf.prn, nav, hkroot, mack)
-            for sf, nav, hkroot, mack in zip(aux, navs, hkroots, macks)] \
+    return build_subframes((sf.gst, sf.prn, nav, hkroot, mack)
+                           for sf, nav, hkroot, mack
+                           in zip(aux, navs, hkroots, macks)) \
         + list(aux[rewritten:])
 
 

@@ -24,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import Gst
-from .pages import (
-    EVEN_DATA,
-    ODD_DATA,
-    PageContent,
-    SLOTS_PER_SUBFRAME,
-    Subframe,
-    seal_page,
-)
+from .pages import SLOTS_PER_SUBFRAME, Subframe, blob_pages, seal_raws
 
 NAV_BLOB_BYTES = 240
 NAV_BLOB_BITS = 1920
@@ -132,25 +125,28 @@ def subframe_nav_data(sf: Subframe) -> bytes:
     return sf.nav_data
 
 
+def build_subframes(specs) -> list:
+    """Subframes from (gst, prn, nav_blob, hkroot, mack_blob) tuples, each
+    blob distributed over fifteen pages and every page of every subframe
+    sealed in one kernel call."""
+    specs = list(specs)
+    raws = []
+    for _, _, nav_blob, hkroot, mack_blob in specs:
+        if len(hkroot) != SLOTS_PER_SUBFRAME:
+            raise ValueError("hkroot must supply one byte per page")
+        if len(mack_blob) != 4 * SLOTS_PER_SUBFRAME:
+            raise ValueError("mack blob must supply four bytes per page")
+        if len(nav_blob) != NAV_BLOB_BYTES:
+            raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
+        raws += blob_pages(nav_blob, hkroot, mack_blob)
+    sealed = seal_raws(raws)
+    return [Subframe(gst=gst, prn=prn, raws=tuple(
+                sealed[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
+            for i, (gst, prn, *_) in enumerate(specs)]
+
+
 def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
                    mack_blob: bytes) -> Subframe:
     """Distribute a nav blob plus OSNMA material over 15 pages, each sealed
     straight to its transmitted bytes."""
-    if len(hkroot) != SLOTS_PER_SUBFRAME:
-        raise ValueError("hkroot must supply one byte per page")
-    if len(mack_blob) != 4 * SLOTS_PER_SUBFRAME:
-        raise ValueError("mack blob must supply four bytes per page")
-    if len(nav_blob) != NAV_BLOB_BYTES:
-        raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
-    nav = int.from_bytes(nav_blob, "big")
-    macks = int.from_bytes(mack_blob, "big")
-    raws = []
-    for p, hk in enumerate(hkroot):
-        chunk = nav >> NAV_BLOB_BITS - PAGE_DATA_BITS * (p + 1)
-        raws.append(seal_page(PageContent(
-            even_data=chunk >> ODD_DATA[1] & (1 << EVEN_DATA[1]) - 1,
-            odd_data=chunk & (1 << ODD_DATA[1]) - 1,
-            hkroot=hk,
-            mack=macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF,
-        )))
-    return Subframe(gst=gst, prn=prn, raws=tuple(raws))
+    return build_subframes([(gst, prn, nav_blob, hkroot, mack_blob)])[0]

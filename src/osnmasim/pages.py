@@ -28,10 +28,17 @@ hold them, page events carry them, replays pass them on, and a receiver
 checks them and reads navigation data and OSNMA blobs out of them by
 constant shifts.  PageContent is only the codec's view of one page's
 fields, what seal_page and encode_page take and decode_page gives back.
-The page CRC is read straight from the transmitted bytes: CRC-24Q is
-linear, so it is the xor of one table entry per raw byte 0..25, each table
-holding the CRC share of that byte's protected bits (byte 14 gives its top
-2 bits, the tail being unprotected, and byte 25 its top 2, bits 200..201).
+
+The page CRC has one implementation, the column-wise kernel
+``_crc_columns``, which seals or checks many pages in one call.  A call
+costs a fixed amount plus a little per page, so pages are batched where
+they form: a generated round seals every satellite's pages in one call, a
+forgery seals one satellite's rewritten subframes in one call, a receiver
+round checks every byte string it has not seen before in one call, and a
+vector file is checked in one call.  A lone page -- decode_page,
+seal_page, reseal_raw -- goes through the same kernel and pays its fixed
+cost.
+
 Round assembly checks each distinct 30-byte page once per process: a replay
 retransmits authentic bytes bit for bit, and the check is a pure function
 of those bytes.
@@ -110,16 +117,18 @@ def crc24q(data: bytes, nbits: int | None = None) -> int:
     return crc
 
 
-def _build_page_crc_tables() -> list:
-    """Table k maps raw page byte k to the CRC share of its protected bits.
+def _build_crc_maps() -> tuple:
+    """Three translate maps per raw page byte 0..25: byte k's value to the
+    high, middle and low byte of the CRC share of its protected bits.
 
     The protected region is even bits 0..113 then odd bits 120..201; a
-    region bit's share is the crc24q of the region with that bit alone set.
+    region bit's share is the crc24q of the region with that bit alone set,
+    and a byte's share is the xor of its set bits' shares.
     """
     tail, tail_bits = EVEN_TAIL
     region_bits = CRC[0] - tail_bits
     region_bytes = (region_bits + 7) // 8
-    tables = []
+    maps = []
     for k in range(CRC[0] // 8 + 1):                    # bytes 0..25
         table = [0]
         for bit in range(8 * k + 7, 8 * k - 1, -1):     # weights 1, 2, .., 128
@@ -127,19 +136,85 @@ def _build_page_crc_tables() -> list:
             share = 0 if tail <= bit < tail + tail_bits or bit >= CRC[0] \
                 else crc24q((1 << region_bits - 1 - pos).to_bytes(region_bytes, "big"))
             table += [x ^ share for x in table]
-        tables.append(table)
-    return tables
+        maps.append(tuple(bytes(x >> shift & 0xFF for x in table)
+                          for shift in (16, 8, 0)))
+    return tuple(maps)
 
 
-_PAGE_CRC_TABLES = _build_page_crc_tables()
+_CRC_MAPS = _build_crc_maps()
 
 
-def _page_crc(raw: bytes) -> int:
-    """CRC-24Q over the protected region of a page's transmitted bytes."""
-    crc = 0
-    for table, byte in zip(_PAGE_CRC_TABLES, raw):
-        crc ^= table[byte]
-    return crc
+def _crc_columns(joined: bytes, lanes: int) -> tuple:
+    """The CRC fields of the pages laid end to end in joined, computed from
+    their protected bits: raw byte columns 25..28 as ints, byte i of each
+    holding page i's CRC bits there and zeros elsewhere.  lanes is the int
+    with a 1 in each of the pages' byte lanes.
+
+    The kernel is Sarwate's table lookup turned column-wise: CRC-24Q is
+    linear, so a page's CRC is the xor of the shares of its bytes 0..25
+    (byte 14 gives its top 2 bits, the tail being unprotected, and byte 25
+    its top 2, bits 200..201).  Column k, byte k of every page, goes
+    through the three maps of byte k with one translate each, and the 78
+    translated columns are xored as big ints whose byte lanes never carry
+    into each other.
+    """
+    from_bytes = int.from_bytes         # looked up once, called 78 times
+    high = mid = low = 0
+    for k, (to_high, to_mid, to_low) in enumerate(_CRC_MAPS):
+        column = joined[k::PAGE_BYTES]
+        high ^= from_bytes(column.translate(to_high), "big")
+        mid ^= from_bytes(column.translate(to_mid), "big")
+        low ^= from_bytes(column.translate(to_low), "big")
+    # the field starts 2 bits into byte 25: CRC bits 23..18, 17..10, 9..2, 1..0
+    low6, low2 = 0x3F * lanes, 0x03 * lanes
+    return (high >> 2 & low6, (high & low2) << 6 | mid >> 2 & low6,
+            (mid & low2) << 6 | low >> 2 & low6, (low & low2) << 6)
+
+
+def _joined(raws: list) -> bytes:
+    """The pages laid end to end; a page that is not PAGE_BYTES long raises
+    LengthError."""
+    wrong = set(map(len, raws)) - {PAGE_BYTES}
+    if wrong:
+        raise LengthError(f"expected {PAGE_BYTES} bytes, got {min(wrong)}")
+    return b"".join(raws)
+
+
+def _column(joined: bytes, k: int) -> int:
+    return int.from_bytes(joined[k::PAGE_BYTES], "big")
+
+
+def seal_raws(raws: list) -> list:
+    """Each page's bytes with its CRC field recomputed, all in one kernel
+    call."""
+    joined = _joined(raws)
+    n = len(raws)
+    lanes = int.from_bytes(b"\1" * n, "big")
+    crc25, crc26, crc27, crc28 = _crc_columns(joined, lanes)
+    crc25 |= _column(joined, 25) & 0xC0 * lanes        # bits 200..201 stay
+    crc28 |= _column(joined, 28) & 0x3F * lanes        # the fill's top bits
+    buf = bytearray(joined)
+    for k, column in zip(range(25, 29), (crc25, crc26, crc27, crc28)):
+        buf[k::PAGE_BYTES] = column.to_bytes(n, "big")
+    sealed = bytes(buf)
+    return [sealed[i:i + PAGE_BYTES] for i in range(0, len(sealed), PAGE_BYTES)]
+
+
+def check_raws(raws: list) -> list:
+    """Whether each page's framing flags are consistent and its CRC
+    verifies, all in one kernel call."""
+    joined = _joined(raws)
+    n = len(raws)
+    lanes = int.from_bytes(b"\1" * n, "big")
+    crc25, crc26, crc27, crc28 = _crc_columns(joined, lanes)
+    top2 = 0xC0 * lanes
+    # flags: 00 at the top of byte 0, 10 at the top of byte 15
+    wrong = (_column(joined, 0) & top2
+             | (_column(joined, 15) & top2) ^ 0x80 * lanes
+             | (_column(joined, 25) & 0x3F * lanes) ^ crc25
+             | _column(joined, 26) ^ crc26 | _column(joined, 27) ^ crc27
+             | (_column(joined, 28) & top2) ^ crc28)
+    return [not lane for lane in wrong.to_bytes(n, "big")]
 
 
 def flip_page_bit(raw: bytes, bit: int) -> bytes:
@@ -160,7 +235,6 @@ class PageContent(NamedTuple):
 
 
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
-_FLAG_MASK = (0b11 << (PAGE_BITS - 2)) | (0b11 << (PAGE_BITS - 122))
 _FLAGS = 0b10 << (PAGE_BITS - 122)
 
 
@@ -184,21 +258,30 @@ def _page_int(page: PageContent) -> int:
             | reserved << 38 | crc << 14 | fill)
 
 
-def _raw_int(raw: bytes) -> int:
-    if len(raw) != PAGE_BYTES:
-        raise LengthError(f"expected {PAGE_BYTES} bytes, got {len(raw)}")
-    return int.from_bytes(raw, "big")
-
-
 def encode_page(page: PageContent) -> bytes:
     """Serialize a page to its 240-bit transmission form, CRC as given."""
     return _page_int(page).to_bytes(PAGE_BYTES, "big")
 
 
+def blob_pages(nav_blob: bytes, hkroot: bytes, mack_blob: bytes) -> list:
+    """The fifteen pages whose data, HKROOT and MACK portions concatenate to
+    the given 240-, 15- and 60-byte blobs, as transmitted bytes with a zero
+    CRC field: what Subframe.join_nav_data and Subframe.osnma read back."""
+    nav = int.from_bytes(nav_blob, "big")
+    macks = int.from_bytes(mack_blob, "big")
+    pages = []
+    for p, hk in enumerate(hkroot):
+        data = nav >> 128 * (SLOTS_PER_SUBFRAME - 1 - p)
+        mack = macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF
+        pages.append((_FLAGS | (data >> 16 & (1 << 112) - 1) << 126
+                      | (data & 0xFFFF) << 102 | hk << 94 | mack << 62
+                      ).to_bytes(PAGE_BYTES, "big"))
+    return pages
+
+
 def reseal_raw(raw: bytes) -> bytes:
     """Recompute and replace the CRC field of a raw 240-bit page."""
-    return (_raw_int(raw) & ~(0xFFFFFF << 14) | _page_crc(raw) << 14).to_bytes(
-        PAGE_BYTES, "big")
+    return seal_raws([raw])[0]
 
 
 def seal_page(page: PageContent) -> bytes:
@@ -214,15 +297,15 @@ def decode_page(raw: bytes) -> PageContent | None:
     (even/odd, page type) are inconsistent -- both model bit errors or
     jamming at the message level.
     """
-    value = _raw_int(raw)
-    if value & _FLAG_MASK != _FLAGS:
-        return None
-    crc = value >> 14 & 0xFFFFFF
-    if _page_crc(raw) != crc:
-        return None
+    return _content(raw) if check_raws([raw])[0] else None
+
+
+def _content(raw: bytes) -> PageContent:
+    value = int.from_bytes(raw, "big")
     return PageContent(value >> 126 & (1 << 112) - 1, value >> 102 & 0xFFFF,
-                       value >> 94 & 0xFF, value >> 62 & 0xFFFFFFFF, crc,
-                       value >> 38 & 0xFFFFFF, value & 0x3FFF)
+                       value >> 94 & 0xFF, value >> 62 & 0xFFFFFFFF,
+                       value >> 14 & 0xFFFFFF, value >> 38 & 0xFFFFFF,
+                       value & 0x3FFF)
 
 
 # 30 transmitted bytes -> whether they pass decode_page's checks; emptied
@@ -245,6 +328,22 @@ def _decoded(raw: bytes) -> bool:
             _checks.clear()
         ok = _checks[raw] = decode_page(raw) is not None
     return ok
+
+
+def check_unseen(raws) -> None:
+    """Check the distinct bytes among raws that ``_checks`` does not hold
+    in one kernel call, and store their results there.
+
+    The memo is emptied first when the batch would take it past
+    _CHECKS_MAX, and keeps at most that many of the batch's results; a
+    page whose result it does not keep is checked again when asked for.
+    """
+    unseen = [raw for raw in dict.fromkeys(raws) if raw not in _checks]
+    if unseen:
+        if len(_checks) + len(unseen) > _CHECKS_MAX:
+            _checks.clear()
+        unseen = unseen[:_CHECKS_MAX]
+        _checks.update(zip(unseen, check_raws(unseen)))
 
 
 class Source(Enum):
@@ -290,8 +389,10 @@ class Subframe:
 
     @property
     def pages(self) -> tuple:
-        """The slots decoded afresh on each access, None for a destroyed one."""
-        return tuple(None if raw is None else decode_page(raw)
+        """The slots decoded afresh on each access, in one check of the
+        present pages; None for a destroyed or failing one."""
+        oks = iter(check_raws([raw for raw in self.raws if raw is not None]))
+        return tuple(_content(raw) if raw is not None and next(oks) else None
                      for raw in self.raws)
 
     def join_nav_data(self) -> bytes:

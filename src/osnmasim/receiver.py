@@ -24,7 +24,7 @@ from .gst import (
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
 from .navdata import subframe_nav_data
-from .pages import SUBFRAME_MS, Subframe, assemble_round
+from .pages import SUBFRAME_MS, Subframe, assemble_round, check_unseen
 from .tesla import (
     AlignmentError,
     DsmAccumulator,
@@ -119,7 +119,9 @@ class Receiver:
         events_by_prn maps each PRN to the page events it sent this round; a
         pending satellite that sends nothing still gets a destroyed round.
         Navigation data is parsed whatever the authentication status; only
-        the OSNMA pipeline is gated on a successful TS startup.
+        the OSNMA pipeline is gated on a successful TS startup.  The pages
+        of every satellite not checked before are checked in one kernel
+        call before the rounds are assembled.
         """
         gst = self._round_gst()
         result = RoundResult()
@@ -129,6 +131,8 @@ class Receiver:
 
         trusted_before = self.trusted_key
         advanced: TeslaKey | None = None
+        check_unseen([e.raw for events in events_by_prn.values()
+                      for e in events])
         for prn in sorted(self.pending.keys() | events_by_prn.keys()):
             sf = assemble_round(events_by_prn.get(prn, ()), gst, prn,
                                 window_start_ms)

@@ -39,7 +39,7 @@ from .navdata import (
     PRN_BITS,
     WN_BITS,
     build_nav_data,
-    build_subframe,
+    build_subframes,
     parse_nav_data,
     subframe_nav_data,
 )
@@ -162,24 +162,28 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
         replace(root_msg, signature=sign_root(root_msg.body, private_key)))
 
     subframes: dict = {prn: [] for prn in sat_states}
-    nav_blobs: dict = {}
+    prev_blobs: dict = {}        # round j - 1's nav blobs, which j's tags cover
     for j in range(n_subframes):
         gst_j = gst0.add_seconds(SUBFRAME_SECONDS * j)
+        blobs = {}
+        specs = []
         for prn, sat in sat_states.items():
-            blob = build_nav_data(gst_j.wn, gst_j.tow, prn, sat.position,
-                                  clock_bias_m[prn], iono_a0[prn])
-            nav_blobs[(j, prn)] = blob
+            blob = blobs[prn] = build_nav_data(
+                gst_j.wn, gst_j.tow, prn, sat.position, clock_bias_m[prn],
+                iono_a0[prn])
             if j == 0:
                 tags = []
             else:
                 key = chain.key_at(j + 2)          # disclosed in subframe j+1
                 tags = generate_subframe_tags(
-                    nav_blobs[(j - 1, prn)], key, prn_d=prn, prn_a=prn,
+                    prev_blobs[prn], key, prn_d=prn, prn_a=prn,
                     gst_sf=gst_j, seg_count=seg_count)
             mack_blob = pack_mack(tags, chain.key_at(j + 1).bits)
-            subframes[prn].append(
-                build_subframe(gst_j, prn, blob,
-                               hk_blocks[j % len(hk_blocks)], mack_blob))
+            specs.append((gst_j, prn, blob, hk_blocks[j % len(hk_blocks)],
+                          mack_blob))
+        for sf in build_subframes(specs):          # one sealing per round
+            subframes[sf.prn].append(sf)
+        prev_blobs = blobs
 
     return ConstellationBundle(
         subframes=MappingProxyType(

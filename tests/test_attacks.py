@@ -1,5 +1,6 @@
 import pytest
 
+import osnmasim.pages
 from osnmasim.attacks import (
     CrTiming,
     InsufficientAuxError,
@@ -177,6 +178,24 @@ def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
                     forge_tags=forge_tags, iono_a0=iono_a0)
     for aux in wide_bundle.subframes.values():
         assert tsf_forge_subframes(aux, cfg) == _two_pass_forgery(aux, cfg)
+
+
+@pytest.mark.parametrize("forge_tags", [True, False])
+def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
+                                               forge_tags):
+    """The rewritten subframes of one satellite are sealed in one kernel
+    call: all but the last (with tags) or the last two (without)."""
+    calls = []
+    kernel = osnmasim.pages._crc_columns
+
+    def counting(joined, lanes):
+        calls.append(len(joined) // osnmasim.pages.PAGE_BYTES)
+        return kernel(joined, lanes)
+
+    monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
+    aux = wide_bundle.subframes[1]
+    tsf_forge_subframes(aux, _target_cfg(forge_tags=forge_tags))
+    assert calls == [15 * (len(aux) - (1 if forge_tags else 2))]
 
 
 # -- concatenating replay --------------------------------------------------------

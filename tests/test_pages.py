@@ -535,3 +535,145 @@ def test_crc_field_position_nonaligned():
     # CRC field crosses byte boundaries: spot-check the extraction offsets
     raw = seal_page(PageContent(even_data=1, odd_data=2, hkroot=3, mack=4))
     assert ref_getbitu(raw, *CRC) == decode_page(raw).crc
+
+
+# -- the column-wise CRC kernel: many pages in one call -----------------------
+
+
+def region_crc(raw):
+    """The definitional CRC: crc24q over even bits 0..113 then odd bits
+    120..201, packed MSB first."""
+    value = int.from_bytes(raw, "big")
+    region = value >> 126 << 82 | value >> 38 & (1 << 82) - 1    # 196 bits
+    return crc24q((region << 4).to_bytes(25, "big"), 196)
+
+
+def ref_check(raw):
+    """Flags 00 and 10 at bits 0..1 and 120..121, and the carried CRC equal
+    to the definitional one."""
+    return (ref_getbitu(raw, 0, 2) == 0b00 and ref_getbitu(raw, 120, 2) == 0b10
+            and ref_getbitu(raw, *CRC) == region_crc(raw))
+
+
+def _batch(size, seed, sealed_frac=0.5):
+    """size random pages; about half get good flags, and about sealed_frac
+    of them the definitional CRC over whatever flags they have."""
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(size):
+        buf = bytearray(rng.randbytes(PAGE_BYTES))
+        if rng.random() < 0.5:
+            ref_setbitu(buf, 0, 2, 0b00)
+            ref_setbitu(buf, 120, 2, 0b10)
+        if rng.random() < sealed_frac:
+            ref_setbitu(buf, *CRC, region_crc(buf))
+        batch.append(bytes(buf))
+    return batch
+
+
+BATCH_SIZES = [0, 1, 15, 16, 120, 1001]
+
+
+@given(st.sampled_from(BATCH_SIZES), st.integers(0, 1 << 32))
+def test_sealed_batch_carries_the_definitional_crc(size, seed):
+    """Sealing a batch writes each page's definitional CRC into its CRC
+    field and changes no other bit."""
+    batch = _batch(size, seed, sealed_frac=0.0)
+    sealed = pages.seal_raws(batch)
+    assert len(sealed) == size
+    for raw, out in zip(batch, sealed):
+        want = bytearray(raw)
+        ref_setbitu(want, *CRC, region_crc(raw))
+        assert type(out) is bytes and out == want
+
+
+@given(st.sampled_from(BATCH_SIZES), st.integers(0, 1 << 32))
+def test_batch_check_matches_the_per_page_reference(size, seed):
+    batch = _batch(size, seed)
+    assert pages.check_raws(batch) == [ref_check(raw) for raw in batch]
+
+
+FIELDS = {"flags": [0, 1, 120, 121], "even_data": range(2, 114),
+          "tail": range(114, 120), "odd_data": range(122, 138),
+          "hkroot": range(138, 146), "mack": range(146, 178),
+          "reserved": range(178, 202), "crc": range(202, 226),
+          "fill": range(226, 240)}
+
+
+@given(page_contents, st.fixed_dictionaries(
+    {name: st.sampled_from(bits) for name, bits in FIELDS.items()}))
+def test_batch_check_of_one_flip_in_every_field(page, bits):
+    """One batch holds a sealed page with one bit flipped in each field:
+    the tail and fill flips still pass, every other flip fails."""
+    raw = seal_page(page)
+    flipped = [flip_page_bit(raw, bit) for bit in bits.values()]
+    got = dict(zip(bits, pages.check_raws([raw] + flipped)[1:]))
+    assert got == {name: name in ("tail", "fill") for name in FIELDS}
+    assert pages.check_raws([raw]) == [True]
+
+
+@pytest.mark.parametrize("lengths", [[29], [31], [30, 29], [29, 31], [31, 30, 30]])
+def test_batch_with_a_page_of_the_wrong_length_raises(lengths):
+    batch = [PAGE_INTACT_A[:n] if n <= PAGE_BYTES else PAGE_INTACT_A + b"\0"
+             for n in lengths]
+    for kernel_call in (pages.check_raws, pages.seal_raws, pages.check_unseen):
+        with pytest.raises(LengthError):
+            kernel_call(batch)
+
+
+def test_unseen_batch_crossing_the_cap_keeps_every_result(monkeypatch):
+    """With the memo near its cap, a batch that would cross it leaves at
+    most cap entries, and every page, kept or not, gets its own result."""
+    monkeypatch.setattr(pages, "_CHECKS_MAX", 4)
+    monkeypatch.setattr(pages, "_checks", {})
+    raws = [flip_page_bit(PAGE_INTACT_A, bit) for bit in (2, 115, 230)]
+    pages.check_unseen(raws)
+    assert pages._checks == {raw: ref_check(raw) for raw in raws}
+    batch = [flip_page_bit(PAGE_INTACT_C, bit) for bit in range(110, 120)] \
+        + [PAGE_INTACT_A]
+    pages.check_unseen(batch + batch)
+    assert 1 <= len(pages._checks) <= 4
+    for raw, ok in pages._checks.items():
+        assert ok == ref_check(raw)
+    for raw in raws + batch:
+        assert _assembled(raw) == (raw if ref_check(raw) else None)
+        assert len(pages._checks) <= 4
+
+
+def test_unseen_pages_are_checked_once_in_one_call(monkeypatch):
+    """Bytes already in the memo and repeats within the batch are not
+    checked again; the rest go through one kernel call."""
+    calls = []
+    kernel = pages._crc_columns
+
+    def counting(joined, lanes):
+        calls.append(len(joined) // PAGE_BYTES)
+        return kernel(joined, lanes)
+
+    monkeypatch.setattr(pages, "_crc_columns", counting)
+    monkeypatch.setattr(pages, "_checks", {PAGE_INTACT_A: True})
+    broken = flip_page_bit(PAGE_INTACT_C, 7)
+    pages.check_unseen([PAGE_INTACT_A, PAGE_INTACT_C, broken, PAGE_INTACT_C])
+    assert calls == [2]
+    assert pages._checks == {PAGE_INTACT_A: True, PAGE_INTACT_C: True,
+                             broken: False}
+    pages.check_unseen([broken, PAGE_INTACT_A])
+    assert calls == [2]
+
+
+def test_subframe_pages_are_checked_in_one_call(monkeypatch):
+    calls = []
+    check = pages.check_raws
+
+    def counting(raws):
+        calls.append(list(raws))
+        return check(raws)
+
+    monkeypatch.setattr(pages, "check_raws", counting)
+    raws = [_page_raw(i) for i in range(SLOTS_PER_SUBFRAME)]
+    raws[3], raws[8] = None, flip_page_bit(raws[8], 40)
+    sf = Subframe(gst=GST0, prn=5, raws=tuple(raws))
+    decoded = sf.pages
+    assert len(calls) == 1 and len(calls[0]) == SLOTS_PER_SUBFRAME - 1
+    assert decoded == tuple(None if raw is None else ref_decode_page(raw)
+                            for raw in raws)

@@ -582,6 +582,36 @@ def test_memory_per_subframe_is_bounded():
     assert growth <= 3500, growth
 
 
+def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
+    """On an 8x128 baseline, generation seals each round's pages, all
+    satellites together, in exactly one kernel call, and the receiver checks
+    each round's new pages in at most one; no page takes the one-page path
+    (decode_page, seal_page, reseal_raw)."""
+    calls = []
+    kernel = osnmasim.pages._crc_columns
+
+    def counting(joined, lanes):
+        calls.append(len(joined) // osnmasim.pages.PAGE_BYTES)
+        return kernel(joined, lanes)
+
+    def one_page(*args):
+        raise AssertionError("a lone page went through the kernel")
+
+    monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
+    for name in ("decode_page", "seal_page", "reseal_raw"):
+        monkeypatch.setattr(osnmasim.pages, name, one_page)
+    _clear_memos()
+    osnmasim.scenario._constellation.cache_clear()
+    sc = _scenario({"type": "none"}, subframes=128)
+    osnmasim.scenario._constellation(sc.seed, sc.n_sats, sc.n_subframes,
+                                     sc.gst0, sc.site, sc.seg_count)
+    assert calls == [8 * 15] * 128
+    calls.clear()
+    report = run_scenario(sc)
+    assert report["receiver"]["rounds"] == 128
+    assert 1 <= len(calls) <= 128 and min(calls) > 1
+
+
 def test_fix_memo_is_bounded():
     assert osnmasim.scenario._fix.cache_info().maxsize is not None
 

@@ -61,22 +61,23 @@ def test_spaced_hex_schema_error(small_bundle, tmp_path):
 
 def test_each_page_is_decoded_once(small_bundle, tmp_path, monkeypatch):
     """Loading a file and grouping it into subframes checks each row's page
-    once, in load's validation."""
+    once, in load's validation, all rows in one batch."""
     path = tmp_path / "vectors.csv"
     small_bundle.vectors.save(path)
     calls = []
 
-    def counted(raw):
-        calls.append(raw)
-        return decode_page(raw)
+    def counted(raws):
+        calls.append(list(raws))
+        return check_raws(raws)
 
-    decode_page = osnmasim.vectors.decode_page
-    monkeypatch.setattr(osnmasim.vectors, "decode_page", counted)
+    check_raws = osnmasim.vectors.check_raws
+    monkeypatch.setattr(osnmasim.vectors, "check_raws", counted)
     loaded = TestVectorSet.load(path)
     subframes = loaded.subframes()
-    assert len(calls) == len(loaded.rows) \
+    assert len(calls) == 1
+    assert len(calls[0]) == len(loaded.rows) \
         == 15 * sum(map(len, subframes.values()))
-    assert sorted(calls) == sorted(bytes.fromhex(r[4]) for r in loaded.rows)
+    assert calls[0] == [bytes.fromhex(r[4]) for r in loaded.rows]
 
 
 def test_corrupted_page_crc_error(small_bundle, tmp_path):
