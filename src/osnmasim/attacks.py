@@ -47,7 +47,6 @@ class CrTiming:
 
 @dataclass(frozen=True)
 class TsfConfig:
-    target_ecef_m: tuple
     seg_count: int = 6
     forge_tags: bool = True
     iono_a0: int = 0

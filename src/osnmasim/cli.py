@@ -4,7 +4,7 @@ Subcommands:
     gen-constellation   write a synthetic vector set + chain description
     gen-chain           write a chain description only
     vectors validate    schema- and CRC-check a vector CSV
-    forge tsf           forge a vector set towards a target position
+    forge tsf           rewrite a vector set's corrections and re-tag it
     run                 execute scenario files, write JSON reports
     report diff         compare two reports
 
@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .attacks import TsfConfig, tsf_forge_subframes
 from .gst import Gst
-from .positioning import LAT_RANGE, LON_RANGE, geodetic_to_ecef
 from .scenario import (
     DEFAULT_GST0,
     Scenario,
@@ -67,14 +66,9 @@ def _cmd_vectors_validate(args) -> int:
 
 
 def _cmd_forge_tsf(args) -> int:
-    for flag, value, (low, high) in (("--lat", args.lat, LAT_RANGE),
-                                     ("--lon", args.lon, LON_RANGE)):
-        if not low <= value <= high:
-            raise ValueError(f"{flag} {value} is outside {low}..{high}")
     vectors = TestVectorSet.load(args.vectors)
-    target = geodetic_to_ecef(args.lat, args.lon, args.height)
-    cfg = TsfConfig(target_ecef_m=target, seg_count=args.segments,
-                    forge_tags=not args.no_tags, iono_a0=args.iono_a0)
+    cfg = TsfConfig(seg_count=args.segments, forge_tags=not args.no_tags,
+                    iono_a0=args.iono_a0)
     forged = {prn: tsf_forge_subframes(sfs, cfg)
               for prn, sfs in vectors.subframes().items()}
     TestVectorSet.from_subframes(forged).save(args.out)
@@ -156,11 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forge", help="attack-side forging tools")
     fsub = p.add_subparsers(dest="forge_command", required=True)
-    f = fsub.add_parser("tsf", help="forge vectors towards a target position")
+    f = fsub.add_parser("tsf", help="rewrite corrections and re-tag vectors")
     f.add_argument("--vectors", required=True)
-    f.add_argument("--lat", type=float, default=4.0)
-    f.add_argument("--lon", type=float, default=50.0)
-    f.add_argument("--height", type=float, default=100.0)
     f.add_argument("--segments", type=int, default=6)
     f.add_argument("--iono-a0", type=int, default=0)
     f.add_argument("--no-tags", action="store_true",

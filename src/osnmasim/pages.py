@@ -34,14 +34,13 @@ The page CRC has one implementation, the column-wise kernel
 costs a fixed amount plus a little per page, so pages are batched where
 they form: a generated round seals every satellite's pages in one call, a
 forgery seals one satellite's rewritten subframes in one call, a receiver
-round checks every byte string it has not seen before in one call, and a
+round checks the slot owners' pages of every satellite in one call, and a
 vector file is checked in one call.  A lone page -- decode_page,
 seal_page, reseal_raw -- goes through the same kernel and pays its fixed
 cost.
 
-Round assembly checks each distinct 30-byte page once per process: a replay
-retransmits authentic bytes bit for bit, and the check is a pure function
-of those bytes.
+Each received page is checked once per reception, in its round's one call;
+no check result is kept from one round, or one scenario, to the next.
 """
 
 from __future__ import annotations
@@ -308,44 +307,6 @@ def _content(raw: bytes) -> PageContent:
                        value & 0x3FFF)
 
 
-# 30 transmitted bytes -> whether they pass decode_page's checks; emptied
-# whenever it reaches _CHECKS_MAX entries
-_checks: dict = {}
-_CHECKS_MAX = 1 << 15
-
-
-def _decoded(raw: bytes) -> bool:
-    """Whether raw passes decode_page's flag and CRC checks, computed once
-    per distinct 30 bytes while the memo ``_checks`` holds them.
-
-    The key is the transmitted bytes alone, never where they came from:
-    bytes that differ in any bit miss and go through the full checks, and
-    bytes seen before get the result they got then.
-    """
-    ok = _checks.get(raw)
-    if ok is None:
-        if len(_checks) >= _CHECKS_MAX:
-            _checks.clear()
-        ok = _checks[raw] = decode_page(raw) is not None
-    return ok
-
-
-def check_unseen(raws) -> None:
-    """Check the distinct bytes among raws that ``_checks`` does not hold
-    in one kernel call, and store their results there.
-
-    The memo is emptied first when the batch would take it past
-    _CHECKS_MAX, and keeps at most that many of the batch's results; a
-    page whose result it does not keep is checked again when asked for.
-    """
-    unseen = [raw for raw in dict.fromkeys(raws) if raw not in _checks]
-    if unseen:
-        if len(_checks) + len(unseen) > _CHECKS_MAX:
-            _checks.clear()
-        unseen = unseen[:_CHECKS_MAX]
-        _checks.update(zip(unseen, check_raws(unseen)))
-
-
 class Source(Enum):
     AUTHENTIC = "authentic"
     ADVERSARY = "adversary"
@@ -426,22 +387,16 @@ class Subframe:
                 mack.to_bytes(4 * SLOTS_PER_SUBFRAME, "big"))
 
 
-def assemble_round(events, gst: Gst, prn: int,
-                   window_start_ms: int | None = None) -> Subframe:
-    """Assemble one 30-second round of page events into a subframe.
+def _owned(events, prn: int, w0: int) -> list:
+    """The bytes of each slot's owner among prn's events, None for a slot
+    no source owns.
 
-    Slot j covers [start + 2000*j, start + 2000*(j+1)) ms.  A source owns a
-    slot only with a single event aligned to the slot start (a full 2 s of
+    Slot j covers [w0 + 2000*j, w0 + 2000*(j+1)) ms.  A source owns a slot
+    only with a single event aligned to the slot start (a full 2 s of
     coverage); when streams overlap, an adversary page that fully covers the
     slot captures it, any partial overlap destroys the slot.  Empty slots
     are destroyed.
-
-    Each slot owner's page is checked through the process-wide memo
-    ``_checks``: bytes equal bit for bit to bytes received before, in this
-    round or any earlier one, get the same result without a second check;
-    any other bytes are checked in full.  A slot keeps the bytes that pass.
     """
-    w0 = gst.total_millis() if window_start_ms is None else window_start_ms
     # (adversary, authentic) events overlapping each slot; an event starting
     # inside slot k covers slot k, and slot k + 1 unless it starts on the grid
     covering = [([], []) for _ in range(SLOTS_PER_SUBFRAME)]
@@ -452,13 +407,38 @@ def assemble_round(events, gst: Gst, prn: int,
         for j in (k, k + 1) if offset else (k,):
             if 0 <= j < SLOTS_PER_SUBFRAME:
                 covering[j][e.source is Source.AUTHENTIC].append(e)
-    slots = []
+    owned = []
     for j, (adv, auth) in enumerate(covering):
         owners = adv or auth
-        raw = None
-        if len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j \
-                and _decoded(owners[0].raw):
-            raw = owners[0].raw
-        slots.append(raw)
-    return Subframe(gst=gst, prn=prn, raws=tuple(slots))
+        single = len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j
+        owned.append(owners[0].raw if single else None)
+    return owned
 
+
+def assemble_rounds(events_by_prn: dict, gst: Gst, prns,
+                    window_start_ms: int) -> dict:
+    """Assemble one 30-second round of page events into a subframe for
+    each of prns, in their order; a PRN with no events gets a destroyed
+    round.
+
+    Slots are owned by _owned's capture and overlap rules, and the owned
+    pages of every PRN are then checked in one check_raws call: each
+    received page is checked once per reception.  A slot keeps the bytes
+    that pass.
+    """
+    owned = {prn: _owned(events_by_prn.get(prn, ()), prn, window_start_ms)
+             for prn in prns}
+    oks = iter(check_raws([raw for raws in owned.values()
+                           for raw in raws if raw is not None]))
+    return {prn: Subframe(gst=gst, prn=prn, raws=tuple(
+                raw if raw is not None and next(oks) else None for raw in raws))
+            for prn, raws in owned.items()}
+
+
+def assemble_round(events, gst: Gst, prn: int,
+                   window_start_ms: int | None = None) -> Subframe:
+    """assemble_rounds for the one satellite prn, whose page events may
+    come mixed with other satellites'; the window starts at gst unless
+    window_start_ms says otherwise."""
+    w0 = gst.total_millis() if window_start_ms is None else window_start_ms
+    return assemble_rounds({prn: events}, gst, (prn,), w0)[prn]

@@ -24,7 +24,7 @@ from .gst import (
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
 from .navdata import subframe_nav_data
-from .pages import SUBFRAME_MS, Subframe, assemble_round, check_unseen
+from .pages import SUBFRAME_MS, Subframe, assemble_rounds
 from .tesla import (
     AlignmentError,
     DsmAccumulator,
@@ -119,26 +119,22 @@ class Receiver:
         events_by_prn maps each PRN to the page events it sent this round; a
         pending satellite that sends nothing still gets a destroyed round.
         Navigation data is parsed whatever the authentication status; only
-        the OSNMA pipeline is gated on a successful TS startup.  The pages
-        of every satellite not checked before are checked in one kernel
-        call before the rounds are assembled.
+        the OSNMA pipeline is gated on a successful TS startup.  The rounds
+        are assembled together, every satellite's pages checked in one call.
         """
         gst = self._round_gst()
-        result = RoundResult()
         osnma_active = self.status not in (Status.COLD_START, Status.TS_FAILED)
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
+        prns = sorted(self.pending.keys() | events_by_prn.keys())
+        result = RoundResult(
+            assemble_rounds(events_by_prn, gst, prns, window_start_ms))
+        if not osnma_active:
+            return result
 
         trusted_before = self.trusted_key
         advanced: TeslaKey | None = None
-        check_unseen([e.raw for events in events_by_prn.values()
-                      for e in events])
-        for prn in sorted(self.pending.keys() | events_by_prn.keys()):
-            sf = assemble_round(events_by_prn.get(prn, ()), gst, prn,
-                                window_start_ms)
-            result.subframes[prn] = sf
-            if not osnma_active:
-                continue
+        for sf in result.subframes.values():
             verdict, verified = self._process_subframe(sf, trusted_before)
             if verdict is not None:
                 result.verdicts.append(verdict)

@@ -328,9 +328,8 @@ def _tsr_recorded(a, sc, bundle, lrt):
 
 def _tsf(a, sc, bundle, lrt):                       # replays forged subframes
     target = geodetic_to_ecef(*a["target"].values())
-    cfg = attacks.TsfConfig(target_ecef_m=target, seg_count=sc.seg_count,
-                            forge_tags=a["forge_tags"], iono_a0=a["iono_a0"],
-                            clock_bias_m=a["clock_bias_m"])
+    cfg = attacks.TsfConfig(seg_count=sc.seg_count, forge_tags=a["forge_tags"],
+                            iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
     forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
               for prn, sfs in bundle.subframes.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]

@@ -20,7 +20,6 @@ from osnmasim.pages import (
     Source,
     assemble_round,
 )
-from osnmasim.positioning import geodetic_to_ecef
 from osnmasim.tesla import NMA_HEADER, TeslaKey
 
 GST0 = Gst(1251, 277200)
@@ -79,22 +78,21 @@ def test_mitm_composition_is_additive():
 # -- forgery -------------------------------------------------------------------
 
 
-def _target_cfg(**kw):
-    return TsfConfig(target_ecef_m=geodetic_to_ecef(4.0, 50.0, 100.0),
-                     iono_a0=5, **kw)
+def _tsf_cfg(**kw):
+    return TsfConfig(iono_a0=5, **kw)
 
 
 def test_tsf_needs_three_subframes(wide_bundle):
     aux = wide_bundle.vectors.subframes()[1][:2]
     with pytest.raises(InsufficientAuxError):
-        tsf_forge_subframes(aux, _target_cfg())
+        tsf_forge_subframes(aux, _tsf_cfg())
 
 
 def test_tsf_output_invariants(wide_bundle):
     """Forged subframes keep the chain key bits and page validity: every
     page reseals CRC-consistent and the MACK key field is untouched."""
     aux = wide_bundle.vectors.subframes()[2]
-    forged = tsf_forge_subframes(aux, _target_cfg())
+    forged = tsf_forge_subframes(aux, _tsf_cfg())
     assert len(forged) == len(aux)
     for before, after in zip(aux, forged):
         assert after.complete
@@ -108,7 +106,7 @@ def test_tsf_output_invariants(wide_bundle):
 
 def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
     aux = wide_bundle.vectors.subframes()[3]
-    forged = tsf_forge_subframes(aux, _target_cfg())
+    forged = tsf_forge_subframes(aux, _tsf_cfg())
     for before, after in zip(aux[:-2], forged[:-2]):
         nav_b = parse_nav_data(subframe_nav_data(before))
         nav_a = parse_nav_data(subframe_nav_data(after))
@@ -120,7 +118,7 @@ def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
 
 def test_tsf_nav_only_keeps_tags(wide_bundle):
     aux = wide_bundle.vectors.subframes()[4]
-    forged = tsf_forge_subframes(aux, _target_cfg(forge_tags=False))
+    forged = tsf_forge_subframes(aux, _tsf_cfg(forge_tags=False))
     for before, after in zip(aux, forged):
         tags_b, _ = unpack_mack(before.osnma[1], 6)
         tags_a, _ = unpack_mack(after.osnma[1], 6)
@@ -130,7 +128,7 @@ def test_tsf_nav_only_keeps_tags(wide_bundle):
 
 def test_tsf_last_two_subframes_untouched(wide_bundle):
     aux = wide_bundle.vectors.subframes()[5]
-    forged = tsf_forge_subframes(aux, _target_cfg())
+    forged = tsf_forge_subframes(aux, _tsf_cfg())
     # nav data of the final two subframes is never rewritten
     for before, after in zip(aux[-2:], forged[-2:]):
         assert subframe_nav_data(before) == subframe_nav_data(after)
@@ -174,8 +172,7 @@ def _two_pass_forgery(aux, cfg):
 def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
     """One build per forged subframe gives the subframes the window-by-window
     rebuild gives, on every satellite."""
-    cfg = TsfConfig(target_ecef_m=geodetic_to_ecef(4.0, 50.0, 100.0),
-                    forge_tags=forge_tags, iono_a0=iono_a0)
+    cfg = TsfConfig(forge_tags=forge_tags, iono_a0=iono_a0)
     for aux in wide_bundle.subframes.values():
         assert tsf_forge_subframes(aux, cfg) == _two_pass_forgery(aux, cfg)
 
@@ -194,7 +191,7 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
 
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
     aux = wide_bundle.subframes[1]
-    tsf_forge_subframes(aux, _target_cfg(forge_tags=forge_tags))
+    tsf_forge_subframes(aux, _tsf_cfg(forge_tags=forge_tags))
     assert calls == [15 * (len(aux) - (1 if forge_tags else 2))]
 
 

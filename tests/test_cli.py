@@ -248,7 +248,7 @@ def test_vectors_validate_bad_mapping_is_invalid(tmp_path, capsys, mapping,
 
 
 # sha256 of the outputs of `gen-constellation --seed 3 --sats 4
-# --subframes 6` and of `forge tsf` (default target) on its vector set
+# --subframes 6` and of `forge tsf` (default options) on its vector set
 GEN_FORGE_DIGESTS = {
     "vectors.csv": "928649d13965171ed31d9eb6b9098c57bcf7762a7034eac3d60934c5991b9840",
     "chain.json": "521de5361a4eb47e7b28c80f66757489fd873071e4a211564fcd4fcb7b7e2bac",
@@ -271,17 +271,13 @@ def test_generated_and_forged_files_keep_their_bytes(tmp_path):
             digest, name
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--lat", "-120"), ("--lat", "90.5"), ("--lat", "nan"),
-    ("--lon", "400"), ("--lon", "-180.5")])
-def test_forge_tsf_rejects_out_of_range_target(tmp_path, capsys, flag, value):
-    out = tmp_path / "con"
-    main(["gen-constellation", "--seed", "3", "--sats", "4",
-          "--subframes", "3", "--out-dir", str(out)])
-    capsys.readouterr()
+def test_forge_tsf_takes_no_target(tmp_path, capsys):
+    """The forgery rewrites corrections, not positions: a target flag is
+    an unknown argument."""
     forged = tmp_path / "forged.csv"
-    assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
-                 flag, value, "--out", str(forged)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["forge", "tsf", "--vectors", str(tmp_path / "vectors.csv"),
+              "--lat", "4", "--out", str(forged)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --lat 4" in capsys.readouterr().err
     assert not forged.exists()

@@ -303,39 +303,6 @@ def test_decode_memo_decodes_a_resealed_forgery_to_its_own_fields():
     assert page.crc != authentic.crc
 
 
-def test_decode_memo_keys_on_bytes_alone(monkeypatch):
-    """Equal bytes are decoded once whatever their source; other bytes,
-    even a destroyed copy, are decoded in full."""
-    calls = []
-    decode = pages.decode_page
-
-    def counting(raw):
-        calls.append(raw)
-        return decode(raw)
-
-    monkeypatch.setattr(pages, "decode_page", counting)
-    pages._checks.clear()
-    broken = flip_page_bit(PAGE_INTACT_A, 5)
-    for raw in (PAGE_INTACT_A, PAGE_INTACT_A, broken, broken):
-        for source in Source:
-            _assembled(raw, source)
-    assert calls == [PAGE_INTACT_A, broken]
-    assert _assembled(broken) is None
-
-
-def test_decode_memo_is_bounded(monkeypatch):
-    """The memo holds at most _CHECKS_MAX pages and starts afresh when full;
-    every page still gets its own result."""
-    assert pages._CHECKS_MAX == 1 << 15
-    monkeypatch.setattr(pages, "_CHECKS_MAX", 4)
-    monkeypatch.setattr(pages, "_checks", {})
-    raws = [flip_page_bit(PAGE_INTACT_A, bit) for bit in range(2, 12)]
-    for raw in raws + [PAGE_INTACT_A]:
-        assert _assembled(raw) == (raw if decode_page(raw) else None)
-        assert 1 <= len(pages._checks) <= 4
-    assert PAGE_INTACT_A in pages._checks
-
-
 @given(page_contents, st.integers(0, (1 << 24) - 1))
 def test_encode_page_matches_reference(page, crc):
     page = page._replace(crc=crc)
@@ -409,6 +376,51 @@ def event_streams(draw):
 def test_assemble_round_matches_reference(events, prn):
     assert assemble_round(events, GST0, prn, _T0) == \
         ref_assemble_round(events, GST0, prn, _T0)
+
+
+@st.composite
+def rounds_by_prn(draw):
+    """Two to eight PRNs in some order, and for each but possibly one an
+    event stream like event_streams's: missing, flipped, off-grid and
+    adversary pages, plus a few events filed under the wrong PRN."""
+    prns = draw(st.lists(st.integers(1, 36), min_size=2, max_size=8,
+                         unique=True))
+    by_prn = {}
+    for prn in prns[draw(st.integers(0, 1)):]:
+        events = _events(indices=draw(st.sets(st.integers(0, 14))))
+        events += draw(st.lists(page_events, max_size=8))
+        by_prn[prn] = [e._replace(prn=prn) if e.prn == 5 else e
+                       for e in events]
+    return prns, by_prn
+
+
+@given(rounds_by_prn())
+def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
+    """The owned pages of every PRN share one check_raws batch, and each
+    result lands on its own slot: every PRN's subframe is the one assembled
+    for it alone, and every kept slot passes the reference check."""
+    prns, by_prn = prns_and_events
+    got = pages.assemble_rounds(by_prn, GST0, prns, _T0)
+    assert list(got) == prns
+    for prn, sf in got.items():
+        assert sf == assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
+        assert sf == ref_assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
+        assert all(ref_check(raw) for raw in sf.raws if raw is not None)
+
+
+def test_standalone_round_is_checked_in_one_call(monkeypatch):
+    """A round of 15 pages never assembled before costs one kernel call."""
+    events = _events(indices=range(15))
+    calls = []
+    kernel = pages._crc_columns
+
+    def counting(joined, lanes):
+        calls.append(len(joined) // PAGE_BYTES)
+        return kernel(joined, lanes)
+
+    monkeypatch.setattr(pages, "_crc_columns", counting)
+    assert assemble_round(events, GST0, prn=5).complete
+    assert calls == [SLOTS_PER_SUBFRAME]
 
 
 @given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES))
@@ -616,49 +628,9 @@ def test_batch_check_of_one_flip_in_every_field(page, bits):
 def test_batch_with_a_page_of_the_wrong_length_raises(lengths):
     batch = [PAGE_INTACT_A[:n] if n <= PAGE_BYTES else PAGE_INTACT_A + b"\0"
              for n in lengths]
-    for kernel_call in (pages.check_raws, pages.seal_raws, pages.check_unseen):
+    for kernel_call in (pages.check_raws, pages.seal_raws):
         with pytest.raises(LengthError):
             kernel_call(batch)
-
-
-def test_unseen_batch_crossing_the_cap_keeps_every_result(monkeypatch):
-    """With the memo near its cap, a batch that would cross it leaves at
-    most cap entries, and every page, kept or not, gets its own result."""
-    monkeypatch.setattr(pages, "_CHECKS_MAX", 4)
-    monkeypatch.setattr(pages, "_checks", {})
-    raws = [flip_page_bit(PAGE_INTACT_A, bit) for bit in (2, 115, 230)]
-    pages.check_unseen(raws)
-    assert pages._checks == {raw: ref_check(raw) for raw in raws}
-    batch = [flip_page_bit(PAGE_INTACT_C, bit) for bit in range(110, 120)] \
-        + [PAGE_INTACT_A]
-    pages.check_unseen(batch + batch)
-    assert 1 <= len(pages._checks) <= 4
-    for raw, ok in pages._checks.items():
-        assert ok == ref_check(raw)
-    for raw in raws + batch:
-        assert _assembled(raw) == (raw if ref_check(raw) else None)
-        assert len(pages._checks) <= 4
-
-
-def test_unseen_pages_are_checked_once_in_one_call(monkeypatch):
-    """Bytes already in the memo and repeats within the batch are not
-    checked again; the rest go through one kernel call."""
-    calls = []
-    kernel = pages._crc_columns
-
-    def counting(joined, lanes):
-        calls.append(len(joined) // PAGE_BYTES)
-        return kernel(joined, lanes)
-
-    monkeypatch.setattr(pages, "_crc_columns", counting)
-    monkeypatch.setattr(pages, "_checks", {PAGE_INTACT_A: True})
-    broken = flip_page_bit(PAGE_INTACT_C, 7)
-    pages.check_unseen([PAGE_INTACT_A, PAGE_INTACT_C, broken, PAGE_INTACT_C])
-    assert calls == [2]
-    assert pages._checks == {PAGE_INTACT_A: True, PAGE_INTACT_C: True,
-                             broken: False}
-    pages.check_unseen([broken, PAGE_INTACT_A])
-    assert calls == [2]
 
 
 def test_subframe_pages_are_checked_in_one_call(monkeypatch):

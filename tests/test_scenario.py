@@ -474,7 +474,6 @@ def test_shipped_reports_are_byte_identical():
 
 
 def _clear_memos():
-    osnmasim.pages._checks.clear()
     osnmasim.scenario._fix.cache_clear()
 
 
@@ -502,20 +501,20 @@ def test_each_distinct_fix_is_solved_once(monkeypatch):
 
 def test_each_event_is_assembled_once_per_round(monkeypatch):
     """A round's events come split by PRN: the events handed to
-    assemble_round over a round add up to the round's event count."""
+    assemble_rounds for a round's PRNs add up to the round's event count."""
     rounds = []
-    assemble = osnmasim.receiver.assemble_round
+    assemble = osnmasim.receiver.assemble_rounds
     ingest = osnmasim.receiver.Receiver.ingest_round
 
-    def counting(events, *args):
-        rounds[-1][1] += len(events)
-        return assemble(events, *args)
+    def counting(events_by_prn, gst, prns, *args):
+        rounds[-1][1] += sum(len(events_by_prn.get(prn, ())) for prn in prns)
+        return assemble(events_by_prn, gst, prns, *args)
 
     def recording(self, events_by_prn, window_start_ms):
         rounds.append([sum(map(len, events_by_prn.values())), 0])
         return ingest(self, events_by_prn, window_start_ms)
 
-    monkeypatch.setattr(osnmasim.receiver, "assemble_round", counting)
+    monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", counting)
     monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         text = report_to_json(run_scenario(Scenario.load(path)))
@@ -532,18 +531,19 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     joins = {}
     received = []
     join = Subframe.join_nav_data
-    assemble = osnmasim.receiver.assemble_round
+    assemble = osnmasim.receiver.assemble_rounds
 
     def counting(sf):
         joins[id(sf)] = joins.get(id(sf), 0) + 1
         return join(sf)
 
     def recording(*args):
-        received.append(assemble(*args))
-        return received[-1]
+        subframes = assemble(*args)
+        received.extend(subframes.values())
+        return subframes
 
     monkeypatch.setattr(Subframe, "join_nav_data", counting)
-    monkeypatch.setattr(osnmasim.receiver, "assemble_round", recording)
+    monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", recording)
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)
     report = run_scenario(sc)
@@ -575,8 +575,8 @@ def _traced_peak(subframes: int) -> int:
 
 def test_memory_per_subframe_is_bounded():
     """Page events are made one round at a time, so a longer run holds
-    more of only what grows with it: sealed pages, checked pages, verdicts
-    and the report.  From 8x32 to 8x128 the traced peak grows by at most
+    more of only what grows with it: sealed pages, verdicts and the
+    report.  From 8x32 to 8x128 the traced peak grows by at most
     3.5 KB per added subframe (whole-run event lists took about 6.5 KB)."""
     growth = (_traced_peak(128) - _traced_peak(32)) / (8 * 96)
     assert growth <= 3500, growth
@@ -585,8 +585,8 @@ def test_memory_per_subframe_is_bounded():
 def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
     """On an 8x128 baseline, generation seals each round's pages, all
     satellites together, in exactly one kernel call, and the receiver checks
-    each round's new pages in at most one; no page takes the one-page path
-    (decode_page, seal_page, reseal_raw)."""
+    each round's pages, all satellites together, in exactly one; no page
+    takes the one-page path (decode_page, seal_page, reseal_raw)."""
     calls = []
     kernel = osnmasim.pages._crc_columns
 
@@ -609,7 +609,7 @@ def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
     calls.clear()
     report = run_scenario(sc)
     assert report["receiver"]["rounds"] == 128
-    assert 1 <= len(calls) <= 128 and min(calls) > 1
+    assert calls == [8 * 15] * 128
 
 
 def test_fix_memo_is_bounded():
