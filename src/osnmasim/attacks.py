@@ -159,8 +159,9 @@ def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple
     (g - shift) % 15 of subframe (g - shift) // 15.
 
     Returns the first window start and the function of r that gives round
-    r's events by PRN.  The windows start at the first page sent: the first
-    live page, or the first replayed one when the onset leaves no live page.
+    r's events by PRN.  The windows sit on the subframe grid: window 0
+    starts at the first subframe's GST, whether or not a live page is sent
+    before the takeover.
     """
     start = min(sfs[0].gst.total_millis() for sfs in subframes.values())
     onset = start + onset_round * SUBFRAME_MS + timing.replay_delay_ms
@@ -169,10 +170,9 @@ def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple
     shift = 0 if offset_in_round <= PAGE_MS else offset_in_round // PAGE_MS
     live_end = (onset - start) // PAGE_MS     # live slots below it survive
     first_slot = -((start - takeover) // PAGE_MS)
-    base = first_slot if live_end == 0 else 0    # first slot of window 0
 
     def round_events(r: int) -> dict:
-        lo = base + r * SLOTS_PER_SUBFRAME
+        lo = r * SLOTS_PER_SUBFRAME
         hi = lo + SLOTS_PER_SUBFRAME
         out = {}
         for prn, sfs in subframes.items():
@@ -187,4 +187,4 @@ def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple
                 out[prn] = events
         return out
 
-    return start + base * PAGE_MS, round_events
+    return start, round_events

@@ -14,7 +14,6 @@ import io
 import json
 import math
 import random
-from collections import ChainMap, deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
@@ -300,47 +299,46 @@ SCENARIO_KEYS = {
 
 # -- attacks ---------------------------------------------------------------
 #
-# A generator maps (values, scenario, bundle, lrt) to (stream, lrt, truth).
+# A generator maps (values, scenario, bundle) to (stream, lrt, observations).
 # The stream is (t0, round_events): the first window start in ms, and the
 # function of r that gives round r's page events by PRN, read straight from
-# the sealed subframes.  truth is (observed subframes, true position, clock
-# offset in s), or None for the authentic constellation seen from the site.
+# the sealed subframes.  lrt is the scenario's LRT source as the attack
+# leaves it, and observations are the ranges the receiver measures, keyed
+# by (gst seconds, prn).
 
 
-def _none(a, sc, bundle, lrt):
-    return attacks.shifted_stream(bundle.subframes), lrt, None
+def _none(a, sc, bundle):
+    return (attacks.shifted_stream(bundle.subframes), sc.lrt,
+            bundle.observations)
 
 
-def _tsr_realtime(a, sc, bundle, lrt):
-    return attacks.replay_realtime(bundle.subframes, a["delay_s"]), lrt, None
+def _tsr_realtime(a, sc, bundle):
+    return (attacks.replay_realtime(bundle.subframes, a["delay_s"]), sc.lrt,
+            bundle.observations)
 
 
-def _replay_recorded(subframes, staleness_s, mitm_delay_s, lrt):
-    """A replay of subframes delayed by staleness, behind an NTP MITM."""
-    return (attacks.replay_realtime(subframes, staleness_s),
-            attacks.ntp_mitm_delay(lrt, mitm_delay_s))
+def _tsr_recorded(a, sc, bundle):                  # behind an NTP MITM
+    return (attacks.replay_realtime(bundle.subframes, a["staleness_s"]),
+            attacks.ntp_mitm_delay(sc.lrt, a["mitm_delay_s"]),
+            bundle.observations)
 
 
-def _tsr_recorded(a, sc, bundle, lrt):
-    return (*_replay_recorded(bundle.subframes, a["staleness_s"],
-                              a["mitm_delay_s"], lrt), None)
-
-
-def _tsf(a, sc, bundle, lrt):                       # replays forged subframes
+def _tsf(a, sc, bundle):                           # replays forged subframes
     target = geodetic_to_ecef(*a["target"].values())
     cfg = attacks.TsfConfig(seg_count=sc.seg_count, forge_tags=a["forge_tags"],
                             iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
     forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
               for prn, sfs in bundle.subframes.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
-    return (*_replay_recorded(forged, a["staleness_s"], mitm, lrt),
-            (forged, target, float(a["clock_offset_s"])))
+    return (attacks.replay_realtime(forged, a["staleness_s"]),
+            attacks.ntp_mitm_delay(sc.lrt, mitm),
+            _observations(forged, target, float(a["clock_offset_s"])))
 
 
-def _cr(a, sc, bundle, lrt):
+def _cr(a, sc, bundle):
     timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
     return (attacks.cr_compose(bundle.subframes, timing, a["onset_round"]),
-            lrt, None)
+            sc.lrt, bundle.observations)
 
 
 # type: (declared keys, generator)
@@ -458,32 +456,20 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
 
 
 def _solver_inputs(subframes: dict, obs: dict) -> dict:
-    """What each complete subframe gives the solver, by (gst seconds, prn):
-    the broadcast satellite and its observed range corrected with the
-    broadcast biases."""
+    """What each complete subframe gives the solver, by PRN in order: the
+    broadcast satellite and its observed range corrected with the broadcast
+    biases."""
     inputs = {}
     for prn, sf in sorted(subframes.items()):
         if sf.complete:
-            key = (sf.gst.total_seconds(), prn)
             nav = parse_nav_data(subframe_nav_data(sf))
-            inputs[key] = (SatState(prn=prn, position=nav.sat_ecef_m),
-                           obs[key] - nav.range_bias_m)
+            inputs[prn] = (SatState(prn=prn, position=nav.sat_ecef_m),
+                           obs[(sf.gst.total_seconds(), prn)]
+                           - nav.range_bias_m)
     return inputs
 
 
-def _solve_from_inputs(inputs) -> dict:
-    """A fix report from solver inputs in PRN order.
-
-    The inputs key the process-wide memo ``_fix``: equal inputs, in this
-    scenario or an earlier one, are solved once.  Each call returns a fresh
-    report dict.
-    """
-    fix = _fix(tuple(inputs))
-    return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
-
-
-@lru_cache(maxsize=1 << 10)
-def _fix(inputs: tuple):
+def _solve(inputs: tuple):
     """The Fix from (satellite, corrected range) pairs, or why none."""
     if len(inputs) < 4:
         return "fewer than four usable satellites"
@@ -500,11 +486,11 @@ def run_scenario(sc: Scenario) -> dict:
     The most recent constellation is kept: consecutive scenarios with equal
     constellation inputs (seed, sizes, start GST, site, tag count) share one
     build and its observations.  Page events are made one round at a time,
-    as the receiver takes them."""
+    as the receiver takes them.  Equal solver inputs are solved once per
+    run; no solver result outlives the run."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
-    (t0, round_events), lrt, truth = sc.attack_events(sc, bundle, sc.lrt)
-    obs = _observations(*truth) if truth else bundle.observations
+    (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
 
     config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
                             seg_count=sc.seg_count,
@@ -512,26 +498,30 @@ def run_scenario(sc: Scenario) -> dict:
     receiver = Receiver(config, lrt)
     receiver.power_on(bundle.gst0, true_ms=t0)
 
+    fixes: dict = {}            # solver inputs -> Fix or why none, this run
+
+    def fix_report(inputs) -> dict:
+        key = tuple(inputs)
+        if key not in fixes:
+            fixes[key] = _solve(key)
+        fix = fixes[key]
+        return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
+
     raw_fixes = []
     auth_fixes = {}
-    # a verdict names the data subframe of its three-round window, so the
-    # solver inputs of the last three rounds are all a verdict can need
-    recent: deque = deque(maxlen=3)
+    back = ({}, {})             # solver inputs of rounds r - 2 and r - 1
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r), t0 + r * SUBFRAME_MS)
         inputs = _solver_inputs(result.subframes, obs)
-        recent.append(inputs)
-        seen = ChainMap(*recent)
-        raw_fixes.append(_solve_from_inputs(inputs.values()))
-        by_gst: dict = {}
-        for v in result.verdicts:
-            key = (v.gst.total_seconds(), v.prn)
-            if v.outcome is Outcome.AUTHENTIC and key in seen:
-                by_gst.setdefault(key[0], {})[v.prn] = seen[key]
-        for gst_s, by_prn in by_gst.items():
-            if len(by_prn) >= 4:
-                auth_fixes[str(gst_s)] = _solve_from_inputs(
-                    by_prn[prn] for prn in sorted(by_prn))
+        raw_fixes.append(fix_report(inputs.values()))
+        # each PRN's window holds three consecutive complete rounds, so an
+        # authentic verdict of round r names round r - 2's data subframe
+        authentic = [v for v in result.verdicts
+                     if v.outcome is Outcome.AUTHENTIC]
+        if len(authentic) >= 4:
+            auth_fixes[str(authentic[0].gst.total_seconds())] = fix_report(
+                back[0][prn] for prn in sorted(v.prn for v in authentic))
+        back = (back[1], inputs)
 
     failure = any(v.outcome in _FAILURE_OUTCOMES for v in receiver.verdicts)
     return {

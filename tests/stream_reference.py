@@ -71,10 +71,11 @@ def by_prn(events) -> dict:
     return groups
 
 
-def rounds(events, n_rounds: int) -> tuple:
+def rounds(events, n_rounds: int, t0=None) -> tuple:
     """The first window start and each round's events grouped by PRN: the
-    stream cut into 30-s windows from its first event on."""
-    t0 = min(e.t_ms for e in events)
+    stream cut into 30-s windows from t0 on, by default its first event."""
+    if t0 is None:
+        t0 = min(e.t_ms for e in events)
     windows = [[] for _ in range(n_rounds)]
     for e in events:
         r = (e.t_ms - t0) // SUBFRAME_MS

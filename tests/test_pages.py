@@ -247,10 +247,11 @@ def _assembled(raw, source=Source.AUTHENTIC, decoded=False):
 
 
 @given(page_contents, st.integers(0, 239), st.sampled_from(Source))
-def test_decode_memo_decodes_a_flipped_copy_afresh(page, bit, source):
-    """A page assembled before does not answer for a copy one bit away: the
-    copy gets exactly what a fresh decode gives, which is a destroyed page
-    whenever the bit is a flag, in the protected region or in the CRC."""
+def test_assembly_checks_a_one_bit_flip_as_decode_page_does(page, bit, source):
+    """A copy one bit away from an intact page is assembled to exactly what
+    decode_page gives it, which is a destroyed page whenever the bit is a
+    flag, in the protected region or in the CRC; the intact page still
+    passes."""
     raw = seal_page(page)
     assert _assembled(raw) == raw
     assert _assembled(raw, decoded=True) == decode_page(raw) is not None
@@ -293,7 +294,9 @@ def test_received_blobs_match_the_decoded_pages(fields):
         b"".join(p.mack.to_bytes(4, "big") for p in sf.pages))
 
 
-def test_decode_memo_decodes_a_resealed_forgery_to_its_own_fields():
+def test_assembly_decodes_a_resealed_forgery_to_its_own_fields():
+    """A forged page resealed with a valid CRC is assembled and read as its
+    own fields, one data bit away from the authentic page's."""
     authentic = _assembled(PAGE_INTACT_A, decoded=True)
     forged = reseal_raw(flip_page_bit(PAGE_INTACT_A, 20))    # even_data bit 93
     assert _assembled(forged, Source.ADVERSARY) == forged

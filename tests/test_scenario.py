@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import osnmasim.receiver
 import osnmasim.scenario
 from osnmasim.navdata import build_nav_data, parse_nav_data
 from osnmasim.pages import Subframe
+from osnmasim.receiver import Outcome
 from osnmasim.scenario import (
     ATTACKS,
     POLICIES,
@@ -473,30 +475,139 @@ def test_shipped_reports_are_byte_identical():
             REPORT_DIGESTS[path.stem], path.name
 
 
-def _clear_memos():
-    osnmasim.scenario._fix.cache_clear()
-
-
 def test_each_distinct_fix_is_solved_once(monkeypatch):
-    """Equal solver inputs are solved once per process: the nine shipped
-    scenarios share one constellation and solve 9 distinct inputs, and the
+    """Equal solver inputs are solved once per run: each shipped scenario
+    solves each of its distinct inputs once, 16 over the nine, and the
     static sky of baseline gives every fix the same inputs."""
     calls = {}
     solve = osnmasim.scenario.solve_position
 
     def counting(sats, rhos):
-        calls[stem] = calls.get(stem, 0) + 1
+        calls.setdefault(stem, []).append((tuple(sats), tuple(rhos)))
         return solve(sats, rhos)
 
     monkeypatch.setattr(osnmasim.scenario, "solve_position", counting)
-    _clear_memos()
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         stem = path.stem
         text = report_to_json(run_scenario(Scenario.load(path)))
         assert hashlib.sha256(text.encode()).hexdigest() == \
             REPORT_DIGESTS[stem], stem
-    assert sum(calls.values()) == 9
-    assert calls["baseline"] == 1
+    assert all(len(set(inputs)) == len(inputs) for inputs in calls.values())
+    assert sum(map(len, calls.values())) == 16
+    assert len(calls["baseline"]) == 1
+
+
+def _cr_scenario(onset_round, replay_delay_s):
+    """The shipped 1.4-s concatenating replay, moved to another onset and
+    delay."""
+    cfg = json.loads((SCENARIO_DIR / "cr_delay_1_4.json").read_text())
+    cfg["attack"].update(onset_round=onset_round,
+                         replay_delay_s=replay_delay_s)
+    return Scenario.from_dict(cfg)
+
+
+@pytest.mark.parametrize("delay, status, authentic, fixes", [
+    ("1.4", "authenticating", 72, 9),       # takeover at the first page's end
+    ("1.5", "awaiting_root_key", 0, 0),     # 0.1 s later: a one-page shift
+])
+def test_cr_onset_zero_windows_sit_on_the_subframe_grid(delay, status,
+                                                        authentic, fixes):
+    """A takeover at onset 0 sends no page in slot 0, so round 0 is lost on
+    every satellite, and the windows stay on the subframe grid: no GST-LRT
+    delta."""
+    report = run_scenario(_cr_scenario(0, delay))
+    receiver = report["receiver"]
+    outcomes = _outcomes(report)
+    assert receiver["status"] == status
+    assert outcomes.count("authentic") == authentic
+    assert outcomes.count("discarded_incomplete") == 8
+    assert len(outcomes) == authentic + 8
+    assert len(report["auth_fixes"]) == fixes
+    assert set(receiver["gst_lrt_delta_ms"]) == {0}
+
+
+def _losing_a_page(path, prn, lost_round):
+    """A shipped scenario in which one satellite's first page of one round
+    is lost, so that round discards it while the others authenticate."""
+    sc = Scenario.load(path)
+    generator = sc.attack_events
+
+    def losing(scenario, bundle):
+        (t0, round_events), lrt, obs = generator(scenario, bundle)
+
+        def events(r):
+            by_prn = round_events(r)
+            if r == lost_round:
+                by_prn[prn] = by_prn[prn][1:]
+            return by_prn
+
+        return (t0, events), lrt, obs
+
+    return dataclasses.replace(sc, attack_events=losing)
+
+
+def test_verdicts_name_the_data_subframe_two_rounds_back(monkeypatch):
+    """Each PRN's window holds three consecutive complete rounds, so every
+    verdict of round r but a discard names that PRN's complete subframe of
+    round r - 2; and the authenticated fixes are keyed by exactly the GSTs
+    with four or more authentic verdicts.  Checked over the shipped
+    scenarios, concatenating replays at onsets 0, 2 and 8, and a baseline
+    in which PRN 1 alone loses a page of round 10."""
+    rounds = []
+    ingest = osnmasim.receiver.Receiver.ingest_round
+
+    def recording(self, events_by_prn, window_start_ms):
+        result = ingest(self, events_by_prn, window_start_ms)
+        rounds.append(result)
+        return result
+
+    monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
+    runs = [(path.stem, partial(Scenario.load, path))
+            for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    runs += [((onset, delay), partial(_cr_scenario, onset, delay))
+             for onset in (0, 2, 8)
+             for delay in ("0", "1.4", "1.5", *map(str, range(3, 46, 3)))]
+    runs.append(("lost page", partial(_losing_a_page,
+                                      SCENARIO_DIR / "baseline.json", 1, 10)))
+    seen = set()
+    for name, load in runs:
+        rounds.clear()
+        report = run_scenario(load())
+        authentic = {}
+        for r, result in enumerate(rounds):
+            for v in result.verdicts:
+                seen.add(v.outcome)
+                if v.outcome is Outcome.DISCARDED_INCOMPLETE:
+                    continue
+                assert r >= 2, (name, r)
+                data_sf = rounds[r - 2].subframes[v.prn]
+                assert data_sf.complete and v.gst == data_sf.gst, (name, r)
+                if v.outcome is Outcome.AUTHENTIC:
+                    key = str(v.gst.total_seconds())
+                    authentic[key] = authentic.get(key, 0) + 1
+        assert set(report["auth_fixes"]) == {
+            key for key, count in authentic.items() if count >= 4}, name
+    assert seen == set(Outcome)
+
+
+def test_each_authenticated_fix_is_solved_from_its_data_round(monkeypatch):
+    """With a receiver clock that drifts 3 cm a round, every round's inputs
+    differ; on baseline, where all eight satellites authenticate, the fix
+    keyed by GST g is the raw fix of the round that received GST g."""
+    inputs = osnmasim.scenario._solver_inputs
+
+    def drifting(subframes, obs):
+        return {prn: (sat, rho + 1e-3 * subframes[prn].gst.tow)
+                for prn, (sat, rho) in inputs(subframes, obs).items()}
+
+    monkeypatch.setattr(osnmasim.scenario, "_solver_inputs", drifting)
+    sc = Scenario.load(SCENARIO_DIR / "baseline.json")
+    report = run_scenario(sc)
+    raw = report["raw_fixes"]
+    assert len({json.dumps(fix) for fix in raw}) == len(raw)
+    assert report["auth_fixes"]
+    for gst_s, fix in report["auth_fixes"].items():
+        assert fix == raw[(int(gst_s) - sc.gst0.total_seconds()) // 30]
 
 
 def test_each_event_is_assembled_once_per_round(monkeypatch):
@@ -558,9 +669,8 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
 
 
 def _traced_peak(subframes: int) -> int:
-    """Traced peak bytes of an 8-satellite baseline run over emptied memos,
-    its report written to a file as the CLI writes it."""
-    _clear_memos()
+    """Traced peak bytes of an 8-satellite baseline run over an emptied
+    constellation memo, its report written to a file as the CLI writes it."""
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=subframes)
     tracemalloc.start()
@@ -600,7 +710,6 @@ def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
     for name in ("decode_page", "seal_page", "reseal_raw"):
         monkeypatch.setattr(osnmasim.pages, name, one_page)
-    _clear_memos()
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)
     osnmasim.scenario._constellation(sc.seed, sc.n_sats, sc.n_subframes,
@@ -610,10 +719,6 @@ def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
     report = run_scenario(sc)
     assert report["receiver"]["rounds"] == 128
     assert calls == [8 * 15] * 128
-
-
-def test_fix_memo_is_bounded():
-    assert osnmasim.scenario._fix.cache_info().maxsize is not None
 
 
 def test_forgery_encodes_only_the_forged_stream(monkeypatch):
@@ -642,7 +747,8 @@ def test_forgery_encodes_only_the_forged_stream(monkeypatch):
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
     """Reports are the same whatever ran before in the process: the nine
     shipped scenarios in reverse order, with another seed in between, run
-    over emptied memos and again over the memos that run filled."""
+    over an emptied constellation memo and again over the one that run
+    left."""
     odd = json.loads((SCENARIO_DIR / "tsf_full.json").read_text())
     odd["seed"] = 4242
     odd_path = tmp_path / "odd.json"
@@ -651,7 +757,7 @@ def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
     paths.insert(4, odd_path)
     for warm in (False, True):
         if not warm:
-            _clear_memos()
+            osnmasim.scenario._constellation.cache_clear()
         reports = {p.stem: run_scenario(Scenario.load(p)) for p in paths}
         for stem, digest in REPORT_DIGESTS.items():
             text = report_to_json(reports[stem])
