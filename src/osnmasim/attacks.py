@@ -23,7 +23,14 @@ from .navdata import (
     build_subframes,
     parse_nav_data,
 )
-from .pages import PAGE_MS, PageEvent, SLOTS_PER_SUBFRAME, SUBFRAME_MS, Source
+from .pages import (
+    PAGE_MS,
+    PageEvent,
+    SLOTS_PER_SUBFRAME,
+    SUBFRAME_MS,
+    Source,
+    unpack_pages,
+)
 from .tesla import TeslaKey
 
 
@@ -114,16 +121,16 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
     overwrite the tag region of subframe n+1 (key bits preserved).  Every
     rewritten subframe is built and resealed once; the last subframe (the
     last two without tags) passes through untouched, so the whole output
-    stream verifies.  The rewritten subframes' pages are sealed in one
-    kernel call.
+    stream verifies.  The recorded subframes are read in one unpack_pages
+    call, which keeps nothing on them, and the rewritten subframes' pages
+    are packed and sealed in one call each.
     """
     n = len(aux)
     if n < TSF_MIN_SUBFRAMES:
         raise InsufficientAuxError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
-    navs = [sf.join_nav_data() for sf in aux[:rewritten]]
-    hkroots, macks = map(list, zip(*(sf.osnma for sf in aux)))
+    navs, hkroots, macks = map(list, zip(*unpack_pages(sf.raws for sf in aux)))
     for i in range(n - 2):
         navs[i] = forge_nav_blob(navs[i], cfg)
         if cfg.forge_tags:
@@ -135,7 +142,7 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
             macks[i + 1] = pack_mack(tags, disclosed_key(macks[i + 1]))
     return build_subframes((sf.gst, sf.prn, nav, hkroot, mack)
                            for sf, nav, hkroot, mack
-                           in zip(aux, navs, hkroots, macks)) \
+                           in zip(aux[:rewritten], navs, hkroots, macks)) \
         + list(aux[rewritten:])
 
 

@@ -27,6 +27,12 @@ class CapacityError(ValueError):
     """Tags exceed the 352-bit region in front of the chain key."""
 
 
+def _auth_head(prn_d: int, prn_a: int, gst_sf: Gst) -> bytes:
+    """The 48 bits of a tag message in front of its segment index."""
+    return ((prn_d & 0xFF) << 40 | (prn_a & 0xFF) << 32
+            | (gst_sf.wn & 0xFFF) << 20 | gst_sf.tow & 0xFFFFF).to_bytes(6, "big")
+
+
 def build_auth_message(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int,
                        segment: bytes) -> bytes:
     """Concatenate tag-message fields in transmission order.
@@ -37,10 +43,8 @@ def build_auth_message(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int,
     """
     if not segment:
         raise ValueError("segment must be non-empty")
-    head = (prn_d & 0xFF) << 48 | (prn_a & 0xFF) << 40 \
-        | (gst_sf.wn & 0xFFF) << 28 | (gst_sf.tow & 0xFFFFF) << 8 \
-        | (seg_index & 0xFF)
-    return head.to_bytes(7, "big") + segment
+    return _auth_head(prn_d, prn_a, gst_sf) + bytes((seg_index & 0xFF,)) \
+        + segment
 
 
 def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
@@ -105,12 +109,16 @@ def split_segments(nav_data: bytes, seg_count: int) -> list:
 
 def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
                            prn_a: int, gst_sf: Gst, seg_count: int) -> list:
-    """One tag per nav-data segment, all under the same chain key."""
-    return [
-        compute_tag(key.bits,
-                    build_auth_message(prn_d, prn_a, gst_sf, i + 1, seg))
-        for i, seg in enumerate(split_segments(nav_data, seg_count))
-    ]
+    """One tag per nav-data segment, all under the same chain key: each is
+    compute_tag of build_auth_message for its 1-based segment index, made
+    from one header and one HMAC per segment."""
+    segments = split_segments(nav_data, seg_count)
+    if not segments[0]:
+        raise ValueError("segment must be non-empty")
+    head, bits = _auth_head(prn_d, prn_a, gst_sf), key.bits
+    return [hmac.digest(bits, head + bytes((i & 0xFF,)) + seg,
+                        "sha256")[:TAG_BITS // 8]
+            for i, seg in enumerate(segments, 1)]
 
 
 def verify_tags(nav_data: bytes, received, key: TeslaKey, prn_d: int,

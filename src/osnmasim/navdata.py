@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import Gst
-from .pages import SLOTS_PER_SUBFRAME, Subframe, blob_pages, seal_raws
+from .pages import Subframe, build_subframes
 
 NAV_BLOB_BYTES = 240
 NAV_BLOB_BITS = 1920
@@ -118,35 +118,14 @@ def parse_nav_data(blob: bytes) -> NavFields:
 
 
 def subframe_nav_data(sf: Subframe) -> bytes:
-    """Concatenate the data portions of a complete subframe.
-
-    The concatenation is made once per subframe and kept on it
-    (``Subframe.nav_data``); a destroyed page raises ValueError."""
+    """Concatenate the data portions of a complete subframe: the blob its
+    round's unpack read, or one unpacked afresh; a destroyed page raises
+    ValueError."""
     return sf.nav_data
-
-
-def build_subframes(specs) -> list:
-    """Subframes from (gst, prn, nav_blob, hkroot, mack_blob) tuples, each
-    blob distributed over fifteen pages and every page of every subframe
-    sealed in one kernel call."""
-    specs = list(specs)
-    raws = []
-    for _, _, nav_blob, hkroot, mack_blob in specs:
-        if len(hkroot) != SLOTS_PER_SUBFRAME:
-            raise ValueError("hkroot must supply one byte per page")
-        if len(mack_blob) != 4 * SLOTS_PER_SUBFRAME:
-            raise ValueError("mack blob must supply four bytes per page")
-        if len(nav_blob) != NAV_BLOB_BYTES:
-            raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
-        raws += blob_pages(nav_blob, hkroot, mack_blob)
-    sealed = seal_raws(raws)
-    return [Subframe(gst=gst, prn=prn, raws=tuple(
-                sealed[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
-            for i, (gst, prn, *_) in enumerate(specs)]
 
 
 def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
                    mack_blob: bytes) -> Subframe:
     """Distribute a nav blob plus OSNMA material over 15 pages, each sealed
-    straight to its transmitted bytes."""
+    straight to its transmitted bytes: build_subframes of one."""
     return build_subframes([(gst, prn, nav_blob, hkroot, mack_blob)])[0]

@@ -25,29 +25,42 @@ self-verify under it.
 
 A page is its 30 transmitted bytes from sealing to reception: subframes
 hold them, page events carry them, replays pass them on, and a receiver
-checks them and reads navigation data and OSNMA blobs out of them by
-constant shifts.  PageContent is only the codec's view of one page's
+checks them and reads navigation data and OSNMA blobs out of them.
+PageContent is only the codec's view of one page's
 fields, what seal_page and encode_page take and decode_page gives back.
 
 The page CRC has one implementation, the column-wise kernel
-``_crc_columns``, which seals or checks many pages in one call.  A call
-costs a fixed amount plus a little per page, so pages are batched where
-they form: a generated round seals every satellite's pages in one call, a
-forgery seals one satellite's rewritten subframes in one call, a receiver
-round checks the slot owners' pages of every satellite in one call, and a
-vector file is checked in one call.  A lone page -- decode_page,
-seal_page, reseal_raw -- goes through the same kernel and pays its fixed
-cost.
+``_crc_columns``, which seals or checks many pages in one call.  The
+fields a subframe carries -- its 240-byte navigation blob and its 15-byte
+HKROOT and 60-byte MACK blobs -- have one codec too, the column-wise
+``pack_pages`` and ``unpack_pages``.  With the pages laid end to end and
+shifted left by 2 bits, every field sits on byte boundaries: bytes 0..13
+of each 30-byte page are the even data, byte 14 the even tail and the odd
+half's flags (0b10), bytes 15..16 the odd data, byte 17 the HKROOT
+portion and bytes 18..21 the MACK portion.  Packing fills those byte
+columns from the blobs and shifts right; unpacking shifts left and reads
+them back, whatever the number of subframes.
 
-Each received page is checked once per reception, in its round's one call;
-no check result is kept from one round, or one scenario, to the next.
+A kernel call costs a fixed amount plus a little per page, so pages are
+batched where they form: a generated round is packed and sealed, every
+satellite together, in one call each; a forgery unpacks one satellite's
+recorded subframes in one call and packs and seals the rewritten ones in
+one call each; a receiver round checks the slot owners' pages of every
+satellite in one call and unpacks its complete subframes in one; the
+observations unpack each satellite's subframes in one call; a vector file
+is checked in one call.  A lone page -- decode_page, seal_page,
+reseal_raw -- or a lone subframe read through Subframe.nav_data or
+Subframe.osnma goes through the same kernels and pays their fixed cost.
+
+Each received page is checked once and read once per reception, in its
+round's calls; no check or read result is kept from one round, or one
+scenario, to the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple
 
 from .gst import Gst
@@ -183,11 +196,10 @@ def _column(joined: bytes, k: int) -> int:
     return int.from_bytes(joined[k::PAGE_BYTES], "big")
 
 
-def seal_raws(raws: list) -> list:
-    """Each page's bytes with its CRC field recomputed, all in one kernel
-    call."""
-    joined = _joined(raws)
-    n = len(raws)
+def _seal(joined: bytes) -> bytes:
+    """The pages laid end to end in joined, each with its CRC field
+    recomputed, in one kernel call."""
+    n = len(joined) // PAGE_BYTES
     lanes = int.from_bytes(b"\1" * n, "big")
     crc25, crc26, crc27, crc28 = _crc_columns(joined, lanes)
     crc25 |= _column(joined, 25) & 0xC0 * lanes        # bits 200..201 stay
@@ -195,8 +207,18 @@ def seal_raws(raws: list) -> list:
     buf = bytearray(joined)
     for k, column in zip(range(25, 29), (crc25, crc26, crc27, crc28)):
         buf[k::PAGE_BYTES] = column.to_bytes(n, "big")
-    sealed = bytes(buf)
-    return [sealed[i:i + PAGE_BYTES] for i in range(0, len(sealed), PAGE_BYTES)]
+    return bytes(buf)
+
+
+def _split(joined: bytes) -> list:
+    return [joined[i:i + PAGE_BYTES]
+            for i in range(0, len(joined), PAGE_BYTES)]
+
+
+def seal_raws(raws: list) -> list:
+    """Each page's bytes with its CRC field recomputed, all in one kernel
+    call."""
+    return _split(_seal(_joined(raws)))
 
 
 def check_raws(raws: list) -> list:
@@ -262,20 +284,86 @@ def encode_page(page: PageContent) -> bytes:
     return _page_int(page).to_bytes(PAGE_BYTES, "big")
 
 
-def blob_pages(nav_blob: bytes, hkroot: bytes, mack_blob: bytes) -> list:
-    """The fifteen pages whose data, HKROOT and MACK portions concatenate to
-    the given 240-, 15- and 60-byte blobs, as transmitted bytes with a zero
-    CRC field: what Subframe.join_nav_data and Subframe.osnma read back."""
-    nav = int.from_bytes(nav_blob, "big")
-    macks = int.from_bytes(mack_blob, "big")
-    pages = []
-    for p, hk in enumerate(hkroot):
-        data = nav >> 128 * (SLOTS_PER_SUBFRAME - 1 - p)
-        mack = macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF
-        pages.append((_FLAGS | (data >> 16 & (1 << 112) - 1) << 126
-                      | (data & 0xFFFF) << 102 | hk << 94 | mack << 62
-                      ).to_bytes(PAGE_BYTES, "big"))
-    return pages
+# Byte columns of a page shifted left by 2 bits (see the module docstring):
+# the 16 nav-data bytes, the HKROOT byte, the 4 MACK bytes, and the column
+# of the even tail, zero, and the odd half's flags, 0b10.
+_NAV_COLUMNS = (*range(14), 15, 16)
+_HKROOT_COLUMN = 17
+_MACK_COLUMNS = (18, 19, 20, 21)
+_ODD_FLAGS_COLUMN = 14
+_NAV_BYTES = len(_NAV_COLUMNS) * SLOTS_PER_SUBFRAME        # 240
+_MACK_BYTES = len(_MACK_COLUMNS) * SLOTS_PER_SUBFRAME       # 60
+
+
+def pack_pages(blobs) -> bytes:
+    """The pages of every (nav, hkroot, mack) blob triple, laid end to end
+    with zero CRC fields: subframe i's pages 15*i..15*i+14 carry its
+    240-byte nav blob in their data portions and its 15- and 60-byte blobs
+    in their HKROOT and MACK portions, in page order.
+
+    The blobs' bytes are written into the byte columns of the pages
+    shifted left by 2 bits, and the whole run is shifted back once.
+    """
+    navs, hkroots, macks = [], [], []
+    for nav, hkroot, mack in blobs:
+        if len(hkroot) != SLOTS_PER_SUBFRAME:
+            raise ValueError("hkroot must supply one byte per page")
+        if len(mack) != _MACK_BYTES:
+            raise ValueError("mack blob must supply four bytes per page")
+        if len(nav) != _NAV_BYTES:
+            raise ValueError(f"nav blob must be {_NAV_BYTES} bytes")
+        navs.append(nav)
+        hkroots.append(hkroot)
+        macks.append(mack)
+    nav, mack = b"".join(navs), b"".join(macks)
+    count = len(hkroots) * SLOTS_PER_SUBFRAME
+    buf = bytearray(PAGE_BYTES * count)
+    for j, k in enumerate(_NAV_COLUMNS):
+        buf[k::PAGE_BYTES] = nav[j::len(_NAV_COLUMNS)]
+    buf[_ODD_FLAGS_COLUMN::PAGE_BYTES] = b"\2" * count
+    buf[_HKROOT_COLUMN::PAGE_BYTES] = b"".join(hkroots)
+    for j, k in enumerate(_MACK_COLUMNS):
+        buf[k::PAGE_BYTES] = mack[j::len(_MACK_COLUMNS)]
+    return (int.from_bytes(buf, "big") >> 2).to_bytes(len(buf), "big")
+
+
+def unpack_pages(slots) -> list:
+    """The (nav, hkroot, mack) blobs of each subframe's 15 slots, read in
+    one pass over all of them: the inverse of pack_pages.  A destroyed slot
+    raises IncompleteError naming the subframe's destroyed slots."""
+    raws = []
+    for sf_raws in slots:
+        if None in sf_raws:
+            raise IncompleteError("destroyed slots: " + str(tuple(
+                i for i, raw in enumerate(sf_raws) if raw is None)))
+        raws += sf_raws
+    joined = _joined(raws)
+    # one byte in front takes the flags shifted out of the first page
+    shifted = (int.from_bytes(joined, "big") << 2).to_bytes(len(joined) + 1,
+                                                            "big")[1:]
+    nav = bytearray(len(raws) * len(_NAV_COLUMNS))
+    for j, k in enumerate(_NAV_COLUMNS):
+        nav[j::len(_NAV_COLUMNS)] = shifted[k::PAGE_BYTES]
+    mack = bytearray(len(raws) * len(_MACK_COLUMNS))
+    for j, k in enumerate(_MACK_COLUMNS):
+        mack[j::len(_MACK_COLUMNS)] = shifted[k::PAGE_BYTES]
+    nav, mack = bytes(nav), bytes(mack)
+    hkroot = shifted[_HKROOT_COLUMN::PAGE_BYTES]
+    return [(nav[_NAV_BYTES * i:_NAV_BYTES * (i + 1)],
+             hkroot[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)],
+             mack[_MACK_BYTES * i:_MACK_BYTES * (i + 1)])
+            for i in range(len(raws) // SLOTS_PER_SUBFRAME)]
+
+
+def build_subframes(specs) -> list:
+    """Subframes from (gst, prn, nav_blob, hkroot, mack_blob) tuples, every
+    page of every subframe packed in one call and sealed in one kernel
+    call."""
+    specs = list(specs)
+    pages = _split(_seal(pack_pages(blobs for _, _, *blobs in specs)))
+    return [Subframe(gst=gst, prn=prn, raws=tuple(
+                pages[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
+            for i, (gst, prn, *_) in enumerate(specs)]
 
 
 def reseal_raw(raw: bytes) -> bytes:
@@ -327,14 +415,16 @@ class Subframe:
 
     Each slot holds a page's 30 sealed bytes or None for a destroyed page.
     The subframe is produced even when slots are destroyed; OSNMA material
-    is only extractable from complete subframes.  The navigation data and
-    the OSNMA blobs are read out of the bytes by constant shifts, once per
-    subframe.
+    is only extractable from complete subframes.  blobs holds the
+    (nav, hkroot, mack) blobs its round's unpack_pages call read out of
+    the bytes, or None: the navigation data and the OSNMA blobs are then
+    unpacked afresh on each access, and nothing is kept on the subframe.
     """
 
     gst: Gst
     prn: int
     raws: tuple
+    blobs: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.raws) != SLOTS_PER_SUBFRAME:
@@ -356,35 +446,24 @@ class Subframe:
         return tuple(_content(raw) if raw is not None and next(oks) else None
                      for raw in self.raws)
 
-    def join_nav_data(self) -> bytes:
-        """The pages' data portions concatenated, joined afresh on each call."""
-        if not self.complete:
-            raise ValueError("nav data undefined over destroyed pages")
-        blob = 0
-        for raw in self.raws:
-            value = int.from_bytes(raw, "big")
-            blob = blob << 128 | (value >> 126 & (1 << 112) - 1) << 16 \
-                | value >> 102 & 0xFFFF
-        return blob.to_bytes(SLOTS_PER_SUBFRAME * 16, "big")
+    def _unpacked(self) -> tuple:
+        return self.blobs if self.blobs is not None \
+            else unpack_pages((self.raws,))[0]
 
-    @cached_property
+    def join_nav_data(self) -> bytes:
+        """The pages' data portions concatenated, 240 bytes; a destroyed
+        slot raises IncompleteError, a ValueError."""
+        return self._unpacked()[0]
+
+    @property
     def nav_data(self) -> bytes:
-        """join_nav_data(), computed once per subframe and kept on it."""
         return self.join_nav_data()
 
-    @cached_property
+    @property
     def osnma(self) -> tuple:
-        """The HKROOT and MACK portions concatenated, as 15 and 60 bytes;
-        computed once per subframe; a destroyed slot raises IncompleteError."""
-        if not self.complete:
-            raise IncompleteError(f"destroyed slots: {self.destroyed_slots}")
-        hkroot = mack = 0
-        for raw in self.raws:
-            value = int.from_bytes(raw, "big") >> 62     # HKROOT, then MACK
-            hkroot = hkroot << 8 | value >> 32 & 0xFF
-            mack = mack << 32 | value & 0xFFFFFFFF
-        return (hkroot.to_bytes(SLOTS_PER_SUBFRAME, "big"),
-                mack.to_bytes(4 * SLOTS_PER_SUBFRAME, "big"))
+        """The HKROOT and MACK portions concatenated, as 15 and 60 bytes; a
+        destroyed slot raises IncompleteError."""
+        return self._unpacked()[1:]
 
 
 def _owned(events, prn: int, w0: int) -> list:
@@ -424,15 +503,19 @@ def assemble_rounds(events_by_prn: dict, gst: Gst, prns,
     Slots are owned by _owned's capture and overlap rules, and the owned
     pages of every PRN are then checked in one check_raws call: each
     received page is checked once per reception.  A slot keeps the bytes
-    that pass.
+    that pass, and the complete subframes' blobs are read in one
+    unpack_pages call and carried on them.
     """
     owned = {prn: _owned(events_by_prn.get(prn, ()), prn, window_start_ms)
              for prn in prns}
     oks = iter(check_raws([raw for raws in owned.values()
                            for raw in raws if raw is not None]))
-    return {prn: Subframe(gst=gst, prn=prn, raws=tuple(
-                raw if raw is not None and next(oks) else None for raw in raws))
-            for prn, raws in owned.items()}
+    slots = {prn: tuple(raw if raw is not None and next(oks) else None
+                        for raw in raws) for prn, raws in owned.items()}
+    complete = [prn for prn, raws in slots.items() if None not in raws]
+    blobs = dict(zip(complete, unpack_pages(slots[prn] for prn in complete)))
+    return {prn: Subframe(gst=gst, prn=prn, raws=raws, blobs=blobs.get(prn))
+            for prn, raws in slots.items()}
 
 
 def assemble_round(events, gst: Gst, prn: int,

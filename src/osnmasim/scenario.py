@@ -42,7 +42,7 @@ from .navdata import (
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import SUBFRAME_MS
+from .pages import SUBFRAME_MS, unpack_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
@@ -447,10 +447,12 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     """
     obs = {}
     for prn, sf_list in subframes_by_prn.items():
-        for sf in sf_list:
-            nav = parse_nav_data(sf.join_nav_data())   # keep no blob on sf
-            sat = SatState(prn=prn, position=nav.sat_ecef_m)
-            rho = forge_pseudoranges(receiver_pos, t_r, [sat])[0]
+        # one read of the satellite's subframes, keeping nothing on them
+        navs = [parse_nav_data(nav) for nav, _, _
+                in unpack_pages(sf.raws for sf in sf_list)]
+        rhos = forge_pseudoranges(receiver_pos, t_r, [
+            SatState(prn=prn, position=nav.sat_ecef_m) for nav in navs])
+        for sf, nav, rho in zip(sf_list, navs, rhos):
             obs[(sf.gst.total_seconds(), prn)] = rho + nav.range_bias_m
     return obs
 
@@ -486,8 +488,9 @@ def run_scenario(sc: Scenario) -> dict:
     The most recent constellation is kept: consecutive scenarios with equal
     constellation inputs (seed, sizes, start GST, site, tag count) share one
     build and its observations.  Page events are made one round at a time,
-    as the receiver takes them.  Equal solver inputs are solved once per
-    run; no solver result outlives the run."""
+    as the receiver takes them.  Equal solver inputs are solved, and their
+    fix put in report form, once per run; no solver result outlives the
+    run."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
@@ -498,14 +501,15 @@ def run_scenario(sc: Scenario) -> dict:
     receiver = Receiver(config, lrt)
     receiver.power_on(bundle.gst0, true_ms=t0)
 
-    fixes: dict = {}            # solver inputs -> Fix or why none, this run
+    fixes: dict = {}            # solver inputs -> report of their fix, this run
 
     def fix_report(inputs) -> dict:
         key = tuple(inputs)
         if key not in fixes:
-            fixes[key] = _solve(key)
-        fix = fixes[key]
-        return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
+            fix = _solve(key)
+            fixes[key] = fix.as_dict() if isinstance(fix, Fix) \
+                else {"error": fix}
+        return fixes[key]
 
     raw_fixes = []
     auth_fixes = {}

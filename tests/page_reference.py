@@ -1,0 +1,54 @@
+"""Page-at-a-time blob codec: the reference the column-wise pack and unpack
+must match.
+
+These are the earlier per-page loops, kept for the tests only: one page
+built from its slice of the nav, HKROOT and MACK blobs, and a subframe's
+blobs joined back page by page out of each page's 240-bit int.  The
+program packs and unpacks whole batches through byte columns instead.
+"""
+
+from osnmasim.pages import PAGE_BITS, PAGE_BYTES, SLOTS_PER_SUBFRAME
+
+# even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
+FLAGS = 0b10 << (PAGE_BITS - 122)
+
+
+def blob_pages(nav_blob: bytes, hkroot: bytes, mack_blob: bytes) -> list:
+    """The fifteen pages whose data, HKROOT and MACK portions concatenate to
+    the given 240-, 15- and 60-byte blobs, as transmitted bytes with a zero
+    CRC field."""
+    nav = int.from_bytes(nav_blob, "big")
+    macks = int.from_bytes(mack_blob, "big")
+    pages = []
+    for p, hk in enumerate(hkroot):
+        data = nav >> 128 * (SLOTS_PER_SUBFRAME - 1 - p)
+        mack = macks >> 32 * (SLOTS_PER_SUBFRAME - 1 - p) & 0xFFFFFFFF
+        pages.append((FLAGS | (data >> 16 & (1 << 112) - 1) << 126
+                      | (data & 0xFFFF) << 102 | hk << 94 | mack << 62
+                      ).to_bytes(PAGE_BYTES, "big"))
+    return pages
+
+
+def join_nav_data(raws) -> bytes:
+    """The pages' data portions concatenated."""
+    if None in raws:
+        raise ValueError("nav data undefined over destroyed pages")
+    blob = 0
+    for raw in raws:
+        value = int.from_bytes(raw, "big")
+        blob = blob << 128 | (value >> 126 & (1 << 112) - 1) << 16 \
+            | value >> 102 & 0xFFFF
+    return blob.to_bytes(SLOTS_PER_SUBFRAME * 16, "big")
+
+
+def osnma(raws) -> tuple:
+    """The HKROOT and MACK portions concatenated, as 15 and 60 bytes."""
+    if None in raws:
+        raise ValueError("OSNMA material undefined over destroyed pages")
+    hkroot = mack = 0
+    for raw in raws:
+        value = int.from_bytes(raw, "big") >> 62     # HKROOT, then MACK
+        hkroot = hkroot << 8 | value >> 32 & 0xFF
+        mack = mack << 32 | value & 0xFFFFFFFF
+    return (hkroot.to_bytes(SLOTS_PER_SUBFRAME, "big"),
+            mack.to_bytes(4 * SLOTS_PER_SUBFRAME, "big"))

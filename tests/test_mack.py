@@ -185,3 +185,22 @@ def test_end_to_end_generate_pack_unpack_verify(data, key_bits, m, prn_d, prn_a)
     out_tags, out_key = unpack_mack(blob, n_tags=m)
     assert out_key == key.bits
     assert all(verify_tags(data, out_tags, key, prn_d, prn_a, GST_SF, m))
+
+
+@given(st.binary(min_size=1, max_size=300), st.binary(min_size=16, max_size=16),
+       st.integers(1, 8), st.integers(0, 300), st.integers(0, 300),
+       st.integers(0, (1 << 12) - 1), st.integers(0, 604799))
+def test_every_tag_is_compute_tag_of_its_auth_message(nav, key_bits, seg_count,
+                                                      prn_d, prn_a, wn, tow):
+    """The one-header tag loop gives, segment by segment, the generic
+    truncation of the message build_auth_message lays out."""
+    gst_sf = Gst(wn, tow)
+    key = TeslaKey(key_bits, gst_sf)
+    assert generate_subframe_tags(nav, key, prn_d, prn_a, gst_sf, seg_count) == [
+        compute_tag(key_bits, build_auth_message(prn_d, prn_a, gst_sf, i, seg))
+        for i, seg in enumerate(split_segments(nav, seg_count), 1)]
+
+
+def test_generate_rejects_empty_nav_data():
+    with pytest.raises(ValueError, match="non-empty"):
+        generate_subframe_tags(b"", TeslaKey(bytes(16), GST_SF), 1, 1, GST_SF, 6)

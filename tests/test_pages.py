@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import page_reference as ref
 from osnmasim import pages
 from osnmasim.gst import Gst
 from osnmasim.navdata import build_subframe
@@ -25,12 +26,15 @@ from osnmasim.pages import (
     Source,
     Subframe,
     assemble_round,
+    build_subframes,
+    check_raws,
     crc24q,
     decode_page,
     encode_page,
     flip_page_bit,
     reseal_raw,
     seal_page,
+    unpack_pages,
 )
 
 # intact reference pages: the unmodified capture page and the finished
@@ -652,3 +656,139 @@ def test_subframe_pages_are_checked_in_one_call(monkeypatch):
     assert len(calls) == 1 and len(calls[0]) == SLOTS_PER_SUBFRAME - 1
     assert decoded == tuple(None if raw is None else ref_decode_page(raw)
                             for raw in raws)
+
+
+# -- the column-wise blob codec: many subframes in one pack or unpack ---------
+
+
+def _blob_batch(size, seed):
+    """size random (nav, hkroot, mack) blob triples."""
+    rng = random.Random(seed)
+    return [(rng.randbytes(240), rng.randbytes(SLOTS_PER_SUBFRAME),
+             rng.randbytes(60)) for _ in range(size)]
+
+
+def _slots(joined):
+    """The pages laid end to end, cut into subframes' 15-slot tuples."""
+    raws = [joined[i:i + PAGE_BYTES] for i in range(0, len(joined), PAGE_BYTES)]
+    return [tuple(raws[i:i + SLOTS_PER_SUBFRAME])
+            for i in range(0, len(raws), SLOTS_PER_SUBFRAME)]
+
+
+SUBFRAME_BATCHES = [0, 1, 8, 15, 64]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
+def test_pack_matches_the_per_page_reference(size, seed):
+    """Before sealing, the packed batch is the per-page reference's pages
+    byte for byte; sealed, every page passes the check; unpacked, the
+    sealed pages give back the blobs."""
+    blobs = _blob_batch(size, seed)
+    packed = pages.pack_pages(blobs)
+    assert type(packed) is bytes
+    assert packed == b"".join(raw for triple in blobs
+                              for raw in ref.blob_pages(*triple))
+    sealed = pages.seal_raws([raw for slots in _slots(packed) for raw in slots])
+    assert check_raws(sealed) == [True] * len(sealed)
+    assert unpack_pages(_slots(packed)) == blobs
+    assert unpack_pages(_slots(b"".join(sealed))) == blobs
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
+def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
+    """Pages of random bytes, flags and fill included: each subframe's
+    blobs are the reference join of its pages, whatever the other bits."""
+    rng = random.Random(seed)
+    slots = [tuple(rng.randbytes(PAGE_BYTES) for _ in range(SLOTS_PER_SUBFRAME))
+             for _ in range(size)]
+    assert unpack_pages(slots) == [(ref.join_nav_data(raws), *ref.osnma(raws))
+                                   for raws in slots]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
+def test_built_subframes_read_back_their_blobs(size, seed):
+    """build_subframes packs and seals a batch in one call each; a lone
+    subframe's nav_data, join_nav_data and osnma read its blobs back."""
+    blobs = _blob_batch(size, seed)
+    built = build_subframes((GST0, prn, *triple)
+                            for prn, triple in enumerate(blobs, 1))
+    assert [sf.prn for sf in built] == list(range(1, size + 1))
+    for sf, (nav, hkroot, mack) in zip(built, blobs):
+        assert sf.blobs is None
+        assert sf.raws == tuple(pages.seal_raws(ref.blob_pages(nav, hkroot, mack)))
+        assert sf.nav_data == sf.join_nav_data() == nav
+        assert sf.osnma == (hkroot, mack)
+
+
+@given(rounds_by_prn())
+def test_assembled_subframes_carry_the_reference_join(prns_and_events):
+    """A round's complete subframes carry the reference join of their
+    pages; the others carry nothing."""
+    prns, by_prn = prns_and_events
+    for sf in pages.assemble_rounds(by_prn, GST0, prns, _T0).values():
+        if sf.complete:
+            assert sf.blobs == (ref.join_nav_data(sf.raws), *ref.osnma(sf.raws))
+            assert sf.nav_data == sf.blobs[0] and sf.osnma == sf.blobs[1:]
+        else:
+            assert sf.blobs is None
+
+
+def test_a_round_is_unpacked_in_one_call(monkeypatch):
+    """Three satellites, one missing a page: one unpack call reads the two
+    complete subframes."""
+    calls = []
+    unpack = pages.unpack_pages
+
+    def counting(slots):
+        slots = list(slots)
+        calls.append(len(slots))
+        return unpack(slots)
+
+    monkeypatch.setattr(pages, "unpack_pages", counting)
+    events = {prn: [e._replace(prn=prn) for e in _events(indices=indices)]
+              for prn, indices in ((5, range(15)), (6, range(14)), (7, range(15)))}
+    got = pages.assemble_rounds(events, GST0, [5, 6, 7], _T0)
+    assert calls == [2]
+    assert [sf.blobs is not None for sf in got.values()] == [True, False, True]
+
+
+def test_blobs_are_not_compared():
+    sf = assemble_round(_events(), GST0, prn=5)
+    bare = Subframe(gst=sf.gst, prn=sf.prn, raws=sf.raws)
+    assert sf.blobs is not None and bare.blobs is None
+    assert sf == bare and hash(sf) == hash(bare)
+    assert (sf.nav_data, sf.osnma) == (bare.nav_data, bare.osnma)
+    assert set(vars(bare)) == {"gst", "prn", "raws", "blobs"}
+
+
+def test_a_batch_with_an_incomplete_subframe_raises():
+    """An incomplete subframe anywhere in a batch raises IncompleteError
+    naming its destroyed slots; join_nav_data still raises a ValueError."""
+    good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
+    broken = good[:3] + (None,) + good[4:9] + (None,) + good[10:]
+    with pytest.raises(IncompleteError, match=r"destroyed slots: \(3, 9\)"):
+        unpack_pages([good, broken, good])
+    sf = Subframe(gst=GST0, prn=5, raws=broken)
+    with pytest.raises(ValueError, match=r"\(3, 9\)"):
+        sf.join_nav_data()
+    with pytest.raises(IncompleteError):
+        sf.nav_data
+    assert vars(sf)["blobs"] is None
+
+
+def test_unpack_rejects_a_page_of_the_wrong_length():
+    good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
+    with pytest.raises(LengthError):
+        unpack_pages([good[:14] + (good[14][:29],)])
+
+
+@pytest.mark.parametrize("which, length", [(0, 239), (0, 241), (1, 14),
+                                           (1, 16), (2, 59), (2, 61)])
+def test_pack_rejects_a_blob_of_the_wrong_length(which, length):
+    blobs = list(_blob_batch(1, 0)[0])
+    blobs[which] = bytes(length)
+    with pytest.raises(ValueError, match=("nav", "hkroot", "mack")[which]):
+        pages.pack_pages([_blob_batch(1, 1)[0], tuple(blobs)])

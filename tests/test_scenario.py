@@ -14,10 +14,10 @@ import pytest
 
 import osnmasim.attacks
 import osnmasim.pages
+import osnmasim.positioning
 import osnmasim.receiver
 import osnmasim.scenario
 from osnmasim.navdata import build_nav_data, parse_nav_data
-from osnmasim.pages import Subframe
 from osnmasim.receiver import Outcome
 from osnmasim.scenario import (
     ATTACKS,
@@ -635,37 +635,74 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
 
 
 def test_each_subframe_is_concatenated_once(monkeypatch):
-    """A subframe's nav data is joined once however many read it (the
-    observations, the receiver's tag check, each fix): on a run of
-    long_clean's size, every bundle subframe and every received subframe is
-    joined exactly once, and no bundle subframe keeps its joined blob."""
-    joins = {}
-    received = []
-    join = Subframe.join_nav_data
-    assemble = osnmasim.receiver.assemble_rounds
+    """A subframe's nav data and OSNMA blobs are read once however many
+    read them (the observations, the receiver's tag and key checks, each
+    fix): on a run of long_clean's size, reception unpacks each round's
+    subframes in one call, the observations unpack each satellite's bundle
+    subframes in one call and forge its ranges in one, and each distinct
+    fix is solved and put in report form once."""
+    unpacks = []
+    unpack = osnmasim.pages.unpack_pages
 
-    def counting(sf):
-        joins[id(sf)] = joins.get(id(sf), 0) + 1
-        return join(sf)
+    def counting(slots):
+        slots = list(slots)
+        unpacks.append(len(slots))
+        return unpack(slots)
+
+    def tallying(module, name, tally):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            tally.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    received, forges, solves, reports = [], [], [], []
+    tallying(osnmasim.scenario, "forge_pseudoranges", forges)
+    tallying(osnmasim.scenario, "_solve", solves)
+    tallying(osnmasim.positioning.Fix, "as_dict", reports)
+    assemble = osnmasim.receiver.assemble_rounds
 
     def recording(*args):
         subframes = assemble(*args)
         received.extend(subframes.values())
         return subframes
 
-    monkeypatch.setattr(Subframe, "join_nav_data", counting)
+    for module in (osnmasim.pages, osnmasim.scenario):
+        monkeypatch.setattr(module, "unpack_pages", counting)
     monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", recording)
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)
     report = run_scenario(sc)
     assert report["receiver"]["status"] == "authenticating"
     assert len(received) == 8 * 128 and all(sf.complete for sf in received)
-    assert all(joins.get(id(sf)) == 1 for sf in received)
-    assert set(joins.values()) == {1} and len(joins) == 2 * 8 * 128
+    assert all(sf.blobs is not None for sf in received)
+    assert unpacks == [128] * 8 + [8] * 128
+    assert [len(sats) for _, _, sats in forges] == [128] * 8
+    assert 0 < len(solves) == len(reports) < 8
     bundle = osnmasim.scenario._constellation(
         sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    assert not any("nav_data" in vars(sf)
-                   for sfs in bundle.subframes.values() for sf in sfs)
+    assert all(sf.blobs is None for sfs in bundle.subframes.values()
+               for sf in sfs)
+
+
+def test_shipped_scenarios_leave_the_bundle_subframes_bare():
+    """The bundle is read-only: after the nine shipped scenarios (replays,
+    forgeries and splices of its subframes) in one process, no bundle
+    subframe holds anything but its GST, PRN and bytes."""
+    osnmasim.scenario._constellation.cache_clear()
+    paths = sorted(SCENARIO_DIR.glob("*.json"))
+    for path in paths:
+        run_scenario(Scenario.load(path))
+    sc = Scenario.load(paths[-1])
+    bundle = osnmasim.scenario._constellation(
+        sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
+    subframes = [sf for sfs in bundle.subframes.values() for sf in sfs]
+    assert len(subframes) == sc.n_sats * sc.n_subframes
+    for sf in subframes:
+        assert set(vars(sf)) == {"gst", "prn", "raws", "blobs"}
+        assert sf.blobs is None
 
 
 def _traced_peak(subframes: int) -> int:
