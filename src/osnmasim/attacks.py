@@ -16,19 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gst import LrtSource
+from .gst import SUBFRAME_SECONDS, LrtSource
 from .mack import disclosed_key, generate_subframe_tags, pack_mack
-from .navdata import (
-    build_nav_data,
-    build_subframes,
-    parse_nav_data,
-)
+from .navdata import build_nav_data, parse_nav_data
 from .pages import (
     PAGE_MS,
     PageEvent,
     SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
     Source,
+    build_subframes,
     unpack_pages,
 )
 from .tesla import TeslaKey
@@ -123,12 +120,20 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
     last two without tags) passes through untouched, so the whole output
     stream verifies.  The recorded subframes are read in one unpack_pages
     call, which keeps nothing on them, and the rewritten subframes' pages
-    are packed and sealed in one call each.
+    are packed and sealed in one call each.  A gap in aux's GSTs raises
+    InsufficientAuxError naming the satellite and the first missing GST.
     """
     n = len(aux)
     if n < TSF_MIN_SUBFRAMES:
         raise InsufficientAuxError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
+    for sf, following in zip(aux, aux[1:]):
+        expected = sf.gst.add_seconds(SUBFRAME_SECONDS)
+        if following.gst != expected:
+            raise InsufficientAuxError(
+                f"prn {sf.prn}: subframe at wn {expected.wn} tow "
+                f"{expected.tow} is missing; forgery needs consecutive "
+                f"subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
     navs, hkroots, macks = map(list, zip(*unpack_pages(sf.raws for sf in aux)))
     for i in range(n - 2):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .attacks import TsfConfig, tsf_forge_subframes
 from .gst import Gst
+from .pages import SLOTS_PER_SUBFRAME
 from .scenario import (
     DEFAULT_GST0,
     Scenario,
@@ -43,7 +44,8 @@ def _cmd_gen_constellation(args) -> int:
     bundle.vectors.save(outdir / "vectors.csv")
     (outdir / "chain.json").write_text(
         json.dumps(bundle.chain_json(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {outdir / 'vectors.csv'} ({len(bundle.vectors.rows)} rows) "
+    rows = SLOTS_PER_SUBFRAME * sum(map(len, bundle.subframes.values()))
+    print(f"wrote {outdir / 'vectors.csv'} ({rows} rows) "
           f"and {outdir / 'chain.json'}")
     return 0
 
@@ -60,8 +62,8 @@ def _cmd_gen_chain(args) -> int:
 
 def _cmd_vectors_validate(args) -> int:
     vectors = TestVectorSet.load(args.path, mapping_path=args.mapping)
-    groups = {(wn, tow, prn) for wn, tow, prn, _, _ in vectors.rows}
-    print(f"ok: {len(vectors.rows)} pages, {len(groups)} subframes")
+    count = sum(map(len, vectors.by_prn.values()))
+    print(f"ok: {SLOTS_PER_SUBFRAME * count} pages, {count} subframes")
     return 0
 
 

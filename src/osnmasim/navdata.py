@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import Gst
-from .pages import Subframe, build_subframes
+from .pages import Subframe
 
 NAV_BLOB_BYTES = 240
 NAV_BLOB_BITS = 1920
@@ -122,10 +122,3 @@ def subframe_nav_data(sf: Subframe) -> bytes:
     round's unpack read, or one unpacked afresh; a destroyed page raises
     ValueError."""
     return sf.nav_data
-
-
-def build_subframe(gst: Gst, prn: int, nav_blob: bytes, hkroot: bytes,
-                   mack_blob: bytes) -> Subframe:
-    """Distribute a nav blob plus OSNMA material over 15 pages, each sealed
-    straight to its transmitted bytes: build_subframes of one."""
-    return build_subframes([(gst, prn, nav_blob, hkroot, mack_blob)])[0]

@@ -25,7 +25,9 @@ self-verify under it.
 
 A page is its 30 transmitted bytes from sealing to reception: subframes
 hold them, page events carry them, replays pass them on, and a receiver
-checks them and reads navigation data and OSNMA blobs out of them.
+checks them and reads navigation data and OSNMA blobs out of them.  A
+vector set holds sealed subframes too; hex exists only in its CSV file,
+and loading decodes each page's hex once.
 PageContent is only the codec's view of one page's
 fields, what seal_page and encode_page take and decode_page gives back.
 
@@ -47,8 +49,8 @@ satellite together, in one call each; a forgery unpacks one satellite's
 recorded subframes in one call and packs and seals the rewritten ones in
 one call each; a receiver round checks the slot owners' pages of every
 satellite in one call and unpacks its complete subframes in one; the
-observations unpack each satellite's subframes in one call; a vector file
-is checked in one call.  A lone page -- decode_page, seal_page,
+observations unpack each satellite's subframes in one call; a vector file's
+pages are checked in one call at load.  A lone page -- decode_page, seal_page,
 reseal_raw -- or a lone subframe read through Subframe.nav_data or
 Subframe.osnma goes through the same kernels and pays their fixed cost.
 
@@ -450,14 +452,11 @@ class Subframe:
         return self.blobs if self.blobs is not None \
             else unpack_pages((self.raws,))[0]
 
-    def join_nav_data(self) -> bytes:
+    @property
+    def nav_data(self) -> bytes:
         """The pages' data portions concatenated, 240 bytes; a destroyed
         slot raises IncompleteError, a ValueError."""
         return self._unpacked()[0]
-
-    @property
-    def nav_data(self) -> bytes:
-        return self.join_nav_data()
 
     @property
     def osnma(self) -> tuple:

@@ -38,11 +38,10 @@ from .navdata import (
     PRN_BITS,
     WN_BITS,
     build_nav_data,
-    build_subframes,
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import SUBFRAME_MS, unpack_pages
+from .pages import SUBFRAME_MS, build_subframes, unpack_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
@@ -89,9 +88,9 @@ class ConstellationBundle:
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
 
-    @cached_property
+    @property
     def vectors(self) -> TestVectorSet:
-        """The subframes as a vector set, built on first access."""
+        """The subframes as a vector set."""
         return TestVectorSet.from_subframes(self.subframes)
 
     @cached_property

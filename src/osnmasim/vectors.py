@@ -72,26 +72,30 @@ def _read_mapping(path) -> tuple:
 
 @dataclass
 class TestVectorSet:
-    """Ordered page rows, grouped 15 to a subframe."""
+    """Sealed subframes by PRN, in PRN order, each PRN's in GST order.
+
+    Hex exists only in the CSV file: load decodes each row's page once,
+    and save formats the rows from the subframes.
+    """
 
     __test__ = False            # "Test" prefix is domain naming, not pytest's
 
-    rows: list = field(default_factory=list)   # (wn, tow, prn, page_index, hex)
-
-    def add_subframe(self, sf: Subframe) -> None:
-        for idx, raw in enumerate(sf.raws, start=1):
-            if raw is None:
-                raise ValueError("vector sets store intact pages only")
-            self.rows.append((sf.gst.wn, sf.gst.tow, sf.prn, idx, raw.hex()))
+    by_prn: dict = field(default_factory=dict)     # prn -> [Subframe]
 
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(HEADER)
-            writer.writerows(self.rows)
+            writer.writerows((sf.gst.wn, sf.gst.tow, prn, idx, raw.hex())
+                             for prn, sfs in self.by_prn.items()
+                             for sf in sfs
+                             for idx, raw in enumerate(sf.raws, start=1))
 
     @classmethod
     def load(cls, path, mapping_path=None) -> "TestVectorSet":
+        """Schema-check every row, then check that each (wn, tow, prn) has
+        its 15 pages once, then check every page's flags and CRC in one
+        kernel call."""
         columns, index_base = _read_mapping(mapping_path)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -101,15 +105,35 @@ class TestVectorSet:
                        if columns[c] not in reader.fieldnames]
             if missing:
                 raise SchemaError(f"missing columns {missing}")
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                rows.append(cls._parse_row(row, columns, index_base, lineno))
-        vectors = cls(rows=rows)
-        vectors.validate()
-        return vectors
+            rows = [cls._parse_row(row, columns, index_base, lineno)
+                    for lineno, row in enumerate(reader, start=2)]
+        groups: dict = {}
+        for wn, tow, prn, idx, raw in rows:
+            if not 1 <= idx <= SLOTS_PER_SUBFRAME:
+                raise SchemaError(f"page_index {idx} out of range")
+            key = (wn, tow, prn)
+            pages = groups.setdefault(key, {})
+            if idx in pages:
+                raise SchemaError(f"duplicate page {idx} in {key}")
+            pages[idx] = raw
+        bad = [key for key, pages in groups.items()
+               if len(pages) != SLOTS_PER_SUBFRAME]
+        if bad:
+            raise SchemaError(f"incomplete subframes: {sorted(bad)[:5]}")
+        oks = check_raws([row[4] for row in rows])
+        failed = [row[:4] for row, ok in zip(rows, oks) if not ok]
+        if failed:
+            raise CrcError(failed)
+        by_prn: dict = {}
+        for wn, tow, prn in sorted(groups, key=lambda k: (k[2], k[0], k[1])):
+            raws = tuple(raw for _, raw in sorted(groups[wn, tow, prn].items()))
+            by_prn.setdefault(prn, []).append(Subframe(Gst(wn, tow), prn, raws))
+        return cls(by_prn)
 
     @staticmethod
     def _parse_row(row, columns, index_base, lineno):
+        """(wn, tow, prn, page_index, page bytes) of one row, the index made
+        1-based; a bad value raises SchemaError naming its row and column."""
         out = []
         for name in ("wn", "tow", "prn", "page_index"):
             raw = row.get(columns[name])
@@ -132,52 +156,19 @@ class TestVectorSet:
         if not _HEX.issuperset(page_hex):
             raise SchemaError("page_hex is not hex",
                               row=lineno, column="page_hex")
-        return (*out, page_hex)
-
-    def validate(self) -> None:
-        """Schema and CRC validation over all rows; the only place a row's
-        page is checked, all rows in one kernel call."""
-        groups: dict = {}
-        for wn, tow, prn, idx, page_hex in self.rows:
-            if not 1 <= idx <= SLOTS_PER_SUBFRAME:
-                raise SchemaError(f"page_index {idx} out of range")
-            key = (wn, tow, prn)
-            seen = groups.setdefault(key, set())
-            if idx in seen:
-                raise SchemaError(f"duplicate page {idx} in {key}")
-            seen.add(idx)
-        bad = [key for key, seen in groups.items()
-               if len(seen) != SLOTS_PER_SUBFRAME]
-        if bad:
-            raise SchemaError(f"incomplete subframes: {sorted(bad)[:5]}")
-        oks = check_raws([bytes.fromhex(row[4]) for row in self.rows])
-        failed = [(wn, tow, prn, idx)
-                  for (wn, tow, prn, idx, _), ok in zip(self.rows, oks)
-                  if not ok]
-        if failed:
-            raise CrcError(failed)
+        return (*out, bytes.fromhex(page_hex))
 
     def subframes(self) -> dict:
-        """Group into per-satellite subframe lists ordered by GST.
-
-        Pages are not checked again: ``load`` validates every row, and
-        ``from_subframes`` takes the sealed pages of subframes."""
-        grouped: dict = {}
-        for wn, tow, prn, idx, page_hex in self.rows:
-            grouped.setdefault((prn, Gst(wn, tow)), {})[idx] = \
-                bytes.fromhex(page_hex)
-        out: dict = {}
-        for (prn, gst) in sorted(grouped, key=lambda k: (k[0], k[1].total_seconds())):
-            raws = grouped[(prn, gst)]
-            sf = Subframe(gst=gst, prn=prn,
-                          raws=tuple(raws[i] for i in range(1, 16)))
-            out.setdefault(prn, []).append(sf)
-        return out
+        """Fresh per-satellite subframe lists, in PRN order, each ordered
+        by GST."""
+        return {prn: list(sfs) for prn, sfs in self.by_prn.items()}
 
     @classmethod
     def from_subframes(cls, subframes_by_prn: dict) -> "TestVectorSet":
-        vectors = cls()
-        for prn in sorted(subframes_by_prn):
-            for sf in subframes_by_prn[prn]:
-                vectors.add_subframe(sf)
-        return vectors
+        """The subframes by PRN, each PRN's given in GST order; a
+        destroyed slot raises ValueError."""
+        if not all(sf.complete for sfs in subframes_by_prn.values()
+                   for sf in sfs):
+            raise ValueError("vector sets store intact pages only")
+        return cls({prn: list(subframes_by_prn[prn])
+                    for prn in sorted(subframes_by_prn)})

@@ -14,11 +14,12 @@ from osnmasim.attacks import (
 )
 from osnmasim.gst import Gst, LrtSource, to_millis
 from osnmasim.mack import generate_subframe_tags, pack_mack, unpack_mack
-from osnmasim.navdata import build_subframe, parse_nav_data, subframe_nav_data
+from osnmasim.navdata import parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
     SUBFRAME_MS,
     Source,
     assemble_round,
+    build_subframes,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaKey
 
@@ -138,13 +139,13 @@ def test_tsf_last_two_subframes_untouched(wide_bundle):
 
 def _replace_nav(sf, nav_blob):
     hkroot, mack_blob = sf.osnma
-    return build_subframe(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)
+    return build_subframes([(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)])[0]
 
 
 def _replace_mack(sf, mack_blob):
     hkroot, _ = sf.osnma
-    return build_subframe(sf.gst, sf.prn, subframe_nav_data(sf), hkroot,
-                          mack_blob)
+    return build_subframes([(sf.gst, sf.prn, subframe_nav_data(sf), hkroot,
+                             mack_blob)])[0]
 
 
 def _two_pass_forgery(aux, cfg):

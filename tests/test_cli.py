@@ -15,7 +15,9 @@ def test_gen_constellation_writes_outputs(tmp_path, capsys):
     assert main(["gen-constellation", "--seed", "3", "--sats", "4",
                  "--subframes", "9", "--out-dir", str(out)]) == 0
     vectors = TestVectorSet.load(out / "vectors.csv")
-    assert len(vectors.rows) == 4 * 9 * 15
+    assert [len(sfs) for sfs in vectors.subframes().values()] == [9] * 4
+    assert capsys.readouterr().out.startswith(
+        f"wrote {out / 'vectors.csv'} (540 rows) and ")
     chain = json.loads((out / "chain.json").read_text())
     assert set(chain) >= {"gst0", "delta_t", "n", "seed_hex", "root_hex",
                           "pubkey_pem"}
@@ -30,11 +32,13 @@ def test_gen_chain(tmp_path):
     assert doc["n"] == 40
 
 
-def test_vectors_validate_ok(tmp_path):
+def test_vectors_validate_ok(tmp_path, capsys):
     out = tmp_path / "con"
     main(["gen-constellation", "--seed", "3", "--sats", "4",
           "--subframes", "9", "--out-dir", str(out)])
+    capsys.readouterr()
     assert main(["vectors", "validate", str(out / "vectors.csv")]) == 0
+    assert capsys.readouterr().out == "ok: 540 pages, 36 subframes\n"
 
 
 def test_vectors_validate_rejects_corruption(tmp_path, capsys):
@@ -83,7 +87,33 @@ def test_forge_tsf_roundtrip(tmp_path):
     assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
                  "--iono-a0", "7", "--out", str(forged)]) == 0
     loaded = TestVectorSet.load(forged)      # validates CRCs on load
-    assert len(loaded.rows) == 4 * 9 * 15
+    assert [len(sfs) for sfs in loaded.subframes().values()] == [9] * 4
+
+
+def test_forge_tsf_rejects_a_gap(tmp_path, capsys):
+    """A satellite whose recorded subframes skip a GST is rejected, its PRN
+    and first missing GST named, though each subframe on its own is
+    valid: the forged tags would be computed under a key that is not two
+    subframes later."""
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "6", "--out-dir", str(out)])
+    path = out / "vectors.csv"
+    lines = path.read_text().splitlines()
+    lines = [line for line in lines if not line.startswith("1251,277260,1,")]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["vectors", "validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 345 pages, 23 subframes\n"
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(path),
+                 "--out", str(forged)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: prn 1: subframe at wn 1251 tow 277260 is missing; forgery "
+        "needs consecutive subframes"]
+    assert not forged.exists()
 
 
 def test_forge_tsf_out_of_range_iono_is_an_error(tmp_path, capsys):

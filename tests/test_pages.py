@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import page_reference as ref
 from osnmasim import pages
 from osnmasim.gst import Gst
-from osnmasim.navdata import build_subframe
 from osnmasim.pages import (
     CRC,
     EVEN_DATA,
@@ -448,7 +447,7 @@ def test_page_crc_matches_bitwise_reference(raw):
 def test_build_subframe_pages_match_seal_page(nav, hkroot, mack):
     """Each page is the bytes of sealing its fields read bitwise from the
     blobs, and equals the bitwise encoding with the bitwise CRC."""
-    sf = build_subframe(GST0, 5, nav, hkroot, mack)
+    sf = build_subframes([(GST0, 5, nav, hkroot, mack)])[0]
     for p, (raw, page) in enumerate(zip(sf.raws, sf.pages)):
         fields = PageContent(
             even_data=ref_getbitu(nav, 128 * p, 112),
@@ -711,7 +710,7 @@ def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
 @given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
 def test_built_subframes_read_back_their_blobs(size, seed):
     """build_subframes packs and seals a batch in one call each; a lone
-    subframe's nav_data, join_nav_data and osnma read its blobs back."""
+    subframe's nav_data and osnma read its blobs back."""
     blobs = _blob_batch(size, seed)
     built = build_subframes((GST0, prn, *triple)
                             for prn, triple in enumerate(blobs, 1))
@@ -719,7 +718,7 @@ def test_built_subframes_read_back_their_blobs(size, seed):
     for sf, (nav, hkroot, mack) in zip(built, blobs):
         assert sf.blobs is None
         assert sf.raws == tuple(pages.seal_raws(ref.blob_pages(nav, hkroot, mack)))
-        assert sf.nav_data == sf.join_nav_data() == nav
+        assert sf.nav_data == nav
         assert sf.osnma == (hkroot, mack)
 
 
@@ -766,15 +765,13 @@ def test_blobs_are_not_compared():
 
 def test_a_batch_with_an_incomplete_subframe_raises():
     """An incomplete subframe anywhere in a batch raises IncompleteError
-    naming its destroyed slots; join_nav_data still raises a ValueError."""
+    naming its destroyed slots, and so does a lone subframe's nav_data."""
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
     broken = good[:3] + (None,) + good[4:9] + (None,) + good[10:]
     with pytest.raises(IncompleteError, match=r"destroyed slots: \(3, 9\)"):
         unpack_pages([good, broken, good])
     sf = Subframe(gst=GST0, prn=5, raws=broken)
-    with pytest.raises(ValueError, match=r"\(3, 9\)"):
-        sf.join_nav_data()
-    with pytest.raises(IncompleteError):
+    with pytest.raises(IncompleteError, match=r"\(3, 9\)"):
         sf.nav_data
     assert vars(sf)["blobs"] is None
 

@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from osnmasim.attacks import shifted_stream
 from osnmasim.gst import (
     AlternateThreshold,
     Gst,
@@ -7,8 +9,16 @@ from osnmasim.gst import (
     SymmetricBound,
 )
 from osnmasim.mack import pack_mack, unpack_mack
-from osnmasim.navdata import build_subframe, subframe_nav_data
-from osnmasim.pages import PAGE_MS, SUBFRAME_MS
+from osnmasim.navdata import subframe_nav_data
+from osnmasim.pages import (
+    PAGE_BITS,
+    PAGE_MS,
+    SLOTS_PER_SUBFRAME,
+    SUBFRAME_MS,
+    build_subframes,
+    flip_page_bit,
+    reseal_raw,
+)
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
@@ -32,6 +42,12 @@ def _drive(receiver, events, rounds, t0=None):
         window = [e for e in events if w0 <= e.t_ms < w0 + SUBFRAME_MS]
         results.append(receiver.ingest_round(by_prn(window), w0))
     return results
+
+
+def _with_mack(sf, mack):
+    """sf rebuilt with its nav data and HKROOT and the given MACK blob."""
+    return build_subframes([(sf.gst, sf.prn, subframe_nav_data(sf),
+                             sf.osnma[0], mack)])[0]
 
 
 def _drop(events, prn, round_idx, slot):
@@ -144,11 +160,10 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 1
     sf5 = sfs[target_prn][5]
-    hkroot, mack = sf5.osnma
+    _, mack = sf5.osnma
     tags, key = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
-    sfs[target_prn][5] = build_subframe(sf5.gst, sf5.prn, subframe_nav_data(sf5),
-                                        hkroot, pack_mack(tags, key))
+    sfs[target_prn][5] = _with_mack(sf5, pack_mack(tags, key))
     rx = _receiver(small_bundle)
     results = _drive(rx, live_events(sfs), 9)
 
@@ -168,10 +183,9 @@ def test_tampered_key_bits_reject_key(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 3
     sf6 = sfs[target_prn][6]
-    hkroot, mack = sf6.osnma
+    _, mack = sf6.osnma
     tags, _ = unpack_mack(mack, n_tags=6)
-    sfs[target_prn][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
-                                        hkroot, pack_mack(tags, bytes(16)))
+    sfs[target_prn][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle, key_reject_threshold=10)
     results = _drive(rx, live_events(sfs), 9)
 
@@ -187,10 +201,9 @@ def test_tampered_key_bits_reject_key(small_bundle):
 def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     sf6 = sfs[1][6]
-    hkroot, mack = sf6.osnma
+    _, mack = sf6.osnma
     tags, _ = unpack_mack(mack, n_tags=6)
-    sfs[1][6] = build_subframe(sf6.gst, sf6.prn, subframe_nav_data(sf6),
-                               hkroot, pack_mack(tags, bytes(16)))
+    sfs[1][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle)            # threshold 1
     _drive(rx, live_events(sfs), 9)
     assert rx.status is Status.SPOOF_DETECTED
@@ -208,3 +221,66 @@ def test_report_shape(small_bundle):
     assert len(rep["gst_lrt_delta_ms"]) == 10
     assert all(d == 0 for d in rep["gst_lrt_delta_ms"])
     assert all(set(v) == {"gst", "prn", "outcome"} for v in rep["verdicts"])
+
+
+# (round, satellite, page, kind, bit, shift): rounds and satellites are
+# taken modulo the bundle's, pages modulo the round's events
+_MOVE = st.tuples(
+    st.integers(0, 63), st.integers(0, 63),
+    st.integers(0, SLOTS_PER_SUBFRAME - 1),
+    st.sampled_from(("drop", "duplicate", "shift", "flip", "flip_reseal")),
+    st.integers(0, PAGE_BITS - 1),
+    st.sampled_from((1, -1, 999, -999, PAGE_MS, -PAGE_MS)))
+
+
+def _moved(events, move):
+    """One satellite's page events of a round with one move applied."""
+    _, _, page, kind, bit, shift = move
+    if not events:
+        return events
+    i = page % len(events)
+    event = events[i]
+    if kind == "drop":
+        return events[:i] + events[i + 1:]
+    if kind == "duplicate":
+        return events + [event]
+    if kind == "shift":
+        event = event._replace(t_ms=event.t_ms + shift)
+    else:
+        raw = flip_page_bit(event.raw, bit)
+        event = event._replace(
+            raw=reseal_raw(raw) if kind == "flip_reseal" else raw)
+    return events[:i] + [event] + events[i + 1:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_MOVE, max_size=12))
+@example([])
+def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
+    """Pages dropped, duplicated, shifted by 1 ms, 999 ms or 2 s, or with a
+    bit flipped, resealed or not, round by round: nothing escapes
+    ingest_round, and every authentic verdict names a received subframe
+    whose nav data is the one broadcast at its GST and PRN."""
+    broadcast = small_bundle.subframes
+    rounds = len(broadcast[1])
+    t0, round_events = shifted_stream(broadcast)
+    rx = _receiver(small_bundle)
+    rx.power_on(GST0, true_ms=t0)
+    received = {}
+    for r in range(rounds):
+        events = round_events(r)
+        prns = sorted(events)
+        for move in moves:
+            if move[0] % rounds == r:
+                prn = prns[move[1] % len(prns)]
+                events[prn] = _moved(events[prn], move)
+        result = rx.ingest_round(events, t0 + r * SUBFRAME_MS)
+        received.update(((sf.gst, prn), sf)
+                        for prn, sf in result.subframes.items())
+    authentic = [v for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC]
+    for v in authentic:
+        r = (v.gst.total_seconds() - GST0.total_seconds()) // 30
+        assert received[(v.gst, v.prn)].nav_data == \
+            broadcast[v.prn][r].nav_data
+    if not moves:
+        assert authentic and len(authentic) == len(rx.verdicts)

@@ -82,14 +82,19 @@ def test_baseline_fix_matches_site():
         assert geo["height_m"] == pytest.approx(240.0, abs=1e-3)
 
 
-def test_tampered_vector_bit_caught(small_bundle):
+def test_tampered_vector_bit_caught(small_bundle, tmp_path):
     """Any post-generation bit flip surfaces in validation."""
-    rows = list(small_bundle.vectors.rows)
-    wn, tow, prn, idx, page_hex = rows[37]
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    lines = path.read_text().splitlines()
+    wn, tow, prn, idx, page_hex = lines[38].split(",")
     flipped = f"{int(page_hex[20], 16) ^ 1:x}"
-    rows[37] = (wn, tow, prn, idx, page_hex[:20] + flipped + page_hex[21:])
-    with pytest.raises(CrcError):
-        TestVectorSet(rows=rows).validate()
+    lines[38] = ",".join([wn, tow, prn, idx,
+                          page_hex[:20] + flipped + page_hex[21:]])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CrcError) as err:
+        TestVectorSet.load(path)
+    assert err.value.pages == [(int(wn), int(tow), int(prn), int(idx))]
 
 
 def test_exit_code_two_on_failure_verdicts():

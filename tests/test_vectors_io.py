@@ -4,22 +4,59 @@ import json
 import pytest
 
 import osnmasim.vectors
+from osnmasim.pages import Subframe
 from osnmasim.vectors import CrcError, SchemaError, TestVectorSet
 
 # an intact capture page, CRC-consistent, usable as a drop-in page 13
 REFERENCE_PAGE = "054bc11429a07f9fc009c6875d2a80aaaab21d69f9a18e29635cf8ec0100"
 
 
+def _bundle_subframes(bundle) -> dict:
+    return {prn: list(sfs) for prn, sfs in sorted(bundle.subframes.items())}
+
+
 def test_save_load_round_trip(small_bundle, tmp_path):
-    path = tmp_path / "vectors.csv"
+    """Load gives back the saved subframes, and saving them again writes
+    the same bytes."""
+    path, again = tmp_path / "vectors.csv", tmp_path / "again.csv"
     small_bundle.vectors.save(path)
     loaded = TestVectorSet.load(path)
-    assert loaded.rows == small_bundle.vectors.rows
+    assert loaded.subframes() == _bundle_subframes(small_bundle)
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_subframes_round_trip(small_bundle):
     rebuilt = TestVectorSet.from_subframes(small_bundle.vectors.subframes())
-    assert sorted(rebuilt.rows) == sorted(small_bundle.vectors.rows)
+    assert rebuilt.subframes() == _bundle_subframes(small_bundle)
+    assert list(rebuilt.subframes()) == sorted(small_bundle.subframes)
+
+
+def test_subframes_are_fresh_lists(small_bundle):
+    vectors = small_bundle.vectors
+    vectors.subframes()[1].clear()
+    assert vectors.subframes() == _bundle_subframes(small_bundle)
+
+
+def test_from_subframes_rejects_a_destroyed_slot(small_bundle):
+    sf = small_bundle.subframes[1][0]
+    broken = Subframe(gst=sf.gst, prn=sf.prn, raws=(None,) + sf.raws[1:])
+    with pytest.raises(ValueError, match="intact pages only"):
+        TestVectorSet.from_subframes({1: [sf, broken]})
+
+
+def test_rows_out_of_order_load_in_gst_order(small_bundle, tmp_path):
+    """Rows in any order group into each satellite's subframes by GST, and
+    save writes them back in PRN, GST and page order."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    header, *rows = path.read_text().splitlines()
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("\n".join([header] + rows[::-1]) + "\n")
+    loaded = TestVectorSet.load(shuffled)
+    assert loaded.subframes() == _bundle_subframes(small_bundle)
+    loaded.save(shuffled)
+    assert shuffled.read_bytes() == path.read_bytes()
 
 
 def test_truncated_file_schema_error(small_bundle, tmp_path):
@@ -60,8 +97,8 @@ def test_spaced_hex_schema_error(small_bundle, tmp_path):
 
 
 def test_each_page_is_decoded_once(small_bundle, tmp_path, monkeypatch):
-    """Loading a file and grouping it into subframes checks each row's page
-    once, in load's validation, all rows in one batch."""
+    """Loading a file checks each row's page once, all rows in one batch:
+    the pages parsed from the rows, in file order."""
     path = tmp_path / "vectors.csv"
     small_bundle.vectors.save(path)
     calls = []
@@ -72,12 +109,12 @@ def test_each_page_is_decoded_once(small_bundle, tmp_path, monkeypatch):
 
     check_raws = osnmasim.vectors.check_raws
     monkeypatch.setattr(osnmasim.vectors, "check_raws", counted)
-    loaded = TestVectorSet.load(path)
-    subframes = loaded.subframes()
+    subframes = TestVectorSet.load(path).subframes()
     assert len(calls) == 1
-    assert len(calls[0]) == len(loaded.rows) \
-        == 15 * sum(map(len, subframes.values()))
-    assert calls[0] == [bytes.fromhex(r[4]) for r in loaded.rows]
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert calls[0] == [bytes.fromhex(row["page_hex"]) for row in rows]
+    assert len(calls[0]) == 15 * sum(map(len, subframes.values()))
 
 
 def test_corrupted_page_crc_error(small_bundle, tmp_path):
@@ -96,13 +133,13 @@ def test_corrupted_page_crc_error(small_bundle, tmp_path):
 
 def test_reference_page_loads_crc_valid(small_bundle, tmp_path):
     """A vector file embedding the intact reference page validates."""
-    rows = [r for r in small_bundle.vectors.rows if r[2] == 1][:15]
-    rows = [r if r[3] != 13 else (r[0], r[1], r[2], 13, REFERENCE_PAGE)
-            for r in rows]
+    sf = small_bundle.subframes[1][0]
+    raws = sf.raws[:12] + (bytes.fromhex(REFERENCE_PAGE),) + sf.raws[13:]
     path = tmp_path / "embed.csv"
-    TestVectorSet(rows=rows).save(path)
+    TestVectorSet.from_subframes(
+        {1: [Subframe(gst=sf.gst, prn=1, raws=raws)]}).save(path)
     loaded = TestVectorSet.load(path)
-    assert loaded.rows[12][4] == REFERENCE_PAGE
+    assert loaded.subframes()[1][0].raws[12].hex() == REFERENCE_PAGE
 
 
 def test_missing_column_schema_error(tmp_path):
@@ -132,14 +169,17 @@ def test_foreign_format_adapter(small_bundle, tmp_path):
         "page_index_base": 0,
     }))
     loaded = TestVectorSet.load(foreign, mapping_path=mapping)
-    assert loaded.rows == small_bundle.vectors.rows
+    assert loaded.subframes() == _bundle_subframes(small_bundle)
 
 
 def test_duplicate_page_rejected(small_bundle, tmp_path):
-    rows = list(small_bundle.vectors.rows)
-    rows.append(rows[0])
-    with pytest.raises(SchemaError):
-        TestVectorSet(rows=rows).validate()
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n")
+    with pytest.raises(SchemaError, match=r"duplicate page 1 in \(1251, "
+                                          r"277200, 1\)"):
+        TestVectorSet.load(path)
 
 
 @pytest.mark.parametrize("mapping,key", [
@@ -194,4 +234,6 @@ def test_range_limits_load(small_bundle, tmp_path, column, value):
     path = tmp_path / "vectors.csv"
     small_bundle.vectors.save(path)
     _with_column(path, column, value, range(1, 16))
-    assert len(TestVectorSet.load(path).rows) == len(small_bundle.vectors.rows)
+    loaded = TestVectorSet.load(path).subframes()
+    assert sum(map(len, loaded.values())) == \
+        sum(map(len, small_bundle.subframes.values()))
