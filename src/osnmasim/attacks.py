@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import SUBFRAME_SECONDS, LrtSource
-from .mack import disclosed_key, generate_subframe_tags, pack_mack
+from .mack import disclosed_key, tag_stream
 from .navdata import build_nav_data, parse_nav_data
 from .pages import (
     PAGE_MS,
@@ -111,17 +111,15 @@ def forge_nav_blob(aux_blob: bytes, cfg: TsfConfig) -> bytes:
 
 
 def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
-    """Run the continuous forgery loop over one satellite's subframes.
+    """Forge one satellite's consecutive recorded subframes.
 
-    For each window (n, n+1, n+2): replace the nav data of subframe n,
-    recompute its tags under the key disclosed in subframe n+2 and
-    overwrite the tag region of subframe n+1 (key bits preserved).  Every
-    rewritten subframe is built and resealed once; the last subframe (the
-    last two without tags) passes through untouched, so the whole output
-    stream verifies.  The recorded subframes are read in one unpack_pages
-    call, which keeps nothing on them, and the rewritten subframes' pages
-    are packed and sealed in one call each.  A gap in aux's GSTs raises
-    InsufficientAuxError naming the satellite and the first missing GST.
+    Every subframe but the last two gets forged nav data; with forge_tags,
+    mack.tag_stream rewrites the tags of subframes 1 .. n-2 under the keys
+    the recorded subframes disclose.  The rewritten subframes are read in
+    one unpack_pages call and packed and sealed in one; the rest pass
+    through untouched, so the whole output stream verifies.  A gap in
+    aux's GSTs raises InsufficientAuxError naming the satellite and the
+    first missing GST.
     """
     n = len(aux)
     if n < TSF_MIN_SUBFRAMES:
@@ -136,15 +134,12 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
                 f"subframes")
     rewritten = n - 1 if cfg.forge_tags else n - 2
     navs, hkroots, macks = map(list, zip(*unpack_pages(sf.raws for sf in aux)))
-    for i in range(n - 2):
-        navs[i] = forge_nav_blob(navs[i], cfg)
-        if cfg.forge_tags:
-            key = TeslaKey(disclosed_key(macks[i + 2]), aux[i + 2].gst)
-            tags = generate_subframe_tags(navs[i], key, prn_d=aux[i].prn,
-                                          prn_a=aux[i].prn,
-                                          gst_sf=aux[i + 1].gst,
-                                          seg_count=cfg.seg_count)
-            macks[i + 1] = pack_mack(tags, disclosed_key(macks[i + 1]))
+    navs[:n - 2] = [forge_nav_blob(nav, cfg) for nav in navs[:n - 2]]
+    if cfg.forge_tags:
+        gsts = [sf.gst for sf in aux]
+        keys = [TeslaKey(disclosed_key(m), g) for m, g in zip(macks, gsts)]
+        macks[1:n - 1] = tag_stream(aux[0].prn, gsts, navs, keys,
+                                    cfg.seg_count)
     return build_subframes((sf.gst, sf.prn, nav, hkroot, mack)
                            for sf, nav, hkroot, mack
                            in zip(aux[:rewritten], navs, hkroots, macks)) \

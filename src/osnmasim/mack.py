@@ -7,6 +7,11 @@ satellite and the GST of the subframe carrying the tag.  The blob packs
 tags from bit 0, 40 bits each, crossing the 32-bit page-portion boundary:
 a tag's first 32 bits land in one page's MACK portion and its last 8 bits
 in the next page's.
+
+A satellite's stream follows one window rule: subframe k carries the tags
+of subframe k-1's nav data, made under the key that subframe k+1
+discloses, and then discloses its own key.  tag_stream applies it for the
+generator and the TSF forgery alike; they differ only in the keys' source.
 """
 
 from __future__ import annotations
@@ -69,14 +74,10 @@ def pack_mack(tags, key: bytes) -> bytes:
     _check_capacity(len(tags))
     if len(key) * 8 != KEY_BITS:
         raise ValueError("chain key must be 128 bits")
-    region = 0
-    for tag in tags:
-        if len(tag) * 8 != TAG_BITS:
-            raise ValueError(f"tags must be {TAG_BITS} bits")
-        region = (region << TAG_BITS) | int.from_bytes(tag, "big")
-    region <<= TAG_REGION_BITS - TAG_BITS * len(tags)
-    blob = (region << KEY_BITS) | int.from_bytes(key, "big")
-    return blob.to_bytes(MACK_BYTES, "big")
+    if any(len(tag) * 8 != TAG_BITS for tag in tags):
+        raise ValueError(f"tags must be {TAG_BITS} bits")
+    region = b"".join(tags)
+    return region + bytes(TAG_REGION_BITS // 8 - len(region)) + key
 
 
 def unpack_mack(blob: bytes, n_tags: int) -> tuple:
@@ -84,13 +85,9 @@ def unpack_mack(blob: bytes, n_tags: int) -> tuple:
     if len(blob) != MACK_BYTES:
         raise ValueError(f"MACK blob must be {MACK_BYTES} bytes")
     _check_capacity(n_tags)
-    region = int.from_bytes(blob, "big") >> KEY_BITS
-    tags = []
-    for i in range(n_tags):
-        shift = TAG_REGION_BITS - (i + 1) * TAG_BITS
-        tags.append(((region >> shift) & ((1 << TAG_BITS) - 1))
-                    .to_bytes(TAG_BITS // 8, "big"))
-    return tags, disclosed_key(blob)
+    step = TAG_BITS // 8                # tags sit on byte boundaries
+    return [blob[i * step:(i + 1) * step] for i in range(n_tags)], \
+        disclosed_key(blob)
 
 
 def disclosed_key(blob: bytes) -> bytes:
@@ -119,6 +116,15 @@ def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
     return [hmac.digest(bits, head + bytes((i & 0xFF,)) + seg,
                         "sha256")[:TAG_BITS // 8]
             for i, seg in enumerate(segments, 1)]
+
+
+def tag_stream(prn: int, gsts, navs, keys, seg_count: int) -> list:
+    """The MACK blobs of subframes 1 .. len(keys) - 2 of one satellite's
+    consecutive stream: subframe k tags navs[k - 1] under keys[k + 1] at
+    gsts[k], then discloses keys[k]."""
+    return [pack_mack(generate_subframe_tags(navs[k - 1], keys[k + 1], prn,
+                                             prn, gsts[k], seg_count),
+                      keys[k].bits) for k in range(1, len(keys) - 1)]
 
 
 def verify_tags(nav_data: bytes, received, key: TeslaKey, prn_d: int,

@@ -44,8 +44,8 @@ columns from the blobs and shifts right; unpacking shifts left and reads
 them back, whatever the number of subframes.
 
 A kernel call costs a fixed amount plus a little per page, so pages are
-batched where they form: a generated round is packed and sealed, every
-satellite together, in one call each; a forgery unpacks one satellite's
+batched where they form: a generated satellite's stream is packed and
+sealed, every subframe together, in one call each; a forgery unpacks one satellite's
 recorded subframes in one call and packs and seals the rewritten ones in
 one call each; a receiver round checks the slot owners' pages of every
 satellite in one call and unpacks its complete subframes in one; the

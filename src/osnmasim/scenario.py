@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
+from itertools import cycle, repeat
 from types import MappingProxyType
 
 from . import attacks
@@ -29,7 +30,7 @@ from .gst import (
     SymmetricBound,
     to_millis,
 )
-from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, generate_subframe_tags
+from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, tag_stream
 from .navdata import (
     CLOCK_BITS,
     EPH_AXIS_BITS,
@@ -159,34 +160,21 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     hk_blocks = dsm_hkroot_blocks(
         replace(root_msg, signature=sign_root(root_msg.body, private_key)))
 
-    subframes: dict = {prn: [] for prn in sat_states}
-    prev_blobs: dict = {}        # round j - 1's nav blobs, which j's tags cover
-    for j in range(n_subframes):
-        gst_j = gst0.add_seconds(SUBFRAME_SECONDS * j)
-        blobs = {}
-        specs = []
-        for prn, sat in sat_states.items():
-            blob = blobs[prn] = build_nav_data(
-                gst_j.wn, gst_j.tow, prn, sat.position, clock_bias_m[prn],
-                iono_a0[prn])
-            if j == 0:
-                tags = []
-            else:
-                key = chain.key_at(j + 2)          # disclosed in subframe j+1
-                tags = generate_subframe_tags(
-                    prev_blobs[prn], key, prn_d=prn, prn_a=prn,
-                    gst_sf=gst_j, seg_count=seg_count)
-            mack_blob = pack_mack(tags, chain.key_at(j + 1).bits)
-            specs.append((gst_j, prn, blob, hk_blocks[j % len(hk_blocks)],
-                          mack_blob))
-        for sf in build_subframes(specs):          # one sealing per round
-            subframes[sf.prn].append(sf)
-        prev_blobs = blobs
+    # key i + 1 is disclosed in subframe i, the root key in the slot before
+    keys = chain.keys[1:n_subframes + 2]
+    gsts = [gst0.add_seconds(SUBFRAME_SECONDS * j) for j in range(n_subframes)]
+    subframes = {}
+    for prn, sat in sat_states.items():          # one sealing per satellite
+        navs = [build_nav_data(g.wn, g.tow, prn, sat.position,
+                               clock_bias_m[prn], iono_a0[prn]) for g in gsts]
+        macks = [pack_mack([], keys[0].bits)] \
+            + tag_stream(prn, gsts, navs, keys, seg_count)
+        subframes[prn] = tuple(build_subframes(
+            zip(gsts, repeat(prn), navs, cycle(hk_blocks), macks)))
 
     return ConstellationBundle(
-        subframes=MappingProxyType(
-            {prn: tuple(sfs) for prn, sfs in subframes.items()}),
-        chain=chain, pubkey_pem=public_key_pem(public_key),
+        subframes=MappingProxyType(subframes), chain=chain,
+        pubkey_pem=public_key_pem(public_key),
         sat_states=MappingProxyType(sat_states), receiver_ecef=recv_ecef,
         gst0=gst0)
 
@@ -271,6 +259,11 @@ _CLOCK_MM = 1 << CLOCK_BITS - 1        # the clock bias is sent in signed mm
 _SITE_HEIGHT_M = int(((1 << EPH_AXIS_BITS - 1) - 1) / MM_PER_M
                      - SAT_RANGE_M[1] - WGS84_A / math.sqrt(1 - WGS84_E2))
 
+# A tsf forgery's target height (up to low Earth orbit) and clock offset (up
+# to an hour), bounded so that every authenticated fix lands within 1 mm of
+# the target; README "Scenario files" says what goes wrong beyond them.
+_TARGET_HEIGHT_M, _CLOCK_OFFSET_S = (-2_000_000, 2_000_000), (-3600, 3600)
+
 # type: (declared keys, policy class)
 POLICIES = {
     "alternate": ({"t_l_s": (SECONDS, 30)}, AlternateThreshold),
@@ -348,8 +341,9 @@ ATTACKS = {
                       "mitm_delay_s": (SECONDS, 0, 0, None)}, _tsr_recorded),
     "tsf": ({"target": ({"lat_deg": (NUMBER, 4.0, *LAT_RANGE),
                          "lon_deg": (NUMBER, 50.0, *LON_RANGE),
-                         "height_m": (NUMBER, 100.0)}, {}),
-             "clock_offset_s": (NUMBER, 0.0), "forge_tags": (bool, True),
+                         "height_m": (NUMBER, 100.0, *_TARGET_HEIGHT_M)}, {}),
+             "clock_offset_s": (NUMBER, 0.0, *_CLOCK_OFFSET_S),
+             "forge_tags": (bool, True),
              "iono_a0": (int, 0, 0, (1 << IONO_A0_BITS) - 1),
              "clock_bias_m": (NUMBER, 0.0, -_CLOCK_MM / MM_PER_M,
                               (_CLOCK_MM - 1) / MM_PER_M),

@@ -168,13 +168,14 @@ class RootKeyMessage:
 def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
                        kroot: bytes) -> bytes:
     """Pack header, MAC-function id, root slot time and root key bits."""
-    fields = (nma_header, mf, wnk, towk, int.from_bytes(kroot, "big"))
     if len(kroot) != KEY_BYTES:
         raise FieldWidthError(f"kroot must be {KEY_BYTES} bytes")
+    fields = {"nma_header": nma_header, "mf": mf, "wnk": wnk, "towk": towk,
+              "kroot": int.from_bytes(kroot, "big")}
     value = 0
-    for width, field in zip(_MSG_WIDTHS, fields):
+    for width, (name, field) in zip(_MSG_WIDTHS, fields.items()):
         if not 0 <= field < (1 << width):
-            raise FieldWidthError(f"field {field:#x} does not fit {width} bits")
+            raise FieldWidthError(f"{name} {field} does not fit {width} bits")
         value = (value << width) | field
     return value.to_bytes(ROOT_MESSAGE_BYTES, "big")
 

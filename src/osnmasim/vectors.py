@@ -95,7 +95,8 @@ class TestVectorSet:
     def load(cls, path, mapping_path=None) -> "TestVectorSet":
         """Schema-check every row, then check that each (wn, tow, prn) has
         its 15 pages once, then check every page's flags and CRC in one
-        kernel call."""
+        kernel call.  A SchemaError names the row (and column) at fault:
+        a duplicate page's second row, an incomplete subframe's first."""
         columns, index_base = _read_mapping(mapping_path)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -107,19 +108,21 @@ class TestVectorSet:
                 raise SchemaError(f"missing columns {missing}")
             rows = [cls._parse_row(row, columns, index_base, lineno)
                     for lineno, row in enumerate(reader, start=2)]
-        groups: dict = {}
-        for wn, tow, prn, idx, raw in rows:
-            if not 1 <= idx <= SLOTS_PER_SUBFRAME:
-                raise SchemaError(f"page_index {idx} out of range")
+        groups: dict = {}           # (wn, tow, prn) -> {page_index: page}
+        first_row: dict = {}        # (wn, tow, prn) -> row of its first page
+        for lineno, (wn, tow, prn, idx, raw) in enumerate(rows, start=2):
             key = (wn, tow, prn)
             pages = groups.setdefault(key, {})
+            first_row.setdefault(key, lineno)
             if idx in pages:
-                raise SchemaError(f"duplicate page {idx} in {key}")
+                raise SchemaError(f"duplicate page {idx} in {key}",
+                                  row=lineno, column="page_index")
             pages[idx] = raw
-        bad = [key for key, pages in groups.items()
-               if len(pages) != SLOTS_PER_SUBFRAME]
+        bad = sorted(key for key, pages in groups.items()
+                     if len(pages) != SLOTS_PER_SUBFRAME)
         if bad:
-            raise SchemaError(f"incomplete subframes: {sorted(bad)[:5]}")
+            raise SchemaError(f"incomplete subframes: {bad[:5]}",
+                              row=first_row[bad[0]])
         oks = check_raws([row[4] for row in rows])
         failed = [row[:4] for row, ok in zip(rows, oks) if not ok]
         if failed:
@@ -148,6 +151,10 @@ class TestVectorSet:
             if not low <= value <= high:
                 raise SchemaError(f"{name} {value} is outside {low}..{high}",
                                   row=lineno, column=name)
+        if not index_base <= out[3] < index_base + SLOTS_PER_SUBFRAME:
+            raise SchemaError(f"page_index {out[3]} is outside {index_base}.."
+                              f"{index_base + SLOTS_PER_SUBFRAME - 1}",
+                              row=lineno, column="page_index")
         out[3] = out[3] - index_base + 1
         page_hex = (row.get(columns["page_hex"]) or "").strip().lower()
         if len(page_hex) != 2 * PAGE_BYTES:

@@ -24,6 +24,16 @@ def test_gen_constellation_writes_outputs(tmp_path, capsys):
     assert "PRIVATE" not in (out / "chain.json").read_text()
 
 
+def test_gen_constellation_names_the_root_field_that_does_not_fit(tmp_path,
+                                                                  capsys):
+    code = main(["gen-constellation", "--sats", "4", "--subframes", "3",
+                 "--wn", "5000", "--out-dir", str(tmp_path / "con")])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: wnk 5000 does not fit 12 bits\n"
+    assert not (tmp_path / "con").exists()
+
+
 def test_gen_chain(tmp_path):
     out = tmp_path / "chain.json"
     assert main(["gen-chain", "--seed", "5", "--n", "40",

@@ -11,10 +11,11 @@ from osnmasim.mack import (
     generate_subframe_tags,
     pack_mack,
     split_segments,
+    tag_stream,
     unpack_mack,
     verify_tags,
 )
-from osnmasim.tesla import TeslaKey
+from osnmasim.tesla import TeslaChain, TeslaKey
 
 GST_SF = Gst(1251, 277230)
 
@@ -204,3 +205,24 @@ def test_every_tag_is_compute_tag_of_its_auth_message(nav, key_bits, seg_count,
 def test_generate_rejects_empty_nav_data():
     with pytest.raises(ValueError, match="non-empty"):
         generate_subframe_tags(b"", TeslaKey(bytes(16), GST_SF), 1, 1, GST_SF, 6)
+
+
+_CHAIN = TeslaChain.generate(bytes(range(16)), 12, Gst(1251, 277170))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 255), st.integers(1, 8), st.data())
+def test_tag_stream_is_the_window_rule_subframe_by_subframe(prn, seg_count,
+                                                            data):
+    """Over any consecutive slice of at least three keys, subframe k carries
+    the tags of navs[k - 1] under keys[k + 1] at gsts[k] and discloses
+    keys[k]."""
+    lo = data.draw(st.integers(0, len(_CHAIN.keys) - 3))
+    keys = _CHAIN.keys[lo:data.draw(st.integers(lo + 3, len(_CHAIN.keys)))]
+    gsts = [key.gst for key in keys]
+    navs = data.draw(st.lists(st.binary(min_size=8, max_size=240),
+                              min_size=len(keys), max_size=len(keys)))
+    assert tag_stream(prn, gsts, navs, keys, seg_count) == [
+        pack_mack(generate_subframe_tags(navs[k - 1], keys[k + 1], prn, prn,
+                                         gsts[k], seg_count), keys[k].bits)
+        for k in range(1, len(keys) - 1)]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -214,6 +215,14 @@ BAD_CONFIGS = [
      "$.constellation.receiver.height_m"),
     ("attack", {"type": "tsr_realtime", "delay_s": "29.5004"},
      "$.attack.delay_s"),
+    ("attack", {"type": "tsf", "clock_offset_s": 1e300},
+     "$.attack.clock_offset_s"),
+    ("attack", {"type": "tsf", "clock_offset_s": -3600.001},
+     "$.attack.clock_offset_s"),
+    ("attack", {"type": "tsf", "target": {"height_m": 1e9}},
+     "$.attack.target.height_m"),
+    ("attack", {"type": "tsf", "target": {"height_m": -1e7}},
+     "$.attack.target.height_m"),
     ("attack", {"type": "cr", "t_acq_s": 0.0005}, "$.attack.t_acq_s"),
 ]
 
@@ -275,6 +284,28 @@ def test_every_site_height_that_loads_generates(lat_deg, lon_deg):
         site = {"lat_deg": lat_deg, "lon_deg": lon_deg, "height_m": height}
         sc = Scenario.from_dict(_with("constellation.receiver", site))
         generate_synthetic_constellation(sc.seed, 4, 1, sc.gst0, sc.site)
+
+
+@pytest.mark.parametrize("key,end", [("clock_offset_s", 0),
+                                     ("clock_offset_s", 1),
+                                     ("height_m", 0), ("height_m", 1)])
+def test_tsf_bounds_keep_every_auth_fix_on_target(key, end):
+    """At either bound of the clock offset and the target height, every
+    authenticated fix lands within 1 mm of the target and reports the
+    forged clock offset."""
+    keys = ATTACKS["tsf"][0]
+    bound = (keys[key] if key == "clock_offset_s"
+             else keys["target"][0][key])[2 + end]
+    target = {"lat_deg": 4.0, "lon_deg": 50.0, "height_m": 100.0}
+    attack = {"type": "tsf", "target": target, "clock_offset_s": 0.0}
+    (attack if key == "clock_offset_s" else target)[key] = bound
+    report = run_scenario(_scenario(attack))
+    want = osnmasim.positioning.geodetic_to_ecef(*target.values())
+    assert len(report["auth_fixes"]) >= 8
+    for fix in report["auth_fixes"].values():
+        assert math.dist(fix["ecef_m"], want) < 1e-3, fix
+        assert fix["clock_offset_s"] == pytest.approx(
+            attack["clock_offset_s"], abs=1e-9)
 
 
 def test_non_finite_json_number_names_its_path(tmp_path):
@@ -734,11 +765,12 @@ def test_memory_per_subframe_is_bounded():
     assert growth <= 3500, growth
 
 
-def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
-    """On an 8x128 baseline, generation seals each round's pages, all
-    satellites together, in exactly one kernel call, and the receiver checks
-    each round's pages, all satellites together, in exactly one; no page
-    takes the one-page path (decode_page, seal_page, reseal_raw)."""
+def test_pages_are_sealed_a_satellite_and_checked_a_round_at_a_time(
+        monkeypatch):
+    """On an 8x128 baseline, generation seals each satellite's pages, its
+    whole stream, in exactly one kernel call, and the receiver checks each
+    round's pages, all satellites together, in exactly one; no page takes
+    the one-page path (decode_page, seal_page, reseal_raw)."""
     calls = []
     kernel = osnmasim.pages._crc_columns
 
@@ -756,7 +788,7 @@ def test_pages_are_sealed_and_checked_a_round_at_a_time(monkeypatch):
     sc = _scenario({"type": "none"}, subframes=128)
     osnmasim.scenario._constellation(sc.seed, sc.n_sats, sc.n_subframes,
                                      sc.gst0, sc.site, sc.seg_count)
-    assert calls == [8 * 15] * 128
+    assert calls == [128 * 15] * 8
     calls.clear()
     report = run_scenario(sc)
     assert report["receiver"]["rounds"] == 128

@@ -1,10 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osnmasim.gst import Gst
 from osnmasim.tesla import (
+    DSM_BLOCKS,
     AlignmentError,
     DsmAccumulator,
     FieldWidthError,
@@ -155,11 +158,15 @@ def test_root_message_towk_confined():
 
 
 def test_root_message_width_checks():
-    with pytest.raises(FieldWidthError):
+    with pytest.raises(FieldWidthError, match="^nma_header 338 does not"):
         build_root_message(0x152, 0, 0, 0, bytes(16))
-    with pytest.raises(FieldWidthError):
+    with pytest.raises(FieldWidthError, match="^mf -1 does not fit 8 bits$"):
+        build_root_message(0x52, -1, 0, 0, bytes(16))
+    with pytest.raises(FieldWidthError, match="^wnk 5000 does not fit 12"):
         build_root_message(0x52, 0, 5000, 0, bytes(16))
-    with pytest.raises(FieldWidthError):
+    with pytest.raises(FieldWidthError, match="^towk 1048576 does not fit 20"):
+        build_root_message(0x52, 0, 0, 1 << 20, bytes(16))
+    with pytest.raises(FieldWidthError, match="^kroot must be 16 bytes$"):
         build_root_message(0x52, 0, 0, 0, bytes(17))
 
 
@@ -239,6 +246,35 @@ def test_dsm_blocks_any_join_point():
     for i in range(3, 3 + len(blocks)):
         out = acc.feed(blocks[i % len(blocks)])
     assert out is not None and out.kroot == msg.kroot
+
+
+_SIGNER, _VERIFIER = generate_keypair(12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.binary(min_size=16, max_size=16), min_size=2, max_size=2,
+                unique=True),
+       st.lists(st.integers(0, 4095), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, DSM_BLOCKS - 1)),
+                max_size=40))
+def test_interleaved_root_messages_verify_only_as_signed(kroots, wns, order):
+    """One accumulator fed the HKROOT blocks of two signed root messages in
+    any interleaving: whatever assembles and verifies is one of the two, and
+    a full cycle of one message's blocks then assembles that message."""
+    msgs = []
+    for kroot, wn in zip(kroots, wns):
+        msg = RootKeyMessage(nma_header=0x52, mf=0, wnk=wn, towk=GST0.tow,
+                             kroot=kroot)
+        msgs.append(replace(msg, signature=sign_root(msg.body, _SIGNER)))
+    blocks = [dsm_hkroot_blocks(msg) for msg in msgs]
+    acc = DsmAccumulator()
+    for which, idx in order:
+        out = acc.feed(blocks[which][idx])
+        if out is not None and verify_root(out.body, out.signature, _VERIFIER):
+            assert out in msgs
+    for block in blocks[1]:
+        out = acc.feed(block)
+    assert out == msgs[1]
 
 
 def test_dsm_rejects_misaligned_header():

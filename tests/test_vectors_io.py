@@ -178,8 +178,25 @@ def test_duplicate_page_rejected(small_bundle, tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
     with pytest.raises(SchemaError, match=r"duplicate page 1 in \(1251, "
-                                          r"277200, 1\)"):
+                                          r"277200, 1\)") as err:
         TestVectorSet.load(path)
+    assert (err.value.row, err.value.column) == (len(lines) + 1, "page_index")
+    assert str(err.value).endswith(f"(row {len(lines) + 1}, "
+                                   "column 'page_index')")
+
+
+def test_incomplete_subframe_names_its_first_row(small_bundle, tmp_path):
+    """A subframe short of a page is named by the row of its first page;
+    no column is at fault."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    lines = path.read_text().splitlines()
+    del lines[20]                        # page 5 of the second subframe
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"^incomplete subframes: "
+                       r"\[\(1251, 277230, 1\)\] \(row 17\)$") as err:
+        TestVectorSet.load(path)
+    assert (err.value.row, err.value.column) == (17, None)
 
 
 @pytest.mark.parametrize("mapping,key", [
@@ -213,7 +230,8 @@ def _with_column(path, column, value, rows):
 
 @pytest.mark.parametrize("column,value", [
     ("wn", -1), ("wn", 4096), ("tow", -1), ("tow", 604800), ("tow", 700000),
-    ("prn", 0), ("prn", 256), ("prn", 300)])
+    ("prn", 0), ("prn", 256), ("prn", 300), ("page_index", 16),
+    ("page_index", 0)])
 def test_out_of_range_value_schema_error(small_bundle, tmp_path, column,
                                          value):
     """A value no subframe can carry is rejected at load, its row and
