@@ -12,11 +12,19 @@ A satellite's stream follows one window rule: subframe k carries the tags
 of subframe k-1's nav data, made under the key that subframe k+1
 discloses, and then discloses its own key.  tag_stream applies it for the
 generator and the TSF forgery alike; they differ only in the keys' source.
+
+HMAC runs through cryptography's OpenSSL, as the chain hash and the root-key
+signature do.  The stdlib hmac module is not imported: it loads _hashlib,
+a second OpenSSL.  Tags are compared with _operator._compare_digest, the
+constant-time C function that hmac.compare_digest falls back to.
 """
 
 from __future__ import annotations
 
-import hmac
+from _operator import _compare_digest
+
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.hmac import HMAC
 
 from .gst import Gst
 from .tesla import TeslaKey
@@ -56,7 +64,9 @@ def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
     """HMAC-SHA-256 truncated to the leading tag_bits."""
     if tag_bits % 8 or not 0 < tag_bits <= 256:
         raise ValueError("tag length must be a multiple of 8 bits, <= 256")
-    return hmac.digest(key, message, "sha256")[:tag_bits // 8]
+    mac = HMAC(key, hashes.SHA256())
+    mac.update(message)
+    return mac.finalize()[:tag_bits // 8]
 
 
 def _check_capacity(n_tags: int) -> None:
@@ -107,15 +117,20 @@ def split_segments(nav_data: bytes, seg_count: int) -> list:
 def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
                            prn_a: int, gst_sf: Gst, seg_count: int) -> list:
     """One tag per nav-data segment, all under the same chain key: each is
-    compute_tag of build_auth_message for its 1-based segment index, made
-    from one header and one HMAC per segment."""
+    compute_tag of build_auth_message for its 1-based segment index.  One
+    HMAC takes the key and the shared header, and each segment finishes a
+    copy of it."""
     segments = split_segments(nav_data, seg_count)
     if not segments[0]:
         raise ValueError("segment must be non-empty")
-    head, bits = _auth_head(prn_d, prn_a, gst_sf), key.bits
-    return [hmac.digest(bits, head + bytes((i & 0xFF,)) + seg,
-                        "sha256")[:TAG_BITS // 8]
-            for i, seg in enumerate(segments, 1)]
+    head = HMAC(key.bits, hashes.SHA256())
+    head.update(_auth_head(prn_d, prn_a, gst_sf))
+    tags = []
+    for i, seg in enumerate(segments, 1):
+        mac = head.copy()
+        mac.update(bytes((i & 0xFF,)) + seg)
+        tags.append(mac.finalize()[:TAG_BITS // 8])
+    return tags
 
 
 def tag_stream(prn: int, gsts, navs, keys, seg_count: int) -> list:
@@ -136,4 +151,4 @@ def verify_tags(nav_data: bytes, received, key: TeslaKey, prn_d: int,
     """
     local = generate_subframe_tags(nav_data, key, prn_d, prn_a, gst_sf,
                                    seg_count)
-    return [hmac.compare_digest(a, b) for a, b in zip(local, received)]
+    return [_compare_digest(a, b) for a, b in zip(local, received)]

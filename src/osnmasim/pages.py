@@ -473,8 +473,13 @@ def _owned(events, prn: int, w0: int) -> list:
     only with a single event aligned to the slot start (a full 2 s of
     coverage); when streams overlap, an adversary page that fully covers the
     slot captures it, any partial overlap destroys the slot.  Empty slots
-    are destroyed.
+    are destroyed.  A round of exactly one event of prn at each slot start,
+    in slot order, is owned page for page without the scan.
     """
+    if len(events) == SLOTS_PER_SUBFRAME and all(
+            e.prn == prn and e.t_ms == t_ms
+            for e, t_ms in zip(events, range(w0, w0 + SUBFRAME_MS, PAGE_MS))):
+        return [e.raw for e in events]
     # (adversary, authentic) events overlapping each slot; an event starting
     # inside slot k covers slot k, and slot k + 1 unless it starts on the grid
     covering = [([], []) for _ in range(SLOTS_PER_SUBFRAME)]

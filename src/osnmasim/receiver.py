@@ -30,7 +30,7 @@ from .tesla import (
     DsmAccumulator,
     GstOrderError,
     TeslaKey,
-    load_public_key_pem,
+    load_public_key_point,
     verify_key,
     verify_root,
 )
@@ -66,7 +66,7 @@ class AuthResult:
 @dataclass
 class ReceiverConfig:
     policy: TsPolicy
-    pubkey_pem: str
+    pubkey: bytes                   # compressed P-256 point
     seg_count: int = 6
     key_reject_threshold: int = 1
 
@@ -93,7 +93,7 @@ class Receiver:
         self.rounds_ingested = 0
         self.key_rejections = 0
         self._dsm = DsmAccumulator()
-        self._pubkey = load_public_key_pem(config.pubkey_pem)
+        self._pubkey = load_public_key_point(config.pubkey)
         self._first_gst: Gst | None = None
         self._note_status(None)
 

@@ -63,7 +63,9 @@ from .tesla import (
     TeslaChain,
     dsm_hkroot_blocks,
     generate_keypair,
+    load_public_key_point,
     public_key_pem,
+    public_key_point,
     sign_root,
 )
 from .vectors import TestVectorSet
@@ -84,7 +86,7 @@ class ConstellationBundle:
 
     subframes: MappingProxyType           # prn -> tuple of sealed subframes by GST
     chain: TeslaChain
-    pubkey_pem: str
+    pubkey: bytes                         # compressed P-256 point
     sat_states: MappingProxyType          # prn -> SatState
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
@@ -101,7 +103,8 @@ class ConstellationBundle:
             _observations(self.subframes, self.receiver_ecef, 0.0))
 
     def chain_json(self) -> dict:
-        return {**self.chain.as_dict(), "pubkey_pem": self.pubkey_pem}
+        return {**self.chain.as_dict(),
+                "pubkey_pem": public_key_pem(load_public_key_point(self.pubkey))}
 
 
 def _sky_direction(lat_deg, lon_deg, az_deg, el_deg):
@@ -174,7 +177,7 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
 
     return ConstellationBundle(
         subframes=MappingProxyType(subframes), chain=chain,
-        pubkey_pem=public_key_pem(public_key),
+        pubkey=public_key_point(public_key),
         sat_states=MappingProxyType(sat_states), receiver_ecef=recv_ecef,
         gst0=gst0)
 
@@ -488,7 +491,7 @@ def run_scenario(sc: Scenario) -> dict:
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
 
-    config = ReceiverConfig(policy=sc.policy, pubkey_pem=bundle.pubkey_pem,
+    config = ReceiverConfig(policy=sc.policy, pubkey=bundle.pubkey,
                             seg_count=sc.seg_count,
                             key_reject_threshold=sc.key_reject_threshold)
     receiver = Receiver(config, lrt)

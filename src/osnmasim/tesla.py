@@ -7,16 +7,20 @@ discloses it.  A received key is verified by hashing it back to a trusted
 key; the required number of hash steps follows from the GST difference
 divided by the 30-second slot duration, which is what defeats reuse of a
 stale key in a later slot.
+
+The chain hash and the root-key signature go through cryptography's
+OpenSSL; hashlib is not imported, because it loads a second one.  The root
+public key travels as the 33-byte compressed P-256 point that the OSNMA
+DSM-PKR carries; PEM is written for chain JSON files only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ec
 from cryptography.hazmat.primitives.asymmetric.utils import (
     decode_dss_signature,
@@ -55,9 +59,17 @@ class MalformedKeyError(ValueError):
     """Signing-key material could not be used."""
 
 
+POINT_BYTES = 33            # compressed P-256 point: 0x02 | y parity, then x
+
+# an empty SHA-256 context; copying it is cheaper than setting up a new one
+_SHA256 = hashes.Hash(hashes.SHA256())
+
+
 def truncate_hash(data: bytes) -> bytes:
     """SHA-256 truncated to the 128-bit chain key size."""
-    return hashlib.sha256(data).digest()[:KEY_BYTES]
+    digest = _SHA256.copy()
+    digest.update(data)
+    return digest.finalize()[:KEY_BYTES]
 
 
 @dataclass(frozen=True)
@@ -229,17 +241,34 @@ def verify_root(message: bytes, signature: bytes, public_key) -> bool:
         return False
 
 
+def public_key_point(public_key) -> bytes:
+    """The key as a compressed point: 0x02 or 0x03 by the parity of y,
+    then x in 32 big-endian bytes."""
+    numbers = public_key.public_numbers()
+    return bytes((2 | numbers.y & 1,)) + numbers.x.to_bytes(32, "big")
+
+
+def load_public_key_point(point: bytes):
+    """The P-256 public key of a compressed point; anything else, an
+    uncompressed point or an x off the curve included, raises
+    MalformedKeyError."""
+    if len(point) != POINT_BYTES or point[0] not in (2, 3):
+        raise MalformedKeyError(
+            f"public key must be a {POINT_BYTES}-byte compressed point")
+    try:
+        return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(),
+                                                            point)
+    except ValueError as exc:
+        raise MalformedKeyError(str(exc)) from exc
+
+
 def public_key_pem(public_key) -> str:
+    """SubjectPublicKeyInfo PEM, for chain JSON files; the serialization
+    package is imported here so that a run never loads it."""
+    from cryptography.hazmat.primitives import serialization
     return public_key.public_bytes(
         serialization.Encoding.PEM,
         serialization.PublicFormat.SubjectPublicKeyInfo).decode()
-
-
-def load_public_key_pem(pem: str):
-    try:
-        return serialization.load_pem_public_key(pem.encode())
-    except ValueError as exc:
-        raise MalformedKeyError(str(exc)) from exc
 
 
 def dsm_hkroot_blocks(msg: RootKeyMessage) -> list:

@@ -363,7 +363,7 @@ def test_criterion_7e_ima_resume_property(ima_bundle):
                       not in destroyed)
                   or (e.t_ms - GST0.total_millis()) % SUBFRAME_MS != 6 * PAGE_MS]
         rx = Receiver(ReceiverConfig(policy=AlternateThreshold(30000),
-                                     pubkey_pem=ima_bundle.pubkey_pem),
+                                     pubkey=ima_bundle.pubkey),
                       LrtSource())
         rx.power_on(GST0, GST0.total_millis())
         for r in range(n_rounds):

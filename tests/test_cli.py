@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,31 @@ import pytest
 from osnmasim.cli import main
 from osnmasim.vectors import TestVectorSet
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+
+# a second OpenSSL (hashlib, hmac, _hashlib) and the PEM/SSH serialization
+# package that a run never needs
+UNLOADED = ("hashlib", "hmac", "_hashlib",
+            "cryptography.hazmat.primitives.serialization")
+
+
+def test_a_run_loads_one_openssl_and_no_serialization(tmp_path):
+    """Every hash, HMAC and signature of a run goes through cryptography:
+    a fresh interpreter that runs a scenario never imports the stdlib's
+    OpenSSL binding or cryptography's serialization package."""
+    probe = (
+        "import sys\n"
+        "from osnmasim import cli\n"
+        f"code = cli.main(['run', {str(SCENARIO_DIR / 'baseline.json')!r},"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        f"print(code, [m for m in {UNLOADED!r} if m in sys.modules])\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "baseline.report.json").exists()
 
 
 def test_gen_constellation_writes_outputs(tmp_path, capsys):

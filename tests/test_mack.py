@@ -1,3 +1,4 @@
+import hmac
 import random
 
 import pytest
@@ -226,3 +227,49 @@ def test_tag_stream_is_the_window_rule_subframe_by_subframe(prn, seg_count,
         pack_mack(generate_subframe_tags(navs[k - 1], keys[k + 1], prn, prn,
                                          gsts[k], seg_count), keys[k].bits)
         for k in range(1, len(keys) - 1)]
+
+
+# -- the stdlib reference: the program computes HMAC through cryptography ----
+
+
+def ref_tags(nav, key, prn_d, prn_a, wn, tow, seg_count):
+    """hmac.digest over each segment's message, laid out field by field."""
+    seg_len = -(-len(nav) // seg_count)
+    padded = nav.ljust(seg_len * seg_count, b"\x00")
+    head = bytes((prn_d, prn_a)) + (wn << 20 | tow).to_bytes(4, "big")
+    return [hmac.digest(key, head + bytes((i + 1,))
+                        + padded[i * seg_len:(i + 1) * seg_len], "sha256")[:5]
+            for i in range(seg_count)]
+
+
+@settings(max_examples=60)
+@given(st.binary(min_size=1, max_size=240), st.binary(min_size=16, max_size=16),
+       st.integers(0, 255), st.integers(0, 255), st.integers(0, 4095),
+       st.integers(0, 604799), st.integers(1, 8))
+def test_tags_equal_the_stdlib_hmac_reference(nav, key_bits, prn_d, prn_a, wn,
+                                              tow, seg_count):
+    gst_sf = Gst(wn, tow)
+    want = ref_tags(nav, key_bits, prn_d, prn_a, wn, tow, seg_count)
+    assert generate_subframe_tags(nav, TeslaKey(key_bits, gst_sf), prn_d,
+                                  prn_a, gst_sf, seg_count) == want
+    message = build_auth_message(prn_d, prn_a, gst_sf, 1, nav)
+    assert compute_tag(key_bits, message) == \
+        hmac.digest(key_bits, message, "sha256")[:5]
+
+
+@settings(max_examples=60)
+@given(st.binary(min_size=16, max_size=240), st.binary(min_size=16, max_size=16),
+       st.integers(1, 255), st.integers(1, 8), st.data())
+def test_verify_flags_exactly_the_segment_with_a_flipped_byte(nav, key_bits,
+                                                             prn, seg_count,
+                                                             data):
+    key = TeslaKey(key_bits, GST_SF)
+    tags = generate_subframe_tags(nav, key, prn, prn, GST_SF, seg_count)
+    pos = data.draw(st.integers(0, len(nav) - 1))
+    flip = data.draw(st.integers(1, 255))
+    changed = bytearray(nav)
+    changed[pos] ^= flip
+    seg_len = -(-len(nav) // seg_count)
+    assert verify_tags(bytes(changed), tags, key, prn, prn, GST_SF,
+                       seg_count) == [i != pos // seg_len
+                                      for i in range(seg_count)]

@@ -429,6 +429,53 @@ def test_standalone_round_is_checked_in_one_call(monkeypatch):
     assert calls == [SLOTS_PER_SUBFRAME]
 
 
+@st.composite
+def near_grid_rounds(draw):
+    """A round of 15 pages on the slot grid, some possibly damaged, and one
+    move that may take it off the fast path: none, every or one page
+    shifted 1 ms, a page dropped or added, a page filed under another PRN,
+    two pages swapped, or a copy of the round with the sources mixed, in
+    place of the round or sent beside it."""
+    events = [e if flip is None else e._replace(raw=flip_page_bit(e.raw, flip))
+              for e, flip in zip(_events(), draw(st.lists(
+                  st.none() | st.integers(0, 239), min_size=15, max_size=15)))]
+    move = draw(st.sampled_from(["aligned", "shift_all", "shift_one", "drop",
+                                 "add", "wrong_prn", "swap", "mixed",
+                                 "mixed_beside"]))
+    i, j = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    if move == "shift_all":
+        shift = draw(st.sampled_from([-1, 1]))
+        events = [e._replace(t_ms=e.t_ms + shift) for e in events]
+    elif move == "shift_one":
+        events[i] = events[i]._replace(
+            t_ms=events[i].t_ms + draw(st.sampled_from([-1, 1])))
+    elif move == "drop":
+        del events[i]
+    elif move == "add":
+        events.insert(i, events[j]._replace(
+            source=draw(st.sampled_from(list(Source)))))
+    elif move == "wrong_prn":
+        events[i] = events[i]._replace(prn=6)
+    elif move == "swap":
+        events[i], events[j] = events[j], events[i]
+    elif move.startswith("mixed"):
+        sources = draw(st.lists(st.sampled_from(list(Source)), min_size=15,
+                                max_size=15))
+        copy = [e._replace(source=src) for e, src in zip(events, sources)]
+        events = events + copy if move == "mixed_beside" else copy
+    return events
+
+
+@given(near_grid_rounds())
+def test_on_grid_rounds_match_the_slot_reference(events):
+    """Rounds on, and one move off, the slot grid: the fast path for a
+    round of one page per slot start, in order, owns exactly what the
+    slot-by-slot reference owns."""
+    got = pages.assemble_rounds({5: events, 6: events}, GST0, [5, 6], _T0)
+    for prn in (5, 6):
+        assert got[prn] == ref_assemble_round(events, GST0, prn, _T0)
+
+
 @given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES))
 def test_page_crc_matches_bitwise_reference(raw):
     """Any page, flags, tail and CRC bits included: the CRC read from the

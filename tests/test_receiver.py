@@ -29,7 +29,7 @@ GST0 = Gst(1251, 277200)
 
 def _receiver(bundle, policy=None, lrt=None, **cfg_kw):
     config = ReceiverConfig(policy=policy or AlternateThreshold(30000),
-                            pubkey_pem=bundle.pubkey_pem, **cfg_kw)
+                            pubkey=bundle.pubkey, **cfg_kw)
     return Receiver(config, lrt or LrtSource())
 
 

@@ -3,7 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from osnmasim.gst import Gst
 from osnmasim.tesla import (
@@ -12,15 +12,17 @@ from osnmasim.tesla import (
     DsmAccumulator,
     FieldWidthError,
     GstOrderError,
+    MalformedKeyError,
     RootKeyMessage,
     TeslaChain,
     TeslaKey,
     build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
-    load_public_key_pem,
+    load_public_key_point,
     parse_root_message,
     public_key_pem,
+    public_key_point,
     sign_root,
     truncate_hash,
     verify_key,
@@ -206,11 +208,66 @@ def test_signature_deterministic():
     assert sign_root(m, sk) == sign_root(m, sk)
 
 
-def test_pem_round_trip():
-    _, pk = generate_keypair(5)
-    pem = public_key_pem(pk)
-    again = load_public_key_pem(pem)
-    assert public_key_pem(again) == pem
+@settings(max_examples=30)
+@given(st.integers(0, 1 << 64))
+def test_point_round_trip(seed):
+    _, pk = generate_keypair(seed)
+    point = public_key_point(pk)
+    again = load_public_key_point(point)
+    assert len(point) == 33 and point[0] in (2, 3)
+    assert public_key_point(again) == point
+    assert again.public_numbers() == pk.public_numbers()
+    assert public_key_pem(again) == public_key_pem(pk)
+
+
+# -- references for the hash and the key point: hashlib and the curve equation
+
+
+def ref_truncate_hash(data):
+    return hashlib.sha256(data).digest()[:16]
+
+
+@settings(max_examples=40)
+@given(st.binary(min_size=16, max_size=16), st.integers(1, 40),
+       st.binary(max_size=100))
+def test_chain_keys_equal_the_hashlib_reference(seed, n, data):
+    chain = TeslaChain.generate(seed, n, GST0)
+    assert chain.seed.bits == seed
+    for older, newer in zip(chain.keys, chain.keys[1:]):
+        assert older.bits == ref_truncate_hash(newer.bits)
+    assert truncate_hash(data) == ref_truncate_hash(data)
+
+
+# P-256: y^2 = x^3 - 3x + b over GF(p)
+_P = 2**256 - 2**224 + 2**192 + 2**96 - 1
+_B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+
+
+def _on_curve_x(x):
+    """Whether some y satisfies the curve equation at x (Euler's criterion)."""
+    rhs = (x ** 3 - 3 * x + _B) % _P
+    return rhs == 0 or pow(rhs, (_P - 1) // 2, _P) == 1
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 1 << 64))
+def test_point_of_another_length_or_prefix_is_rejected(seed):
+    _, pk = generate_keypair(seed)
+    point = public_key_point(pk)
+    numbers = pk.public_numbers()
+    x, y = numbers.x.to_bytes(32, "big"), numbers.y.to_bytes(32, "big")
+    for bad in (point[1:], b"\x04" + x + y, b"\x04" + x, point + b"\x00",
+                b"\x05" + x):
+        with pytest.raises(MalformedKeyError):
+            load_public_key_point(bad)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, _P - 1), st.sampled_from([2, 3]))
+def test_point_off_the_curve_is_rejected(x, prefix):
+    assume(not _on_curve_x(x))
+    with pytest.raises(MalformedKeyError):
+        load_public_key_point(bytes((prefix,)) + x.to_bytes(32, "big"))
 
 
 def _signed_root():
