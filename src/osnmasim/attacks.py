@@ -10,10 +10,14 @@
 * concatenating replay: overpower a tracking receiver mid-round and splice
   a real-time copy onto its page stream, aligned or shifted depending on
   where the takeover lands inside the 2-second first-page window.
+
+Each attack's page events are legs on one 2-second slot grid, made by
+slot_stream alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .gst import SUBFRAME_SECONDS, LrtSource
@@ -57,32 +61,53 @@ class TsfConfig:
     clock_bias_m: float = 0.0
 
 
-def _pages(prn: int, sf, delay_ms: int, source: Source) -> list:
-    """A subframe's pages as events, each delay_ms after its slot's GST."""
-    base = sf.gst.total_millis() + delay_ms
-    return [PageEvent(base + k * PAGE_MS, prn, source, raw)
-            for k, raw in enumerate(sf.raws)]
+def slot_stream(subframes: dict, delay_ms: int, legs) -> tuple:
+    """Every satellite's page events on one grid of 2-second slots.
 
+    Slot g starts at t0 + 2 s * g, t0 being the first subframe's GST plus
+    delay_ms; every stream's subframes are consecutive from that GST.  A
+    leg (source, first_slot, end_slot, shift) sends from source, in each
+    slot g of [first_slot, end_slot), page (g - shift) % 15 of subframe
+    (g - shift) // 15 where that subframe exists, bits untouched.
 
-def shifted_stream(subframes: dict, delay_ms: int = 0,
-                   source: Source = Source.AUTHENTIC) -> tuple:
-    """Every satellite's subframes, their pages delay_ms after their GST.
-
-    Returns the first window start and the function of r that gives round
-    r's events by PRN: each satellite's subframe r, bits untouched.
+    Returns t0, the first window start, and the function of r that gives
+    round r's events, slots 15r .. 15r + 14, by PRN: leg after leg, a PRN
+    with no page left out.
     """
     t0 = min(sfs[0].gst.total_millis() for sfs in subframes.values()) + delay_ms
 
     def round_events(r: int) -> dict:
-        return {prn: _pages(prn, sfs[r], delay_ms, source)
-                for prn, sfs in subframes.items() if r < len(sfs)}
+        lo = r * SLOTS_PER_SUBFRAME
+        hi = lo + SLOTS_PER_SUBFRAME
+        out = {}
+        for prn, sfs in subframes.items():
+            events = []
+            for source, first, end, shift in legs:
+                g0 = max(lo, first, shift)
+                g1 = min(hi, end, len(sfs) * SLOTS_PER_SUBFRAME + shift)
+                j, k = divmod(g0 - shift, SLOTS_PER_SUBFRAME)
+                # a round's slots span two subframes at most
+                raws = [raw for sf in sfs[j:j + 2] for raw in sf.raws][k:]
+                events += [PageEvent(t_ms, prn, source, raw)
+                           for t_ms, raw in zip(range(t0 + g0 * PAGE_MS,
+                                                      t0 + g1 * PAGE_MS,
+                                                      PAGE_MS), raws)]
+            if events:
+                out[prn] = events
+        return out
 
     return t0, round_events
 
 
+def shifted_stream(subframes: dict, delay_ms: int = 0,
+                   source: Source = Source.AUTHENTIC) -> tuple:
+    """Each subframe's pages delay_ms after their GST: one leg, no shift."""
+    return slot_stream(subframes, delay_ms, ((source, 0, math.inf, 0),))
+
+
 def replay_realtime(subframes: dict, delay_ms: int) -> tuple:
-    """Record-and-replay with a fixed forwarding delay, bits untouched: the
-    shifted stream of adversary pages."""
+    """The shifted stream of adversary pages: record and replay with a
+    fixed forwarding delay."""
     if delay_ms < 0:
         raise ValueError("delay must be >= 0")
     return shifted_stream(subframes, delay_ms, Source.ADVERSARY)
@@ -146,52 +171,20 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
         + list(aux[rewritten:])
 
 
-def _page(sfs, content: int) -> bytes:
-    """Page content % 15 of subframe content // 15."""
-    j, k = divmod(content, SLOTS_PER_SUBFRAME)
-    return sfs[j].raws[k]
-
-
 def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple:
     """Splice a real-time replayed copy onto a tracked live stream.
 
     The replay begins replay_delay after the start of onset_round and the
-    receiver needs t_acq to lock on.  Live pages overlapping the onset or
-    anything after it are lost.  When the takeover lands inside (or exactly
-    at the end of) the first page window, the replayed pages line up with
-    the receiver's slot grid; a later takeover leaves every subsequent
-    round carrying pages shifted by a whole number of slots.  Grid slot g
-    starts 2 s * g after the first live page; from the first slot at or
-    after the takeover on, slot g carries content g - shift, page
-    (g - shift) % 15 of subframe (g - shift) // 15.
-
-    Returns the first window start and the function of r that gives round
-    r's events by PRN.  The windows sit on the subframe grid: window 0
-    starts at the first subframe's GST, whether or not a live page is sent
-    before the takeover.
+    receiver needs t_acq to lock on.  Two legs on the live grid: live
+    pages up to the onset (a page overlapping it is lost), then the copy
+    from the first slot at or after the takeover.  A takeover inside (or
+    exactly at the end of) a round's first page lines the copy up with
+    the grid; a later one shifts it by the delay plus t_acq in whole slots.
     """
-    start = min(sfs[0].gst.total_millis() for sfs in subframes.values())
-    onset = start + onset_round * SUBFRAME_MS + timing.replay_delay_ms
+    offset = timing.replay_delay_ms + timing.t_acq_ms     # into onset_round
+    shift = 0 if offset <= PAGE_MS else offset // PAGE_MS
+    onset = onset_round * SUBFRAME_MS + timing.replay_delay_ms
     takeover = onset + timing.t_acq_ms
-    offset_in_round = timing.replay_delay_ms + timing.t_acq_ms
-    shift = 0 if offset_in_round <= PAGE_MS else offset_in_round // PAGE_MS
-    live_end = (onset - start) // PAGE_MS     # live slots below it survive
-    first_slot = -((start - takeover) // PAGE_MS)
-
-    def round_events(r: int) -> dict:
-        lo = r * SLOTS_PER_SUBFRAME
-        hi = lo + SLOTS_PER_SUBFRAME
-        out = {}
-        for prn, sfs in subframes.items():
-            total = len(sfs) * SLOTS_PER_SUBFRAME
-            live = range(lo, min(hi, live_end, total))
-            copy = range(max(lo, first_slot, shift), min(hi, total + shift))
-            events = [PageEvent(start + g * PAGE_MS, prn, Source.AUTHENTIC,
-                                _page(sfs, g)) for g in live] \
-                + [PageEvent(start + g * PAGE_MS, prn, Source.ADVERSARY,
-                             _page(sfs, g - shift)) for g in copy]
-            if events:
-                out[prn] = events
-        return out
-
-    return start, round_events
+    return slot_stream(subframes, 0, (
+        (Source.AUTHENTIC, 0, onset // PAGE_MS, 0),
+        (Source.ADVERSARY, -(-takeover // PAGE_MS), math.inf, shift)))

@@ -27,10 +27,10 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.hmac import HMAC
 
 from .gst import Gst
+from .pages import MACK_BYTES
 from .tesla import TeslaKey
 
-MACK_BITS = 480
-MACK_BYTES = MACK_BITS // 8
+MACK_BITS = 8 * MACK_BYTES
 KEY_BITS = 128
 TAG_REGION_BITS = MACK_BITS - KEY_BITS      # 352
 TAG_BITS = 40

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gst import Gst
-from .pages import Subframe
+from .pages import NAV_BYTES, SLOTS_PER_SUBFRAME, Subframe
 
-NAV_BLOB_BYTES = 240
-NAV_BLOB_BITS = 1920
-PAGE_DATA_BITS = 128
+NAV_BITS = 8 * NAV_BYTES
+PAGE_DATA_BITS = NAV_BITS // SLOTS_PER_SUBFRAME
 
 WN_POS, WN_BITS = 6, 12
 TOW_POS, TOW_BITS = 18, 20
@@ -71,11 +70,11 @@ def _field(name: str, pos: int, bits: int, value, signed: bool = False) -> int:
     if not (isinstance(value, int) and low <= value < low + (1 << bits)):
         kind = "signed" if signed else "unsigned"
         raise ValueError(f"{name} {value!r} does not fit {bits} {kind} bits")
-    return (value & (1 << bits) - 1) << NAV_BLOB_BITS - pos - bits
+    return (value & (1 << bits) - 1) << NAV_BITS - pos - bits
 
 
 def _get(blob: int, pos: int, bits: int, signed: bool = False) -> int:
-    raw = blob >> NAV_BLOB_BITS - pos - bits & (1 << bits) - 1
+    raw = blob >> NAV_BITS - pos - bits & (1 << bits) - 1
     return raw - (1 << bits) if signed and raw >> bits - 1 else raw
 
 
@@ -98,12 +97,12 @@ def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,
     blob |= _field("clock_bias_m", CLOCK_POS, CLOCK_BITS,
                    round(clock_bias_m * MM_PER_M), signed=True)
     blob |= _field("iono_a0", IONO_A0_POS, IONO_A0_BITS, iono_a0)
-    return blob.to_bytes(NAV_BLOB_BYTES, "big")
+    return blob.to_bytes(NAV_BYTES, "big")
 
 
 def parse_nav_data(blob: bytes) -> NavFields:
-    if len(blob) != NAV_BLOB_BYTES:
-        raise ValueError(f"nav blob must be {NAV_BLOB_BYTES} bytes")
+    if len(blob) != NAV_BYTES:
+        raise ValueError(f"nav blob must be {NAV_BYTES} bytes")
     nav = int.from_bytes(blob, "big")
     return NavFields(
         wn=_get(nav, WN_POS, WN_BITS),

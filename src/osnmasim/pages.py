@@ -23,13 +23,9 @@ even bits 0..113 followed by odd bits 0..81 (196 bits).  This region was
 calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
 
-A page is its 30 transmitted bytes from sealing to reception: subframes
-hold them, page events carry them, replays pass them on, and a receiver
-checks them and reads navigation data and OSNMA blobs out of them.  A
-vector set holds sealed subframes too; hex exists only in its CSV file,
-and loading decodes each page's hex once.
-PageContent is only the codec's view of one page's
-fields, what seal_page and encode_page take and decode_page gives back.
+A page is its 30 transmitted bytes from sealing to reception;
+PageContent is only the codec's view of one page's fields, what seal_page
+and encode_page take and decode_page gives back.
 
 The page CRC has one implementation, the column-wise kernel
 ``_crc_columns``, which seals or checks many pages in one call.  The
@@ -41,22 +37,10 @@ of each 30-byte page are the even data, byte 14 the even tail and the odd
 half's flags (0b10), bytes 15..16 the odd data, byte 17 the HKROOT
 portion and bytes 18..21 the MACK portion.  Packing fills those byte
 columns from the blobs and shifts right; unpacking shifts left and reads
-them back, whatever the number of subframes.
-
-A kernel call costs a fixed amount plus a little per page, so pages are
-batched where they form: a generated satellite's stream is packed and
-sealed, every subframe together, in one call each; a forgery unpacks one satellite's
-recorded subframes in one call and packs and seals the rewritten ones in
-one call each; a receiver round checks the slot owners' pages of every
-satellite in one call and unpacks its complete subframes in one; the
-observations unpack each satellite's subframes in one call; a vector file's
-pages are checked in one call at load.  A lone page -- decode_page, seal_page,
-reseal_raw -- or a lone subframe read through Subframe.nav_data or
-Subframe.osnma goes through the same kernels and pays their fixed cost.
-
-Each received page is checked once and read once per reception, in its
-round's calls; no check or read result is kept from one round, or one
-scenario, to the next.
+them back, whatever the number of subframes.  A kernel call costs a fixed
+amount plus a little per page, so pages go through in batches; a lone
+page or subframe pays the fixed cost.  A received page is checked and
+read once per reception, and nothing is kept from one round to the next.
 """
 
 from __future__ import annotations
@@ -65,13 +49,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .gst import Gst
+from .gst import MS_PER_S, SUBFRAME_SECONDS, Gst
 
 PAGE_BITS = 240
 PAGE_BYTES = 30
-PAGE_MS = 2000
 SLOTS_PER_SUBFRAME = 15
-SUBFRAME_MS = PAGE_MS * SLOTS_PER_SUBFRAME
+SUBFRAME_MS = SUBFRAME_SECONDS * MS_PER_S
+PAGE_MS = SUBFRAME_MS // SLOTS_PER_SUBFRAME
 
 CRC24Q_POLY = 0x1864CFB
 
@@ -293,8 +277,10 @@ _NAV_COLUMNS = (*range(14), 15, 16)
 _HKROOT_COLUMN = 17
 _MACK_COLUMNS = (18, 19, 20, 21)
 _ODD_FLAGS_COLUMN = 14
-_NAV_BYTES = len(_NAV_COLUMNS) * SLOTS_PER_SUBFRAME        # 240
-_MACK_BYTES = len(_MACK_COLUMNS) * SLOTS_PER_SUBFRAME       # 60
+# a subframe's blobs: its pages' portions concatenated
+NAV_BYTES = len(_NAV_COLUMNS) * SLOTS_PER_SUBFRAME          # 240
+HKROOT_BYTES = SLOTS_PER_SUBFRAME                           # 15
+MACK_BYTES = len(_MACK_COLUMNS) * SLOTS_PER_SUBFRAME        # 60
 
 
 def pack_pages(blobs) -> bytes:
@@ -308,12 +294,12 @@ def pack_pages(blobs) -> bytes:
     """
     navs, hkroots, macks = [], [], []
     for nav, hkroot, mack in blobs:
-        if len(hkroot) != SLOTS_PER_SUBFRAME:
+        if len(hkroot) != HKROOT_BYTES:
             raise ValueError("hkroot must supply one byte per page")
-        if len(mack) != _MACK_BYTES:
+        if len(mack) != MACK_BYTES:
             raise ValueError("mack blob must supply four bytes per page")
-        if len(nav) != _NAV_BYTES:
-            raise ValueError(f"nav blob must be {_NAV_BYTES} bytes")
+        if len(nav) != NAV_BYTES:
+            raise ValueError(f"nav blob must be {NAV_BYTES} bytes")
         navs.append(nav)
         hkroots.append(hkroot)
         macks.append(mack)
@@ -351,9 +337,9 @@ def unpack_pages(slots) -> list:
         mack[j::len(_MACK_COLUMNS)] = shifted[k::PAGE_BYTES]
     nav, mack = bytes(nav), bytes(mack)
     hkroot = shifted[_HKROOT_COLUMN::PAGE_BYTES]
-    return [(nav[_NAV_BYTES * i:_NAV_BYTES * (i + 1)],
-             hkroot[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)],
-             mack[_MACK_BYTES * i:_MACK_BYTES * (i + 1)])
+    return [(nav[NAV_BYTES * i:NAV_BYTES * (i + 1)],
+             hkroot[HKROOT_BYTES * i:HKROOT_BYTES * (i + 1)],
+             mack[MACK_BYTES * i:MACK_BYTES * (i + 1)])
             for i in range(len(raws) // SLOTS_PER_SUBFRAME)]
 
 

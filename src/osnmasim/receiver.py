@@ -94,14 +94,16 @@ class Receiver:
         self.key_rejections = 0
         self._dsm = DsmAccumulator()
         self._pubkey = load_public_key_point(config.pubkey)
-        self._first_gst: Gst | None = None
+        self._grid: tuple | None = None  # (first GST, its window start ms)
         self._note_status(None)
 
     # -- startup -----------------------------------------------------------
 
     def power_on(self, first_gst: Gst, true_ms: int) -> Status:
-        """Run the TS gate against the first observed subframe boundary."""
-        self._first_gst = first_gst
+        """Run the TS gate against the first observed subframe boundary,
+        and fix the round grid: round r is stamped first_gst + r * 30 s and
+        its window starts at true_ms + r * 30 s."""
+        self._grid = (first_gst, true_ms)
         decision = ts_startup(first_gst, self.lrt, self.config.policy, true_ms)
         if decision is TsStartup.OSNMA_START:
             self.status = Status.AWAITING_ROOT_KEY
@@ -113,8 +115,8 @@ class Receiver:
 
     # -- per-round processing ----------------------------------------------
 
-    def ingest_round(self, events_by_prn: dict, window_start_ms: int) -> RoundResult:
-        """Assemble one 30-s round per satellite and run the pipeline.
+    def ingest_round(self, events_by_prn: dict) -> RoundResult:
+        """Assemble the next 30-s round per satellite and run the pipeline.
 
         events_by_prn maps each PRN to the page events it sent this round; a
         pending satellite that sends nothing still gets a destroyed round.
@@ -122,7 +124,7 @@ class Receiver:
         the OSNMA pipeline is gated on a successful TS startup.  The rounds
         are assembled together, every satellite's pages checked in one call.
         """
-        gst = self._round_gst()
+        gst, window_start_ms = self._round_start()
         osnma_active = self.status not in (Status.COLD_START, Status.TS_FAILED)
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
@@ -162,10 +164,13 @@ class Receiver:
         if not self.timeline or self.timeline[-1][1] is not self.status:
             self.timeline.append((gst, self.status))
 
-    def _round_gst(self) -> Gst:
-        if self._first_gst is None:
+    def _round_start(self) -> tuple:
+        """The next round's GST and window start on the power-on grid."""
+        if self._grid is None:
             raise RuntimeError("receiver was never powered on")
-        return self._first_gst.add_seconds(SUBFRAME_SECONDS * self.rounds_ingested)
+        first_gst, true_ms = self._grid
+        r = self.rounds_ingested
+        return first_gst.add_seconds(SUBFRAME_SECONDS * r), true_ms + r * SUBFRAME_MS
 
     def _record_delta(self, gst: Gst, window_start_ms: int) -> None:
         # compare at subframe completion: content GST end vs LRT reading

@@ -42,7 +42,7 @@ from .navdata import (
     parse_nav_data,
     subframe_nav_data,
 )
-from .pages import SUBFRAME_MS, build_subframes, unpack_pages
+from .pages import build_subframes, unpack_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
@@ -269,8 +269,8 @@ _TARGET_HEIGHT_M, _CLOCK_OFFSET_S = (-2_000_000, 2_000_000), (-3600, 3600)
 
 # type: (declared keys, policy class)
 POLICIES = {
-    "alternate": ({"t_l_s": (SECONDS, 30)}, AlternateThreshold),
-    "symmetric": ({"b_s": (SECONDS, 15)}, SymmetricBound),
+    "alternate": ({"t_l_s": (SECONDS, 30, 0, None)}, AlternateThreshold),
+    "symmetric": ({"b_s": (SECONDS, 15, 0, None)}, SymmetricBound),
 }
 
 SCENARIO_KEYS = {
@@ -295,11 +295,10 @@ SCENARIO_KEYS = {
 # -- attacks ---------------------------------------------------------------
 #
 # A generator maps (values, scenario, bundle) to (stream, lrt, observations).
-# The stream is (t0, round_events): the first window start in ms, and the
-# function of r that gives round r's page events by PRN, read straight from
-# the sealed subframes.  lrt is the scenario's LRT source as the attack
-# leaves it, and observations are the ranges the receiver measures, keyed
-# by (gst seconds, prn).
+# The stream is attacks.slot_stream's (t0, round_events): the receiver is
+# powered on at t0, its slot grid's start in ms.  lrt is the scenario's LRT
+# source as the attack leaves it, and observations are the ranges the
+# receiver measures, keyed by (gst seconds, prn).
 
 
 def _none(a, sc, bundle):
@@ -511,7 +510,7 @@ def run_scenario(sc: Scenario) -> dict:
     auth_fixes = {}
     back = ({}, {})             # solver inputs of rounds r - 2 and r - 1
     for r in range(sc.duration_rounds):
-        result = receiver.ingest_round(round_events(r), t0 + r * SUBFRAME_MS)
+        result = receiver.ingest_round(round_events(r))
         inputs = _solver_inputs(result.subframes, obs)
         raw_fixes.append(fix_report(inputs.values()))
         # each PRN's window holds three consecutive complete rounds, so an

@@ -28,6 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 
 from .gst import Gst, SUBFRAME_SECONDS
+from .pages import HKROOT_BYTES
 
 KEY_BYTES = 16
 NMA_HEADER = 0x52
@@ -38,7 +39,7 @@ ROOT_MESSAGE_BYTES = sum(_MSG_WIDTHS) // 8
 SIGNATURE_BYTES = 64
 
 # HKROOT transport: [NMA header, block index, 13 payload bytes] per subframe
-DSM_PAYLOAD_BYTES = 13
+DSM_PAYLOAD_BYTES = HKROOT_BYTES - 2
 DSM_BODY_BYTES = 1 + ROOT_MESSAGE_BYTES + SIGNATURE_BYTES
 DSM_BLOCKS = math.ceil(DSM_BODY_BYTES / DSM_PAYLOAD_BYTES)
 
@@ -298,7 +299,7 @@ class DsmAccumulator:
     def feed(self, hkroot: bytes) -> RootKeyMessage | None:
         """Offer one subframe's HKROOT bytes; returns the parsed root
         message once every block has been seen (unverified)."""
-        if len(hkroot) != 15 or hkroot[0] != NMA_HEADER:
+        if len(hkroot) != HKROOT_BYTES or hkroot[0] != NMA_HEADER:
             return None
         idx = hkroot[1]
         if idx >= DSM_BLOCKS:

@@ -43,7 +43,7 @@ from osnmasim.scenario import (
     run_scenario,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaChain, verify_key
-from stream_reference import by_prn
+from stream_reference import rounds
 
 # ---------------------------------------------------------------------------
 # reference fixtures: intact capture pages and the worked forging example
@@ -365,11 +365,10 @@ def test_criterion_7e_ima_resume_property(ima_bundle):
         rx = Receiver(ReceiverConfig(policy=AlternateThreshold(30000),
                                      pubkey=ima_bundle.pubkey),
                       LrtSource())
-        rx.power_on(GST0, GST0.total_millis())
-        for r in range(n_rounds):
-            w0 = GST0.total_millis() + r * SUBFRAME_MS
-            rx.ingest_round(by_prn(e for e in events
-                                   if w0 <= e.t_ms < w0 + SUBFRAME_MS), w0)
+        t0, windows = rounds(events, n_rounds, GST0.total_millis())
+        rx.power_on(GST0, t0)
+        for window in windows:
+            rx.ingest_round(window)
         got = {(v.gst.total_seconds() - GST0.total_seconds()) // 30
                for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC}
         expected = {r for r in range(4, n_rounds - 2)

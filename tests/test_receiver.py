@@ -22,7 +22,7 @@ from osnmasim.pages import (
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
-from stream_reference import by_prn
+import stream_reference
 
 GST0 = Gst(1251, 277200)
 
@@ -33,15 +33,10 @@ def _receiver(bundle, policy=None, lrt=None, **cfg_kw):
     return Receiver(config, lrt or LrtSource())
 
 
-def _drive(receiver, events, rounds, t0=None):
-    t0 = min(e.t_ms for e in events) if t0 is None else t0
+def _drive(receiver, events, n_rounds, t0=None):
+    t0, windows = stream_reference.rounds(events, n_rounds, t0)
     receiver.power_on(GST0, true_ms=t0)
-    results = []
-    for r in range(rounds):
-        w0 = t0 + r * SUBFRAME_MS
-        window = [e for e in events if w0 <= e.t_ms < w0 + SUBFRAME_MS]
-        results.append(receiver.ingest_round(by_prn(window), w0))
-    return results
+    return [receiver.ingest_round(window) for window in windows]
 
 
 def _with_mack(sf, mack):
@@ -69,6 +64,26 @@ def test_power_on_untrusted_bound_stays_cold(small_bundle):
     rx = _receiver(small_bundle, policy=SymmetricBound(15000),
                    lrt=LrtSource(error_bound_ms=20000))
     assert rx.power_on(GST0, GST0.total_millis()) is Status.COLD_START
+
+
+@pytest.mark.parametrize("skew_ms", (-1, 1))
+def test_windows_sit_on_the_power_on_grid(small_bundle, skew_ms):
+    """The receiver's windows start at its power-on time, a round apart: a
+    receiver powered on 1 ms off the stream's first slot has every page
+    straddle two slots and discards every round, while the aligned one
+    authenticates every verdict it gives."""
+    t0, round_events = shifted_stream(small_bundle.subframes)
+    n_rounds, sats = len(small_bundle.subframes[1]), len(small_bundle.subframes)
+    outcomes = {}
+    for skew in (0, skew_ms):
+        rx = _receiver(small_bundle)
+        assert rx.power_on(GST0, t0 + skew) is Status.AWAITING_ROOT_KEY
+        for r in range(n_rounds):
+            rx.ingest_round(round_events(r))
+        outcomes[skew] = [v.outcome for v in rx.verdicts]
+    assert outcomes[0] and set(outcomes[0]) == {Outcome.AUTHENTIC}
+    assert outcomes[skew_ms] == \
+        [Outcome.DISCARDED_INCOMPLETE] * (n_rounds * sats)
 
 
 def test_cold_start_trace(small_bundle):
@@ -274,7 +289,7 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
             if move[0] % rounds == r:
                 prn = prns[move[1] % len(prns)]
                 events[prn] = _moved(events[prn], move)
-        result = rx.ingest_round(events, t0 + r * SUBFRAME_MS)
+        result = rx.ingest_round(events)
         received.update(((sf.gst, prn), sf)
                         for prn, sf in result.subframes.items())
     authentic = [v for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC]

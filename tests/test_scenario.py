@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -137,6 +138,10 @@ BAD_CONFIGS = [
     ("receiver.policy", {"type": "alternate", "t_l": 30},
      "$.receiver.policy.t_l"),
     ("receiver.policy", {"type": "symmetric", "b_s": True},
+     "$.receiver.policy.b_s"),
+    ("receiver.policy", {"type": "alternate", "t_l_s": -1},
+     "$.receiver.policy.t_l_s"),
+    ("receiver.policy", {"type": "symmetric", "b_s": "-0.5"},
      "$.receiver.policy.b_s"),
     ("receiver.lrt_offset_s", True, "$.receiver.lrt_offset_s"),
     ("receiver.lrt_error_bound_s", "abc", "$.receiver.lrt_error_bound_s"),
@@ -489,16 +494,46 @@ REPORT_DIGESTS = {
 }
 
 
-def test_report_digests_match_the_benchmark_pins(monkeypatch):
-    """The nine paper entries of the benchmark's digest table are these."""
+def _benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded read-only."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)   # for dataclasses
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_report_digests_match_the_benchmark_pins(monkeypatch):
+    """The nine paper entries of the benchmark's digest table are these."""
+    workloads = _benchmark_workloads(monkeypatch)
     assert set(workloads.PAPER_SCENARIOS) == set(REPORT_DIGESTS)
     assert {stem: workloads.DIGESTS[stem]
             for stem in workloads.PAPER_SCENARIOS} == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["long_clean", "long_forgery"])
+def test_long_workload_reports_pass_the_benchmark_check(monkeypatch, tmp_path,
+                                                        name):
+    """The benchmark's long runs, in process at its default seed: each
+    report passes the benchmark's check, pinned digest included."""
+    workloads = _benchmark_workloads(monkeypatch)
+    (path,) = workloads.WORKLOADS[name].write_scenarios(
+        SCENARIO_DIR, workloads.DEFAULT_SEED, tmp_path)
+    text = report_to_json(run_scenario(Scenario.load(path))).encode()
+    assert workloads.check_report(name, text, workloads.DEFAULT_SEED) is None
+
+
+def test_benchmark_probe_imports_resolve():
+    """Every name perfbench/probes.py imports from osnmasim exists."""
+    tree = ast.parse((ROOT / "perfbench" / "probes.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "osnmasim"
+               for alias in node.names]
+    assert imports
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def test_shipped_reports_are_byte_identical():
@@ -592,8 +627,8 @@ def test_verdicts_name_the_data_subframe_two_rounds_back(monkeypatch):
     rounds = []
     ingest = osnmasim.receiver.Receiver.ingest_round
 
-    def recording(self, events_by_prn, window_start_ms):
-        result = ingest(self, events_by_prn, window_start_ms)
+    def recording(self, events_by_prn):
+        result = ingest(self, events_by_prn)
         rounds.append(result)
         return result
 
@@ -657,9 +692,9 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
         rounds[-1][1] += sum(len(events_by_prn.get(prn, ())) for prn in prns)
         return assemble(events_by_prn, gst, prns, *args)
 
-    def recording(self, events_by_prn, window_start_ms):
+    def recording(self, events_by_prn):
         rounds.append([sum(map(len, events_by_prn.values())), 0])
-        return ingest(self, events_by_prn, window_start_ms)
+        return ingest(self, events_by_prn)
 
     monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", counting)
     monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
