@@ -18,7 +18,6 @@ slot_stream alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .gst import SUBFRAME_SECONDS, LrtSource
 from .mack import disclosed_key, tag_stream
@@ -41,24 +40,6 @@ TSF_MIN_SUBFRAMES = 3
 
 class InsufficientAuxError(ValueError):
     """Forgery needs at least three consecutive recorded subframes."""
-
-
-@dataclass(frozen=True)
-class CrTiming:
-    replay_delay_ms: int
-    t_acq_ms: int
-
-    def __post_init__(self):
-        if self.replay_delay_ms < 0 or self.t_acq_ms < 0:
-            raise ValueError("timing parameters must be >= 0")
-
-
-@dataclass(frozen=True)
-class TsfConfig:
-    seg_count: int = 6
-    forge_tags: bool = True
-    iono_a0: int = 0
-    clock_bias_m: float = 0.0
 
 
 def slot_stream(subframes: dict, delay_ms: int, legs) -> tuple:
@@ -121,7 +102,8 @@ def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
                      error_bound_ms=source.error_bound_ms)
 
 
-def forge_nav_blob(aux_blob: bytes, cfg: TsfConfig) -> bytes:
+def forge_nav_blob(aux_blob: bytes, iono_a0: int,
+                   clock_bias_m: float) -> bytes:
     """Forge the navigation data of one subframe.
 
     Identity, timing and ephemeris words are kept from the recorded
@@ -131,16 +113,17 @@ def forge_nav_blob(aux_blob: bytes, cfg: TsfConfig) -> bytes:
     nav = parse_nav_data(aux_blob)
     return build_nav_data(wn=nav.wn, tow=nav.tow, prn=nav.prn,
                           sat_ecef_m=nav.sat_ecef_m,
-                          clock_bias_m=cfg.clock_bias_m,
-                          iono_a0=cfg.iono_a0)
+                          clock_bias_m=clock_bias_m, iono_a0=iono_a0)
 
 
-def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
+def tsf_forge_subframes(aux: list, *, seg_count: int, forge_tags: bool,
+                        iono_a0: int, clock_bias_m: float) -> list:
     """Forge one satellite's consecutive recorded subframes.
 
-    Every subframe but the last two gets forged nav data; with forge_tags,
-    mack.tag_stream rewrites the tags of subframes 1 .. n-2 under the keys
-    the recorded subframes disclose.  The rewritten subframes are read in
+    Every subframe but the last two gets forged nav data, its corrections
+    rewritten to iono_a0 and clock_bias_m; with forge_tags, mack.tag_stream
+    rewrites the seg_count tags of subframes 1 .. n-2 under the keys the
+    recorded subframes disclose.  The rewritten subframes are read in
     one unpack_pages call and packed and sealed in one; the rest pass
     through untouched, so the whole output stream verifies.  A gap in
     aux's GSTs raises InsufficientAuxError naming the satellite and the
@@ -157,34 +140,40 @@ def tsf_forge_subframes(aux: list, cfg: TsfConfig) -> list:
                 f"prn {sf.prn}: subframe at wn {expected.wn} tow "
                 f"{expected.tow} is missing; forgery needs consecutive "
                 f"subframes")
-    rewritten = n - 1 if cfg.forge_tags else n - 2
+    rewritten = n - 1 if forge_tags else n - 2
     navs, hkroots, macks = map(list, zip(*unpack_pages(sf.raws for sf in aux)))
-    navs[:n - 2] = [forge_nav_blob(nav, cfg) for nav in navs[:n - 2]]
-    if cfg.forge_tags:
+    navs[:n - 2] = [forge_nav_blob(nav, iono_a0, clock_bias_m)
+                    for nav in navs[:n - 2]]
+    if forge_tags:
         gsts = [sf.gst for sf in aux]
         keys = [TeslaKey(disclosed_key(m), g) for m, g in zip(macks, gsts)]
-        macks[1:n - 1] = tag_stream(aux[0].prn, gsts, navs, keys,
-                                    cfg.seg_count)
+        macks[1:n - 1] = tag_stream(aux[0].prn, gsts, navs, keys, seg_count)
     return build_subframes((sf.gst, sf.prn, nav, hkroot, mack)
                            for sf, nav, hkroot, mack
                            in zip(aux[:rewritten], navs, hkroots, macks)) \
         + list(aux[rewritten:])
 
 
-def cr_compose(subframes: dict, timing: CrTiming, onset_round: int = 0) -> tuple:
+def cr_compose(subframes: dict, replay_delay_ms: int, t_acq_ms: int,
+               onset_round: int) -> tuple:
     """Splice a real-time replayed copy onto a tracked live stream.
 
-    The replay begins replay_delay after the start of onset_round and the
-    receiver needs t_acq to lock on.  Two legs on the live grid: live
-    pages up to the onset (a page overlapping it is lost), then the copy
-    from the first slot at or after the takeover.  A takeover inside (or
-    exactly at the end of) a round's first page lines the copy up with
-    the grid; a later one shifts it by the delay plus t_acq in whole slots.
+    The replay begins replay_delay_ms after the start of onset_round and
+    the receiver needs t_acq_ms to lock on; a negative time raises
+    ValueError naming it.  Two legs on the live grid: live pages up to the
+    onset (a page overlapping it is lost), then the copy from the first
+    slot at or after the takeover.  A takeover inside (or exactly at the
+    end of) a round's first page lines the copy up with the grid; a later
+    one shifts it by the delay plus t_acq_ms in whole slots.
     """
-    offset = timing.replay_delay_ms + timing.t_acq_ms     # into onset_round
+    for name, ms in (("replay_delay_ms", replay_delay_ms),
+                     ("t_acq_ms", t_acq_ms)):
+        if ms < 0:
+            raise ValueError(f"{name} {ms} must be >= 0")
+    offset = replay_delay_ms + t_acq_ms                   # into onset_round
     shift = 0 if offset <= PAGE_MS else offset // PAGE_MS
-    onset = onset_round * SUBFRAME_MS + timing.replay_delay_ms
-    takeover = onset + timing.t_acq_ms
+    onset = onset_round * SUBFRAME_MS + replay_delay_ms
+    takeover = onset + t_acq_ms
     return slot_stream(subframes, 0, (
         (Source.AUTHENTIC, 0, onset // PAGE_MS, 0),
         (Source.ADVERSARY, -(-takeover // PAGE_MS), math.inf, shift)))

@@ -21,7 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from .attacks import TsfConfig, tsf_forge_subframes
+from .attacks import tsf_forge_subframes
 from .gst import Gst
 from .pages import SLOTS_PER_SUBFRAME
 from .scenario import (
@@ -69,9 +69,9 @@ def _cmd_vectors_validate(args) -> int:
 
 def _cmd_forge_tsf(args) -> int:
     vectors = TestVectorSet.load(args.vectors)
-    cfg = TsfConfig(seg_count=args.segments, forge_tags=not args.no_tags,
-                    iono_a0=args.iono_a0)
-    forged = {prn: tsf_forge_subframes(sfs, cfg)
+    forged = {prn: tsf_forge_subframes(
+                  sfs, seg_count=args.segments, forge_tags=not args.no_tags,
+                  iono_a0=args.iono_a0, clock_bias_m=0.0)
               for prn, sfs in vectors.subframes().items()}
     TestVectorSet.from_subframes(forged).save(args.out)
     print(f"wrote {args.out}")

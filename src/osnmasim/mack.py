@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.hmac import HMAC
 
 from .gst import Gst
-from .pages import MACK_BYTES
+from .pages import MACK_BYTES, pack_fields
 from .tesla import TeslaKey
 
 MACK_BITS = 8 * MACK_BYTES
@@ -36,28 +36,34 @@ TAG_REGION_BITS = MACK_BITS - KEY_BITS      # 352
 TAG_BITS = 40
 
 
+# the tag message's header in front of its segment: (name, bit position,
+# width, signed)
+_AUTH_LAYOUT = (("prn_d", 0, 8, False), ("prn_a", 8, 8, False),
+                ("wn", 16, 12, False), ("tow", 28, 20, False),
+                ("seg_index", 48, 8, False))
+_AUTH_BITS = sum(width for _, _, width, _ in _AUTH_LAYOUT)           # 56
+
+
 class CapacityError(ValueError):
     """Tags exceed the 352-bit region in front of the chain key."""
 
 
-def _auth_head(prn_d: int, prn_a: int, gst_sf: Gst) -> bytes:
-    """The 48 bits of a tag message in front of its segment index."""
-    return ((prn_d & 0xFF) << 40 | (prn_a & 0xFF) << 32
-            | (gst_sf.wn & 0xFFF) << 20 | gst_sf.tow & 0xFFFFF).to_bytes(6, "big")
+def _auth_header(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int) -> bytes:
+    """The 56-bit header of a tag message; a value outside its field
+    raises FieldWidthError naming the field."""
+    return pack_fields(_AUTH_LAYOUT, _AUTH_BITS, (
+        prn_d, prn_a, gst_sf.wn, gst_sf.tow, seg_index)).to_bytes(
+            _AUTH_BITS // 8, "big")
 
 
 def build_auth_message(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int,
                        segment: bytes) -> bytes:
-    """Concatenate tag-message fields in transmission order.
-
-    Layout: prn_d(8) | prn_a(8) | wn(12) tow(20) | seg_index(8) | segment.
-    The header is 56 bits, so the result is whole bytes whenever the
-    segment is.
-    """
+    """Concatenate tag-message fields in transmission order: the header of
+    _AUTH_LAYOUT, then the segment, so the result is whole bytes whenever
+    the segment is."""
     if not segment:
         raise ValueError("segment must be non-empty")
-    return _auth_head(prn_d, prn_a, gst_sf) + bytes((seg_index & 0xFF,)) \
-        + segment
+    return _auth_header(prn_d, prn_a, gst_sf, seg_index) + segment
 
 
 def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
@@ -118,17 +124,18 @@ def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
                            prn_a: int, gst_sf: Gst, seg_count: int) -> list:
     """One tag per nav-data segment, all under the same chain key: each is
     compute_tag of build_auth_message for its 1-based segment index.  One
-    HMAC takes the key and the shared header, and each segment finishes a
-    copy of it."""
+    HMAC takes the key and the header in front of the segment index,
+    packed with the last index: every index fits once that one does.  Each
+    segment finishes a copy of it."""
     segments = split_segments(nav_data, seg_count)
     if not segments[0]:
         raise ValueError("segment must be non-empty")
     head = HMAC(key.bits, hashes.SHA256())
-    head.update(_auth_head(prn_d, prn_a, gst_sf))
+    head.update(_auth_header(prn_d, prn_a, gst_sf, seg_count)[:-1])
     tags = []
     for i, seg in enumerate(segments, 1):
         mac = head.copy()
-        mac.update(bytes((i & 0xFF,)) + seg)
+        mac.update(bytes((i,)) + seg)
         tags.append(mac.finalize()[:TAG_BITS // 8])
     return tags
 

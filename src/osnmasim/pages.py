@@ -27,6 +27,12 @@ A page is its 30 transmitted bytes from sealing to reception;
 PageContent is only the codec's view of one page's fields, what seal_page
 and encode_page take and decode_page gives back.
 
+Every bit-packed message -- a page's fields, the navigation blob, the
+root-key message and the tag-message header -- is one layout table of
+(name, bit position, width, signed) rows that pack_fields writes and
+unpack_fields reads.  A value outside its field raises FieldWidthError
+naming it: "<name> <value> does not fit <width>[ signed] bits".
+
 The page CRC has one implementation, the column-wise kernel
 ``_crc_columns``, which seals or checks many pages in one call.  The
 fields a subframe carries -- its 240-byte navigation blob and its 15-byte
@@ -62,6 +68,7 @@ CRC24Q_POLY = 0x1864CFB
 # field geometry: (bit position, bit width)
 EVEN_DATA = (2, 112)
 EVEN_TAIL = (114, 6)
+ODD_FLAGS = (120, 2)
 ODD_DATA = (122, 16)
 HKROOT = (138, 8)
 MACK = (146, 32)
@@ -75,11 +82,36 @@ class LengthError(ValueError):
 
 
 class FieldWidthError(ValueError):
-    """A page field does not fit its allotted bit width."""
+    """A message field does not fit its allotted bit width."""
 
 
 class IncompleteError(ValueError):
     """A subframe with destroyed pages cannot supply OSNMA material."""
+
+
+def pack_fields(layout, nbits: int, values) -> int:
+    """The nbits-bit message int holding each value at its row's position,
+    MSB first, two's complement where the row is signed; a value that is
+    not an int in the row's range raises FieldWidthError naming the row."""
+    message = 0
+    for (name, pos, width, signed), value in zip(layout, values, strict=True):
+        low = -(1 << width - 1) if signed else 0
+        if not (isinstance(value, int) and low <= value < low + (1 << width)):
+            raise FieldWidthError(f"{name} {value!r} does not fit {width}"
+                                  f"{' signed' if signed else ''} bits")
+        message |= (value & (1 << width) - 1) << nbits - pos - width
+    return message
+
+
+def unpack_fields(layout, nbits: int, message: int) -> list:
+    """Each row's value read out of the nbits-bit message int: the inverse
+    of pack_fields."""
+    values = []
+    for _, pos, width, signed in layout:
+        raw = message >> nbits - pos - width & (1 << width) - 1
+        values.append(raw - (1 << width) if signed and raw >> width - 1
+                      else raw)
+    return values
 
 
 def _build_crc_table() -> list:
@@ -232,51 +264,42 @@ def flip_page_bit(raw: bytes, bit: int) -> bytes:
 
 
 class PageContent(NamedTuple):
+    """A page's fields in position order."""
+
     even_data: int          # 112-bit navigation-data portion
     odd_data: int           # 16-bit navigation-data portion
     hkroot: int             # 8-bit root-key transport byte
     mack: int               # 32-bit tag/key transport word
-    crc: int = 0            # 24-bit checksum as carried in the page
     reserved: int = 0       # 24 framing bits between MACK and CRC
+    crc: int = 0            # 24-bit checksum as carried in the page
     fill: int = 0           # 14 trailing framing bits
 
 
+_PAGE_LAYOUT = tuple((name, *geometry, False) for name, geometry in zip(
+    PageContent._fields, (EVEN_DATA, ODD_DATA, HKROOT, MACK, RESERVED, CRC,
+                          FILL)))
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
-_FLAGS = 0b10 << (PAGE_BITS - 122)
-
-
-# The straight-line codec below shifts each field by PAGE_BITS - pos - width
-# of its geometry: even_data 126, odd_data 102, hkroot 94, mack 62,
-# reserved 38, crc 14, fill 0.
-
-
-def _page_int(page: PageContent) -> int:
-    """The page as one 240-bit int, MSB first; every field width checked."""
-    even, odd, hkroot, mack, crc, reserved, fill = page
-    # a negative field shifts to -1, an over-wide one to nonzero
-    if even >> 112 | odd >> 16 | hkroot >> 8 | mack >> 32 | crc >> 24 \
-            | reserved >> 24 | fill >> 14:
-        for name, field, (_, width) in zip(PageContent._fields, page, (
-                EVEN_DATA, ODD_DATA, HKROOT, MACK, CRC, RESERVED, FILL)):
-            if not 0 <= field < (1 << width):
-                raise FieldWidthError(
-                    f"{name} does not fit in {width} bits: {field:#x}")
-    return (_FLAGS | even << 126 | odd << 102 | hkroot << 94 | mack << 62
-            | reserved << 38 | crc << 14 | fill)
+_FLAGS = pack_fields((("odd_flags", *ODD_FLAGS, False),), PAGE_BITS, (0b10,))
 
 
 def encode_page(page: PageContent) -> bytes:
     """Serialize a page to its 240-bit transmission form, CRC as given."""
-    return _page_int(page).to_bytes(PAGE_BYTES, "big")
+    return (_FLAGS | pack_fields(_PAGE_LAYOUT, PAGE_BITS, page)).to_bytes(
+        PAGE_BYTES, "big")
+
+
+def _columns(pos: int, width: int) -> tuple:
+    """The bytes a field at pos fills in a page shifted left by 2 bits."""
+    return tuple(range((pos - 2) // 8, (pos - 2 + width) // 8))
 
 
 # Byte columns of a page shifted left by 2 bits (see the module docstring):
 # the 16 nav-data bytes, the HKROOT byte, the 4 MACK bytes, and the column
 # of the even tail, zero, and the odd half's flags, 0b10.
-_NAV_COLUMNS = (*range(14), 15, 16)
-_HKROOT_COLUMN = 17
-_MACK_COLUMNS = (18, 19, 20, 21)
-_ODD_FLAGS_COLUMN = 14
+_NAV_COLUMNS = _columns(*EVEN_DATA) + _columns(*ODD_DATA)
+(_HKROOT_COLUMN,) = _columns(*HKROOT)
+_MACK_COLUMNS = _columns(*MACK)
+(_ODD_FLAGS_COLUMN,) = _columns(*ODD_FLAGS)
 # a subframe's blobs: its pages' portions concatenated
 NAV_BYTES = len(_NAV_COLUMNS) * SLOTS_PER_SUBFRAME          # 240
 HKROOT_BYTES = SLOTS_PER_SUBFRAME                           # 15
@@ -376,11 +399,8 @@ def decode_page(raw: bytes) -> PageContent | None:
 
 
 def _content(raw: bytes) -> PageContent:
-    value = int.from_bytes(raw, "big")
-    return PageContent(value >> 126 & (1 << 112) - 1, value >> 102 & 0xFFFF,
-                       value >> 94 & 0xFF, value >> 62 & 0xFFFFFFFF,
-                       value >> 14 & 0xFFFFFF, value >> 38 & 0xFFFFFF,
-                       value & 0x3FFF)
+    return PageContent._make(unpack_fields(_PAGE_LAYOUT, PAGE_BITS,
+                                           int.from_bytes(raw, "big")))
 
 
 class Source(Enum):

@@ -319,9 +319,9 @@ def _tsr_recorded(a, sc, bundle):                  # behind an NTP MITM
 
 def _tsf(a, sc, bundle):                           # replays forged subframes
     target = geodetic_to_ecef(*a["target"].values())
-    cfg = attacks.TsfConfig(seg_count=sc.seg_count, forge_tags=a["forge_tags"],
-                            iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
-    forged = {prn: attacks.tsf_forge_subframes(sfs, cfg)
+    forged = {prn: attacks.tsf_forge_subframes(
+                  sfs, seg_count=sc.seg_count, forge_tags=a["forge_tags"],
+                  iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
               for prn, sfs in bundle.subframes.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
     return (attacks.replay_realtime(forged, a["staleness_s"]),
@@ -330,8 +330,8 @@ def _tsf(a, sc, bundle):                           # replays forged subframes
 
 
 def _cr(a, sc, bundle):
-    timing = attacks.CrTiming(a["replay_delay_s"], a["t_acq_s"])
-    return (attacks.cr_compose(bundle.subframes, timing, a["onset_round"]),
+    return (attacks.cr_compose(bundle.subframes, a["replay_delay_s"],
+                               a["t_acq_s"], a["onset_round"]),
             sc.lrt, bundle.observations)
 
 

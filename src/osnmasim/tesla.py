@@ -28,14 +28,17 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 
 from .gst import Gst, SUBFRAME_SECONDS
-from .pages import HKROOT_BYTES
+from .pages import HKROOT_BYTES, FieldWidthError, pack_fields, unpack_fields
 
 KEY_BYTES = 16
 NMA_HEADER = 0x52
 
-# root-key message field widths in bits
-_MSG_WIDTHS = (8, 8, 12, 20, 128)
-ROOT_MESSAGE_BYTES = sum(_MSG_WIDTHS) // 8
+# root-key message: (name, bit position, width, signed)
+_MSG_LAYOUT = (("nma_header", 0, 8, False), ("mf", 8, 8, False),
+               ("wnk", 16, 12, False), ("towk", 28, 20, False),
+               ("kroot", 48, 8 * KEY_BYTES, False))
+ROOT_MESSAGE_BITS = sum(width for _, _, width, _ in _MSG_LAYOUT)      # 176
+ROOT_MESSAGE_BYTES = ROOT_MESSAGE_BITS // 8
 SIGNATURE_BYTES = 64
 
 # HKROOT transport: [NMA header, block index, 13 payload bytes] per subframe
@@ -50,10 +53,6 @@ class GstOrderError(ValueError):
 
 class AlignmentError(ValueError):
     """GST difference is not a whole number of subframe slots."""
-
-
-class FieldWidthError(ValueError):
-    """A root-message field does not fit its allotted width."""
 
 
 class MalformedKeyError(ValueError):
@@ -183,27 +182,18 @@ def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
     """Pack header, MAC-function id, root slot time and root key bits."""
     if len(kroot) != KEY_BYTES:
         raise FieldWidthError(f"kroot must be {KEY_BYTES} bytes")
-    fields = {"nma_header": nma_header, "mf": mf, "wnk": wnk, "towk": towk,
-              "kroot": int.from_bytes(kroot, "big")}
-    value = 0
-    for width, (name, field) in zip(_MSG_WIDTHS, fields.items()):
-        if not 0 <= field < (1 << width):
-            raise FieldWidthError(f"{name} {field} does not fit {width} bits")
-        value = (value << width) | field
-    return value.to_bytes(ROOT_MESSAGE_BYTES, "big")
+    return pack_fields(_MSG_LAYOUT, ROOT_MESSAGE_BITS, (
+        nma_header, mf, wnk, towk, int.from_bytes(kroot, "big"))).to_bytes(
+            ROOT_MESSAGE_BYTES, "big")
 
 
 def parse_root_message(data: bytes, signature: bytes = b"") -> RootKeyMessage:
     if len(data) != ROOT_MESSAGE_BYTES:
         raise ValueError(f"root message must be {ROOT_MESSAGE_BYTES} bytes")
-    value = int.from_bytes(data, "big")
-    fields = []
-    for width in reversed(_MSG_WIDTHS):
-        fields.append(value & ((1 << width) - 1))
-        value >>= width
-    kroot_int, towk, wnk, mf, nma_header = fields
+    nma_header, mf, wnk, towk, kroot = unpack_fields(
+        _MSG_LAYOUT, ROOT_MESSAGE_BITS, int.from_bytes(data, "big"))
     return RootKeyMessage(nma_header=nma_header, mf=mf, wnk=wnk, towk=towk,
-                          kroot=kroot_int.to_bytes(KEY_BYTES, "big"),
+                          kroot=kroot.to_bytes(KEY_BYTES, "big"),
                           signature=signature)
 
 

@@ -1,10 +1,12 @@
 """Page-at-a-time blob codec: the reference the column-wise pack and unpack
-must match.
+must match, and a byte-slice field reader and writer.
 
 These are the earlier per-page loops, kept for the tests only: one page
 built from its slice of the nav, HKROOT and MACK blobs, and a subframe's
 blobs joined back page by page out of each page's 240-bit int.  The
 program packs and unpacks whole batches through byte columns instead.
+The field helpers read and write a field through the bytes that hold it,
+where the program's one packer shifts it within the whole message int.
 """
 
 from osnmasim.pages import PAGE_BITS, PAGE_BYTES, SLOTS_PER_SUBFRAME
@@ -52,3 +54,24 @@ def osnma(raws) -> tuple:
         mack = mack << 32 | value & 0xFFFFFFFF
     return (hkroot.to_bytes(SLOTS_PER_SUBFRAME, "big"),
             mack.to_bytes(4 * SLOTS_PER_SUBFRAME, "big"))
+
+
+def ref_getbitu(buf, pos, length):
+    first, end = pos >> 3, (pos + length + 7) >> 3
+    shift = 8 * end - pos - length
+    return (int.from_bytes(buf[first:end], "big") >> shift) & ((1 << length) - 1)
+
+
+def ref_setbitu(buf, pos, length, value):
+    """Write the low length bits of value (two's complement if negative)."""
+    first, end = pos >> 3, (pos + length + 7) >> 3
+    shift = 8 * end - pos - length
+    mask = ((1 << length) - 1) << shift
+    chunk = int.from_bytes(buf[first:end], "big")
+    chunk = (chunk & ~mask) | ((value << shift) & mask)
+    buf[first:end] = chunk.to_bytes(end - first, "big")
+
+
+def ref_getbits(buf, pos, length):
+    raw = ref_getbitu(buf, pos, length)
+    return raw - (1 << length) if raw >= 1 << (length - 1) else raw

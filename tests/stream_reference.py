@@ -33,16 +33,17 @@ def replay_realtime(live, delay_ms: int) -> list:
     ]
 
 
-def cr_compose(live, timing, onset_round: int = 0) -> list:
+def cr_compose(live, replay_delay_ms: int, t_acq_ms: int,
+               onset_round: int) -> list:
     """Merge a live stream with its real-time replayed copy, re-slotted onto
     the receiver's grid from the first slot at or after the takeover."""
     live_sorted = sorted(live, key=lambda e: (e.t_ms, e.prn))
     if not live_sorted:
         return []
     start = live_sorted[0].t_ms              # slot 0 of the receiver's grid
-    onset = start + onset_round * SUBFRAME_MS + timing.replay_delay_ms
-    takeover = onset + timing.t_acq_ms
-    offset_in_round = timing.replay_delay_ms + timing.t_acq_ms
+    onset = start + onset_round * SUBFRAME_MS + replay_delay_ms
+    takeover = onset + t_acq_ms
+    offset_in_round = replay_delay_ms + t_acq_ms
     shift = 0 if offset_in_round <= PAGE_MS else offset_in_round // PAGE_MS
 
     out = [e for e in live_sorted if e.t_ms + PAGE_MS <= onset]

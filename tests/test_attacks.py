@@ -2,9 +2,7 @@ import pytest
 
 import osnmasim.pages
 from osnmasim.attacks import (
-    CrTiming,
     InsufficientAuxError,
-    TsfConfig,
     cr_compose,
     forge_nav_blob,
     ntp_mitm_delay,
@@ -79,21 +77,23 @@ def test_mitm_composition_is_additive():
 # -- forgery -------------------------------------------------------------------
 
 
-def _tsf_cfg(**kw):
-    return TsfConfig(iono_a0=5, **kw)
+def _tsf_args(**kw):
+    """forge tsf's values, iono_a0 forged to 5."""
+    return {"seg_count": 6, "forge_tags": True, "iono_a0": 5,
+            "clock_bias_m": 0.0, **kw}
 
 
 def test_tsf_needs_three_subframes(wide_bundle):
     aux = wide_bundle.vectors.subframes()[1][:2]
     with pytest.raises(InsufficientAuxError):
-        tsf_forge_subframes(aux, _tsf_cfg())
+        tsf_forge_subframes(aux, **_tsf_args())
 
 
 def test_tsf_output_invariants(wide_bundle):
     """Forged subframes keep the chain key bits and page validity: every
     page reseals CRC-consistent and the MACK key field is untouched."""
     aux = wide_bundle.vectors.subframes()[2]
-    forged = tsf_forge_subframes(aux, _tsf_cfg())
+    forged = tsf_forge_subframes(aux, **_tsf_args())
     assert len(forged) == len(aux)
     for before, after in zip(aux, forged):
         assert after.complete
@@ -107,7 +107,7 @@ def test_tsf_output_invariants(wide_bundle):
 
 def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
     aux = wide_bundle.vectors.subframes()[3]
-    forged = tsf_forge_subframes(aux, _tsf_cfg())
+    forged = tsf_forge_subframes(aux, **_tsf_args())
     for before, after in zip(aux[:-2], forged[:-2]):
         nav_b = parse_nav_data(subframe_nav_data(before))
         nav_a = parse_nav_data(subframe_nav_data(after))
@@ -119,7 +119,7 @@ def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
 
 def test_tsf_nav_only_keeps_tags(wide_bundle):
     aux = wide_bundle.vectors.subframes()[4]
-    forged = tsf_forge_subframes(aux, _tsf_cfg(forge_tags=False))
+    forged = tsf_forge_subframes(aux, **_tsf_args(forge_tags=False))
     for before, after in zip(aux, forged):
         tags_b, _ = unpack_mack(before.osnma[1], 6)
         tags_a, _ = unpack_mack(after.osnma[1], 6)
@@ -129,7 +129,7 @@ def test_tsf_nav_only_keeps_tags(wide_bundle):
 
 def test_tsf_last_two_subframes_untouched(wide_bundle):
     aux = wide_bundle.vectors.subframes()[5]
-    forged = tsf_forge_subframes(aux, _tsf_cfg())
+    forged = tsf_forge_subframes(aux, **_tsf_args())
     # nav data of the final two subframes is never rewritten
     for before, after in zip(aux[-2:], forged[-2:]):
         assert subframe_nav_data(before) == subframe_nav_data(after)
@@ -148,22 +148,23 @@ def _replace_mack(sf, mack_blob):
                              mack_blob)])[0]
 
 
-def _two_pass_forgery(aux, cfg):
+def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
     """Reference loop: rebuild subframe n around its forged nav data, then
     rebuild subframe n+1 around the new tags, one window at a time."""
     out = list(aux)
     for i in range(len(aux) - 2):
-        forged_blob = forge_nav_blob(subframe_nav_data(out[i]), cfg)
+        forged_blob = forge_nav_blob(subframe_nav_data(out[i]), iono_a0,
+                                     clock_bias_m)
         out[i] = _replace_nav(out[i], forged_blob)
-        if not cfg.forge_tags:
+        if not forge_tags:
             continue
-        _, key_bits = unpack_mack(out[i + 2].osnma[1], cfg.seg_count)
+        _, key_bits = unpack_mack(out[i + 2].osnma[1], seg_count)
         key = TeslaKey(key_bits, out[i + 2].gst)
         tags = generate_subframe_tags(forged_blob, key,
                                       prn_d=out[i].prn, prn_a=out[i].prn,
                                       gst_sf=out[i + 1].gst,
-                                      seg_count=cfg.seg_count)
-        _, own_key = unpack_mack(out[i + 1].osnma[1], cfg.seg_count)
+                                      seg_count=seg_count)
+        _, own_key = unpack_mack(out[i + 1].osnma[1], seg_count)
         out[i + 1] = _replace_mack(out[i + 1], pack_mack(tags, own_key))
     return out
 
@@ -173,9 +174,10 @@ def _two_pass_forgery(aux, cfg):
 def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
     """One build per forged subframe gives the subframes the window-by-window
     rebuild gives, on every satellite."""
-    cfg = TsfConfig(forge_tags=forge_tags, iono_a0=iono_a0)
+    args = _tsf_args(forge_tags=forge_tags, iono_a0=iono_a0)
     for aux in wide_bundle.subframes.values():
-        assert tsf_forge_subframes(aux, cfg) == _two_pass_forgery(aux, cfg)
+        assert tsf_forge_subframes(aux, **args) == \
+            _two_pass_forgery(aux, **args)
 
 
 @pytest.mark.parametrize("forge_tags", [True, False])
@@ -192,7 +194,7 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
 
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
     aux = wide_bundle.subframes[1]
-    tsf_forge_subframes(aux, _tsf_cfg(forge_tags=forge_tags))
+    tsf_forge_subframes(aux, **_tsf_args(forge_tags=forge_tags))
     assert calls == [15 * (len(aux) - (1 if forge_tags else 2))]
 
 
@@ -200,10 +202,9 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
 
 
 def _cr_events(bundle, delay_s, t_acq_s="0.6", onset_round=2):
-    timing = CrTiming(replay_delay_ms=to_millis(delay_s),
-                      t_acq_ms=to_millis(t_acq_s))
     return (shifted_stream(bundle.subframes),
-            cr_compose(bundle.subframes, timing, onset_round=onset_round))
+            cr_compose(bundle.subframes, to_millis(delay_s),
+                       to_millis(t_acq_s), onset_round))
 
 
 def _round_subframe(stream, round_idx, prn):
@@ -274,3 +275,10 @@ def test_cr_preserves_page_bits(small_bundle):
     live_raws = {e.raw for r in rounds for evs in live(r).values() for e in evs}
     assert all(e.raw in live_raws
                for r in rounds for evs in merged(r).values() for e in evs)
+
+
+@pytest.mark.parametrize("name, times", [("replay_delay_ms", (-1, 600)),
+                                         ("t_acq_ms", (1400, -1))])
+def test_cr_rejects_a_negative_time_by_name(small_bundle, name, times):
+    with pytest.raises(ValueError, match=f"^{name} -1 must be >= 0$"):
+        cr_compose(small_bundle.subframes, *times, 0)

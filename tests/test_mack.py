@@ -16,6 +16,7 @@ from osnmasim.mack import (
     unpack_mack,
     verify_tags,
 )
+from osnmasim.pages import FieldWidthError
 from osnmasim.tesla import TeslaChain, TeslaKey
 
 GST_SF = Gst(1251, 277230)
@@ -190,7 +191,7 @@ def test_end_to_end_generate_pack_unpack_verify(data, key_bits, m, prn_d, prn_a)
 
 
 @given(st.binary(min_size=1, max_size=300), st.binary(min_size=16, max_size=16),
-       st.integers(1, 8), st.integers(0, 300), st.integers(0, 300),
+       st.integers(1, 8), st.integers(0, 255), st.integers(0, 255),
        st.integers(0, (1 << 12) - 1), st.integers(0, 604799))
 def test_every_tag_is_compute_tag_of_its_auth_message(nav, key_bits, seg_count,
                                                       prn_d, prn_a, wn, tow):
@@ -201,6 +202,20 @@ def test_every_tag_is_compute_tag_of_its_auth_message(nav, key_bits, seg_count,
     assert generate_subframe_tags(nav, key, prn_d, prn_a, gst_sf, seg_count) == [
         compute_tag(key_bits, build_auth_message(prn_d, prn_a, gst_sf, i, seg))
         for i, seg in enumerate(split_segments(nav, seg_count), 1)]
+
+
+@pytest.mark.parametrize("name, prn_d, prn_a, seg_index", [
+    ("prn_d", 256, 1, 1), ("prn_a", 1, 256, 1), ("seg_index", 1, 1, 256),
+    ("prn_d", 259, 259, 1), ("prn_d", -1, 1, 1), ("seg_index", 1, 1, -1)])
+def test_header_field_out_of_range_is_named(name, prn_d, prn_a, seg_index):
+    """A header value outside its field is rejected, not masked: PRN 259
+    is not PRN 3, and segment 256 is not segment 0."""
+    with pytest.raises(FieldWidthError, match=f"^{name} -?[0-9]+ does not"):
+        build_auth_message(prn_d, prn_a, GST_SF, seg_index, b"\x01")
+    if seg_index > 0:                   # seg_count is the last index
+        with pytest.raises(FieldWidthError, match=f"^{name} "):
+            generate_subframe_tags(bytes(240), TeslaKey(bytes(16), GST_SF),
+                                   prn_d, prn_a, GST_SF, seg_index)
 
 
 def test_generate_rejects_empty_nav_data():

@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from osnmasim.navdata import build_nav_data, parse_nav_data
 from osnmasim.scenario import Scenario, ScenarioError
+from page_reference import ref_getbits, ref_getbitu, ref_setbitu
 
 SAT = (15_600_000.123, -7_540_000.5, 20_140_000.0)
 
@@ -46,27 +47,7 @@ def test_tsf_scenario_rejects_out_of_range_iono_a0():
 
 
 # -- byte-slice reference: each field read and written through the bytes
-#    that hold it
-
-def ref_getbitu(buf, pos, length):
-    first, end = pos >> 3, (pos + length + 7) >> 3
-    shift = 8 * end - pos - length
-    return (int.from_bytes(buf[first:end], "big") >> shift) & ((1 << length) - 1)
-
-
-def ref_setbitu(buf, pos, length, value):
-    """Write the low length bits of value (two's complement if negative)."""
-    first, end = pos >> 3, (pos + length + 7) >> 3
-    shift = 8 * end - pos - length
-    mask = ((1 << length) - 1) << shift
-    chunk = int.from_bytes(buf[first:end], "big")
-    chunk = (chunk & ~mask) | ((value << shift) & mask)
-    buf[first:end] = chunk.to_bytes(end - first, "big")
-
-
-def ref_getbits(buf, pos, length):
-    raw = ref_getbitu(buf, pos, length)
-    return raw - (1 << length) if raw >= 1 << (length - 1) else raw
+#    that hold it (page_reference)
 
 
 def ref_build_nav_data(wn, tow, prn, ecef_mm, clock_mm, iono_a0):

@@ -12,7 +12,6 @@ from types import SimpleNamespace
 from hypothesis import example, given, settings, strategies as st
 
 import stream_reference as ref
-from osnmasim.attacks import CrTiming
 from osnmasim.gst import Gst, LrtSource
 from osnmasim.pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe
 from osnmasim.scenario import ATTACKS, live_events
@@ -77,7 +76,7 @@ def test_cr_matches_the_whole_run_reference(run, data, delay_ms, t_acq_ms):
     onset = 8 if data is None else data.draw(st.integers(0, n_rounds - 1))
     sfs = _subframes(sats, n_subframes)
     live = ref.live_events(sfs)
-    merged = ref.cr_compose(live, CrTiming(delay_ms, t_acq_ms), onset)
+    merged = ref.cr_compose(live, delay_ms, t_acq_ms, onset)
     stream = _stream("cr", {"replay_delay_s": delay_ms, "t_acq_s": t_acq_ms,
                             "onset_round": onset}, sfs)
     # the windows sit on the subframe grid, though an onset-0 takeover may
