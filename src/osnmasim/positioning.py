@@ -4,14 +4,17 @@ equation rho_i = ||receiver - sat_i|| + c * t_r.
 The solver is damped Gauss-Newton over [x, y, z, c*t_r], initialized at
 the Earth centre, converging when the position update drops below 1e-6 m.
 Geodetic conversions use the WGS-84 ellipsoid.
+
+numpy is imported inside the two functions that use it, not at module
+top: loading it loads OpenBLAS, which starts its thread pool at load, and
+`osnmasim.cli.main` must first set how many threads that pool gets (see
+README "Install and test"). Importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0      # m/s
 WGS84_A = 6_378_137.0               # semi-major axis, m
@@ -90,6 +93,8 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
     """Range equation run forwards from a chosen receiver state."""
     if not sats:
         raise ValueError("need at least one satellite")
+    import numpy as np
+
     tgt = np.asarray(target, dtype=float)
     return [
         float(np.linalg.norm(tgt - np.asarray(s.position, dtype=float))
@@ -109,6 +114,8 @@ def solve_position(sats, pseudoranges) -> Fix:
         raise ValueError("need at least four satellites")
     if len(sats) != len(pseudoranges):
         raise ValueError("one pseudorange per satellite")
+    import numpy as np
+
     pos = np.array([s.position for s in sats], dtype=float)
     rho = np.asarray(pseudoranges, dtype=float)
 

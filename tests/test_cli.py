@@ -9,9 +9,30 @@ import pytest
 
 from osnmasim.cli import main
 from osnmasim.vectors import TestVectorSet
+from test_scenario import REPORT_DIGESTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+
+
+@pytest.fixture(autouse=True)
+def _session_blas_threads(monkeypatch):
+    """main() sets the BLAS thread count for its process; an in-process
+    call leaves the test session's environment as it found it."""
+    monkeypatch.delenv(BLAS_THREADS, raising=False)
+
+
+def _fresh(probe: str, **env) -> str:
+    """The last stdout line of `probe` run in a fresh interpreter that
+    finds osnmasim in src/, with OPENBLAS_NUM_THREADS unset unless given."""
+    base = {k: v for k, v in os.environ.items() if k != BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**base, **env},
+                         capture_output=True, text=True, check=True).stdout
+    return out.splitlines()[-1]
+
 
 # a second OpenSSL (hashlib, hmac, _hashlib) and the PEM/SSH serialization
 # package that a run never needs
@@ -19,22 +40,75 @@ UNLOADED = ("hashlib", "hmac", "_hashlib",
             "cryptography.hazmat.primitives.serialization")
 
 
+def _run_baseline(tmp_path, show: str, **env) -> str:
+    """Run baseline through cli.main in a fresh interpreter (see _fresh)
+    and check that its report keeps its pinned bytes; returns the exit code
+    and the expression `show` evaluated after the run."""
+    probe = (
+        "import os, sys\n"
+        "from osnmasim import cli\n"
+        f"code = cli.main(['run', {str(SCENARIO_DIR / 'baseline.json')!r},"
+        f" '--out-dir', {str(tmp_path)!r}])\n"
+        f"print(code, {show})\n")
+    line = _fresh(probe, **env)
+    text = (tmp_path / "baseline.report.json").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == REPORT_DIGESTS["baseline"]
+    return line
+
+
 def test_a_run_loads_one_openssl_and_no_serialization(tmp_path):
     """Every hash, HMAC and signature of a run goes through cryptography:
     a fresh interpreter that runs a scenario never imports the stdlib's
     OpenSSL binding or cryptography's serialization package."""
+    assert _run_baseline(
+        tmp_path, f"[m for m in {UNLOADED!r} if m in sys.modules]") == "0 []"
+
+
+def test_commands_that_never_solve_load_no_numpy(tmp_path):
+    """numpy loads only to solve a position: importing every osnmasim
+    module leaves numpy unloaded and the environment untouched, and so
+    does every command but `run`."""
+    con, report = tmp_path / "con", tmp_path / "report.json"
+    report.write_text("{}")
+    commands = [
+        ["gen-constellation", "--seed", "3", "--sats", "4", "--subframes",
+         "3", "--out-dir", str(con)],
+        ["gen-chain", "--seed", "3", "--n", "20",
+         "--out", str(tmp_path / "chain.json")],
+        ["vectors", "validate", str(con / "vectors.csv")],
+        ["forge", "tsf", "--vectors", str(con / "vectors.csv"),
+         "--out", str(tmp_path / "forged.csv")],
+        ["report", "diff", str(report), str(report)],
+    ]
     probe = (
-        "import sys\n"
+        "import importlib, os, pkgutil, sys\n"
+        "import osnmasim\n"
+        "before = dict(os.environ)\n"
+        "for m in pkgutil.iter_modules(osnmasim.__path__):\n"
+        "    importlib.import_module('osnmasim.' + m.name)\n"
         "from osnmasim import cli\n"
-        f"code = cli.main(['run', {str(SCENARIO_DIR / 'baseline.json')!r},"
-        f" '--out-dir', {str(tmp_path)!r}])\n"
-        f"print(code, [m for m in {UNLOADED!r} if m in sys.modules])\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[-1] == "0 []"
-    assert (tmp_path / "baseline.report.json").exists()
+        "seen = [dict(os.environ) == before, 'numpy' in sys.modules]\n"
+        f"for argv in {commands!r}:\n"
+        "    seen.append((cli.main(argv), 'numpy' in sys.modules))\n"
+        "print(seen)\n")
+    assert _fresh(probe) == str([True, False] + [(0, False)] * 5)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="no /proc/self/task to count threads in")
+def test_a_run_ends_on_one_thread(tmp_path):
+    """The CLI gives OpenBLAS one thread before numpy loads, so a run that
+    solves ends with the interpreter's one thread."""
+    assert _run_baseline(
+        tmp_path, f"os.environ.get({BLAS_THREADS!r}),"
+        " len(os.listdir('/proc/self/task'))") == "0 1 1"
+
+
+def test_a_thread_count_the_caller_set_is_kept(tmp_path):
+    """main() keeps an OPENBLAS_NUM_THREADS the caller set, and the thread
+    count changes no report byte."""
+    assert _run_baseline(tmp_path, f"os.environ[{BLAS_THREADS!r}]",
+                         **{BLAS_THREADS: "2"}) == "0 2"
 
 
 def test_gen_constellation_writes_outputs(tmp_path, capsys):

@@ -313,6 +313,38 @@ def test_tsf_bounds_keep_every_auth_fix_on_target(key, end):
             attack["clock_offset_s"], abs=1e-9)
 
 
+# Two 4-satellite forgeries that miss today, pinned by name.  Seed 13: all
+# 8 auth fixes read "no convergence in 50 iterations".  Seed 59: all 8 land
+# 3,184,003 m from the target, on the other zero-residual root of the range
+# equations, at a height of -1,493,868 m.
+FEW_SATELLITE_MISSES = [
+    (13, {"type": "tsf", "clock_offset_s": 10}),
+    (59, {"type": "tsf", "target": {"lat_deg": 53.5, "lon_deg": 113.9,
+                                    "height_m": 100}}),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 2: with 4 satellites the Gauss-Newton solve started at "
+    "the Earth's centre does not converge or takes the wrong root"))
+@pytest.mark.parametrize("seed,attack", FEW_SATELLITE_MISSES,
+                         ids=["seed13_clock_offset_10s",
+                              "seed59_target_53.5N_113.9E"])
+def test_four_satellite_tsf_lands_every_auth_fix_on_target(seed, attack):
+    """With 4 satellites, every authenticated fix of the forgery lands
+    within 1 mm of the target and reports the forged clock offset."""
+    target = {"lat_deg": 4.0, "lon_deg": 50.0, "height_m": 100.0,
+              **attack.get("target", {})}
+    report = run_scenario(_scenario(attack, sats=4, seed=seed))
+    want = osnmasim.positioning.geodetic_to_ecef(*target.values())
+    assert len(report["auth_fixes"]) >= 8
+    for fix in report["auth_fixes"].values():
+        assert "error" not in fix, fix
+        assert math.dist(fix["ecef_m"], want) < 1e-3, fix
+        assert fix["clock_offset_s"] == pytest.approx(
+            attack.get("clock_offset_s", 0.0), abs=1e-9)
+
+
 def test_non_finite_json_number_names_its_path(tmp_path):
     """Python's json reads NaN and Infinity; a scenario file rejects them."""
     path = tmp_path / "inf.json"
