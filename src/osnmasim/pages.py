@@ -24,8 +24,8 @@ calibrated against known-good reference pages; both intact reference pages
 self-verify under it.
 
 A page is its 30 transmitted bytes from sealing to reception;
-PageContent is only the codec's view of one page's fields, what seal_page
-and encode_page take and decode_page gives back.
+PageContent is only the codec's view of one page's fields, what
+encode_page takes and decode_page gives back.
 
 Every bit-packed message -- a page's fields, the navigation blob, the
 root-key message and the tag-message header -- is one layout table of
@@ -233,12 +233,6 @@ def _split(joined: bytes) -> list:
             for i in range(0, len(joined), PAGE_BYTES)]
 
 
-def seal_raws(raws: list) -> list:
-    """Each page's bytes with its CRC field recomputed, all in one kernel
-    call."""
-    return _split(_seal(_joined(raws)))
-
-
 def check_raws(raws: list) -> list:
     """Whether each page's framing flags are consistent and its CRC
     verifies, all in one kernel call."""
@@ -254,13 +248,6 @@ def check_raws(raws: list) -> list:
              | _column(joined, 26) ^ crc26 | _column(joined, 27) ^ crc27
              | (_column(joined, 28) & top2) ^ crc28)
     return [not lane for lane in wrong.to_bytes(n, "big")]
-
-
-def flip_page_bit(raw: bytes, bit: int) -> bytes:
-    """Return the page with one bit inverted."""
-    buf = bytearray(raw)
-    buf[bit >> 3] ^= 0x80 >> (bit & 7)
-    return bytes(buf)
 
 
 class PageContent(NamedTuple):
@@ -379,13 +366,7 @@ def build_subframes(specs) -> list:
 
 def reseal_raw(raw: bytes) -> bytes:
     """Recompute and replace the CRC field of a raw 240-bit page."""
-    return seal_raws([raw])[0]
-
-
-def seal_page(page: PageContent) -> bytes:
-    """The page's transmitted bytes with its CRC computed; every field,
-    the CRC given too, is width checked."""
-    return reseal_raw(encode_page(page))
+    return _seal(_joined([raw]))
 
 
 def decode_page(raw: bytes) -> PageContent | None:
@@ -441,10 +422,6 @@ class Subframe:
     @property
     def complete(self) -> bool:
         return None not in self.raws
-
-    @property
-    def destroyed_slots(self) -> tuple:
-        return tuple(i for i, raw in enumerate(self.raws) if raw is None)
 
     @property
     def pages(self) -> tuple:

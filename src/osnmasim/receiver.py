@@ -23,7 +23,6 @@ from .gst import (
     ts_startup,
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
-from .navdata import subframe_nav_data
 from .pages import SUBFRAME_MS, Subframe, assemble_rounds
 from .tesla import (
     AlignmentError,
@@ -85,7 +84,6 @@ class Receiver:
         self.lrt = lrt
         self.status = Status.COLD_START
         self.trusted_key: TeslaKey | None = None
-        self.root = None
         self.pending: dict = {}          # prn -> list of buffered subframes
         self.verdicts: list = []
         self.timeline: list = []
@@ -188,7 +186,7 @@ class Receiver:
                 self._note_status(sf.gst)
             return AuthResult(sf.gst, prn, Outcome.DISCARDED_INCOMPLETE), None
 
-        if self.root is None:
+        if self.trusted_key is None:
             self._feed_dsm(sf.osnma[0], sf.gst)
 
         window = self.pending.setdefault(prn, [])
@@ -205,7 +203,6 @@ class Receiver:
         if msg is None:
             return
         if verify_root(msg.body, msg.signature, self._pubkey):
-            self.root = msg
             self.trusted_key = msg.root_key
             if self.status is Status.AWAITING_ROOT_KEY:
                 self.status = Status.AUTHENTICATING
@@ -227,7 +224,7 @@ class Receiver:
 
         _, tag_mack = tag_sf.osnma
         tags, _ = unpack_mack(tag_mack, self.config.seg_count)
-        matches = verify_tags(subframe_nav_data(data_sf), tags, candidate,
+        matches = verify_tags(data_sf.nav_data, tags, candidate,
                               prn_d=data_sf.prn, prn_a=data_sf.prn,
                               gst_sf=tag_sf.gst,
                               seg_count=self.config.seg_count)

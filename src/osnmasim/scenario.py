@@ -10,7 +10,6 @@ byte for byte.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import random
@@ -40,7 +39,6 @@ from .navdata import (
     WN_BITS,
     build_nav_data,
     parse_nav_data,
-    subframe_nav_data,
 )
 from .pages import build_subframes, unpack_pages
 from .positioning import (
@@ -68,7 +66,7 @@ from .tesla import (
     public_key_point,
     sign_root,
 )
-from .vectors import TestVectorSet
+from .vectors import TestVectorSet, unique_keys
 
 DEFAULT_SITE = (45.0, 7.6, 240.0)          # lat deg, lon deg, height m
 SAT_RANGE_M = (22e6, 27e6)                 # site-to-satellite ranges drawn
@@ -419,7 +417,8 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                return cls.from_dict(
+                    json.load(fh, object_pairs_hook=unique_keys))
             except ValueError as exc:       # bad JSON or a ScenarioError
                 raise ScenarioError(f"{path}: {exc}") from None
 
@@ -459,7 +458,7 @@ def _solver_inputs(subframes: dict, obs: dict) -> dict:
     inputs = {}
     for prn, sf in sorted(subframes.items()):
         if sf.complete:
-            nav = parse_nav_data(subframe_nav_data(sf))
+            nav = parse_nav_data(sf.nav_data)
             inputs[prn] = (SatState(prn=prn, position=nav.sat_ecef_m),
                            obs[(sf.gst.total_seconds(), prn)]
                            - nav.range_bias_m)
@@ -541,13 +540,6 @@ def write_report(report: dict, fh) -> None:
     """Write a report's JSON text to a text file, chunk by chunk."""
     json.dump(report, fh, sort_keys=True, indent=2)
     fh.write("\n")
-
-
-def report_to_json(report: dict) -> str:
-    """The text write_report writes."""
-    buf = io.StringIO()
-    write_report(report, buf)
-    return buf.getvalue()
 
 
 def diff_reports(a: dict, b: dict, prefix: str = "") -> list:

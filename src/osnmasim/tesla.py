@@ -210,11 +210,8 @@ def generate_keypair(seed: int):
 
 def sign_root(message: bytes, private_key) -> bytes:
     """Deterministic ECDSA P-256 over SHA-256, fixed-width r||s form."""
-    try:
-        der = private_key.sign(
-            message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
-    except AttributeError as exc:
-        raise MalformedKeyError(str(exc)) from exc
+    der = private_key.sign(
+        message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
     r, s = decode_dss_signature(der)
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 

@@ -44,12 +44,23 @@ class CrcError(ValueError):
         super().__init__(f"{len(pages)} page(s) fail CRC: {pages[:5]}")
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object's key-value pairs as a dict, for json.load's
+    object_pairs_hook; a key given twice raises SchemaError naming it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_mapping(path) -> tuple:
     """Column names and page-index base, adapted by a JSON mapping file."""
     mapping = {}
     if path is not None:
         with open(path) as fh:
-            mapping = json.load(fh)
+            mapping = json.load(fh, object_pairs_hook=unique_keys)
         if not isinstance(mapping, dict):
             raise SchemaError(f"mapping must be a JSON object, got {mapping!r}")
     for key in mapping:
@@ -142,11 +153,11 @@ class TestVectorSet:
             raw = row.get(columns[name])
             if raw is None:
                 raise SchemaError("missing value", row=lineno, column=name)
-            try:
-                out.append(int(raw))
-            except ValueError:
+            digits = raw.strip().removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise SchemaError(f"not an integer: {raw!r}",
-                                  row=lineno, column=name) from None
+                                  row=lineno, column=name)
+            out.append(int(raw))
         for (name, (low, high)), value in zip(_RANGES.items(), out):
             if not low <= value <= high:
                 raise SchemaError(f"{name} {value} is outside {low}..{high}",

@@ -7,6 +7,8 @@ blobs joined back page by page out of each page's 240-bit int.  The
 program packs and unpacks whole batches through byte columns instead.
 The field helpers read and write a field through the bytes that hold it,
 where the program's one packer shifts it within the whole message int.
+The tests also flip page bits and list a subframe's destroyed slots here;
+the program does neither.
 """
 
 from osnmasim.pages import PAGE_BITS, PAGE_BYTES, SLOTS_PER_SUBFRAME
@@ -75,3 +77,15 @@ def ref_setbitu(buf, pos, length, value):
 def ref_getbits(buf, pos, length):
     raw = ref_getbitu(buf, pos, length)
     return raw - (1 << length) if raw >= 1 << (length - 1) else raw
+
+
+def flip_page_bit(raw: bytes, bit: int) -> bytes:
+    """Return the page with one bit inverted."""
+    buf = bytearray(raw)
+    buf[bit >> 3] ^= 0x80 >> (bit & 7)
+    return bytes(buf)
+
+
+def destroyed_slots(sf) -> tuple:
+    """The indices of the subframe's destroyed slots."""
+    return tuple(i for i, raw in enumerate(sf.raws) if raw is None)

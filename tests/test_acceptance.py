@@ -23,9 +23,7 @@ from osnmasim.pages import (
     assemble_round,
     decode_page,
     encode_page,
-    flip_page_bit,
     reseal_raw,
-    seal_page,
 )
 from osnmasim.positioning import (
     SatState,
@@ -39,10 +37,11 @@ from osnmasim.scenario import (
     Scenario,
     generate_synthetic_constellation,
     live_events,
-    report_to_json,
     run_scenario,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaChain, verify_key
+from page_reference import flip_page_bit
+from report_text import report_to_json
 from stream_reference import rounds
 
 # ---------------------------------------------------------------------------
@@ -311,10 +310,10 @@ def test_criterion_7c_round_trip_sweeps():
     """10^4 page encode/decode and MACK pack/unpack round trips."""
     rng = random.Random(77)
     for _ in range(10_000):
-        raw = seal_page(PageContent(
+        raw = reseal_raw(encode_page(PageContent(
             even_data=rng.getrandbits(112), odd_data=rng.getrandbits(16),
             hkroot=rng.getrandbits(8), mack=rng.getrandbits(32),
-            reserved=rng.getrandbits(24), fill=rng.getrandbits(14)))
+            reserved=rng.getrandbits(24), fill=rng.getrandbits(14))))
         assert encode_page(decode_page(raw)) == raw
     for _ in range(10_000):
         n_tags = rng.randint(0, 8)

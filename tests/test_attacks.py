@@ -20,6 +20,7 @@ from osnmasim.pages import (
     build_subframes,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaKey
+from page_reference import destroyed_slots
 
 GST0 = Gst(1251, 277200)
 
@@ -229,7 +230,7 @@ def test_cr_aligned_boundary_one_destroyed_round(small_bundle):
     live, merged = _cr_events(small_bundle, "1.4")
     onset_sf = _round_subframe(merged, 2, prn=1)
     assert not onset_sf.complete
-    assert onset_sf.destroyed_slots == (0,)
+    assert destroyed_slots(onset_sf) == (0,)
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete
@@ -244,7 +245,7 @@ def test_cr_late_takeover_shifts_one_page(small_bundle):
     one-page shift and the HKROOT stream loses its header alignment."""
     live, merged = _cr_events(small_bundle, "1.5")
     onset_sf = _round_subframe(merged, 2, prn=1)
-    assert onset_sf.destroyed_slots[:2] == (0, 1)
+    assert destroyed_slots(onset_sf)[:2] == (0, 1)
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete

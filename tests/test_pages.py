@@ -30,11 +30,10 @@ from osnmasim.pages import (
     crc24q,
     decode_page,
     encode_page,
-    flip_page_bit,
     reseal_raw,
-    seal_page,
     unpack_pages,
 )
+from page_reference import destroyed_slots, flip_page_bit
 
 # intact reference pages: the unmodified capture page and the finished
 # forged page; both embed CRCs consistent with the calibrated region
@@ -179,7 +178,7 @@ def test_reference_pages_self_verify():
     for raw in (PAGE_INTACT_A, PAGE_INTACT_C):
         page = decode_page(raw)
         assert page is not None
-        assert seal_page(page) == raw          # the CRC sealing computes
+        assert reseal_raw(encode_page(page)) == raw    # the CRC sealing computes
 
 
 def test_reference_pages_round_trip():
@@ -212,26 +211,21 @@ page_contents = st.builds(
 
 @given(page_contents)
 def test_encode_decode_round_trip(page):
-    sealed = seal_page(page)
+    sealed = reseal_raw(encode_page(page))
     assert encode_page(decode_page(sealed)) == sealed
 
 
 @given(page_contents)
 def test_sealed_page_decodes_to_its_fields_with_the_crc_filled_in(page):
-    assert decode_page(seal_page(page)) == \
+    assert decode_page(reseal_raw(encode_page(page))) == \
         page._replace(crc=ref_crc(ref_encode_page(page)))
-
-
-@given(page_contents, st.integers(0, (1 << 24) - 1))
-def test_seal_page_ignores_the_given_crc(page, crc):
-    assert seal_page(page._replace(crc=crc)) == seal_page(page)
 
 
 @given(page_contents, st.integers(0, 239))
 def test_single_bit_flip_detection(page, bit):
     """Flips inside the protected region (or the CRC itself) destroy the
     page; flips in the 20 framing bits do not touch the checksum."""
-    raw = seal_page(page)
+    raw = reseal_raw(encode_page(page))
     flipped = flip_page_bit(raw, bit)
     unprotected = set(range(114, 120)) | set(range(226, 240))
     if bit in unprotected:
@@ -255,7 +249,7 @@ def test_assembly_checks_a_one_bit_flip_as_decode_page_does(page, bit, source):
     decode_page gives it, which is a destroyed page whenever the bit is a
     flag, in the protected region or in the CRC; the intact page still
     passes."""
-    raw = seal_page(page)
+    raw = reseal_raw(encode_page(page))
     assert _assembled(raw) == raw
     assert _assembled(raw, decoded=True) == decode_page(raw) is not None
     flipped = flip_page_bit(raw, bit)
@@ -274,11 +268,11 @@ def test_flip_destroys_a_slot_after_the_intact_bytes_were_checked(
     """A flag or protected bit flipped in one page of a round destroys that
     slot alone, though the unflipped bytes passed the checks a round before."""
     events = _events()
-    events[slot] = events[slot]._replace(raw=seal_page(page))
+    events[slot] = events[slot]._replace(raw=reseal_raw(encode_page(page)))
     assert assemble_round(events, GST0, prn=5).complete
     events[slot] = events[slot]._replace(
-        source=source, raw=flip_page_bit(seal_page(page), bit))
-    assert assemble_round(events, GST0, prn=5).destroyed_slots == (slot,)
+        source=source, raw=flip_page_bit(reseal_raw(encode_page(page)), bit))
+    assert destroyed_slots(assemble_round(events, GST0, prn=5)) == (slot,)
 
 
 @given(st.lists(page_contents, min_size=SLOTS_PER_SUBFRAME,
@@ -287,7 +281,8 @@ def test_received_blobs_match_the_decoded_pages(fields):
     """A received subframe's nav data and OSNMA blobs, read from its bytes,
     equal the ones rebuilt from its decoded pages."""
     events = [PageEvent(t_ms=_T0 + PAGE_MS * i, prn=5, source=Source.AUTHENTIC,
-                        raw=seal_page(f)) for i, f in enumerate(fields)]
+                        raw=reseal_raw(encode_page(f)))
+              for i, f in enumerate(fields)]
     sf = assemble_round(events, GST0, prn=5)
     assert sf.complete
     assert sf.nav_data == b"".join(
@@ -340,7 +335,8 @@ def test_encode_names_the_oversized_field(name, width):
 
 
 def test_decode_rejects_inconsistent_flags():
-    raw = seal_page(PageContent(even_data=5, odd_data=6, hkroot=7, mack=8))
+    raw = reseal_raw(encode_page(
+        PageContent(even_data=5, odd_data=6, hkroot=7, mack=8)))
     for bit in (0, 1, 120, 121):
         assert decode_page(reseal_raw(flip_page_bit(raw, bit))) is None
 
@@ -501,7 +497,7 @@ def test_build_subframe_pages_match_seal_page(nav, hkroot, mack):
             odd_data=ref_getbitu(nav, 128 * p + 112, 16), hkroot=hkroot[p],
             mack=ref_getbitu(mack, 32 * p, 32))
         assert type(raw) is bytes
-        assert raw == seal_page(fields)
+        assert raw == reseal_raw(encode_page(fields))
         assert raw == ref_encode_page(page)
         assert page.crc == ref_crc(ref_encode_page(page))
         assert page == fields._replace(crc=page.crc)
@@ -514,8 +510,8 @@ def test_reseal_raw_restores_validity():
 
 
 def _page_raw(i):
-    return seal_page(PageContent(
-        even_data=i, odd_data=i, hkroot=0x52 if i == 0 else i, mack=i))
+    return reseal_raw(encode_page(PageContent(
+        even_data=i, odd_data=i, hkroot=0x52 if i == 0 else i, mack=i)))
 
 
 def _events(source=Source.AUTHENTIC, start=None, indices=range(15)):
@@ -534,7 +530,7 @@ def test_assemble_missing_page_destroys_slot():
     events = _events(indices=[i for i in range(15) if i != 6])
     sf = assemble_round(events, GST0, prn=5)
     assert not sf.complete
-    assert sf.destroyed_slots == (6,)
+    assert destroyed_slots(sf) == (6,)
 
 
 def test_assemble_adversary_overlap_mid_round():
@@ -545,7 +541,7 @@ def test_assemble_adversary_overlap_mid_round():
     adv = [PageEvent(t_ms=onset + PAGE_MS * k, prn=5, source=Source.ADVERSARY,
                      raw=_page_raw(k)) for k in range(8)]
     sf = assemble_round(live + adv, GST0, prn=5)
-    assert sf.destroyed_slots == tuple(range(7, 15))
+    assert destroyed_slots(sf) == tuple(range(7, 15))
 
 
 def test_assemble_adversary_full_cover_captures_slot():
@@ -560,7 +556,7 @@ def test_assemble_adversary_full_cover_captures_slot():
 def test_assemble_ignores_other_prn():
     events = _events()
     sf = assemble_round(events, GST0, prn=6)
-    assert sf.destroyed_slots == tuple(range(15))
+    assert destroyed_slots(sf) == tuple(range(15))
 
 
 def test_subframe_osnma_concatenation():
@@ -598,7 +594,8 @@ def test_page_misalignment_shifts_hkroot_by_8k_bits(k):
 
 def test_crc_field_position_nonaligned():
     # CRC field crosses byte boundaries: spot-check the extraction offsets
-    raw = seal_page(PageContent(even_data=1, odd_data=2, hkroot=3, mack=4))
+    raw = reseal_raw(encode_page(
+        PageContent(even_data=1, odd_data=2, hkroot=3, mack=4)))
     assert ref_getbitu(raw, *CRC) == decode_page(raw).crc
 
 
@@ -641,10 +638,10 @@ BATCH_SIZES = [0, 1, 15, 16, 120, 1001]
 
 @given(st.sampled_from(BATCH_SIZES), st.integers(0, 1 << 32))
 def test_sealed_batch_carries_the_definitional_crc(size, seed):
-    """Sealing a batch writes each page's definitional CRC into its CRC
-    field and changes no other bit."""
+    """Resealing each page of a batch writes its definitional CRC into its
+    CRC field and changes no other bit."""
     batch = _batch(size, seed, sealed_frac=0.0)
-    sealed = pages.seal_raws(batch)
+    sealed = [reseal_raw(raw) for raw in batch]
     assert len(sealed) == size
     for raw, out in zip(batch, sealed):
         want = bytearray(raw)
@@ -670,7 +667,7 @@ FIELDS = {"flags": [0, 1, 120, 121], "even_data": range(2, 114),
 def test_batch_check_of_one_flip_in_every_field(page, bits):
     """One batch holds a sealed page with one bit flipped in each field:
     the tail and fill flips still pass, every other flip fails."""
-    raw = seal_page(page)
+    raw = reseal_raw(encode_page(page))
     flipped = [flip_page_bit(raw, bit) for bit in bits.values()]
     got = dict(zip(bits, pages.check_raws([raw] + flipped)[1:]))
     assert got == {name: name in ("tail", "fill") for name in FIELDS}
@@ -681,9 +678,10 @@ def test_batch_check_of_one_flip_in_every_field(page, bits):
 def test_batch_with_a_page_of_the_wrong_length_raises(lengths):
     batch = [PAGE_INTACT_A[:n] if n <= PAGE_BYTES else PAGE_INTACT_A + b"\0"
              for n in lengths]
-    for kernel_call in (pages.check_raws, pages.seal_raws):
-        with pytest.raises(LengthError):
-            kernel_call(batch)
+    with pytest.raises(LengthError):
+        pages.check_raws(batch)
+    with pytest.raises(LengthError):
+        [reseal_raw(raw) for raw in batch]
 
 
 def test_subframe_pages_are_checked_in_one_call(monkeypatch):
@@ -735,7 +733,7 @@ def test_pack_matches_the_per_page_reference(size, seed):
     assert type(packed) is bytes
     assert packed == b"".join(raw for triple in blobs
                               for raw in ref.blob_pages(*triple))
-    sealed = pages.seal_raws([raw for slots in _slots(packed) for raw in slots])
+    sealed = [reseal_raw(raw) for slots in _slots(packed) for raw in slots]
     assert check_raws(sealed) == [True] * len(sealed)
     assert unpack_pages(_slots(packed)) == blobs
     assert unpack_pages(_slots(b"".join(sealed))) == blobs
@@ -764,7 +762,8 @@ def test_built_subframes_read_back_their_blobs(size, seed):
     assert [sf.prn for sf in built] == list(range(1, size + 1))
     for sf, (nav, hkroot, mack) in zip(built, blobs):
         assert sf.blobs is None
-        assert sf.raws == tuple(pages.seal_raws(ref.blob_pages(nav, hkroot, mack)))
+        assert sf.raws == tuple(map(reseal_raw,
+                                    ref.blob_pages(nav, hkroot, mack)))
         assert sf.nav_data == nav
         assert sf.osnma == (hkroot, mack)
 

@@ -16,13 +16,13 @@ from osnmasim.pages import (
     SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
     build_subframes,
-    flip_page_bit,
     reseal_raw,
 )
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
 import stream_reference
+from page_reference import destroyed_slots, flip_page_bit
 
 GST0 = Gst(1251, 277200)
 
@@ -162,7 +162,7 @@ def test_silent_pending_satellite_gets_a_destroyed_round(small_bundle):
                       <= e.t_ms < GST0.total_millis() + 9 * SUBFRAME_MS)]
     rx = _receiver(small_bundle)
     results = _drive(rx, events, 10)
-    assert results[8].subframes[2].destroyed_slots == tuple(range(15))
+    assert destroyed_slots(results[8].subframes[2]) == tuple(range(15))
     assert [v.outcome for v in results[8].verdicts if v.prn == 2] == \
         [Outcome.DISCARDED_INCOMPLETE]
     assert sorted(results[8].subframes) == sorted(results[7].subframes)

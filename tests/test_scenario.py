@@ -29,11 +29,11 @@ from osnmasim.scenario import (
     ScenarioError,
     diff_reports,
     generate_synthetic_constellation,
-    report_to_json,
     run_scenario,
     write_report,
 )
 from osnmasim.vectors import CrcError, TestVectorSet
+from report_text import report_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -371,6 +371,20 @@ def test_load_error_names_file_and_json_path(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(_with("attack.delay", "30.5")))
     with pytest.raises(ScenarioError, match=r"typo\.json: \$\.attack\.delay"):
+        Scenario.load(path)
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"seed": 1, "seed": 7}', "seed"),
+    ('{"attack": {"type": "none", "type": "tsr_realtime"}}', "type"),
+])
+def test_load_rejects_a_repeated_key(tmp_path, text, key):
+    """A key given twice is rejected by name, at any depth, not read as its
+    last value."""
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError,
+                       match=rf"twice\.json: repeated key '{key}'$"):
         Scenario.load(path)
 
 
@@ -837,7 +851,7 @@ def test_pages_are_sealed_a_satellite_and_checked_a_round_at_a_time(
     """On an 8x128 baseline, generation seals each satellite's pages, its
     whole stream, in exactly one kernel call, and the receiver checks each
     round's pages, all satellites together, in exactly one; no page takes
-    the one-page path (decode_page, seal_page, reseal_raw)."""
+    the one-page path (decode_page, reseal_raw)."""
     calls = []
     kernel = osnmasim.pages._crc_columns
 
@@ -849,7 +863,7 @@ def test_pages_are_sealed_a_satellite_and_checked_a_round_at_a_time(
         raise AssertionError("a lone page went through the kernel")
 
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
-    for name in ("decode_page", "seal_page", "reseal_raw"):
+    for name in ("decode_page", "reseal_raw"):
         monkeypatch.setattr(osnmasim.pages, name, one_page)
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -217,6 +218,22 @@ def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, key):
         TestVectorSet.load(native, mapping_path=path)
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"page_index_base": 0, "page_index_base": 1}', "page_index_base"),
+    ('{"columns": {"wn": "WEEK", "wn": "wn"}}', "wn"),
+])
+def test_mapping_with_a_repeated_key_schema_error(small_bundle, tmp_path,
+                                                  text, key):
+    """A key given twice is rejected by name, at any depth, not read as its
+    last value."""
+    native = tmp_path / "native.csv"
+    small_bundle.vectors.save(native)
+    path = tmp_path / "mapping.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=f"^repeated key '{key}'$"):
+        TestVectorSet.load(native, mapping_path=path)
+
+
 def _with_column(path, column, value, rows):
     """Rewrite one column in the given data rows (1-based) of a CSV."""
     lines = path.read_text().splitlines()
@@ -255,3 +272,32 @@ def test_range_limits_load(small_bundle, tmp_path, column, value):
     loaded = TestVectorSet.load(path).subframes()
     assert sum(map(len, loaded.values())) == \
         sum(map(len, small_bundle.subframes.values()))
+
+
+@pytest.mark.parametrize("column,value", [
+    ("wn", "1_251"), ("tow", "\u0662\u0667\u0667\u0662\u0660\u0660"),
+    ("prn", "+1"), ("prn", "\uff11"), ("page_index", "0x1"), ("wn", "1251.0"),
+    ("tow", "-"), ("prn", "")])
+def test_non_decimal_integer_schema_error(small_bundle, tmp_path, column,
+                                          value):
+    """An integer cell holds ASCII decimal digits, a minus sign allowed in
+    front: underscores, a plus sign and other scripts' digits, all of which
+    int() takes, are rejected with their row and column named."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    _with_column(path, column, value, range(16, 31))
+    with pytest.raises(SchemaError,
+                       match=re.escape(f"not an integer: {value!r}")) as err:
+        TestVectorSet.load(path)
+    assert (err.value.row, err.value.column) == (17, column)
+
+
+def test_integers_padded_with_spaces_load(small_bundle, tmp_path):
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    for column in ("wn", "tow", "prn", "page_index"):
+        lines = path.read_text().splitlines()
+        index = lines[0].split(",").index(column)
+        _with_column(path, column, f" {lines[1].split(',')[index]} ", [1])
+    assert TestVectorSet.load(path).subframes() == \
+        small_bundle.vectors.subframes()
