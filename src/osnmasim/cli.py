@@ -34,7 +34,7 @@ from .scenario import (
     write_report,
 )
 from .tesla import TeslaChain
-from .vectors import TestVectorSet
+from .vectors import TestVectorSet, unique_keys
 
 
 def _cmd_gen_constellation(args) -> int:
@@ -109,11 +109,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report_diff(args) -> int:
-    with open(args.a) as fh:
-        a = json.load(fh)
-    with open(args.b) as fh:
-        b = json.load(fh)
-    diffs = diff_reports(a, b)
+    reports = []
+    for path in (args.a, args.b):
+        with open(path) as fh:
+            try:
+                reports.append(json.load(fh, object_pairs_hook=unique_keys))
+            except ValueError as exc:   # bad JSON or a repeated key
+                raise ValueError(f"{path}: {exc}") from None
+    diffs = diff_reports(*reports)
     for path in diffs:
         print(path)
     return 1 if diffs else 0

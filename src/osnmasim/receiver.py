@@ -23,6 +23,7 @@ from .gst import (
     ts_startup,
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
+from .navdata import parse_nav_data
 from .pages import SUBFRAME_MS, Subframe, assemble_rounds
 from .tesla import (
     AlignmentError,
@@ -72,8 +73,11 @@ class ReceiverConfig:
 
 @dataclass
 class RoundResult:
-    subframes: dict = field(default_factory=dict)   # prn -> Subframe
+    gst: Gst
+    subframes: dict                 # prn -> Subframe
+    navs: dict                      # prn -> NavFields, complete subframes
     verdicts: list = field(default_factory=list)
+    authenticated: dict = field(default_factory=dict)   # prn -> NavFields
 
 
 class Receiver:
@@ -84,7 +88,7 @@ class Receiver:
         self.lrt = lrt
         self.status = Status.COLD_START
         self.trusted_key: TeslaKey | None = None
-        self.pending: dict = {}          # prn -> list of buffered subframes
+        self.pending: dict = {}          # prn -> (subframe, NavFields) window
         self.verdicts: list = []
         self.timeline: list = []
         self.deltas_ms: list = []
@@ -118,27 +122,33 @@ class Receiver:
 
         events_by_prn maps each PRN to the page events it sent this round; a
         pending satellite that sends nothing still gets a destroyed round.
-        Navigation data is parsed whatever the authentication status; only
-        the OSNMA pipeline is gated on a successful TS startup.  The rounds
-        are assembled together, every satellite's pages checked in one call.
+        The rounds are assembled together, every satellite's pages checked
+        in one call.  navs holds each complete subframe's nav data, parsed
+        once whatever the authentication status; only the OSNMA pipeline is
+        gated on a successful TS startup.  authenticated holds, by PRN, the
+        nav data of the subframe each authentic verdict names.
         """
         gst, window_start_ms = self._round_start()
         osnma_active = self.status not in (Status.COLD_START, Status.TS_FAILED)
         self.rounds_ingested += 1
         self._record_delta(gst, window_start_ms)
         prns = sorted(self.pending.keys() | events_by_prn.keys())
-        result = RoundResult(
-            assemble_rounds(events_by_prn, gst, prns, window_start_ms))
+        subframes = assemble_rounds(events_by_prn, gst, prns, window_start_ms)
+        result = RoundResult(gst, subframes, {
+            prn: parse_nav_data(sf.nav_data)
+            for prn, sf in subframes.items() if sf.complete})
         if not osnma_active:
             return result
 
         trusted_before = self.trusted_key
         advanced: TeslaKey | None = None
-        for sf in result.subframes.values():
-            verdict, verified = self._process_subframe(sf, trusted_before)
+        for prn, sf in subframes.items():
+            verdict, verified = self._process_subframe(
+                sf, result.navs.get(prn), trusted_before)
             if verdict is not None:
                 result.verdicts.append(verdict)
-            advanced = verified or advanced
+            if verified is not None:
+                advanced, result.authenticated[prn] = verified
         if advanced is not None:
             self.trusted_key = advanced
         self.verdicts.extend(result.verdicts)
@@ -176,8 +186,8 @@ class Receiver:
         gst_end_ms = gst.total_millis() + SUBFRAME_MS
         self.deltas_ms.append(lrt_ms - gst_end_ms)
 
-    def _process_subframe(self, sf: Subframe, trusted_before) -> tuple:
-        """The subframe's verdict, or None, and the key it verified."""
+    def _process_subframe(self, sf: Subframe, nav, trusted_before) -> tuple:
+        """The subframe's verdict, or None, and what its window verified."""
         prn = sf.prn
         if not sf.complete:
             self.pending.pop(prn, None)
@@ -190,7 +200,7 @@ class Receiver:
             self._feed_dsm(sf.osnma[0], sf.gst)
 
         window = self.pending.setdefault(prn, [])
-        window.append(sf)
+        window.append((sf, nav))
         if len(window) > 3:
             window.pop(0)
         if self.status is Status.SPOOF_DETECTED or self.trusted_key is None \
@@ -212,32 +222,30 @@ class Receiver:
 
     def _verify_triple(self, window, trusted: TeslaKey) -> tuple:
         """The data subframe's verdict and, when authentic, the key that
-        verified it."""
-        data_sf, tag_sf, key_sf = window
+        verified it with the data's NavFields.  The window is one PRN's last
+        three complete (subframe, NavFields): data i, tags i+1, key i+2."""
+        (data_sf, data_nav), (tag_sf, _), (key_sf, _) = window
+        gst, prn = data_sf.gst, data_sf.prn
         candidate = TeslaKey(disclosed_key(key_sf.osnma[1]), key_sf.gst)
         try:
             steps = verify_key(candidate, trusted)
         except (GstOrderError, AlignmentError):
             steps = None
         if steps is None:
-            return self._reject_key(data_sf), None
+            self.key_rejections += 1
+            if self.key_rejections >= self.config.key_reject_threshold:
+                self.status = Status.SPOOF_DETECTED
+                self._note_status(gst)
+            return AuthResult(gst, prn, Outcome.KEY_REJECTED), None
 
         _, tag_mack = tag_sf.osnma
         tags, _ = unpack_mack(tag_mack, self.config.seg_count)
         matches = verify_tags(data_sf.nav_data, tags, candidate,
-                              prn_d=data_sf.prn, prn_a=data_sf.prn,
-                              gst_sf=tag_sf.gst,
+                              prn_d=prn, prn_a=prn, gst_sf=tag_sf.gst,
                               seg_count=self.config.seg_count)
         if not all(matches):
-            return AuthResult(data_sf.gst, data_sf.prn, Outcome.TAG_MISMATCH), None
+            return AuthResult(gst, prn, Outcome.TAG_MISMATCH), None
         if self.status is Status.SUSPENDED:
             self.status = Status.AUTHENTICATING
-            self._note_status(data_sf.gst)
-        return AuthResult(data_sf.gst, data_sf.prn, Outcome.AUTHENTIC), candidate
-
-    def _reject_key(self, data_sf: Subframe) -> AuthResult:
-        self.key_rejections += 1
-        if self.key_rejections >= self.config.key_reject_threshold:
-            self.status = Status.SPOOF_DETECTED
-            self._note_status(data_sf.gst)
-        return AuthResult(data_sf.gst, data_sf.prn, Outcome.KEY_REJECTED)
+            self._note_status(gst)
+        return AuthResult(gst, prn, Outcome.AUTHENTIC), (candidate, data_nav)

@@ -14,7 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import cycle, repeat
 from types import MappingProxyType
 
@@ -451,18 +451,13 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     return obs
 
 
-def _solver_inputs(subframes: dict, obs: dict) -> dict:
-    """What each complete subframe gives the solver, by PRN in order: the
-    broadcast satellite and its observed range corrected with the broadcast
-    biases."""
-    inputs = {}
-    for prn, sf in sorted(subframes.items()):
-        if sf.complete:
-            nav = parse_nav_data(sf.nav_data)
-            inputs[prn] = (SatState(prn=prn, position=nav.sat_ecef_m),
-                           obs[(sf.gst.total_seconds(), prn)]
-                           - nav.range_bias_m)
-    return inputs
+def _solver_inputs(gst: Gst, navs: dict, obs: dict) -> tuple:
+    """What each PRN's nav data of GST gst gives the solver, by PRN in
+    order: the broadcast satellite and its observed range corrected with
+    the broadcast biases."""
+    return tuple((SatState(prn=prn, position=nav.sat_ecef_m),
+                  obs[(gst.total_seconds(), prn)] - nav.range_bias_m)
+                 for prn, nav in sorted(navs.items()))
 
 
 def _solve(inputs: tuple):
@@ -482,9 +477,11 @@ def run_scenario(sc: Scenario) -> dict:
     The most recent constellation is kept: consecutive scenarios with equal
     constellation inputs (seed, sizes, start GST, site, tag count) share one
     build and its observations.  Page events are made one round at a time,
-    as the receiver takes them.  Equal solver inputs are solved, and their
-    fix put in report form, once per run; no solver result outlives the
-    run."""
+    as the receiver takes them.  Each round gives a raw fix from the nav
+    data the receiver parsed that round and, with four or more authentic
+    verdicts, an authenticated fix from the nav data it names for them,
+    keyed by their GST.  Equal solver inputs are solved, and their fix put
+    in report form, once per run; no solver result outlives the run."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
@@ -495,31 +492,22 @@ def run_scenario(sc: Scenario) -> dict:
     receiver = Receiver(config, lrt)
     receiver.power_on(bundle.gst0, true_ms=t0)
 
-    fixes: dict = {}            # solver inputs -> report of their fix, this run
-
-    def fix_report(inputs) -> dict:
-        key = tuple(inputs)
-        if key not in fixes:
-            fix = _solve(key)
-            fixes[key] = fix.as_dict() if isinstance(fix, Fix) \
-                else {"error": fix}
-        return fixes[key]
+    @cache                      # solver inputs -> their fix's report, this run
+    def fix_report(inputs: tuple) -> dict:
+        fix = _solve(inputs)
+        return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
 
     raw_fixes = []
     auth_fixes = {}
-    back = ({}, {})             # solver inputs of rounds r - 2 and r - 1
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r))
-        inputs = _solver_inputs(result.subframes, obs)
-        raw_fixes.append(fix_report(inputs.values()))
-        # each PRN's window holds three consecutive complete rounds, so an
-        # authentic verdict of round r names round r - 2's data subframe
-        authentic = [v for v in result.verdicts
-                     if v.outcome is Outcome.AUTHENTIC]
-        if len(authentic) >= 4:
-            auth_fixes[str(authentic[0].gst.total_seconds())] = fix_report(
-                back[0][prn] for prn in sorted(v.prn for v in authentic))
-        back = (back[1], inputs)
+        raw_fixes.append(fix_report(
+            _solver_inputs(result.gst, result.navs, obs)))
+        if len(result.authenticated) >= 4:
+            gst = next(v.gst for v in result.verdicts
+                       if v.outcome is Outcome.AUTHENTIC)
+            auth_fixes[str(gst.total_seconds())] = fix_report(
+                _solver_inputs(gst, result.authenticated, obs))
 
     failure = any(v.outcome in _FAILURE_OUTCOMES for v in receiver.verdicts)
     return {

@@ -354,6 +354,21 @@ def test_report_diff_missing_file_is_an_error(tmp_path, capsys):
     assert err.startswith("error:") and "a.json" in err
 
 
+@pytest.mark.parametrize("repeated", ("a", "b"))
+def test_report_diff_repeated_key_is_an_error(tmp_path, capsys, repeated):
+    """A key given twice is named, not read as its last value: the two
+    reports below would otherwise compare equal."""
+    paths = {name: tmp_path / f"{name}.json" for name in "ab"}
+    for name, path in paths.items():
+        path.write_text('{"exit_code": 0, "exit_code": 2}'
+                        if name == repeated else '{"exit_code": 2}')
+    assert main(["report", "diff", str(paths["a"]), str(paths["b"])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {paths[repeated]}: repeated key 'exit_code'\n"
+
+
 @pytest.mark.parametrize("argv,words", [
     (["gen-constellation", "--sats", "3", "--out-dir"], "four satellites"),
     (["gen-chain", "--n", "0", "--out"], "one hash step"),

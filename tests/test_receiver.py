@@ -9,7 +9,7 @@ from osnmasim.gst import (
     SymmetricBound,
 )
 from osnmasim.mack import pack_mack, unpack_mack
-from osnmasim.navdata import subframe_nav_data
+from osnmasim.navdata import parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
     PAGE_BITS,
     PAGE_MS,
@@ -226,6 +226,44 @@ def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     tail = [v for v in rx.verdicts
             if v.gst.total_seconds() > GST0.total_seconds() + 30 * 4]
     assert tail == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4),
+                         st.integers(0, SLOTS_PER_SUBFRAME - 1)), max_size=8))
+@example(set())
+def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
+        small_bundle, drops):
+    """With pages dropped from the live stream, each round's navs hold
+    exactly its complete PRNs, each with the nav data broadcast at the
+    round's GST, and its authenticated hold exactly the PRNs of its
+    authentic verdicts, each with the nav data broadcast at the verdict's
+    GST."""
+    broadcast = small_bundle.subframes
+    events = live_events(broadcast)
+    for round_idx, prn, slot in drops:
+        events = _drop(events, prn, round_idx, slot)
+    rx = _receiver(small_bundle)
+    results = _drive(rx, events, 12, t0=GST0.total_millis())
+
+    def sent(prn, gst):
+        r = (gst.total_seconds() - GST0.total_seconds()) // 30
+        assert broadcast[prn][r].gst == gst
+        return parse_nav_data(broadcast[prn][r].nav_data)
+
+    for r, result in enumerate(results):
+        assert result.gst == GST0.add_seconds(30 * r)
+        dropped = {prn for round_idx, prn, _ in drops if round_idx == r}
+        assert set(result.navs) == set(broadcast) - dropped
+        for prn, nav in result.navs.items():
+            assert nav == sent(prn, result.gst)
+        authentic = {v.prn: v.gst for v in result.verdicts
+                     if v.outcome is Outcome.AUTHENTIC}
+        assert set(result.authenticated) == set(authentic)
+        for prn, nav in result.authenticated.items():
+            assert nav == sent(prn, authentic[prn])
+    if not drops:
+        assert len(results[-1].authenticated) == 4
 
 
 def test_report_shape(small_bundle):

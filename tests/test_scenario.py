@@ -707,15 +707,35 @@ def test_verdicts_name_the_data_subframe_two_rounds_back(monkeypatch):
     assert seen == set(Outcome)
 
 
+def test_tag_mismatches_are_never_authenticated(monkeypatch):
+    """On tsf_nav_only, whose forged nav data keeps the genuine tags, no
+    round names nav data as authenticated for a PRN with a tag_mismatch
+    verdict, and no authenticated fix is reported."""
+    rounds = []
+    ingest = osnmasim.receiver.Receiver.ingest_round
+
+    def recording(self, events_by_prn):
+        rounds.append(ingest(self, events_by_prn))
+        return rounds[-1]
+
+    monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
+    report = run_scenario(Scenario.load(SCENARIO_DIR / "tsf_nav_only.json"))
+    mismatched = [{v.prn for v in result.verdicts
+                   if v.outcome is Outcome.TAG_MISMATCH} for result in rounds]
+    assert any(mismatched) and report["auth_fixes"] == {}
+    for prns, result in zip(mismatched, rounds):
+        assert not prns & result.authenticated.keys()
+
+
 def test_each_authenticated_fix_is_solved_from_its_data_round(monkeypatch):
     """With a receiver clock that drifts 3 cm a round, every round's inputs
     differ; on baseline, where all eight satellites authenticate, the fix
     keyed by GST g is the raw fix of the round that received GST g."""
     inputs = osnmasim.scenario._solver_inputs
 
-    def drifting(subframes, obs):
-        return {prn: (sat, rho + 1e-3 * subframes[prn].gst.tow)
-                for prn, (sat, rho) in inputs(subframes, obs).items()}
+    def drifting(gst, navs, obs):
+        return tuple((sat, rho + 1e-3 * gst.tow)
+                     for sat, rho in inputs(gst, navs, obs))
 
     monkeypatch.setattr(osnmasim.scenario, "_solver_inputs", drifting)
     sc = Scenario.load(SCENARIO_DIR / "baseline.json")
@@ -841,7 +861,10 @@ def test_memory_per_subframe_is_bounded():
     """Page events are made one round at a time, so a longer run holds
     more of only what grows with it: sealed pages, verdicts and the
     report.  From 8x32 to 8x128 the traced peak grows by at most
-    3.5 KB per added subframe (whole-run event lists took about 6.5 KB)."""
+    3.5 KB per added subframe (whole-run event lists took about 6.5 KB).
+    An untraced warm-up run first loads what any run loads once (numpy is
+    imported at the first solve), whichever tests ran before."""
+    run_scenario(_scenario({"type": "none"}, subframes=4))
     growth = (_traced_peak(128) - _traced_peak(32)) / (8 * 96)
     assert growth <= 3500, growth
 
