@@ -113,9 +113,12 @@ def _cmd_report_diff(args) -> int:
     for path in (args.a, args.b):
         with open(path) as fh:
             try:
-                reports.append(json.load(fh, object_pairs_hook=unique_keys))
+                report = json.load(fh, object_pairs_hook=unique_keys)
             except ValueError as exc:   # bad JSON or a repeated key
                 raise ValueError(f"{path}: {exc}") from None
+        if not isinstance(report, dict):
+            raise ValueError(f"{path}: not a report: no top-level JSON object")
+        reports.append(report)
     diffs = diff_reports(*reports)
     for path in diffs:
         print(path)

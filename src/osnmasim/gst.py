@@ -1,5 +1,5 @@
 """Galileo System Time, local reference time sources and the
-time-synchronization (TS) gate checked at receiver startup.
+time-synchronization (TS) rule the receiver's startup gate applies.
 
 All simulation timestamps are integer milliseconds; GST week/time-of-week
 are integer seconds.  Sub-second thresholds such as 29.5 s therefore compare
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 
 SECONDS_PER_WEEK = 604_800
 SUBFRAME_SECONDS = 30
@@ -100,31 +99,9 @@ class LrtSource:
         return true_ms + self.offset_ms
 
 
-class TsStartup(Enum):
-    OSNMA_START = "osnma_start"
-    CALIBRATE_LRT = "calibrate_lrt"
-    ILLEGAL_SIGNAL = "illegal_signal"
-
-
 def check_time_sync(gst: Gst, lrt_ms: int, policy: TsPolicy) -> bool:
     """Apply the configured TS rule to a GST reading and an LRT value."""
     delta_ms = lrt_ms - gst.total_millis()
     if isinstance(policy, SymmetricBound):
         return abs(delta_ms) < policy.b_ms
     return delta_ms < policy.t_l_ms
-
-
-def ts_startup(gst: Gst, source: LrtSource, policy: TsPolicy,
-               true_ms: int = 0) -> TsStartup:
-    """Run the startup TS flow.
-
-    Under SymmetricBound the source's error bound is checked first: a bound
-    larger than half the tolerated window (T_L/2 == B) means the LRT cannot
-    be trusted and the receiver should calibrate it instead.  NTP-backed
-    AlternateThreshold policies skip the bound check.
-    """
-    if isinstance(policy, SymmetricBound) and source.error_bound_ms > policy.b_ms:
-        return TsStartup.CALIBRATE_LRT
-    if check_time_sync(gst, source.read(true_ms), policy):
-        return TsStartup.OSNMA_START
-    return TsStartup.ILLEGAL_SIGNAL

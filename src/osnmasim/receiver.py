@@ -11,6 +11,7 @@ re-verifying the root key.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -18,13 +19,13 @@ from .gst import (
     Gst,
     LrtSource,
     SUBFRAME_SECONDS,
+    SymmetricBound,
     TsPolicy,
-    TsStartup,
-    ts_startup,
+    check_time_sync,
 )
 from .mack import disclosed_key, unpack_mack, verify_tags
 from .navdata import parse_nav_data
-from .pages import SUBFRAME_MS, Subframe, assemble_rounds
+from .pages import SUBFRAME_MS, assemble_rounds
 from .tesla import (
     AlignmentError,
     DsmAccumulator,
@@ -37,6 +38,11 @@ from .tesla import (
 
 
 class Status(Enum):
+    """AUTHENTICATING means the chain key verifies (the root key's signature
+    held, and fewer than key_reject_threshold keys were rejected), not that
+    any nav data was authenticated: the verdicts (tag_mismatch, key_rejected)
+    and the run's exit code 2 say whether the data failed."""
+
     COLD_START = "cold_start"
     TS_FAILED = "ts_failed"
     AWAITING_ROOT_KEY = "awaiting_root_key"
@@ -86,69 +92,82 @@ class Receiver:
     def __init__(self, config: ReceiverConfig, lrt: LrtSource):
         self.config = config
         self.lrt = lrt
-        self.status = Status.COLD_START
         self.trusted_key: TeslaKey | None = None
-        self.pending: dict = {}          # prn -> (subframe, NavFields) window
+        self.pending: dict = {}          # prn -> deque of (Subframe, NavFields)
         self.verdicts: list = []
-        self.timeline: list = []
-        self.deltas_ms: list = []
-        self.rounds_ingested = 0
+        self.timeline: list = []         # (gst or None, status) per change
+        self.deltas_ms: list = []        # one per round ingested
         self.key_rejections = 0
         self._dsm = DsmAccumulator()
         self._pubkey = load_public_key_point(config.pubkey)
         self._grid: tuple | None = None  # (first GST, its window start ms)
-        self._note_status(None)
-
-    # -- startup -----------------------------------------------------------
+        self._enter(Status.COLD_START, None)
 
     def power_on(self, first_gst: Gst, true_ms: int) -> Status:
         """Run the TS gate against the first observed subframe boundary,
         and fix the round grid: round r is stamped first_gst + r * 30 s and
-        its window starts at true_ms + r * 30 s."""
+        its window starts at true_ms + r * 30 s.  An LRT error bound wider
+        than a SymmetricBound's B keeps COLD_START: the LRT needs calibrating
+        first, and OSNMA never begins."""
         self._grid = (first_gst, true_ms)
-        decision = ts_startup(first_gst, self.lrt, self.config.policy, true_ms)
-        if decision is TsStartup.OSNMA_START:
-            self.status = Status.AWAITING_ROOT_KEY
-        elif decision is TsStartup.ILLEGAL_SIGNAL:
-            self.status = Status.TS_FAILED
-        # CALIBRATE_LRT keeps the cold-start state: OSNMA never begins
-        self._note_status(first_gst)
+        policy = self.config.policy
+        if not (isinstance(policy, SymmetricBound)
+                and self.lrt.error_bound_ms > policy.b_ms):
+            passed = check_time_sync(first_gst, self.lrt.read(true_ms), policy)
+            self._enter(Status.AWAITING_ROOT_KEY if passed
+                        else Status.TS_FAILED, first_gst)
         return self.status
-
-    # -- per-round processing ----------------------------------------------
 
     def ingest_round(self, events_by_prn: dict) -> RoundResult:
         """Assemble the next 30-s round per satellite and run the pipeline.
 
         events_by_prn maps each PRN to the page events it sent this round; a
         pending satellite that sends nothing still gets a destroyed round.
-        The rounds are assembled together, every satellite's pages checked
-        in one call.  navs holds each complete subframe's nav data, parsed
-        once whatever the authentication status; only the OSNMA pipeline is
-        gated on a successful TS startup.  authenticated holds, by PRN, the
-        nav data of the subframe each authentic verdict names.
+        navs holds each complete subframe's nav data, parsed once whatever
+        the status; only the OSNMA pipeline is gated on a successful TS
+        startup.  authenticated holds, by PRN, the nav data of the subframe
+        each authentic verdict names.
         """
-        gst, window_start_ms = self._round_start()
-        osnma_active = self.status not in (Status.COLD_START, Status.TS_FAILED)
-        self.rounds_ingested += 1
-        self._record_delta(gst, window_start_ms)
+        if self._grid is None:
+            raise RuntimeError("receiver was never powered on")
+        first_gst, true_ms = self._grid
+        r = len(self.deltas_ms)
+        gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)
+        window_start_ms = true_ms + r * SUBFRAME_MS
+        # compare at subframe completion: content GST end vs LRT reading
+        self.deltas_ms.append(self.lrt.read(window_start_ms + SUBFRAME_MS)
+                              - gst.total_millis() - SUBFRAME_MS)
         prns = sorted(self.pending.keys() | events_by_prn.keys())
         subframes = assemble_rounds(events_by_prn, gst, prns, window_start_ms)
         result = RoundResult(gst, subframes, {
             prn: parse_nav_data(sf.nav_data)
             for prn, sf in subframes.items() if sf.complete})
-        if not osnma_active:
+        if self.status in (Status.COLD_START, Status.TS_FAILED):
             return result
 
-        trusted_before = self.trusted_key
+        # windows verify against the key trusted at the round's start, or the
+        # root key acquired in it; the newest authentic key is trusted next
         advanced: TeslaKey | None = None
         for prn, sf in subframes.items():
-            verdict, verified = self._process_subframe(
-                sf, result.navs.get(prn), trusted_before)
-            if verdict is not None:
-                result.verdicts.append(verdict)
-            if verified is not None:
-                advanced, result.authenticated[prn] = verified
+            if not sf.complete:
+                self.pending.pop(prn, None)
+                if self.status is Status.AUTHENTICATING:
+                    self._enter(Status.SUSPENDED, gst)
+                result.verdicts.append(
+                    AuthResult(gst, prn, Outcome.DISCARDED_INCOMPLETE))
+                continue
+            if self.trusted_key is None:
+                self._feed_dsm(sf.osnma[0], gst)
+            window = self.pending.setdefault(prn, deque(maxlen=3))
+            window.append((sf, result.navs[prn]))
+            if self.status is Status.SPOOF_DETECTED \
+                    or self.trusted_key is None or len(window) < 3:
+                continue
+            verdict, key = self._verify_triple(window)
+            result.verdicts.append(verdict)
+            if key is not None:
+                advanced = key
+                result.authenticated[prn] = window[0][1]
         if advanced is not None:
             self.trusted_key = advanced
         self.verdicts.extend(result.verdicts)
@@ -163,89 +182,49 @@ class Receiver:
             ],
             "verdicts": [v.as_dict() for v in self.verdicts],
             "gst_lrt_delta_ms": list(self.deltas_ms),
-            "rounds": self.rounds_ingested,
+            "rounds": len(self.deltas_ms),
         }
 
     # -- internals -----------------------------------------------------------
 
-    def _note_status(self, gst):
-        if not self.timeline or self.timeline[-1][1] is not self.status:
-            self.timeline.append((gst, self.status))
-
-    def _round_start(self) -> tuple:
-        """The next round's GST and window start on the power-on grid."""
-        if self._grid is None:
-            raise RuntimeError("receiver was never powered on")
-        first_gst, true_ms = self._grid
-        r = self.rounds_ingested
-        return first_gst.add_seconds(SUBFRAME_SECONDS * r), true_ms + r * SUBFRAME_MS
-
-    def _record_delta(self, gst: Gst, window_start_ms: int) -> None:
-        # compare at subframe completion: content GST end vs LRT reading
-        lrt_ms = self.lrt.read(window_start_ms + SUBFRAME_MS)
-        gst_end_ms = gst.total_millis() + SUBFRAME_MS
-        self.deltas_ms.append(lrt_ms - gst_end_ms)
-
-    def _process_subframe(self, sf: Subframe, nav, trusted_before) -> tuple:
-        """The subframe's verdict, or None, and what its window verified."""
-        prn = sf.prn
-        if not sf.complete:
-            self.pending.pop(prn, None)
-            if self.status is Status.AUTHENTICATING:
-                self.status = Status.SUSPENDED
-                self._note_status(sf.gst)
-            return AuthResult(sf.gst, prn, Outcome.DISCARDED_INCOMPLETE), None
-
-        if self.trusted_key is None:
-            self._feed_dsm(sf.osnma[0], sf.gst)
-
-        window = self.pending.setdefault(prn, [])
-        window.append((sf, nav))
-        if len(window) > 3:
-            window.pop(0)
-        if self.status is Status.SPOOF_DETECTED or self.trusted_key is None \
-                or len(window) < 3:
-            return None, None
-        return self._verify_triple(window, trusted_before or self.trusted_key)
+    def _enter(self, status: Status, gst) -> None:
+        """The one status setter: a change is appended to the timeline."""
+        if not self.timeline or status is not self.status:
+            self.status = status
+            self.timeline.append((gst, status))
 
     def _feed_dsm(self, hkroot: bytes, gst: Gst) -> None:
         msg = self._dsm.feed(hkroot)
         if msg is None:
             return
         if verify_root(msg.body, msg.signature, self._pubkey):
-            self.trusted_key = msg.root_key
-            if self.status is Status.AWAITING_ROOT_KEY:
-                self.status = Status.AUTHENTICATING
-                self._note_status(gst)
+            self.trusted_key = msg.root_key     # fed only in AWAITING_ROOT_KEY
+            self._enter(Status.AUTHENTICATING, gst)
         else:
             self._dsm.reset()
 
-    def _verify_triple(self, window, trusted: TeslaKey) -> tuple:
+    def _verify_triple(self, window) -> tuple:
         """The data subframe's verdict and, when authentic, the key that
-        verified it with the data's NavFields.  The window is one PRN's last
-        three complete (subframe, NavFields): data i, tags i+1, key i+2."""
-        (data_sf, data_nav), (tag_sf, _), (key_sf, _) = window
+        verified it.  The window is one PRN's last three complete
+        (subframe, NavFields): data i, tags i+1, key i+2."""
+        (data_sf, _), (tag_sf, _), (key_sf, _) = window
         gst, prn = data_sf.gst, data_sf.prn
         candidate = TeslaKey(disclosed_key(key_sf.osnma[1]), key_sf.gst)
         try:
-            steps = verify_key(candidate, trusted)
+            steps = verify_key(candidate, self.trusted_key)
         except (GstOrderError, AlignmentError):
             steps = None
         if steps is None:
             self.key_rejections += 1
             if self.key_rejections >= self.config.key_reject_threshold:
-                self.status = Status.SPOOF_DETECTED
-                self._note_status(gst)
+                self._enter(Status.SPOOF_DETECTED, gst)
             return AuthResult(gst, prn, Outcome.KEY_REJECTED), None
 
-        _, tag_mack = tag_sf.osnma
-        tags, _ = unpack_mack(tag_mack, self.config.seg_count)
-        matches = verify_tags(data_sf.nav_data, tags, candidate,
-                              prn_d=prn, prn_a=prn, gst_sf=tag_sf.gst,
-                              seg_count=self.config.seg_count)
-        if not all(matches):
+        tags, _ = unpack_mack(tag_sf.osnma[1], self.config.seg_count)
+        if not all(verify_tags(data_sf.nav_data, tags, candidate,
+                               prn_d=prn, prn_a=prn, gst_sf=tag_sf.gst,
+                               seg_count=self.config.seg_count)):
             return AuthResult(gst, prn, Outcome.TAG_MISMATCH), None
-        if self.status is Status.SUSPENDED:
-            self.status = Status.AUTHENTICATING
-            self._note_status(gst)
-        return AuthResult(gst, prn, Outcome.AUTHENTIC), (candidate, data_nav)
+        # verified only while AUTHENTICATING or SUSPENDED: this resumes
+        self._enter(Status.AUTHENTICATING, gst)
+        return AuthResult(gst, prn, Outcome.AUTHENTIC), candidate

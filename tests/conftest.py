@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from osnmasim.gst import Gst
 from osnmasim.scenario import generate_synthetic_constellation
 
 GST0 = Gst(1251, 277200)
+
+# A property test that sets no example count of its own takes the active
+# profile's: hypothesis's default of 100 in tier-1, or 2,000 under
+# `pytest --hypothesis-profile=long`.
+settings.register_profile("long", max_examples=2000)
 
 
 @pytest.fixture(scope="session")

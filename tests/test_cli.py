@@ -437,3 +437,20 @@ def test_forge_tsf_takes_no_target(tmp_path, capsys):
     assert exit_.value.code == 2
     assert "unrecognized arguments: --lat 4" in capsys.readouterr().err
     assert not forged.exists()
+
+
+@pytest.mark.parametrize("texts", (("[1]", "[1, 2]"), ('{"a": 1}', "1"),
+                                   ("null", '{"a": 1}')))
+def test_report_diff_rejects_a_top_level_that_is_not_an_object(
+        tmp_path, capsys, texts):
+    """A report is a JSON object: any other top level is named as the
+    first file that holds one, not compared path by path."""
+    paths = [tmp_path / f"{name}.json" for name in "ab"]
+    for path, text in zip(paths, texts):
+        path.write_text(text + "\n")
+    assert main(["report", "diff", *map(str, paths)]) == 1
+    bad = paths[0] if not texts[0].startswith("{") else paths[1]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {bad}: not a report: no top-level JSON object\n"

@@ -4,13 +4,10 @@ from hypothesis import given, strategies as st
 from osnmasim.gst import (
     AlternateThreshold,
     Gst,
-    LrtSource,
     SubMillisecondError,
     SymmetricBound,
-    TsStartup,
     check_time_sync,
     to_millis,
-    ts_startup,
 )
 
 
@@ -107,38 +104,3 @@ def test_shift_invariance(base_s, delta_ms, shift_s):
         after = check_time_sync(shifted, shifted.total_millis() + delta_ms,
                                 policy)
         assert before == after
-
-
-def test_startup_untrusted_bound_calibrates():
-    out = ts_startup(Gst(1251, 277200), LrtSource(error_bound_ms=20000),
-                     SymmetricBound(15000))
-    assert out is TsStartup.CALIBRATE_LRT
-
-
-def test_startup_alternate_sub_second_delta():
-    gst = Gst(1251, 277200)
-    src = LrtSource(offset_ms=771)
-    out = ts_startup(gst, src, AlternateThreshold(30000),
-                     true_ms=gst.total_millis())
-    assert out is TsStartup.OSNMA_START
-
-
-def test_startup_alternate_32s_delta_illegal():
-    gst = Gst(1251, 277200)
-    src = LrtSource(offset_ms=32000)
-    out = ts_startup(gst, src, AlternateThreshold(30000),
-                     true_ms=gst.total_millis())
-    assert out is TsStartup.ILLEGAL_SIGNAL
-
-
-@given(st.integers(-60000, 60000), st.integers(0, 30000))
-def test_startup_never_starts_when_check_fails(delta_ms, bound_ms):
-    gst = Gst(100, 3000)
-    src = LrtSource(offset_ms=delta_ms, error_bound_ms=0)
-    for policy in (AlternateThreshold(30000), SymmetricBound(max(bound_ms, 1))):
-        out = ts_startup(gst, src, policy, true_ms=gst.total_millis())
-        passed = check_time_sync(gst, gst.total_millis() + delta_ms, policy)
-        if out is TsStartup.OSNMA_START:
-            assert passed
-        if not passed:
-            assert out is not TsStartup.OSNMA_START

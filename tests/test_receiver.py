@@ -7,6 +7,7 @@ from osnmasim.gst import (
     Gst,
     LrtSource,
     SymmetricBound,
+    check_time_sync,
 )
 from osnmasim.mack import pack_mack, unpack_mack
 from osnmasim.navdata import parse_nav_data, subframe_nav_data
@@ -21,6 +22,7 @@ from osnmasim.pages import (
 from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
 from osnmasim.scenario import live_events
 from osnmasim.tesla import DSM_BLOCKS
+import receiver_reference
 import stream_reference
 from page_reference import destroyed_slots, flip_page_bit
 
@@ -64,6 +66,25 @@ def test_power_on_untrusted_bound_stays_cold(small_bundle):
     rx = _receiver(small_bundle, policy=SymmetricBound(15000),
                    lrt=LrtSource(error_bound_ms=20000))
     assert rx.power_on(GST0, GST0.total_millis()) is Status.COLD_START
+
+
+@given(st.integers(-60000, 60000), st.integers(0, 30000))
+def test_power_on_never_starts_when_check_fails(small_bundle, delta_ms,
+                                                 bound_ms):
+    """With a trusted LRT, power-on starts OSNMA exactly when the TS check
+    passes on its reading, and fails the TS gate otherwise."""
+    gst = Gst(100, 3000)
+    for policy in (AlternateThreshold(30000), SymmetricBound(max(bound_ms, 1))):
+        rx = _receiver(small_bundle, policy=policy,
+                       lrt=LrtSource(offset_ms=delta_ms, error_bound_ms=0))
+        passed = check_time_sync(gst, gst.total_millis() + delta_ms, policy)
+        assert rx.power_on(gst, gst.total_millis()) is \
+            (Status.AWAITING_ROOT_KEY if passed else Status.TS_FAILED)
+
+
+def test_ingest_before_power_on_raises(small_bundle):
+    with pytest.raises(RuntimeError, match="receiver was never powered on"):
+        _receiver(small_bundle).ingest_round({})
 
 
 @pytest.mark.parametrize("skew_ms", (-1, 1))
@@ -127,7 +148,7 @@ def test_fresh_report_is_empty(small_bundle):
 
 def test_ts_failed_recorded_in_timeline(small_bundle):
     rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=32000))
-    rx.power_on(GST0, GST0.total_millis())
+    assert rx.power_on(GST0, GST0.total_millis()) is Status.TS_FAILED
     rep = rx.report()
     assert rep["status"] == "ts_failed"
     assert rep["timeline"][-1]["status"] == "ts_failed"
@@ -306,6 +327,21 @@ def _moved(events, move):
     return events[:i] + [event] + events[i + 1:]
 
 
+def _moved_rounds(round_events, rounds, moves):
+    """Each round's page events by PRN, with the moves of that round (taken
+    modulo the rounds) applied."""
+    windows = []
+    for r in range(rounds):
+        events = round_events(r)
+        prns = sorted(events)
+        for move in moves:
+            if move[0] % rounds == r:
+                prn = prns[move[1] % len(prns)]
+                events[prn] = _moved(events[prn], move)
+        windows.append(events)
+    return windows
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_MOVE, max_size=12))
 @example([])
@@ -320,13 +356,7 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     rx = _receiver(small_bundle)
     rx.power_on(GST0, true_ms=t0)
     received = {}
-    for r in range(rounds):
-        events = round_events(r)
-        prns = sorted(events)
-        for move in moves:
-            if move[0] % rounds == r:
-                prn = prns[move[1] % len(prns)]
-                events[prn] = _moved(events[prn], move)
+    for events in _moved_rounds(round_events, rounds, moves):
         result = rx.ingest_round(events)
         received.update(((sf.gst, prn), sf)
                         for prn, sf in result.subframes.items())
@@ -337,3 +367,48 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
             broadcast[v.prn][r].nav_data
     if not moves:
         assert authentic and len(authentic) == len(rx.verdicts)
+
+
+@st.composite
+def _ts_gate(draw):
+    """A TS policy and an LRT whose power-on offset falls on either side of
+    the threshold; a symmetric bound may distrust the LRT's error bound."""
+    if draw(st.booleans()):
+        return AlternateThreshold(30000), LrtSource(
+            offset_ms=draw(st.integers(-32000, 32000)))
+    return SymmetricBound(15000), LrtSource(
+        offset_ms=draw(st.integers(-17000, 17000)),
+        error_bound_ms=draw(st.sampled_from((0, 15000, 20000))))
+
+
+@settings(deadline=None)        # example count from the active profile
+@given(st.lists(_MOVE, max_size=12), _ts_gate(), st.integers(1, 3),
+       st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4)), max_size=3))
+@example([], (AlternateThreshold(30000), LrtSource()), 1, set())
+def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
+                                                 threshold, bad_keys):
+    """Round by round, the receiver's subframes, verdicts, authenticated
+    nav data and status are those the literal reference derives from the
+    whole run by index, with a zero key broadcast at each (round, PRN) of
+    bad_keys and pages moved as in the soundness test; its timeline ends at
+    its status after every round, and the two timelines are equal."""
+    broadcast = {prn: list(sfs) for prn, sfs in small_bundle.subframes.items()}
+    for r, prn in bad_keys:
+        tags, _ = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
+        broadcast[prn][r] = _with_mack(broadcast[prn][r],
+                                       pack_mack(tags, bytes(16)))
+    t0, round_events = shifted_stream(broadcast)
+    windows = _moved_rounds(round_events, len(broadcast[1]), moves)
+    policy, lrt = gate
+    rx = _receiver(small_bundle, policy=policy, lrt=lrt,
+                   key_reject_threshold=threshold)
+    ref = receiver_reference.run(rx.config, lrt, GST0, t0, windows)
+    rx.power_on(GST0, true_ms=t0)
+    for r, events in enumerate(windows):
+        result = rx.ingest_round(events)
+        assert list(result.subframes.items()) == \
+            list(ref.subframes[r].items())
+        assert result.verdicts == ref.verdicts[r]
+        assert result.authenticated == ref.authenticated[r]
+        assert rx.timeline[-1][1] is rx.status is ref.statuses[r]
+    assert rx.timeline == ref.timeline
