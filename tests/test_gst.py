@@ -4,11 +4,13 @@ from hypothesis import given, strategies as st
 from osnmasim.gst import (
     AlternateThreshold,
     Gst,
+    LrtSource,
     SubMillisecondError,
     SymmetricBound,
     check_time_sync,
     to_millis,
 )
+from osnmasim.receiver import Receiver, ReceiverConfig, Status
 
 
 def test_total_seconds_zero():
@@ -104,3 +106,31 @@ def test_shift_invariance(base_s, delta_ms, shift_s):
         after = check_time_sync(shifted, shifted.total_millis() + delta_ms,
                                 policy)
         assert before == after
+
+
+def _startup(bundle, policy, lrt):
+    """The status the receiver's startup TS gate leaves at the reference
+    capture's first subframe, the LRT read at that true time."""
+    gst = Gst(1251, 277200)
+    rx = Receiver(ReceiverConfig(policy=policy, pubkey=bundle.pubkey), lrt)
+    return rx.power_on(gst, gst.total_millis())
+
+
+def test_startup_untrusted_bound_calibrates(small_bundle):
+    """An error bound wider than B leaves the LRT to be calibrated: the
+    receiver stays cold and OSNMA never begins."""
+    out = _startup(small_bundle, SymmetricBound(15000),
+                   LrtSource(error_bound_ms=20000))
+    assert out is Status.COLD_START
+
+
+def test_startup_alternate_sub_second_delta(small_bundle):
+    out = _startup(small_bundle, AlternateThreshold(30000),
+                   LrtSource(offset_ms=771))
+    assert out is Status.AWAITING_ROOT_KEY
+
+
+def test_startup_alternate_32s_delta_illegal(small_bundle):
+    out = _startup(small_bundle, AlternateThreshold(30000),
+                   LrtSource(offset_ms=32000))
+    assert out is Status.TS_FAILED
