@@ -96,14 +96,14 @@ def pack_mack(tags, key: bytes) -> bytes:
     return region + bytes(TAG_REGION_BITS // 8 - len(region)) + key
 
 
-def unpack_mack(blob: bytes, n_tags: int) -> tuple:
-    """Inverse of pack_mack for a known tag count."""
+def unpack_mack(blob: bytes, n_tags: int) -> list:
+    """The tags of a MACK blob packed with a known tag count;
+    disclosed_key reads its key."""
     if len(blob) != MACK_BYTES:
         raise ValueError(f"MACK blob must be {MACK_BYTES} bytes")
     _check_capacity(n_tags)
     step = TAG_BITS // 8                # tags sit on byte boundaries
-    return [blob[i * step:(i + 1) * step] for i in range(n_tags)], \
-        disclosed_key(blob)
+    return [blob[i * step:(i + 1) * step] for i in range(n_tags)]
 
 
 def disclosed_key(blob: bytes) -> bytes:

@@ -32,6 +32,7 @@ from .tesla import (
     GstOrderError,
     TeslaKey,
     load_public_key_point,
+    root_key,
     verify_key,
     verify_root,
 )
@@ -70,14 +71,6 @@ class AuthResult:
 
 
 @dataclass
-class ReceiverConfig:
-    policy: TsPolicy
-    pubkey: bytes                   # compressed P-256 point
-    seg_count: int = 6
-    key_reject_threshold: int = 1
-
-
-@dataclass
 class RoundResult:
     gst: Gst
     subframes: dict                 # prn -> Subframe
@@ -87,11 +80,15 @@ class RoundResult:
 
 
 class Receiver:
-    """Single-owner mutable receiver state; one instance per scenario."""
+    """Single-owner mutable receiver state; one instance per scenario.
+    pubkey is the root public key as a compressed P-256 point."""
 
-    def __init__(self, config: ReceiverConfig, lrt: LrtSource):
-        self.config = config
+    def __init__(self, policy: TsPolicy, lrt: LrtSource, pubkey: bytes, *,
+                 seg_count: int = 6, key_reject_threshold: int = 1):
+        self.policy = policy
         self.lrt = lrt
+        self.seg_count = seg_count
+        self.key_reject_threshold = key_reject_threshold
         self.trusted_key: TeslaKey | None = None
         self.pending: dict = {}          # prn -> deque of (Subframe, NavFields)
         self.verdicts: list = []
@@ -99,7 +96,7 @@ class Receiver:
         self.deltas_ms: list = []        # one per round ingested
         self.key_rejections = 0
         self._dsm = DsmAccumulator()
-        self._pubkey = load_public_key_point(config.pubkey)
+        self._pubkey = load_public_key_point(pubkey)
         self._grid: tuple | None = None  # (first GST, its window start ms)
         self._enter(Status.COLD_START, None)
 
@@ -110,7 +107,7 @@ class Receiver:
         than a SymmetricBound's B keeps COLD_START: the LRT needs calibrating
         first, and OSNMA never begins."""
         self._grid = (first_gst, true_ms)
-        policy = self.config.policy
+        policy = self.policy
         if not (isinstance(policy, SymmetricBound)
                 and self.lrt.error_bound_ms > policy.b_ms):
             passed = check_time_sync(first_gst, self.lrt.read(true_ms), policy)
@@ -194,11 +191,13 @@ class Receiver:
             self.timeline.append((gst, status))
 
     def _feed_dsm(self, hkroot: bytes, gst: Gst) -> None:
-        msg = self._dsm.feed(hkroot)
-        if msg is None:
+        """Fed only in AWAITING_ROOT_KEY.  A root message is parsed only
+        once the bytes received verify under the public key."""
+        signed = self._dsm.feed(hkroot)
+        if signed is None:
             return
-        if verify_root(msg.body, msg.signature, self._pubkey):
-            self.trusted_key = msg.root_key     # fed only in AWAITING_ROOT_KEY
+        if verify_root(*signed, self._pubkey):
+            self.trusted_key = root_key(signed[0])
             self._enter(Status.AUTHENTICATING, gst)
         else:
             self._dsm.reset()
@@ -216,14 +215,14 @@ class Receiver:
             steps = None
         if steps is None:
             self.key_rejections += 1
-            if self.key_rejections >= self.config.key_reject_threshold:
+            if self.key_rejections >= self.key_reject_threshold:
                 self._enter(Status.SPOOF_DETECTED, gst)
             return AuthResult(gst, prn, Outcome.KEY_REJECTED), None
 
-        tags, _ = unpack_mack(tag_sf.osnma[1], self.config.seg_count)
+        tags = unpack_mack(tag_sf.osnma[1], self.seg_count)
         if not all(verify_tags(data_sf.nav_data, tags, candidate,
                                prn_d=prn, prn_a=prn, gst_sf=tag_sf.gst,
-                               seg_count=self.config.seg_count)):
+                               seg_count=self.seg_count)):
             return AuthResult(gst, prn, Outcome.TAG_MISMATCH), None
         # verified only while AUTHENTICATING or SUSPENDED: this resumes
         self._enter(Status.AUTHENTICATING, gst)

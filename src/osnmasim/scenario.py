@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import cycle, repeat
 from types import MappingProxyType
@@ -32,7 +33,6 @@ from .gst import (
 from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, tag_stream
 from .navdata import (
     CLOCK_BITS,
-    EPH_AXIS_BITS,
     IONO_A0_BITS,
     MM_PER_M,
     PRN_BITS,
@@ -44,8 +44,6 @@ from .pages import build_subframes, unpack_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
-    WGS84_A,
-    WGS84_E2,
     Fix,
     NoConvergenceError,
     SatState,
@@ -54,11 +52,11 @@ from .positioning import (
     geodetic_to_ecef,
     solve_position,
 )
-from .receiver import Outcome, Receiver, ReceiverConfig
+from .receiver import Outcome, Receiver
 from .tesla import (
     NMA_HEADER,
-    RootKeyMessage,
     TeslaChain,
+    build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
     load_public_key_point,
@@ -156,10 +154,9 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     gst_root = gst0.add_seconds(-SUBFRAME_SECONDS)
     chain = TeslaChain.generate(rng.randbytes(16), n_subframes + 2, gst_root)
     private_key, public_key = generate_keypair(rng.getrandbits(256))
-    root_msg = RootKeyMessage(nma_header=NMA_HEADER, mf=0, wnk=gst_root.wn,
-                              towk=gst_root.tow, kroot=chain.root.bits)
-    hk_blocks = dsm_hkroot_blocks(
-        replace(root_msg, signature=sign_root(root_msg.body, private_key)))
+    root_body = build_root_message(NMA_HEADER, 0, gst_root.wn, gst_root.tow,
+                                   chain.root.bits)
+    hk_blocks = dsm_hkroot_blocks(root_body, sign_root(root_body, private_key))
 
     # key i + 1 is disclosed in subframe i, the root key in the slot before
     keys = chain.keys[1:n_subframes + 2]
@@ -194,6 +191,9 @@ class ScenarioError(ValueError):
 
 
 NUMBER, SECONDS = (int, float), (int, float, str)    # seconds are read into ms
+# a seconds string: ASCII decimal digits, a leading minus and a fraction at
+# most, where Decimal would also take "2_9.5", "+29.5", "29.5e0" or "٢٩.٥"
+_SECONDS_TEXT = re.compile(r" *-?[0-9]+(\.[0-9]+)? *")
 
 
 def _read(block, keys: dict, path: str) -> dict:
@@ -202,8 +202,9 @@ def _read(block, keys: dict, path: str) -> dict:
     ``keys`` maps each key to ``(kind, default)`` or ``(kind, default, low,
     high)``; kind is a type, a tuple of types (booleans are never numbers)
     or a nested key table, and a None high leaves the range open.  Numbers
-    must be finite, and seconds are compared in ms.  A None default marks a
-    value that another key supplies.  Values keep the declared key order."""
+    must be finite, a seconds string is an ASCII decimal, and seconds are
+    compared in ms.  A None default marks a value that another key
+    supplies.  Values keep the declared key order."""
     if not isinstance(block, dict):
         raise ScenarioError(f"{path}: expected an object, got {block!r}")
     for key in block:
@@ -226,6 +227,9 @@ def _read(block, keys: dict, path: str) -> dict:
         if isinstance(value, float) and not math.isfinite(value):
             raise ScenarioError(f"{where}: {value!r} is not a finite number")
         try:
+            if kind is SECONDS and isinstance(value, str) \
+                    and not _SECONDS_TEXT.fullmatch(value):
+                raise ValueError(value)
             out[key] = to_millis(value) if kind is SECONDS else value
         except SubMillisecondError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
@@ -253,17 +257,12 @@ def _read_typed(block: dict, table: dict, path: str):
 
 
 _CLOCK_MM = 1 << CLOCK_BITS - 1        # the clock bias is sent in signed mm
-# A site height that loads also generates.  No axis of the site is further
-# from the centre than the prime-vertical radius, largest at the poles, plus
-# |height|; a satellite adds at most the largest range; and each satellite
-# axis is sent in signed mm of EPH_AXIS_BITS.
-_SITE_HEIGHT_M = int(((1 << EPH_AXIS_BITS - 1) - 1) / MM_PER_M
-                     - SAT_RANGE_M[1] - WGS84_A / math.sqrt(1 - WGS84_E2))
-
-# A tsf forgery's target height (up to low Earth orbit) and clock offset (up
-# to an hour), bounded so that every authenticated fix lands within 1 mm of
-# the target; README "Scenario files" says what goes wrong beyond them.
-_TARGET_HEIGHT_M, _CLOCK_OFFSET_S = (-2_000_000, 2_000_000), (-3600, 3600)
+# A site's or a tsf target's height (up to low Earth orbit) and a tsf
+# forgery's clock offset (up to an hour).  Every genuine authenticated fix
+# lands within 1 mm of a site in range; from about 15,000 km up the solve,
+# started at the Earth's centre, misses the site or finds the geometry
+# degenerate.  README "Scenario files" says what goes wrong for a target.
+_HEIGHT_M, _CLOCK_OFFSET_S = (-2_000_000, 2_000_000), (-3600, 3600)
 
 # type: (declared keys, policy class)
 POLICIES = {
@@ -280,8 +279,8 @@ SCENARIO_KEYS = {
         "tow": (int, DEFAULT_GST0.tow, 0, SECONDS_PER_WEEK - 1),
         "receiver": ({"lat_deg": (NUMBER, DEFAULT_SITE[0], *LAT_RANGE),
                       "lon_deg": (NUMBER, DEFAULT_SITE[1], *LON_RANGE),
-                      "height_m": (NUMBER, DEFAULT_SITE[2],
-                                   -_SITE_HEIGHT_M, _SITE_HEIGHT_M)}, {})}, {}),
+                      "height_m": (NUMBER, DEFAULT_SITE[2], *_HEIGHT_M)},
+                     {})}, {}),
     "receiver": ({"policy": (dict, {}), "lrt_offset_s": (SECONDS, 0),
                   "lrt_error_bound_s": (SECONDS, 0, 0, None),
                   "seg_count": (int, 6, 1, TAG_REGION_BITS // TAG_BITS),
@@ -341,7 +340,7 @@ ATTACKS = {
                       "mitm_delay_s": (SECONDS, 0, 0, None)}, _tsr_recorded),
     "tsf": ({"target": ({"lat_deg": (NUMBER, 4.0, *LAT_RANGE),
                          "lon_deg": (NUMBER, 50.0, *LON_RANGE),
-                         "height_m": (NUMBER, 100.0, *_TARGET_HEIGHT_M)}, {}),
+                         "height_m": (NUMBER, 100.0, *_HEIGHT_M)}, {}),
              "clock_offset_s": (NUMBER, 0.0, *_CLOCK_OFFSET_S),
              "forge_tags": (bool, True),
              "iono_a0": (int, 0, 0, (1 << IONO_A0_BITS) - 1),
@@ -486,10 +485,8 @@ def run_scenario(sc: Scenario) -> dict:
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
 
-    config = ReceiverConfig(policy=sc.policy, pubkey=bundle.pubkey,
-                            seg_count=sc.seg_count,
-                            key_reject_threshold=sc.key_reject_threshold)
-    receiver = Receiver(config, lrt)
+    receiver = Receiver(sc.policy, lrt, bundle.pubkey, seg_count=sc.seg_count,
+                        key_reject_threshold=sc.key_reject_threshold)
     receiver.power_on(bundle.gst0, true_ms=t0)
 
     @cache                      # solver inputs -> their fix's report, this run

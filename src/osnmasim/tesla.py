@@ -87,11 +87,10 @@ class TeslaChain:
     """A generated chain, ordered root first.
 
     keys[0] is the root (disclosed first), keys[n] the seed.  Key i belongs
-    to the slot at gst0 + 30*i.
+    to the slot at root.gst + 30*i.
     """
 
     keys: tuple
-    gst0: Gst
 
     @classmethod
     def generate(cls, seed: bytes, n: int, gst0: Gst) -> "TeslaChain":
@@ -107,7 +106,7 @@ class TeslaChain:
             TeslaKey(b, gst0.add_seconds(SUBFRAME_SECONDS * i))
             for i, b in enumerate(bits)
         )
-        return cls(keys=keys, gst0=gst0)
+        return cls(keys)
 
     @property
     def seed(self) -> TeslaKey:
@@ -126,7 +125,7 @@ class TeslaChain:
 
     def as_dict(self) -> dict:
         """The chain description written to chain JSON files."""
-        return {"gst0": self.gst0.as_dict(), "delta_t": SUBFRAME_SECONDS,
+        return {"gst0": self.root.gst.as_dict(), "delta_t": SUBFRAME_SECONDS,
                 "n": self.n, "seed_hex": self.seed.bits.hex(),
                 "root_hex": self.root.bits.hex()}
 
@@ -151,32 +150,6 @@ def verify_key(candidate: TeslaKey, trusted: TeslaKey) -> int | None:
     return steps if bits == trusted.bits else None
 
 
-@dataclass(frozen=True)
-class RootKeyMessage:
-    """The signed root-key announcement carried over HKROOT."""
-
-    nma_header: int
-    mf: int
-    wnk: int
-    towk: int
-    kroot: bytes
-    signature: bytes = b""
-
-    @property
-    def gst(self) -> Gst:
-        return Gst(self.wnk, self.towk)
-
-    @property
-    def root_key(self) -> TeslaKey:
-        return TeslaKey(self.kroot, self.gst)
-
-    @property
-    def body(self) -> bytes:
-        """The signed bytes: every field but the signature, packed."""
-        return build_root_message(self.nma_header, self.mf, self.wnk,
-                                  self.towk, self.kroot)
-
-
 def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
                        kroot: bytes) -> bytes:
     """Pack header, MAC-function id, root slot time and root key bits."""
@@ -187,14 +160,15 @@ def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
             ROOT_MESSAGE_BYTES, "big")
 
 
-def parse_root_message(data: bytes, signature: bytes = b"") -> RootKeyMessage:
-    if len(data) != ROOT_MESSAGE_BYTES:
+def root_key(body: bytes) -> TeslaKey:
+    """The root key a root-key message body announces: its key bits, bound
+    to the slot time it names.  Read a body only once its signature has
+    verified."""
+    if len(body) != ROOT_MESSAGE_BYTES:
         raise ValueError(f"root message must be {ROOT_MESSAGE_BYTES} bytes")
-    nma_header, mf, wnk, towk, kroot = unpack_fields(
-        _MSG_LAYOUT, ROOT_MESSAGE_BITS, int.from_bytes(data, "big"))
-    return RootKeyMessage(nma_header=nma_header, mf=mf, wnk=wnk, towk=towk,
-                          kroot=kroot.to_bytes(KEY_BYTES, "big"),
-                          signature=signature)
+    _, _, wnk, towk, kroot = unpack_fields(
+        _MSG_LAYOUT, ROOT_MESSAGE_BITS, int.from_bytes(body, "big"))
+    return TeslaKey(kroot.to_bytes(KEY_BYTES, "big"), Gst(wnk, towk))
 
 
 # group order of P-256, for reducing integer seeds to valid secrets
@@ -259,16 +233,18 @@ def public_key_pem(public_key) -> str:
         serialization.PublicFormat.SubjectPublicKeyInfo).decode()
 
 
-def dsm_hkroot_blocks(msg: RootKeyMessage) -> list:
-    """Serialize a signed root message into per-subframe HKROOT strings.
+def dsm_hkroot_blocks(body: bytes, signature: bytes) -> list:
+    """Serialize a root message body and its signature into per-subframe
+    HKROOT strings.
 
     Each subframe's 15 HKROOT bytes are [NMA header, block index, payload].
     The first payload byte of block 0 carries the total block count, so a
     receiver can join a repeating cycle at any point.
     """
-    if len(msg.signature) != SIGNATURE_BYTES:
-        raise ValueError("root message must be signed before transport")
-    payload = bytes([DSM_BLOCKS]) + msg.body + msg.signature
+    if len(body) != ROOT_MESSAGE_BYTES or len(signature) != SIGNATURE_BYTES:
+        raise ValueError(f"root message must be {ROOT_MESSAGE_BYTES} bytes "
+                         f"with a {SIGNATURE_BYTES}-byte signature")
+    payload = bytes([DSM_BLOCKS]) + body + signature
     payload += bytes(DSM_BLOCKS * DSM_PAYLOAD_BYTES - len(payload))
     return [
         bytes([NMA_HEADER, idx])
@@ -283,9 +259,10 @@ class DsmAccumulator:
     def __init__(self):
         self.blocks = {}
 
-    def feed(self, hkroot: bytes) -> RootKeyMessage | None:
-        """Offer one subframe's HKROOT bytes; returns the parsed root
-        message once every block has been seen (unverified)."""
+    def feed(self, hkroot: bytes) -> tuple | None:
+        """Offer one subframe's HKROOT bytes; returns the received root
+        message body and signature, unverified and unparsed, once every
+        block has been seen."""
         if len(hkroot) != HKROOT_BYTES or hkroot[0] != NMA_HEADER:
             return None
         idx = hkroot[1]
@@ -297,9 +274,8 @@ class DsmAccumulator:
         payload = b"".join(self.blocks[i] for i in range(DSM_BLOCKS))
         if payload[0] != DSM_BLOCKS:
             return None
-        body = payload[1:1 + ROOT_MESSAGE_BYTES + SIGNATURE_BYTES]
-        return parse_root_message(body[:ROOT_MESSAGE_BYTES],
-                                  body[ROOT_MESSAGE_BYTES:])
+        end = 1 + ROOT_MESSAGE_BYTES
+        return payload[1:end], payload[end:end + SIGNATURE_BYTES]
 
     def reset(self) -> None:
         self.blocks.clear()

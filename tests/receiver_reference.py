@@ -27,6 +27,7 @@ from osnmasim.tesla import (
     GstOrderError,
     TeslaKey,
     load_public_key_point,
+    root_key,
     verify_key,
     verify_root,
 )
@@ -78,7 +79,7 @@ def _outcome(data, tagged, keyed, trusted, seg_count) -> tuple:
             return Outcome.KEY_REJECTED, key
     except (GstOrderError, AlignmentError):
         return Outcome.KEY_REJECTED, key
-    tags, _ = unpack_mack(tagged.osnma[1], seg_count)
+    tags = unpack_mack(tagged.osnma[1], seg_count)
     if all(verify_tags(data.nav_data, tags, key, prn_d=data.prn,
                        prn_a=data.prn, gst_sf=tagged.gst,
                        seg_count=seg_count)):
@@ -86,9 +87,10 @@ def _outcome(data, tagged, keyed, trusted, seg_count) -> tuple:
     return Outcome.TAG_MISMATCH, key
 
 
-def run(config, lrt, gst0, t0, events_by_round) -> Run:
+def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
+        key_reject_threshold=1) -> Run:
     """Every round's verdicts, authenticated data and status for a
-    receiver with config and lrt, powered on at (gst0, t0) and fed
+    receiver with these settings, powered on at (gst0, t0) and fed
     events_by_round[r] (prn -> page events) as its round r."""
     timeline = [(None, Status.COLD_START)]
 
@@ -99,14 +101,14 @@ def run(config, lrt, gst0, t0, events_by_round) -> Run:
         if new is not status():
             timeline.append((gst, new))
 
-    enter(startup_status(config.policy, lrt, gst0, t0), gst0)
+    enter(startup_status(policy, lrt, gst0, t0), gst0)
     running = status() not in (Status.COLD_START, Status.TS_FAILED)
     rounds = assemble(events_by_round, gst0, t0, running)
 
     def complete(p, r):
         return r >= 0 and p in rounds[r] and rounds[r][p].complete
 
-    pubkey = load_public_key_point(config.pubkey)
+    pubkey = load_public_key_point(pubkey)
     dsm = DsmAccumulator()
     trusted = None          # the key trusted at the start of the round
     rejections = 0
@@ -122,10 +124,10 @@ def run(config, lrt, gst0, t0, events_by_round) -> Run:
                     AuthResult(sf.gst, p, Outcome.DISCARDED_INCOMPLETE))
                 continue
             if trusted is None and root is None:
-                msg = dsm.feed(sf.osnma[0])
-                if msg is not None:
-                    if verify_root(msg.body, msg.signature, pubkey):
-                        root = msg.root_key
+                signed = dsm.feed(sf.osnma[0])
+                if signed is not None:
+                    if verify_root(*signed, pubkey):
+                        root = root_key(signed[0])
                         if status() is Status.AWAITING_ROOT_KEY:
                             enter(Status.AUTHENTICATING, sf.gst)
                     else:
@@ -135,11 +137,11 @@ def run(config, lrt, gst0, t0, events_by_round) -> Run:
                 continue
             data = rounds[r - 2][p]
             outcome, key = _outcome(data, rounds[r - 1][p], sf,
-                                    trusted or root, config.seg_count)
+                                    trusted or root, seg_count)
             verdicts.append(AuthResult(data.gst, p, outcome))
             if outcome is Outcome.KEY_REJECTED:
                 rejections += 1
-                if rejections >= config.key_reject_threshold:
+                if rejections >= key_reject_threshold:
                     enter(Status.SPOOF_DETECTED, data.gst)
             elif outcome is Outcome.AUTHENTIC:
                 newest = key

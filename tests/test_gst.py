@@ -10,7 +10,7 @@ from osnmasim.gst import (
     check_time_sync,
     to_millis,
 )
-from osnmasim.receiver import Receiver, ReceiverConfig, Status
+from osnmasim.receiver import Receiver, Status
 
 
 def test_total_seconds_zero():
@@ -112,7 +112,7 @@ def _startup(bundle, policy, lrt):
     """The status the receiver's startup TS gate leaves at the reference
     capture's first subframe, the LRT read at that true time."""
     gst = Gst(1251, 277200)
-    rx = Receiver(ReceiverConfig(policy=policy, pubkey=bundle.pubkey), lrt)
+    rx = Receiver(policy, lrt, bundle.pubkey)
     return rx.power_on(gst, gst.total_millis())
 
 

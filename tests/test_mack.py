@@ -9,6 +9,7 @@ from osnmasim.mack import (
     CapacityError,
     build_auth_message,
     compute_tag,
+    disclosed_key,
     generate_subframe_tags,
     pack_mack,
     split_segments,
@@ -105,9 +106,8 @@ def test_pack_capacity_error():
 def test_pack_unpack_inverse(tags, key):
     blob = pack_mack(tags, key)
     assert len(blob) == 60
-    out_tags, out_key = unpack_mack(blob, n_tags=len(tags))
-    assert out_tags == tags
-    assert out_key == key
+    assert unpack_mack(blob, n_tags=len(tags)) == tags
+    assert disclosed_key(blob) == key
 
 
 def test_split_segments_pads_last():
@@ -185,8 +185,8 @@ def test_end_to_end_generate_pack_unpack_verify(data, key_bits, m, prn_d, prn_a)
     key = TeslaKey(key_bits, GST_SF)
     tags = generate_subframe_tags(data, key, prn_d, prn_a, GST_SF, m)
     blob = pack_mack(tags, key.bits)
-    out_tags, out_key = unpack_mack(blob, n_tags=m)
-    assert out_key == key.bits
+    out_tags = unpack_mack(blob, n_tags=m)
+    assert disclosed_key(blob) == key.bits
     assert all(verify_tags(data, out_tags, key, prn_d, prn_a, GST_SF, m))
 
 

@@ -9,7 +9,7 @@ from osnmasim.gst import (
     SymmetricBound,
     check_time_sync,
 )
-from osnmasim.mack import pack_mack, unpack_mack
+from osnmasim.mack import disclosed_key, pack_mack, unpack_mack
 from osnmasim.navdata import parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
     PAGE_BITS,
@@ -19,9 +19,11 @@ from osnmasim.pages import (
     build_subframes,
     reseal_raw,
 )
-from osnmasim.receiver import Outcome, Receiver, ReceiverConfig, Status
+import osnmasim.receiver
+from osnmasim import tesla
+from osnmasim.receiver import Outcome, Receiver, Status
 from osnmasim.scenario import live_events
-from osnmasim.tesla import DSM_BLOCKS
+from osnmasim.tesla import DSM_BLOCKS, generate_keypair, public_key_point
 import receiver_reference
 import stream_reference
 from page_reference import destroyed_slots, flip_page_bit
@@ -29,10 +31,9 @@ from page_reference import destroyed_slots, flip_page_bit
 GST0 = Gst(1251, 277200)
 
 
-def _receiver(bundle, policy=None, lrt=None, **cfg_kw):
-    config = ReceiverConfig(policy=policy or AlternateThreshold(30000),
-                            pubkey=bundle.pubkey, **cfg_kw)
-    return Receiver(config, lrt or LrtSource())
+def _receiver(bundle, policy=None, lrt=None, **kw):
+    return Receiver(policy or AlternateThreshold(30000), lrt or LrtSource(),
+                    bundle.pubkey, **kw)
 
 
 def _drive(receiver, events, n_rounds, t0=None):
@@ -129,6 +130,37 @@ def test_cold_start_trace(small_bundle):
         assert {v.outcome for v in r.verdicts} == {Outcome.AUTHENTIC}
 
 
+@pytest.mark.parametrize("signer", ["broadcast", "another"])
+def test_root_key_is_parsed_only_once_its_signature_verifies(
+        small_bundle, monkeypatch, signer):
+    """Over one full DSM cycle, a receiver holding the broadcast signer's
+    public key parses the root message once and starts authenticating; one
+    holding another public key never parses it, resets the DSM, and keeps
+    awaiting the root key."""
+    parsed = []
+
+    def counted_root_key(body):
+        parsed.append(body)
+        return tesla.root_key(body)
+
+    monkeypatch.setattr(osnmasim.receiver, "root_key", counted_root_key)
+    pubkey = small_bundle.pubkey if signer == "broadcast" \
+        else public_key_point(generate_keypair(1)[1])
+    rx = Receiver(AlternateThreshold(30000), LrtSource(), pubkey)
+    _drive(rx, live_events(small_bundle.vectors.subframes()), DSM_BLOCKS)
+    if signer == "broadcast":
+        assert [tesla.root_key(body) for body in parsed] == \
+            [small_bundle.chain.root]
+        assert rx.status is Status.AUTHENTICATING
+    else:
+        assert parsed == []
+        assert rx.status is Status.AWAITING_ROOT_KEY
+        assert rx.trusted_key is None
+        # reset on the failed check: the round's other satellites have
+        # offered the last block again, and no earlier block is held
+        assert set(rx._dsm.blocks) == {DSM_BLOCKS - 1}
+
+
 def test_no_verdicts_before_osnma_start(small_bundle):
     rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=31000))
     events = live_events(small_bundle.vectors.subframes())
@@ -197,9 +229,9 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     target_prn = 1
     sf5 = sfs[target_prn][5]
     _, mack = sf5.osnma
-    tags, key = unpack_mack(mack, n_tags=6)
+    tags = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
-    sfs[target_prn][5] = _with_mack(sf5, pack_mack(tags, key))
+    sfs[target_prn][5] = _with_mack(sf5, pack_mack(tags, disclosed_key(mack)))
     rx = _receiver(small_bundle)
     results = _drive(rx, live_events(sfs), 9)
 
@@ -220,7 +252,7 @@ def test_tampered_key_bits_reject_key(small_bundle):
     target_prn = 3
     sf6 = sfs[target_prn][6]
     _, mack = sf6.osnma
-    tags, _ = unpack_mack(mack, n_tags=6)
+    tags = unpack_mack(mack, n_tags=6)
     sfs[target_prn][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle, key_reject_threshold=10)
     results = _drive(rx, live_events(sfs), 9)
@@ -238,7 +270,7 @@ def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     sf6 = sfs[1][6]
     _, mack = sf6.osnma
-    tags, _ = unpack_mack(mack, n_tags=6)
+    tags = unpack_mack(mack, n_tags=6)
     sfs[1][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle)            # threshold 1
     _drive(rx, live_events(sfs), 9)
@@ -394,7 +426,7 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     its status after every round, and the two timelines are equal."""
     broadcast = {prn: list(sfs) for prn, sfs in small_bundle.subframes.items()}
     for r, prn in bad_keys:
-        tags, _ = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
+        tags = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
         broadcast[prn][r] = _with_mack(broadcast[prn][r],
                                        pack_mack(tags, bytes(16)))
     t0, round_events = shifted_stream(broadcast)
@@ -402,7 +434,8 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     policy, lrt = gate
     rx = _receiver(small_bundle, policy=policy, lrt=lrt,
                    key_reject_threshold=threshold)
-    ref = receiver_reference.run(rx.config, lrt, GST0, t0, windows)
+    ref = receiver_reference.run(policy, lrt, small_bundle.pubkey, GST0, t0,
+                                 windows, key_reject_threshold=threshold)
     rx.power_on(GST0, true_ms=t0)
     for r, events in enumerate(windows):
         result = rx.ingest_round(events)

@@ -170,6 +170,13 @@ BAD_CONFIGS = [
     ("attack", {"type": "tsf", "iono_a0": 2048}, "$.attack.iono_a0"),
     ("attack", {"type": "tsf", "iono_a0": -1}, "$.attack.iono_a0"),
     ("attack", {"type": "tsr_realtime", "delay_s": "-0.5"}, "$.attack.delay_s"),
+    # Decimal reads each of these as 29.5; a seconds string is ASCII digits
+    ("attack", {"type": "tsr_realtime", "delay_s": "2_9.5"}, "$.attack.delay_s"),
+    ("attack", {"type": "tsr_realtime", "delay_s": "\u0662\u0669.\u0665"},
+     "$.attack.delay_s"),
+    ("attack", {"type": "tsr_realtime", "delay_s": "+29.5"}, "$.attack.delay_s"),
+    ("attack", {"type": "tsr_realtime", "delay_s": "29.5e0"}, "$.attack.delay_s"),
+    ("receiver.lrt_offset_s", "29.5004", "$.receiver.lrt_offset_s"),
     ("attack", {"type": "tsr_recorded", "staleness_s": -32},
      "$.attack.staleness_s"),
     ("attack", {"type": "tsf", "mitm_delay_s": -1}, "$.attack.mitm_delay_s"),
@@ -218,6 +225,12 @@ BAD_CONFIGS = [
      "$.constellation.receiver.height_m"),
     ("constellation.receiver", {"height_m": -140704088762},
      "$.constellation.receiver.height_m"),
+    ("constellation.receiver", {"height_m": 2000000.5},
+     "$.constellation.receiver.height_m"),
+    # a drawn site whose genuine auth fixes all read "satellite geometry is
+    # degenerate" (seed 0, 4 satellites, 7 subframes, wn 0, tow 30)
+    ("constellation.receiver", {"height_m": 19835357.0},
+     "$.constellation.receiver.height_m"),
     ("attack", {"type": "tsr_realtime", "delay_s": "29.5004"},
      "$.attack.delay_s"),
     ("attack", {"type": "tsf", "clock_offset_s": 1e300},
@@ -261,7 +274,7 @@ def test_bad_config_table_starts_from_a_valid_config():
     ("receiver.key_reject_threshold", 1),
     ("attack", {"type": "tsf", "clock_bias_m": -2147483.648}),
     ("attack", {"type": "tsf", "clock_bias_m": 2147483.647}),
-    ("constellation.receiver", {"lat_deg": 90, "height_m": 140704088761}),
+    ("constellation.receiver", {"lat_deg": 90, "height_m": 2000000}),
     ("attack", {"type": "tsr_realtime", "delay_s": "29.500"}),
 ])
 def test_range_bounds_load(path, value):
@@ -365,6 +378,21 @@ def test_bad_config_names_json_path(monkeypatch, path, value, where):
     with pytest.raises(ScenarioError) as info:
         Scenario.from_dict(_with(path, value))
     assert str(info.value).startswith(where + ":"), str(info.value)
+
+
+@pytest.mark.parametrize("text", ["2_9.5", "29.", ".5", "29 .5", "\t29.5"])
+def test_seconds_string_must_be_an_ascii_decimal(text):
+    with pytest.raises(ScenarioError) as info:
+        _scenario({"type": "tsr_realtime", "delay_s": text})
+    assert str(info.value) == \
+        f"$.attack.delay_s: {text!r} is not a number of seconds"
+
+
+@pytest.mark.parametrize("text,ms", [("29.5", 29500), (" 29.500 ", 29500),
+                                     ("-0.771", -771), ("30", 30000)])
+def test_seconds_strings_read_to_ms(text, ms):
+    sc = Scenario.from_dict({"receiver": {"lrt_offset_s": text}})
+    assert sc.lrt.offset_ms == ms
 
 
 def test_load_error_names_file_and_json_path(tmp_path):

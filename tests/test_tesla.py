@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,16 +12,15 @@ from osnmasim.tesla import (
     FieldWidthError,
     GstOrderError,
     MalformedKeyError,
-    RootKeyMessage,
     TeslaChain,
     TeslaKey,
     build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
     load_public_key_point,
-    parse_root_message,
     public_key_pem,
     public_key_point,
+    root_key,
     sign_root,
     truncate_hash,
     verify_key,
@@ -172,11 +170,11 @@ def test_root_message_width_checks():
         build_root_message(0x52, 0, 0, 0, bytes(17))
 
 
-def test_parse_root_message_round_trip():
+def test_root_key_reads_the_body():
     m = build_root_message(0x52, 3, 1251, 277170, b"\x11" * 16)
-    msg = parse_root_message(m, b"\x00" * 64)
-    assert (msg.nma_header, msg.mf, msg.wnk, msg.towk) == (0x52, 3, 1251, 277170)
-    assert msg.kroot == b"\x11" * 16
+    assert root_key(m) == TeslaKey(b"\x11" * 16, Gst(1251, 277170))
+    with pytest.raises(ValueError, match="^root message must be 22 bytes$"):
+        root_key(m + b"\x00")
 
 
 def test_sign_verify_round_trip():
@@ -271,38 +269,43 @@ def test_point_off_the_curve_is_rejected(x, prefix):
 
 
 def _signed_root():
+    """A root message body for a chain's root, its signature and the
+    verifying public key."""
     sk, pk = generate_keypair(12)
     chain = TeslaChain.generate(b"\x21" * 16, 8, GST0)
     body = build_root_message(0x52, 0, GST0.wn, GST0.tow, chain.root.bits)
-    msg = RootKeyMessage(nma_header=0x52, mf=0, wnk=GST0.wn, towk=GST0.tow,
-                         kroot=chain.root.bits, signature=sign_root(body, sk))
-    return msg, pk
+    return body, sign_root(body, sk), pk
 
 
 def test_dsm_blocks_round_trip():
-    msg, pk = _signed_root()
-    blocks = dsm_hkroot_blocks(msg)
+    body, sig, pk = _signed_root()
+    blocks = dsm_hkroot_blocks(body, sig)
     assert all(len(b) == 15 and b[0] == 0x52 for b in blocks)
     acc = DsmAccumulator()
     out = None
     for b in blocks:
         out = acc.feed(b)
-    assert out is not None
-    assert out.kroot == msg.kroot
-    assert out.signature == msg.signature
-    assert out.body == build_root_message(out.nma_header, out.mf, out.wnk,
-                                          out.towk, out.kroot)
-    assert verify_root(out.body, out.signature, pk)
+    assert out == (body, sig)
+    assert verify_root(*out, pk)
+    assert root_key(out[0]) == TeslaChain.generate(b"\x21" * 16, 8, GST0).root
+
+
+def test_dsm_blocks_need_a_signed_body():
+    body, sig, _ = _signed_root()
+    for bad in ((body, b""), (body, sig[1:]), (body[1:], sig)):
+        with pytest.raises(ValueError, match="^root message must be 22 bytes "
+                                             "with a 64-byte signature$"):
+            dsm_hkroot_blocks(*bad)
 
 
 def test_dsm_blocks_any_join_point():
-    msg, _ = _signed_root()
-    blocks = dsm_hkroot_blocks(msg)
+    body, sig, _ = _signed_root()
+    blocks = dsm_hkroot_blocks(body, sig)
     acc = DsmAccumulator()
     out = None
     for i in range(3, 3 + len(blocks)):
         out = acc.feed(blocks[i % len(blocks)])
-    assert out is not None and out.kroot == msg.kroot
+    assert out == (body, sig)
 
 
 _SIGNER, _VERIFIER = generate_keypair(12)
@@ -320,14 +323,13 @@ def test_interleaved_root_messages_verify_only_as_signed(kroots, wns, order):
     a full cycle of one message's blocks then assembles that message."""
     msgs = []
     for kroot, wn in zip(kroots, wns):
-        msg = RootKeyMessage(nma_header=0x52, mf=0, wnk=wn, towk=GST0.tow,
-                             kroot=kroot)
-        msgs.append(replace(msg, signature=sign_root(msg.body, _SIGNER)))
-    blocks = [dsm_hkroot_blocks(msg) for msg in msgs]
+        body = build_root_message(0x52, 0, wn, GST0.tow, kroot)
+        msgs.append((body, sign_root(body, _SIGNER)))
+    blocks = [dsm_hkroot_blocks(*msg) for msg in msgs]
     acc = DsmAccumulator()
     for which, idx in order:
         out = acc.feed(blocks[which][idx])
-        if out is not None and verify_root(out.body, out.signature, _VERIFIER):
+        if out is not None and verify_root(*out, _VERIFIER):
             assert out in msgs
     for block in blocks[1]:
         out = acc.feed(block)
@@ -335,8 +337,8 @@ def test_interleaved_root_messages_verify_only_as_signed(kroots, wns, order):
 
 
 def test_dsm_rejects_misaligned_header():
-    msg, _ = _signed_root()
-    blocks = dsm_hkroot_blocks(msg)
+    body, sig, _ = _signed_root()
+    blocks = dsm_hkroot_blocks(body, sig)
     acc = DsmAccumulator()
     shifted = blocks[0][1:] + b"\x00"
     assert acc.feed(shifted) is None
