@@ -19,17 +19,19 @@ from __future__ import annotations
 
 import math
 
-from .gst import SUBFRAME_SECONDS, LrtSource
+from .gst import LrtSource
 from .mack import disclosed_key, tag_stream
 from .navdata import build_nav_data, parse_nav_data
 from .pages import (
+    PAGE_BYTES,
     PAGE_MS,
     PageEvent,
     SLOTS_PER_SUBFRAME,
+    SUBFRAME_BYTES,
     SUBFRAME_MS,
     Source,
-    build_subframes,
-    unpack_pages,
+    Stream,
+    seal_pages,
 )
 from .tesla import TeslaKey
 
@@ -42,37 +44,38 @@ class InsufficientAuxError(ValueError):
     """Forgery needs at least three consecutive recorded subframes."""
 
 
-def slot_stream(subframes: dict, delay_ms: int, legs) -> tuple:
+def slot_stream(streams: dict, delay_ms: int, legs) -> tuple:
     """Every satellite's page events on one grid of 2-second slots.
 
     Slot g starts at t0 + 2 s * g, t0 being the first subframe's GST plus
-    delay_ms; every stream's subframes are consecutive from that GST.  A
-    leg (source, first_slot, end_slot, shift) sends from source, in each
-    slot g of [first_slot, end_slot), page (g - shift) % 15 of subframe
-    (g - shift) // 15 where that subframe exists, bits untouched.
+    delay_ms; every stream starts at that GST.  A leg (source, first_slot,
+    end_slot, shift) sends from source, in each slot g of [first_slot,
+    end_slot), page g - shift of the stream, page (g - shift) % 15 of
+    subframe (g - shift) // 15, where that page exists, bits untouched.
 
     Returns t0, the first window start, and the function of r that gives
     round r's events, slots 15r .. 15r + 14, by PRN: leg after leg, a PRN
-    with no page left out.
+    with no page left out.  A round's pages are cut from the streams' bytes
+    when it is asked for.
     """
-    t0 = min(sfs[0].gst.total_millis() for sfs in subframes.values()) + delay_ms
+    t0 = min(s.gst.total_millis() for s in streams.values()) + delay_ms
 
     def round_events(r: int) -> dict:
         lo = r * SLOTS_PER_SUBFRAME
         hi = lo + SLOTS_PER_SUBFRAME
         out = {}
-        for prn, sfs in subframes.items():
+        for prn, stream in streams.items():
+            pages = stream.pages
             events = []
             for source, first, end, shift in legs:
                 g0 = max(lo, first, shift)
-                g1 = min(hi, end, len(sfs) * SLOTS_PER_SUBFRAME + shift)
-                j, k = divmod(g0 - shift, SLOTS_PER_SUBFRAME)
-                # a round's slots span two subframes at most
-                raws = [raw for sf in sfs[j:j + 2] for raw in sf.raws][k:]
-                events += [PageEvent(t_ms, prn, source, raw)
-                           for t_ms, raw in zip(range(t0 + g0 * PAGE_MS,
-                                                      t0 + g1 * PAGE_MS,
-                                                      PAGE_MS), raws)]
+                g1 = min(hi, end, len(pages) // PAGE_BYTES + shift)
+                events += [PageEvent(t_ms, prn, source, pages[i:i + PAGE_BYTES])
+                           for t_ms, i in zip(
+                               range(t0 + g0 * PAGE_MS, t0 + g1 * PAGE_MS,
+                                     PAGE_MS),
+                               range(PAGE_BYTES * (g0 - shift),
+                                     PAGE_BYTES * (g1 - shift), PAGE_BYTES))]
             if events:
                 out[prn] = events
         return out
@@ -80,18 +83,18 @@ def slot_stream(subframes: dict, delay_ms: int, legs) -> tuple:
     return t0, round_events
 
 
-def shifted_stream(subframes: dict, delay_ms: int = 0,
+def shifted_stream(streams: dict, delay_ms: int = 0,
                    source: Source = Source.AUTHENTIC) -> tuple:
     """Each subframe's pages delay_ms after their GST: one leg, no shift."""
-    return slot_stream(subframes, delay_ms, ((source, 0, math.inf, 0),))
+    return slot_stream(streams, delay_ms, ((source, 0, math.inf, 0),))
 
 
-def replay_realtime(subframes: dict, delay_ms: int) -> tuple:
+def replay_realtime(streams: dict, delay_ms: int) -> tuple:
     """The shifted stream of adversary pages: record and replay with a
     fixed forwarding delay."""
     if delay_ms < 0:
         raise ValueError("delay must be >= 0")
-    return shifted_stream(subframes, delay_ms, Source.ADVERSARY)
+    return shifted_stream(streams, delay_ms, Source.ADVERSARY)
 
 
 def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
@@ -116,45 +119,35 @@ def forge_nav_blob(aux_blob: bytes, iono_a0: int,
                           clock_bias_m=clock_bias_m, iono_a0=iono_a0)
 
 
-def tsf_forge_subframes(aux: list, *, seg_count: int, forge_tags: bool,
-                        iono_a0: int, clock_bias_m: float) -> list:
-    """Forge one satellite's consecutive recorded subframes.
+def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
+                        iono_a0: int, clock_bias_m: float) -> Stream:
+    """Forge one satellite's recorded stream.
 
     Every subframe but the last two gets forged nav data, its corrections
     rewritten to iono_a0 and clock_bias_m; with forge_tags, mack.tag_stream
     rewrites the seg_count tags of subframes 1 .. n-2 under the keys the
-    recorded subframes disclose.  The rewritten subframes are read in
-    one unpack_pages call and packed and sealed in one; the rest pass
-    through untouched, so the whole output stream verifies.  A gap in
-    aux's GSTs raises InsufficientAuxError naming the satellite and the
-    first missing GST.
+    recorded subframes disclose.  The stream is read in one pass and the
+    rewritten subframes are packed and sealed in one; the rest pass
+    through untouched, so the whole forged stream, one buffer, verifies.
     """
-    n = len(aux)
+    n = len(stream)
     if n < TSF_MIN_SUBFRAMES:
         raise InsufficientAuxError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
-    for sf, following in zip(aux, aux[1:]):
-        expected = sf.gst.add_seconds(SUBFRAME_SECONDS)
-        if following.gst != expected:
-            raise InsufficientAuxError(
-                f"prn {sf.prn}: subframe at wn {expected.wn} tow "
-                f"{expected.tow} is missing; forgery needs consecutive "
-                f"subframes")
     rewritten = n - 1 if forge_tags else n - 2
-    navs, hkroots, macks = map(list, zip(*unpack_pages(sf.raws for sf in aux)))
+    navs, hkroots, macks = map(list, zip(*stream.blobs()))
     navs[:n - 2] = [forge_nav_blob(nav, iono_a0, clock_bias_m)
                     for nav in navs[:n - 2]]
     if forge_tags:
-        gsts = [sf.gst for sf in aux]
+        gsts = stream.gsts()
         keys = [TeslaKey(disclosed_key(m), g) for m, g in zip(macks, gsts)]
-        macks[1:n - 1] = tag_stream(aux[0].prn, gsts, navs, keys, seg_count)
-    return build_subframes((sf.gst, sf.prn, nav, hkroot, mack)
-                           for sf, nav, hkroot, mack
-                           in zip(aux[:rewritten], navs, hkroots, macks)) \
-        + list(aux[rewritten:])
+        macks[1:n - 1] = tag_stream(stream.prn, gsts, navs, keys, seg_count)
+    head = seal_pages(zip(navs[:rewritten], hkroots, macks))
+    return Stream(stream.gst, stream.prn,
+                  head + stream.pages[SUBFRAME_BYTES * rewritten:])
 
 
-def cr_compose(subframes: dict, replay_delay_ms: int, t_acq_ms: int,
+def cr_compose(streams: dict, replay_delay_ms: int, t_acq_ms: int,
                onset_round: int) -> tuple:
     """Splice a real-time replayed copy onto a tracked live stream.
 
@@ -174,6 +167,6 @@ def cr_compose(subframes: dict, replay_delay_ms: int, t_acq_ms: int,
     shift = 0 if offset <= PAGE_MS else offset // PAGE_MS
     onset = onset_round * SUBFRAME_MS + replay_delay_ms
     takeover = onset + t_acq_ms
-    return slot_stream(subframes, 0, (
+    return slot_stream(streams, 0, (
         (Source.AUTHENTIC, 0, onset // PAGE_MS, 0),
         (Source.ADVERSARY, -(-takeover // PAGE_MS), math.inf, shift)))

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .attacks import tsf_forge_subframes
 from .gst import Gst
-from .pages import SLOTS_PER_SUBFRAME
+from .pages import SLOTS_PER_SUBFRAME, Stream
 from .scenario import (
     DEFAULT_GST0,
     Scenario,
@@ -45,7 +45,7 @@ def _cmd_gen_constellation(args) -> int:
     bundle.vectors.save(outdir / "vectors.csv")
     (outdir / "chain.json").write_text(
         json.dumps(bundle.chain_json(), indent=2, sort_keys=True) + "\n")
-    rows = SLOTS_PER_SUBFRAME * sum(map(len, bundle.subframes.values()))
+    rows = SLOTS_PER_SUBFRAME * sum(map(len, bundle.streams.values()))
     print(f"wrote {outdir / 'vectors.csv'} ({rows} rows) "
           f"and {outdir / 'chain.json'}")
     return 0
@@ -71,9 +71,10 @@ def _cmd_vectors_validate(args) -> int:
 def _cmd_forge_tsf(args) -> int:
     vectors = TestVectorSet.load(args.vectors)
     forged = {prn: tsf_forge_subframes(
-                  sfs, seg_count=args.segments, forge_tags=not args.no_tags,
-                  iono_a0=args.iono_a0, clock_bias_m=0.0)
-              for prn, sfs in vectors.subframes().items()}
+                  Stream.of(sfs), seg_count=args.segments,
+                  forge_tags=not args.no_tags, iono_a0=args.iono_a0,
+                  clock_bias_m=0.0).subframes()
+              for prn, sfs in vectors.by_prn.items()}
     TestVectorSet.from_subframes(forged).save(args.out)
     print(f"wrote {args.out}")
     return 0

@@ -23,14 +23,16 @@ class SubMillisecondError(ValueError):
 def to_millis(seconds) -> int:
     """Convert a seconds value (int, float, str or Decimal) to integer ms.
 
-    Configs carry short decimals ("29.5", "0.771"); routing them through
-    Decimal keeps boundary comparisons exact.  Digits below the millisecond
-    raise SubMillisecondError rather than being rounded away.
+    Configs carry short decimals ("29.5", "0.771"); reading them as an
+    exact ratio of ints keeps boundary comparisons exact at any length.
+    Digits below the millisecond raise SubMillisecondError rather than
+    being rounded away.
     """
-    ms = Decimal(str(seconds)) * MS_PER_S
-    if ms.is_finite() and ms != ms.to_integral_value():
+    num, den = Decimal(str(seconds)).as_integer_ratio()
+    ms, rest = divmod(num * MS_PER_S, den)
+    if rest:
         raise SubMillisecondError(f"{seconds!r} has digits below the millisecond")
-    return int(ms)
+    return ms
 
 
 @dataclass(frozen=True)

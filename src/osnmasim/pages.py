@@ -25,7 +25,10 @@ self-verify under it.
 
 A page is its 30 transmitted bytes from sealing to reception;
 PageContent is only the codec's view of one page's fields, what
-encode_page takes and decode_page gives back.
+encode_page takes and decode_page gives back.  A satellite's broadcast is
+a Stream, its sealed pages laid end to end in one bytes object; a round's
+pages are cut from it as they are sent, and a received subframe holds its
+slots' bytes.
 
 Every bit-packed message -- a page's fields, the navigation blob, the
 root-key message and the tag-message header -- is one layout table of
@@ -37,7 +40,8 @@ The page CRC has one implementation, the column-wise kernel
 ``_crc_columns``, which seals or checks many pages in one call.  The
 fields a subframe carries -- its 240-byte navigation blob and its 15-byte
 HKROOT and 60-byte MACK blobs -- have one codec too, the column-wise
-``pack_pages`` and ``unpack_pages``.  With the pages laid end to end and
+``pack_pages`` and ``_unpack`` (``unpack_pages`` for received slots).
+With the pages laid end to end and
 shifted left by 2 bits, every field sits on byte boundaries: bytes 0..13
 of each 30-byte page are the even data, byte 14 the even tail and the odd
 half's flags (0b10), bytes 15..16 the odd data, byte 17 the HKROOT
@@ -60,6 +64,7 @@ from .gst import MS_PER_S, SUBFRAME_SECONDS, Gst
 PAGE_BITS = 240
 PAGE_BYTES = 30
 SLOTS_PER_SUBFRAME = 15
+SUBFRAME_BYTES = PAGE_BYTES * SLOTS_PER_SUBFRAME
 SUBFRAME_MS = SUBFRAME_SECONDS * MS_PER_S
 PAGE_MS = SUBFRAME_MS // SLOTS_PER_SUBFRAME
 
@@ -327,22 +332,28 @@ def pack_pages(blobs) -> bytes:
 
 def unpack_pages(slots) -> list:
     """The (nav, hkroot, mack) blobs of each subframe's 15 slots, read in
-    one pass over all of them: the inverse of pack_pages.  A destroyed slot
-    raises IncompleteError naming the subframe's destroyed slots."""
+    one pass over all of them.  A destroyed slot raises IncompleteError
+    naming the subframe's destroyed slots."""
     raws = []
     for sf_raws in slots:
         if None in sf_raws:
             raise IncompleteError("destroyed slots: " + str(tuple(
                 i for i, raw in enumerate(sf_raws) if raw is None)))
         raws += sf_raws
-    joined = _joined(raws)
+    return _unpack(_joined(raws))
+
+
+def _unpack(joined: bytes) -> list:
+    """The (nav, hkroot, mack) blobs of the subframes whose pages are laid
+    end to end in joined: the inverse of pack_pages."""
     # one byte in front takes the flags shifted out of the first page
     shifted = (int.from_bytes(joined, "big") << 2).to_bytes(len(joined) + 1,
                                                             "big")[1:]
-    nav = bytearray(len(raws) * len(_NAV_COLUMNS))
+    count = len(joined) // PAGE_BYTES
+    nav = bytearray(count * len(_NAV_COLUMNS))
     for j, k in enumerate(_NAV_COLUMNS):
         nav[j::len(_NAV_COLUMNS)] = shifted[k::PAGE_BYTES]
-    mack = bytearray(len(raws) * len(_MACK_COLUMNS))
+    mack = bytearray(count * len(_MACK_COLUMNS))
     for j, k in enumerate(_MACK_COLUMNS):
         mack[j::len(_MACK_COLUMNS)] = shifted[k::PAGE_BYTES]
     nav, mack = bytes(nav), bytes(mack)
@@ -350,18 +361,14 @@ def unpack_pages(slots) -> list:
     return [(nav[NAV_BYTES * i:NAV_BYTES * (i + 1)],
              hkroot[HKROOT_BYTES * i:HKROOT_BYTES * (i + 1)],
              mack[MACK_BYTES * i:MACK_BYTES * (i + 1)])
-            for i in range(len(raws) // SLOTS_PER_SUBFRAME)]
+            for i in range(count // SLOTS_PER_SUBFRAME)]
 
 
-def build_subframes(specs) -> list:
-    """Subframes from (gst, prn, nav_blob, hkroot, mack_blob) tuples, every
-    page of every subframe packed in one call and sealed in one kernel
+def seal_pages(blobs) -> bytes:
+    """The pages of every (nav, hkroot, mack) blob triple, laid end to end
+    as pack_pages lays them, packed in one call and sealed in one kernel
     call."""
-    specs = list(specs)
-    pages = _split(_seal(pack_pages(blobs for _, _, *blobs in specs)))
-    return [Subframe(gst=gst, prn=prn, raws=tuple(
-                pages[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
-            for i, (gst, prn, *_) in enumerate(specs)]
+    return _seal(pack_pages(blobs))
 
 
 def reseal_raw(raw: bytes) -> bytes:
@@ -446,6 +453,58 @@ class Subframe:
         """The HKROOT and MACK portions concatenated, as 15 and 60 bytes; a
         destroyed slot raises IncompleteError."""
         return self._unpacked()[1:]
+
+
+@dataclass(frozen=True)
+class Stream:
+    """One satellite's subframes at consecutive GSTs from gst, as their
+    sealed pages laid end to end: SUBFRAME_BYTES a subframe, each
+    subframe's 15 pages in slot order.  Its Subframes are cut from the
+    bytes on demand, and none is kept."""
+
+    gst: Gst                    # of the first subframe
+    prn: int
+    pages: bytes
+
+    def __post_init__(self):
+        if len(self.pages) % SUBFRAME_BYTES:
+            raise ValueError(f"a stream is whole subframes of {SUBFRAME_BYTES}"
+                             f" bytes, got {len(self.pages)} bytes")
+
+    @classmethod
+    def of(cls, subframes) -> "Stream":
+        """The stream of one satellite's complete subframes, given in GST
+        order; a GST out of step raises ValueError naming the satellite and
+        the GST missing there."""
+        first = subframes[0]
+        for i, sf in enumerate(subframes):
+            expected = first.gst.add_seconds(SUBFRAME_SECONDS * i)
+            if sf.gst != expected:
+                raise ValueError(
+                    f"prn {first.prn}: subframe at wn {expected.wn} tow "
+                    f"{expected.tow} is missing; a stream needs consecutive "
+                    "subframes")
+        return cls(first.gst, first.prn,
+                   _joined([raw for sf in subframes for raw in sf.raws]))
+
+    def __len__(self) -> int:
+        return len(self.pages) // SUBFRAME_BYTES
+
+    def gsts(self) -> list:
+        return [self.gst.add_seconds(SUBFRAME_SECONDS * i)
+                for i in range(len(self))]
+
+    def blobs(self) -> list:
+        """Each subframe's (nav, hkroot, mack) blobs, read in one pass."""
+        return _unpack(self.pages)
+
+    def subframes(self) -> list:
+        """A fresh Subframe for each subframe, its slots cut from the
+        bytes."""
+        raws = _split(self.pages)
+        return [Subframe(gst, self.prn, tuple(
+                    raws[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
+                for i, gst in enumerate(self.gsts())]
 
 
 def _owned(events, prn: int, w0: int) -> list:

@@ -96,11 +96,13 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
     import numpy as np
 
     tgt = np.asarray(target, dtype=float)
-    return [
-        float(np.linalg.norm(tgt - np.asarray(s.position, dtype=float))
-              + SPEED_OF_LIGHT * t_r)
-        for s in sats
-    ]
+    ranges = {}                 # position -> its range, computed once
+    for s in sats:
+        if s.position not in ranges:
+            ranges[s.position] = float(
+                np.linalg.norm(tgt - np.asarray(s.position, dtype=float))
+                + SPEED_OF_LIGHT * t_r)
+    return [ranges[s.position] for s in sats]
 
 
 def solve_position(sats, pseudoranges) -> Fix:

@@ -95,7 +95,7 @@ class Receiver:
         self.timeline: list = []         # (gst or None, status) per change
         self.deltas_ms: list = []        # one per round ingested
         self.key_rejections = 0
-        self._dsm = DsmAccumulator()
+        self._dsm: dict = {}             # prn -> DsmAccumulator
         self._pubkey = load_public_key_point(pubkey)
         self._grid: tuple | None = None  # (first GST, its window start ms)
         self._enter(Status.COLD_START, None)
@@ -154,7 +154,7 @@ class Receiver:
                     AuthResult(gst, prn, Outcome.DISCARDED_INCOMPLETE))
                 continue
             if self.trusted_key is None:
-                self._feed_dsm(sf.osnma[0], gst)
+                self._feed_dsm(prn, sf.osnma[0], gst)
             window = self.pending.setdefault(prn, deque(maxlen=3))
             window.append((sf, result.navs[prn]))
             if self.status is Status.SPOOF_DETECTED \
@@ -190,17 +190,20 @@ class Receiver:
             self.status = status
             self.timeline.append((gst, status))
 
-    def _feed_dsm(self, hkroot: bytes, gst: Gst) -> None:
-        """Fed only in AWAITING_ROOT_KEY.  A root message is parsed only
-        once the bytes received verify under the public key."""
-        signed = self._dsm.feed(hkroot)
+    def _feed_dsm(self, prn: int, hkroot: bytes, gst: Gst) -> None:
+        """Fed only in AWAITING_ROOT_KEY.  Each satellite's blocks are
+        accumulated apart, so one satellite's bad block drops only its own
+        blocks.  A root message is parsed only once the bytes received
+        verify under the public key."""
+        dsm = self._dsm.setdefault(prn, DsmAccumulator())
+        signed = dsm.feed(hkroot)
         if signed is None:
             return
         if verify_root(*signed, self._pubkey):
             self.trusted_key = root_key(signed[0])
             self._enter(Status.AUTHENTICATING, gst)
         else:
-            self._dsm.reset()
+            dsm.reset()
 
     def _verify_triple(self, window) -> tuple:
         """The data subframe's verdict and, when authentic, the key that

@@ -16,7 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
-from itertools import cycle, repeat
+from itertools import cycle
 from types import MappingProxyType
 
 from . import attacks
@@ -40,7 +40,7 @@ from .navdata import (
     build_nav_data,
     parse_nav_data,
 )
-from .pages import build_subframes, unpack_pages
+from .pages import Stream, seal_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
@@ -77,10 +77,12 @@ _FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
 class ConstellationBundle:
     """A generated constellation and the values derived from it.
 
+    Each satellite's subframes are one Stream, their sealed pages in one
+    buffer; Subframes are cut from it on demand (vectors) and never kept.
     Consecutive scenarios can share one bundle, so it is read-only: frozen
-    fields, read-only mappings and tuples."""
+    fields, read-only mappings, bytes."""
 
-    subframes: MappingProxyType           # prn -> tuple of sealed subframes by GST
+    streams: MappingProxyType             # prn -> Stream from gst0
     chain: TeslaChain
     pubkey: bytes                         # compressed P-256 point
     sat_states: MappingProxyType          # prn -> SatState
@@ -90,13 +92,14 @@ class ConstellationBundle:
     @property
     def vectors(self) -> TestVectorSet:
         """The subframes as a vector set."""
-        return TestVectorSet.from_subframes(self.subframes)
+        return TestVectorSet.from_subframes(
+            {prn: stream.subframes() for prn, stream in self.streams.items()})
 
     @cached_property
     def observations(self) -> MappingProxyType:
         """Pseudoranges from the site to the authentic constellation."""
         return MappingProxyType(
-            _observations(self.subframes, self.receiver_ecef, 0.0))
+            _observations(self.streams, self.receiver_ecef, 0.0))
 
     def chain_json(self) -> dict:
         return {**self.chain.as_dict(),
@@ -161,17 +164,17 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     # key i + 1 is disclosed in subframe i, the root key in the slot before
     keys = chain.keys[1:n_subframes + 2]
     gsts = [gst0.add_seconds(SUBFRAME_SECONDS * j) for j in range(n_subframes)]
-    subframes = {}
+    streams = {}
     for prn, sat in sat_states.items():          # one sealing per satellite
         navs = [build_nav_data(g.wn, g.tow, prn, sat.position,
                                clock_bias_m[prn], iono_a0[prn]) for g in gsts]
         macks = [pack_mack([], keys[0].bits)] \
             + tag_stream(prn, gsts, navs, keys, seg_count)
-        subframes[prn] = tuple(build_subframes(
-            zip(gsts, repeat(prn), navs, cycle(hk_blocks), macks)))
+        streams[prn] = Stream(gst0, prn, seal_pages(
+            zip(navs, cycle(hk_blocks), macks)))
 
     return ConstellationBundle(
-        subframes=MappingProxyType(subframes), chain=chain,
+        streams=MappingProxyType(streams), chain=chain,
         pubkey=public_key_point(public_key),
         sat_states=MappingProxyType(sat_states), receiver_ecef=recv_ecef,
         gst0=gst0)
@@ -299,27 +302,27 @@ SCENARIO_KEYS = {
 
 
 def _none(a, sc, bundle):
-    return (attacks.shifted_stream(bundle.subframes), sc.lrt,
+    return (attacks.shifted_stream(bundle.streams), sc.lrt,
             bundle.observations)
 
 
 def _tsr_realtime(a, sc, bundle):
-    return (attacks.replay_realtime(bundle.subframes, a["delay_s"]), sc.lrt,
+    return (attacks.replay_realtime(bundle.streams, a["delay_s"]), sc.lrt,
             bundle.observations)
 
 
 def _tsr_recorded(a, sc, bundle):                  # behind an NTP MITM
-    return (attacks.replay_realtime(bundle.subframes, a["staleness_s"]),
+    return (attacks.replay_realtime(bundle.streams, a["staleness_s"]),
             attacks.ntp_mitm_delay(sc.lrt, a["mitm_delay_s"]),
             bundle.observations)
 
 
-def _tsf(a, sc, bundle):                           # replays forged subframes
+def _tsf(a, sc, bundle):                           # replays forged streams
     target = geodetic_to_ecef(*a["target"].values())
     forged = {prn: attacks.tsf_forge_subframes(
-                  sfs, seg_count=sc.seg_count, forge_tags=a["forge_tags"],
+                  stream, seg_count=sc.seg_count, forge_tags=a["forge_tags"],
                   iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
-              for prn, sfs in bundle.subframes.items()}
+              for prn, stream in bundle.streams.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
     return (attacks.replay_realtime(forged, a["staleness_s"]),
             attacks.ntp_mitm_delay(sc.lrt, mitm),
@@ -327,7 +330,7 @@ def _tsf(a, sc, bundle):                           # replays forged subframes
 
 
 def _cr(a, sc, bundle):
-    return (attacks.cr_compose(bundle.subframes, a["replay_delay_s"],
+    return (attacks.cr_compose(bundle.streams, a["replay_delay_s"],
                                a["t_acq_s"], a["onset_round"]),
             sc.lrt, bundle.observations)
 
@@ -423,15 +426,17 @@ class Scenario:
 
 
 def live_events(subframes_by_prn: dict) -> list:
-    """Authentic page events on the true clock (arrival time == GST): the
-    rounds of the ``none`` attack's stream, one after another."""
-    _, round_events = attacks.shifted_stream(subframes_by_prn)
-    rounds = max(map(len, subframes_by_prn.values()))
+    """Authentic page events on the true clock (arrival time == GST) of
+    each satellite's consecutive subframes: the rounds of the ``none``
+    attack's stream, one after another."""
+    streams = {prn: Stream.of(sfs) for prn, sfs in subframes_by_prn.items()}
+    _, round_events = attacks.shifted_stream(streams)
+    rounds = max(map(len, streams.values()))
     return [e for r in range(rounds)
             for _, events in sorted(round_events(r).items()) for e in events]
 
 
-def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dict:
+def _observations(streams: dict, receiver_pos, t_r: float = 0.0) -> dict:
     """Pseudorange observations keyed by (gst seconds, prn).
 
     Ranges are composed from the broadcast (quantized) satellite states and
@@ -439,14 +444,13 @@ def _observations(subframes_by_prn: dict, receiver_pos, t_r: float = 0.0) -> dic
     receiver_pos exactly.
     """
     obs = {}
-    for prn, sf_list in subframes_by_prn.items():
-        # one read of the satellite's subframes, keeping nothing on them
-        navs = [parse_nav_data(nav) for nav, _, _
-                in unpack_pages(sf.raws for sf in sf_list)]
+    for prn, stream in streams.items():
+        navs = [parse_nav_data(nav) for nav, _, _ in stream.blobs()]
         rhos = forge_pseudoranges(receiver_pos, t_r, [
             SatState(prn=prn, position=nav.sat_ecef_m) for nav in navs])
-        for sf, nav, rho in zip(sf_list, navs, rhos):
-            obs[(sf.gst.total_seconds(), prn)] = rho + nav.range_bias_m
+        first = stream.gst.total_seconds()
+        for i, (nav, rho) in enumerate(zip(navs, rhos)):
+            obs[(first + SUBFRAME_SECONDS * i, prn)] = rho + nav.range_bias_m
     return obs
 
 

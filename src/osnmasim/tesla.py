@@ -272,7 +272,8 @@ class DsmAccumulator:
         if len(self.blocks) < DSM_BLOCKS:
             return None
         payload = b"".join(self.blocks[i] for i in range(DSM_BLOCKS))
-        if payload[0] != DSM_BLOCKS:
+        if payload[0] != DSM_BLOCKS:        # not a root message: discard it
+            self.reset()
             return None
         end = 1 + ROOT_MESSAGE_BYTES
         return payload[1:end], payload[end:end + SIGNATURE_BYTES]

@@ -7,7 +7,9 @@ three-subframe rule as written.  PRN p has a verdict at round r when its
 subframes of rounds r-2, r-1 and r are all complete: the data of r-2 is
 checked against the tags of r-1 under the key disclosed in r, and that key
 against the one trusted at the start of round r (or, before the first
-verified key, the root key acquired during round r).  The TS gate, the
+verified key, the root key acquired during round r).  Each satellite's
+HKROOT blocks are accumulated apart, and a root message that fails its
+signature drops only that satellite's blocks.  The TS gate, the
 status rules and the destroyed-round rule are spelled out here with no
 shortcut that depends on which statuses can occur where.  Only the
 message-level checks are shared with the program: verify_key, verify_tags,
@@ -109,7 +111,7 @@ def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
         return r >= 0 and p in rounds[r] and rounds[r][p].complete
 
     pubkey = load_public_key_point(pubkey)
-    dsm = DsmAccumulator()
+    dsms = {}               # prn -> its own DsmAccumulator
     trusted = None          # the key trusted at the start of the round
     rejections = 0
     out = Run(rounds, [], [], [], timeline)
@@ -124,6 +126,7 @@ def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
                     AuthResult(sf.gst, p, Outcome.DISCARDED_INCOMPLETE))
                 continue
             if trusted is None and root is None:
+                dsm = dsms.setdefault(p, DsmAccumulator())
                 signed = dsm.feed(sf.osnma[0])
                 if signed is not None:
                     if verify_root(*signed, pubkey):

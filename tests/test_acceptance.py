@@ -249,7 +249,7 @@ def test_criterion_6_cr_cutoff():
     # the one-page shift, observed on the merged stream itself
     from osnmasim.attacks import cr_compose
     bundle = generate_synthetic_constellation(20230816, 8, 16, GST0)
-    t0, merged = cr_compose(bundle.vectors.subframes(), replay_delay_ms=1500,
+    t0, merged = cr_compose(bundle.streams, replay_delay_ms=1500,
                             t_acq_ms=600, onset_round=8)
     w0 = t0 + 10 * SUBFRAME_MS
     assert w0 == GST0.total_millis() + 10 * SUBFRAME_MS

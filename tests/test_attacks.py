@@ -21,8 +21,9 @@ from osnmasim.navdata import parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
     SUBFRAME_MS,
     Source,
+    Stream,
     assemble_round,
-    build_subframes,
+    seal_pages,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaKey
 from page_reference import destroyed_slots
@@ -34,10 +35,10 @@ GST0 = Gst(1251, 277200)
 
 
 def test_replay_realtime_zero_delay_identity(small_bundle):
-    live_t0, live = shifted_stream(small_bundle.subframes)
-    t0, replayed = replay_realtime(small_bundle.subframes, 0)
+    live_t0, live = shifted_stream(small_bundle.streams)
+    t0, replayed = replay_realtime(small_bundle.streams, 0)
     assert t0 == live_t0 == GST0.total_millis()
-    for r in range(len(small_bundle.subframes[1])):
+    for r in range(len(small_bundle.streams[1])):
         assert {prn: [e.t_ms for e in evs] for prn, evs in replayed(r).items()} \
             == {prn: [e.t_ms for e in evs] for prn, evs in live(r).items()}
         assert all(e.source is Source.ADVERSARY
@@ -45,10 +46,10 @@ def test_replay_realtime_zero_delay_identity(small_bundle):
 
 
 def test_replay_preserves_bits_exactly(small_bundle):
-    live_t0, live = shifted_stream(small_bundle.subframes)
-    t0, replayed = replay_realtime(small_bundle.subframes, 29500)
+    live_t0, live = shifted_stream(small_bundle.streams)
+    t0, replayed = replay_realtime(small_bundle.streams, 29500)
     assert t0 - live_t0 == 29500
-    for r in range(len(small_bundle.subframes[1])):
+    for r in range(len(small_bundle.streams[1])):
         for prn, events in replayed(r).items():
             assert [e.raw for e in events] == [e.raw for e in live(r)[prn]]
             assert all(a.t_ms - b.t_ms == 29500
@@ -57,7 +58,7 @@ def test_replay_preserves_bits_exactly(small_bundle):
 
 def test_replay_rejects_negative_delay(small_bundle):
     with pytest.raises(ValueError):
-        replay_realtime(small_bundle.subframes, -1)
+        replay_realtime(small_bundle.streams, -1)
 
 
 # -- NTP man in the middle -----------------------------------------------------
@@ -89,8 +90,14 @@ def _tsf_args(**kw):
             "clock_bias_m": 0.0, **kw}
 
 
+def _forged(stream, **kw):
+    """The recorded stream's subframes and its forgery's."""
+    return (stream.subframes(),
+            tsf_forge_subframes(stream, **_tsf_args(**kw)).subframes())
+
+
 def test_tsf_needs_three_subframes(wide_bundle):
-    aux = wide_bundle.vectors.subframes()[1][:2]
+    aux = Stream.of(wide_bundle.vectors.subframes()[1][:2])
     with pytest.raises(InsufficientAuxError):
         tsf_forge_subframes(aux, **_tsf_args())
 
@@ -98,8 +105,7 @@ def test_tsf_needs_three_subframes(wide_bundle):
 def test_tsf_output_invariants(wide_bundle):
     """Forged subframes keep the chain key bits and page validity: every
     page reseals CRC-consistent and the MACK key field is untouched."""
-    aux = wide_bundle.vectors.subframes()[2]
-    forged = tsf_forge_subframes(aux, **_tsf_args())
+    aux, forged = _forged(wide_bundle.streams[2])
     assert len(forged) == len(aux)
     for before, after in zip(aux, forged):
         assert after.complete
@@ -108,8 +114,7 @@ def test_tsf_output_invariants(wide_bundle):
 
 
 def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
-    aux = wide_bundle.vectors.subframes()[3]
-    forged = tsf_forge_subframes(aux, **_tsf_args())
+    aux, forged = _forged(wide_bundle.streams[3])
     for before, after in zip(aux[:-2], forged[:-2]):
         nav_b = parse_nav_data(subframe_nav_data(before))
         nav_a = parse_nav_data(subframe_nav_data(after))
@@ -120,16 +125,14 @@ def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
 
 
 def test_tsf_nav_only_keeps_tags(wide_bundle):
-    aux = wide_bundle.vectors.subframes()[4]
-    forged = tsf_forge_subframes(aux, **_tsf_args(forge_tags=False))
+    aux, forged = _forged(wide_bundle.streams[4], forge_tags=False)
     for before, after in zip(aux, forged):
         assert unpack_mack(after.osnma[1], 6) == unpack_mack(before.osnma[1], 6)
         assert after.complete                  # CRCs still resealed
 
 
 def test_tsf_last_two_subframes_untouched(wide_bundle):
-    aux = wide_bundle.vectors.subframes()[5]
-    forged = tsf_forge_subframes(aux, **_tsf_args())
+    aux, forged = _forged(wide_bundle.streams[5])
     # nav data of the final two subframes is never rewritten
     for before, after in zip(aux[-2:], forged[-2:]):
         assert subframe_nav_data(before) == subframe_nav_data(after)
@@ -137,15 +140,18 @@ def test_tsf_last_two_subframes_untouched(wide_bundle):
     assert aux[-1].raws == forged[-1].raws
 
 
+def _sealed(sf, nav_blob, hkroot, mack_blob):
+    """sf sealed afresh around the given blobs."""
+    return Stream(sf.gst, sf.prn, seal_pages(
+        [(nav_blob, hkroot, mack_blob)])).subframes()[0]
+
+
 def _replace_nav(sf, nav_blob):
-    hkroot, mack_blob = sf.osnma
-    return build_subframes([(sf.gst, sf.prn, nav_blob, hkroot, mack_blob)])[0]
+    return _sealed(sf, nav_blob, *sf.osnma)
 
 
 def _replace_mack(sf, mack_blob):
-    hkroot, _ = sf.osnma
-    return build_subframes([(sf.gst, sf.prn, subframe_nav_data(sf), hkroot,
-                             mack_blob)])[0]
+    return _sealed(sf, subframe_nav_data(sf), sf.osnma[0], mack_blob)
 
 
 def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
@@ -171,12 +177,12 @@ def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
 @pytest.mark.parametrize("forge_tags", [True, False])
 @pytest.mark.parametrize("iono_a0", [0, 2047])
 def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
-    """One build per forged subframe gives the subframes the window-by-window
-    rebuild gives, on every satellite."""
+    """One build of the forged stream gives the stream of the subframes the
+    window-by-window rebuild gives, on every satellite."""
     args = _tsf_args(forge_tags=forge_tags, iono_a0=iono_a0)
-    for aux in wide_bundle.subframes.values():
-        assert tsf_forge_subframes(aux, **args) == \
-            _two_pass_forgery(aux, **args)
+    for stream in wide_bundle.streams.values():
+        assert tsf_forge_subframes(stream, **args) == \
+            Stream.of(_two_pass_forgery(stream.subframes(), **args))
 
 
 @pytest.mark.parametrize("forge_tags", [True, False])
@@ -192,7 +198,7 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
         return kernel(joined, lanes)
 
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
-    aux = wide_bundle.subframes[1]
+    aux = wide_bundle.streams[1]
     tsf_forge_subframes(aux, **_tsf_args(forge_tags=forge_tags))
     assert calls == [15 * (len(aux) - (1 if forge_tags else 2))]
 
@@ -201,8 +207,8 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
 
 
 def _cr_events(bundle, delay_s, t_acq_s="0.6", onset_round=2):
-    return (shifted_stream(bundle.subframes),
-            cr_compose(bundle.subframes, to_millis(delay_s),
+    return (shifted_stream(bundle.streams),
+            cr_compose(bundle.streams, to_millis(delay_s),
                        to_millis(t_acq_s), onset_round))
 
 
@@ -270,7 +276,7 @@ def test_cr_alignment_boundary_rule(small_bundle, delay_s, aligned):
 
 def test_cr_preserves_page_bits(small_bundle):
     (_, live), (_, merged) = _cr_events(small_bundle, "1.5")
-    rounds = range(len(small_bundle.subframes[1]))
+    rounds = range(len(small_bundle.streams[1]))
     live_raws = {e.raw for r in rounds for evs in live(r).values() for e in evs}
     assert all(e.raw in live_raws
                for r in rounds for evs in merged(r).values() for e in evs)
@@ -280,4 +286,4 @@ def test_cr_preserves_page_bits(small_bundle):
                                          ("t_acq_ms", (1400, -1))])
 def test_cr_rejects_a_negative_time_by_name(small_bundle, name, times):
     with pytest.raises(ValueError, match=f"^{name} -1 must be >= 0$"):
-        cr_compose(small_bundle.subframes, *times, 0)
+        cr_compose(small_bundle.streams, *times, 0)

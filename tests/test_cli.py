@@ -222,7 +222,7 @@ def test_forge_tsf_rejects_a_gap(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: prn 1: subframe at wn 1251 tow 277260 is missing; forgery "
+        "error: prn 1: subframe at wn 1251 tow 277260 is missing; a stream "
         "needs consecutive subframes"]
     assert not forged.exists()
 

@@ -42,9 +42,13 @@ def test_to_millis_exact_decimals():
     assert to_millis("29.5") == 29500
     assert to_millis(0.771) == 771
     assert to_millis(30) == 30000
+    # exact at any length, where 28 significant digits would round it
+    assert to_millis("12345678901234567890123456789.5") == \
+        12345678901234567890123456789500
 
 
-@pytest.mark.parametrize("seconds", ["29.5004", 0.0005, "1e-4", 1.0001])
+@pytest.mark.parametrize("seconds", ["29.5004", 0.0005, "1e-4", 1.0001,
+                                     "1234567890123456789012345.6789"])
 def test_to_millis_rejects_sub_millisecond_digits(seconds):
     with pytest.raises(SubMillisecondError, match="below the millisecond"):
         to_millis(seconds)

@@ -23,14 +23,15 @@ from osnmasim.pages import (
     RESERVED,
     SLOTS_PER_SUBFRAME,
     Source,
+    Stream,
     Subframe,
     assemble_round,
-    build_subframes,
     check_raws,
     crc24q,
     decode_page,
     encode_page,
     reseal_raw,
+    seal_pages,
     unpack_pages,
 )
 from page_reference import destroyed_slots, flip_page_bit
@@ -490,7 +491,7 @@ def test_page_crc_matches_bitwise_reference(raw):
 def test_build_subframe_pages_match_seal_page(nav, hkroot, mack):
     """Each page is the bytes of sealing its fields read bitwise from the
     blobs, and equals the bitwise encoding with the bitwise CRC."""
-    sf = build_subframes([(GST0, 5, nav, hkroot, mack)])[0]
+    sf = Stream(GST0, 5, seal_pages([(nav, hkroot, mack)])).subframes()[0]
     for p, (raw, page) in enumerate(zip(sf.raws, sf.pages)):
         fields = PageContent(
             even_data=ref_getbitu(nav, 128 * p, 112),
@@ -754,14 +755,19 @@ def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
 def test_built_subframes_read_back_their_blobs(size, seed):
-    """build_subframes packs and seals a batch in one call each; a lone
-    subframe's nav_data and osnma read its blobs back."""
+    """seal_pages packs and seals a batch in one call each; the stream of
+    its pages reads its blobs back in one pass, and each subframe cut from
+    it, a lone subframe, reads its own back through nav_data and osnma."""
     blobs = _blob_batch(size, seed)
-    built = build_subframes((GST0, prn, *triple)
-                            for prn, triple in enumerate(blobs, 1))
-    assert [sf.prn for sf in built] == list(range(1, size + 1))
+    stream = Stream(GST0, 5, seal_pages(blobs))
+    assert len(stream) == size and stream.blobs() == blobs
+    built = stream.subframes()
+    assert [sf.gst for sf in built] == stream.gsts() == \
+        [GST0.add_seconds(30 * i) for i in range(size)]
+    if built:
+        assert Stream.of(built) == stream
     for sf, (nav, hkroot, mack) in zip(built, blobs):
-        assert sf.blobs is None
+        assert sf.prn == 5 and sf.blobs is None
         assert sf.raws == tuple(map(reseal_raw,
                                     ref.blob_pages(nav, hkroot, mack)))
         assert sf.nav_data == nav
@@ -835,3 +841,16 @@ def test_pack_rejects_a_blob_of_the_wrong_length(which, length):
     blobs[which] = bytes(length)
     with pytest.raises(ValueError, match=("nav", "hkroot", "mack")[which]):
         pages.pack_pages([_blob_batch(1, 1)[0], tuple(blobs)])
+
+
+def test_a_stream_needs_consecutive_whole_subframes():
+    """A stream is whole subframes, and its subframes sit 30 s apart: a gap
+    is named by its satellite and the first GST missing."""
+    stream = Stream(GST0, 5, seal_pages(_blob_batch(3, 2)))
+    sfs = stream.subframes()
+    with pytest.raises(ValueError, match="^prn 5: subframe at wn 1251 tow "
+                       "277230 is missing; a stream needs consecutive "
+                       "subframes$"):
+        Stream.of([sfs[0], sfs[2]])
+    with pytest.raises(ValueError, match="whole subframes of 450 bytes"):
+        Stream(GST0, 5, stream.pages[:-PAGE_BYTES])

@@ -50,6 +50,31 @@ def test_forge_clock_term_scales_by_c():
     assert shifted - base == pytest.approx(299792.458, abs=1e-6)
 
 
+def test_forge_ranges_each_distinct_position_once(monkeypatch):
+    """Over a list that repeats each satellite's position, as a stream's
+    subframes do, each distinct position's range is computed once, and
+    every range is the per-satellite expression's bit for bit."""
+    import numpy as np
+
+    rng = random.Random(3)
+    target, sats = _random_geometry(rng, 5)
+    many = [rng.choice(sats) for _ in range(40)]
+    t_r = rng.uniform(-1e-3, 1e-3)
+    expected = [float(np.linalg.norm(np.asarray(target, dtype=float)
+                                     - np.asarray(s.position, dtype=float))
+                      + SPEED_OF_LIGHT * t_r) for s in many]
+    calls = []
+    norm = np.linalg.norm
+
+    def counting(x):
+        calls.append(x)
+        return norm(x)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    assert forge_pseudoranges(target, t_r, many) == expected
+    assert len(calls) == len({s.position for s in many})
+
+
 def test_forge_requires_satellites():
     with pytest.raises(ValueError):
         forge_pseudoranges((0, 0, 0), 0.0, [])

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -16,13 +18,14 @@ from osnmasim.pages import (
     PAGE_MS,
     SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
-    build_subframes,
+    Stream,
     reseal_raw,
+    seal_pages,
 )
 import osnmasim.receiver
 from osnmasim import tesla
 from osnmasim.receiver import Outcome, Receiver, Status
-from osnmasim.scenario import live_events
+from osnmasim.scenario import generate_synthetic_constellation, live_events
 from osnmasim.tesla import DSM_BLOCKS, generate_keypair, public_key_point
 import receiver_reference
 import stream_reference
@@ -44,8 +47,8 @@ def _drive(receiver, events, n_rounds, t0=None):
 
 def _with_mack(sf, mack):
     """sf rebuilt with its nav data and HKROOT and the given MACK blob."""
-    return build_subframes([(sf.gst, sf.prn, subframe_nav_data(sf),
-                             sf.osnma[0], mack)])[0]
+    return Stream(sf.gst, sf.prn, seal_pages(
+        [(subframe_nav_data(sf), sf.osnma[0], mack)])).subframes()[0]
 
 
 def _drop(events, prn, round_idx, slot):
@@ -94,8 +97,8 @@ def test_windows_sit_on_the_power_on_grid(small_bundle, skew_ms):
     receiver powered on 1 ms off the stream's first slot has every page
     straddle two slots and discards every round, while the aligned one
     authenticates every verdict it gives."""
-    t0, round_events = shifted_stream(small_bundle.subframes)
-    n_rounds, sats = len(small_bundle.subframes[1]), len(small_bundle.subframes)
+    t0, round_events = shifted_stream(small_bundle.streams)
+    n_rounds, sats = len(small_bundle.streams[1]), len(small_bundle.streams)
     outcomes = {}
     for skew in (0, skew_ms):
         rx = _receiver(small_bundle)
@@ -135,8 +138,9 @@ def test_root_key_is_parsed_only_once_its_signature_verifies(
         small_bundle, monkeypatch, signer):
     """Over one full DSM cycle, a receiver holding the broadcast signer's
     public key parses the root message once and starts authenticating; one
-    holding another public key never parses it, resets the DSM, and keeps
-    awaiting the root key."""
+    holding another public key never parses it, drops each satellite's
+    blocks as that satellite's message fails, and keeps awaiting the root
+    key."""
     parsed = []
 
     def counted_root_key(body):
@@ -156,9 +160,45 @@ def test_root_key_is_parsed_only_once_its_signature_verifies(
         assert parsed == []
         assert rx.status is Status.AWAITING_ROOT_KEY
         assert rx.trusted_key is None
-        # reset on the failed check: the round's other satellites have
-        # offered the last block again, and no earlier block is held
-        assert set(rx._dsm.blocks) == {DSM_BLOCKS - 1}
+        # every satellite completed its own message in the last round, and
+        # each failed check dropped that satellite's blocks only
+        assert sorted(rx._dsm) == sorted(small_bundle.sat_states)
+        assert all(dsm.blocks == {} for dsm in rx._dsm.values())
+
+
+def _acquisition(streams):
+    """The GST of the round in which a receiver fed the streams acquires
+    the root key, or None when it never does."""
+    t0, round_events = shifted_stream(streams)
+    rx = Receiver(AlternateThreshold(30000), LrtSource(),
+                  _poison_bundle().pubkey)
+    rx.power_on(GST0, true_ms=t0)
+    for r in range(len(streams[1])):
+        rx.ingest_round(round_events(r))
+        if rx.trusted_key is not None:
+            return rx.timeline[-1][0]
+    return None
+
+
+@functools.cache
+def _poison_bundle():
+    return generate_synthetic_constellation(seed=7, n_sats=8, n_subframes=32,
+                                            gst0=GST0)
+
+
+@pytest.mark.parametrize("prn", [1, 8])
+def test_one_satellite_cannot_block_root_key_acquisition(prn):
+    """One satellite of eight broadcasts every HKROOT block with one payload
+    bit flipped, resealed: it fails its own root message, and the receiver
+    still acquires the root key in the round the clean broadcast gives."""
+    streams = dict(_poison_bundle().streams)
+    clean = _acquisition(streams)
+    assert clean == Gst(1251, 277380)
+    stream = streams[prn]
+    blobs = [(nav, hkroot[:5] + bytes([hkroot[5] ^ 0x10]) + hkroot[6:], mack)
+             for nav, hkroot, mack in stream.blobs()]
+    streams[prn] = Stream(stream.gst, prn, seal_pages(blobs))
+    assert _acquisition(streams) == clean
 
 
 def test_no_verdicts_before_osnma_start(small_bundle):
@@ -292,7 +332,7 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
     round's GST, and its authenticated hold exactly the PRNs of its
     authentic verdicts, each with the nav data broadcast at the verdict's
     GST."""
-    broadcast = small_bundle.subframes
+    broadcast = small_bundle.vectors.subframes()
     events = live_events(broadcast)
     for round_idx, prn, slot in drops:
         events = _drop(events, prn, round_idx, slot)
@@ -382,9 +422,9 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     bit flipped, resealed or not, round by round: nothing escapes
     ingest_round, and every authentic verdict names a received subframe
     whose nav data is the one broadcast at its GST and PRN."""
-    broadcast = small_bundle.subframes
+    broadcast = small_bundle.vectors.subframes()
     rounds = len(broadcast[1])
-    t0, round_events = shifted_stream(broadcast)
+    t0, round_events = shifted_stream(small_bundle.streams)
     rx = _receiver(small_bundle)
     rx.power_on(GST0, true_ms=t0)
     received = {}
@@ -424,12 +464,13 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     whole run by index, with a zero key broadcast at each (round, PRN) of
     bad_keys and pages moved as in the soundness test; its timeline ends at
     its status after every round, and the two timelines are equal."""
-    broadcast = {prn: list(sfs) for prn, sfs in small_bundle.subframes.items()}
+    broadcast = small_bundle.vectors.subframes()
     for r, prn in bad_keys:
         tags = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
         broadcast[prn][r] = _with_mack(broadcast[prn][r],
                                        pack_mack(tags, bytes(16)))
-    t0, round_events = shifted_stream(broadcast)
+    t0, round_events = shifted_stream(
+        {prn: Stream.of(sfs) for prn, sfs in broadcast.items()})
     windows = _moved_rounds(round_events, len(broadcast[1]), moves)
     policy, lrt = gate
     rx = _receiver(small_bundle, policy=policy, lrt=lrt,

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import gc
 import hashlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import types
 from functools import partial
 from pathlib import Path
 
@@ -20,6 +22,7 @@ import osnmasim.positioning
 import osnmasim.receiver
 import osnmasim.scenario
 from osnmasim.navdata import build_nav_data, parse_nav_data
+from osnmasim.pages import SUBFRAME_BYTES
 from osnmasim.receiver import Outcome
 from osnmasim.scenario import (
     ATTACKS,
@@ -804,15 +807,14 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     read them (the observations, the receiver's tag and key checks, each
     fix): on a run of long_clean's size, reception unpacks each round's
     subframes in one call, the observations unpack each satellite's bundle
-    subframes in one call and forge its ranges in one, and each distinct
+    stream in one call and forge its ranges in one, and each distinct
     fix is solved and put in report form once."""
     unpacks = []
-    unpack = osnmasim.pages.unpack_pages
+    unpack = osnmasim.pages._unpack
 
-    def counting(slots):
-        slots = list(slots)
-        unpacks.append(len(slots))
-        return unpack(slots)
+    def counting(joined):
+        unpacks.append(len(joined) // SUBFRAME_BYTES)
+        return unpack(joined)
 
     def tallying(module, name, tally):
         fn = getattr(module, name)
@@ -834,8 +836,7 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
         received.extend(subframes.values())
         return subframes
 
-    for module in (osnmasim.pages, osnmasim.scenario):
-        monkeypatch.setattr(module, "unpack_pages", counting)
+    monkeypatch.setattr(osnmasim.pages, "_unpack", counting)
     monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", recording)
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)
@@ -846,28 +847,63 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     assert unpacks == [128] * 8 + [8] * 128
     assert [len(sats) for _, _, sats in forges] == [128] * 8
     assert 0 < len(solves) == len(reports) < 8
-    bundle = osnmasim.scenario._constellation(
+
+
+def _bundle_of(sc):
+    return osnmasim.scenario._constellation(
         sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    assert all(sf.blobs is None for sfs in bundle.subframes.values()
-               for sf in sfs)
 
 
 def test_shipped_scenarios_leave_the_bundle_subframes_bare():
     """The bundle is read-only: after the nine shipped scenarios (replays,
-    forgeries and splices of its subframes) in one process, no bundle
-    subframe holds anything but its GST, PRN and bytes."""
+    forgeries and splices of its streams) in one process, each bundle
+    stream holds only its GST, PRN and bytes, those of a fresh build."""
     osnmasim.scenario._constellation.cache_clear()
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     for path in paths:
         run_scenario(Scenario.load(path))
     sc = Scenario.load(paths[-1])
-    bundle = osnmasim.scenario._constellation(
+    streams = _bundle_of(sc).streams
+    fresh = generate_synthetic_constellation(
         sc.seed, sc.n_sats, sc.n_subframes, sc.gst0, sc.site, sc.seg_count)
-    subframes = [sf for sfs in bundle.subframes.values() for sf in sfs]
-    assert len(subframes) == sc.n_sats * sc.n_subframes
-    for sf in subframes:
-        assert set(vars(sf)) == {"gst", "prn", "raws", "blobs"}
-        assert sf.blobs is None
+    assert streams == fresh.streams
+    for stream in streams.values():
+        assert set(vars(stream)) == {"gst", "prn", "pages"}
+        assert len(stream) == sc.n_subframes
+
+
+def _reachable(root) -> list:
+    """Every object reachable from root by reference, not followed into
+    classes, modules or functions."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType,
+                                               types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_bundle_holds_each_satellite_stream_as_one_buffer():
+    """An 8x128 bundle, its observations read, holds each satellite's
+    sealed pages in one bytes object, 450 bytes a subframe: no per-page
+    bytes and no Subframe are kept anywhere in it."""
+    osnmasim.scenario._constellation.cache_clear()
+    sc = _scenario({"type": "none"}, subframes=128)
+    run_scenario(sc)
+    bundle = _bundle_of(sc)
+    assert [len(stream.pages) for stream in bundle.streams.values()] == \
+        [128 * SUBFRAME_BYTES] * 8
+    held = _reachable(bundle)
+    assert all(type(stream.pages) is bytes
+               and any(obj is stream.pages for obj in held)
+               for stream in bundle.streams.values())
+    assert not any(isinstance(obj, osnmasim.pages.Subframe) for obj in held)
+    assert not any(isinstance(obj, bytes)
+                   and len(obj) == osnmasim.pages.PAGE_BYTES for obj in held)
 
 
 def _traced_peak(subframes: int) -> int:
@@ -889,12 +925,14 @@ def test_memory_per_subframe_is_bounded():
     """Page events are made one round at a time, so a longer run holds
     more of only what grows with it: sealed pages, verdicts and the
     report.  From 8x32 to 8x128 the traced peak grows by at most
-    3.5 KB per added subframe (whole-run event lists took about 6.5 KB).
+    1.8 KB per added subframe (whole-run event lists took about 6.5 KB,
+    and 15 page objects and a Subframe per generated subframe about
+    2.2 KB).
     An untraced warm-up run first loads what any run loads once (numpy is
     imported at the first solve), whichever tests ran before."""
     run_scenario(_scenario({"type": "none"}, subframes=4))
     growth = (_traced_peak(128) - _traced_peak(32)) / (8 * 96)
-    assert growth <= 3500, growth
+    assert growth <= 1800, growth
 
 
 def test_pages_are_sealed_a_satellite_and_checked_a_round_at_a_time(
@@ -929,13 +967,13 @@ def test_pages_are_sealed_a_satellite_and_checked_a_round_at_a_time(
 
 def test_forgery_encodes_only_the_forged_stream(monkeypatch):
     """A tsf run never replays the authentic stream: its one replay is of
-    the forged subframes."""
+    the forged streams."""
     replayed = []
     replay = osnmasim.attacks.replay_realtime
 
-    def recording(subframes, delay_ms):
-        replayed.append(subframes)
-        return replay(subframes, delay_ms)
+    def recording(streams, delay_ms):
+        replayed.append(streams)
+        return replay(streams, delay_ms)
 
     monkeypatch.setattr(osnmasim.attacks, "replay_realtime", recording)
     osnmasim.scenario._constellation.cache_clear()
@@ -946,8 +984,9 @@ def test_forgery_encodes_only_the_forged_stream(monkeypatch):
                                               sc.n_subframes, sc.gst0,
                                               sc.site, sc.seg_count)
     assert len(replayed) == 1 and len(replayed[0]) == 4
-    assert all(replayed[0][prn][0] != sfs[0]
-               for prn, sfs in bundle.subframes.items())
+    assert all(replayed[0][prn].pages[:SUBFRAME_BYTES]
+               != stream.pages[:SUBFRAME_BYTES]
+               for prn, stream in bundle.streams.items())
 
 
 def test_shared_constellation_does_not_leak_between_scenarios(tmp_path):
@@ -1003,9 +1042,9 @@ def test_consecutive_equal_constellations_build_once(monkeypatch):
 def test_bundle_is_read_only(small_bundle):
     with pytest.raises(dataclasses.FrozenInstanceError):
         small_bundle.gst0 = small_bundle.gst0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_bundle.streams[1].pages = small_bundle.streams[2].pages
     with pytest.raises(TypeError):
-        small_bundle.subframes[1][0] = small_bundle.subframes[1][1]
-    with pytest.raises(TypeError):
-        small_bundle.subframes[1] = ()
+        small_bundle.streams[1] = small_bundle.streams[2]
     with pytest.raises(TypeError):
         small_bundle.observations[next(iter(small_bundle.observations))] = 0.0

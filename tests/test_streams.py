@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import stream_reference as ref
 from osnmasim.gst import Gst, LrtSource
-from osnmasim.pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe
+from osnmasim.pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Stream, Subframe
 from osnmasim.scenario import ATTACKS, live_events
 
 GST0 = Gst(1251, 277200)
@@ -29,7 +29,8 @@ def _subframes(sats: int, n_subframes: int) -> dict:
 
 
 def _stream(attack: str, values: dict, subframes: dict) -> tuple:
-    bundle = SimpleNamespace(subframes=subframes, gst0=GST0, observations={})
+    streams = {prn: Stream.of(sfs) for prn, sfs in subframes.items()}
+    bundle = SimpleNamespace(streams=streams, gst0=GST0, observations={})
     (t0, round_events), _, _ = ATTACKS[attack][1](
         values, SimpleNamespace(lrt=LrtSource()), bundle)
     return t0, round_events

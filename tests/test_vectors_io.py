@@ -13,7 +13,8 @@ REFERENCE_PAGE = "054bc11429a07f9fc009c6875d2a80aaaab21d69f9a18e29635cf8ec0100"
 
 
 def _bundle_subframes(bundle) -> dict:
-    return {prn: list(sfs) for prn, sfs in sorted(bundle.subframes.items())}
+    return {prn: stream.subframes()
+            for prn, stream in sorted(bundle.streams.items())}
 
 
 def test_save_load_round_trip(small_bundle, tmp_path):
@@ -30,7 +31,7 @@ def test_save_load_round_trip(small_bundle, tmp_path):
 def test_subframes_round_trip(small_bundle):
     rebuilt = TestVectorSet.from_subframes(small_bundle.vectors.subframes())
     assert rebuilt.subframes() == _bundle_subframes(small_bundle)
-    assert list(rebuilt.subframes()) == sorted(small_bundle.subframes)
+    assert list(rebuilt.subframes()) == sorted(small_bundle.streams)
 
 
 def test_subframes_are_fresh_lists(small_bundle):
@@ -40,7 +41,7 @@ def test_subframes_are_fresh_lists(small_bundle):
 
 
 def test_from_subframes_rejects_a_destroyed_slot(small_bundle):
-    sf = small_bundle.subframes[1][0]
+    sf = small_bundle.streams[1].subframes()[0]
     broken = Subframe(gst=sf.gst, prn=sf.prn, raws=(None,) + sf.raws[1:])
     with pytest.raises(ValueError, match="intact pages only"):
         TestVectorSet.from_subframes({1: [sf, broken]})
@@ -134,7 +135,7 @@ def test_corrupted_page_crc_error(small_bundle, tmp_path):
 
 def test_reference_page_loads_crc_valid(small_bundle, tmp_path):
     """A vector file embedding the intact reference page validates."""
-    sf = small_bundle.subframes[1][0]
+    sf = small_bundle.streams[1].subframes()[0]
     raws = sf.raws[:12] + (bytes.fromhex(REFERENCE_PAGE),) + sf.raws[13:]
     path = tmp_path / "embed.csv"
     TestVectorSet.from_subframes(
@@ -271,7 +272,7 @@ def test_range_limits_load(small_bundle, tmp_path, column, value):
     _with_column(path, column, value, range(1, 16))
     loaded = TestVectorSet.load(path).subframes()
     assert sum(map(len, loaded.values())) == \
-        sum(map(len, small_bundle.subframes.values()))
+        sum(map(len, small_bundle.streams.values()))
 
 
 @pytest.mark.parametrize("column,value", [
