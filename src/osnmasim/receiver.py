@@ -6,7 +6,9 @@ rolling three-subframe window in which the navigation data of subframe i
 is checked against the tags of subframe i+1 using the key disclosed in
 subframe i+2.  A destroyed round discards the pipeline and suspends
 authentication; three fresh complete subframes restore it without
-re-verifying the root key.
+re-verifying the root key.  Each round's verdicts, status changes and
+GST-LRT delta leave in its RoundResult: the receiver keeps only what it
+decides with.
 """
 
 from __future__ import annotations
@@ -72,10 +74,12 @@ class AuthResult:
 
 @dataclass
 class RoundResult:
-    gst: Gst
+    gst: Gst                        # the round's slot on the power-on grid
     subframes: dict                 # prn -> Subframe
     navs: dict                      # prn -> NavFields, complete subframes
-    verdicts: list = field(default_factory=list)
+    delta_ms: int                   # LRT - GST at the subframe's completion
+    changes: list = field(default_factory=list)         # (gst or None, Status)
+    verdicts: list = field(default_factory=list)        # AuthResults
     authenticated: dict = field(default_factory=dict)   # prn -> NavFields
 
 
@@ -91,14 +95,13 @@ class Receiver:
         self.key_reject_threshold = key_reject_threshold
         self.trusted_key: TeslaKey | None = None
         self.pending: dict = {}          # prn -> deque of (Subframe, NavFields)
-        self.verdicts: list = []
-        self.timeline: list = []         # (gst or None, status) per change
-        self.deltas_ms: list = []        # one per round ingested
         self.key_rejections = 0
+        self.status = Status.COLD_START
+        self._changes = [(None, Status.COLD_START)]  # for the next result
         self._dsm: dict = {}             # prn -> DsmAccumulator
         self._pubkey = load_public_key_point(pubkey)
         self._grid: tuple | None = None  # (first GST, its window start ms)
-        self._enter(Status.COLD_START, None)
+        self._round = 0                  # index of the next round
 
     def power_on(self, first_gst: Gst, true_ms: int) -> Status:
         """Run the TS gate against the first observed subframe boundary,
@@ -123,29 +126,29 @@ class Receiver:
         navs holds each complete subframe's nav data, parsed once whatever
         the status; only the OSNMA pipeline is gated on a successful TS
         startup.  authenticated holds, by PRN, the nav data of the subframe
-        each authentic verdict names.
-        """
+        each authentic verdict names.  changes holds the status changes
+        since the previous round, round 0's opening with cold start and the
+        TS gate's."""
         if self._grid is None:
             raise RuntimeError("receiver was never powered on")
         first_gst, true_ms = self._grid
-        r = len(self.deltas_ms)
+        r, self._round = self._round, self._round + 1
         gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)
         window_start_ms = true_ms + r * SUBFRAME_MS
-        # compare at subframe completion: content GST end vs LRT reading
-        self.deltas_ms.append(self.lrt.read(window_start_ms + SUBFRAME_MS)
-                              - gst.total_millis() - SUBFRAME_MS)
         prns = sorted(self.pending.keys() | events_by_prn.keys())
         subframes = assemble_rounds(events_by_prn, gst, prns, window_start_ms)
         result = RoundResult(gst, subframes, {
             prn: parse_nav_data(sf.nav_data)
-            for prn, sf in subframes.items() if sf.complete})
-        if self.status in (Status.COLD_START, Status.TS_FAILED):
-            return result
+            for prn, sf in subframes.items() if sf.complete},
+            # compare at subframe completion: content GST end vs LRT reading
+            self.lrt.read(window_start_ms + SUBFRAME_MS)
+            - gst.total_millis() - SUBFRAME_MS)
+        running = self.status not in (Status.COLD_START, Status.TS_FAILED)
 
         # windows verify against the key trusted at the round's start, or the
         # root key acquired in it; the newest authentic key is trusted next
         advanced: TeslaKey | None = None
-        for prn, sf in subframes.items():
+        for prn, sf in subframes.items() if running else ():
             if not sf.complete:
                 self.pending.pop(prn, None)
                 if self.status is Status.AUTHENTICATING:
@@ -167,28 +170,16 @@ class Receiver:
                 result.authenticated[prn] = window[0][1]
         if advanced is not None:
             self.trusted_key = advanced
-        self.verdicts.extend(result.verdicts)
+        result.changes, self._changes = self._changes, []
         return result
-
-    def report(self) -> dict:
-        return {
-            "status": self.status.value,
-            "timeline": [
-                {"gst": g.as_dict() if g else None, "status": s.value}
-                for g, s in self.timeline
-            ],
-            "verdicts": [v.as_dict() for v in self.verdicts],
-            "gst_lrt_delta_ms": list(self.deltas_ms),
-            "rounds": len(self.deltas_ms),
-        }
 
     # -- internals -----------------------------------------------------------
 
     def _enter(self, status: Status, gst) -> None:
-        """The one status setter: a change is appended to the timeline."""
-        if not self.timeline or status is not self.status:
+        """The one status setter: a change is kept for the next result."""
+        if status is not self.status:
             self.status = status
-            self.timeline.append((gst, status))
+            self._changes.append((gst, status))
 
     def _feed_dsm(self, prn: int, hkroot: bytes, gst: Gst) -> None:
         """Fed only in AWAITING_ROOT_KEY.  Each satellite's blocks are

@@ -70,8 +70,6 @@ DEFAULT_SITE = (45.0, 7.6, 240.0)          # lat deg, lon deg, height m
 SAT_RANGE_M = (22e6, 27e6)                 # site-to-satellite ranges drawn
 DEFAULT_GST0 = Gst(1251, 277200)
 
-_FAILURE_OUTCOMES = (Outcome.KEY_REJECTED, Outcome.TAG_MISMATCH)
-
 
 @dataclass(frozen=True)
 class ConstellationBundle:
@@ -474,17 +472,20 @@ def _solve(inputs: tuple):
         return str(exc)
 
 
-def run_scenario(sc: Scenario) -> dict:
-    """Execute one scenario and return the JSON-ready report.
+def _authentic_gst(result) -> Gst:
+    """The GST of the data that a round's authentic verdicts name."""
+    return next(v.gst for v in result.verdicts
+                if v.outcome is Outcome.AUTHENTIC)
 
-    The most recent constellation is kept: consecutive scenarios with equal
-    constellation inputs (seed, sizes, start GST, site, tag count) share one
-    build and its observations.  Page events are made one round at a time,
-    as the receiver takes them.  Each round gives a raw fix from the nav
-    data the receiver parsed that round and, with four or more authentic
-    verdicts, an authenticated fix from the nav data it names for them,
-    keyed by their GST.  Equal solver inputs are solved, and their fix put
-    in report form, once per run; no solver result outlives the run."""
+
+def simulate(sc: Scenario):
+    """Execute one scenario, yielding (RoundResult, raw fix, authenticated
+    fix or None) for each round as the receiver ingests it.  Consecutive
+    scenarios with equal constellation inputs (seed, sizes, start GST, site,
+    tag count) share one build.  The raw fix is solved from the nav data
+    parsed that round, the authenticated fix, with four or more authentic
+    verdicts, from the nav data they name; both in report form, solved once
+    per run for equal inputs, and no solver result outlives the run."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
@@ -498,30 +499,38 @@ def run_scenario(sc: Scenario) -> dict:
         fix = _solve(inputs)
         return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
 
-    raw_fixes = []
-    auth_fixes = {}
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r))
-        raw_fixes.append(fix_report(
-            _solver_inputs(result.gst, result.navs, obs)))
-        if len(result.authenticated) >= 4:
-            gst = next(v.gst for v in result.verdicts
-                       if v.outcome is Outcome.AUTHENTIC)
-            auth_fixes[str(gst.total_seconds())] = fix_report(
-                _solver_inputs(gst, result.authenticated, obs))
+        raw = fix_report(_solver_inputs(result.gst, result.navs, obs))
+        yield result, raw, (fix_report(_solver_inputs(
+            _authentic_gst(result), result.authenticated, obs))
+            if len(result.authenticated) >= 4 else None)
 
-    failure = any(v.outcome in _FAILURE_OUTCOMES for v in receiver.verdicts)
+
+def run_scenario(sc: Scenario) -> dict:
+    """The JSON-ready report: simulate's records folded, each authenticated
+    fix keyed by the GST of the data it was solved from."""
+    changes, verdicts, deltas, raw_fixes, auth_fixes = [], [], [], [], {}
+    for result, raw, auth in simulate(sc):
+        changes += result.changes
+        verdicts += result.verdicts
+        deltas.append(result.delta_ms)
+        raw_fixes.append(raw)
+        if auth is not None:
+            auth_fixes[str(_authentic_gst(result).total_seconds())] = auth
     return {
-        "scenario": {
-            "name": sc.name,
-            "seed": sc.seed,
-            "attack": sc.attack,
-            "duration_rounds": sc.duration_rounds,
-        },
-        "receiver": receiver.report(),
-        "raw_fixes": raw_fixes,
-        "auth_fixes": auth_fixes,
-        "exit_code": 2 if failure else 0,
+        "scenario": {"name": sc.name, "seed": sc.seed, "attack": sc.attack,
+                     "duration_rounds": sc.duration_rounds},
+        "receiver": {
+            "status": changes[-1][1].value,
+            "timeline": [{"gst": g.as_dict() if g else None, "status": s.value}
+                         for g, s in changes],
+            "verdicts": [v.as_dict() for v in verdicts],
+            "gst_lrt_delta_ms": deltas, "rounds": len(deltas)},
+        "raw_fixes": raw_fixes, "auth_fixes": auth_fixes,
+        "exit_code": 2 if any(v.outcome in (Outcome.KEY_REJECTED,
+                                            Outcome.TAG_MISMATCH)
+                              for v in verdicts) else 0,
     }
 
 

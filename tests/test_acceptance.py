@@ -373,15 +373,15 @@ def test_criterion_7e_ima_resume_property(ima_bundle):
                       ima_bundle.pubkey)
         t0, windows = rounds(events, n_rounds, GST0.total_millis())
         rx.power_on(GST0, t0)
-        for window in windows:
-            rx.ingest_round(window)
+        verdicts = [v for window in windows
+                    for v in rx.ingest_round(window).verdicts]
         got = {(v.gst.total_seconds() - GST0.total_seconds()) // 30
-               for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC}
+               for v in verdicts if v.outcome is Outcome.AUTHENTIC}
         expected = {r for r in range(4, n_rounds - 2)
                     if not {r, r + 1, r + 2} & destroyed}
         violations += len(got.symmetric_difference(expected))
         discarded = {(v.gst.total_seconds() - GST0.total_seconds()) // 30
-                     for v in rx.verdicts
+                     for v in verdicts
                      if v.outcome is Outcome.DISCARDED_INCOMPLETE}
         violations += len(discarded.symmetric_difference(destroyed))
     assert violations == 0

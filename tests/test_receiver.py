@@ -25,8 +25,19 @@ from osnmasim.pages import (
 import osnmasim.receiver
 from osnmasim import tesla
 from osnmasim.receiver import Outcome, Receiver, Status
-from osnmasim.scenario import generate_synthetic_constellation, live_events
-from osnmasim.tesla import DSM_BLOCKS, generate_keypair, public_key_point
+from osnmasim.scenario import (
+    Scenario,
+    generate_synthetic_constellation,
+    live_events,
+    run_scenario,
+)
+from osnmasim.tesla import (
+    DSM_BLOCKS,
+    DSM_BODY_BYTES,
+    DSM_PAYLOAD_BYTES,
+    generate_keypair,
+    public_key_point,
+)
 import receiver_reference
 import stream_reference
 from page_reference import destroyed_slots, flip_page_bit
@@ -103,9 +114,8 @@ def test_windows_sit_on_the_power_on_grid(small_bundle, skew_ms):
     for skew in (0, skew_ms):
         rx = _receiver(small_bundle)
         assert rx.power_on(GST0, t0 + skew) is Status.AWAITING_ROOT_KEY
-        for r in range(n_rounds):
-            rx.ingest_round(round_events(r))
-        outcomes[skew] = [v.outcome for v in rx.verdicts]
+        outcomes[skew] = [v.outcome for r in range(n_rounds)
+                          for v in rx.ingest_round(round_events(r)).verdicts]
     assert outcomes[0] and set(outcomes[0]) == {Outcome.AUTHENTIC}
     assert outcomes[skew_ms] == \
         [Outcome.DISCARDED_INCOMPLETE] * (n_rounds * sats)
@@ -166,18 +176,22 @@ def test_root_key_is_parsed_only_once_its_signature_verifies(
         assert all(dsm.blocks == {} for dsm in rx._dsm.values())
 
 
-def _acquisition(streams):
-    """The GST of the round in which a receiver fed the streams acquires
-    the root key, or None when it never does."""
+def _acquisition(streams, rounds=None):
+    """The GST of the round in which a receiver fed the streams (their first
+    rounds, by default all) acquires the root key, read off its status
+    changes, and the round results up to it; the GST is None when it never
+    does."""
     t0, round_events = shifted_stream(streams)
     rx = Receiver(AlternateThreshold(30000), LrtSource(),
                   _poison_bundle().pubkey)
     rx.power_on(GST0, true_ms=t0)
-    for r in range(len(streams[1])):
-        rx.ingest_round(round_events(r))
-        if rx.trusted_key is not None:
-            return rx.timeline[-1][0]
-    return None
+    results = []
+    for r in range(rounds or len(streams[1])):
+        results.append(rx.ingest_round(round_events(r)))
+        for gst, status in results[-1].changes:
+            if status is Status.AUTHENTICATING:
+                return gst, results
+    return None, results
 
 
 @functools.cache
@@ -192,13 +206,68 @@ def test_one_satellite_cannot_block_root_key_acquisition(prn):
     bit flipped, resealed: it fails its own root message, and the receiver
     still acquires the root key in the round the clean broadcast gives."""
     streams = dict(_poison_bundle().streams)
-    clean = _acquisition(streams)
+    clean, _ = _acquisition(streams)
     assert clean == Gst(1251, 277380)
     stream = streams[prn]
     blobs = [(nav, hkroot[:5] + bytes([hkroot[5] ^ 0x10]) + hkroot[6:], mack)
              for nav, hkroot, mack in stream.blobs()]
     streams[prn] = Stream(stream.gst, prn, seal_pages(blobs))
-    assert _acquisition(streams) == clean
+    assert _acquisition(streams)[0] == clean
+
+
+def _poisoned(hkroot: bytes, pick: int, mask: int) -> bytes:
+    """An HKROOT block with one payload byte that carries the block count,
+    body or signature XORed with mask: the block's byte pick modulo those
+    it carries."""
+    start = hkroot[1] * DSM_PAYLOAD_BYTES
+    carried = min(DSM_PAYLOAD_BYTES, DSM_BODY_BYTES - start)
+    i = 2 + pick % carried
+    return hkroot[:i] + bytes([hkroot[i] ^ mask]) + hkroot[i + 1:]
+
+
+_ACQUISITION_ROUNDS = 2 * DSM_BLOCKS
+_ALL_PRNS = frozenset(range(1, 9))
+
+
+@settings(deadline=None)        # example count from the active profile
+@given(st.one_of(st.just(_ALL_PRNS), st.sets(st.integers(1, 8), min_size=1,
+                                             max_size=7)),
+       st.integers(0, _ACQUISITION_ROUNDS - 1),
+       st.integers(0, _ACQUISITION_ROUNDS - 1),
+       st.integers(0, DSM_BODY_BYTES - 1), st.integers(1, 255))
+@example(_ALL_PRNS, 0, DSM_BLOCKS - 1, 0, 1)
+@example(_ALL_PRNS, 0, _ACQUISITION_ROUNDS - 1, 86, 0x80)
+@example(frozenset({1}), 0, _ACQUISITION_ROUNDS - 1, 40, 0xFF)
+def test_poisoned_hkroot_blocks_delay_acquisition_by_whole_cycles(
+        prns, start, end, pick, mask):
+    """Every HKROOT block the poisoned PRNs send in rounds start..end (either
+    order) has one payload byte flipped and its pages resealed.  The root key
+    is acquired at the end of the first DSM cycle that some PRN sends
+    clean: in the clean run's round while any PRN is clean, one cycle later
+    when every PRN is poisoned within the first cycle, and never, with no
+    verdict, when every PRN is poisoned for the whole run."""
+    first, last = sorted((start, end))
+    streams = dict(_poison_bundle().streams)
+    for prn in prns:
+        blobs = streams[prn].blobs()
+        for r in range(first, last + 1):
+            nav, hkroot, mack = blobs[r]
+            blobs[r] = nav, _poisoned(hkroot, pick, mask), mack
+        streams[prn] = Stream(streams[prn].gst, prn, seal_pages(blobs))
+    gst, results = _acquisition(streams, _ACQUISITION_ROUNDS)
+
+    # the first DSM cycle k (rounds 7k to 7k + 6) that some PRN sends clean
+    cycle = next((k for k in range(2) if prns != _ALL_PRNS
+                  or last < DSM_BLOCKS * k or first >= DSM_BLOCKS * (k + 1)),
+                 None)
+    if cycle is None:
+        assert gst is None
+        assert [s for result in results for _, s in result.changes][-1] \
+            is Status.AWAITING_ROOT_KEY
+        assert not any(result.verdicts for result in results)
+    else:
+        # cycle 0 ends in the clean run's round 6, at tow 277380
+        assert gst == GST0.add_seconds(30 * (DSM_BLOCKS * (cycle + 1) - 1))
 
 
 def test_no_verdicts_before_osnma_start(small_bundle):
@@ -212,18 +281,31 @@ def test_no_verdicts_before_osnma_start(small_bundle):
 
 
 def test_fresh_report_is_empty(small_bundle):
-    rx = _receiver(small_bundle)
-    rep = rx.report()
+    """A fresh receiver is cold; one that stays cold hands over only its
+    cold start and no verdicts, and so does the report folded from it."""
+    rx = _receiver(small_bundle, policy=SymmetricBound(15000),
+                   lrt=LrtSource(error_bound_ms=20000))
+    assert rx.status is Status.COLD_START
+    rx.power_on(GST0, GST0.total_millis())
+    result = rx.ingest_round({})
+    assert result.changes == [(None, Status.COLD_START)]
+    assert result.verdicts == []
+    rep = run_scenario(Scenario.from_dict({
+        "receiver": {"policy": {"type": "symmetric", "b_s": 15},
+                     "lrt_error_bound_s": 20},
+        "constellation": {"sats": 4, "subframes": 1}}))["receiver"]
     assert rep["verdicts"] == []
     assert rep["status"] == "cold_start"
+    assert rep["timeline"] == [{"gst": None, "status": "cold_start"}]
 
 
 def test_ts_failed_recorded_in_timeline(small_bundle):
     rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=32000))
     assert rx.power_on(GST0, GST0.total_millis()) is Status.TS_FAILED
-    rep = rx.report()
-    assert rep["status"] == "ts_failed"
-    assert rep["timeline"][-1]["status"] == "ts_failed"
+    assert rx.ingest_round({}).changes == \
+        [(None, Status.COLD_START), (GST0, Status.TS_FAILED)]
+    assert rx.ingest_round({}).changes == []
+    assert rx.status is Status.TS_FAILED
 
 
 def test_destroyed_round_suspends_then_recovers(small_bundle):
@@ -238,7 +320,7 @@ def test_destroyed_round_suspends_then_recovers(small_bundle):
     assert any(v.outcome is Outcome.DISCARDED_INCOMPLETE and v.prn == 2
                for v in round8.verdicts)
     assert rx.status is Status.AUTHENTICATING          # recovered by round 11
-    statuses = [s.value for _, s in rx.timeline]
+    statuses = [s.value for r in results for _, s in r.changes]
     assert "suspended" in statuses
     # resume verdict: three complete subframes after the gap authenticate
     # the first of them
@@ -313,10 +395,10 @@ def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     tags = unpack_mack(mack, n_tags=6)
     sfs[1][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx = _receiver(small_bundle)            # threshold 1
-    _drive(rx, live_events(sfs), 9)
+    results = _drive(rx, live_events(sfs), 9)
     assert rx.status is Status.SPOOF_DETECTED
     # once flagged, no further verdicts of any kind
-    tail = [v for v in rx.verdicts
+    tail = [v for r in results for v in r.verdicts
             if v.gst.total_seconds() > GST0.total_seconds() + 30 * 4]
     assert tail == []
 
@@ -360,12 +442,18 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
 
 
 def test_report_shape(small_bundle):
+    """Each round carries its GST-LRT delta, and the report folds one per
+    round with every verdict as a gst, prn and outcome."""
     rx = _receiver(small_bundle)
-    _drive(rx, live_events(small_bundle.vectors.subframes()), 10)
-    rep = rx.report()
+    results = _drive(rx, live_events(small_bundle.vectors.subframes()), 10)
+    assert [r.delta_ms for r in results] == [0] * 10
+    rep = run_scenario(Scenario.from_dict({
+        "constellation": {"sats": 4, "subframes": 12},
+        "duration_rounds": 10}))["receiver"]
     assert rep["rounds"] == 10
     assert len(rep["gst_lrt_delta_ms"]) == 10
     assert all(d == 0 for d in rep["gst_lrt_delta_ms"])
+    assert rep["verdicts"]
     assert all(set(v) == {"gst", "prn", "outcome"} for v in rep["verdicts"])
 
 
@@ -427,18 +515,19 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     t0, round_events = shifted_stream(small_bundle.streams)
     rx = _receiver(small_bundle)
     rx.power_on(GST0, true_ms=t0)
-    received = {}
+    received, verdicts = {}, []
     for events in _moved_rounds(round_events, rounds, moves):
         result = rx.ingest_round(events)
         received.update(((sf.gst, prn), sf)
                         for prn, sf in result.subframes.items())
-    authentic = [v for v in rx.verdicts if v.outcome is Outcome.AUTHENTIC]
+        verdicts += result.verdicts
+    authentic = [v for v in verdicts if v.outcome is Outcome.AUTHENTIC]
     for v in authentic:
         r = (v.gst.total_seconds() - GST0.total_seconds()) // 30
         assert received[(v.gst, v.prn)].nav_data == \
             broadcast[v.prn][r].nav_data
     if not moves:
-        assert authentic and len(authentic) == len(rx.verdicts)
+        assert authentic and len(authentic) == len(verdicts)
 
 
 @st.composite
@@ -462,8 +551,9 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     """Round by round, the receiver's subframes, verdicts, authenticated
     nav data and status are those the literal reference derives from the
     whole run by index, with a zero key broadcast at each (round, PRN) of
-    bad_keys and pages moved as in the soundness test; its timeline ends at
-    its status after every round, and the two timelines are equal."""
+    bad_keys and pages moved as in the soundness test; the status changes
+    its rounds hand over end at its status after every round, and joined
+    they equal the reference's timeline."""
     broadcast = small_bundle.vectors.subframes()
     for r, prn in bad_keys:
         tags = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
@@ -478,11 +568,13 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     ref = receiver_reference.run(policy, lrt, small_bundle.pubkey, GST0, t0,
                                  windows, key_reject_threshold=threshold)
     rx.power_on(GST0, true_ms=t0)
+    timeline = []
     for r, events in enumerate(windows):
         result = rx.ingest_round(events)
         assert list(result.subframes.items()) == \
             list(ref.subframes[r].items())
         assert result.verdicts == ref.verdicts[r]
         assert result.authenticated == ref.authenticated[r]
-        assert rx.timeline[-1][1] is rx.status is ref.statuses[r]
-    assert rx.timeline == ref.timeline
+        timeline += result.changes
+        assert timeline[-1][1] is rx.status is ref.statuses[r]
+    assert timeline == ref.timeline

@@ -33,6 +33,7 @@ from osnmasim.scenario import (
     diff_reports,
     generate_synthetic_constellation,
     run_scenario,
+    simulate,
     write_report,
 )
 from osnmasim.vectors import CrcError, TestVectorSet
@@ -904,6 +905,48 @@ def test_a_bundle_holds_each_satellite_stream_as_one_buffer():
     assert not any(isinstance(obj, osnmasim.pages.Subframe) for obj in held)
     assert not any(isinstance(obj, bytes)
                    and len(obj) == osnmasim.pages.PAGE_BYTES for obj in held)
+
+
+def _recording_receivers(monkeypatch) -> list:
+    """The receiver of each Receiver.ingest_round call, in call order."""
+    receivers = []
+    ingest = osnmasim.receiver.Receiver.ingest_round
+
+    def recording(self, events_by_prn):
+        receivers.append(self)
+        return ingest(self, events_by_prn)
+
+    monkeypatch.setattr(osnmasim.receiver.Receiver, "ingest_round", recording)
+    return receivers
+
+
+def test_simulate_is_lazy(monkeypatch):
+    """Taking the first record of an 8x128 baseline ingests one round, and
+    a run yields one record per round of its duration_rounds."""
+    receivers = _recording_receivers(monkeypatch)
+    records = simulate(_scenario({"type": "none"}, subframes=128))
+    next(records)
+    assert len(receivers) == 1
+    records.close()
+    receivers.clear()
+    sc = _scenario({"type": "none"}, subframes=14, duration_rounds=9)
+    assert sum(1 for _ in simulate(sc)) == len(receivers) == 9
+
+
+def test_receiver_state_does_not_grow_with_rounds(monkeypatch):
+    """On an 8x128 baseline, every sized attribute of the receiver has the
+    same length after round 16 as after round 128: what the report lists
+    round by round leaves in the round records."""
+    receivers = _recording_receivers(monkeypatch)
+    sizes = {}
+    for r, _ in enumerate(simulate(_scenario({"type": "none"},
+                                             subframes=128)), 1):
+        if r in (16, 128):
+            sizes[r] = {name: len(value)
+                        for name, value in vars(receivers[-1]).items()
+                        if hasattr(value, "__len__")}
+    assert sizes[16]["pending"] == 8
+    assert sizes[16] == sizes[128]
 
 
 def _traced_peak(subframes: int) -> int:
