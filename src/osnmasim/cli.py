@@ -75,7 +75,7 @@ def _cmd_forge_tsf(args) -> int:
                   forge_tags=not args.no_tags, iono_a0=args.iono_a0,
                   clock_bias_m=0.0).subframes()
               for prn, sfs in vectors.by_prn.items()}
-    TestVectorSet.from_subframes(forged).save(args.out)
+    TestVectorSet(forged).save(args.out)
     print(f"wrote {args.out}")
     return 0
 

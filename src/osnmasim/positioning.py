@@ -68,25 +68,29 @@ def geodetic_to_ecef(lat_deg: float, lon_deg: float, height_m: float) -> tuple:
 
 
 def ecef_to_geodetic(x: float, y: float, z: float) -> tuple:
-    """Iterative latitude recovery; converges to sub-millimetre height."""
+    """Iterative latitude recovery; converges to sub-millimetre height.
+
+    Within 10 km of the polar axis (and over 10 km from the equator plane)
+    p / cos(lat) is near 0 / 0 and loses kilometres, so the height is read
+    off z instead, as |z| / |sin(lat)| - n (1 - e^2)."""
     lon = math.atan2(y, x)
     p = math.hypot(x, y)
-    if p < 1e-9:
-        lat = math.copysign(math.pi / 2, z)
-        n = WGS84_A / math.sqrt(1.0 - WGS84_E2)
-        return (math.degrees(lat), math.degrees(lon), abs(z) - n * (1.0 - WGS84_E2))
+
+    def height(lat, n):
+        if p < 1e4 < abs(z):
+            return abs(z) / abs(math.sin(lat)) - n * (1.0 - WGS84_E2)
+        return p / math.cos(lat) - n
+
     lat = math.atan2(z, p * (1.0 - WGS84_E2))
     for _ in range(10):
         n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * math.sin(lat) ** 2)
-        height = p / math.cos(lat) - n
-        lat_new = math.atan2(z, p * (1.0 - WGS84_E2 * n / (n + height)))
+        lat_new = math.atan2(z, p * (1.0 - WGS84_E2 * n / (n + height(lat, n))))
         if abs(lat_new - lat) < 1e-14:
             lat = lat_new
             break
         lat = lat_new
     n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * math.sin(lat) ** 2)
-    height = p / math.cos(lat) - n
-    return (math.degrees(lat), math.degrees(lon), height)
+    return (math.degrees(lat), math.degrees(lon), height(lat, n))
 
 
 def forge_pseudoranges(target, t_r: float, sats) -> list:

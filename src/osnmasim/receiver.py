@@ -1,14 +1,15 @@
 """The simulated victim receiver.
 
-Drives the authentication pipeline round by round: time-synchronization
-gate at power-on, root-key acquisition over HKROOT blocks, then the
-rolling three-subframe window in which the navigation data of subframe i
-is checked against the tags of subframe i+1 using the key disclosed in
-subframe i+2.  A destroyed round discards the pipeline and suspends
-authentication; three fresh complete subframes restore it without
-re-verifying the root key.  Each round's verdicts, status changes and
-GST-LRT delta leave in its RoundResult: the receiver keeps only what it
-decides with.
+A Receiver is made powered on: its constructor runs the time-
+synchronization gate and fixes the round grid.  It then drives the
+authentication pipeline round by round: root-key acquisition over HKROOT
+blocks, then the rolling three-subframe window in which the navigation
+data of subframe i is checked against the tags of subframe i+1 using the
+key disclosed in subframe i+2.  A destroyed round discards the pipeline
+and suspends authentication; three fresh complete subframes restore it
+without re-verifying the root key.  Each round's verdicts, status changes
+and GST-LRT delta leave in its RoundResult: the receiver keeps only what
+it decides with.
 """
 
 from __future__ import annotations
@@ -84,12 +85,18 @@ class RoundResult:
 
 
 class Receiver:
-    """Single-owner mutable receiver state; one instance per scenario.
-    pubkey is the root public key as a compressed P-256 point."""
+    """Single-owner mutable receiver state, made powered on at its first
+    subframe boundary; one instance per scenario.  pubkey is the root
+    public key as a compressed P-256 point."""
 
-    def __init__(self, policy: TsPolicy, lrt: LrtSource, pubkey: bytes, *,
-                 seg_count: int = 6, key_reject_threshold: int = 1):
-        self.policy = policy
+    def __init__(self, policy: TsPolicy, lrt: LrtSource, pubkey: bytes,
+                 first_gst: Gst, true_ms: int, *, seg_count: int = 6,
+                 key_reject_threshold: int = 1):
+        """Power on: run the TS gate against the first observed subframe
+        boundary, and fix the round grid: round r is stamped first_gst +
+        r * 30 s and its window starts at true_ms + r * 30 s.  An LRT error
+        bound wider than a SymmetricBound's B keeps COLD_START: the LRT
+        needs calibrating first, and OSNMA never begins."""
         self.lrt = lrt
         self.seg_count = seg_count
         self.key_reject_threshold = key_reject_threshold
@@ -100,23 +107,13 @@ class Receiver:
         self._changes = [(None, Status.COLD_START)]  # for the next result
         self._dsm: dict = {}             # prn -> DsmAccumulator
         self._pubkey = load_public_key_point(pubkey)
-        self._grid: tuple | None = None  # (first GST, its window start ms)
+        self._grid = (first_gst, true_ms)  # round 0's GST and window start
         self._round = 0                  # index of the next round
-
-    def power_on(self, first_gst: Gst, true_ms: int) -> Status:
-        """Run the TS gate against the first observed subframe boundary,
-        and fix the round grid: round r is stamped first_gst + r * 30 s and
-        its window starts at true_ms + r * 30 s.  An LRT error bound wider
-        than a SymmetricBound's B keeps COLD_START: the LRT needs calibrating
-        first, and OSNMA never begins."""
-        self._grid = (first_gst, true_ms)
-        policy = self.policy
         if not (isinstance(policy, SymmetricBound)
-                and self.lrt.error_bound_ms > policy.b_ms):
-            passed = check_time_sync(first_gst, self.lrt.read(true_ms), policy)
+                and lrt.error_bound_ms > policy.b_ms):
+            passed = check_time_sync(first_gst, lrt.read(true_ms), policy)
             self._enter(Status.AWAITING_ROOT_KEY if passed
                         else Status.TS_FAILED, first_gst)
-        return self.status
 
     def ingest_round(self, events_by_prn: dict) -> RoundResult:
         """Assemble the next 30-s round per satellite and run the pipeline.
@@ -129,8 +126,6 @@ class Receiver:
         each authentic verdict names.  changes holds the status changes
         since the previous round, round 0's opening with cold start and the
         TS gate's."""
-        if self._grid is None:
-            raise RuntimeError("receiver was never powered on")
         first_gst, true_ms = self._grid
         r, self._round = self._round, self._round + 1
         gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)

@@ -44,7 +44,6 @@ from .pages import Stream, seal_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
-    Fix,
     NoConvergenceError,
     SatState,
     SingularGeometryError,
@@ -90,7 +89,7 @@ class ConstellationBundle:
     @property
     def vectors(self) -> TestVectorSet:
         """The subframes as a vector set."""
-        return TestVectorSet.from_subframes(
+        return TestVectorSet(
             {prn: stream.subframes() for prn, stream in self.streams.items()})
 
     @cached_property
@@ -461,17 +460,6 @@ def _solver_inputs(gst: Gst, navs: dict, obs: dict) -> tuple:
                  for prn, nav in sorted(navs.items()))
 
 
-def _solve(inputs: tuple):
-    """The Fix from (satellite, corrected range) pairs, or why none."""
-    if len(inputs) < 4:
-        return "fewer than four usable satellites"
-    sats, rhos = zip(*inputs)
-    try:
-        return solve_position(list(sats), list(rhos))
-    except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
-        return str(exc)
-
-
 def _authentic_gst(result) -> Gst:
     """The GST of the data that a round's authentic verdicts name."""
     return next(v.gst for v in result.verdicts
@@ -490,14 +478,20 @@ def simulate(sc: Scenario):
                             sc.site, sc.seg_count)
     (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
 
-    receiver = Receiver(sc.policy, lrt, bundle.pubkey, seg_count=sc.seg_count,
+    receiver = Receiver(sc.policy, lrt, bundle.pubkey, bundle.gst0, t0,
+                        seg_count=sc.seg_count,
                         key_reject_threshold=sc.key_reject_threshold)
-    receiver.power_on(bundle.gst0, true_ms=t0)
 
-    @cache                      # solver inputs -> their fix's report, this run
+    @cache              # solver inputs -> their fix's report or why none
     def fix_report(inputs: tuple) -> dict:
-        fix = _solve(inputs)
-        return fix.as_dict() if isinstance(fix, Fix) else {"error": fix}
+        if len(inputs) < 4:
+            return {"error": "fewer than four usable satellites"}
+        sats, rhos = zip(*inputs)
+        try:
+            fix = solve_position(list(sats), list(rhos))
+        except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
+            return {"error": str(exc)}
+        return fix.as_dict()
 
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r))

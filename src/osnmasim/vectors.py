@@ -83,7 +83,8 @@ def _read_mapping(path) -> tuple:
 
 @dataclass
 class TestVectorSet:
-    """Sealed subframes by PRN, in PRN order, each PRN's in GST order.
+    """Sealed subframes by PRN, in PRN order, each PRN's in GST order; a
+    destroyed slot raises ValueError.
 
     Hex exists only in the CSV file: load decodes each row's page once,
     and save formats the rows from the subframes.
@@ -92,6 +93,10 @@ class TestVectorSet:
     __test__ = False            # "Test" prefix is domain naming, not pytest's
 
     by_prn: dict = field(default_factory=dict)     # prn -> [Subframe]
+
+    def __post_init__(self):
+        if not all(sf.complete for sfs in self.by_prn.values() for sf in sfs):
+            raise ValueError("vector sets store intact pages only")
 
     def save(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -180,13 +185,3 @@ class TestVectorSet:
         """Fresh per-satellite subframe lists, in PRN order, each ordered
         by GST."""
         return {prn: list(sfs) for prn, sfs in self.by_prn.items()}
-
-    @classmethod
-    def from_subframes(cls, subframes_by_prn: dict) -> "TestVectorSet":
-        """The subframes by PRN, each PRN's given in GST order; a
-        destroyed slot raises ValueError."""
-        if not all(sf.complete for sfs in subframes_by_prn.values()
-                   for sf in sfs):
-            raise ValueError("vector sets store intact pages only")
-        return cls({prn: list(subframes_by_prn[prn])
-                    for prn in sorted(subframes_by_prn)})

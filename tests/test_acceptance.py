@@ -369,10 +369,9 @@ def test_criterion_7e_ima_resume_property(ima_bundle):
                   if ((e.t_ms - GST0.total_millis()) // SUBFRAME_MS
                       not in destroyed)
                   or (e.t_ms - GST0.total_millis()) % SUBFRAME_MS != 6 * PAGE_MS]
-        rx = Receiver(AlternateThreshold(30000), LrtSource(),
-                      ima_bundle.pubkey)
         t0, windows = rounds(events, n_rounds, GST0.total_millis())
-        rx.power_on(GST0, t0)
+        rx = Receiver(AlternateThreshold(30000), LrtSource(),
+                      ima_bundle.pubkey, GST0, t0)
         verdicts = [v for window in windows
                     for v in rx.ingest_round(window).verdicts]
         got = {(v.gst.total_seconds() - GST0.total_seconds()) // 30

@@ -116,8 +116,7 @@ def _startup(bundle, policy, lrt):
     """The status the receiver's startup TS gate leaves at the reference
     capture's first subframe, the LRT read at that true time."""
     gst = Gst(1251, 277200)
-    rx = Receiver(policy, lrt, bundle.pubkey)
-    return rx.power_on(gst, gst.total_millis())
+    return Receiver(policy, lrt, bundle.pubkey, gst, gst.total_millis()).status
 
 
 def test_startup_untrusted_bound_calibrates(small_bundle):

@@ -1,0 +1,78 @@
+"""Bad input fails loudly: each input check below raises its error type
+with its message text, or, for a root signature of the wrong length,
+reports a failed verification."""
+
+import pytest
+
+from osnmasim.attacks import ntp_mitm_delay
+from osnmasim.gst import Gst, LrtSource
+from osnmasim.mack import pack_mack, split_segments, unpack_mack
+from osnmasim.navdata import parse_nav_data
+from osnmasim.pages import Subframe
+from osnmasim.positioning import SatState, solve_position
+from osnmasim.scenario import (
+    Scenario,
+    ScenarioError,
+    generate_synthetic_constellation,
+)
+from osnmasim.tesla import (
+    ROOT_MESSAGE_BYTES,
+    TeslaChain,
+    TeslaKey,
+    generate_keypair,
+    verify_root,
+)
+
+GST = Gst(1251, 277200)
+_SATS = [SatState(prn, (2e7 * prn, 1e7, 1e7)) for prn in range(1, 5)]
+
+# (call, the error it raises, or the value it returns)
+CHECKS = {
+    "gst_negative_week": (lambda: Gst(-1, 0),
+                          ValueError("negative week number: -1")),
+    "gst_before_epoch": (lambda: Gst(0, 5).add_seconds(-10),
+                         ValueError("GST before epoch")),
+    "lrt_negative_bound": (lambda: LrtSource(error_bound_ms=-1),
+                           ValueError("error bound must be >= 0")),
+    "mack_short_key": (lambda: pack_mack([], bytes(15)),
+                       ValueError("chain key must be 128 bits")),
+    "mack_short_tag": (lambda: pack_mack([bytes(4)], bytes(16)),
+                       ValueError("tags must be 40 bits")),
+    "mack_short_blob": (lambda: unpack_mack(bytes(59), 6),
+                        ValueError("MACK blob must be 60 bytes")),
+    "mack_no_segments": (lambda: split_segments(b"x", 0),
+                         ValueError("need at least one segment")),
+    "nav_short_blob": (lambda: parse_nav_data(bytes(239)),
+                       ValueError("nav blob must be 240 bytes")),
+    "tesla_short_key": (lambda: TeslaKey(bytes(15), GST),
+                        ValueError("chain keys are 16 bytes")),
+    "tesla_short_seed": (lambda: TeslaChain.generate(bytes(15), 3, GST),
+                         ValueError("seed must be 16 bytes")),
+    "tesla_short_signature": (
+        lambda: verify_root(bytes(ROOT_MESSAGE_BYTES), bytes(63),
+                            generate_keypair(1)[1]),
+        False),
+    "subframe_14_slots": (lambda: Subframe(GST, 1, (None,) * 14),
+                          ValueError("subframe needs 15 slots")),
+    "solve_3_ranges": (lambda: solve_position(_SATS, [2e7] * 3),
+                       ValueError("one pseudorange per satellite")),
+    "ntp_negative_delay": (lambda: ntp_mitm_delay(LrtSource(), -1),
+                           ValueError("delay must be >= 0")),
+    "constellation_no_root_slot": (
+        lambda: generate_synthetic_constellation(1, 4, 1, gst0=Gst(0, 10)),
+        ValueError("first subframe must leave room for the root slot")),
+    "scenario_constellation_not_object": (
+        lambda: Scenario.from_dict({"constellation": 5}),
+        ScenarioError("$.constellation: expected an object, got 5")),
+}
+
+
+@pytest.mark.parametrize("call,expected", CHECKS.values(), ids=CHECKS)
+def test_bad_input_fails_loudly(call, expected):
+    if not isinstance(expected, Exception):
+        assert call() is expected
+        return
+    with pytest.raises(type(expected)) as err:
+        call()
+    assert err.type is type(expected)
+    assert str(err.value) == str(expected)

@@ -2,9 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from osnmasim.positioning import (
     SPEED_OF_LIGHT,
+    WGS84_A,
+    WGS84_E2,
     NoConvergenceError,
     SatState,
     SingularGeometryError,
@@ -166,3 +169,19 @@ def test_geodetic_round_trip():
         assert lat2 == pytest.approx(lat, abs=1e-9)
         assert lon2 == pytest.approx(lon, abs=1e-9)
         assert h2 == pytest.approx(h, abs=1e-6)
+
+
+@given(st.floats(-12, 4), st.floats(-math.pi, math.pi),
+       st.floats(-2e6, 2e6), st.sampled_from((1, -1)))
+@example(-12, 0.0, 240.0, 1)
+@example(4, 0.0, -2e6, -1)
+@example(math.log10(3.9e-10), 0.13, 240.0, 1)   # a 90 deg site's own offset
+def test_geodetic_round_trip_near_the_polar_axis(log_off_m, azimuth, height_m,
+                                                 pole):
+    """A point 1e-12 m to 10 km off the polar axis, up to 2,000 km above or
+    below either pole, converts to geodetic and back to within 1e-6 m."""
+    off = 10.0 ** log_off_m
+    point = (off * math.cos(azimuth), off * math.sin(azimuth),
+             pole * (WGS84_A * math.sqrt(1.0 - WGS84_E2) + height_m))
+    back = geodetic_to_ecef(*ecef_to_geodetic(*point))
+    assert math.dist(back, point) < 1e-6

@@ -35,8 +35,14 @@ from osnmasim.tesla import (
     DSM_BLOCKS,
     DSM_BODY_BYTES,
     DSM_PAYLOAD_BYTES,
+    NMA_HEADER,
+    AlignmentError,
+    GstOrderError,
+    build_root_message,
+    dsm_hkroot_blocks,
     generate_keypair,
     public_key_point,
+    sign_root,
 )
 import receiver_reference
 import stream_reference
@@ -45,15 +51,19 @@ from page_reference import destroyed_slots, flip_page_bit
 GST0 = Gst(1251, 277200)
 
 
-def _receiver(bundle, policy=None, lrt=None, **kw):
+def _receiver(bundle, true_ms, policy=None, lrt=None, pubkey=None,
+              first_gst=GST0, **kw):
+    """A receiver powered on at (first_gst, true_ms)."""
     return Receiver(policy or AlternateThreshold(30000), lrt or LrtSource(),
-                    bundle.pubkey, **kw)
+                    pubkey or bundle.pubkey, first_gst, true_ms, **kw)
 
 
-def _drive(receiver, events, n_rounds, t0=None):
+def _drive(bundle, events, n_rounds, t0=None, **kw):
+    """A receiver powered on at the first window of the events, and the
+    results of its rounds."""
     t0, windows = stream_reference.rounds(events, n_rounds, t0)
-    receiver.power_on(GST0, true_ms=t0)
-    return [receiver.ingest_round(window) for window in windows]
+    rx = _receiver(bundle, t0, **kw)
+    return rx, [rx.ingest_round(window) for window in windows]
 
 
 def _with_mack(sf, mack):
@@ -68,19 +78,22 @@ def _drop(events, prn, round_idx, slot):
 
 
 def test_power_on_sub_second_delta_starts_osnma(small_bundle):
-    rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=771))
-    assert rx.power_on(GST0, GST0.total_millis()) is Status.AWAITING_ROOT_KEY
+    rx = _receiver(small_bundle, GST0.total_millis(),
+                   lrt=LrtSource(offset_ms=771))
+    assert rx.status is Status.AWAITING_ROOT_KEY
 
 
 def test_power_on_30_5_fails(small_bundle):
-    rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=30500))
-    assert rx.power_on(GST0, GST0.total_millis()) is Status.TS_FAILED
+    rx = _receiver(small_bundle, GST0.total_millis(),
+                   lrt=LrtSource(offset_ms=30500))
+    assert rx.status is Status.TS_FAILED
 
 
 def test_power_on_untrusted_bound_stays_cold(small_bundle):
-    rx = _receiver(small_bundle, policy=SymmetricBound(15000),
+    rx = _receiver(small_bundle, GST0.total_millis(),
+                   policy=SymmetricBound(15000),
                    lrt=LrtSource(error_bound_ms=20000))
-    assert rx.power_on(GST0, GST0.total_millis()) is Status.COLD_START
+    assert rx.status is Status.COLD_START
 
 
 @given(st.integers(-60000, 60000), st.integers(0, 30000))
@@ -90,16 +103,12 @@ def test_power_on_never_starts_when_check_fails(small_bundle, delta_ms,
     passes on its reading, and fails the TS gate otherwise."""
     gst = Gst(100, 3000)
     for policy in (AlternateThreshold(30000), SymmetricBound(max(bound_ms, 1))):
-        rx = _receiver(small_bundle, policy=policy,
-                       lrt=LrtSource(offset_ms=delta_ms, error_bound_ms=0))
+        rx = _receiver(small_bundle, gst.total_millis(), policy=policy,
+                       lrt=LrtSource(offset_ms=delta_ms, error_bound_ms=0),
+                       first_gst=gst)
         passed = check_time_sync(gst, gst.total_millis() + delta_ms, policy)
-        assert rx.power_on(gst, gst.total_millis()) is \
+        assert rx.status is \
             (Status.AWAITING_ROOT_KEY if passed else Status.TS_FAILED)
-
-
-def test_ingest_before_power_on_raises(small_bundle):
-    with pytest.raises(RuntimeError, match="receiver was never powered on"):
-        _receiver(small_bundle).ingest_round({})
 
 
 @pytest.mark.parametrize("skew_ms", (-1, 1))
@@ -112,8 +121,8 @@ def test_windows_sit_on_the_power_on_grid(small_bundle, skew_ms):
     n_rounds, sats = len(small_bundle.streams[1]), len(small_bundle.streams)
     outcomes = {}
     for skew in (0, skew_ms):
-        rx = _receiver(small_bundle)
-        assert rx.power_on(GST0, t0 + skew) is Status.AWAITING_ROOT_KEY
+        rx = _receiver(small_bundle, t0 + skew)
+        assert rx.status is Status.AWAITING_ROOT_KEY
         outcomes[skew] = [v.outcome for r in range(n_rounds)
                           for v in rx.ingest_round(round_events(r)).verdicts]
     assert outcomes[0] and set(outcomes[0]) == {Outcome.AUTHENTIC}
@@ -124,9 +133,8 @@ def test_windows_sit_on_the_power_on_grid(small_bundle, skew_ms):
 def test_cold_start_trace(small_bundle):
     """Root key completes after one HKROOT block cycle, then the rolling
     window authenticates data two subframes behind the disclosed key."""
-    rx = _receiver(small_bundle)
     events = live_events(small_bundle.vectors.subframes())
-    results = _drive(rx, events, 12)
+    rx, results = _drive(small_bundle, events, 12)
 
     acquisition_rounds = results[:DSM_BLOCKS - 1]
     assert all(not r.verdicts for r in acquisition_rounds)
@@ -160,8 +168,8 @@ def test_root_key_is_parsed_only_once_its_signature_verifies(
     monkeypatch.setattr(osnmasim.receiver, "root_key", counted_root_key)
     pubkey = small_bundle.pubkey if signer == "broadcast" \
         else public_key_point(generate_keypair(1)[1])
-    rx = Receiver(AlternateThreshold(30000), LrtSource(), pubkey)
-    _drive(rx, live_events(small_bundle.vectors.subframes()), DSM_BLOCKS)
+    rx, _ = _drive(small_bundle, live_events(small_bundle.vectors.subframes()),
+                   DSM_BLOCKS, pubkey=pubkey)
     if signer == "broadcast":
         assert [tesla.root_key(body) for body in parsed] == \
             [small_bundle.chain.root]
@@ -183,8 +191,7 @@ def _acquisition(streams, rounds=None):
     does."""
     t0, round_events = shifted_stream(streams)
     rx = Receiver(AlternateThreshold(30000), LrtSource(),
-                  _poison_bundle().pubkey)
-    rx.power_on(GST0, true_ms=t0)
+                  _poison_bundle().pubkey, GST0, t0)
     results = []
     for r in range(rounds or len(streams[1])):
         results.append(rx.ingest_round(round_events(r)))
@@ -270,10 +277,62 @@ def test_poisoned_hkroot_blocks_delay_acquisition_by_whole_cycles(
         assert gst == GST0.add_seconds(30 * (DSM_BLOCKS * (cycle + 1) - 1))
 
 
+def _resigned(bundle, root_gst, seed):
+    """The bundle's streams with its root key announced at root_gst in a
+    root message signed by generate_keypair(seed), every stream's HKROOT
+    column resealed; and that key pair's public point."""
+    private_key, public_key = generate_keypair(seed)
+    body = build_root_message(NMA_HEADER, 0, root_gst.wn, root_gst.tow,
+                              bundle.chain.root.bits)
+    blocks = dsm_hkroot_blocks(body, sign_root(body, private_key))
+    streams = {prn: Stream(stream.gst, prn, seal_pages(
+                   (nav, blocks[i % DSM_BLOCKS], mack)
+                   for i, (nav, _, mack) in enumerate(stream.blobs())))
+               for prn, stream in bundle.streams.items()}
+    return streams, public_key_point(public_key)
+
+
+# the root key's slot 15 s off the grid, or the slot of the first key checked
+# against it: the key disclosed in the round the root key is acquired
+@pytest.mark.parametrize("root_gst,error", [
+    (GST0.add_seconds(-15), AlignmentError),
+    (GST0.add_seconds(30 * (DSM_BLOCKS - 1)), GstOrderError)],
+    ids=["misaligned", "stale"])
+def test_misaligned_or_stale_chain_key_is_rejected(small_bundle, monkeypatch,
+                                                   root_gst, error):
+    """A root key whose signature verifies but whose slot is misaligned
+    with, or not older than, the first key checked against it: that check
+    raises, the key is rejected, and at threshold 1 the receiver detects
+    spoofing, with the verdicts and timeline of the reference receiver."""
+    raised = []
+
+    def recording(candidate, trusted):
+        try:
+            return tesla.verify_key(candidate, trusted)
+        except ValueError as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(osnmasim.receiver, "verify_key", recording)
+    streams, pubkey = _resigned(small_bundle, root_gst, seed=5)
+    t0, round_events = shifted_stream(streams)
+    windows = [round_events(r) for r in range(len(streams[1]))]
+    rx = _receiver(small_bundle, t0, pubkey=pubkey)
+    results = [rx.ingest_round(events) for events in windows]
+    ref = receiver_reference.run(AlternateThreshold(30000), LrtSource(),
+                                 pubkey, GST0, t0, windows)
+    assert raised == [error]
+    verdicts = [v for result in results for v in result.verdicts]
+    assert verdicts and {v.outcome for v in verdicts} == {Outcome.KEY_REJECTED}
+    assert rx.status is Status.SPOOF_DETECTED
+    assert [result.verdicts for result in results] == ref.verdicts
+    assert [c for result in results for c in result.changes] == ref.timeline
+
+
 def test_no_verdicts_before_osnma_start(small_bundle):
-    rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=31000))
     events = live_events(small_bundle.vectors.subframes())
-    results = _drive(rx, events, 10)
+    rx, results = _drive(small_bundle, events, 10,
+                         lrt=LrtSource(offset_ms=31000))
     assert rx.status is Status.TS_FAILED
     assert all(not r.verdicts for r in results)
     # nav data still parsed for the position pipeline
@@ -281,12 +340,11 @@ def test_no_verdicts_before_osnma_start(small_bundle):
 
 
 def test_fresh_report_is_empty(small_bundle):
-    """A fresh receiver is cold; one that stays cold hands over only its
-    cold start and no verdicts, and so does the report folded from it."""
-    rx = _receiver(small_bundle, policy=SymmetricBound(15000),
+    """A receiver that stays cold hands over only its cold start and no
+    verdicts, and so does the report folded from it."""
+    rx = _receiver(small_bundle, GST0.total_millis(),
+                   policy=SymmetricBound(15000),
                    lrt=LrtSource(error_bound_ms=20000))
-    assert rx.status is Status.COLD_START
-    rx.power_on(GST0, GST0.total_millis())
     result = rx.ingest_round({})
     assert result.changes == [(None, Status.COLD_START)]
     assert result.verdicts == []
@@ -300,8 +358,9 @@ def test_fresh_report_is_empty(small_bundle):
 
 
 def test_ts_failed_recorded_in_timeline(small_bundle):
-    rx = _receiver(small_bundle, lrt=LrtSource(offset_ms=32000))
-    assert rx.power_on(GST0, GST0.total_millis()) is Status.TS_FAILED
+    rx = _receiver(small_bundle, GST0.total_millis(),
+                   lrt=LrtSource(offset_ms=32000))
+    assert rx.status is Status.TS_FAILED
     assert rx.ingest_round({}).changes == \
         [(None, Status.COLD_START), (GST0, Status.TS_FAILED)]
     assert rx.ingest_round({}).changes == []
@@ -313,8 +372,7 @@ def test_destroyed_round_suspends_then_recovers(small_bundle):
     subframes bring authentication back without a new root key."""
     events = _drop(live_events(small_bundle.vectors.subframes()),
                    prn=2, round_idx=8, slot=4)
-    rx = _receiver(small_bundle)
-    results = _drive(rx, events, 12)
+    rx, results = _drive(small_bundle, events, 12)
 
     round8 = results[8]
     assert any(v.outcome is Outcome.DISCARDED_INCOMPLETE and v.prn == 2
@@ -335,8 +393,7 @@ def test_silent_pending_satellite_gets_a_destroyed_round(small_bundle):
     events = [e for e in live_events(small_bundle.vectors.subframes())
               if not (e.prn == 2 and GST0.total_millis() + 8 * SUBFRAME_MS
                       <= e.t_ms < GST0.total_millis() + 9 * SUBFRAME_MS)]
-    rx = _receiver(small_bundle)
-    results = _drive(rx, events, 10)
+    _, results = _drive(small_bundle, events, 10)
     assert destroyed_slots(results[8].subframes[2]) == tuple(range(15))
     assert [v.outcome for v in results[8].verdicts if v.prn == 2] == \
         [Outcome.DISCARDED_INCOMPLETE]
@@ -354,8 +411,7 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     tags = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
     sfs[target_prn][5] = _with_mack(sf5, pack_mack(tags, disclosed_key(mack)))
-    rx = _receiver(small_bundle)
-    results = _drive(rx, live_events(sfs), 9)
+    _, results = _drive(small_bundle, live_events(sfs), 9)
 
     flagged = [v for r in results for v in r.verdicts
                if v.outcome is Outcome.TAG_MISMATCH]
@@ -376,8 +432,8 @@ def test_tampered_key_bits_reject_key(small_bundle):
     _, mack = sf6.osnma
     tags = unpack_mack(mack, n_tags=6)
     sfs[target_prn][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
-    rx = _receiver(small_bundle, key_reject_threshold=10)
-    results = _drive(rx, live_events(sfs), 9)
+    _, results = _drive(small_bundle, live_events(sfs), 9,
+                        key_reject_threshold=10)
 
     rejected = [v for r in results for v in r.verdicts
                 if v.outcome is Outcome.KEY_REJECTED]
@@ -394,8 +450,7 @@ def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     _, mack = sf6.osnma
     tags = unpack_mack(mack, n_tags=6)
     sfs[1][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
-    rx = _receiver(small_bundle)            # threshold 1
-    results = _drive(rx, live_events(sfs), 9)
+    rx, results = _drive(small_bundle, live_events(sfs), 9)     # threshold 1
     assert rx.status is Status.SPOOF_DETECTED
     # once flagged, no further verdicts of any kind
     tail = [v for r in results for v in r.verdicts
@@ -418,8 +473,7 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
     events = live_events(broadcast)
     for round_idx, prn, slot in drops:
         events = _drop(events, prn, round_idx, slot)
-    rx = _receiver(small_bundle)
-    results = _drive(rx, events, 12, t0=GST0.total_millis())
+    _, results = _drive(small_bundle, events, 12, t0=GST0.total_millis())
 
     def sent(prn, gst):
         r = (gst.total_seconds() - GST0.total_seconds()) // 30
@@ -444,8 +498,8 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
 def test_report_shape(small_bundle):
     """Each round carries its GST-LRT delta, and the report folds one per
     round with every verdict as a gst, prn and outcome."""
-    rx = _receiver(small_bundle)
-    results = _drive(rx, live_events(small_bundle.vectors.subframes()), 10)
+    _, results = _drive(small_bundle,
+                        live_events(small_bundle.vectors.subframes()), 10)
     assert [r.delta_ms for r in results] == [0] * 10
     rep = run_scenario(Scenario.from_dict({
         "constellation": {"sats": 4, "subframes": 12},
@@ -513,8 +567,7 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     broadcast = small_bundle.vectors.subframes()
     rounds = len(broadcast[1])
     t0, round_events = shifted_stream(small_bundle.streams)
-    rx = _receiver(small_bundle)
-    rx.power_on(GST0, true_ms=t0)
+    rx = _receiver(small_bundle, t0)
     received, verdicts = {}, []
     for events in _moved_rounds(round_events, rounds, moves):
         result = rx.ingest_round(events)
@@ -563,11 +616,10 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
         {prn: Stream.of(sfs) for prn, sfs in broadcast.items()})
     windows = _moved_rounds(round_events, len(broadcast[1]), moves)
     policy, lrt = gate
-    rx = _receiver(small_bundle, policy=policy, lrt=lrt,
+    rx = _receiver(small_bundle, t0, policy=policy, lrt=lrt,
                    key_reject_threshold=threshold)
     ref = receiver_reference.run(policy, lrt, small_bundle.pubkey, GST0, t0,
                                  windows, key_reject_threshold=threshold)
-    rx.power_on(GST0, true_ms=t0)
     timeline = []
     for r, events in enumerate(windows):
         result = rx.ingest_round(events)

@@ -88,6 +88,21 @@ def test_baseline_fix_matches_site():
         assert geo["height_m"] == pytest.approx(240.0, abs=1e-3)
 
 
+@pytest.mark.parametrize("lat_deg", [90, -90])
+def test_baseline_fix_on_a_pole_reports_the_site_height(lat_deg):
+    """On a pole, where every fix lies a fraction of a micrometre off the
+    polar axis, every raw and authenticated fix reports the pole's latitude
+    and the site's height; longitude is undefined there."""
+    site = {"lat_deg": lat_deg, "lon_deg": 7.6, "height_m": 240.0}
+    report = run_scenario(Scenario.from_dict({
+        "seed": 1, "constellation": {"receiver": site}}))
+    assert report["receiver"]["status"] == "authenticating"
+    assert report["auth_fixes"]
+    for fix in report["raw_fixes"] + list(report["auth_fixes"].values()):
+        assert fix["geodetic"]["lat_deg"] == lat_deg
+        assert fix["geodetic"]["height_m"] == pytest.approx(240.0, abs=1e-3)
+
+
 def test_tampered_vector_bit_caught(small_bundle, tmp_path):
     """Any post-generation bit flip surfaces in validation."""
     path = tmp_path / "vectors.csv"
@@ -828,7 +843,7 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
 
     received, forges, solves, reports = [], [], [], []
     tallying(osnmasim.scenario, "forge_pseudoranges", forges)
-    tallying(osnmasim.scenario, "_solve", solves)
+    tallying(osnmasim.scenario, "solve_position", solves)
     tallying(osnmasim.positioning.Fix, "as_dict", reports)
     assemble = osnmasim.receiver.assemble_rounds
 

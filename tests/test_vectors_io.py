@@ -29,7 +29,7 @@ def test_save_load_round_trip(small_bundle, tmp_path):
 
 
 def test_subframes_round_trip(small_bundle):
-    rebuilt = TestVectorSet.from_subframes(small_bundle.vectors.subframes())
+    rebuilt = TestVectorSet(small_bundle.vectors.subframes())
     assert rebuilt.subframes() == _bundle_subframes(small_bundle)
     assert list(rebuilt.subframes()) == sorted(small_bundle.streams)
 
@@ -44,7 +44,7 @@ def test_from_subframes_rejects_a_destroyed_slot(small_bundle):
     sf = small_bundle.streams[1].subframes()[0]
     broken = Subframe(gst=sf.gst, prn=sf.prn, raws=(None,) + sf.raws[1:])
     with pytest.raises(ValueError, match="intact pages only"):
-        TestVectorSet.from_subframes({1: [sf, broken]})
+        TestVectorSet({1: [sf, broken]})
 
 
 def test_rows_out_of_order_load_in_gst_order(small_bundle, tmp_path):
@@ -138,8 +138,7 @@ def test_reference_page_loads_crc_valid(small_bundle, tmp_path):
     sf = small_bundle.streams[1].subframes()[0]
     raws = sf.raws[:12] + (bytes.fromhex(REFERENCE_PAGE),) + sf.raws[13:]
     path = tmp_path / "embed.csv"
-    TestVectorSet.from_subframes(
-        {1: [Subframe(gst=sf.gst, prn=1, raws=raws)]}).save(path)
+    TestVectorSet({1: [Subframe(gst=sf.gst, prn=1, raws=raws)]}).save(path)
     loaded = TestVectorSet.load(path)
     assert loaded.subframes()[1][0].raws[12].hex() == REFERENCE_PAGE
 
