@@ -21,16 +21,17 @@ import math
 
 from .gst import LrtSource
 from .mack import disclosed_key, tag_stream
-from .navdata import build_nav_data, parse_nav_data
+from .navdata import CORRECTIONS, MM_PER_M, NAV_BITS
 from .pages import (
+    NAV_BYTES,
     PAGE_BYTES,
     PAGE_MS,
     PageEvent,
     SLOTS_PER_SUBFRAME,
-    SUBFRAME_BYTES,
     SUBFRAME_MS,
     Source,
     Stream,
+    pack_fields,
     seal_pages,
 )
 from .tesla import TeslaKey
@@ -107,16 +108,15 @@ def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
 
 def forge_nav_blob(aux_blob: bytes, iono_a0: int,
                    clock_bias_m: float) -> bytes:
-    """Forge the navigation data of one subframe.
-
-    Identity, timing and ephemeris words are kept from the recorded
-    subframe (touching the timing words would break key verification);
-    the correction fields are rewritten to the attacker's values.
-    """
-    nav = parse_nav_data(aux_blob)
-    return build_nav_data(wn=nav.wn, tow=nav.tow, prn=nav.prn,
-                          sat_ecef_m=nav.sat_ecef_m,
-                          clock_bias_m=clock_bias_m, iono_a0=iono_a0)
+    """Forge the navigation data of one subframe: its correction fields,
+    clock_bias_m and iono_a0, rewritten over the recorded blob, every other
+    bit kept (touching the timing words would break key verification).  A
+    value outside its field raises FieldWidthError naming it."""
+    if len(aux_blob) != NAV_BYTES:
+        raise ValueError(f"nav blob must be {NAV_BYTES} bytes")
+    return pack_fields(CORRECTIONS, NAV_BITS, (
+        round(clock_bias_m * MM_PER_M), iono_a0), int.from_bytes(
+        aux_blob, "big")).to_bytes(NAV_BYTES, "big")
 
 
 def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
@@ -126,15 +126,14 @@ def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
     Every subframe but the last two gets forged nav data, its corrections
     rewritten to iono_a0 and clock_bias_m; with forge_tags, mack.tag_stream
     rewrites the seg_count tags of subframes 1 .. n-2 under the keys the
-    recorded subframes disclose.  The stream is read in one pass and the
-    rewritten subframes are packed and sealed in one; the rest pass
-    through untouched, so the whole forged stream, one buffer, verifies.
+    recorded subframes disclose.  The stream is read in one pass, and the
+    blobs are written over its pages and sealed in one, so every other bit
+    stays as recorded and the whole forged stream, one buffer, verifies.
     """
     n = len(stream)
     if n < TSF_MIN_SUBFRAMES:
         raise InsufficientAuxError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
-    rewritten = n - 1 if forge_tags else n - 2
     navs, hkroots, macks = map(list, zip(*stream.blobs()))
     navs[:n - 2] = [forge_nav_blob(nav, iono_a0, clock_bias_m)
                     for nav in navs[:n - 2]]
@@ -142,9 +141,8 @@ def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
         gsts = stream.gsts()
         keys = [TeslaKey(disclosed_key(m), g) for m, g in zip(macks, gsts)]
         macks[1:n - 1] = tag_stream(stream.prn, gsts, navs, keys, seg_count)
-    head = seal_pages(zip(navs[:rewritten], hkroots, macks))
     return Stream(stream.gst, stream.prn,
-                  head + stream.pages[SUBFRAME_BYTES * rewritten:])
+                  seal_pages(zip(navs, hkroots, macks), stream.pages))
 
 
 def cr_compose(streams: dict, replay_delay_ms: int, t_acq_ms: int,

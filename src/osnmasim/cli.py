@@ -70,6 +70,8 @@ def _cmd_vectors_validate(args) -> int:
 
 def _cmd_forge_tsf(args) -> int:
     vectors = TestVectorSet.load(args.vectors)
+    if not vectors.by_prn:
+        raise ValueError(f"{args.vectors} holds no subframes to forge")
     forged = {prn: tsf_forge_subframes(
                   Stream.of(sfs), seg_count=args.segments,
                   forge_tags=not args.no_tags, iono_a0=args.iono_a0,

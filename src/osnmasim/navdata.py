@@ -46,6 +46,7 @@ _LAYOUT = (
     ("iono_a0", 12 * PAGE_DATA_BITS + 6, IONO_A0_BITS, False),
 )
 
+CORRECTIONS = _LAYOUT[-2:]             # the rows a forgery rewrites
 IONO_A0_UNIT_M = 0.1
 MM_PER_M = 1000
 

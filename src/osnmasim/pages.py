@@ -41,13 +41,13 @@ The page CRC has one implementation, the column-wise kernel
 fields a subframe carries -- its 240-byte navigation blob and its 15-byte
 HKROOT and 60-byte MACK blobs -- have one codec too, the column-wise
 ``pack_pages`` and ``_unpack`` (``unpack_pages`` for received slots).
-With the pages laid end to end and
-shifted left by 2 bits, every field sits on byte boundaries: bytes 0..13
-of each 30-byte page are the even data, byte 14 the even tail and the odd
-half's flags (0b10), bytes 15..16 the odd data, byte 17 the HKROOT
-portion and bytes 18..21 the MACK portion.  Packing fills those byte
-columns from the blobs and shifts right; unpacking shifts left and reads
-them back, whatever the number of subframes.  A kernel call costs a fixed
+With the pages laid end to end and shifted left by 2 bits, every field
+sits on byte boundaries: bytes 0..13 of each 30-byte page are the even
+data, byte 14 the even tail and the odd half's flags (0b10), bytes
+15..16 the odd data, byte 17 the HKROOT portion and bytes 18..21 the MACK
+portion.  Packing writes the blobs into those byte columns of the pages
+it is given and shifts back, keeping every other bit; unpacking reads
+them, whatever the number of subframes.  A kernel call costs a fixed
 amount plus a little per page, so pages go through in batches; a lone
 page or subframe pays the fixed cost.  A received page is checked and
 read once per reception, and nothing is kept from one round to the next.
@@ -55,7 +55,7 @@ read once per reception, and nothing is kept from one round to the next.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -94,17 +94,18 @@ class IncompleteError(ValueError):
     """A subframe with destroyed pages cannot supply OSNMA material."""
 
 
-def pack_fields(layout, nbits: int, values) -> int:
-    """The nbits-bit message int holding each value at its row's position,
-    MSB first, two's complement where the row is signed; a value that is
-    not an int in the row's range raises FieldWidthError naming the row."""
-    message = 0
+def pack_fields(layout, nbits: int, values, message: int = 0) -> int:
+    """The nbits-bit message int with each value written at its row's
+    position, MSB first, two's complement where the row is signed, and
+    every other bit as in message; a value that is not an int in the row's
+    range raises FieldWidthError naming the row."""
     for (name, pos, width, signed), value in zip(layout, values, strict=True):
         low = -(1 << width - 1) if signed else 0
         if not (isinstance(value, int) and low <= value < low + (1 << width)):
             raise FieldWidthError(f"{name} {value!r} does not fit {width}"
                                   f"{' signed' if signed else ''} bits")
-        message |= (value & (1 << width) - 1) << nbits - pos - width
+        shift = nbits - pos - width
+        message ^= ((message >> shift ^ value) & (1 << width) - 1) << shift
     return message
 
 
@@ -272,6 +273,7 @@ _PAGE_LAYOUT = tuple((name, *geometry, False) for name, geometry in zip(
                           FILL)))
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
 _FLAGS = pack_fields((("odd_flags", *ODD_FLAGS, False),), PAGE_BITS, (0b10,))
+_BLANK = _FLAGS.to_bytes(PAGE_BYTES, "big")     # a page of flags alone
 
 
 def encode_page(page: PageContent) -> bytes:
@@ -286,23 +288,22 @@ def _columns(pos: int, width: int) -> tuple:
 
 
 # Byte columns of a page shifted left by 2 bits (see the module docstring):
-# the 16 nav-data bytes, the HKROOT byte, the 4 MACK bytes, and the column
-# of the even tail, zero, and the odd half's flags, 0b10.
+# the 16 nav-data bytes, the HKROOT byte and the 4 MACK bytes.
 _NAV_COLUMNS = _columns(*EVEN_DATA) + _columns(*ODD_DATA)
 (_HKROOT_COLUMN,) = _columns(*HKROOT)
 _MACK_COLUMNS = _columns(*MACK)
-(_ODD_FLAGS_COLUMN,) = _columns(*ODD_FLAGS)
 # a subframe's blobs: its pages' portions concatenated
 NAV_BYTES = len(_NAV_COLUMNS) * SLOTS_PER_SUBFRAME          # 240
 HKROOT_BYTES = SLOTS_PER_SUBFRAME                           # 15
 MACK_BYTES = len(_MACK_COLUMNS) * SLOTS_PER_SUBFRAME        # 60
 
 
-def pack_pages(blobs) -> bytes:
-    """The pages of every (nav, hkroot, mack) blob triple, laid end to end
-    with zero CRC fields: subframe i's pages 15*i..15*i+14 carry its
-    240-byte nav blob in their data portions and its 15- and 60-byte blobs
-    in their HKROOT and MACK portions, in page order.
+def pack_pages(blobs, pages: bytes | None = None) -> bytes:
+    """pages, laid end to end, with every (nav, hkroot, mack) blob triple
+    written over them: subframe i's pages 15*i..15*i+14 carry its 240-byte
+    nav blob in their data portions and its 15- and 60-byte blobs in their
+    HKROOT and MACK portions, in page order, and every other bit as given.
+    pages defaults to blank pages, zero but for the odd halves' flags.
 
     The blobs' bytes are written into the byte columns of the pages
     shifted left by 2 bits, and the whole run is shifted back once.
@@ -320,14 +321,16 @@ def pack_pages(blobs) -> bytes:
         macks.append(mack)
     nav, mack = b"".join(navs), b"".join(macks)
     count = len(hkroots) * SLOTS_PER_SUBFRAME
-    buf = bytearray(PAGE_BYTES * count)
+    pages = _BLANK * count if pages is None else pages
+    if len(pages) != PAGE_BYTES * count:
+        raise ValueError(f"{count} pages to write, got {len(pages)} bytes")
+    buf = _shifted(pages)
     for j, k in enumerate(_NAV_COLUMNS):
-        buf[k::PAGE_BYTES] = nav[j::len(_NAV_COLUMNS)]
-    buf[_ODD_FLAGS_COLUMN::PAGE_BYTES] = b"\2" * count
-    buf[_HKROOT_COLUMN::PAGE_BYTES] = b"".join(hkroots)
+        buf[1 + k::PAGE_BYTES] = nav[j::len(_NAV_COLUMNS)]
+    buf[1 + _HKROOT_COLUMN::PAGE_BYTES] = b"".join(hkroots)
     for j, k in enumerate(_MACK_COLUMNS):
-        buf[k::PAGE_BYTES] = mack[j::len(_MACK_COLUMNS)]
-    return (int.from_bytes(buf, "big") >> 2).to_bytes(len(buf), "big")
+        buf[1 + k::PAGE_BYTES] = mack[j::len(_MACK_COLUMNS)]
+    return (int.from_bytes(buf, "big") >> 2).to_bytes(len(pages), "big")
 
 
 def unpack_pages(slots) -> list:
@@ -343,32 +346,37 @@ def unpack_pages(slots) -> list:
     return _unpack(_joined(raws))
 
 
+def _shifted(joined: bytes) -> bytearray:
+    """The pages laid end to end in joined, shifted left by 2 bits, behind
+    a byte for the first page's flags: column k is [1 + k::PAGE_BYTES]."""
+    return bytearray((int.from_bytes(joined, "big") << 2).to_bytes(
+        len(joined) + 1, "big"))
+
+
 def _unpack(joined: bytes) -> list:
     """The (nav, hkroot, mack) blobs of the subframes whose pages are laid
     end to end in joined: the inverse of pack_pages."""
-    # one byte in front takes the flags shifted out of the first page
-    shifted = (int.from_bytes(joined, "big") << 2).to_bytes(len(joined) + 1,
-                                                            "big")[1:]
+    shifted = _shifted(joined)
     count = len(joined) // PAGE_BYTES
     nav = bytearray(count * len(_NAV_COLUMNS))
     for j, k in enumerate(_NAV_COLUMNS):
-        nav[j::len(_NAV_COLUMNS)] = shifted[k::PAGE_BYTES]
+        nav[j::len(_NAV_COLUMNS)] = shifted[1 + k::PAGE_BYTES]
     mack = bytearray(count * len(_MACK_COLUMNS))
     for j, k in enumerate(_MACK_COLUMNS):
-        mack[j::len(_MACK_COLUMNS)] = shifted[k::PAGE_BYTES]
+        mack[j::len(_MACK_COLUMNS)] = shifted[1 + k::PAGE_BYTES]
     nav, mack = bytes(nav), bytes(mack)
-    hkroot = shifted[_HKROOT_COLUMN::PAGE_BYTES]
+    hkroot = bytes(shifted[1 + _HKROOT_COLUMN::PAGE_BYTES])
     return [(nav[NAV_BYTES * i:NAV_BYTES * (i + 1)],
              hkroot[HKROOT_BYTES * i:HKROOT_BYTES * (i + 1)],
              mack[MACK_BYTES * i:MACK_BYTES * (i + 1)])
             for i in range(count // SLOTS_PER_SUBFRAME)]
 
 
-def seal_pages(blobs) -> bytes:
-    """The pages of every (nav, hkroot, mack) blob triple, laid end to end
-    as pack_pages lays them, packed in one call and sealed in one kernel
-    call."""
-    return _seal(pack_pages(blobs))
+def seal_pages(blobs, pages: bytes | None = None) -> bytes:
+    """pages, blank by default, with every (nav, hkroot, mack) blob triple
+    written over them as pack_pages writes them, packed in one call and
+    sealed in one kernel call."""
+    return _seal(pack_pages(blobs, pages))
 
 
 def reseal_raw(raw: bytes) -> bytes:
@@ -411,16 +419,14 @@ class Subframe:
 
     Each slot holds a page's 30 sealed bytes or None for a destroyed page.
     The subframe is produced even when slots are destroyed; OSNMA material
-    is only extractable from complete subframes.  blobs holds the
-    (nav, hkroot, mack) blobs its round's unpack_pages call read out of
-    the bytes, or None: the navigation data and the OSNMA blobs are then
-    unpacked afresh on each access, and nothing is kept on the subframe.
+    is only extractable from complete subframes.  A subframe is its slots;
+    pages, nav_data and osnma are views read afresh on each access (a
+    receiver reads its round's blobs from assemble_rounds instead).
     """
 
     gst: Gst
     prn: int
     raws: tuple
-    blobs: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.raws) != SLOTS_PER_SUBFRAME:
@@ -438,21 +444,17 @@ class Subframe:
         return tuple(_content(raw) if raw is not None and next(oks) else None
                      for raw in self.raws)
 
-    def _unpacked(self) -> tuple:
-        return self.blobs if self.blobs is not None \
-            else unpack_pages((self.raws,))[0]
-
     @property
     def nav_data(self) -> bytes:
         """The pages' data portions concatenated, 240 bytes; a destroyed
         slot raises IncompleteError, a ValueError."""
-        return self._unpacked()[0]
+        return unpack_pages((self.raws,))[0][0]
 
     @property
     def osnma(self) -> tuple:
         """The HKROOT and MACK portions concatenated, as 15 and 60 bytes; a
         destroyed slot raises IncompleteError."""
-        return self._unpacked()[1:]
+        return unpack_pages((self.raws,))[0][1:]
 
 
 @dataclass(frozen=True)
@@ -541,16 +543,17 @@ def _owned(events, prn: int, w0: int) -> list:
 
 
 def assemble_rounds(events_by_prn: dict, gst: Gst, prns,
-                    window_start_ms: int) -> dict:
+                    window_start_ms: int) -> tuple:
     """Assemble one 30-second round of page events into a subframe for
     each of prns, in their order; a PRN with no events gets a destroyed
-    round.
+    round.  Returns the subframes by PRN and, by PRN in the same order,
+    the (nav, hkroot, mack) blobs of the complete ones.
 
     Slots are owned by _owned's capture and overlap rules, and the owned
     pages of every PRN are then checked in one check_raws call: each
     received page is checked once per reception.  A slot keeps the bytes
     that pass, and the complete subframes' blobs are read in one
-    unpack_pages call and carried on them.
+    unpack_pages call.
     """
     owned = {prn: _owned(events_by_prn.get(prn, ()), prn, window_start_ms)
              for prn in prns}
@@ -559,9 +562,8 @@ def assemble_rounds(events_by_prn: dict, gst: Gst, prns,
     slots = {prn: tuple(raw if raw is not None and next(oks) else None
                         for raw in raws) for prn, raws in owned.items()}
     complete = [prn for prn, raws in slots.items() if None not in raws]
-    blobs = dict(zip(complete, unpack_pages(slots[prn] for prn in complete)))
-    return {prn: Subframe(gst=gst, prn=prn, raws=raws, blobs=blobs.get(prn))
-            for prn, raws in slots.items()}
+    return ({prn: Subframe(gst, prn, raws) for prn, raws in slots.items()},
+            dict(zip(complete, unpack_pages(slots[prn] for prn in complete))))
 
 
 def assemble_round(events, gst: Gst, prn: int,
@@ -570,4 +572,4 @@ def assemble_round(events, gst: Gst, prn: int,
     come mixed with other satellites'; the window starts at gst unless
     window_start_ms says otherwise."""
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
-    return assemble_rounds({prn: events}, gst, (prn,), w0)[prn]
+    return assemble_rounds({prn: events}, gst, (prn,), w0)[0][prn]

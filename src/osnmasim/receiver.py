@@ -82,6 +82,7 @@ class RoundResult:
     changes: list = field(default_factory=list)         # (gst or None, Status)
     verdicts: list = field(default_factory=list)        # AuthResults
     authenticated: dict = field(default_factory=dict)   # prn -> NavFields
+    authenticated_gst: Gst | None = None    # of the data authenticated
 
 
 class Receiver:
@@ -101,7 +102,7 @@ class Receiver:
         self.seg_count = seg_count
         self.key_reject_threshold = key_reject_threshold
         self.trusted_key: TeslaKey | None = None
-        self.pending: dict = {}          # prn -> deque of (Subframe, NavFields)
+        self.pending: dict = {}     # prn -> deque of (gst, nav, mack, NavFields)
         self.key_rejections = 0
         self.status = Status.COLD_START
         self._changes = [(None, Status.COLD_START)]  # for the next result
@@ -123,18 +124,18 @@ class Receiver:
         navs holds each complete subframe's nav data, parsed once whatever
         the status; only the OSNMA pipeline is gated on a successful TS
         startup.  authenticated holds, by PRN, the nav data of the subframe
-        each authentic verdict names.  changes holds the status changes
-        since the previous round, round 0's opening with cold start and the
-        TS gate's."""
+        each authentic verdict names, and authenticated_gst its GST.
+        changes holds the status changes since the previous round, round
+        0's opening with cold start and the TS gate's."""
         first_gst, true_ms = self._grid
         r, self._round = self._round, self._round + 1
         gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)
         window_start_ms = true_ms + r * SUBFRAME_MS
         prns = sorted(self.pending.keys() | events_by_prn.keys())
-        subframes = assemble_rounds(events_by_prn, gst, prns, window_start_ms)
+        subframes, blobs = assemble_rounds(events_by_prn, gst, prns,
+                                           window_start_ms)
         result = RoundResult(gst, subframes, {
-            prn: parse_nav_data(sf.nav_data)
-            for prn, sf in subframes.items() if sf.complete},
+            prn: parse_nav_data(nav) for prn, (nav, _, _) in blobs.items()},
             # compare at subframe completion: content GST end vs LRT reading
             self.lrt.read(window_start_ms + SUBFRAME_MS)
             - gst.total_millis() - SUBFRAME_MS)
@@ -143,26 +144,28 @@ class Receiver:
         # windows verify against the key trusted at the round's start, or the
         # root key acquired in it; the newest authentic key is trusted next
         advanced: TeslaKey | None = None
-        for prn, sf in subframes.items() if running else ():
-            if not sf.complete:
+        for prn in subframes if running else ():
+            if prn not in blobs:
                 self.pending.pop(prn, None)
                 if self.status is Status.AUTHENTICATING:
                     self._enter(Status.SUSPENDED, gst)
                 result.verdicts.append(
                     AuthResult(gst, prn, Outcome.DISCARDED_INCOMPLETE))
                 continue
+            nav, hkroot, mack = blobs[prn]
             if self.trusted_key is None:
-                self._feed_dsm(prn, sf.osnma[0], gst)
+                self._feed_dsm(prn, hkroot, gst)
             window = self.pending.setdefault(prn, deque(maxlen=3))
-            window.append((sf, result.navs[prn]))
+            window.append((gst, nav, mack, result.navs[prn]))
             if self.status is Status.SPOOF_DETECTED \
                     or self.trusted_key is None or len(window) < 3:
                 continue
-            verdict, key = self._verify_triple(window)
+            verdict, key = self._verify_triple(prn, window)
             result.verdicts.append(verdict)
             if key is not None:
                 advanced = key
-                result.authenticated[prn] = window[0][1]
+                result.authenticated[prn] = window[0][3]
+                result.authenticated_gst = verdict.gst
         if advanced is not None:
             self.trusted_key = advanced
         result.changes, self._changes = self._changes, []
@@ -191,13 +194,12 @@ class Receiver:
         else:
             dsm.reset()
 
-    def _verify_triple(self, window) -> tuple:
+    def _verify_triple(self, prn: int, window) -> tuple:
         """The data subframe's verdict and, when authentic, the key that
-        verified it.  The window is one PRN's last three complete
-        (subframe, NavFields): data i, tags i+1, key i+2."""
-        (data_sf, _), (tag_sf, _), (key_sf, _) = window
-        gst, prn = data_sf.gst, data_sf.prn
-        candidate = TeslaKey(disclosed_key(key_sf.osnma[1]), key_sf.gst)
+        verified it.  The window is prn's last three complete subframes,
+        data i, tags i+1, key i+2, each as (GST, nav, MACK, NavFields)."""
+        (gst, nav, _, _), (tag_gst, _, tags, _), (key_gst, _, key, _) = window
+        candidate = TeslaKey(disclosed_key(key), key_gst)
         try:
             steps = verify_key(candidate, self.trusted_key)
         except (GstOrderError, AlignmentError):
@@ -208,10 +210,9 @@ class Receiver:
                 self._enter(Status.SPOOF_DETECTED, gst)
             return AuthResult(gst, prn, Outcome.KEY_REJECTED), None
 
-        tags = unpack_mack(tag_sf.osnma[1], self.seg_count)
-        if not all(verify_tags(data_sf.nav_data, tags, candidate,
-                               prn_d=prn, prn_a=prn, gst_sf=tag_sf.gst,
-                               seg_count=self.seg_count)):
+        if not all(verify_tags(nav, unpack_mack(tags, self.seg_count),
+                               candidate, prn_d=prn, prn_a=prn,
+                               gst_sf=tag_gst, seg_count=self.seg_count)):
             return AuthResult(gst, prn, Outcome.TAG_MISMATCH), None
         # verified only while AUTHENTICATING or SUSPENDED: this resumes
         self._enter(Status.AUTHENTICATING, gst)

@@ -460,12 +460,6 @@ def _solver_inputs(gst: Gst, navs: dict, obs: dict) -> tuple:
                  for prn, nav in sorted(navs.items()))
 
 
-def _authentic_gst(result) -> Gst:
-    """The GST of the data that a round's authentic verdicts name."""
-    return next(v.gst for v in result.verdicts
-                if v.outcome is Outcome.AUTHENTIC)
-
-
 def simulate(sc: Scenario):
     """Execute one scenario, yielding (RoundResult, raw fix, authenticated
     fix or None) for each round as the receiver ingests it.  Consecutive
@@ -497,7 +491,7 @@ def simulate(sc: Scenario):
         result = receiver.ingest_round(round_events(r))
         raw = fix_report(_solver_inputs(result.gst, result.navs, obs))
         yield result, raw, (fix_report(_solver_inputs(
-            _authentic_gst(result), result.authenticated, obs))
+            result.authenticated_gst, result.authenticated, obs))
             if len(result.authenticated) >= 4 else None)
 
 
@@ -511,7 +505,7 @@ def run_scenario(sc: Scenario) -> dict:
         deltas.append(result.delta_ms)
         raw_fixes.append(raw)
         if auth is not None:
-            auth_fixes[str(_authentic_gst(result).total_seconds())] = auth
+            auth_fixes[str(result.authenticated_gst.total_seconds())] = auth
     return {
         "scenario": {"name": sc.name, "seed": sc.seed, "attack": sc.attack,
                      "duration_rounds": sc.duration_rounds},

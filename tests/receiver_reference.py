@@ -69,7 +69,7 @@ def assemble(events_by_round, gst0, t0, osnma_running) -> list:
             tracked = {p for p, sf in rounds[-1].items() if sf.complete}
         rounds.append(assemble_rounds(events, gst0.add_seconds(30 * r),
                                       sorted(events.keys() | tracked),
-                                      t0 + r * SUBFRAME_MS))
+                                      t0 + r * SUBFRAME_MS)[0])
     return rounds
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import osnmasim.pages
@@ -12,21 +14,34 @@ from osnmasim.attacks import (
 )
 from osnmasim.gst import Gst, LrtSource, to_millis
 from osnmasim.mack import (
+    KEY_BITS,
+    TAG_REGION_BITS,
     disclosed_key,
     generate_subframe_tags,
     pack_mack,
     unpack_mack,
 )
-from osnmasim.navdata import parse_nav_data, subframe_nav_data
+from osnmasim.navdata import build_nav_data, parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
+    CRC,
+    EVEN_TAIL,
+    FILL,
+    MACK_BYTES,
+    NAV_BYTES,
+    PAGE_BITS,
+    PAGE_BYTES,
+    RESERVED,
+    SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
     Source,
     Stream,
     assemble_round,
+    check_raws,
+    reseal_raw,
     seal_pages,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaKey
-from page_reference import destroyed_slots
+from page_reference import FLAGS, blob_pages, destroyed_slots
 
 GST0 = Gst(1251, 277200)
 
@@ -188,8 +203,8 @@ def test_tsf_matches_two_pass_reference(wide_bundle, forge_tags, iono_a0):
 @pytest.mark.parametrize("forge_tags", [True, False])
 def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
                                                forge_tags):
-    """The rewritten subframes of one satellite are sealed in one kernel
-    call: all but the last (with tags) or the last two (without)."""
+    """A satellite's forged stream is sealed in one kernel call: the blobs
+    are written over every recorded page and the whole stream resealed."""
     calls = []
     kernel = osnmasim.pages._crc_columns
 
@@ -200,7 +215,62 @@ def test_tsf_seals_each_satellite_in_one_batch(wide_bundle, monkeypatch,
     monkeypatch.setattr(osnmasim.pages, "_crc_columns", counting)
     aux = wide_bundle.streams[1]
     tsf_forge_subframes(aux, **_tsf_args(forge_tags=forge_tags))
-    assert calls == [15 * (len(aux) - (1 if forge_tags else 2))]
+    assert calls == [15 * len(aux)]
+
+
+def _ones(*fields) -> int:
+    """The page-wide int with ones over each (bit position, width) field."""
+    return sum((1 << width) - 1 << PAGE_BITS - pos - width
+               for pos, width in fields)
+
+
+def _page_ints(nav_blob, mack_blob) -> list:
+    """Each page's int with ones where the nav and MACK blobs have them."""
+    return [int.from_bytes(raw, "big") ^ FLAGS for raw in blob_pages(
+        nav_blob, bytes(SLOTS_PER_SUBFRAME), mack_blob)]
+
+
+@pytest.mark.parametrize("forge_tags", [True, False])
+def test_tsf_keeps_every_recorded_bit_it_does_not_forge(small_bundle,
+                                                        forge_tags):
+    """A recording whose pages carry even-tail, reserved and fill bits (the
+    SAR, spare, SSP and tail bits of real I/NAV) and whose nav blobs carry
+    bits outside the simulated fields: every bit outside the two correction
+    fields, the re-tagged MACK tag regions and the CRC fields comes out of
+    the forgery as recorded, and every forged page verifies."""
+    rng = random.Random(29)
+    fields = int.from_bytes(build_nav_data(
+        4095, (1 << 20) - 1, 255, (-1e-3,) * 3, -1e-3, 2047), "big")
+    framing = _ones(EVEN_TAIL, RESERVED, FILL)
+    raws = []
+    for nav, hkroot, mack in small_bundle.streams[1].blobs():
+        extra = int.from_bytes(rng.randbytes(NAV_BYTES), "big") & ~fields
+        nav = (int.from_bytes(nav, "big") | extra).to_bytes(NAV_BYTES, "big")
+        raws += [reseal_raw((int.from_bytes(raw, "big") | framing
+                             & rng.getrandbits(PAGE_BITS)).to_bytes(
+                                 PAGE_BYTES, "big"))
+                 for raw in blob_pages(nav, hkroot, mack)]
+    recorded = Stream(GST0, 1, b"".join(raws))
+    forged = tsf_forge_subframes(recorded, **_tsf_args(forge_tags=forge_tags))
+    assert all(int.from_bytes(raw, "big") & framing for raw in raws)
+    assert check_raws(raws) == [True] * len(raws)
+    assert check_raws([raw for sf in forged.subframes()
+                       for raw in sf.raws]) == [True] * len(raws)
+
+    n = len(recorded)
+    corrections = build_nav_data(0, 0, 0, (0, 0, 0), -1e-3, 2047)
+    tag_region = ((1 << TAG_REGION_BITS) - 1 << KEY_BITS).to_bytes(
+        MACK_BYTES, "big")
+    crc = _ones(CRC)
+    for i in range(n):
+        masks = _page_ints(
+            corrections if i < n - 2 else bytes(NAV_BYTES),
+            tag_region if forge_tags and 1 <= i <= n - 2 else bytes(MACK_BYTES))
+        for p, mask in enumerate(masks):
+            at = PAGE_BYTES * (SLOTS_PER_SUBFRAME * i + p)
+            before, after = (int.from_bytes(pages[at:at + PAGE_BYTES], "big")
+                             for pages in (recorded.pages, forged.pages))
+            assert (before ^ after) & ~(mask | crc) == 0, (i, p)
 
 
 # -- concatenating replay --------------------------------------------------------

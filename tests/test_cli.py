@@ -227,6 +227,27 @@ def test_forge_tsf_rejects_a_gap(tmp_path, capsys):
     assert not forged.exists()
 
 
+def test_forge_tsf_of_a_file_with_no_subframes_is_an_error(tmp_path, capsys):
+    """A header-only vector file is a well-formed empty set, but holds
+    nothing to forge: one error line, exit 1, no file written."""
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(out)])
+    path = tmp_path / "empty.csv"
+    path.write_text((out / "vectors.csv").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["vectors", "validate", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: 0 pages, 0 subframes\n"
+    forged = tmp_path / "forged.csv"
+    assert main(["forge", "tsf", "--vectors", str(path),
+                 "--out", str(forged)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path} holds no subframes to forge"]
+    assert not forged.exists()
+
+
 def test_forge_tsf_out_of_range_iono_is_an_error(tmp_path, capsys):
     out = tmp_path / "con"
     main(["gen-constellation", "--seed", "3", "--sats", "4",

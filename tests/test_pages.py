@@ -403,7 +403,7 @@ def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
     result lands on its own slot: every PRN's subframe is the one assembled
     for it alone, and every kept slot passes the reference check."""
     prns, by_prn = prns_and_events
-    got = pages.assemble_rounds(by_prn, GST0, prns, _T0)
+    got, _ = pages.assemble_rounds(by_prn, GST0, prns, _T0)
     assert list(got) == prns
     for prn, sf in got.items():
         assert sf == assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
@@ -468,7 +468,7 @@ def test_on_grid_rounds_match_the_slot_reference(events):
     """Rounds on, and one move off, the slot grid: the fast path for a
     round of one page per slot start, in order, owns exactly what the
     slot-by-slot reference owns."""
-    got = pages.assemble_rounds({5: events, 6: events}, GST0, [5, 6], _T0)
+    got, _ = pages.assemble_rounds({5: events, 6: events}, GST0, [5, 6], _T0)
     for prn in (5, 6):
         assert got[prn] == ref_assemble_round(events, GST0, prn, _T0)
 
@@ -767,7 +767,7 @@ def test_built_subframes_read_back_their_blobs(size, seed):
     if built:
         assert Stream.of(built) == stream
     for sf, (nav, hkroot, mack) in zip(built, blobs):
-        assert sf.prn == 5 and sf.blobs is None
+        assert sf.prn == 5
         assert sf.raws == tuple(map(reseal_raw,
                                     ref.blob_pages(nav, hkroot, mack)))
         assert sf.nav_data == nav
@@ -776,15 +776,15 @@ def test_built_subframes_read_back_their_blobs(size, seed):
 
 @given(rounds_by_prn())
 def test_assembled_subframes_carry_the_reference_join(prns_and_events):
-    """A round's complete subframes carry the reference join of their
-    pages; the others carry nothing."""
+    """A round's complete subframes come with the reference join of their
+    pages, in PRN order; the others come with nothing."""
     prns, by_prn = prns_and_events
-    for sf in pages.assemble_rounds(by_prn, GST0, prns, _T0).values():
-        if sf.complete:
-            assert sf.blobs == (ref.join_nav_data(sf.raws), *ref.osnma(sf.raws))
-            assert sf.nav_data == sf.blobs[0] and sf.osnma == sf.blobs[1:]
-        else:
-            assert sf.blobs is None
+    got, blobs = pages.assemble_rounds(by_prn, GST0, prns, _T0)
+    assert list(blobs) == [prn for prn, sf in got.items() if sf.complete]
+    for prn, triple in blobs.items():
+        sf = got[prn]
+        assert triple == (ref.join_nav_data(sf.raws), *ref.osnma(sf.raws))
+        assert sf.nav_data == triple[0] and sf.osnma == triple[1:]
 
 
 def test_a_round_is_unpacked_in_one_call(monkeypatch):
@@ -801,18 +801,19 @@ def test_a_round_is_unpacked_in_one_call(monkeypatch):
     monkeypatch.setattr(pages, "unpack_pages", counting)
     events = {prn: [e._replace(prn=prn) for e in _events(indices=indices)]
               for prn, indices in ((5, range(15)), (6, range(14)), (7, range(15)))}
-    got = pages.assemble_rounds(events, GST0, [5, 6, 7], _T0)
+    got, blobs = pages.assemble_rounds(events, GST0, [5, 6, 7], _T0)
     assert calls == [2]
-    assert [sf.blobs is not None for sf in got.values()] == [True, False, True]
+    assert [prn in blobs for prn in got] == [True, False, True]
 
 
-def test_blobs_are_not_compared():
+def test_a_subframe_is_its_slots():
+    """An assembled subframe equals one built from its slots alone, and
+    holds nothing else."""
     sf = assemble_round(_events(), GST0, prn=5)
     bare = Subframe(gst=sf.gst, prn=sf.prn, raws=sf.raws)
-    assert sf.blobs is not None and bare.blobs is None
     assert sf == bare and hash(sf) == hash(bare)
     assert (sf.nav_data, sf.osnma) == (bare.nav_data, bare.osnma)
-    assert set(vars(bare)) == {"gst", "prn", "raws", "blobs"}
+    assert set(vars(bare)) == {"gst", "prn", "raws"}
 
 
 def test_a_batch_with_an_incomplete_subframe_raises():
@@ -825,7 +826,6 @@ def test_a_batch_with_an_incomplete_subframe_raises():
     sf = Subframe(gst=GST0, prn=5, raws=broken)
     with pytest.raises(IncompleteError, match=r"\(3, 9\)"):
         sf.nav_data
-    assert vars(sf)["blobs"] is None
 
 
 def test_unpack_rejects_a_page_of_the_wrong_length():

@@ -12,8 +12,10 @@ from osnmasim.gst import (
     check_time_sync,
 )
 from osnmasim.mack import disclosed_key, pack_mack, unpack_mack
-from osnmasim.navdata import parse_nav_data, subframe_nav_data
+from osnmasim.navdata import NavFields, parse_nav_data, subframe_nav_data
 from osnmasim.pages import (
+    MACK_BYTES,
+    NAV_BYTES,
     PAGE_BITS,
     PAGE_MS,
     SLOTS_PER_SUBFRAME,
@@ -458,9 +460,13 @@ def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     assert tail == []
 
 
+# up to 8 (round, prn, slot) pages dropped from a 4 x 12 live stream
+_DROPS = st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4),
+                           st.integers(0, SLOTS_PER_SUBFRAME - 1)), max_size=8)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4),
-                         st.integers(0, SLOTS_PER_SUBFRAME - 1)), max_size=8))
+@given(_DROPS)
 @example(set())
 def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
         small_bundle, drops):
@@ -493,6 +499,43 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
             assert nav == sent(prn, authentic[prn])
     if not drops:
         assert len(results[-1].authenticated) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(_DROPS)
+@example(set())
+def test_rounds_name_the_gst_they_authenticated(small_bundle, drops):
+    """With pages dropped from the live stream, each round's
+    authenticated_gst is the GST of every authentic verdict it holds, and
+    None in a round with none; the clean run has rounds of both kinds."""
+    events = live_events(small_bundle.vectors.subframes())
+    for round_idx, prn, slot in drops:
+        events = _drop(events, prn, round_idx, slot)
+    _, results = _drive(small_bundle, events, 12, t0=GST0.total_millis())
+    named = [result.authenticated_gst for result in results]
+    for result, gst in zip(results, named):
+        authentic = {v.gst for v in result.verdicts
+                     if v.outcome is Outcome.AUTHENTIC}
+        assert authentic == (set() if gst is None else {gst})
+    if not drops:
+        assert None in named and named[-1] == GST0.add_seconds(30 * 9)
+
+
+def test_windows_hold_only_what_their_checks_read(wide_bundle):
+    """After an 8x16 baseline every satellite's window holds, for each of
+    its three subframes, the GST, the nav and MACK blobs and the parsed nav
+    data: no Subframe and no 30-byte page."""
+    rx, results = _drive(wide_bundle,
+                         live_events(wide_bundle.vectors.subframes()), 16)
+    assert [v.outcome for v in results[-1].verdicts] == [Outcome.AUTHENTIC] * 8
+    assert sorted(rx.pending) == list(range(1, 9))
+    for prn, window in rx.pending.items():
+        assert [gst for gst, *_ in window] == \
+            [GST0.add_seconds(30 * r) for r in (13, 14, 15)]
+        for entry in window:
+            assert list(map(type, entry)) == [Gst, bytes, bytes, NavFields]
+            assert list(map(len, entry[1:3])) == [NAV_BYTES, MACK_BYTES]
+            assert entry[3].prn == prn
 
 
 def test_report_shape(small_bundle):

@@ -377,6 +377,25 @@ def test_four_satellite_tsf_lands_every_auth_fix_on_target(seed, attack):
             attack.get("clock_offset_s", 0.0), abs=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1d: the Gauss-Newton solve started at the Earth's centre "
+    "takes the far root of a 4-satellite genuine fix"))
+def test_four_satellite_baseline_lands_every_auth_fix_on_the_site():
+    """Seed 3207's 4-satellite baseline: every authenticated fix lies within
+    1 mm of the site.  Today its one fix lands 6,258 km away, at a height
+    of -3,775,477 m."""
+    sc = Scenario.from_dict({
+        "seed": 3207, "constellation": {"sats": 4, "subframes": 7, "wn": 0,
+                                        "tow": 30},
+        "duration_rounds": 7})
+    report = run_scenario(sc)
+    site = osnmasim.positioning.geodetic_to_ecef(*sc.site)
+    assert report["auth_fixes"]
+    for fix in report["auth_fixes"].values():
+        assert "error" not in fix, fix
+        assert math.dist(fix["ecef_m"], site) < 1e-3, fix
+
+
 def test_non_finite_json_number_names_its_path(tmp_path):
     """Python's json reads NaN and Infinity; a scenario file rejects them."""
     path = tmp_path / "inf.json"
@@ -848,9 +867,9 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     assemble = osnmasim.receiver.assemble_rounds
 
     def recording(*args):
-        subframes = assemble(*args)
-        received.extend(subframes.values())
-        return subframes
+        subframes, blobs = assemble(*args)
+        received.extend((sf, prn in blobs) for prn, sf in subframes.items())
+        return subframes, blobs
 
     monkeypatch.setattr(osnmasim.pages, "_unpack", counting)
     monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", recording)
@@ -858,8 +877,8 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     sc = _scenario({"type": "none"}, subframes=128)
     report = run_scenario(sc)
     assert report["receiver"]["status"] == "authenticating"
-    assert len(received) == 8 * 128 and all(sf.complete for sf in received)
-    assert all(sf.blobs is not None for sf in received)
+    assert len(received) == 8 * 128
+    assert all(sf.complete and read for sf, read in received)
     assert unpacks == [128] * 8 + [8] * 128
     assert [len(sats) for _, _, sats in forges] == [128] * 8
     assert 0 < len(solves) == len(reports) < 8
