@@ -2,7 +2,6 @@
 
 Subcommands:
     gen-constellation   write a synthetic vector set + chain description
-    gen-chain           write a chain description only
     vectors validate    schema- and CRC-check a vector CSV
     forge tsf           rewrite a vector set's corrections and re-tag it
     run                 execute scenario files, write JSON reports
@@ -18,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from .scenario import (
     run_scenario,
     write_report,
 )
-from .tesla import TeslaChain
 from .vectors import TestVectorSet, unique_keys
 
 
@@ -48,16 +45,6 @@ def _cmd_gen_constellation(args) -> int:
     rows = SLOTS_PER_SUBFRAME * sum(map(len, bundle.streams.values()))
     print(f"wrote {outdir / 'vectors.csv'} ({rows} rows) "
           f"and {outdir / 'chain.json'}")
-    return 0
-
-
-def _cmd_gen_chain(args) -> int:
-    rng = random.Random(args.seed)
-    chain = TeslaChain.generate(rng.randbytes(16), args.n,
-                                Gst(args.wn, args.tow))
-    Path(args.out).write_text(
-        json.dumps(chain.as_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.out} (chain of {chain.n} keys)")
     return 0
 
 
@@ -143,14 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tow", type=int, default=DEFAULT_GST0.tow)
     p.add_argument("--out-dir", default="constellation")
     p.set_defaults(func=_cmd_gen_constellation)
-
-    p = sub.add_parser("gen-chain", help="generate a key chain description")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--wn", type=int, default=DEFAULT_GST0.wn)
-    p.add_argument("--tow", type=int, default=DEFAULT_GST0.tow)
-    p.add_argument("--out", default="chain.json")
-    p.set_defaults(func=_cmd_gen_chain)
 
     p = sub.add_parser("vectors", help="test-vector file operations")
     vsub = p.add_subparsers(dest="vectors_command", required=True)

@@ -74,11 +74,21 @@ def _read_mapping(path) -> tuple:
         if name not in HEADER:
             raise SchemaError(f"mapping key 'columns' names unknown column "
                               f"{name!r}, expected one of {HEADER}")
+    columns = {**{name: name for name in HEADER}, **renames}
+    fields: dict = {}           # CSV column -> the first field read from it
+    for name, column in columns.items():
+        if not isinstance(column, str):
+            raise SchemaError(f"mapping key 'columns' maps {name!r} to "
+                              f"{column!r}, not a column name")
+        if column in fields:
+            raise SchemaError(f"mapping sends {fields[column]!r} and {name!r} "
+                              f"to one column {column!r}")
+        fields[column] = name
     base = mapping.get("page_index_base", 1)
     if isinstance(base, bool) or not isinstance(base, int):
         raise SchemaError(f"mapping key 'page_index_base' must be an integer, "
                           f"got {base!r}")
-    return {**{name: name for name in HEADER}, **renames}, base
+    return columns, base
 
 
 @dataclass

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from osnmasim.cli import main
+from osnmasim.cli import build_parser, main
 from osnmasim.vectors import TestVectorSet
 from test_scenario import REPORT_DIGESTS
 
@@ -73,8 +75,6 @@ def test_commands_that_never_solve_load_no_numpy(tmp_path):
     commands = [
         ["gen-constellation", "--seed", "3", "--sats", "4", "--subframes",
          "3", "--out-dir", str(con)],
-        ["gen-chain", "--seed", "3", "--n", "20",
-         "--out", str(tmp_path / "chain.json")],
         ["vectors", "validate", str(con / "vectors.csv")],
         ["forge", "tsf", "--vectors", str(con / "vectors.csv"),
          "--out", str(tmp_path / "forged.csv")],
@@ -91,7 +91,7 @@ def test_commands_that_never_solve_load_no_numpy(tmp_path):
         f"for argv in {commands!r}:\n"
         "    seen.append((cli.main(argv), 'numpy' in sys.modules))\n"
         "print(seen)\n")
-    assert _fresh(probe) == str([True, False] + [(0, False)] * 5)
+    assert _fresh(probe) == str([True, False] + [(0, False)] * 4)
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -109,6 +109,47 @@ def test_a_thread_count_the_caller_set_is_kept(tmp_path):
     count changes no report byte."""
     assert _run_baseline(tmp_path, f"os.environ[{BLAS_THREADS!r}]",
                          **{BLAS_THREADS: "2"}) == "0 2"
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy links an OpenBLAS that picks its kernel at load."""
+    import numpy as np
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # a numpy too old to report it
+        return False
+    return "openblas" in blas.get("name", "") and \
+        "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1b: reports print the solver's "
+                          "last-bit noise, which depends on the BLAS kernel")
+def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """The baseline report keeps its pinned bytes under two SSE kernels
+    that run on any x86-64, forced one per child process."""
+    if platform.machine().lower() not in ("x86_64", "amd64") or \
+            not _dynamic_arch_openblas():
+        pytest.skip("needs an x86-64 host and a DYNAMIC_ARCH OpenBLAS")
+    for kernel in ("Prescott", "Nehalem"):
+        assert _run_baseline(tmp_path / kernel,
+                             "os.environ['OPENBLAS_CORETYPE']",
+                             OPENBLAS_CORETYPE=kernel) == f"0 {kernel}"
+
+
+def test_the_command_surface(tmp_path, capsys):
+    """The command line offers exactly these commands: gen-constellation
+    writes the one chain description, beside the vectors it signs."""
+    commands, = (action.choices for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+    assert list(commands) == ["gen-constellation", "vectors", "forge",
+                              "run", "report"]
+    out = tmp_path / "chain.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["gen-chain", "--seed", "3", "--n", "20", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'gen-chain'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_constellation_writes_outputs(tmp_path, capsys):
@@ -133,14 +174,6 @@ def test_gen_constellation_names_the_root_field_that_does_not_fit(tmp_path,
     assert capsys.readouterr().err == \
         "error: wnk 5000 does not fit 12 bits\n"
     assert not (tmp_path / "con").exists()
-
-
-def test_gen_chain(tmp_path):
-    out = tmp_path / "chain.json"
-    assert main(["gen-chain", "--seed", "5", "--n", "40",
-                 "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["n"] == 40
 
 
 def test_vectors_validate_ok(tmp_path, capsys):
@@ -390,11 +423,15 @@ def test_report_diff_repeated_key_is_an_error(tmp_path, capsys, repeated):
         f"error: {paths[repeated]}: repeated key 'exit_code'\n"
 
 
+# the ids are pinned so that each case keeps its name when an entry
+# leaves the table
 @pytest.mark.parametrize("argv,words", [
-    (["gen-constellation", "--sats", "3", "--out-dir"], "four satellites"),
-    (["gen-chain", "--n", "0", "--out"], "one hash step"),
-    (["gen-constellation", "--subframes", "0", "--out-dir"], "subframes"),
-    (["gen-constellation", "--subframes", "-2", "--out-dir"], "subframes"),
+    pytest.param(["gen-constellation", "--sats", "3", "--out-dir"],
+                 "four satellites", id="argv0-four satellites"),
+    pytest.param(["gen-constellation", "--subframes", "0", "--out-dir"],
+                 "subframes", id="argv2-subframes"),
+    pytest.param(["gen-constellation", "--subframes", "-2", "--out-dir"],
+                 "subframes", id="argv3-subframes"),
 ])
 def test_generator_bad_argument_is_an_error(tmp_path, capsys, argv, words):
     assert main([*argv, str(tmp_path / "out")]) == 1

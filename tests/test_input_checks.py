@@ -48,6 +48,9 @@ CHECKS = {
                         ValueError("chain keys are 16 bytes")),
     "tesla_short_seed": (lambda: TeslaChain.generate(bytes(15), 3, GST),
                          ValueError("seed must be 16 bytes")),
+    "tesla_no_hash_step": (
+        lambda: TeslaChain.generate(bytes(16), 0, GST),
+        ValueError("chain needs at least one hash step")),
     "tesla_short_signature": (
         lambda: verify_root(bytes(ROOT_MESSAGE_BYTES), bytes(63),
                             generate_keypair(1)[1]),

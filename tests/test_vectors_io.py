@@ -207,15 +207,36 @@ def test_incomplete_subframe_names_its_first_row(small_bundle, tmp_path):
     ({"page_index_base": "0"}, "'page_index_base'"),
     ({"page_index_base": True}, "'page_index_base'"),
     ([{"page_index_base": 0}], "JSON object"),
+    ({"columns": {"tow": 2}}, "'columns' maps 'tow' to 2"),
+    ({"columns": {"tow": "wn"}},
+     "^mapping sends 'wn' and 'tow' to one column 'wn'$"),
+    ({"columns": {"wn": "WEEK", "prn": "WEEK"}},
+     "^mapping sends 'wn' and 'prn' to one column 'WEEK'$"),
 ])
 def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, key):
-    """A mapping that would be misread is rejected with its key named."""
+    """A mapping that would be misread is rejected with its key, or the
+    fields and the column it would misread, named."""
     native = tmp_path / "native.csv"
     small_bundle.vectors.save(native)
     path = tmp_path / "mapping.json"
     path.write_text(json.dumps(mapping))
     with pytest.raises(SchemaError, match=key):
         TestVectorSet.load(native, mapping_path=path)
+
+
+def test_mapping_that_swaps_two_columns_loads(small_bundle, tmp_path):
+    """Fields may trade columns: a file whose wn and tow columns are
+    swapped in its header loads as the native file does."""
+    native = tmp_path / "native.csv"
+    small_bundle.vectors.save(native)
+    swapped = tmp_path / "swapped.csv"
+    lines = native.read_text().splitlines()
+    lines[0] = lines[0].replace("wn,tow", "tow,wn")
+    swapped.write_text("\n".join(lines) + "\n")
+    path = tmp_path / "mapping.json"
+    path.write_text(json.dumps({"columns": {"wn": "tow", "tow": "wn"}}))
+    loaded = TestVectorSet.load(swapped, mapping_path=path)
+    assert loaded.subframes() == _bundle_subframes(small_bundle)
 
 
 @pytest.mark.parametrize("text,key", [
