@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .attacks import tsf_forge_subframes
 from .gst import Gst
+from .mack import DEFAULT_SEG_COUNT
 from .pages import SLOTS_PER_SUBFRAME, Stream
 from .scenario import (
     DEFAULT_GST0,
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="forge_command", required=True)
     f = fsub.add_parser("tsf", help="rewrite corrections and re-tag vectors")
     f.add_argument("--vectors", required=True)
-    f.add_argument("--segments", type=int, default=6)
+    f.add_argument("--segments", type=int, default=DEFAULT_SEG_COUNT)
     f.add_argument("--iono-a0", type=int, default=0)
     f.add_argument("--no-tags", action="store_true",
                    help="forge navigation data only, keep original tags")

@@ -34,6 +34,8 @@ MACK_BITS = 8 * MACK_BYTES
 KEY_BITS = 128
 TAG_REGION_BITS = MACK_BITS - KEY_BITS      # 352
 TAG_BITS = 40
+MAX_SEG_COUNT = TAG_REGION_BITS // TAG_BITS     # 8 tags fill the region
+DEFAULT_SEG_COUNT = 6                           # tags a subframe carries
 
 
 # the tag message's header in front of its segment: (name, bit position,
@@ -76,7 +78,7 @@ def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
 
 
 def _check_capacity(n_tags: int) -> None:
-    if n_tags * TAG_BITS > TAG_REGION_BITS:
+    if n_tags > MAX_SEG_COUNT:
         raise CapacityError(f"{n_tags} segments of {TAG_BITS}-bit tags exceed "
                             f"the {TAG_REGION_BITS}-bit tag region")
 

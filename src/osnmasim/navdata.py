@@ -24,6 +24,7 @@ from .pages import (
     Subframe,
     pack_fields,
     unpack_fields,
+    unpack_pages,
 )
 
 NAV_BITS = 8 * NAV_BYTES
@@ -94,7 +95,6 @@ def parse_nav_data(blob: bytes) -> NavFields:
 
 
 def subframe_nav_data(sf: Subframe) -> bytes:
-    """Concatenate the data portions of a complete subframe: the blob its
-    round's unpack read, or one unpacked afresh; a destroyed page raises
-    ValueError."""
-    return sf.nav_data
+    """Concatenate the data portions of a complete subframe, 240 bytes; a
+    destroyed page raises IncompleteError, a ValueError."""
+    return unpack_pages((sf.raws,))[0][0]

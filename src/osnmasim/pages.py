@@ -418,10 +418,10 @@ class Subframe:
     """Fifteen 2-second page slots stamped with the GST of the round.
 
     Each slot holds a page's 30 sealed bytes or None for a destroyed page.
-    The subframe is produced even when slots are destroyed; OSNMA material
-    is only extractable from complete subframes.  A subframe is its slots;
-    pages, nav_data and osnma are views read afresh on each access (a
-    receiver reads its round's blobs from assemble_rounds instead).
+    The subframe is produced even when slots are destroyed; its blobs are
+    only extractable from complete subframes, by unpack_pages.  A subframe
+    is its slots; pages is a view decoded afresh on each access (a receiver
+    reads its round's blobs from assemble_rounds instead).
     """
 
     gst: Gst
@@ -443,18 +443,6 @@ class Subframe:
         oks = iter(check_raws([raw for raw in self.raws if raw is not None]))
         return tuple(_content(raw) if raw is not None and next(oks) else None
                      for raw in self.raws)
-
-    @property
-    def nav_data(self) -> bytes:
-        """The pages' data portions concatenated, 240 bytes; a destroyed
-        slot raises IncompleteError, a ValueError."""
-        return unpack_pages((self.raws,))[0][0]
-
-    @property
-    def osnma(self) -> tuple:
-        """The HKROOT and MACK portions concatenated, as 15 and 60 bytes; a
-        destroyed slot raises IncompleteError."""
-        return unpack_pages((self.raws,))[0][1:]
 
 
 @dataclass(frozen=True)
@@ -542,34 +530,37 @@ def _owned(events, prn: int, w0: int) -> list:
     return owned
 
 
-def assemble_rounds(events_by_prn: dict, gst: Gst, prns,
-                    window_start_ms: int) -> tuple:
-    """Assemble one 30-second round of page events into a subframe for
-    each of prns, in their order; a PRN with no events gets a destroyed
-    round.  Returns the subframes by PRN and, by PRN in the same order,
-    the (nav, hkroot, mack) blobs of the complete ones.
+def _slots(events_by_prn: dict, prns, window_start_ms: int) -> dict:
+    """One 30-second round of page events as each of prns' 15 slots, by
+    PRN in their order; a PRN with no events gets a destroyed round.
 
     Slots are owned by _owned's capture and overlap rules, and the owned
     pages of every PRN are then checked in one check_raws call: each
     received page is checked once per reception.  A slot keeps the bytes
-    that pass, and the complete subframes' blobs are read in one
-    unpack_pages call.
+    that pass.
     """
     owned = {prn: _owned(events_by_prn.get(prn, ()), prn, window_start_ms)
              for prn in prns}
     oks = iter(check_raws([raw for raws in owned.values()
                            for raw in raws if raw is not None]))
-    slots = {prn: tuple(raw if raw is not None and next(oks) else None
-                        for raw in raws) for prn, raws in owned.items()}
+    return {prn: tuple(raw if raw is not None and next(oks) else None
+                       for raw in raws) for prn, raws in owned.items()}
+
+
+def assemble_rounds(events_by_prn: dict, prns, window_start_ms: int) -> dict:
+    """Assemble one 30-second round of page events for each of prns: the
+    (nav, hkroot, mack) blobs of the PRNs whose subframe is complete, by
+    PRN in prns' order, read in one unpack_pages call."""
+    slots = _slots(events_by_prn, prns, window_start_ms)
     complete = [prn for prn, raws in slots.items() if None not in raws]
-    return ({prn: Subframe(gst, prn, raws) for prn, raws in slots.items()},
-            dict(zip(complete, unpack_pages(slots[prn] for prn in complete))))
+    return dict(zip(complete, unpack_pages(slots[prn] for prn in complete)))
 
 
 def assemble_round(events, gst: Gst, prn: int,
                    window_start_ms: int | None = None) -> Subframe:
-    """assemble_rounds for the one satellite prn, whose page events may
-    come mixed with other satellites'; the window starts at gst unless
-    window_start_ms says otherwise."""
+    """The subframe of the one satellite prn, stamped gst, that one round
+    of page events assembles into, by assemble_rounds' slot rules; the
+    events may come mixed with other satellites', and the window starts
+    at gst unless window_start_ms says otherwise."""
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
-    return assemble_rounds({prn: events}, gst, (prn,), w0)[0][prn]
+    return Subframe(gst, prn, _slots({prn: events}, (prn,), w0)[prn])

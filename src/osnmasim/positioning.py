@@ -35,12 +35,6 @@ class NoConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SatState:
-    prn: int
-    position: tuple       # ECEF metres
-
-
-@dataclass(frozen=True)
 class Fix:
     position: tuple       # ECEF metres
     clock_offset: float   # seconds
@@ -94,7 +88,8 @@ def ecef_to_geodetic(x: float, y: float, z: float) -> tuple:
 
 
 def forge_pseudoranges(target, t_r: float, sats) -> list:
-    """Range equation run forwards from a chosen receiver state."""
+    """Range equation run forwards from a chosen receiver state; sats are
+    ECEF satellite positions in metres."""
     if not sats:
         raise ValueError("need at least one satellite")
     import numpy as np
@@ -102,15 +97,15 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
     tgt = np.asarray(target, dtype=float)
     ranges = {}                 # position -> its range, computed once
     for s in sats:
-        if s.position not in ranges:
-            ranges[s.position] = float(
-                np.linalg.norm(tgt - np.asarray(s.position, dtype=float))
-                + SPEED_OF_LIGHT * t_r)
-    return [ranges[s.position] for s in sats]
+        if s not in ranges:
+            ranges[s] = float(np.linalg.norm(tgt - np.asarray(s, dtype=float))
+                              + SPEED_OF_LIGHT * t_r)
+    return [ranges[s] for s in sats]
 
 
 def solve_position(sats, pseudoranges) -> Fix:
-    """Solve receiver position and clock offset from >= 4 pseudoranges.
+    """Solve receiver position and clock offset from >= 4 pseudoranges,
+    one for each ECEF satellite position in sats (metres).
 
     Each Gauss-Newton step factorises the Jacobian once: the singular values
     of its least-squares solve also give the rank test, so a rank below 4
@@ -122,7 +117,7 @@ def solve_position(sats, pseudoranges) -> Fix:
         raise ValueError("one pseudorange per satellite")
     import numpy as np
 
-    pos = np.array([s.position for s in sats], dtype=float)
+    pos = np.array(sats, dtype=float)
     rho = np.asarray(pseudoranges, dtype=float)
 
     x = np.zeros(4)                     # x, y, z, c*t_r

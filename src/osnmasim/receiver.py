@@ -26,7 +26,7 @@ from .gst import (
     TsPolicy,
     check_time_sync,
 )
-from .mack import disclosed_key, unpack_mack, verify_tags
+from .mack import DEFAULT_SEG_COUNT, disclosed_key, unpack_mack, verify_tags
 from .navdata import parse_nav_data
 from .pages import SUBFRAME_MS, assemble_rounds
 from .tesla import (
@@ -76,7 +76,6 @@ class AuthResult:
 @dataclass
 class RoundResult:
     gst: Gst                        # the round's slot on the power-on grid
-    subframes: dict                 # prn -> Subframe
     navs: dict                      # prn -> NavFields, complete subframes
     delta_ms: int                   # LRT - GST at the subframe's completion
     changes: list = field(default_factory=list)         # (gst or None, Status)
@@ -91,7 +90,8 @@ class Receiver:
     public key as a compressed P-256 point."""
 
     def __init__(self, policy: TsPolicy, lrt: LrtSource, pubkey: bytes,
-                 first_gst: Gst, true_ms: int, *, seg_count: int = 6,
+                 first_gst: Gst, true_ms: int, *,
+                 seg_count: int = DEFAULT_SEG_COUNT,
                  key_reject_threshold: int = 1):
         """Power on: run the TS gate against the first observed subframe
         boundary, and fix the round grid: round r is stamped first_gst +
@@ -132,9 +132,8 @@ class Receiver:
         gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)
         window_start_ms = true_ms + r * SUBFRAME_MS
         prns = sorted(self.pending.keys() | events_by_prn.keys())
-        subframes, blobs = assemble_rounds(events_by_prn, gst, prns,
-                                           window_start_ms)
-        result = RoundResult(gst, subframes, {
+        blobs = assemble_rounds(events_by_prn, prns, window_start_ms)
+        result = RoundResult(gst, {
             prn: parse_nav_data(nav) for prn, (nav, _, _) in blobs.items()},
             # compare at subframe completion: content GST end vs LRT reading
             self.lrt.read(window_start_ms + SUBFRAME_MS)
@@ -144,7 +143,7 @@ class Receiver:
         # windows verify against the key trusted at the round's start, or the
         # root key acquired in it; the newest authentic key is trusted next
         advanced: TeslaKey | None = None
-        for prn in subframes if running else ():
+        for prn in prns if running else ():
             if prn not in blobs:
                 self.pending.pop(prn, None)
                 if self.status is Status.AUTHENTICATING:

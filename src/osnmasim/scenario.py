@@ -30,7 +30,7 @@ from .gst import (
     SymmetricBound,
     to_millis,
 )
-from .mack import TAG_BITS, TAG_REGION_BITS, pack_mack, tag_stream
+from .mack import DEFAULT_SEG_COUNT, MAX_SEG_COUNT, pack_mack, tag_stream
 from .navdata import (
     CLOCK_BITS,
     IONO_A0_BITS,
@@ -45,7 +45,6 @@ from .positioning import (
     LAT_RANGE,
     LON_RANGE,
     NoConvergenceError,
-    SatState,
     SingularGeometryError,
     forge_pseudoranges,
     geodetic_to_ecef,
@@ -82,7 +81,7 @@ class ConstellationBundle:
     streams: MappingProxyType             # prn -> Stream from gst0
     chain: TeslaChain
     pubkey: bytes                         # compressed P-256 point
-    sat_states: MappingProxyType          # prn -> SatState
+    sat_states: MappingProxyType          # prn -> ECEF position, metres
     receiver_ecef: tuple
     gst0: Gst                             # GST of the first subframe
 
@@ -117,10 +116,10 @@ def _sky_direction(lat_deg, lon_deg, az_deg, el_deg):
     return tuple(ce * e + cn * n + cu * u for e, n, u in zip(east, north, up))
 
 
-def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
-                                     gst0: Gst = DEFAULT_GST0,
-                                     site=DEFAULT_SITE,
-                                     seg_count: int = 6) -> ConstellationBundle:
+def generate_synthetic_constellation(
+        seed: int, n_sats: int, n_subframes: int, gst0: Gst = DEFAULT_GST0,
+        site=DEFAULT_SITE,
+        seg_count: int = DEFAULT_SEG_COUNT) -> ConstellationBundle:
     """Build an internally consistent vector set.
 
     Chain keys ride in MACK, tags verify, the signed root message cycles
@@ -147,7 +146,7 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
         pos = tuple(r + rng_m * d for r, d in zip(recv_ecef, direction))
         # quantize to the nav-data grid so broadcast and truth agree exactly
         pos = tuple(round(c * 1000) / 1000 for c in pos)
-        sat_states[prn] = SatState(prn=prn, position=pos)
+        sat_states[prn] = pos
         iono_a0[prn] = rng.randint(10, 300)
         clock_bias_m[prn] = round(rng.uniform(-150.0, 150.0), 3)
 
@@ -162,8 +161,8 @@ def generate_synthetic_constellation(seed: int, n_sats: int, n_subframes: int,
     keys = chain.keys[1:n_subframes + 2]
     gsts = [gst0.add_seconds(SUBFRAME_SECONDS * j) for j in range(n_subframes)]
     streams = {}
-    for prn, sat in sat_states.items():          # one sealing per satellite
-        navs = [build_nav_data(g.wn, g.tow, prn, sat.position,
+    for prn, pos in sat_states.items():          # one sealing per satellite
+        navs = [build_nav_data(g.wn, g.tow, prn, pos,
                                clock_bias_m[prn], iono_a0[prn]) for g in gsts]
         macks = [pack_mack([], keys[0].bits)] \
             + tag_stream(prn, gsts, navs, keys, seg_count)
@@ -283,7 +282,7 @@ SCENARIO_KEYS = {
                      {})}, {}),
     "receiver": ({"policy": (dict, {}), "lrt_offset_s": (SECONDS, 0),
                   "lrt_error_bound_s": (SECONDS, 0, 0, None),
-                  "seg_count": (int, 6, 1, TAG_REGION_BITS // TAG_BITS),
+                  "seg_count": (int, DEFAULT_SEG_COUNT, 1, MAX_SEG_COUNT),
                   "key_reject_threshold": (int, 1, 1, None)}, {}),
     "attack": (dict, {"type": "none"}),
     "duration_rounds": (int, None),           # default: constellation.subframes
@@ -291,45 +290,52 @@ SCENARIO_KEYS = {
 
 # -- attacks ---------------------------------------------------------------
 #
-# A generator maps (values, scenario, bundle) to (stream, lrt, observations).
-# The stream is attacks.slot_stream's (t0, round_events): the receiver is
-# powered on at t0, its slot grid's start in ms.  lrt is the scenario's LRT
-# source as the attack leaves it, and observations are the ranges the
-# receiver measures, keyed by (gst seconds, prn).
+# A generator maps (values, scenario, bundle) to (stream, lrt, observations,
+# steer_s).  The stream is attacks.slot_stream's (t0, round_events): the
+# receiver is powered on at t0, its slot grid's start in ms.  lrt is the
+# scenario's LRT source as the attack leaves it, and observations are the
+# ranges the receiver measures, keyed by (gst seconds, prn).  steer_s is the
+# whole seconds of receiver clock offset the ranges leave out, as a receiver
+# steers its clock: each fix's clock offset gets them back.
 
 
 def _none(a, sc, bundle):
     return (attacks.shifted_stream(bundle.streams), sc.lrt,
-            bundle.observations)
+            bundle.observations, 0)
 
 
 def _tsr_realtime(a, sc, bundle):
     return (attacks.replay_realtime(bundle.streams, a["delay_s"]), sc.lrt,
-            bundle.observations)
+            bundle.observations, 0)
 
 
 def _tsr_recorded(a, sc, bundle):                  # behind an NTP MITM
     return (attacks.replay_realtime(bundle.streams, a["staleness_s"]),
             attacks.ntp_mitm_delay(sc.lrt, a["mitm_delay_s"]),
-            bundle.observations)
+            bundle.observations, 0)
 
 
 def _tsf(a, sc, bundle):                           # replays forged streams
+    """At an hour's offset a range is about 1e12 m, whose float spacing
+    (about 1e-4 m) the geometry amplifies past 1 mm: the forged ranges
+    carry only the offset's fraction of a second, and steer_s the rest."""
     target = geodetic_to_ecef(*a["target"].values())
     forged = {prn: attacks.tsf_forge_subframes(
                   stream, seg_count=sc.seg_count, forge_tags=a["forge_tags"],
                   iono_a0=a["iono_a0"], clock_bias_m=a["clock_bias_m"])
               for prn, stream in bundle.streams.items()}
     mitm = a["staleness_s"] if a["mitm_delay_s"] is None else a["mitm_delay_s"]
+    steer_s = round(a["clock_offset_s"])
     return (attacks.replay_realtime(forged, a["staleness_s"]),
             attacks.ntp_mitm_delay(sc.lrt, mitm),
-            _observations(forged, target, float(a["clock_offset_s"])))
+            _observations(forged, target, a["clock_offset_s"] - steer_s),
+            steer_s)
 
 
 def _cr(a, sc, bundle):
     return (attacks.cr_compose(bundle.streams, a["replay_delay_s"],
                                a["t_acq_s"], a["onset_round"]),
-            sc.lrt, bundle.observations)
+            sc.lrt, bundle.observations, 0)
 
 
 # type: (declared keys, generator)
@@ -433,7 +439,7 @@ def live_events(subframes_by_prn: dict) -> list:
             for _, events in sorted(round_events(r).items()) for e in events]
 
 
-def _observations(streams: dict, receiver_pos, t_r: float = 0.0) -> dict:
+def _observations(streams: dict, receiver_pos, t_r: float) -> dict:
     """Pseudorange observations keyed by (gst seconds, prn).
 
     Ranges are composed from the broadcast (quantized) satellite states and
@@ -443,8 +449,8 @@ def _observations(streams: dict, receiver_pos, t_r: float = 0.0) -> dict:
     obs = {}
     for prn, stream in streams.items():
         navs = [parse_nav_data(nav) for nav, _, _ in stream.blobs()]
-        rhos = forge_pseudoranges(receiver_pos, t_r, [
-            SatState(prn=prn, position=nav.sat_ecef_m) for nav in navs])
+        rhos = forge_pseudoranges(receiver_pos, t_r,
+                                  [nav.sat_ecef_m for nav in navs])
         first = stream.gst.total_seconds()
         for i, (nav, rho) in enumerate(zip(navs, rhos)):
             obs[(first + SUBFRAME_SECONDS * i, prn)] = rho + nav.range_bias_m
@@ -453,9 +459,9 @@ def _observations(streams: dict, receiver_pos, t_r: float = 0.0) -> dict:
 
 def _solver_inputs(gst: Gst, navs: dict, obs: dict) -> tuple:
     """What each PRN's nav data of GST gst gives the solver, by PRN in
-    order: the broadcast satellite and its observed range corrected with
-    the broadcast biases."""
-    return tuple((SatState(prn=prn, position=nav.sat_ecef_m),
+    order: the broadcast satellite position and its observed range
+    corrected with the broadcast biases."""
+    return tuple((nav.sat_ecef_m,
                   obs[(gst.total_seconds(), prn)] - nav.range_bias_m)
                  for prn, nav in sorted(navs.items()))
 
@@ -470,7 +476,7 @@ def simulate(sc: Scenario):
     per run for equal inputs, and no solver result outlives the run."""
     bundle = _constellation(sc.seed, sc.n_sats, sc.n_subframes, sc.gst0,
                             sc.site, sc.seg_count)
-    (t0, round_events), lrt, obs = sc.attack_events(sc, bundle)
+    (t0, round_events), lrt, obs, steer_s = sc.attack_events(sc, bundle)
 
     receiver = Receiver(sc.policy, lrt, bundle.pubkey, bundle.gst0, t0,
                         seg_count=sc.seg_count,
@@ -485,7 +491,10 @@ def simulate(sc: Scenario):
             fix = solve_position(list(sats), list(rhos))
         except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
             return {"error": str(exc)}
-        return fix.as_dict()
+        report = fix.as_dict()
+        if steer_s:                 # adding 0 would turn -0.0 into 0.0
+            report["clock_offset_s"] += steer_s
+        return report
 
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r))

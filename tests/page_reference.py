@@ -7,11 +7,17 @@ blobs joined back page by page out of each page's 240-bit int.  The
 program packs and unpacks whole batches through byte columns instead.
 The field helpers read and write a field through the bytes that hold it,
 where the program's one packer shifts it within the whole message int.
-The tests also flip page bits and list a subframe's destroyed slots here;
-the program does neither.
+The tests also flip page bits, list a subframe's destroyed slots and read
+a subframe's OSNMA blobs through the program's unpack_pages here; the
+program does none of these.
 """
 
-from osnmasim.pages import PAGE_BITS, PAGE_BYTES, SLOTS_PER_SUBFRAME
+from osnmasim.pages import (
+    PAGE_BITS,
+    PAGE_BYTES,
+    SLOTS_PER_SUBFRAME,
+    unpack_pages,
+)
 
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
 FLAGS = 0b10 << (PAGE_BITS - 122)
@@ -45,7 +51,7 @@ def join_nav_data(raws) -> bytes:
     return blob.to_bytes(SLOTS_PER_SUBFRAME * 16, "big")
 
 
-def osnma(raws) -> tuple:
+def join_osnma(raws) -> tuple:
     """The HKROOT and MACK portions concatenated, as 15 and 60 bytes."""
     if None in raws:
         raise ValueError("OSNMA material undefined over destroyed pages")
@@ -84,6 +90,13 @@ def flip_page_bit(raw: bytes, bit: int) -> bytes:
     buf = bytearray(raw)
     buf[bit >> 3] ^= 0x80 >> (bit & 7)
     return bytes(buf)
+
+
+def osnma(sf) -> tuple:
+    """A subframe's HKROOT and MACK blobs, 15 and 60 bytes, as the
+    program's unpack_pages reads them; a destroyed slot raises
+    IncompleteError."""
+    return unpack_pages((sf.raws,))[0][1:]
 
 
 def destroyed_slots(sf) -> tuple:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from osnmasim.gst import SymmetricBound
 from osnmasim.mack import disclosed_key, unpack_mack, verify_tags
-from osnmasim.navdata import parse_nav_data
-from osnmasim.pages import SUBFRAME_MS, assemble_rounds
+from osnmasim.navdata import parse_nav_data, subframe_nav_data
+from osnmasim.pages import SUBFRAME_MS, assemble_round
 from osnmasim.receiver import AuthResult, Outcome, Status
 from osnmasim.tesla import (
     AlignmentError,
@@ -33,6 +33,7 @@ from osnmasim.tesla import (
     verify_key,
     verify_root,
 )
+from page_reference import osnma
 
 
 class Run(NamedTuple):
@@ -67,22 +68,23 @@ def assemble(events_by_round, gst0, t0, osnma_running) -> list:
         tracked = set()
         if osnma_running and rounds:
             tracked = {p for p, sf in rounds[-1].items() if sf.complete}
-        rounds.append(assemble_rounds(events, gst0.add_seconds(30 * r),
-                                      sorted(events.keys() | tracked),
-                                      t0 + r * SUBFRAME_MS)[0])
+        rounds.append({p: assemble_round(events.get(p, ()),
+                                         gst0.add_seconds(30 * r), p,
+                                         t0 + r * SUBFRAME_MS)
+                       for p in sorted(events.keys() | tracked)})
     return rounds
 
 
 def _outcome(data, tagged, keyed, trusted, seg_count) -> tuple:
     """The outcome for data's subframe and the key keyed discloses."""
-    key = TeslaKey(disclosed_key(keyed.osnma[1]), keyed.gst)
+    key = TeslaKey(disclosed_key(osnma(keyed)[1]), keyed.gst)
     try:
         if verify_key(key, trusted) is None:
             return Outcome.KEY_REJECTED, key
     except (GstOrderError, AlignmentError):
         return Outcome.KEY_REJECTED, key
-    tags = unpack_mack(tagged.osnma[1], seg_count)
-    if all(verify_tags(data.nav_data, tags, key, prn_d=data.prn,
+    tags = unpack_mack(osnma(tagged)[1], seg_count)
+    if all(verify_tags(subframe_nav_data(data), tags, key, prn_d=data.prn,
                        prn_a=data.prn, gst_sf=tagged.gst,
                        seg_count=seg_count)):
         return Outcome.AUTHENTIC, key
@@ -127,7 +129,7 @@ def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
                 continue
             if trusted is None and root is None:
                 dsm = dsms.setdefault(p, DsmAccumulator())
-                signed = dsm.feed(sf.osnma[0])
+                signed = dsm.feed(osnma(sf)[0])
                 if signed is not None:
                     if verify_root(*signed, pubkey):
                         root = root_key(signed[0])
@@ -148,7 +150,7 @@ def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
                     enter(Status.SPOOF_DETECTED, data.gst)
             elif outcome is Outcome.AUTHENTIC:
                 newest = key
-                authentic[p] = parse_nav_data(data.nav_data)
+                authentic[p] = parse_nav_data(subframe_nav_data(data))
                 if status() is Status.SUSPENDED:
                     enter(Status.AUTHENTICATING, data.gst)
         trusted = newest or trusted or root

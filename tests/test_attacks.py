@@ -41,7 +41,7 @@ from osnmasim.pages import (
     seal_pages,
 )
 from osnmasim.tesla import NMA_HEADER, TeslaKey
-from page_reference import FLAGS, blob_pages, destroyed_slots
+from page_reference import FLAGS, blob_pages, destroyed_slots, osnma
 
 GST0 = Gst(1251, 277200)
 
@@ -124,7 +124,8 @@ def test_tsf_output_invariants(wide_bundle):
     assert len(forged) == len(aux)
     for before, after in zip(aux, forged):
         assert after.complete
-        assert disclosed_key(after.osnma[1]) == disclosed_key(before.osnma[1])
+        assert disclosed_key(osnma(after)[1]) == \
+            disclosed_key(osnma(before)[1])
         assert after.gst == before.gst
 
 
@@ -142,7 +143,8 @@ def test_tsf_keeps_timing_and_ephemeris_fields(wide_bundle):
 def test_tsf_nav_only_keeps_tags(wide_bundle):
     aux, forged = _forged(wide_bundle.streams[4], forge_tags=False)
     for before, after in zip(aux, forged):
-        assert unpack_mack(after.osnma[1], 6) == unpack_mack(before.osnma[1], 6)
+        assert unpack_mack(osnma(after)[1], 6) == \
+            unpack_mack(osnma(before)[1], 6)
         assert after.complete                  # CRCs still resealed
 
 
@@ -162,11 +164,11 @@ def _sealed(sf, nav_blob, hkroot, mack_blob):
 
 
 def _replace_nav(sf, nav_blob):
-    return _sealed(sf, nav_blob, *sf.osnma)
+    return _sealed(sf, nav_blob, *osnma(sf))
 
 
 def _replace_mack(sf, mack_blob):
-    return _sealed(sf, subframe_nav_data(sf), sf.osnma[0], mack_blob)
+    return _sealed(sf, subframe_nav_data(sf), osnma(sf)[0], mack_blob)
 
 
 def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
@@ -179,13 +181,13 @@ def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
         out[i] = _replace_nav(out[i], forged_blob)
         if not forge_tags:
             continue
-        key = TeslaKey(disclosed_key(out[i + 2].osnma[1]), out[i + 2].gst)
+        key = TeslaKey(disclosed_key(osnma(out[i + 2])[1]), out[i + 2].gst)
         tags = generate_subframe_tags(forged_blob, key,
                                       prn_d=out[i].prn, prn_a=out[i].prn,
                                       gst_sf=out[i + 1].gst,
                                       seg_count=seg_count)
         out[i + 1] = _replace_mack(out[i + 1], pack_mack(
-            tags, disclosed_key(out[i + 1].osnma[1])))
+            tags, disclosed_key(osnma(out[i + 1])[1])))
     return out
 
 
@@ -308,7 +310,7 @@ def test_cr_aligned_boundary_one_destroyed_round(small_bundle):
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete
-        hkroot, _ = sf.osnma
+        hkroot, _ = osnma(sf)
         assert hkroot[0] == NMA_HEADER
         live_sf = _round_subframe(live, r, prn=1)
         assert sf.raws == live_sf.raws
@@ -323,10 +325,10 @@ def test_cr_late_takeover_shifts_one_page(small_bundle):
     for r in (3, 4, 5):
         sf = _round_subframe(merged, r, prn=1)
         assert sf.complete
-        hkroot, _ = sf.osnma
+        hkroot, _ = osnma(sf)
         assert hkroot[0] != NMA_HEADER
-        prev_hk, _ = _round_subframe(live, r - 1, prn=1).osnma
-        this_hk, _ = _round_subframe(live, r, prn=1).osnma
+        prev_hk, _ = osnma(_round_subframe(live, r - 1, prn=1))
+        this_hk, _ = osnma(_round_subframe(live, r, prn=1))
         assert hkroot == prev_hk[-1:] + this_hk[:-1]
 
 
@@ -340,7 +342,7 @@ def test_cr_alignment_boundary_rule(small_bundle, delay_s, aligned):
     _, merged = _cr_events(small_bundle, delay_s)
     sf = _round_subframe(merged, 4, prn=2)
     assert sf.complete
-    hkroot, _ = sf.osnma
+    hkroot, _ = osnma(sf)
     assert (hkroot[0] == NMA_HEADER) == aligned
 
 

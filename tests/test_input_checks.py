@@ -9,7 +9,7 @@ from osnmasim.gst import Gst, LrtSource
 from osnmasim.mack import pack_mack, split_segments, unpack_mack
 from osnmasim.navdata import parse_nav_data
 from osnmasim.pages import Subframe
-from osnmasim.positioning import SatState, solve_position
+from osnmasim.positioning import solve_position
 from osnmasim.scenario import (
     Scenario,
     ScenarioError,
@@ -24,7 +24,7 @@ from osnmasim.tesla import (
 )
 
 GST = Gst(1251, 277200)
-_SATS = [SatState(prn, (2e7 * prn, 1e7, 1e7)) for prn in range(1, 5)]
+_SATS = [(2e7 * prn, 1e7, 1e7) for prn in range(1, 5)]
 
 # (call, the error it raises, or the value it returns)
 CHECKS = {

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import page_reference as ref
 from osnmasim import pages
 from osnmasim.gst import Gst
+from osnmasim.navdata import subframe_nav_data
 from osnmasim.pages import (
     CRC,
     EVEN_DATA,
@@ -286,9 +287,9 @@ def test_received_blobs_match_the_decoded_pages(fields):
               for i, f in enumerate(fields)]
     sf = assemble_round(events, GST0, prn=5)
     assert sf.complete
-    assert sf.nav_data == b"".join(
+    assert subframe_nav_data(sf) == b"".join(
         (p.even_data << 16 | p.odd_data).to_bytes(16, "big") for p in sf.pages)
-    assert sf.osnma == (
+    assert ref.osnma(sf) == (
         bytes(p.hkroot for p in sf.pages),
         b"".join(p.mack.to_bytes(4, "big") for p in sf.pages))
 
@@ -400,15 +401,18 @@ def rounds_by_prn(draw):
 @given(rounds_by_prn())
 def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
     """The owned pages of every PRN share one check_raws batch, and each
-    result lands on its own slot: every PRN's subframe is the one assembled
-    for it alone, and every kept slot passes the reference check."""
+    result lands on its own slot: every PRN's slots are those of the
+    subframe assembled for it alone, and every kept slot passes the
+    reference check."""
     prns, by_prn = prns_and_events
-    got, _ = pages.assemble_rounds(by_prn, GST0, prns, _T0)
+    got = pages._slots(by_prn, prns, _T0)
     assert list(got) == prns
-    for prn, sf in got.items():
-        assert sf == assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
-        assert sf == ref_assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
-        assert all(ref_check(raw) for raw in sf.raws if raw is not None)
+    for prn, raws in got.items():
+        assert raws == assemble_round(by_prn.get(prn, ()), GST0, prn,
+                                      _T0).raws
+        assert raws == ref_assemble_round(by_prn.get(prn, ()), GST0, prn,
+                                          _T0).raws
+        assert all(ref_check(raw) for raw in raws if raw is not None)
 
 
 def test_standalone_round_is_checked_in_one_call(monkeypatch):
@@ -468,9 +472,9 @@ def test_on_grid_rounds_match_the_slot_reference(events):
     """Rounds on, and one move off, the slot grid: the fast path for a
     round of one page per slot start, in order, owns exactly what the
     slot-by-slot reference owns."""
-    got, _ = pages.assemble_rounds({5: events, 6: events}, GST0, [5, 6], _T0)
+    got = pages._slots({5: events, 6: events}, [5, 6], _T0)
     for prn in (5, 6):
-        assert got[prn] == ref_assemble_round(events, GST0, prn, _T0)
+        assert got[prn] == ref_assemble_round(events, GST0, prn, _T0).raws
 
 
 @given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES))
@@ -562,7 +566,7 @@ def test_assemble_ignores_other_prn():
 
 def test_subframe_osnma_concatenation():
     sf = assemble_round(_events(), GST0, prn=5)
-    hkroot, mack = sf.osnma
+    hkroot, mack = ref.osnma(sf)
     assert len(hkroot) == 15 and len(mack) == 60
     assert hkroot[0] == 0x52
     assert hkroot[1:] == bytes(range(1, 15))
@@ -573,7 +577,7 @@ def test_subframe_osnma_incomplete_raises():
     events = _events(indices=range(14))
     sf = assemble_round(events, GST0, prn=5)
     with pytest.raises(IncompleteError):
-        sf.osnma
+        ref.osnma(sf)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -587,8 +591,8 @@ def test_page_misalignment_shifts_hkroot_by_8k_bits(k):
         for i in range(15)
     ]
     shifted = assemble_round(shifted_events, GST0, prn=5)
-    hk_aligned, _ = aligned.osnma
-    hk_shifted, _ = shifted.osnma
+    hk_aligned, _ = ref.osnma(aligned)
+    hk_shifted, _ = ref.osnma(shifted)
     assert hk_shifted == hk_aligned[-k:] + hk_aligned[:-k]
     assert hk_shifted[0] != 0x52
 
@@ -748,8 +752,8 @@ def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
     rng = random.Random(seed)
     slots = [tuple(rng.randbytes(PAGE_BYTES) for _ in range(SLOTS_PER_SUBFRAME))
              for _ in range(size)]
-    assert unpack_pages(slots) == [(ref.join_nav_data(raws), *ref.osnma(raws))
-                                   for raws in slots]
+    assert unpack_pages(slots) == [
+        (ref.join_nav_data(raws), *ref.join_osnma(raws)) for raws in slots]
 
 
 @settings(max_examples=25, deadline=None)
@@ -757,7 +761,7 @@ def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
 def test_built_subframes_read_back_their_blobs(size, seed):
     """seal_pages packs and seals a batch in one call each; the stream of
     its pages reads its blobs back in one pass, and each subframe cut from
-    it, a lone subframe, reads its own back through nav_data and osnma."""
+    it, a lone subframe, reads its own back through unpack_pages."""
     blobs = _blob_batch(size, seed)
     stream = Stream(GST0, 5, seal_pages(blobs))
     assert len(stream) == size and stream.blobs() == blobs
@@ -770,21 +774,23 @@ def test_built_subframes_read_back_their_blobs(size, seed):
         assert sf.prn == 5
         assert sf.raws == tuple(map(reseal_raw,
                                     ref.blob_pages(nav, hkroot, mack)))
-        assert sf.nav_data == nav
-        assert sf.osnma == (hkroot, mack)
+        assert subframe_nav_data(sf) == nav
+        assert ref.osnma(sf) == (hkroot, mack)
 
 
 @given(rounds_by_prn())
 def test_assembled_subframes_carry_the_reference_join(prns_and_events):
-    """A round's complete subframes come with the reference join of their
-    pages, in PRN order; the others come with nothing."""
+    """A round's blobs are the reference join of the pages of each PRN's
+    subframe, assembled alone, in PRN order, for the complete subframes;
+    the others give nothing."""
     prns, by_prn = prns_and_events
-    got, blobs = pages.assemble_rounds(by_prn, GST0, prns, _T0)
-    assert list(blobs) == [prn for prn, sf in got.items() if sf.complete]
+    blobs = pages.assemble_rounds(by_prn, prns, _T0)
+    alone = {prn: assemble_round(by_prn.get(prn, ()), GST0, prn, _T0)
+             for prn in prns}
+    assert list(blobs) == [prn for prn, sf in alone.items() if sf.complete]
     for prn, triple in blobs.items():
-        sf = got[prn]
-        assert triple == (ref.join_nav_data(sf.raws), *ref.osnma(sf.raws))
-        assert sf.nav_data == triple[0] and sf.osnma == triple[1:]
+        raws = alone[prn].raws
+        assert triple == (ref.join_nav_data(raws), *ref.join_osnma(raws))
 
 
 def test_a_round_is_unpacked_in_one_call(monkeypatch):
@@ -801,9 +807,9 @@ def test_a_round_is_unpacked_in_one_call(monkeypatch):
     monkeypatch.setattr(pages, "unpack_pages", counting)
     events = {prn: [e._replace(prn=prn) for e in _events(indices=indices)]
               for prn, indices in ((5, range(15)), (6, range(14)), (7, range(15)))}
-    got, blobs = pages.assemble_rounds(events, GST0, [5, 6, 7], _T0)
+    blobs = pages.assemble_rounds(events, [5, 6, 7], _T0)
     assert calls == [2]
-    assert [prn in blobs for prn in got] == [True, False, True]
+    assert list(blobs) == [5, 7]
 
 
 def test_a_subframe_is_its_slots():
@@ -812,20 +818,22 @@ def test_a_subframe_is_its_slots():
     sf = assemble_round(_events(), GST0, prn=5)
     bare = Subframe(gst=sf.gst, prn=sf.prn, raws=sf.raws)
     assert sf == bare and hash(sf) == hash(bare)
-    assert (sf.nav_data, sf.osnma) == (bare.nav_data, bare.osnma)
+    assert (subframe_nav_data(sf), ref.osnma(sf)) == \
+        (subframe_nav_data(bare), ref.osnma(bare))
     assert set(vars(bare)) == {"gst", "prn", "raws"}
 
 
 def test_a_batch_with_an_incomplete_subframe_raises():
     """An incomplete subframe anywhere in a batch raises IncompleteError
-    naming its destroyed slots, and so does a lone subframe's nav_data."""
+    naming its destroyed slots, and so does subframe_nav_data of a lone
+    subframe."""
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
     broken = good[:3] + (None,) + good[4:9] + (None,) + good[10:]
     with pytest.raises(IncompleteError, match=r"destroyed slots: \(3, 9\)"):
         unpack_pages([good, broken, good])
     sf = Subframe(gst=GST0, prn=5, raws=broken)
     with pytest.raises(IncompleteError, match=r"\(3, 9\)"):
-        sf.nav_data
+        subframe_nav_data(sf)
 
 
 def test_unpack_rejects_a_page_of_the_wrong_length():

@@ -9,7 +9,6 @@ from osnmasim.positioning import (
     WGS84_A,
     WGS84_E2,
     NoConvergenceError,
-    SatState,
     SingularGeometryError,
     ecef_to_geodetic,
     forge_pseudoranges,
@@ -19,13 +18,14 @@ from osnmasim.positioning import (
 
 
 def _random_geometry(rng, n_sats=8):
-    """A receiver on the ellipsoid with satellites spread over its sky."""
+    """A receiver on the ellipsoid with satellite positions spread over
+    its sky."""
     lat = rng.uniform(-70, 70)
     lon = rng.uniform(-180, 180)
     receiver = geodetic_to_ecef(lat, lon, rng.uniform(0, 2000))
     up = [c / 6.4e6 for c in geodetic_to_ecef(lat, lon, 0)]
     sats = []
-    for prn in range(1, n_sats + 1):
+    for _ in range(n_sats):
         direction = [rng.gauss(0, 1) for _ in range(3)]
         norm = math.sqrt(sum(d * d for d in direction))
         direction = [d / norm for d in direction]
@@ -36,18 +36,17 @@ def _random_geometry(rng, n_sats=8):
             norm = math.sqrt(sum(d * d for d in direction))
             direction = [d / norm for d in direction]
         r = rng.uniform(2.2e7, 2.7e7)
-        sats.append(SatState(prn, tuple(rc + r * d
-                                        for rc, d in zip(receiver, direction))))
+        sats.append(tuple(rc + r * d for rc, d in zip(receiver, direction)))
     return receiver, sats
 
 
 def test_forge_zero_range_at_satellite():
-    sat = SatState(1, (1000.0, -2000.0, 500.0))
-    assert forge_pseudoranges(sat.position, 0.0, [sat]) == [0.0]
+    sat = (1000.0, -2000.0, 500.0)
+    assert forge_pseudoranges(sat, 0.0, [sat]) == [0.0]
 
 
 def test_forge_clock_term_scales_by_c():
-    sat = SatState(1, (20e6, 0.0, 0.0))
+    sat = (20e6, 0.0, 0.0)
     base = forge_pseudoranges((0.0, 0.0, 0.0), 0.0, [sat])[0]
     shifted = forge_pseudoranges((0.0, 0.0, 0.0), 1e-3, [sat])[0]
     assert shifted - base == pytest.approx(299792.458, abs=1e-6)
@@ -64,7 +63,7 @@ def test_forge_ranges_each_distinct_position_once(monkeypatch):
     many = [rng.choice(sats) for _ in range(40)]
     t_r = rng.uniform(-1e-3, 1e-3)
     expected = [float(np.linalg.norm(np.asarray(target, dtype=float)
-                                     - np.asarray(s.position, dtype=float))
+                                     - np.asarray(s, dtype=float))
                       + SPEED_OF_LIGHT * t_r) for s in many]
     calls = []
     norm = np.linalg.norm
@@ -75,7 +74,7 @@ def test_forge_ranges_each_distinct_position_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counting)
     assert forge_pseudoranges(target, t_r, many) == expected
-    assert len(calls) == len({s.position for s in many})
+    assert len(calls) == len(set(many))
 
 
 def test_forge_requires_satellites():
@@ -102,8 +101,7 @@ def test_reference_target_position():
     # place a random sky around the target site
     receiver, sats = _random_geometry(random.Random(3))
     offset = [t - r for t, r in zip(target, receiver)]
-    sats = [SatState(s.prn, tuple(c + o for c, o in zip(s.position, offset)))
-            for s in sats]
+    sats = [tuple(c + o for c, o in zip(s, offset)) for s in sats]
     rho = forge_pseudoranges(target, 0.0, sats)
     fix = solve_position(sats, rho)
     assert math.dist(fix.position, target) < 1e-3
@@ -115,8 +113,8 @@ def test_reference_target_position():
 
 def test_coplanar_satellites_raise():
     receiver = (0.0, 0.0, 0.0)
-    sats = [SatState(i, (x * 1e7, y * 1e7, 0.0))
-            for i, (x, y) in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)], 1)]
+    sats = [(x * 1e7, y * 1e7, 0.0)
+            for x, y in [(1, 0), (0, 1), (-1, 0), (0, -1)]]
     rho = forge_pseudoranges(receiver, 0.0, sats)
     with pytest.raises(SingularGeometryError):
         solve_position(sats, rho)
@@ -125,14 +123,14 @@ def test_coplanar_satellites_raise():
 def test_duplicate_satellite_geometry_raises():
     """Four ranges from three distinct satellites leave rank 3."""
     receiver, sats = _random_geometry(random.Random(5), n_sats=3)
-    sats = [*sats, SatState(4, sats[0].position)]
+    sats = [*sats, sats[0]]
     rho = forge_pseudoranges(receiver, 0.0, sats)
     with pytest.raises(SingularGeometryError):
         solve_position(sats, rho)
 
 
 def test_fewer_than_four_satellites_rejected():
-    sats = [SatState(i, (i * 1e6, 2e7, 3e6)) for i in range(3)]
+    sats = [(i * 1e6, 2e7, 3e6) for i in range(3)]
     with pytest.raises(ValueError):
         solve_position(sats, [1.0, 2.0, 3.0])
 
@@ -142,8 +140,7 @@ def test_translation_equivariance():
     receiver, sats = _random_geometry(rng)
     rho = forge_pseudoranges(receiver, 2e-4, sats)
     shift = (1234.5, -6789.0, 321.0)
-    moved_sats = [SatState(s.prn, tuple(c + d for c, d in zip(s.position, shift)))
-                  for s in sats]
+    moved_sats = [tuple(c + d for c, d in zip(s, shift)) for s in sats]
     fix = solve_position(sats, rho)
     moved_fix = solve_position(moved_sats, rho)
     for a, b, d in zip(moved_fix.position, fix.position, shift):

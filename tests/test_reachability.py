@@ -28,9 +28,6 @@ ALLOWLIST = {
     "navdata.subframe_nav_data": _PROBE,
     "pages.reseal_raw": "acceptance criterion 2 reseals the captured "
                         "pages through it to reproduce the forged ones",
-    "pages.Subframe.osnma": "the tests and tests/receiver_reference.py read "
-                            "a subframe's OSNMA blobs through it; ROADMAP "
-                            "item 9 moves it with the per-page view",
 }
 
 

@@ -21,6 +21,7 @@ from osnmasim.pages import (
     SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
     Stream,
+    assemble_round,
     reseal_raw,
     seal_pages,
 )
@@ -48,7 +49,7 @@ from osnmasim.tesla import (
 )
 import receiver_reference
 import stream_reference
-from page_reference import destroyed_slots, flip_page_bit
+from page_reference import flip_page_bit, osnma
 
 GST0 = Gst(1251, 277200)
 
@@ -71,7 +72,7 @@ def _drive(bundle, events, n_rounds, t0=None, **kw):
 def _with_mack(sf, mack):
     """sf rebuilt with its nav data and HKROOT and the given MACK blob."""
     return Stream(sf.gst, sf.prn, seal_pages(
-        [(subframe_nav_data(sf), sf.osnma[0], mack)])).subframes()[0]
+        [(subframe_nav_data(sf), osnma(sf)[0], mack)])).subframes()[0]
 
 
 def _drop(events, prn, round_idx, slot):
@@ -338,7 +339,7 @@ def test_no_verdicts_before_osnma_start(small_bundle):
     assert rx.status is Status.TS_FAILED
     assert all(not r.verdicts for r in results)
     # nav data still parsed for the position pipeline
-    assert any(sf.complete for r in results for sf in r.subframes.values())
+    assert any(r.navs for r in results)
 
 
 def test_fresh_report_is_empty(small_bundle):
@@ -396,11 +397,12 @@ def test_silent_pending_satellite_gets_a_destroyed_round(small_bundle):
               if not (e.prn == 2 and GST0.total_millis() + 8 * SUBFRAME_MS
                       <= e.t_ms < GST0.total_millis() + 9 * SUBFRAME_MS)]
     _, results = _drive(small_bundle, events, 10)
-    assert destroyed_slots(results[8].subframes[2]) == tuple(range(15))
+    assert 2 not in results[8].navs
     assert [v.outcome for v in results[8].verdicts if v.prn == 2] == \
         [Outcome.DISCARDED_INCOMPLETE]
-    assert sorted(results[8].subframes) == sorted(results[7].subframes)
-    assert results[9].subframes[2].complete
+    assert {v.prn for v in results[8].verdicts} == \
+        {v.prn for v in results[7].verdicts} == set(small_bundle.sat_states)
+    assert 2 in results[9].navs
 
 
 def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
@@ -409,7 +411,7 @@ def test_tampered_tag_region_localizes_to_tag_mismatch(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 1
     sf5 = sfs[target_prn][5]
-    _, mack = sf5.osnma
+    _, mack = osnma(sf5)
     tags = unpack_mack(mack, n_tags=6)
     tags[0] = bytes(5)
     sfs[target_prn][5] = _with_mack(sf5, pack_mack(tags, disclosed_key(mack)))
@@ -431,7 +433,7 @@ def test_tampered_key_bits_reject_key(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     target_prn = 3
     sf6 = sfs[target_prn][6]
-    _, mack = sf6.osnma
+    _, mack = osnma(sf6)
     tags = unpack_mack(mack, n_tags=6)
     sfs[target_prn][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     _, results = _drive(small_bundle, live_events(sfs), 9,
@@ -449,7 +451,7 @@ def test_tampered_key_bits_reject_key(small_bundle):
 def test_key_reject_threshold_latches_spoof_detected(small_bundle):
     sfs = {prn: list(lst) for prn, lst in small_bundle.vectors.subframes().items()}
     sf6 = sfs[1][6]
-    _, mack = sf6.osnma
+    _, mack = osnma(sf6)
     tags = unpack_mack(mack, n_tags=6)
     sfs[1][6] = _with_mack(sf6, pack_mack(tags, bytes(16)))
     rx, results = _drive(small_bundle, live_events(sfs), 9)     # threshold 1
@@ -484,7 +486,7 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
     def sent(prn, gst):
         r = (gst.total_seconds() - GST0.total_seconds()) // 30
         assert broadcast[prn][r].gst == gst
-        return parse_nav_data(broadcast[prn][r].nav_data)
+        return parse_nav_data(subframe_nav_data(broadcast[prn][r]))
 
     for r, result in enumerate(results):
         assert result.gst == GST0.add_seconds(30 * r)
@@ -606,22 +608,29 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     """Pages dropped, duplicated, shifted by 1 ms, 999 ms or 2 s, or with a
     bit flipped, resealed or not, round by round: nothing escapes
     ingest_round, and every authentic verdict names a received subframe
-    whose nav data is the one broadcast at its GST and PRN."""
+    whose nav data is the one broadcast at its GST and PRN.  The received
+    subframes are the round's events assembled by assemble_round, and the
+    receiver parses the nav data of exactly the complete ones."""
     broadcast = small_bundle.vectors.subframes()
     rounds = len(broadcast[1])
     t0, round_events = shifted_stream(small_bundle.streams)
     rx = _receiver(small_bundle, t0)
     received, verdicts = {}, []
-    for events in _moved_rounds(round_events, rounds, moves):
+    for r, events in enumerate(_moved_rounds(round_events, rounds, moves)):
         result = rx.ingest_round(events)
-        received.update(((sf.gst, prn), sf)
-                        for prn, sf in result.subframes.items())
+        assembled = {prn: assemble_round(evs, result.gst, prn,
+                                         t0 + r * SUBFRAME_MS)
+                     for prn, evs in events.items()}
+        assert result.navs == {
+            prn: parse_nav_data(subframe_nav_data(sf))
+            for prn, sf in assembled.items() if sf.complete}
+        received.update(((sf.gst, prn), sf) for prn, sf in assembled.items())
         verdicts += result.verdicts
     authentic = [v for v in verdicts if v.outcome is Outcome.AUTHENTIC]
     for v in authentic:
         r = (v.gst.total_seconds() - GST0.total_seconds()) // 30
-        assert received[(v.gst, v.prn)].nav_data == \
-            broadcast[v.prn][r].nav_data
+        assert subframe_nav_data(received[(v.gst, v.prn)]) == \
+            subframe_nav_data(broadcast[v.prn][r])
     if not moves:
         assert authentic and len(authentic) == len(verdicts)
 
@@ -644,15 +653,16 @@ def _ts_gate(draw):
 @example([], (AlternateThreshold(30000), LrtSource()), 1, set())
 def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
                                                  threshold, bad_keys):
-    """Round by round, the receiver's subframes, verdicts, authenticated
-    nav data and status are those the literal reference derives from the
-    whole run by index, with a zero key broadcast at each (round, PRN) of
-    bad_keys and pages moved as in the soundness test; the status changes
-    its rounds hand over end at its status after every round, and joined
-    they equal the reference's timeline."""
+    """Round by round, the receiver's nav data parsed from its complete
+    subframes, verdicts, authenticated nav data and status are those the
+    literal reference derives from the whole run by index, with a zero key
+    broadcast at each (round, PRN) of bad_keys and pages moved as in the
+    soundness test; the status changes its rounds hand over end at its
+    status after every round, and joined they equal the reference's
+    timeline."""
     broadcast = small_bundle.vectors.subframes()
     for r, prn in bad_keys:
-        tags = unpack_mack(broadcast[prn][r].osnma[1], n_tags=6)
+        tags = unpack_mack(osnma(broadcast[prn][r])[1], n_tags=6)
         broadcast[prn][r] = _with_mack(broadcast[prn][r],
                                        pack_mack(tags, bytes(16)))
     t0, round_events = shifted_stream(
@@ -666,8 +676,9 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     timeline = []
     for r, events in enumerate(windows):
         result = rx.ingest_round(events)
-        assert list(result.subframes.items()) == \
-            list(ref.subframes[r].items())
+        assert list(result.navs.items()) == [
+            (prn, parse_nav_data(subframe_nav_data(sf)))
+            for prn, sf in ref.subframes[r].items() if sf.complete]
         assert result.verdicts == ref.verdicts[r]
         assert result.authenticated == ref.authenticated[r]
         timeline += result.changes

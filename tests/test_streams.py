@@ -31,7 +31,7 @@ def _subframes(sats: int, n_subframes: int) -> dict:
 def _stream(attack: str, values: dict, subframes: dict) -> tuple:
     streams = {prn: Stream.of(sfs) for prn, sfs in subframes.items()}
     bundle = SimpleNamespace(streams=streams, gst0=GST0, observations={})
-    (t0, round_events), _, _ = ATTACKS[attack][1](
+    (t0, round_events), *_ = ATTACKS[attack][1](
         values, SimpleNamespace(lrt=LrtSource()), bundle)
     return t0, round_events
 
