@@ -32,7 +32,7 @@ from .scenario import (
     run_scenario,
     write_report,
 )
-from .vectors import TestVectorSet, unique_keys
+from .vectors import SchemaError, TestVectorSet, read_json
 
 
 def _cmd_gen_constellation(args) -> int:
@@ -99,17 +99,14 @@ def _cmd_run(args) -> int:
     return max(codes)
 
 
+def _report(value) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError("not a report: no top-level JSON object")
+    return value
+
+
 def _cmd_report_diff(args) -> int:
-    reports = []
-    for path in (args.a, args.b):
-        with open(path) as fh:
-            try:
-                report = json.load(fh, object_pairs_hook=unique_keys)
-            except ValueError as exc:   # bad JSON or a repeated key
-                raise ValueError(f"{path}: {exc}") from None
-        if not isinstance(report, dict):
-            raise ValueError(f"{path}: not a report: no top-level JSON object")
-        reports.append(report)
+    reports = [read_json(path, _report) for path in (args.a, args.b)]
     diffs = diff_reports(*reports)
     for path in diffs:
         print(path)

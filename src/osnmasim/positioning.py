@@ -3,9 +3,12 @@ equation rho_i = ||receiver - sat_i|| + c * t_r.
 
 The solver is damped Gauss-Newton over [x, y, z, c*t_r], initialized at
 the Earth centre, converging when the position update drops below 1e-6 m.
+The range equations have two roots, so Bancroft's closed form (IEEE Trans.
+AES 21(1), 1985) checks the result: a fix more than 1 km from its root
+nearest the surface is solved again from that root (see solve_position).
 Geodetic conversions use the WGS-84 ellipsoid.
 
-numpy is imported inside the two functions that use it, not at module
+numpy is imported inside the functions that use it, not at module
 top: loading it loads OpenBLAS, which starts its thread pool at load, and
 `osnmasim.cli.main` must first set how many threads that pool gets (see
 README "Install and test"). Importing this module loads no numpy.
@@ -103,32 +106,25 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
     return [ranges[s] for s in sats]
 
 
-def solve_position(sats, pseudoranges) -> Fix:
-    """Solve receiver position and clock offset from >= 4 pseudoranges,
-    one for each ECEF satellite position in sats (metres).
+def _gauss_newton(pos, rho, x, settle: bool) -> Fix:
+    """Damped Gauss-Newton from state x = [x, y, z, c*t_r]: the fix once a
+    position update drops below POS_TOL_M, or, with settle, once the
+    residual is below POS_TOL_M and the next step would not lower it.
 
-    Each Gauss-Newton step factorises the Jacobian once: the singular values
-    of its least-squares solve also give the rank test, so a rank below 4
+    Each step factorises the Jacobian once: the singular values of its
+    least-squares solve also give the rank test, so a rank below 4
     (smallest singular value at most 1e-8) raises SingularGeometryError.
     """
-    if len(sats) < 4:
-        raise ValueError("need at least four satellites")
-    if len(sats) != len(pseudoranges):
-        raise ValueError("one pseudorange per satellite")
     import numpy as np
 
-    pos = np.array(sats, dtype=float)
-    rho = np.asarray(pseudoranges, dtype=float)
-
-    x = np.zeros(4)                     # x, y, z, c*t_r
-    prev_residual = None
+    first = True                # the first step is taken whole
     for _ in range(MAX_ITER):
         diff = x[:3] - pos
         ranges = np.linalg.norm(diff, axis=1)
         if np.any(ranges < 1e-9):
             ranges = np.maximum(ranges, 1e-9)
         residual = rho - (ranges + x[3])
-        jac = np.column_stack([diff / ranges[:, None], np.ones(len(sats))])
+        jac = np.column_stack([diff / ranges[:, None], np.ones(len(pos))])
         # one SVD a step: the least-squares solve returns the singular values
         # (descending) that the rank test reads
         step, _, _, sv = np.linalg.lstsq(jac, residual, rcond=None)
@@ -142,11 +138,12 @@ def solve_position(sats, pseudoranges) -> Fix:
             trial = x + scale * step
             trial_ranges = np.linalg.norm(trial[:3] - pos, axis=1)
             trial_norm = float(np.linalg.norm(rho - (trial_ranges + trial[3])))
-            if prev_residual is None or trial_norm <= res_norm or scale < 1e-3:
+            if first or trial_norm <= res_norm or scale < 1e-3:
                 break
             scale *= 0.5
-        x = x + scale * step
-        prev_residual = res_norm
+        if settle and res_norm < POS_TOL_M and trial_norm >= res_norm:
+            scale = 0.0         # settled: the step would not lower it
+        x, first = x + scale * step, False
         if np.linalg.norm(scale * step[:3]) < POS_TOL_M:
             diff = x[:3] - pos
             ranges = np.linalg.norm(diff, axis=1)
@@ -154,3 +151,67 @@ def solve_position(sats, pseudoranges) -> Fix:
             return Fix(position=tuple(x[:3]), clock_offset=x[3] / SPEED_OF_LIGHT,
                        residual_norm=final)
     raise NoConvergenceError(f"no convergence in {MAX_ITER} iterations")
+
+
+def _bancroft(pos, rho):
+    """Bancroft's closed-form state [x, y, z, c*t_r] nearest the Earth's
+    surface, or None when the geometry gives no real one.
+
+    Squared, each range equation is <a_i, y> = <a_i, a_i>/2 + <y, y>/2 in
+    the Lorentz product <a, b> = a1 b1 + a2 b2 + a3 b3 - a4 b4, with
+    a_i = (sat_i, rho_i) and y = (x, y, z, c*t_r).  One least-squares solve
+    B [v, u] = [1, alpha] over the rows a_i gives M y = u + lam v, and
+    <y, y> = 2 lam leaves a quadratic in lam with two roots."""
+    import numpy as np
+
+    lorentz = np.array([1.0, 1.0, 1.0, -1.0])           # the diagonal of M
+    b = np.column_stack([pos, rho])
+    alpha = 0.5 * (b * b) @ lorentz
+    vu, _, rank, _ = np.linalg.lstsq(
+        b, np.column_stack([np.ones(len(rho)), alpha]), rcond=None)
+    if rank < 4:
+        return None
+    v, u = vu.T
+    qa, qb, qc = (v * v) @ lorentz, (u * v) @ lorentz - 1.0, (u * u) @ lorentz
+    disc = qb * qb - qa * qc
+    if qa == 0 or not disc >= 0:
+        return None
+    roots = [lorentz * (u + (-qb + sign * math.sqrt(disc)) / qa * v)
+             for sign in (1, -1)]
+    return min(roots, key=lambda y: abs(np.linalg.norm(y[:3]) - WGS84_A))
+
+
+def solve_position(sats, pseudoranges) -> Fix:
+    """Solve receiver position and clock offset from >= 4 pseudoranges,
+    one for each ECEF satellite position in sats (metres).
+
+    Gauss-Newton starts at the Earth's centre.  Its fix stands when it lies
+    within 1 km of Bancroft's root nearest the surface; otherwise
+    Gauss-Newton, settling, starts again from that root, and of the fixes
+    that converge the one nearer the surface is returned.  With no real
+    root (a rank below 4 or no real solution) the centre start's result
+    stands, or its error is raised.
+    """
+    if len(sats) < 4:
+        raise ValueError("need at least four satellites")
+    if len(sats) != len(pseudoranges):
+        raise ValueError("one pseudorange per satellite")
+    import numpy as np
+
+    pos = np.array(sats, dtype=float)
+    rho = np.asarray(pseudoranges, dtype=float)
+    fixes = []
+    try:
+        fixes.append(_gauss_newton(pos, rho, np.zeros(4), False))
+    except (SingularGeometryError, NoConvergenceError) as exc:
+        error = exc
+    root = _bancroft(pos, rho)
+    if root is not None and not (fixes and math.dist(
+            fixes[0].position, root[:3]) <= 1e3):
+        try:
+            fixes.append(_gauss_newton(pos, rho, root, True))
+        except (SingularGeometryError, NoConvergenceError):
+            pass
+    if not fixes:
+        raise error
+    return min(fixes, key=lambda fix: abs(math.hypot(*fix.position) - WGS84_A))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import re
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import cycle
@@ -26,9 +25,7 @@ from .gst import (
     LrtSource,
     SECONDS_PER_WEEK,
     SUBFRAME_SECONDS,
-    SubMillisecondError,
     SymmetricBound,
-    to_millis,
 )
 from .mack import DEFAULT_SEG_COUNT, MAX_SEG_COUNT, pack_mack, tag_stream
 from .navdata import (
@@ -62,7 +59,15 @@ from .tesla import (
     public_key_point,
     sign_root,
 )
-from .vectors import TestVectorSet, unique_keys
+from .vectors import (
+    NUMBER,
+    SECONDS,
+    SchemaError,
+    TestVectorSet,
+    read_json,
+    read_keys,
+    read_typed,
+)
 
 DEFAULT_SITE = (45.0, 7.6, 240.0)          # lat deg, lon deg, height m
 SAT_RANGE_M = (22e6, 27e6)                 # site-to-satellite ranges drawn
@@ -184,83 +189,12 @@ def _constellation(*inputs) -> ConstellationBundle:
 
 # -- scenario configuration --------------------------------------------------
 
-
-class ScenarioError(ValueError):
-    """A scenario file that breaks the schema; names the JSON path."""
-
-
-NUMBER, SECONDS = (int, float), (int, float, str)    # seconds are read into ms
-# a seconds string: ASCII decimal digits, a leading minus and a fraction at
-# most, where Decimal would also take "2_9.5", "+29.5", "29.5e0" or "٢٩.٥"
-_SECONDS_TEXT = re.compile(r" *-?[0-9]+(\.[0-9]+)? *")
-
-
-def _read(block, keys: dict, path: str) -> dict:
-    """Check a JSON object against its key table and fill in defaults.
-
-    ``keys`` maps each key to ``(kind, default)`` or ``(kind, default, low,
-    high)``; kind is a type, a tuple of types (booleans are never numbers)
-    or a nested key table, and a None high leaves the range open.  Numbers
-    must be finite, a seconds string is an ASCII decimal, and seconds are
-    compared in ms.  A None default marks a value that another key
-    supplies.  Values keep the declared key order."""
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{path}: expected an object, got {block!r}")
-    for key in block:
-        if key not in keys:
-            raise ScenarioError(f"{path}.{key}: unknown key")
-    out = {}
-    for key, (kind, default, *bounds) in keys.items():
-        where, value = f"{path}.{key}", block.get(key, default)
-        if isinstance(kind, dict):
-            out[key] = _read(value, kind, where)
-            continue
-        if value is None and key not in block:
-            out[key] = None
-            continue
-        if isinstance(value, bool) != (kind is bool) \
-                or not isinstance(value, kind):
-            names = getattr(kind, "__name__", None) or " or ".join(
-                t.__name__ for t in kind)
-            raise ScenarioError(f"{where}: expected {names}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{where}: {value!r} is not a finite number")
-        try:
-            if kind is SECONDS and isinstance(value, str) \
-                    and not _SECONDS_TEXT.fullmatch(value):
-                raise ValueError(value)
-            out[key] = to_millis(value) if kind is SECONDS else value
-        except SubMillisecondError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        except (ValueError, ArithmeticError):
-            raise ScenarioError(f"{where}: {value!r} is not a number "
-                                "of seconds") from None
-        if bounds:
-            low, high = bounds
-            if not (low <= out[key] and (high is None or out[key] <= high)):
-                bound = f"outside {low}..{high}" if high is not None \
-                    else f"below {low}"
-                raise ScenarioError(f"{where}: {value!r} is {bound}")
-    return out
-
-
-def _read_typed(block: dict, table: dict, path: str):
-    """Read a block whose ``type`` (by default the first) selects its entry."""
-    kind = block.get("type", next(iter(table)))
-    if not isinstance(kind, str) or kind not in table:
-        raise ScenarioError(f"{path}.type: unknown type {kind!r}, "
-                            f"expected one of {', '.join(table)}")
-    keys, then = table[kind]
-    rest = {k: v for k, v in block.items() if k != "type"}
-    return then, _read(rest, keys, path)
-
-
 _CLOCK_MM = 1 << CLOCK_BITS - 1        # the clock bias is sent in signed mm
 # A site's or a tsf target's height (up to low Earth orbit) and a tsf
 # forgery's clock offset (up to an hour).  Every genuine authenticated fix
-# lands within 1 mm of a site in range; from about 15,000 km up the solve,
-# started at the Earth's centre, misses the site or finds the geometry
-# degenerate.  README "Scenario files" says what goes wrong for a target.
+# lands within 1 mm of a site in range: the solve checks its centre-start
+# fix against Bancroft's root nearest the surface (positioning).  README
+# "Scenario files" says what still goes wrong beyond the bounds.
 _HEIGHT_M, _CLOCK_OFFSET_S = (-2_000_000, 2_000_000), (-3600, 3600)
 
 # type: (declared keys, policy class)
@@ -381,32 +315,32 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "Scenario":
-        """Read a scenario; a ScenarioError names the first bad JSON path."""
-        top = _read(cfg, SCENARIO_KEYS, "$")
+        """Read a scenario; a SchemaError names the first bad JSON path."""
+        top = read_keys(cfg, SCENARIO_KEYS, "$")
         con, rcv = top["constellation"], top["receiver"]
-        policy, pol = _read_typed(rcv["policy"], POLICIES, "$.receiver.policy")
-        generator, values = _read_typed(top["attack"], ATTACKS, "$.attack")
+        policy, pol = read_typed(rcv["policy"], POLICIES, "$.receiver.policy")
+        generator, values = read_typed(top["attack"], ATTACKS, "$.attack")
         gst0 = Gst(con["wn"], con["tow"])
         if gst0.total_seconds() < SUBFRAME_SECONDS:
-            raise ScenarioError(f"$.constellation.tow: {con['tow']} in week 0 "
+            raise SchemaError(f"$.constellation.tow: {con['tow']} in week 0 "
                                 f"is below {SUBFRAME_SECONDS}, leaving no room "
                                 "for the root slot")
         last_wn = (gst0.total_seconds() + SUBFRAME_SECONDS
                    * (con["subframes"] - 1)) // SECONDS_PER_WEEK
         if last_wn >= 1 << WN_BITS:
-            raise ScenarioError(f"$.constellation.subframes: {con['subframes']}"
+            raise SchemaError(f"$.constellation.subframes: {con['subframes']}"
                                 f" subframes run into week {last_wn}, past "
                                 f"{(1 << WN_BITS) - 1}")
         if generator is _tsf and con["subframes"] < attacks.TSF_MIN_SUBFRAMES:
-            raise ScenarioError(f"$.constellation.subframes: {con['subframes']}"
+            raise SchemaError(f"$.constellation.subframes: {con['subframes']}"
                                 f" is below {attacks.TSF_MIN_SUBFRAMES}, the "
                                 "fewest a tsf forgery runs over")
         rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
         if not 1 <= rounds <= con["subframes"]:
-            raise ScenarioError(f"$.duration_rounds: {rounds} is outside "
+            raise SchemaError(f"$.duration_rounds: {rounds} is outside "
                                 f"1..{con['subframes']} (constellation.subframes)")
         if not 0 <= values.get("onset_round", 0) < rounds:
-            raise ScenarioError(f"$.attack.onset_round: {values['onset_round']}"
+            raise SchemaError(f"$.attack.onset_round: {values['onset_round']}"
                                 f" is outside 0..{rounds - 1} (duration_rounds)")
         return cls(
             name=top["name"], seed=top["seed"], n_sats=con["sats"],
@@ -420,12 +354,7 @@ class Scenario:
 
     @classmethod
     def load(cls, path) -> "Scenario":
-        with open(path) as fh:
-            try:
-                return cls.from_dict(
-                    json.load(fh, object_pairs_hook=unique_keys))
-            except ValueError as exc:       # bad JSON or a ScenarioError
-                raise ScenarioError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_dict)
 
 
 def live_events(subframes_by_prn: dict) -> list:

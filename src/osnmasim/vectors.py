@@ -1,6 +1,12 @@
-"""Test-vector file handling.
+"""Input files: the one reader of every JSON file the program reads, and
+test-vector files.
 
-The native schema is a comma-separated file with a header row
+A JSON file (a scenario, a column mapping, a report to diff) is read by
+``read_json``, which rejects a key given twice, and a scenario or mapping
+is checked against its key table by ``read_keys``; every error is a
+SchemaError naming the file once, then the JSON path at fault.
+
+The native vector schema is a comma-separated file with a header row
 ``wn,tow,prn,page_index,page_hex``: one row per page, fifteen rows per
 (wn, tow, prn) group, pages as 30 lowercase hex bytes.  Files coming from
 other tools are adapted through a small JSON mapping that renames columns
@@ -11,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
-from .gst import Gst, SECONDS_PER_WEEK
+from .gst import Gst, SECONDS_PER_WEEK, SubMillisecondError, to_millis
 from .navdata import PRN_BITS, WN_BITS
 from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, check_raws
 
@@ -26,7 +34,7 @@ _RANGES = {"wn": (0, (1 << WN_BITS) - 1), "tow": (0, SECONDS_PER_WEEK - 1),
 
 
 class SchemaError(ValueError):
-    """Malformed vector file; carries the offending row and column."""
+    """Malformed input; names a vector file's offending row and column."""
 
     def __init__(self, message, row=None, column=None):
         self.row = row
@@ -44,7 +52,7 @@ class CrcError(ValueError):
         super().__init__(f"{len(pages)} page(s) fail CRC: {pages[:5]}")
 
 
-def unique_keys(pairs) -> dict:
+def _unique_keys(pairs) -> dict:
     """A JSON object's key-value pairs as a dict, for json.load's
     object_pairs_hook; a key given twice raises SchemaError naming it."""
     obj = {}
@@ -55,40 +63,98 @@ def unique_keys(pairs) -> dict:
     return obj
 
 
-def _read_mapping(path) -> tuple:
-    """Column names and page-index base, adapted by a JSON mapping file."""
-    mapping = {}
-    if path is not None:
-        with open(path) as fh:
-            mapping = json.load(fh, object_pairs_hook=unique_keys)
-        if not isinstance(mapping, dict):
-            raise SchemaError(f"mapping must be a JSON object, got {mapping!r}")
-    for key in mapping:
-        if key not in ("columns", "page_index_base"):
-            raise SchemaError(f"unknown mapping key {key!r}")
-    renames = mapping.get("columns", {})
-    if not isinstance(renames, dict):
-        raise SchemaError(f"mapping key 'columns' must be an object, "
-                          f"got {renames!r}")
-    for name in renames:
-        if name not in HEADER:
-            raise SchemaError(f"mapping key 'columns' names unknown column "
-                              f"{name!r}, expected one of {HEADER}")
-    columns = {**{name: name for name in HEADER}, **renames}
+def read_json(path, read):
+    """The JSON value in the file at path, passed through read.  Bad JSON,
+    a key given twice or a ValueError of read raises SchemaError, its text
+    prefixed with the path."""
+    with open(path) as fh:
+        try:
+            return read(json.load(fh, object_pairs_hook=_unique_keys))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+
+
+NUMBER, SECONDS = (int, float), (int, float, str)    # seconds are read into ms
+# a seconds string: ASCII decimal digits, a leading minus and a fraction at
+# most, where Decimal would also take "2_9.5", "+29.5", "29.5e0" or "٢٩.٥"
+_SECONDS_TEXT = re.compile(r" *-?[0-9]+(\.[0-9]+)? *")
+
+
+def read_keys(block, keys: dict, path: str) -> dict:
+    """Check a JSON object against its key table and fill in defaults.
+
+    ``keys`` maps each key to ``(kind, default)`` or ``(kind, default, low,
+    high)``; kind is a type, a tuple of types (booleans are never numbers)
+    or a nested key table, and a None high leaves the range open.  Numbers
+    must be finite, a seconds string is an ASCII decimal, and seconds are
+    compared in ms.  A None default marks a value that another key
+    supplies.  Values keep the declared key order."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"{path}: expected an object, got {block!r}")
+    for key in block:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}: unknown key")
+    out = {}
+    for key, (kind, default, *bounds) in keys.items():
+        where, value = f"{path}.{key}", block.get(key, default)
+        if isinstance(kind, dict):
+            out[key] = read_keys(value, kind, where)
+            continue
+        if value is None and key not in block:
+            out[key] = None
+            continue
+        if isinstance(value, bool) != (kind is bool) \
+                or not isinstance(value, kind):
+            names = getattr(kind, "__name__", None) or " or ".join(
+                t.__name__ for t in kind)
+            raise SchemaError(f"{where}: expected {names}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SchemaError(f"{where}: {value!r} is not a finite number")
+        try:
+            if kind is SECONDS and isinstance(value, str) \
+                    and not _SECONDS_TEXT.fullmatch(value):
+                raise ValueError(value)
+            out[key] = to_millis(value) if kind is SECONDS else value
+        except SubMillisecondError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+        except (ValueError, ArithmeticError):
+            raise SchemaError(f"{where}: {value!r} is not a number "
+                              "of seconds") from None
+        if bounds:
+            low, high = bounds
+            if not (low <= out[key] and (high is None or out[key] <= high)):
+                bound = f"outside {low}..{high}" if high is not None \
+                    else f"below {low}"
+                raise SchemaError(f"{where}: {value!r} is {bound}")
+    return out
+
+
+def read_typed(block: dict, table: dict, path: str):
+    """Read a block whose ``type`` (by default the first) selects its entry."""
+    kind = block.get("type", next(iter(table)))
+    if not isinstance(kind, str) or kind not in table:
+        raise SchemaError(f"{path}.type: unknown type {kind!r}, "
+                          f"expected one of {', '.join(table)}")
+    keys, then = table[kind]
+    rest = {k: v for k, v in block.items() if k != "type"}
+    return then, read_keys(rest, keys, path)
+
+
+_MAPPING_KEYS = {"columns": ({name: (str, name) for name in HEADER}, {}),
+                "page_index_base": (int, 1)}
+
+
+def _read_mapping(mapping) -> tuple:
+    """Column names and page-index base of a JSON mapping object."""
+    values = read_keys(mapping, _MAPPING_KEYS, "$")
     fields: dict = {}           # CSV column -> the first field read from it
-    for name, column in columns.items():
-        if not isinstance(column, str):
-            raise SchemaError(f"mapping key 'columns' maps {name!r} to "
-                              f"{column!r}, not a column name")
+    for name, column in values["columns"].items():
         if column in fields:
-            raise SchemaError(f"mapping sends {fields[column]!r} and {name!r} "
-                              f"to one column {column!r}")
+            raise SchemaError(f"$.columns.{name}: mapping sends "
+                              f"{fields[column]!r} and {name!r} to one "
+                              f"column {column!r}")
         fields[column] = name
-    base = mapping.get("page_index_base", 1)
-    if isinstance(base, bool) or not isinstance(base, int):
-        raise SchemaError(f"mapping key 'page_index_base' must be an integer, "
-                          f"got {base!r}")
-    return columns, base
+    return values["columns"], values["page_index_base"]
 
 
 @dataclass
@@ -123,7 +189,8 @@ class TestVectorSet:
         its 15 pages once, then check every page's flags and CRC in one
         kernel call.  A SchemaError names the row (and column) at fault:
         a duplicate page's second row, an incomplete subframe's first."""
-        columns, index_base = _read_mapping(mapping_path)
+        columns, index_base = _read_mapping({}) if mapping_path is None \
+            else read_json(mapping_path, _read_mapping)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:

@@ -440,14 +440,23 @@ def test_generator_bad_argument_is_an_error(tmp_path, capsys, argv, words):
     assert not (tmp_path / "out").exists()
 
 
+# the ids are pinned so that each case keeps its name when its message
+# changes
 @pytest.mark.parametrize("mapping,words", [
-    ("{bad", "line 1"),
-    ('{"page_index_base": "0"}', "'page_index_base'"),
-    ('{"colums": {"wn": "WEEK"}}', "'colums'"),
-    ('{"columns": {"week": "WEEK"}}', "'week'"),
+    pytest.param("{bad", "line 1", id="{bad-line 1"),
+    pytest.param('{"page_index_base": "0"}',
+                 "$.page_index_base: expected int, got '0'",
+                 id="""{"page_index_base": "0"}-'page_index_base'"""),
+    pytest.param('{"colums": {"wn": "WEEK"}}', "$.colums: unknown key",
+                 id="""{"colums": {"wn": "WEEK"}}-'colums'"""),
+    pytest.param('{"columns": {"week": "WEEK"}}',
+                 "$.columns.week: unknown key",
+                 id="""{"columns": {"week": "WEEK"}}-'week'"""),
 ])
 def test_vectors_validate_bad_mapping_is_invalid(tmp_path, capsys, mapping,
                                                  words):
+    """One `invalid:` line that names the mapping file once, then what is
+    wrong with it."""
     out = tmp_path / "con"
     main(["gen-constellation", "--seed", "3", "--sats", "4",
           "--subframes", "3", "--out-dir", str(out)])
@@ -457,8 +466,30 @@ def test_vectors_validate_bad_mapping_is_invalid(tmp_path, capsys, mapping,
     assert main(["vectors", "validate", str(out / "vectors.csv"),
                  "--mapping", str(path)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("invalid:") and words in captured.err
+    assert captured.err.startswith(f"invalid: {path}: ")
+    assert words in captured.err and captured.err.count(str(path)) == 1
+    assert captured.err.count("\n") == 1
     assert "ok" not in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "vectors validate", "report diff"])
+def test_every_json_input_is_named_once(tmp_path, capsys, command):
+    """Scenario, mapping and report files are read by one reader: a key
+    given twice in any of them is one error line naming the file once."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1, "seed": 2}')
+    argv = {"run": ["run", str(bad)],
+            "vectors validate": ["vectors", "validate",
+                                 str(tmp_path / "con" / "vectors.csv"),
+                                 "--mapping", str(bad)],
+            "report diff": ["report", "diff", str(bad), str(bad)]}[command]
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(tmp_path / "con")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    failure = "invalid" if command == "vectors validate" else "error"
+    assert capsys.readouterr().err == \
+        f"{failure}: {bad}: repeated key 'seed'\n"
 
 
 # sha256 of the outputs of `gen-constellation --seed 3 --sats 4

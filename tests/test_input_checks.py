@@ -10,11 +10,7 @@ from osnmasim.mack import pack_mack, split_segments, unpack_mack
 from osnmasim.navdata import parse_nav_data
 from osnmasim.pages import Subframe
 from osnmasim.positioning import solve_position
-from osnmasim.scenario import (
-    Scenario,
-    ScenarioError,
-    generate_synthetic_constellation,
-)
+from osnmasim.scenario import Scenario, generate_synthetic_constellation
 from osnmasim.tesla import (
     ROOT_MESSAGE_BYTES,
     TeslaChain,
@@ -22,6 +18,7 @@ from osnmasim.tesla import (
     generate_keypair,
     verify_root,
 )
+from osnmasim.vectors import SchemaError
 
 GST = Gst(1251, 277200)
 _SATS = [(2e7 * prn, 1e7, 1e7) for prn in range(1, 5)]
@@ -66,7 +63,7 @@ CHECKS = {
         ValueError("first subframe must leave room for the root slot")),
     "scenario_constellation_not_object": (
         lambda: Scenario.from_dict({"constellation": 5}),
-        ScenarioError("$.constellation: expected an object, got 5")),
+        SchemaError("$.constellation: expected an object, got 5")),
 }
 
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from osnmasim.navdata import build_nav_data, parse_nav_data
-from osnmasim.scenario import Scenario, ScenarioError
+from osnmasim.scenario import Scenario
+from osnmasim.vectors import SchemaError
 from page_reference import ref_getbits, ref_getbitu, ref_setbitu
 
 SAT = (15_600_000.123, -7_540_000.5, 20_140_000.0)
@@ -40,7 +41,7 @@ def test_out_of_range_field_is_named(field, kwargs):
 
 def test_tsf_scenario_rejects_out_of_range_iono_a0():
     """Rejected when the scenario is read, before any nav data is built."""
-    with pytest.raises(ScenarioError, match=r"^\$\.attack\.iono_a0: 3000"):
+    with pytest.raises(SchemaError, match=r"^\$\.attack\.iono_a0: 3000"):
         Scenario.from_dict({
             "seed": 7, "constellation": {"sats": 4, "subframes": 6},
             "attack": {"type": "tsf", "iono_a0": 3000}})

@@ -95,6 +95,18 @@ def test_round_trip_recovers_target():
         assert fix.residual_norm < 1e-3
 
 
+def test_four_satellites_land_on_the_root_near_the_surface():
+    """Four ranges leave the range equations two exact roots.  Solved from
+    the Earth's centre alone, 8 of these 400 geometries converged to the
+    far one, 1,750 km to 61,373 km from the receiver; checked against
+    Bancroft's root, every fix lands within 1 mm."""
+    rng = random.Random(11)
+    for _ in range(400):
+        receiver, sats = _random_geometry(rng, n_sats=4)
+        fix = solve_position(sats, forge_pseudoranges(receiver, 0.0, sats))
+        assert math.dist(fix.position, receiver) < 1e-3
+
+
 def test_reference_target_position():
     """The forged-position experiment target: 4 deg N, 50 deg E, 100 m."""
     target = geodetic_to_ecef(4.0, 50.0, 100.0)

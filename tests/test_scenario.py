@@ -29,14 +29,13 @@ from osnmasim.scenario import (
     POLICIES,
     SCENARIO_KEYS,
     Scenario,
-    ScenarioError,
     diff_reports,
     generate_synthetic_constellation,
     run_scenario,
     simulate,
     write_report,
 )
-from osnmasim.vectors import CrcError, TestVectorSet
+from osnmasim.vectors import CrcError, SchemaError, TestVectorSet
 from report_text import report_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +127,7 @@ def test_exit_code_two_on_failure_verdicts():
 
 
 def test_scenario_duration_beyond_subframes_rejected():
-    with pytest.raises(ScenarioError, match=r"\$\.duration_rounds"):
+    with pytest.raises(SchemaError, match=r"\$\.duration_rounds"):
         _scenario({"type": "none"}, subframes=8, duration_rounds=99)
 
 
@@ -265,7 +264,7 @@ BAD_CONFIGS = [
 
 
 def test_out_of_range_geodetic_error_quotes_the_written_value():
-    with pytest.raises(ScenarioError, match=r"^\$\.attack\.target\.lat_deg: "
+    with pytest.raises(SchemaError, match=r"^\$\.attack\.target\.lat_deg: "
                        r"-120 is outside -90\.\.90$"):
         Scenario.from_dict(_with("attack", {
             "type": "tsf", "target": {"lat_deg": -120, "lon_deg": 400}}))
@@ -360,21 +359,17 @@ def test_tsf_bounds_keep_every_auth_fix_on_target(key, end, sats, seed):
 
 # Two 4-satellite forgeries, pinned by name.  Seed 13 at a 10 s offset
 # gave "no convergence in 50 iterations" for all 8 auth fixes while its
-# forged ranges carried the whole offset.  Seed 59 misses today: all 8 land
+# forged ranges carried the whole offset.  Seed 59's 8 fixes landed
 # 3,184,003 m from the target, on the other zero-residual root of the range
-# equations, at a height of -1,493,868 m.
+# equations, at a height of -1,493,868 m, while the solve started at the
+# Earth's centre alone.
 FEW_SATELLITE_CASES = [
     pytest.param(13, {"type": "tsf", "clock_offset_s": 10},
                  id="seed13_clock_offset_10s"),
     pytest.param(59, {"type": "tsf", "target": {"lat_deg": 53.5,
                                                 "lon_deg": 113.9,
                                                 "height_m": 100}},
-                 id="seed59_target_53.5N_113.9E",
-                 marks=pytest.mark.xfail(
-                     strict=True, raises=AssertionError, reason=(
-                         "ROADMAP item 11: with 4 satellites the Gauss-Newton"
-                         " solve started at the Earth's centre takes the far"
-                         " root"))),
+                 id="seed59_target_53.5N_113.9E"),
 ]
 
 
@@ -394,13 +389,10 @@ def test_four_satellite_tsf_lands_every_auth_fix_on_target(seed, attack):
             attack.get("clock_offset_s", 0.0), abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 11: the Gauss-Newton solve started at the Earth's centre "
-    "takes the far root of a 4-satellite genuine fix"))
 def test_four_satellite_baseline_lands_every_auth_fix_on_the_site():
     """Seed 3207's 4-satellite baseline: every authenticated fix lies within
-    1 mm of the site.  Today its one fix lands 6,258 km away, at a height
-    of -3,775,477 m."""
+    1 mm of the site.  Solved from the Earth's centre alone, its one fix
+    landed 6,258 km away, at a height of -3,775,477 m."""
     sc = Scenario.from_dict({
         "seed": 3207, "constellation": {"sats": 4, "subframes": 7, "wn": 0,
                                         "tow": 30},
@@ -417,7 +409,7 @@ def test_non_finite_json_number_names_its_path(tmp_path):
     """Python's json reads NaN and Infinity; a scenario file rejects them."""
     path = tmp_path / "inf.json"
     path.write_text('{"attack": {"type": "tsf", "clock_bias_m": Infinity}}')
-    with pytest.raises(ScenarioError, match=r"inf\.json: \$\.attack\."
+    with pytest.raises(SchemaError, match=r"inf\.json: \$\.attack\."
                        r"clock_bias_m: inf is not a finite number$"):
         Scenario.load(path)
 
@@ -430,14 +422,14 @@ def test_bad_config_names_json_path(monkeypatch, path, value, where):
 
     monkeypatch.setattr(osnmasim.scenario, "generate_synthetic_constellation",
                         no_build)
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(SchemaError) as info:
         Scenario.from_dict(_with(path, value))
     assert str(info.value).startswith(where + ":"), str(info.value)
 
 
 @pytest.mark.parametrize("text", ["2_9.5", "29.", ".5", "29 .5", "\t29.5"])
 def test_seconds_string_must_be_an_ascii_decimal(text):
-    with pytest.raises(ScenarioError) as info:
+    with pytest.raises(SchemaError) as info:
         _scenario({"type": "tsr_realtime", "delay_s": text})
     assert str(info.value) == \
         f"$.attack.delay_s: {text!r} is not a number of seconds"
@@ -453,7 +445,7 @@ def test_seconds_strings_read_to_ms(text, ms):
 def test_load_error_names_file_and_json_path(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(_with("attack.delay", "30.5")))
-    with pytest.raises(ScenarioError, match=r"typo\.json: \$\.attack\.delay"):
+    with pytest.raises(SchemaError, match=r"typo\.json: \$\.attack\.delay"):
         Scenario.load(path)
 
 
@@ -466,7 +458,7 @@ def test_load_rejects_a_repeated_key(tmp_path, text, key):
     last value."""
     path = tmp_path / "twice.json"
     path.write_text(text)
-    with pytest.raises(ScenarioError,
+    with pytest.raises(SchemaError,
                        match=rf"twice\.json: repeated key '{key}'$"):
         Scenario.load(path)
 

@@ -9,13 +9,8 @@ speed.  The cross-field rules Scenario.from_dict enforces are drawn so that
 they hold, not filtered: a tsf forgery's subframe minimum, a root slot
 before the first subframe, a last subframe within the last week number,
 duration_rounds within the constellation and onset_round before
-duration_rounds.
-
-Left out: every tsf auth fix within 1 mm of its target.  With 4 to 6
-satellites that fails today (ROADMAP item 2); the strict xfails of
-test_scenario::test_four_satellite_tsf_lands_every_auth_fix_on_target pin
-it.  Tier-1 draws 40 scenarios; `--hypothesis-profile=long` draws the long
-profile's count.
+duration_rounds.  Tier-1 draws 40 scenarios; `--hypothesis-profile=long`
+draws the long profile's count.
 """
 
 import math
@@ -123,8 +118,10 @@ def scenario_dicts(draw):
 @given(scenario_dicts())
 def test_drawn_scenarios_run_deterministically_and_genuine_fixes_hold(cfg):
     """Every draw loads and runs twice to the same bytes; the exit code is 2
-    exactly when a verdict failed; and every auth fix of an attack that
-    delivers genuine data lies within 1 mm of the site."""
+    exactly when a verdict failed; every auth fix of an attack that
+    delivers genuine data lies within 1 mm of the site; and every auth fix
+    of a tsf forgery lies within 1 mm of its target and reports its clock
+    offset."""
     sc = Scenario.from_dict(cfg)
     report = run_scenario(sc)
     assert report_to_json(run_scenario(sc)) == report_to_json(report)
@@ -136,3 +133,14 @@ def test_drawn_scenarios_run_deterministically_and_genuine_fixes_hold(cfg):
         for fix in report["auth_fixes"].values():
             assert "error" not in fix, fix
             assert math.dist(fix["ecef_m"], site) < 1e-3, fix
+    if sc.attack["type"] == "tsf":
+        keys = ATTACKS["tsf"][0]
+        target = geodetic_to_ecef(*{
+            **{key: default for key, (_, default, *_) in
+               keys["target"][0].items()},
+            **sc.attack.get("target", {})}.values())
+        offset = sc.attack.get("clock_offset_s", keys["clock_offset_s"][1])
+        for fix in report["auth_fixes"].values():
+            assert "error" not in fix, fix
+            assert math.dist(fix["ecef_m"], target) < 1e-3, fix
+            assert abs(fix["clock_offset_s"] - offset) < 1e-9, fix

@@ -200,28 +200,49 @@ def test_incomplete_subframe_names_its_first_row(small_bundle, tmp_path):
     assert (err.value.row, err.value.column) == (17, None)
 
 
-@pytest.mark.parametrize("mapping,key", [
-    ({"colums": {"wn": "WEEK"}}, "'colums'"),
-    ({"columns": {"week": "WEEK"}}, "'week'"),
-    ({"columns": ["wn", "WEEK"]}, "'columns'"),
-    ({"page_index_base": "0"}, "'page_index_base'"),
-    ({"page_index_base": True}, "'page_index_base'"),
-    ([{"page_index_base": 0}], "JSON object"),
-    ({"columns": {"tow": 2}}, "'columns' maps 'tow' to 2"),
-    ({"columns": {"tow": "wn"}},
-     "^mapping sends 'wn' and 'tow' to one column 'wn'$"),
-    ({"columns": {"wn": "WEEK", "prn": "WEEK"}},
-     "^mapping sends 'wn' and 'prn' to one column 'WEEK'$"),
+# the ids are pinned so that each case keeps its name when its message
+# changes
+@pytest.mark.parametrize("mapping,message", [
+    pytest.param({"colums": {"wn": "WEEK"}}, "$.colums: unknown key",
+                 id="mapping0-'colums'"),
+    pytest.param({"columns": {"week": "WEEK"}}, "$.columns.week: unknown key",
+                 id="mapping1-'week'"),
+    pytest.param({"columns": ["wn", "WEEK"]},
+                 "$.columns: expected an object, got ['wn', 'WEEK']",
+                 id="mapping2-'columns'"),
+    pytest.param({"page_index_base": "0"},
+                 "$.page_index_base: expected int, got '0'",
+                 id="mapping3-'page_index_base'"),
+    pytest.param({"page_index_base": True},
+                 "$.page_index_base: expected int, got True",
+                 id="mapping4-'page_index_base'"),
+    pytest.param([{"page_index_base": 0}],
+                 "$: expected an object, got [{'page_index_base': 0}]",
+                 id="mapping5-JSON object"),
+    pytest.param({"columns": {"tow": 2}}, "$.columns.tow: expected str, got 2",
+                 id="mapping6-'columns' maps 'tow' to 2"),
+    pytest.param({"columns": {"tow": "wn"}},
+                 "$.columns.tow: mapping sends 'wn' and 'tow' to one column "
+                 "'wn'",
+                 id="mapping7-^mapping sends 'wn' and 'tow' to one column "
+                    "'wn'$"),
+    pytest.param({"columns": {"wn": "WEEK", "prn": "WEEK"}},
+                 "$.columns.prn: mapping sends 'wn' and 'prn' to one column "
+                 "'WEEK'",
+                 id="mapping8-^mapping sends 'wn' and 'prn' to one column "
+                    "'WEEK'$"),
 ])
-def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, key):
-    """A mapping that would be misread is rejected with its key, or the
-    fields and the column it would misread, named."""
+def test_bad_mapping_schema_error(small_bundle, tmp_path, mapping, message):
+    """A mapping that would be misread is rejected with the file and the
+    JSON path named once, and the key, or the fields and the column it
+    would misread, named."""
     native = tmp_path / "native.csv"
     small_bundle.vectors.save(native)
     path = tmp_path / "mapping.json"
     path.write_text(json.dumps(mapping))
-    with pytest.raises(SchemaError, match=key):
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(native, mapping_path=path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_mapping_that_swaps_two_columns_loads(small_bundle, tmp_path):
@@ -251,8 +272,9 @@ def test_mapping_with_a_repeated_key_schema_error(small_bundle, tmp_path,
     small_bundle.vectors.save(native)
     path = tmp_path / "mapping.json"
     path.write_text(text)
-    with pytest.raises(SchemaError, match=f"^repeated key '{key}'$"):
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(native, mapping_path=path)
+    assert str(err.value) == f"{path}: repeated key '{key}'"
 
 
 def _with_column(path, column, value, rows):
