@@ -41,10 +41,6 @@ from .tesla import TeslaKey
 TSF_MIN_SUBFRAMES = 3
 
 
-class InsufficientAuxError(ValueError):
-    """Forgery needs at least three consecutive recorded subframes."""
-
-
 def slot_stream(streams: dict, delay_ms: int, legs) -> tuple:
     """Every satellite's page events on one grid of 2-second slots.
 
@@ -111,7 +107,7 @@ def forge_nav_blob(aux_blob: bytes, iono_a0: int,
     """Forge the navigation data of one subframe: its correction fields,
     clock_bias_m and iono_a0, rewritten over the recorded blob, every other
     bit kept (touching the timing words would break key verification).  A
-    value outside its field raises FieldWidthError naming it."""
+    value outside its field raises ValueError naming it."""
     if len(aux_blob) != NAV_BYTES:
         raise ValueError(f"nav blob must be {NAV_BYTES} bytes")
     return pack_fields(CORRECTIONS, NAV_BITS, (
@@ -132,7 +128,7 @@ def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
     """
     n = len(stream)
     if n < TSF_MIN_SUBFRAMES:
-        raise InsufficientAuxError(
+        raise ValueError(
             f"need at least {TSF_MIN_SUBFRAMES} consecutive subframes")
     navs, hkroots, macks = map(list, zip(*stream.blobs()))
     navs[:n - 2] = [forge_nav_blob(nav, iono_a0, clock_bias_m)

@@ -46,13 +46,9 @@ _AUTH_LAYOUT = (("prn_d", 0, 8, False), ("prn_a", 8, 8, False),
 _AUTH_BITS = sum(width for _, _, width, _ in _AUTH_LAYOUT)           # 56
 
 
-class CapacityError(ValueError):
-    """Tags exceed the 352-bit region in front of the chain key."""
-
-
 def _auth_header(prn_d: int, prn_a: int, gst_sf: Gst, seg_index: int) -> bytes:
     """The 56-bit header of a tag message; a value outside its field
-    raises FieldWidthError naming the field."""
+    raises ValueError naming the field."""
     return pack_fields(_AUTH_LAYOUT, _AUTH_BITS, (
         prn_d, prn_a, gst_sf.wn, gst_sf.tow, seg_index)).to_bytes(
             _AUTH_BITS // 8, "big")
@@ -79,8 +75,8 @@ def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
 
 def _check_capacity(n_tags: int) -> None:
     if n_tags > MAX_SEG_COUNT:
-        raise CapacityError(f"{n_tags} segments of {TAG_BITS}-bit tags exceed "
-                            f"the {TAG_REGION_BITS}-bit tag region")
+        raise ValueError(f"{n_tags} segments of {TAG_BITS}-bit tags exceed "
+                         f"the {TAG_REGION_BITS}-bit tag region")
 
 
 def pack_mack(tags, key: bytes) -> bytes:

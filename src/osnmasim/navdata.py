@@ -75,7 +75,7 @@ def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,
     """Assemble a subframe navigation blob from field values.
 
     Positions and biases are quantized to millimetres on encoding.  A value
-    outside its field's range raises FieldWidthError naming the field.
+    outside its field's range raises ValueError naming the field.
     """
     coords = tuple(sat_ecef_m)
     if len(coords) != 3:
@@ -96,5 +96,5 @@ def parse_nav_data(blob: bytes) -> NavFields:
 
 def subframe_nav_data(sf: Subframe) -> bytes:
     """Concatenate the data portions of a complete subframe, 240 bytes; a
-    destroyed page raises IncompleteError, a ValueError."""
+    destroyed page raises ValueError."""
     return unpack_pages((sf.raws,))[0][0]

@@ -33,8 +33,8 @@ slots' bytes.
 Every bit-packed message -- a page's fields, the navigation blob, the
 root-key message and the tag-message header -- is one layout table of
 (name, bit position, width, signed) rows that pack_fields writes and
-unpack_fields reads.  A value outside its field raises FieldWidthError
-naming it: "<name> <value> does not fit <width>[ signed] bits".
+unpack_fields reads.  A value outside its field raises ValueError naming
+it: "<name> <value> does not fit <width>[ signed] bits".
 
 The page CRC has one implementation, the column-wise kernel
 ``_crc_columns``, which seals or checks many pages in one call.  The
@@ -82,28 +82,16 @@ CRC = (202, 24)
 FILL = (226, 14)
 
 
-class LengthError(ValueError):
-    """Raw page input is not exactly 240 bits."""
-
-
-class FieldWidthError(ValueError):
-    """A message field does not fit its allotted bit width."""
-
-
-class IncompleteError(ValueError):
-    """A subframe with destroyed pages cannot supply OSNMA material."""
-
-
 def pack_fields(layout, nbits: int, values, message: int = 0) -> int:
     """The nbits-bit message int with each value written at its row's
     position, MSB first, two's complement where the row is signed, and
     every other bit as in message; a value that is not an int in the row's
-    range raises FieldWidthError naming the row."""
+    range raises ValueError naming the row."""
     for (name, pos, width, signed), value in zip(layout, values, strict=True):
         low = -(1 << width - 1) if signed else 0
         if not (isinstance(value, int) and low <= value < low + (1 << width)):
-            raise FieldWidthError(f"{name} {value!r} does not fit {width}"
-                                  f"{' signed' if signed else ''} bits")
+            raise ValueError(f"{name} {value!r} does not fit {width}"
+                             f"{' signed' if signed else ''} bits")
         shift = nbits - pos - width
         message ^= ((message >> shift ^ value) & (1 << width) - 1) << shift
     return message
@@ -209,10 +197,10 @@ def _crc_columns(joined: bytes, lanes: int) -> tuple:
 
 def _joined(raws: list) -> bytes:
     """The pages laid end to end; a page that is not PAGE_BYTES long raises
-    LengthError."""
+    ValueError."""
     wrong = set(map(len, raws)) - {PAGE_BYTES}
     if wrong:
-        raise LengthError(f"expected {PAGE_BYTES} bytes, got {min(wrong)}")
+        raise ValueError(f"expected {PAGE_BYTES} bytes, got {min(wrong)}")
     return b"".join(raws)
 
 
@@ -335,12 +323,12 @@ def pack_pages(blobs, pages: bytes | None = None) -> bytes:
 
 def unpack_pages(slots) -> list:
     """The (nav, hkroot, mack) blobs of each subframe's 15 slots, read in
-    one pass over all of them.  A destroyed slot raises IncompleteError
-    naming the subframe's destroyed slots."""
+    one pass over all of them.  A destroyed slot raises ValueError naming
+    the subframe's destroyed slots."""
     raws = []
     for sf_raws in slots:
         if None in sf_raws:
-            raise IncompleteError("destroyed slots: " + str(tuple(
+            raise ValueError("destroyed slots: " + str(tuple(
                 i for i, raw in enumerate(sf_raws) if raw is None)))
         raws += sf_raws
     return _unpack(_joined(raws))

@@ -2,7 +2,8 @@
 equation rho_i = ||receiver - sat_i|| + c * t_r.
 
 The solver is damped Gauss-Newton over [x, y, z, c*t_r], initialized at
-the Earth centre, converging when the position update drops below 1e-6 m.
+the Earth centre, converging when the position update drops below 1e-6 m
+or when the residual is below 1e-6 m and a step would not lower it.
 The range equations have two roots, so Bancroft's closed form (IEEE Trans.
 AES 21(1), 1985) checks the result: a fix more than 1 km from its root
 nearest the surface is solved again from that root (see solve_position).
@@ -29,12 +30,9 @@ MAX_ITER = 50
 LAT_RANGE, LON_RANGE = (-90, 90), (-180, 180)      # geodetic input, degrees
 
 
-class SingularGeometryError(ValueError):
-    """Satellite geometry leaves the linearized system rank deficient."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Gauss-Newton failed to converge within the iteration budget."""
+class SolveError(ValueError):
+    """No fix: the satellite geometry leaves the linearized system rank
+    deficient, or Gauss-Newton does not converge within MAX_ITER steps."""
 
 
 @dataclass(frozen=True)
@@ -106,18 +104,17 @@ def forge_pseudoranges(target, t_r: float, sats) -> list:
     return [ranges[s] for s in sats]
 
 
-def _gauss_newton(pos, rho, x, settle: bool) -> Fix:
+def _gauss_newton(pos, rho, x) -> Fix:
     """Damped Gauss-Newton from state x = [x, y, z, c*t_r]: the fix once a
-    position update drops below POS_TOL_M, or, with settle, once the
-    residual is below POS_TOL_M and the next step would not lower it.
+    position update drops below POS_TOL_M, or once the residual is below
+    POS_TOL_M and the next step would not lower it.
 
     Each step factorises the Jacobian once: the singular values of its
     least-squares solve also give the rank test, so a rank below 4
-    (smallest singular value at most 1e-8) raises SingularGeometryError.
+    (smallest singular value at most 1e-8) raises SolveError.
     """
     import numpy as np
 
-    first = True                # the first step is taken whole
     for _ in range(MAX_ITER):
         diff = x[:3] - pos
         ranges = np.linalg.norm(diff, axis=1)
@@ -129,7 +126,7 @@ def _gauss_newton(pos, rho, x, settle: bool) -> Fix:
         # (descending) that the rank test reads
         step, _, _, sv = np.linalg.lstsq(jac, residual, rcond=None)
         if sv[-1] <= 1e-8:
-            raise SingularGeometryError("satellite geometry is degenerate")
+            raise SolveError("satellite geometry is degenerate")
 
         # damping: halve the step while it makes the residual worse
         res_norm = float(np.linalg.norm(residual))
@@ -138,19 +135,19 @@ def _gauss_newton(pos, rho, x, settle: bool) -> Fix:
             trial = x + scale * step
             trial_ranges = np.linalg.norm(trial[:3] - pos, axis=1)
             trial_norm = float(np.linalg.norm(rho - (trial_ranges + trial[3])))
-            if first or trial_norm <= res_norm or scale < 1e-3:
+            if trial_norm <= res_norm or scale < 1e-3:
                 break
             scale *= 0.5
-        if settle and res_norm < POS_TOL_M and trial_norm >= res_norm:
+        if res_norm < POS_TOL_M and trial_norm >= res_norm:
             scale = 0.0         # settled: the step would not lower it
-        x, first = x + scale * step, False
+        x = x + scale * step
         if np.linalg.norm(scale * step[:3]) < POS_TOL_M:
             diff = x[:3] - pos
             ranges = np.linalg.norm(diff, axis=1)
             final = float(np.linalg.norm(rho - (ranges + x[3])))
             return Fix(position=tuple(x[:3]), clock_offset=x[3] / SPEED_OF_LIGHT,
                        residual_norm=final)
-    raise NoConvergenceError(f"no convergence in {MAX_ITER} iterations")
+    raise SolveError(f"no convergence in {MAX_ITER} iterations")
 
 
 def _bancroft(pos, rho):
@@ -187,10 +184,10 @@ def solve_position(sats, pseudoranges) -> Fix:
 
     Gauss-Newton starts at the Earth's centre.  Its fix stands when it lies
     within 1 km of Bancroft's root nearest the surface; otherwise
-    Gauss-Newton, settling, starts again from that root, and of the fixes
-    that converge the one nearer the surface is returned.  With no real
-    root (a rank below 4 or no real solution) the centre start's result
-    stands, or its error is raised.
+    Gauss-Newton starts again from that root, and of the fixes that
+    converge the one nearer the surface is returned.  With no real root
+    (a rank below 4 or no real solution) the centre start's result stands,
+    or its error is raised.
     """
     if len(sats) < 4:
         raise ValueError("need at least four satellites")
@@ -202,15 +199,15 @@ def solve_position(sats, pseudoranges) -> Fix:
     rho = np.asarray(pseudoranges, dtype=float)
     fixes = []
     try:
-        fixes.append(_gauss_newton(pos, rho, np.zeros(4), False))
-    except (SingularGeometryError, NoConvergenceError) as exc:
+        fixes.append(_gauss_newton(pos, rho, np.zeros(4)))
+    except SolveError as exc:
         error = exc
     root = _bancroft(pos, rho)
     if root is not None and not (fixes and math.dist(
             fixes[0].position, root[:3]) <= 1e3):
         try:
-            fixes.append(_gauss_newton(pos, rho, root, True))
-        except (SingularGeometryError, NoConvergenceError):
+            fixes.append(_gauss_newton(pos, rho, root))
+        except SolveError:
             pass
     if not fixes:
         raise error

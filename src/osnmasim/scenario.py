@@ -41,8 +41,6 @@ from .pages import Stream, seal_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
-    NoConvergenceError,
-    SingularGeometryError,
     forge_pseudoranges,
     geodetic_to_ecef,
     solve_position,
@@ -418,7 +416,7 @@ def simulate(sc: Scenario):
         sats, rhos = zip(*inputs)
         try:
             fix = solve_position(list(sats), list(rhos))
-        except (SingularGeometryError, NoConvergenceError, ValueError) as exc:
+        except ValueError as exc:
             return {"error": str(exc)}
         report = fix.as_dict()
         if steer_s:                 # adding 0 would turn -0.0 into 0.0

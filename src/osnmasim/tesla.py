@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 
 from .gst import Gst, SUBFRAME_SECONDS
-from .pages import HKROOT_BYTES, FieldWidthError, pack_fields, unpack_fields
+from .pages import HKROOT_BYTES, pack_fields, unpack_fields
 
 KEY_BYTES = 16
 NMA_HEADER = 0x52
@@ -53,10 +53,6 @@ class GstOrderError(ValueError):
 
 class AlignmentError(ValueError):
     """GST difference is not a whole number of subframe slots."""
-
-
-class MalformedKeyError(ValueError):
-    """Signing-key material could not be used."""
 
 
 POINT_BYTES = 33            # compressed P-256 point: 0x02 | y parity, then x
@@ -154,7 +150,7 @@ def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
                        kroot: bytes) -> bytes:
     """Pack header, MAC-function id, root slot time and root key bits."""
     if len(kroot) != KEY_BYTES:
-        raise FieldWidthError(f"kroot must be {KEY_BYTES} bytes")
+        raise ValueError(f"kroot must be {KEY_BYTES} bytes")
     return pack_fields(_MSG_LAYOUT, ROOT_MESSAGE_BITS, (
         nma_header, mf, wnk, towk, int.from_bytes(kroot, "big"))).to_bytes(
             ROOT_MESSAGE_BYTES, "big")
@@ -213,15 +209,11 @@ def public_key_point(public_key) -> bytes:
 def load_public_key_point(point: bytes):
     """The P-256 public key of a compressed point; anything else, an
     uncompressed point or an x off the curve included, raises
-    MalformedKeyError."""
+    ValueError."""
     if len(point) != POINT_BYTES or point[0] not in (2, 3):
-        raise MalformedKeyError(
+        raise ValueError(
             f"public key must be a {POINT_BYTES}-byte compressed point")
-    try:
-        return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(),
-                                                            point)
-    except ValueError as exc:
-        raise MalformedKeyError(str(exc)) from exc
+    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), point)
 
 
 def public_key_pem(public_key) -> str:

@@ -34,7 +34,8 @@ _RANGES = {"wn": (0, (1 << WN_BITS) - 1), "tow": (0, SECONDS_PER_WEEK - 1),
 
 
 class SchemaError(ValueError):
-    """Malformed input; names a vector file's offending row and column."""
+    """Malformed input; names a vector file's offending row and column, or
+    its pages that fail CRC."""
 
     def __init__(self, message, row=None, column=None):
         self.row = row
@@ -42,14 +43,6 @@ class SchemaError(ValueError):
         where = f" (row {row}" + (f", column {column!r})" if column else ")") \
             if row is not None else ""
         super().__init__(f"{message}{where}")
-
-
-class CrcError(ValueError):
-    """Pages whose checksum does not verify."""
-
-    def __init__(self, pages):
-        self.pages = pages
-        super().__init__(f"{len(pages)} page(s) fail CRC: {pages[:5]}")
 
 
 def _unique_keys(pairs) -> dict:
@@ -188,7 +181,8 @@ class TestVectorSet:
         """Schema-check every row, then check that each (wn, tow, prn) has
         its 15 pages once, then check every page's flags and CRC in one
         kernel call.  A SchemaError names the row (and column) at fault:
-        a duplicate page's second row, an incomplete subframe's first."""
+        a duplicate page's second row, an incomplete subframe's first; or
+        the (wn, tow, prn, page_index) of the first five pages that fail."""
         columns, index_base = _read_mapping({}) if mapping_path is None \
             else read_json(mapping_path, _read_mapping)
         with open(path, newline="") as fh:
@@ -219,7 +213,7 @@ class TestVectorSet:
         oks = check_raws([row[4] for row in rows])
         failed = [row[:4] for row, ok in zip(rows, oks) if not ok]
         if failed:
-            raise CrcError(failed)
+            raise SchemaError(f"{len(failed)} page(s) fail CRC: {failed[:5]}")
         by_prn: dict = {}
         for wn, tow, prn in sorted(groups, key=lambda k: (k[2], k[0], k[1])):
             raws = tuple(raw for _, raw in sorted(groups[wn, tow, prn].items()))

@@ -95,7 +95,7 @@ def flip_page_bit(raw: bytes, bit: int) -> bytes:
 def osnma(sf) -> tuple:
     """A subframe's HKROOT and MACK blobs, 15 and 60 bytes, as the
     program's unpack_pages reads them; a destroyed slot raises
-    IncompleteError."""
+    ValueError."""
     return unpack_pages((sf.raws,))[0][1:]
 
 

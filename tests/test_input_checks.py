@@ -4,11 +4,11 @@ reports a failed verification."""
 
 import pytest
 
-from osnmasim.attacks import ntp_mitm_delay
+from osnmasim.attacks import ntp_mitm_delay, tsf_forge_subframes
 from osnmasim.gst import Gst, LrtSource
 from osnmasim.mack import pack_mack, split_segments, unpack_mack
-from osnmasim.navdata import parse_nav_data
-from osnmasim.pages import Subframe
+from osnmasim.navdata import build_nav_data, parse_nav_data
+from osnmasim.pages import SUBFRAME_BYTES, Stream, Subframe, decode_page
 from osnmasim.positioning import solve_position
 from osnmasim.scenario import Scenario, generate_synthetic_constellation
 from osnmasim.tesla import (
@@ -19,6 +19,7 @@ from osnmasim.tesla import (
     verify_root,
 )
 from osnmasim.vectors import SchemaError
+from page_reference import osnma
 
 GST = Gst(1251, 277200)
 _SATS = [(2e7 * prn, 1e7, 1e7) for prn in range(1, 5)]
@@ -39,8 +40,18 @@ CHECKS = {
                         ValueError("MACK blob must be 60 bytes")),
     "mack_no_segments": (lambda: split_segments(b"x", 0),
                          ValueError("need at least one segment")),
+    "mack_nine_tags": (lambda: pack_mack([bytes(5)] * 9, bytes(16)),
+                       ValueError("9 segments of 40-bit tags exceed the "
+                                  "352-bit tag region")),
     "nav_short_blob": (lambda: parse_nav_data(bytes(239)),
                        ValueError("nav blob must be 240 bytes")),
+    "nav_prn_256": (lambda: build_nav_data(1251, 277200, 256, (0.0,) * 3),
+                    ValueError("prn 256 does not fit 8 bits")),
+    "page_29_bytes": (lambda: decode_page(bytes(29)),
+                      ValueError("expected 30 bytes, got 29")),
+    "osnma_destroyed_slot": (
+        lambda: osnma(Subframe(GST, 5, (bytes(30),) * 14 + (None,))),
+        ValueError("destroyed slots: (14,)")),
     "tesla_short_key": (lambda: TeslaKey(bytes(15), GST),
                         ValueError("chain keys are 16 bytes")),
     "tesla_short_seed": (lambda: TeslaChain.generate(bytes(15), 3, GST),
@@ -58,6 +69,11 @@ CHECKS = {
                        ValueError("one pseudorange per satellite")),
     "ntp_negative_delay": (lambda: ntp_mitm_delay(LrtSource(), -1),
                            ValueError("delay must be >= 0")),
+    "tsf_two_subframes": (
+        lambda: tsf_forge_subframes(
+            Stream(GST, 1, bytes(2 * SUBFRAME_BYTES)), seg_count=6,
+            forge_tags=True, iono_a0=0, clock_bias_m=0.0),
+        ValueError("need at least 3 consecutive subframes")),
     "constellation_no_root_slot": (
         lambda: generate_synthetic_constellation(1, 4, 1, gst0=Gst(0, 10)),
         ValueError("first subframe must leave room for the root slot")),

@@ -11,10 +11,7 @@ from osnmasim.pages import (
     CRC,
     EVEN_DATA,
     FILL,
-    FieldWidthError,
     HKROOT,
-    IncompleteError,
-    LengthError,
     MACK,
     ODD_DATA,
     PAGE_BYTES,
@@ -188,13 +185,9 @@ def test_reference_pages_round_trip():
         assert encode_page(decode_page(raw)) == raw
 
 
-def test_decode_rejects_wrong_length():
-    with pytest.raises(LengthError):
-        decode_page(b"\x00" * 29)
-
-
 def test_encode_rejects_oversized_field():
-    with pytest.raises(FieldWidthError):
+    with pytest.raises(ValueError, match=f"^even_data {1 << 112} does not "
+                       "fit 112 bits$"):
         encode_page(PageContent(even_data=1 << 112, odd_data=0, hkroot=0,
                                 mack=0))
 
@@ -332,7 +325,7 @@ def test_encode_names_the_oversized_field(name, width):
     fields = dict(even_data=0, odd_data=0, hkroot=0, mack=0)
     for value in (1 << width, -1):
         fields[name] = value
-        with pytest.raises(FieldWidthError, match=name):
+        with pytest.raises(ValueError, match=f"^{name} "):
             encode_page(PageContent(**fields))
 
 
@@ -573,13 +566,6 @@ def test_subframe_osnma_concatenation():
     assert mack == b"".join(i.to_bytes(4, "big") for i in range(15))
 
 
-def test_subframe_osnma_incomplete_raises():
-    events = _events(indices=range(14))
-    sf = assemble_round(events, GST0, prn=5)
-    with pytest.raises(IncompleteError):
-        ref.osnma(sf)
-
-
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_page_misalignment_shifts_hkroot_by_8k_bits(k):
     """Assembling a stream shifted by k pages rotates the HKROOT
@@ -683,9 +669,9 @@ def test_batch_check_of_one_flip_in_every_field(page, bits):
 def test_batch_with_a_page_of_the_wrong_length_raises(lengths):
     batch = [PAGE_INTACT_A[:n] if n <= PAGE_BYTES else PAGE_INTACT_A + b"\0"
              for n in lengths]
-    with pytest.raises(LengthError):
+    with pytest.raises(ValueError, match="^expected 30 bytes, got "):
         pages.check_raws(batch)
-    with pytest.raises(LengthError):
+    with pytest.raises(ValueError, match="^expected 30 bytes, got "):
         [reseal_raw(raw) for raw in batch]
 
 
@@ -824,21 +810,21 @@ def test_a_subframe_is_its_slots():
 
 
 def test_a_batch_with_an_incomplete_subframe_raises():
-    """An incomplete subframe anywhere in a batch raises IncompleteError
-    naming its destroyed slots, and so does subframe_nav_data of a lone
+    """An incomplete subframe anywhere in a batch raises ValueError naming
+    its destroyed slots, and so does subframe_nav_data of a lone
     subframe."""
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
     broken = good[:3] + (None,) + good[4:9] + (None,) + good[10:]
-    with pytest.raises(IncompleteError, match=r"destroyed slots: \(3, 9\)"):
+    with pytest.raises(ValueError, match=r"^destroyed slots: \(3, 9\)$"):
         unpack_pages([good, broken, good])
     sf = Subframe(gst=GST0, prn=5, raws=broken)
-    with pytest.raises(IncompleteError, match=r"\(3, 9\)"):
+    with pytest.raises(ValueError, match=r"^destroyed slots: \(3, 9\)$"):
         subframe_nav_data(sf)
 
 
 def test_unpack_rejects_a_page_of_the_wrong_length():
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
-    with pytest.raises(LengthError):
+    with pytest.raises(ValueError, match="^expected 30 bytes, got 29$"):
         unpack_pages([good[:14] + (good[14][:29],)])
 
 

@@ -8,6 +8,10 @@ definition, an attribute for a class member.  So a same-named reference to
 something else counts too, and the check errs toward passing.  It runs in
 one direction only: an allowlisted name that the program comes to use, or
 that the benchmark's probes stop importing, fails nothing here.
+
+An error class whose body is only its docstring adds nothing but its
+type, so some except clause in src/osnmasim must name it; otherwise its
+raises belong to the class it derives from.
 """
 
 import ast
@@ -71,6 +75,21 @@ def _unreached(trees) -> list:
     return unreached
 
 
+def _uncaught_bare_errors(trees) -> list:
+    """The classes whose body is one docstring and that no except clause
+    names, by dotted name."""
+    caught = {_name(ref) for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type
+              for ref in ast.walk(node.type)
+              if isinstance(ref, (ast.Name, ast.Attribute))}
+    return [f"{module}.{node.name}" for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.bases
+            and len(node.body) == 1 and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and node.name not in caught]
+
+
 def test_every_public_name_is_reached_or_allowlisted():
     unreached = [name for name in _unreached(_trees())
                  if name not in ALLOWLIST]
@@ -96,3 +115,21 @@ def test_check_flags_a_test_only_helper():
                        "        return 1\n\nview = C()\n")
     assert _unreached({"m": method}) == ["m.C.view"]
     assert _unreached({"m": method, "c": ast.parse("m.view.view")}) == []
+
+
+def test_every_bare_error_class_is_caught_by_name():
+    assert _uncaught_bare_errors(_trees()) == [], "an error class that no " \
+        "except clause names: raise the class it derives from instead"
+
+
+def test_check_flags_an_error_class_nothing_catches():
+    """A docstring-only subclass is flagged until an except clause names
+    it, bare or dotted, alone or in a tuple; a class with a body of its
+    own is not."""
+    defs = ast.parse('class BadError(ValueError):\n    """Doc."""\n\n\n'
+                     'class RowError(ValueError):\n    """Doc."""\n'
+                     '    row = None\n')
+    assert _uncaught_bare_errors({"m": defs}) == ["m.BadError"]
+    for clause in ("BadError", "m.BadError", "(KeyError, m.BadError)"):
+        catch = ast.parse(f"try:\n    pass\nexcept {clause}:\n    pass\n")
+        assert _uncaught_bare_errors({"m": defs, "c": catch}) == []

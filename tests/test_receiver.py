@@ -11,12 +11,25 @@ from osnmasim.gst import (
     SymmetricBound,
     check_time_sync,
 )
-from osnmasim.mack import disclosed_key, pack_mack, unpack_mack
-from osnmasim.navdata import NavFields, parse_nav_data, subframe_nav_data
+from osnmasim.mack import (
+    DEFAULT_SEG_COUNT,
+    disclosed_key,
+    generate_subframe_tags,
+    pack_mack,
+    unpack_mack,
+)
+from osnmasim.navdata import (
+    NAV_BITS,
+    PAGE_DATA_BITS,
+    NavFields,
+    parse_nav_data,
+    subframe_nav_data,
+)
 from osnmasim.pages import (
     MACK_BYTES,
     NAV_BYTES,
     PAGE_BITS,
+    PAGE_BYTES,
     PAGE_MS,
     SLOTS_PER_SUBFRAME,
     SUBFRAME_MS,
@@ -24,6 +37,7 @@ from osnmasim.pages import (
     assemble_round,
     reseal_raw,
     seal_pages,
+    unpack_pages,
 )
 import osnmasim.receiver
 from osnmasim import tesla
@@ -41,6 +55,7 @@ from osnmasim.tesla import (
     NMA_HEADER,
     AlignmentError,
     GstOrderError,
+    TeslaKey,
     build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
@@ -556,19 +571,25 @@ def test_report_shape(small_bundle):
     assert all(set(v) == {"gst", "prn", "outcome"} for v in rep["verdicts"])
 
 
-# (round, satellite, page, kind, bit, shift): rounds and satellites are
-# taken modulo the bundle's, pages modulo the round's events
+# (round, satellite, page, kind, bit, shift, other): rounds and satellites
+# are taken modulo the bundle's, pages modulo the round's events; other
+# picks the earlier round a replay copies from, the event a swap exchanges
+# with, and whether a forgery tags under the key its round or the next
+# one discloses
 _MOVE = st.tuples(
     st.integers(0, 63), st.integers(0, 63),
     st.integers(0, SLOTS_PER_SUBFRAME - 1),
-    st.sampled_from(("drop", "duplicate", "shift", "flip", "flip_reseal")),
+    st.sampled_from(("drop", "duplicate", "shift", "flip", "flip_reseal",
+                     "replay", "swap", "forge")),
     st.integers(0, PAGE_BITS - 1),
-    st.sampled_from((1, -1, 999, -999, PAGE_MS, -PAGE_MS)))
+    st.sampled_from((1, -1, 999, -999, PAGE_MS, -PAGE_MS)),
+    st.integers(0, 63))
 
 
-def _moved(events, move):
-    """One satellite's page events of a round with one move applied."""
-    _, _, page, kind, bit, shift = move
+def _moved(events, move, earlier):
+    """One satellite's page events of a round with one move applied;
+    earlier holds its events of each earlier round as broadcast."""
+    _, _, page, kind, bit, shift, other = move
     if not events:
         return events
     i = page % len(events)
@@ -577,8 +598,19 @@ def _moved(events, move):
         return events[:i] + events[i + 1:]
     if kind == "duplicate":
         return events + [event]
+    if kind == "swap":              # same pages, out of slot order
+        j = other % len(events)
+        events = list(events)
+        events[i], events[j] = events[j], events[i]
+        return events
     if kind == "shift":
         event = event._replace(t_ms=event.t_ms + shift)
+    elif kind == "replay":          # its slot's page of an earlier round
+        if not earlier:
+            return events
+        sent = earlier[other % len(earlier)]
+        slot = (event.t_ms - sent[0].t_ms) // PAGE_MS % SLOTS_PER_SUBFRAME
+        event = event._replace(raw=sent[slot].raw)
     else:
         raw = flip_page_bit(event.raw, bit)
         event = event._replace(
@@ -586,18 +618,61 @@ def _moved(events, move):
     return events[:i] + [event] + events[i + 1:]
 
 
+def _blobs(events) -> tuple:
+    """The (nav, hkroot, mack) blobs of one round's events as broadcast,
+    and the GST its nav data names."""
+    nav, hkroot, mack = unpack_pages([tuple(e.raw for e in events)])[0]
+    fields = parse_nav_data(nav)
+    return nav, hkroot, mack, Gst(fields.wn, fields.tow)
+
+
+def _resealed(windows, r, prn, sent, blobs):
+    """Round r's events of prn with every page still as sent replaced by
+    the page sealed from blobs for the same slot."""
+    pages = seal_pages([blobs])
+    sealed = {e.raw: pages[k * PAGE_BYTES:(k + 1) * PAGE_BYTES]
+              for k, e in enumerate(sent)}
+    windows[r][prn] = [e._replace(raw=sealed.get(e.raw, e.raw))
+                       for e in windows[r][prn]]
+
+
+def _forge(sent, windows, r, prn, move):
+    """An adversary's forgery of round r's nav data: one nav-data bit of
+    the page's slot flipped, and round r + 1's tags recomputed over the
+    forged data under the key disclosed in round r or r + 1, not the one
+    round r + 2 discloses; both rounds resealed."""
+    _, _, page, _, bit, _, other = move
+    nav, hkroot, mack, _ = _blobs(sent[r][prn])
+    flipped = page % SLOTS_PER_SUBFRAME * PAGE_DATA_BITS + bit % PAGE_DATA_BITS
+    forged = (int.from_bytes(nav, "big") ^ 1 << NAV_BITS - 1 - flipped
+              ).to_bytes(NAV_BYTES, "big")
+    _resealed(windows, r, prn, sent[r][prn], (forged, hkroot, mack))
+    if r + 1 == len(sent):
+        return
+    nav, hkroot, mack, gst = _blobs(sent[r + 1][prn])
+    _, _, key_mack, key_gst = _blobs(sent[r + 1 - other % 2][prn])
+    key = TeslaKey(disclosed_key(key_mack), key_gst)
+    tags = generate_subframe_tags(forged, key, prn, prn, gst,
+                                  DEFAULT_SEG_COUNT)
+    _resealed(windows, r + 1, prn, sent[r + 1][prn],
+              (nav, hkroot, pack_mack(tags, disclosed_key(mack))))
+
+
 def _moved_rounds(round_events, rounds, moves):
-    """Each round's page events by PRN, with the moves of that round (taken
-    modulo the rounds) applied."""
-    windows = []
-    for r in range(rounds):
-        events = round_events(r)
-        prns = sorted(events)
-        for move in moves:
-            if move[0] % rounds == r:
-                prn = prns[move[1] % len(prns)]
-                events[prn] = _moved(events[prn], move)
-        windows.append(events)
+    """Each round's page events by PRN, with the moves applied in order,
+    each to its round taken modulo the rounds; replays and forgeries read
+    the pages as broadcast."""
+    sent = [round_events(r) for r in range(rounds)]
+    windows = [dict(events) for events in sent]
+    for move in moves:
+        r = move[0] % rounds
+        prns = sorted(windows[r])
+        prn = prns[move[1] % len(prns)]
+        if move[3] == "forge":
+            _forge(sent, windows, r, prn, move)
+        else:
+            windows[r][prn] = _moved(windows[r][prn], move,
+                                     [events[prn] for events in sent[:r]])
     return windows
 
 
@@ -605,12 +680,14 @@ def _moved_rounds(round_events, rounds, moves):
 @given(st.lists(_MOVE, max_size=12))
 @example([])
 def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
-    """Pages dropped, duplicated, shifted by 1 ms, 999 ms or 2 s, or with a
-    bit flipped, resealed or not, round by round: nothing escapes
-    ingest_round, and every authentic verdict names a received subframe
-    whose nav data is the one broadcast at its GST and PRN.  The received
-    subframes are the round's events assembled by assemble_round, and the
-    receiver parses the nav data of exactly the complete ones."""
+    """Pages dropped, duplicated, swapped, shifted by 1 ms, 999 ms or 2 s,
+    with a bit flipped, resealed or not, or replayed from an earlier round,
+    and nav data forged with tags made under an already disclosed key,
+    round by round: nothing escapes ingest_round, and every authentic
+    verdict names a received subframe whose nav data is the one broadcast
+    at its GST and PRN.  The received subframes are the round's events
+    assembled by assemble_round, and the receiver parses the nav data of
+    exactly the complete ones."""
     broadcast = small_bundle.vectors.subframes()
     rounds = len(broadcast[1])
     t0, round_events = shifted_stream(small_bundle.streams)

@@ -9,9 +9,7 @@ from osnmasim.tesla import (
     DSM_BLOCKS,
     AlignmentError,
     DsmAccumulator,
-    FieldWidthError,
     GstOrderError,
-    MalformedKeyError,
     TeslaChain,
     TeslaKey,
     build_root_message,
@@ -158,15 +156,15 @@ def test_root_message_towk_confined():
 
 
 def test_root_message_width_checks():
-    with pytest.raises(FieldWidthError, match="^nma_header 338 does not"):
+    with pytest.raises(ValueError, match="^nma_header 338 does not"):
         build_root_message(0x152, 0, 0, 0, bytes(16))
-    with pytest.raises(FieldWidthError, match="^mf -1 does not fit 8 bits$"):
+    with pytest.raises(ValueError, match="^mf -1 does not fit 8 bits$"):
         build_root_message(0x52, -1, 0, 0, bytes(16))
-    with pytest.raises(FieldWidthError, match="^wnk 5000 does not fit 12"):
+    with pytest.raises(ValueError, match="^wnk 5000 does not fit 12"):
         build_root_message(0x52, 0, 5000, 0, bytes(16))
-    with pytest.raises(FieldWidthError, match="^towk 1048576 does not fit 20"):
+    with pytest.raises(ValueError, match="^towk 1048576 does not fit 20"):
         build_root_message(0x52, 0, 0, 1 << 20, bytes(16))
-    with pytest.raises(FieldWidthError, match="^kroot must be 16 bytes$"):
+    with pytest.raises(ValueError, match="^kroot must be 16 bytes$"):
         build_root_message(0x52, 0, 0, 0, bytes(17))
 
 
@@ -256,7 +254,7 @@ def test_point_of_another_length_or_prefix_is_rejected(seed):
     x, y = numbers.x.to_bytes(32, "big"), numbers.y.to_bytes(32, "big")
     for bad in (point[1:], b"\x04" + x + y, b"\x04" + x, point + b"\x00",
                 b"\x05" + x):
-        with pytest.raises(MalformedKeyError):
+        with pytest.raises(ValueError):
             load_public_key_point(bad)
 
 
@@ -264,7 +262,7 @@ def test_point_of_another_length_or_prefix_is_rejected(seed):
 @given(st.integers(0, _P - 1), st.sampled_from([2, 3]))
 def test_point_off_the_curve_is_rejected(x, prefix):
     assume(not _on_curve_x(x))
-    with pytest.raises(MalformedKeyError):
+    with pytest.raises(ValueError):
         load_public_key_point(bytes((prefix,)) + x.to_bytes(32, "big"))
 
 
