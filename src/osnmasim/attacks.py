@@ -5,8 +5,8 @@
   capture's staleness, plus an NTP man-in-the-middle delay that drags the
   victim's reference time back to the capture epoch;
 * forgery: rewrite navigation data inside recorded subframes, recompute
-  tags with the key disclosed two subframes later, reseal page CRCs, keys
-  untouched;
+  tags with the key bytes disclosed two subframes later, reseal page CRCs,
+  keys untouched;
 * concatenating replay: overpower a tracking receiver mid-round and splice
   a real-time copy onto its page stream, aligned or shifted depending on
   where the takeover lands inside the 2-second first-page window.
@@ -34,7 +34,6 @@ from .pages import (
     pack_fields,
     seal_pages,
 )
-from .tesla import TeslaKey
 
 
 # a forged window is (data, tags, disclosed key): three consecutive subframes
@@ -80,18 +79,18 @@ def slot_stream(streams: dict, delay_ms: int, legs) -> tuple:
     return t0, round_events
 
 
-def shifted_stream(streams: dict, delay_ms: int = 0,
-                   source: Source = Source.AUTHENTIC) -> tuple:
-    """Each subframe's pages delay_ms after their GST: one leg, no shift."""
-    return slot_stream(streams, delay_ms, ((source, 0, math.inf, 0),))
+def shifted_stream(streams: dict) -> tuple:
+    """The live stream: each subframe's authentic pages at their GST."""
+    return slot_stream(streams, 0, ((Source.AUTHENTIC, 0, math.inf, 0),))
 
 
 def replay_realtime(streams: dict, delay_ms: int) -> tuple:
-    """The shifted stream of adversary pages: record and replay with a
-    fixed forwarding delay."""
+    """Record and replay with a fixed forwarding delay: one leg of
+    adversary pages, each subframe's delay_ms after its GST."""
     if delay_ms < 0:
         raise ValueError("delay must be >= 0")
-    return shifted_stream(streams, delay_ms, Source.ADVERSARY)
+    return slot_stream(streams, delay_ms,
+                       ((Source.ADVERSARY, 0, math.inf, 0),))
 
 
 def ntp_mitm_delay(source: LrtSource, delay_ms: int) -> LrtSource:
@@ -121,8 +120,8 @@ def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
 
     Every subframe but the last two gets forged nav data, its corrections
     rewritten to iono_a0 and clock_bias_m; with forge_tags, mack.tag_stream
-    rewrites the seg_count tags of subframes 1 .. n-2 under the keys the
-    recorded subframes disclose.  The stream is read in one pass, and the
+    rewrites the seg_count tags of subframes 1 .. n-2 under the key bytes
+    the recorded subframes disclose.  The stream is read in one pass, and the
     blobs are written over its pages and sealed in one, so every other bit
     stays as recorded and the whole forged stream, one buffer, verifies.
     """
@@ -134,9 +133,8 @@ def tsf_forge_subframes(stream: Stream, *, seg_count: int, forge_tags: bool,
     navs[:n - 2] = [forge_nav_blob(nav, iono_a0, clock_bias_m)
                     for nav in navs[:n - 2]]
     if forge_tags:
-        gsts = stream.gsts()
-        keys = [TeslaKey(disclosed_key(m), g) for m, g in zip(macks, gsts)]
-        macks[1:n - 1] = tag_stream(stream.prn, gsts, navs, keys, seg_count)
+        macks[1:n - 1] = tag_stream(stream.prn, stream.gsts(), navs,
+                                    list(map(disclosed_key, macks)), seg_count)
     return Stream(stream.gst, stream.prn,
                   seal_pages(zip(navs, hkroots, macks), stream.pages))
 

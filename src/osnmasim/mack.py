@@ -12,6 +12,8 @@ A satellite's stream follows one window rule: subframe k carries the tags
 of subframe k-1's nav data, made under the key that subframe k+1
 discloses, and then discloses its own key.  tag_stream applies it for the
 generator and the TSF forgery alike; they differ only in the keys' source.
+A key here is its 16 bytes, bound to its GST by the chain check
+(tesla.verify_key) before any tag is checked under it.
 
 HMAC runs through cryptography's OpenSSL, as the chain hash and the root-key
 signature do.  The stdlib hmac module is not imported: it loads _hashlib,
@@ -28,7 +30,6 @@ from cryptography.hazmat.primitives.hmac import HMAC
 
 from .gst import Gst
 from .pages import MACK_BYTES, pack_fields
-from .tesla import TeslaKey
 
 MACK_BITS = 8 * MACK_BYTES
 KEY_BITS = 128
@@ -118,7 +119,7 @@ def split_segments(nav_data: bytes, seg_count: int) -> list:
     return [padded[i * seg_len:(i + 1) * seg_len] for i in range(seg_count)]
 
 
-def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
+def generate_subframe_tags(nav_data: bytes, key: bytes, prn_d: int,
                            prn_a: int, gst_sf: Gst, seg_count: int) -> list:
     """One tag per nav-data segment, all under the same chain key: each is
     compute_tag of build_auth_message for its 1-based segment index.  One
@@ -128,7 +129,7 @@ def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
     segments = split_segments(nav_data, seg_count)
     if not segments[0]:
         raise ValueError("segment must be non-empty")
-    head = HMAC(key.bits, hashes.SHA256())
+    head = HMAC(key, hashes.SHA256())
     head.update(_auth_header(prn_d, prn_a, gst_sf, seg_count)[:-1])
     tags = []
     for i, seg in enumerate(segments, 1):
@@ -141,19 +142,20 @@ def generate_subframe_tags(nav_data: bytes, key: TeslaKey, prn_d: int,
 def tag_stream(prn: int, gsts, navs, keys, seg_count: int) -> list:
     """The MACK blobs of subframes 1 .. len(keys) - 2 of one satellite's
     consecutive stream: subframe k tags navs[k - 1] under keys[k + 1] at
-    gsts[k], then discloses keys[k]."""
+    gsts[k], then discloses keys[k]; keys are 16-byte chain keys."""
     return [pack_mack(generate_subframe_tags(navs[k - 1], keys[k + 1], prn,
                                              prn, gsts[k], seg_count),
-                      keys[k].bits) for k in range(1, len(keys) - 1)]
+                      keys[k]) for k in range(1, len(keys) - 1)]
 
 
-def verify_tags(nav_data: bytes, received, key: TeslaKey, prn_d: int,
+def verify_tags(nav_data: bytes, received, key: bytes, prn_d: int,
                 prn_a: int, gst_sf: Gst, seg_count: int) -> list:
-    """Recompute tags locally and compare element-wise.
+    """Recompute the seg_count tags locally and compare each with its
+    received one; a received list of another length raises ValueError.
 
-    The key must already have been verified against the chain; an
+    The key bytes must already have been verified against the chain; an
     all-True result marks the nav data authentic for prn_d.
     """
-    local = generate_subframe_tags(nav_data, key, prn_d, prn_a, gst_sf,
-                                   seg_count)
-    return [_compare_digest(a, b) for a, b in zip(local, received)]
+    tags = generate_subframe_tags(nav_data, key, prn_d, prn_a, gst_sf,
+                                  seg_count)
+    return [_compare_digest(a, b) for a, b in zip(tags, received, strict=True)]

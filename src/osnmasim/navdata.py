@@ -62,12 +62,8 @@ class NavFields:
     iono_a0: int                      # raw 11-bit coefficient
 
     @property
-    def iono_bias_m(self) -> float:
-        return self.iono_a0 * IONO_A0_UNIT_M
-
-    @property
     def range_bias_m(self) -> float:
-        return self.clock_bias_m + self.iono_bias_m
+        return self.clock_bias_m + self.iono_a0 * IONO_A0_UNIT_M
 
 
 def build_nav_data(wn: int, tow: int, prn: int, sat_ecef_m,

@@ -37,7 +37,8 @@ unpack_fields reads.  A value outside its field raises ValueError naming
 it: "<name> <value> does not fit <width>[ signed] bits".
 
 The page CRC has one implementation, the column-wise kernel
-``_crc_columns``, which seals or checks many pages in one call.  The
+``_crc_columns``, which seals many pages in one call; a page checks when
+its framing flags hold and resealing it leaves it unchanged.  The
 fields a subframe carries -- its 240-byte navigation blob and its 15-byte
 HKROOT and 60-byte MACK blobs -- have one codec too, the column-wise
 ``pack_pages`` and ``_unpack`` (``unpack_pages`` for received slots).
@@ -228,20 +229,17 @@ def _split(joined: bytes) -> list:
 
 
 def check_raws(raws: list) -> list:
-    """Whether each page's framing flags are consistent and its CRC
-    verifies, all in one kernel call."""
-    joined = _joined(raws)
-    n = len(raws)
+    """Whether each page checks: its framing flags hold and resealing it
+    leaves it unchanged, all pages resealed in one kernel call."""
+    joined, n = _joined(raws), len(raws)
+    sealed = _seal(joined)
     lanes = int.from_bytes(b"\1" * n, "big")
-    crc25, crc26, crc27, crc28 = _crc_columns(joined, lanes)
-    top2 = 0xC0 * lanes
     # flags: 00 at the top of byte 0, 10 at the top of byte 15
-    wrong = (_column(joined, 0) & top2
-             | (_column(joined, 15) & top2) ^ 0x80 * lanes
-             | (_column(joined, 25) & 0x3F * lanes) ^ crc25
-             | _column(joined, 26) ^ crc26 | _column(joined, 27) ^ crc27
-             | (_column(joined, 28) & top2) ^ crc28)
-    return [not lane for lane in wrong.to_bytes(n, "big")]
+    flags = (_column(joined, 0) & 0xC0 * lanes
+             | (_column(joined, 15) & 0xC0 * lanes) ^ 0x80 * lanes)
+    return [not flag and joined[i:i + PAGE_BYTES] == sealed[i:i + PAGE_BYTES]
+            for flag, i in zip(flags.to_bytes(n, "big"),
+                               range(0, len(joined), PAGE_BYTES))]
 
 
 class PageContent(NamedTuple):

@@ -108,8 +108,7 @@ class Receiver:
         self._changes = [(None, Status.COLD_START)]  # for the next result
         self._dsm: dict = {}             # prn -> DsmAccumulator
         self._pubkey = load_public_key_point(pubkey)
-        self._grid = (first_gst, true_ms)  # round 0's GST and window start
-        self._round = 0                  # index of the next round
+        self._next = (first_gst, true_ms)  # next round: GST, window start
         if not (isinstance(policy, SymmetricBound)
                 and lrt.error_bound_ms > policy.b_ms):
             passed = check_time_sync(first_gst, lrt.read(true_ms), policy)
@@ -127,10 +126,9 @@ class Receiver:
         each authentic verdict names, and authenticated_gst its GST.
         changes holds the status changes since the previous round, round
         0's opening with cold start and the TS gate's."""
-        first_gst, true_ms = self._grid
-        r, self._round = self._round, self._round + 1
-        gst = first_gst.add_seconds(SUBFRAME_SECONDS * r)
-        window_start_ms = true_ms + r * SUBFRAME_MS
+        gst, window_start_ms = self._next
+        self._next = (gst.add_seconds(SUBFRAME_SECONDS),
+                      window_start_ms + SUBFRAME_MS)
         prns = sorted(self.pending.keys() | events_by_prn.keys())
         blobs = assemble_rounds(events_by_prn, prns, window_start_ms)
         result = RoundResult(gst, {
@@ -210,7 +208,7 @@ class Receiver:
             return AuthResult(gst, prn, Outcome.KEY_REJECTED), None
 
         if not all(verify_tags(nav, unpack_mack(tags, self.seg_count),
-                               candidate, prn_d=prn, prn_a=prn,
+                               candidate.bits, prn_d=prn, prn_a=prn,
                                gst_sf=tag_gst, seg_count=self.seg_count)):
             return AuthResult(gst, prn, Outcome.TAG_MISMATCH), None
         # verified only while AUTHENTICATING or SUSPENDED: this resumes

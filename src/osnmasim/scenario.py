@@ -161,13 +161,13 @@ def generate_synthetic_constellation(
     hk_blocks = dsm_hkroot_blocks(root_body, sign_root(root_body, private_key))
 
     # key i + 1 is disclosed in subframe i, the root key in the slot before
-    keys = chain.keys[1:n_subframes + 2]
+    keys = [key.bits for key in chain.keys[1:n_subframes + 2]]
     gsts = [gst0.add_seconds(SUBFRAME_SECONDS * j) for j in range(n_subframes)]
     streams = {}
     for prn, pos in sat_states.items():          # one sealing per satellite
         navs = [build_nav_data(g.wn, g.tow, prn, pos,
                                clock_bias_m[prn], iono_a0[prn]) for g in gsts]
-        macks = [pack_mack([], keys[0].bits)] \
+        macks = [pack_mack([], keys[0])] \
             + tag_stream(prn, gsts, navs, keys, seg_count)
         streams[prn] = Stream(gst0, prn, seal_pages(
             zip(navs, cycle(hk_blocks), macks)))

@@ -112,17 +112,13 @@ class TeslaChain:
     def root(self) -> TeslaKey:
         return self.keys[0]
 
-    @property
-    def n(self) -> int:
-        return len(self.keys) - 1
-
     def key_at(self, index: int) -> TeslaKey:
         return self.keys[index]
 
     def as_dict(self) -> dict:
         """The chain description written to chain JSON files."""
         return {"gst0": self.root.gst.as_dict(), "delta_t": SUBFRAME_SECONDS,
-                "n": self.n, "seed_hex": self.seed.bits.hex(),
+                "n": len(self.keys) - 1, "seed_hex": self.seed.bits.hex(),
                 "root_hex": self.root.bits.hex()}
 
 

@@ -28,9 +28,10 @@ from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, check_raws
 HEADER = ["wn", "tow", "prn", "page_index", "page_hex"]
 _HEX = frozenset("0123456789abcdef")
 
-# the values a subframe's navigation data can carry
+# what a subframe's nav data can carry, and its pages' 1-based index
 _RANGES = {"wn": (0, (1 << WN_BITS) - 1), "tow": (0, SECONDS_PER_WEEK - 1),
-          "prn": (1, (1 << PRN_BITS) - 1)}
+          "prn": (1, (1 << PRN_BITS) - 1),
+          "page_index": (1, SLOTS_PER_SUBFRAME)}
 
 
 class SchemaError(ValueError):
@@ -38,8 +39,6 @@ class SchemaError(ValueError):
     its pages that fail CRC."""
 
     def __init__(self, message, row=None, column=None):
-        self.row = row
-        self.column = column
         where = f" (row {row}" + (f", column {column!r})" if column else ")") \
             if row is not None else ""
         super().__init__(f"{message}{where}")
@@ -225,7 +224,7 @@ class TestVectorSet:
         """(wn, tow, prn, page_index, page bytes) of one row, the index made
         1-based; a bad value raises SchemaError naming its row and column."""
         out = []
-        for name in ("wn", "tow", "prn", "page_index"):
+        for name in _RANGES:
             raw = row.get(columns[name])
             if raw is None:
                 raise SchemaError("missing value", row=lineno, column=name)
@@ -235,14 +234,11 @@ class TestVectorSet:
                                   row=lineno, column=name)
             out.append(int(raw))
         for (name, (low, high)), value in zip(_RANGES.items(), out):
-            if not low <= value <= high:
-                raise SchemaError(f"{name} {value} is outside {low}..{high}",
-                                  row=lineno, column=name)
-        if not index_base <= out[3] < index_base + SLOTS_PER_SUBFRAME:
-            raise SchemaError(f"page_index {out[3]} is outside {index_base}.."
-                              f"{index_base + SLOTS_PER_SUBFRAME - 1}",
-                              row=lineno, column="page_index")
-        out[3] = out[3] - index_base + 1
+            shift = index_base - 1 if name == "page_index" else 0
+            if not low + shift <= value <= high + shift:
+                raise SchemaError(f"{name} {value} is outside {low + shift}.."
+                                  f"{high + shift}", row=lineno, column=name)
+        out[3] -= index_base - 1
         page_hex = (row.get(columns["page_hex"]) or "").strip().lower()
         if len(page_hex) != 2 * PAGE_BYTES:
             raise SchemaError(f"page_hex must be {2 * PAGE_BYTES} hex chars",

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import settings
 
@@ -12,12 +14,19 @@ GST0 = Gst(1251, 277200)
 settings.register_profile("long", max_examples=2000)
 
 
-@pytest.fixture(scope="session")
-def small_bundle():
+@functools.cache
+def small_constellation():
     """4 satellites, 12 subframes: enough for root acquisition plus a few
-    authenticated rounds."""
+    authenticated rounds.  Property tests call it rather than take the
+    fixture: hypothesis prints every argument of a falsifying example, and
+    a bundle's repr is about 80 kB."""
     return generate_synthetic_constellation(seed=7, n_sats=4, n_subframes=12,
                                             gst0=GST0)
+
+
+@pytest.fixture(scope="session")
+def small_bundle():
+    return small_constellation()
 
 
 @pytest.fixture(scope="session")

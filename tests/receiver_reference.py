@@ -84,7 +84,7 @@ def _outcome(data, tagged, keyed, trusted, seg_count) -> tuple:
     except (GstOrderError, AlignmentError):
         return Outcome.KEY_REJECTED, key
     tags = unpack_mack(osnma(tagged)[1], seg_count)
-    if all(verify_tags(subframe_nav_data(data), tags, key, prn_d=data.prn,
+    if all(verify_tags(subframe_nav_data(data), tags, key.bits, prn_d=data.prn,
                        prn_a=data.prn, gst_sf=tagged.gst,
                        seg_count=seg_count)):
         return Outcome.AUTHENTIC, key

@@ -39,7 +39,7 @@ from osnmasim.pages import (
     reseal_raw,
     seal_pages,
 )
-from osnmasim.tesla import NMA_HEADER, TeslaKey
+from osnmasim.tesla import NMA_HEADER
 from page_reference import FLAGS, blob_pages, destroyed_slots, osnma
 
 GST0 = Gst(1251, 277200)
@@ -174,7 +174,7 @@ def _two_pass_forgery(aux, seg_count, forge_tags, iono_a0, clock_bias_m):
         out[i] = _replace_nav(out[i], forged_blob)
         if not forge_tags:
             continue
-        key = TeslaKey(disclosed_key(osnma(out[i + 2])[1]), out[i + 2].gst)
+        key = disclosed_key(osnma(out[i + 2])[1])
         tags = generate_subframe_tags(forged_blob, key,
                                       prn_d=out[i].prn, prn_a=out[i].prn,
                                       gst_sf=out[i + 1].gst,

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+
 from osnmasim.cli import build_parser, main
 from osnmasim.vectors import TestVectorSet
 from test_scenario import REPORT_DIGESTS
@@ -42,19 +45,22 @@ UNLOADED = ("hashlib", "hmac", "_hashlib",
             "cryptography.hazmat.primitives.serialization")
 
 
-def _run_baseline(tmp_path, show: str, **env) -> str:
-    """Run baseline through cli.main in a fresh interpreter (see _fresh)
-    and check that its report keeps its pinned bytes; returns the exit code
-    and the expression `show` evaluated after the run."""
+def _run_shipped(tmp_path, show: str, names=("baseline",), **env) -> str:
+    """Run the shipped scenarios named through one cli.main call in a fresh
+    interpreter (see _fresh) and check that each report keeps its pinned
+    bytes; returns the exit code and the expression `show` evaluated after
+    the run."""
+    paths = [str(SCENARIO_DIR / f"{name}.json") for name in names]
     probe = (
         "import os, sys\n"
         "from osnmasim import cli\n"
-        f"code = cli.main(['run', {str(SCENARIO_DIR / 'baseline.json')!r},"
+        f"code = cli.main(['run', *{paths!r},"
         f" '--out-dir', {str(tmp_path)!r}])\n"
         f"print(code, {show})\n")
     line = _fresh(probe, **env)
-    text = (tmp_path / "baseline.report.json").read_bytes()
-    assert hashlib.sha256(text).hexdigest() == REPORT_DIGESTS["baseline"]
+    for name in names:
+        text = (tmp_path / f"{name}.report.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == REPORT_DIGESTS[name], name
     return line
 
 
@@ -62,7 +68,7 @@ def test_a_run_loads_one_openssl_and_no_serialization(tmp_path):
     """Every hash, HMAC and signature of a run goes through cryptography:
     a fresh interpreter that runs a scenario never imports the stdlib's
     OpenSSL binding or cryptography's serialization package."""
-    assert _run_baseline(
+    assert _run_shipped(
         tmp_path, f"[m for m in {UNLOADED!r} if m in sys.modules]") == "0 []"
 
 
@@ -99,16 +105,17 @@ def test_commands_that_never_solve_load_no_numpy(tmp_path):
 def test_a_run_ends_on_one_thread(tmp_path):
     """The CLI gives OpenBLAS one thread before numpy loads, so a run that
     solves ends with the interpreter's one thread."""
-    assert _run_baseline(
+    assert _run_shipped(
         tmp_path, f"os.environ.get({BLAS_THREADS!r}),"
         " len(os.listdir('/proc/self/task'))") == "0 1 1"
 
 
 def test_a_thread_count_the_caller_set_is_kept(tmp_path):
     """main() keeps an OPENBLAS_NUM_THREADS the caller set, and the thread
-    count changes no report byte."""
-    assert _run_baseline(tmp_path, f"os.environ[{BLAS_THREADS!r}]",
-                         **{BLAS_THREADS: "2"}) == "0 2"
+    count changes no byte of the nine shipped reports, run in one process
+    (exit 2: two of them end with failure verdicts)."""
+    assert _run_shipped(tmp_path, f"os.environ[{BLAS_THREADS!r}]",
+                        REPORT_DIGESTS, **{BLAS_THREADS: "2"}) == "2 2"
 
 
 def _dynamic_arch_openblas() -> bool:
@@ -132,7 +139,7 @@ def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
             not _dynamic_arch_openblas():
         pytest.skip("needs an x86-64 host and a DYNAMIC_ARCH OpenBLAS")
     for kernel in ("Prescott", "Nehalem"):
-        assert _run_baseline(tmp_path / kernel,
+        assert _run_shipped(tmp_path / kernel,
                              "os.environ['OPENBLAS_CORETYPE']",
                              OPENBLAS_CORETYPE=kernel) == f"0 {kernel}"
 
@@ -164,6 +171,11 @@ def test_gen_constellation_writes_outputs(tmp_path, capsys):
     assert set(chain) >= {"gst0", "delta_t", "n", "seed_hex", "root_hex",
                           "pubkey_pem"}
     assert "PRIVATE" not in (out / "chain.json").read_text()
+    # the root slot's key, one per subframe, and the one after the last
+    assert chain["n"] == 9 + 2
+    assert len(bytes.fromhex(chain["root_hex"])) == 16
+    pubkey = serialization.load_pem_public_key(chain["pubkey_pem"].encode())
+    assert isinstance(pubkey.curve, ec.SECP256R1)
 
 
 def test_gen_constellation_names_the_root_field_that_does_not_fit(tmp_path,
@@ -192,11 +204,14 @@ def test_vectors_validate_rejects_corruption(tmp_path, capsys):
     path = out / "vectors.csv"
     lines = path.read_text().splitlines()
     row = lines[5].split(",")
-    row[-1] = ("f" if row[-1][0] != "f" else "0") + row[-1][1:]
+    page = row[-1]                      # digit 20: bits 80..83, nav data
+    row[-1] = page[:20] + format(int(page[20], 16) ^ 1, "x") + page[21:]
     lines[5] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     assert main(["vectors", "validate", str(path)]) == 1
-    assert "invalid" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"invalid: 1 page(s) fail CRC: [({', '.join(row[:4])})]\n"
 
 
 def test_vectors_out_of_range_tow_is_invalid(tmp_path, capsys):

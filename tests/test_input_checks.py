@@ -6,7 +6,7 @@ import pytest
 
 from osnmasim.attacks import ntp_mitm_delay, tsf_forge_subframes
 from osnmasim.gst import Gst, LrtSource
-from osnmasim.mack import pack_mack, split_segments, unpack_mack
+from osnmasim.mack import pack_mack, split_segments, unpack_mack, verify_tags
 from osnmasim.navdata import build_nav_data, parse_nav_data
 from osnmasim.pages import SUBFRAME_BYTES, Stream, Subframe, decode_page
 from osnmasim.positioning import solve_position
@@ -43,6 +43,9 @@ CHECKS = {
     "mack_nine_tags": (lambda: pack_mack([bytes(5)] * 9, bytes(16)),
                        ValueError("9 segments of 40-bit tags exceed the "
                                   "352-bit tag region")),
+    "mack_too_few_tags": (
+        lambda: verify_tags(bytes(240), [], bytes(16), 1, 1, GST, 6),
+        ValueError("zip() argument 2 is shorter than argument 1")),
     "nav_short_blob": (lambda: parse_nav_data(bytes(239)),
                        ValueError("nav blob must be 240 bytes")),
     "nav_prn_256": (lambda: build_nav_data(1251, 277200, 256, (0.0,) * 3),

@@ -16,7 +16,7 @@ from osnmasim.mack import (
     unpack_mack,
     verify_tags,
 )
-from osnmasim.tesla import TeslaChain, TeslaKey
+from osnmasim.tesla import TeslaChain
 
 GST_SF = Gst(1251, 277230)
 
@@ -110,13 +110,13 @@ def test_split_segments_pads_last():
 
 
 def _key():
-    return TeslaKey(b"\x5a" * 16, Gst(1251, 277260))
+    return b"\x5a" * 16
 
 
 def test_generate_single_segment_is_whole_data():
     data = bytes(range(48))
     tags = generate_subframe_tags(data, _key(), 7, 7, GST_SF, seg_count=1)
-    expected = compute_tag(_key().bits,
+    expected = compute_tag(_key(),
                            build_auth_message(7, 7, GST_SF, 1, data))
     assert tags == [expected]
 
@@ -127,7 +127,7 @@ def test_generate_matches_direct_composition():
     tags = generate_subframe_tags(data, _key(), 5, 6, GST_SF, seg_count=2)
     segs = split_segments(data, 2)
     direct = [
-        compute_tag(_key().bits, build_auth_message(5, 6, GST_SF, i + 1, seg))
+        compute_tag(_key(), build_auth_message(5, 6, GST_SF, i + 1, seg))
         for i, seg in enumerate(segs)
     ]
     assert tags == direct
@@ -166,8 +166,8 @@ def test_verify_wrong_key_matches_nothing():
     tags = generate_subframe_tags(data, _key(), 2, 2, GST_SF, 6)
     hits = 0
     for trial in range(100):
-        other = TeslaKey(rng.randbytes(16), _key().gst)
-        hits += sum(verify_tags(data, tags, other, 2, 2, GST_SF, 6))
+        hits += sum(verify_tags(data, tags, rng.randbytes(16), 2, 2, GST_SF,
+                                6))
     assert hits == 0
 
 
@@ -175,12 +175,12 @@ def test_verify_wrong_key_matches_nothing():
 @given(st.binary(min_size=30, max_size=240), st.binary(min_size=16, max_size=16),
        st.integers(1, 8), st.integers(1, 36), st.integers(1, 36))
 def test_end_to_end_generate_pack_unpack_verify(data, key_bits, m, prn_d, prn_a):
-    key = TeslaKey(key_bits, GST_SF)
-    tags = generate_subframe_tags(data, key, prn_d, prn_a, GST_SF, m)
-    blob = pack_mack(tags, key.bits)
+    tags = generate_subframe_tags(data, key_bits, prn_d, prn_a, GST_SF, m)
+    blob = pack_mack(tags, key_bits)
     out_tags = unpack_mack(blob, n_tags=m)
-    assert disclosed_key(blob) == key.bits
-    assert all(verify_tags(data, out_tags, key, prn_d, prn_a, GST_SF, m))
+    assert disclosed_key(blob) == key_bits
+    assert all(verify_tags(data, out_tags, key_bits, prn_d, prn_a, GST_SF,
+                           m))
 
 
 @given(st.binary(min_size=1, max_size=300), st.binary(min_size=16, max_size=16),
@@ -191,8 +191,8 @@ def test_every_tag_is_compute_tag_of_its_auth_message(nav, key_bits, seg_count,
     """The one-header tag loop gives, segment by segment, the generic
     truncation of the message build_auth_message lays out."""
     gst_sf = Gst(wn, tow)
-    key = TeslaKey(key_bits, gst_sf)
-    assert generate_subframe_tags(nav, key, prn_d, prn_a, gst_sf, seg_count) == [
+    assert generate_subframe_tags(nav, key_bits, prn_d, prn_a, gst_sf,
+                                  seg_count) == [
         compute_tag(key_bits, build_auth_message(prn_d, prn_a, gst_sf, i, seg))
         for i, seg in enumerate(split_segments(nav, seg_count), 1)]
 
@@ -207,13 +207,13 @@ def test_header_field_out_of_range_is_named(name, prn_d, prn_a, seg_index):
         build_auth_message(prn_d, prn_a, GST_SF, seg_index, b"\x01")
     if seg_index > 0:                   # seg_count is the last index
         with pytest.raises(ValueError, match=f"^{name} "):
-            generate_subframe_tags(bytes(240), TeslaKey(bytes(16), GST_SF),
-                                   prn_d, prn_a, GST_SF, seg_index)
+            generate_subframe_tags(bytes(240), bytes(16), prn_d, prn_a,
+                                   GST_SF, seg_index)
 
 
 def test_generate_rejects_empty_nav_data():
     with pytest.raises(ValueError, match="non-empty"):
-        generate_subframe_tags(b"", TeslaKey(bytes(16), GST_SF), 1, 1, GST_SF, 6)
+        generate_subframe_tags(b"", bytes(16), 1, 1, GST_SF, 6)
 
 
 _CHAIN = TeslaChain.generate(bytes(range(16)), 12, Gst(1251, 277170))
@@ -227,13 +227,15 @@ def test_tag_stream_is_the_window_rule_subframe_by_subframe(prn, seg_count,
     the tags of navs[k - 1] under keys[k + 1] at gsts[k] and discloses
     keys[k]."""
     lo = data.draw(st.integers(0, len(_CHAIN.keys) - 3))
-    keys = _CHAIN.keys[lo:data.draw(st.integers(lo + 3, len(_CHAIN.keys)))]
-    gsts = [key.gst for key in keys]
+    chain_keys = _CHAIN.keys[lo:data.draw(st.integers(lo + 3,
+                                                      len(_CHAIN.keys)))]
+    gsts = [key.gst for key in chain_keys]
+    keys = [key.bits for key in chain_keys]
     navs = data.draw(st.lists(st.binary(min_size=8, max_size=240),
                               min_size=len(keys), max_size=len(keys)))
     assert tag_stream(prn, gsts, navs, keys, seg_count) == [
         pack_mack(generate_subframe_tags(navs[k - 1], keys[k + 1], prn, prn,
-                                         gsts[k], seg_count), keys[k].bits)
+                                         gsts[k], seg_count), keys[k])
         for k in range(1, len(keys) - 1)]
 
 
@@ -258,8 +260,8 @@ def test_tags_equal_the_stdlib_hmac_reference(nav, key_bits, prn_d, prn_a, wn,
                                               tow, seg_count):
     gst_sf = Gst(wn, tow)
     want = ref_tags(nav, key_bits, prn_d, prn_a, wn, tow, seg_count)
-    assert generate_subframe_tags(nav, TeslaKey(key_bits, gst_sf), prn_d,
-                                  prn_a, gst_sf, seg_count) == want
+    assert generate_subframe_tags(nav, key_bits, prn_d, prn_a, gst_sf,
+                                  seg_count) == want
     message = build_auth_message(prn_d, prn_a, gst_sf, 1, nav)
     assert compute_tag(key_bits, message) == \
         hmac.digest(key_bits, message, "sha256")[:5]
@@ -268,10 +270,8 @@ def test_tags_equal_the_stdlib_hmac_reference(nav, key_bits, prn_d, prn_a, wn,
 @settings(max_examples=60)
 @given(st.binary(min_size=16, max_size=240), st.binary(min_size=16, max_size=16),
        st.integers(1, 255), st.integers(1, 8), st.data())
-def test_verify_flags_exactly_the_segment_with_a_flipped_byte(nav, key_bits,
-                                                             prn, seg_count,
-                                                             data):
-    key = TeslaKey(key_bits, GST_SF)
+def test_verify_flags_exactly_the_segment_with_a_flipped_byte(nav, key, prn,
+                                                             seg_count, data):
     tags = generate_subframe_tags(nav, key, prn, prn, GST_SF, seg_count)
     pos = data.draw(st.integers(0, len(nav) - 1))
     flip = data.draw(st.integers(1, 255))

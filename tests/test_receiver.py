@@ -55,7 +55,6 @@ from osnmasim.tesla import (
     NMA_HEADER,
     AlignmentError,
     GstOrderError,
-    TeslaKey,
     build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
@@ -64,6 +63,7 @@ from osnmasim.tesla import (
 )
 import receiver_reference
 import stream_reference
+from conftest import small_constellation
 from page_reference import flip_page_bit, osnma
 
 GST0 = Gst(1251, 277200)
@@ -115,10 +115,10 @@ def test_power_on_untrusted_bound_stays_cold(small_bundle):
 
 
 @given(st.integers(-60000, 60000), st.integers(0, 30000))
-def test_power_on_never_starts_when_check_fails(small_bundle, delta_ms,
-                                                 bound_ms):
+def test_power_on_never_starts_when_check_fails(delta_ms, bound_ms):
     """With a trusted LRT, power-on starts OSNMA exactly when the TS check
     passes on its reading, and fails the TS gate otherwise."""
+    small_bundle = small_constellation()
     gst = Gst(100, 3000)
     for policy in (AlternateThreshold(30000), SymmetricBound(max(bound_ms, 1))):
         rx = _receiver(small_bundle, gst.total_millis(), policy=policy,
@@ -485,13 +485,13 @@ _DROPS = st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4),
 @settings(max_examples=40, deadline=None)
 @given(_DROPS)
 @example(set())
-def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
-        small_bundle, drops):
+def test_rounds_name_the_nav_data_they_parsed_and_authenticated(drops):
     """With pages dropped from the live stream, each round's navs hold
     exactly its complete PRNs, each with the nav data broadcast at the
     round's GST, and its authenticated hold exactly the PRNs of its
     authentic verdicts, each with the nav data broadcast at the verdict's
     GST."""
+    small_bundle = small_constellation()
     broadcast = small_bundle.vectors.subframes()
     events = live_events(broadcast)
     for round_idx, prn, slot in drops:
@@ -521,10 +521,11 @@ def test_rounds_name_the_nav_data_they_parsed_and_authenticated(
 @settings(max_examples=40, deadline=None)
 @given(_DROPS)
 @example(set())
-def test_rounds_name_the_gst_they_authenticated(small_bundle, drops):
+def test_rounds_name_the_gst_they_authenticated(drops):
     """With pages dropped from the live stream, each round's
     authenticated_gst is the GST of every authentic verdict it holds, and
     None in a round with none; the clean run has rounds of both kinds."""
+    small_bundle = small_constellation()
     events = live_events(small_bundle.vectors.subframes())
     for round_idx, prn, slot in drops:
         events = _drop(events, prn, round_idx, slot)
@@ -650,8 +651,7 @@ def _forge(sent, windows, r, prn, move):
     if r + 1 == len(sent):
         return
     nav, hkroot, mack, gst = _blobs(sent[r + 1][prn])
-    _, _, key_mack, key_gst = _blobs(sent[r + 1 - other % 2][prn])
-    key = TeslaKey(disclosed_key(key_mack), key_gst)
+    key = disclosed_key(_blobs(sent[r + 1 - other % 2][prn])[2])
     tags = generate_subframe_tags(forged, key, prn, prn, gst,
                                   DEFAULT_SEG_COUNT)
     _resealed(windows, r + 1, prn, sent[r + 1][prn],
@@ -679,7 +679,7 @@ def _moved_rounds(round_events, rounds, moves):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_MOVE, max_size=12))
 @example([])
-def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
+def test_moved_pages_give_no_unsound_verdict(moves):
     """Pages dropped, duplicated, swapped, shifted by 1 ms, 999 ms or 2 s,
     with a bit flipped, resealed or not, or replayed from an earlier round,
     and nav data forged with tags made under an already disclosed key,
@@ -688,6 +688,7 @@ def test_moved_pages_give_no_unsound_verdict(small_bundle, moves):
     at its GST and PRN.  The received subframes are the round's events
     assembled by assemble_round, and the receiver parses the nav data of
     exactly the complete ones."""
+    small_bundle = small_constellation()
     broadcast = small_bundle.vectors.subframes()
     rounds = len(broadcast[1])
     t0, round_events = shifted_stream(small_bundle.streams)
@@ -728,8 +729,8 @@ def _ts_gate(draw):
 @given(st.lists(_MOVE, max_size=12), _ts_gate(), st.integers(1, 3),
        st.sets(st.tuples(st.integers(0, 11), st.integers(1, 4)), max_size=3))
 @example([], (AlternateThreshold(30000), LrtSource()), 1, set())
-def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
-                                                 threshold, bad_keys):
+def test_receiver_matches_the_reference_receiver(moves, gate, threshold,
+                                                 bad_keys):
     """Round by round, the receiver's nav data parsed from its complete
     subframes, verdicts, authenticated nav data and status are those the
     literal reference derives from the whole run by index, with a zero key
@@ -737,6 +738,7 @@ def test_receiver_matches_the_reference_receiver(small_bundle, moves, gate,
     soundness test; the status changes its rounds hand over end at its
     status after every round, and joined they equal the reference's
     timeline."""
+    small_bundle = small_constellation()
     broadcast = small_bundle.vectors.subframes()
     for r, prn in bad_keys:
         tags = unpack_mack(osnma(broadcast[prn][r])[1], n_tags=6)

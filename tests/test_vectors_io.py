@@ -1,6 +1,5 @@
 import csv
 import json
-import re
 
 import pytest
 
@@ -79,8 +78,7 @@ def test_bad_hex_schema_error(small_bundle, tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert err.value.row == 2
-    assert err.value.column == "page_hex"
+    assert str(err.value) == "page_hex is not hex (row 2, column 'page_hex')"
 
 
 def test_spaced_hex_schema_error(small_bundle, tmp_path):
@@ -95,7 +93,7 @@ def test_spaced_hex_schema_error(small_bundle, tmp_path):
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert (err.value.row, err.value.column) == (2, "page_hex")
+    assert str(err.value) == "page_hex is not hex (row 2, column 'page_hex')"
 
 
 def test_each_page_is_decoded_once(small_bundle, tmp_path, monkeypatch):
@@ -179,12 +177,10 @@ def test_duplicate_page_rejected(small_bundle, tmp_path):
     small_bundle.vectors.save(path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [lines[1]]) + "\n")
-    with pytest.raises(SchemaError, match=r"duplicate page 1 in \(1251, "
-                                          r"277200, 1\)") as err:
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert (err.value.row, err.value.column) == (len(lines) + 1, "page_index")
-    assert str(err.value).endswith(f"(row {len(lines) + 1}, "
-                                   "column 'page_index')")
+    assert str(err.value) == ("duplicate page 1 in (1251, 277200, 1) "
+                              f"(row {len(lines) + 1}, column 'page_index')")
 
 
 def test_incomplete_subframe_names_its_first_row(small_bundle, tmp_path):
@@ -195,10 +191,10 @@ def test_incomplete_subframe_names_its_first_row(small_bundle, tmp_path):
     lines = path.read_text().splitlines()
     del lines[20]                        # page 5 of the second subframe
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(SchemaError, match=r"^incomplete subframes: "
-                       r"\[\(1251, 277230, 1\)\] \(row 17\)$") as err:
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert (err.value.row, err.value.column) == (17, None)
+    assert str(err.value) == \
+        "incomplete subframes: [(1251, 277230, 1)] (row 17)"
 
 
 # the ids are pinned so that each case keeps its name when its message
@@ -289,6 +285,11 @@ def _with_column(path, column, value, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
+# each column's range as the error text gives it, the page index 1-based
+_BOUNDS = {"wn": "0..4095", "tow": "0..604799", "prn": "1..255",
+           "page_index": "1..15"}
+
+
 @pytest.mark.parametrize("column,value", [
     ("wn", -1), ("wn", 4096), ("tow", -1), ("tow", 604800), ("tow", 700000),
     ("prn", 0), ("prn", 256), ("prn", 300), ("page_index", 16),
@@ -300,10 +301,26 @@ def test_out_of_range_value_schema_error(small_bundle, tmp_path, column,
     path = tmp_path / "vectors.csv"
     small_bundle.vectors.save(path)
     _with_column(path, column, value, range(16, 31))
-    with pytest.raises(SchemaError, match=f"{column} {value} is outside") \
-            as err:
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert (err.value.row, err.value.column) == (17, column)
+    assert str(err.value) == (f"{column} {value} is outside {_BOUNDS[column]}"
+                              f" (row 17, column {column!r})")
+
+
+@pytest.mark.parametrize("base, message", [
+    (0, "page_index 15 is outside 0..14 (row 16, column 'page_index')"),
+    (2, "page_index 1 is outside 2..16 (row 2, column 'page_index')")])
+def test_page_index_range_follows_the_mapping_base(small_bundle, tmp_path,
+                                                   base, message):
+    """A 1-based file read with another base fails at its first page index
+    outside that base's range, the range named as the file writes it."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({"page_index_base": base}))
+    with pytest.raises(SchemaError) as err:
+        TestVectorSet.load(path, mapping_path=mapping)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("column,value", [
@@ -330,10 +347,10 @@ def test_non_decimal_integer_schema_error(small_bundle, tmp_path, column,
     path = tmp_path / "vectors.csv"
     small_bundle.vectors.save(path)
     _with_column(path, column, value, range(16, 31))
-    with pytest.raises(SchemaError,
-                       match=re.escape(f"not an integer: {value!r}")) as err:
+    with pytest.raises(SchemaError) as err:
         TestVectorSet.load(path)
-    assert (err.value.row, err.value.column) == (17, column)
+    assert str(err.value) == \
+        f"not an integer: {value!r} (row 17, column {column!r})"
 
 
 def test_integers_padded_with_spaces_load(small_bundle, tmp_path):
