@@ -50,9 +50,10 @@ def slot_stream(streams: dict, delay_ms: int, legs) -> tuple:
     subframe (g - shift) // 15, where that page exists, bits untouched.
 
     Returns t0, the first window start, and the function of r that gives
-    round r's events, slots 15r .. 15r + 14, by PRN: leg after leg, a PRN
-    with no page left out.  A round's pages are cut from the streams' bytes
-    when it is asked for.
+    round r's events, slots 15r .. 15r + 14, by PRN: one event per leg
+    that sends in the round, its pages back to back from its first slot,
+    leg after leg, a PRN with no page left out.  A round's pages are cut
+    from the streams' bytes when it is asked for.
     """
     t0 = min(s.gst.total_millis() for s in streams.values()) + delay_ms
 
@@ -61,17 +62,15 @@ def slot_stream(streams: dict, delay_ms: int, legs) -> tuple:
         hi = lo + SLOTS_PER_SUBFRAME
         out = {}
         for prn, stream in streams.items():
-            pages = stream.pages
             events = []
             for source, first, end, shift in legs:
                 g0 = max(lo, first, shift)
-                g1 = min(hi, end, len(pages) // PAGE_BYTES + shift)
-                events += [PageEvent(t_ms, prn, source, pages[i:i + PAGE_BYTES])
-                           for t_ms, i in zip(
-                               range(t0 + g0 * PAGE_MS, t0 + g1 * PAGE_MS,
-                                     PAGE_MS),
-                               range(PAGE_BYTES * (g0 - shift),
-                                     PAGE_BYTES * (g1 - shift), PAGE_BYTES))]
+                g1 = min(hi, end, len(stream.pages) // PAGE_BYTES + shift)
+                if g0 < g1:
+                    events.append(PageEvent(
+                        t0 + g0 * PAGE_MS, prn, source,
+                        stream.pages[PAGE_BYTES * (g0 - shift):
+                                     PAGE_BYTES * (g1 - shift)]))
             if events:
                 out[prn] = events
         return out

@@ -156,6 +156,8 @@ def verify_tags(nav_data: bytes, received, key: bytes, prn_d: int,
     The key bytes must already have been verified against the chain; an
     all-True result marks the nav data authentic for prn_d.
     """
+    if len(received) != seg_count:
+        raise ValueError(f"{len(received)} tags for seg_count {seg_count}")
     tags = generate_subframe_tags(nav_data, key, prn_d, prn_a, gst_sf,
                                   seg_count)
-    return [_compare_digest(a, b) for a, b in zip(tags, received, strict=True)]
+    return [_compare_digest(a, b) for a, b in zip(tags, received)]

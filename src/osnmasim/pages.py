@@ -223,20 +223,18 @@ def _seal(joined: bytes) -> bytes:
     return bytes(buf)
 
 
-def _split(joined: bytes) -> list:
-    return [joined[i:i + PAGE_BYTES]
-            for i in range(0, len(joined), PAGE_BYTES)]
-
-
 def check_raws(raws: list) -> list:
     """Whether each page checks: its framing flags hold and resealing it
-    leaves it unchanged, all pages resealed in one kernel call."""
+    leaves it unchanged, all pages resealed in one kernel call and, unless
+    some page fails, compared with the batch in one compare."""
     joined, n = _joined(raws), len(raws)
     sealed = _seal(joined)
     lanes = int.from_bytes(b"\1" * n, "big")
     # flags: 00 at the top of byte 0, 10 at the top of byte 15
     flags = (_column(joined, 0) & 0xC0 * lanes
              | (_column(joined, 15) & 0xC0 * lanes) ^ 0x80 * lanes)
+    if not flags and sealed == joined:
+        return [True] * n
     return [not flag and joined[i:i + PAGE_BYTES] == sealed[i:i + PAGE_BYTES]
             for flag, i in zip(flags.to_bytes(n, "big"),
                                range(0, len(joined), PAGE_BYTES))]
@@ -391,7 +389,8 @@ class Source(Enum):
 
 
 class PageEvent(NamedTuple):
-    """A page arriving at the receiver antenna: wall time, origin, bits."""
+    """Pages reaching the receiver antenna back to back, one per 2-s slot
+    from wall time t_ms: their origin, and their 30-byte pages in raw."""
 
     t_ms: int
     prn: int
@@ -477,7 +476,8 @@ class Stream:
     def subframes(self) -> list:
         """A fresh Subframe for each subframe, its slots cut from the
         bytes."""
-        raws = _split(self.pages)
+        raws = [self.pages[i:i + PAGE_BYTES]
+                for i in range(0, len(self.pages), PAGE_BYTES)]
         return [Subframe(gst, self.prn, tuple(
                     raws[SLOTS_PER_SUBFRAME * i:SLOTS_PER_SUBFRAME * (i + 1)]))
                 for i, gst in enumerate(self.gsts())]
@@ -487,33 +487,28 @@ def _owned(events, prn: int, w0: int) -> list:
     """The bytes of each slot's owner among prn's events, None for a slot
     no source owns.
 
-    Slot j covers [w0 + 2000*j, w0 + 2000*(j+1)) ms.  A source owns a slot
-    only with a single event aligned to the slot start (a full 2 s of
-    coverage); when streams overlap, an adversary page that fully covers the
-    slot captures it, any partial overlap destroys the slot.  Empty slots
-    are destroyed.  A round of exactly one event of prn at each slot start,
-    in slot order, is owned page for page without the scan.
+    Slot j covers [w0 + 2000*j, w0 + 2000*(j+1)) ms, and an event's pages
+    arrive one per slot from its t_ms.  A run on the grid covers one slot
+    per page; one off it partly covers every slot its pages overlap.  Adversary
+    pages capture the slots they cover, and a slot is owned only by the one
+    page of its capturing source covering it, on the grid: any other
+    overlap, or none, destroys it.
     """
-    if len(events) == SLOTS_PER_SUBFRAME and all(
-            e.prn == prn and e.t_ms == t_ms
-            for e, t_ms in zip(events, range(w0, w0 + SUBFRAME_MS, PAGE_MS))):
-        return [e.raw for e in events]
-    # (adversary, authentic) events overlapping each slot; an event starting
-    # inside slot k covers slot k, and slot k + 1 unless it starts on the grid
+    # (adversary, authentic) covers of each slot: a page's bytes, or None
     covering = [([], []) for _ in range(SLOTS_PER_SUBFRAME)]
     for e in events:
         if e.prn != prn:
             continue
+        if not e.raw or len(e.raw) % PAGE_BYTES:
+            raise ValueError(f"expected whole pages, got {len(e.raw)} bytes")
         k, offset = divmod(e.t_ms - w0, PAGE_MS)
-        for j in (k, k + 1) if offset else (k,):
-            if 0 <= j < SLOTS_PER_SUBFRAME:
-                covering[j][e.source is Source.AUTHENTIC].append(e)
-    owned = []
-    for j, (adv, auth) in enumerate(covering):
-        owners = adv or auth
-        single = len(owners) == 1 and owners[0].t_ms == w0 + PAGE_MS * j
-        owned.append(owners[0].raw if single else None)
-    return owned
+        end = k + len(e.raw) // PAGE_BYTES + (offset > 0)
+        for j in range(max(k, 0), min(end, SLOTS_PER_SUBFRAME)):
+            i = PAGE_BYTES * (j - k)
+            covering[j][e.source is Source.AUTHENTIC].append(
+                None if offset else e.raw[i:i + PAGE_BYTES])
+    return [owners[0] if len(owners) == 1 else None
+            for owners in (adv or auth for adv, auth in covering)]
 
 
 def _slots(events_by_prn: dict, prns, window_start_ms: int) -> dict:

@@ -37,7 +37,7 @@ from .navdata import (
     build_nav_data,
     parse_nav_data,
 )
-from .pages import Stream, seal_pages
+from .pages import PAGE_BYTES, PAGE_MS, Stream, seal_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
@@ -357,13 +357,15 @@ class Scenario:
 
 def live_events(subframes_by_prn: dict) -> list:
     """Authentic page events on the true clock (arrival time == GST) of
-    each satellite's consecutive subframes: the rounds of the ``none``
-    attack's stream, one after another."""
+    each satellite's consecutive subframes, one event per page: the rounds
+    of the ``none`` attack's stream, one after another, each run of pages
+    split into its pages."""
     streams = {prn: Stream.of(sfs) for prn, sfs in subframes_by_prn.items()}
     _, round_events = attacks.shifted_stream(streams)
-    rounds = max(map(len, streams.values()))
-    return [e for r in range(rounds)
-            for _, events in sorted(round_events(r).items()) for e in events]
+    return [e._replace(t_ms=e.t_ms + PAGE_MS * k, raw=e.raw[i:i + PAGE_BYTES])
+            for r in range(max(map(len, streams.values())))
+            for _, events in sorted(round_events(r).items()) for e in events
+            for k, i in enumerate(range(0, len(e.raw), PAGE_BYTES))]
 
 
 def _observations(streams: dict, receiver_pos, t_r: float) -> dict:

@@ -7,14 +7,17 @@ blobs joined back page by page out of each page's 240-bit int.  The
 program packs and unpacks whole batches through byte columns instead.
 The field helpers read and write a field through the bytes that hold it,
 where the program's one packer shifts it within the whole message int.
-The tests also flip page bits, list a subframe's destroyed slots and read
-a subframe's OSNMA blobs through the program's unpack_pages here; the
-program does none of these.
+The tests also flip page bits, list a subframe's destroyed slots, read
+a subframe's OSNMA blobs through the program's unpack_pages and split
+page events' runs into one event per page here; the program does none of
+these.
 """
 
 from osnmasim.pages import (
     PAGE_BITS,
     PAGE_BYTES,
+    PAGE_MS,
+    PageEvent,
     SLOTS_PER_SUBFRAME,
     unpack_pages,
 )
@@ -102,3 +105,11 @@ def osnma(sf) -> tuple:
 def destroyed_slots(sf) -> tuple:
     """The indices of the subframe's destroyed slots."""
     return tuple(i for i, raw in enumerate(sf.raws) if raw is None)
+
+
+def page_events(events) -> list:
+    """The events' pages as one-page events, in order: a run's page k
+    arrives 2 s * k after its event's t_ms."""
+    return [PageEvent(e.t_ms + PAGE_MS * k, e.prn, e.source,
+                      e.raw[PAGE_BYTES * k:PAGE_BYTES * (k + 1)])
+            for e in events for k in range(len(e.raw) // PAGE_BYTES)]

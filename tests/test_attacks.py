@@ -40,7 +40,13 @@ from osnmasim.pages import (
     seal_pages,
 )
 from osnmasim.tesla import NMA_HEADER
-from page_reference import FLAGS, blob_pages, destroyed_slots, osnma
+from page_reference import (
+    FLAGS,
+    blob_pages,
+    destroyed_slots,
+    osnma,
+    page_events,
+)
 
 GST0 = Gst(1251, 277200)
 
@@ -342,9 +348,10 @@ def test_cr_alignment_boundary_rule(small_bundle, delay_s, aligned):
 def test_cr_preserves_page_bits(small_bundle):
     (_, live), (_, merged) = _cr_events(small_bundle, "1.5")
     rounds = range(len(small_bundle.streams[1]))
-    live_raws = {e.raw for r in rounds for evs in live(r).values() for e in evs}
-    assert all(e.raw in live_raws
-               for r in rounds for evs in merged(r).values() for e in evs)
+    live_raws = {e.raw for r in rounds for evs in live(r).values()
+                 for e in page_events(evs)}
+    assert all(e.raw in live_raws for r in rounds
+               for evs in merged(r).values() for e in page_events(evs))
 
 
 @pytest.mark.parametrize("name, times", [("replay_delay_ms", (-1, 600)),

@@ -8,7 +8,15 @@ from osnmasim.attacks import ntp_mitm_delay, tsf_forge_subframes
 from osnmasim.gst import Gst, LrtSource
 from osnmasim.mack import pack_mack, split_segments, unpack_mack, verify_tags
 from osnmasim.navdata import build_nav_data, parse_nav_data
-from osnmasim.pages import SUBFRAME_BYTES, Stream, Subframe, decode_page
+from osnmasim.pages import (
+    PageEvent,
+    SUBFRAME_BYTES,
+    Source,
+    Stream,
+    Subframe,
+    assemble_round,
+    decode_page,
+)
 from osnmasim.positioning import solve_position
 from osnmasim.scenario import Scenario, generate_synthetic_constellation
 from osnmasim.tesla import (
@@ -45,13 +53,18 @@ CHECKS = {
                                   "352-bit tag region")),
     "mack_too_few_tags": (
         lambda: verify_tags(bytes(240), [], bytes(16), 1, 1, GST, 6),
-        ValueError("zip() argument 2 is shorter than argument 1")),
+        ValueError("0 tags for seg_count 6")),
     "nav_short_blob": (lambda: parse_nav_data(bytes(239)),
                        ValueError("nav blob must be 240 bytes")),
     "nav_prn_256": (lambda: build_nav_data(1251, 277200, 256, (0.0,) * 3),
                     ValueError("prn 256 does not fit 8 bits")),
     "page_29_bytes": (lambda: decode_page(bytes(29)),
                       ValueError("expected 30 bytes, got 29")),
+    "page_event_45_bytes": (
+        lambda: assemble_round([PageEvent(GST.total_millis(), 1,
+                                          Source.AUTHENTIC, bytes(45))],
+                               GST, 1),
+        ValueError("expected whole pages, got 45 bytes")),
     "osnma_destroyed_slot": (
         lambda: osnma(Subframe(GST, 5, (bytes(30),) * 14 + (None,))),
         ValueError("destroyed slots: (14,)")),

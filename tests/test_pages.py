@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import page_reference as ref
 from osnmasim import pages
@@ -14,6 +14,7 @@ from osnmasim.pages import (
     HKROOT,
     MACK,
     ODD_DATA,
+    PAGE_BITS,
     PAGE_BYTES,
     PAGE_MS,
     PageContent,
@@ -426,10 +427,10 @@ def test_standalone_round_is_checked_in_one_call(monkeypatch):
 @st.composite
 def near_grid_rounds(draw):
     """A round of 15 pages on the slot grid, some possibly damaged, and one
-    move that may take it off the fast path: none, every or one page
-    shifted 1 ms, a page dropped or added, a page filed under another PRN,
-    two pages swapped, or a copy of the round with the sources mixed, in
-    place of the round or sent beside it."""
+    move that may take it off the grid: none, every or one page shifted
+    1 ms, a page dropped or added, a page filed under another PRN, two
+    pages swapped, or a copy of the round with the sources mixed, in place
+    of the round or sent beside it."""
     events = [e if flip is None else e._replace(raw=flip_page_bit(e.raw, flip))
               for e, flip in zip(_events(), draw(st.lists(
                   st.none() | st.integers(0, 239), min_size=15, max_size=15)))]
@@ -462,9 +463,8 @@ def near_grid_rounds(draw):
 
 @given(near_grid_rounds())
 def test_on_grid_rounds_match_the_slot_reference(events):
-    """Rounds on, and one move off, the slot grid: the fast path for a
-    round of one page per slot start, in order, owns exactly what the
-    slot-by-slot reference owns."""
+    """Rounds on, and one move off, the slot grid: each slot is owned
+    exactly as the slot-by-slot reference owns it."""
     got = pages._slots({5: events, 6: events}, [5, 6], _T0)
     for prn in (5, 6):
         assert got[prn] == ref_assemble_round(events, GST0, prn, _T0).raws
@@ -516,6 +516,47 @@ def _events(source=Source.AUTHENTIC, start=None, indices=range(15)):
     base = GST0.total_millis() if start is None else start
     return [PageEvent(t_ms=base + PAGE_MS * i, prn=5, source=source,
                       raw=_page_raw(i)) for i in indices]
+
+
+def _run(source, start_ms, first, count, flip=None, prn=5):
+    """An event of count pages back to back from start_ms: pages first,
+    first + 1, .. (mod 15), with bit flip of the run, modulo its length,
+    flipped."""
+    raw = b"".join(_page_raw((first + p) % 15) for p in range(count))
+    if flip is not None:
+        raw = flip_page_bit(raw, flip % (8 * len(raw)))
+    return PageEvent(start_ms, prn, source, raw)
+
+
+run_events = st.builds(
+    _run,
+    source=st.sampled_from(list(Source)),
+    start_ms=st.integers(-SLOTS_PER_SUBFRAME, SLOTS_PER_SUBFRAME).flatmap(
+        lambda slot: st.sampled_from([0, 0, 1, 1000, 1999, -1]).map(
+            lambda offset: _T0 + PAGE_MS * slot + offset)),
+    first=st.integers(0, 14),
+    count=st.integers(1, 15),
+    flip=st.none() | st.integers(0, SLOTS_PER_SUBFRAME * PAGE_BITS - 1),
+    prn=st.sampled_from([5, 5, 5, 6]),
+)
+
+
+@given(st.lists(run_events, min_size=1, max_size=6), st.sampled_from([5, 6]))
+@example([_run(Source.AUTHENTIC, _T0, 0, 15)], 5)
+@example([_run(Source.AUTHENTIC, _T0, 0, 8),                  # a cr splice
+          _run(Source.ADVERSARY, _T0 + PAGE_MS * 9, 8, 6)], 5)
+@example([_run(Source.ADVERSARY, _T0 - PAGE_MS * 5 - 1, 10, 15)], 5)
+@example([_run(Source.AUTHENTIC, _T0, 0, 15),     # captures slots 2..5
+          _run(Source.ADVERSARY, _T0 + PAGE_MS * 2 + 500, 2, 3)], 5)
+def test_runs_own_what_their_pages_sent_one_each_own(events, prn):
+    """Legs of back-to-back pages, on the slot grid or off it, from before
+    the window or inside it, overlapping one another: a round of them is
+    assembled as the same pages sent one event each, and as the
+    slot-by-slot reference assembles those."""
+    pages_one_each = ref.page_events(events)
+    sf = assemble_round(events, GST0, prn, _T0)
+    assert sf == assemble_round(pages_one_each, GST0, prn, _T0)
+    assert sf == ref_assemble_round(pages_one_each, GST0, prn, _T0)
 
 
 def test_assemble_full_round_intact():
@@ -643,6 +684,42 @@ def test_sealed_batch_carries_the_definitional_crc(size, seed):
 @given(st.sampled_from(BATCH_SIZES), st.integers(0, 1 << 32))
 def test_batch_check_matches_the_per_page_reference(size, seed):
     batch = _batch(size, seed)
+    assert pages.check_raws(batch) == [ref_check(raw) for raw in batch]
+
+
+def ref_sealed(raw):
+    """The page with the definitional CRC in its CRC field."""
+    buf = bytearray(raw)
+    ref_setbitu(buf, *CRC, region_crc(buf))
+    return bytes(buf)
+
+
+# a sealed page broken one way, given a bit number
+BREAKS = {
+    "flipped": flip_page_bit,
+    "flipped_resealed": lambda raw, bit: ref_sealed(flip_page_bit(raw, bit)),
+    "flag_broken": lambda raw, bit: ref_sealed(
+        flip_page_bit(raw, (0, 1, 120, 121)[bit % 4])),
+}
+
+
+@given(st.sampled_from(BATCH_SIZES), st.integers(0, 1 << 32),
+       st.sampled_from([0.0, 0.0, 0.001, 0.05, 0.5]))
+def test_batch_check_of_sealed_and_broken_pages(size, seed, broken_frac):
+    """Sealed pages with random fields, about broken_frac of them
+    bit-flipped, flipped and resealed, or with a flag flipped and
+    resealed: every batch, a clean one checked in one compare included,
+    gets the per-page reference's verdicts."""
+    rng = random.Random(seed)
+    batch = []
+    for _ in range(size):
+        buf = bytearray(rng.randbytes(PAGE_BYTES))
+        ref_setbitu(buf, 0, 2, 0b00)
+        ref_setbitu(buf, 120, 2, 0b10)
+        raw = ref_sealed(buf)
+        if rng.random() < broken_frac:
+            raw = BREAKS[rng.choice(sorted(BREAKS))](raw, rng.randrange(240))
+        batch.append(raw)
     assert pages.check_raws(batch) == [ref_check(raw) for raw in batch]
 
 

@@ -64,7 +64,7 @@ from osnmasim.tesla import (
 import receiver_reference
 import stream_reference
 from conftest import small_constellation
-from page_reference import flip_page_bit, osnma
+from page_reference import flip_page_bit, osnma, page_events
 
 GST0 = Gst(1251, 277200)
 
@@ -659,10 +659,11 @@ def _forge(sent, windows, r, prn, move):
 
 
 def _moved_rounds(round_events, rounds, moves):
-    """Each round's page events by PRN, with the moves applied in order,
-    each to its round taken modulo the rounds; replays and forgeries read
-    the pages as broadcast."""
-    sent = [round_events(r) for r in range(rounds)]
+    """Each round's page events by PRN, one event per page, with the moves
+    applied in order, each to its round taken modulo the rounds; replays
+    and forgeries read the pages as broadcast."""
+    sent = [{prn: page_events(evs) for prn, evs in round_events(r).items()}
+            for r in range(rounds)]
     windows = [dict(events) for events in sent]
     for move in moves:
         r = move[0] % rounds

@@ -36,6 +36,7 @@ from osnmasim.scenario import (
     write_report,
 )
 from osnmasim.vectors import SchemaError, TestVectorSet
+from page_reference import page_events
 from report_text import report_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -731,7 +732,7 @@ def _losing_a_page(path, prn, lost_round):
         def events(r):
             by_prn = round_events(r)
             if r == lost_round:
-                by_prn[prn] = by_prn[prn][1:]
+                by_prn[prn] = page_events(by_prn[prn])[1:]
             return by_prn
 
         return ((t0, events), *rest)

@@ -1,10 +1,10 @@
 """Per-round attack streams against the whole-run reference.
 
 Each attack generator gives its first window start and round r's page events
-by PRN.  Cut into rounds, the reference whole-run stream (every event of the
-run in one sorted list, replayed or merged, then bucketed by window) must
-give the same start and, round by round, the same events per PRN in the
-same order.
+by PRN, at most one per leg, each a run of pages.  Cut into rounds, the
+reference whole-run stream (every page of the run one event in one sorted
+list, replayed or merged, then bucketed by window) must give the same
+start and, round by round, the same pages per PRN in the same order.
 """
 
 from types import SimpleNamespace
@@ -15,6 +15,7 @@ import stream_reference as ref
 from osnmasim.gst import Gst, LrtSource
 from osnmasim.pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Stream, Subframe
 from osnmasim.scenario import ATTACKS, live_events
+from page_reference import page_events
 
 GST0 = Gst(1251, 277200)
 
@@ -36,12 +37,17 @@ def _stream(attack: str, values: dict, subframes: dict) -> tuple:
     return t0, round_events
 
 
-def _assert_rounds_match(stream, events, n_rounds, t0=None):
+def _assert_rounds_match(stream, events, n_rounds, legs, t0=None):
+    """Round by round, the stream's events by PRN, at most one a leg, are
+    the reference's once split into pages."""
     t0, round_events = stream
     ref_t0, ref_rounds = ref.rounds(events, n_rounds, t0)
     assert t0 == ref_t0
     for r, expected in enumerate(ref_rounds):
-        assert round_events(r) == expected, r
+        got = round_events(r)
+        assert all(len(evs) <= legs for evs in got.values()), r
+        assert {prn: page_events(evs) for prn, evs in got.items()} == \
+            expected, r
 
 
 runs = st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -57,13 +63,13 @@ def test_replays_match_the_whole_run_reference(run, delay_ms):
     sats, n_subframes, n_rounds = run
     sfs = _subframes(sats, n_subframes)
     live = ref.live_events(sfs)
-    _assert_rounds_match(_stream("none", {}, sfs), live, n_rounds)
+    _assert_rounds_match(_stream("none", {}, sfs), live, n_rounds, 1)
     replayed = ref.replay_realtime(live, delay_ms)
     _assert_rounds_match(_stream("tsr_realtime", {"delay_s": delay_ms}, sfs),
-                         replayed, n_rounds)
+                         replayed, n_rounds, 1)
     _assert_rounds_match(
         _stream("tsr_recorded", {"staleness_s": delay_ms, "mitm_delay_s": 0},
-                sfs), replayed, n_rounds)
+                sfs), replayed, n_rounds, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +88,7 @@ def test_cr_matches_the_whole_run_reference(run, data, delay_ms, t_acq_ms):
                             "onset_round": onset}, sfs)
     # the windows sit on the subframe grid, though an onset-0 takeover may
     # send no page before a later slot
-    _assert_rounds_match(stream, merged, n_rounds, live[0].t_ms)
+    _assert_rounds_match(stream, merged, n_rounds, 2, live[0].t_ms)
 
 
 @given(runs)
