@@ -15,19 +15,20 @@ generator and the TSF forgery alike; they differ only in the keys' source.
 A key here is its 16 bytes, bound to its GST by the chain check
 (tesla.verify_key) before any tag is checked under it.
 
-HMAC runs through cryptography's OpenSSL, as the chain hash and the root-key
-signature do.  The stdlib hmac module is not imported: it loads _hashlib,
-a second OpenSSL.  Tags are compared with _operator._compare_digest, the
-constant-time C function that hmac.compare_digest falls back to.
+HMAC is crypto.hmac_sha256: plain RFC 2104 over CPython's built-in SHA-256,
+so no OpenSSL is loaded.  The stdlib hmac module is not imported, because
+it loads _hashlib and with it OpenSSL.  Tags are compared with
+_operator._compare_digest, the constant-time C function that
+hmac.compare_digest falls back to.  The crypto module's P-256 code, which
+signs and verifies the root key, is not constant-time and is for
+simulation only.
 """
 
 from __future__ import annotations
 
 from _operator import _compare_digest
 
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.hmac import HMAC
-
+from .crypto import hmac_sha256
 from .gst import Gst
 from .pages import MACK_BYTES, pack_fields
 
@@ -69,9 +70,7 @@ def compute_tag(key: bytes, message: bytes, tag_bits: int = TAG_BITS) -> bytes:
     """HMAC-SHA-256 truncated to the leading tag_bits."""
     if tag_bits % 8 or not 0 < tag_bits <= 256:
         raise ValueError("tag length must be a multiple of 8 bits, <= 256")
-    mac = HMAC(key, hashes.SHA256())
-    mac.update(message)
-    return mac.finalize()[:tag_bits // 8]
+    return hmac_sha256(key)(message)[:tag_bits // 8]
 
 
 def _check_capacity(n_tags: int) -> None:
@@ -129,14 +128,9 @@ def generate_subframe_tags(nav_data: bytes, key: bytes, prn_d: int,
     segments = split_segments(nav_data, seg_count)
     if not segments[0]:
         raise ValueError("segment must be non-empty")
-    head = HMAC(key, hashes.SHA256())
-    head.update(_auth_header(prn_d, prn_a, gst_sf, seg_count)[:-1])
-    tags = []
-    for i, seg in enumerate(segments, 1):
-        mac = head.copy()
-        mac.update(bytes((i,)) + seg)
-        tags.append(mac.finalize()[:TAG_BITS // 8])
-    return tags
+    mac = hmac_sha256(key, _auth_header(prn_d, prn_a, gst_sf, seg_count)[:-1])
+    return [mac(bytes((i,)) + seg)[:TAG_BITS // 8]
+            for i, seg in enumerate(segments, 1)]
 
 
 def tag_stream(prn: int, gsts, navs, keys, seg_count: int) -> list:

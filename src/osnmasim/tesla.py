@@ -8,10 +8,12 @@ key; the required number of hash steps follows from the GST difference
 divided by the 30-second slot duration, which is what defeats reuse of a
 stale key in a later slot.
 
-The chain hash and the root-key signature go through cryptography's
-OpenSSL; hashlib is not imported, because it loads a second one.  The root
+The chain hash is CPython's built-in SHA-256 and the root-key signature
+is deterministic ECDSA over P-256, both from the crypto module: no OpenSSL
+is loaded.  That P-256 code is not constant-time and is for simulation
+only.  A secret key is an int and a public key the affine point (x, y); the
 public key travels as the 33-byte compressed P-256 point that the OSNMA
-DSM-PKR carries; PEM is written for chain JSON files only.
+DSM-PKR carries, and PEM is written for chain JSON files only.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    decode_dss_signature,
-    encode_dss_signature,
-)
-
+from . import crypto
+from .crypto import sha256
 from .gst import Gst, SUBFRAME_SECONDS
 from .pages import HKROOT_BYTES, pack_fields, unpack_fields
 
@@ -57,15 +53,10 @@ class AlignmentError(ValueError):
 
 POINT_BYTES = 33            # compressed P-256 point: 0x02 | y parity, then x
 
-# an empty SHA-256 context; copying it is cheaper than setting up a new one
-_SHA256 = hashes.Hash(hashes.SHA256())
-
 
 def truncate_hash(data: bytes) -> bytes:
     """SHA-256 truncated to the 128-bit chain key size."""
-    digest = _SHA256.copy()
-    digest.update(data)
-    return digest.finalize()[:KEY_BYTES]
+    return sha256(data).digest()[:KEY_BYTES]
 
 
 @dataclass(frozen=True)
@@ -163,62 +154,47 @@ def root_key(body: bytes) -> TeslaKey:
     return TeslaKey(kroot.to_bytes(KEY_BYTES, "big"), Gst(wnk, towk))
 
 
-# group order of P-256, for reducing integer seeds to valid secrets
-_P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+def generate_keypair(seed: int) -> tuple:
+    """Derive a P-256 keypair from an integer seed (reproducible runs): the
+    secret int and the public point (x, y)."""
+    secret = seed % (crypto.N - 1) + 1
+    return secret, crypto.public_point(secret)
 
 
-def generate_keypair(seed: int):
-    """Derive a P-256 keypair from an integer seed (reproducible runs)."""
-    secret = seed % (_P256_ORDER - 1) + 1
-    private = ec.derive_private_key(secret, ec.SECP256R1())
-    return private, private.public_key()
-
-
-def sign_root(message: bytes, private_key) -> bytes:
+def sign_root(message: bytes, private_key: int) -> bytes:
     """Deterministic ECDSA P-256 over SHA-256, fixed-width r||s form."""
-    der = private_key.sign(
-        message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
-    r, s = decode_dss_signature(der)
+    r, s = crypto.sign(private_key, message)
     return r.to_bytes(32, "big") + s.to_bytes(32, "big")
 
 
-def verify_root(message: bytes, signature: bytes, public_key) -> bool:
+def verify_root(message: bytes, signature: bytes, public_key: tuple) -> bool:
     if len(signature) != SIGNATURE_BYTES:
         return False
-    r = int.from_bytes(signature[:32], "big")
-    s = int.from_bytes(signature[32:], "big")
-    try:
-        der = encode_dss_signature(r, s)
-        public_key.verify(der, message, ec.ECDSA(hashes.SHA256()))
-        return True
-    except (InvalidSignature, ValueError):
-        return False
+    return crypto.verify(public_key, message,
+                         int.from_bytes(signature[:32], "big"),
+                         int.from_bytes(signature[32:], "big"))
 
 
-def public_key_point(public_key) -> bytes:
+def public_key_point(public_key: tuple) -> bytes:
     """The key as a compressed point: 0x02 or 0x03 by the parity of y,
     then x in 32 big-endian bytes."""
-    numbers = public_key.public_numbers()
-    return bytes((2 | numbers.y & 1,)) + numbers.x.to_bytes(32, "big")
+    x, y = public_key
+    return bytes((2 | y & 1,)) + x.to_bytes(32, "big")
 
 
-def load_public_key_point(point: bytes):
+def load_public_key_point(point: bytes) -> tuple:
     """The P-256 public key of a compressed point; anything else, an
     uncompressed point or an x off the curve included, raises
     ValueError."""
     if len(point) != POINT_BYTES or point[0] not in (2, 3):
         raise ValueError(
             f"public key must be a {POINT_BYTES}-byte compressed point")
-    return ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), point)
+    return crypto.point_from_x(int.from_bytes(point[1:], "big"), point[0] & 1)
 
 
-def public_key_pem(public_key) -> str:
-    """SubjectPublicKeyInfo PEM, for chain JSON files; the serialization
-    package is imported here so that a run never loads it."""
-    from cryptography.hazmat.primitives import serialization
-    return public_key.public_bytes(
-        serialization.Encoding.PEM,
-        serialization.PublicFormat.SubjectPublicKeyInfo).decode()
+def public_key_pem(public_key: tuple) -> str:
+    """SubjectPublicKeyInfo PEM, for chain JSON files."""
+    return crypto.spki_pem(public_key)
 
 
 def dsm_hkroot_blocks(body: bytes, signature: bytes) -> list:

@@ -39,10 +39,9 @@ def _fresh(probe: str, **env) -> str:
     return out.splitlines()[-1]
 
 
-# a second OpenSSL (hashlib, hmac, _hashlib) and the PEM/SSH serialization
-# package that a run never needs
-UNLOADED = ("hashlib", "hmac", "_hashlib",
-            "cryptography.hazmat.primitives.serialization")
+# the two OpenSSL bindings: cryptography's, and the stdlib's _hashlib that
+# hashlib and hmac load
+UNLOADED = ("cryptography", "hashlib", "hmac", "_hashlib")
 
 
 def _run_shipped(tmp_path, show: str, names=("baseline",), **env) -> str:
@@ -64,10 +63,10 @@ def _run_shipped(tmp_path, show: str, names=("baseline",), **env) -> str:
     return line
 
 
-def test_a_run_loads_one_openssl_and_no_serialization(tmp_path):
-    """Every hash, HMAC and signature of a run goes through cryptography:
-    a fresh interpreter that runs a scenario never imports the stdlib's
-    OpenSSL binding or cryptography's serialization package."""
+def test_a_run_loads_no_openssl(tmp_path):
+    """Every hash, HMAC and signature of a run goes through osnmasim.crypto
+    over CPython's built-in SHA-256: a fresh interpreter that runs a
+    scenario never imports cryptography, hashlib, hmac or _hashlib."""
     assert _run_shipped(
         tmp_path, f"[m for m in {UNLOADED!r} if m in sys.modules]") == "0 []"
 

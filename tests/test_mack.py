@@ -239,7 +239,7 @@ def test_tag_stream_is_the_window_rule_subframe_by_subframe(prn, seg_count,
         for k in range(1, len(keys) - 1)]
 
 
-# -- the stdlib reference: the program computes HMAC through cryptography ----
+# -- the stdlib reference: the program computes HMAC through osnmasim.crypto -
 
 
 def ref_tags(nav, key, prn_d, prn_a, wn, tow, seg_count):

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import assume, given, settings, strategies as st
 
 from osnmasim.gst import Gst
@@ -204,15 +205,22 @@ def test_signature_deterministic():
     assert sign_root(m, sk) == sign_root(m, sk)
 
 
+def oracle_point(secret):
+    """The public point of a secret, computed by cryptography's OpenSSL."""
+    numbers = ec.derive_private_key(
+        secret, ec.SECP256R1()).public_key().public_numbers()
+    return numbers.x, numbers.y
+
+
 @settings(max_examples=30)
 @given(st.integers(0, 1 << 64))
 def test_point_round_trip(seed):
-    _, pk = generate_keypair(seed)
+    sk, pk = generate_keypair(seed)
     point = public_key_point(pk)
     again = load_public_key_point(point)
     assert len(point) == 33 and point[0] in (2, 3)
     assert public_key_point(again) == point
-    assert again.public_numbers() == pk.public_numbers()
+    assert again == pk == oracle_point(sk)
     assert public_key_pem(again) == public_key_pem(pk)
 
 
@@ -248,10 +256,10 @@ def _on_curve_x(x):
 @settings(max_examples=30)
 @given(st.integers(0, 1 << 64))
 def test_point_of_another_length_or_prefix_is_rejected(seed):
-    _, pk = generate_keypair(seed)
+    sk, pk = generate_keypair(seed)
     point = public_key_point(pk)
-    numbers = pk.public_numbers()
-    x, y = numbers.x.to_bytes(32, "big"), numbers.y.to_bytes(32, "big")
+    assert pk == oracle_point(sk)
+    x, y = (c.to_bytes(32, "big") for c in pk)
     for bad in (point[1:], b"\x04" + x + y, b"\x04" + x, point + b"\x00",
                 b"\x05" + x):
         with pytest.raises(ValueError):
