@@ -16,22 +16,18 @@ SUBFRAME_SECONDS = 30
 MS_PER_S = 1000
 
 
-class SubMillisecondError(ValueError):
-    """A seconds value carries digits below the millisecond."""
-
-
 def to_millis(seconds) -> int:
     """Convert a seconds value (int, float, str or Decimal) to integer ms.
 
     Configs carry short decimals ("29.5", "0.771"); reading them as an
     exact ratio of ints keeps boundary comparisons exact at any length.
-    Digits below the millisecond raise SubMillisecondError rather than
-    being rounded away.
+    Digits below the millisecond raise ValueError rather than being
+    rounded away; vectors.read_keys names the key in a SchemaError.
     """
     num, den = Decimal(str(seconds)).as_integer_ratio()
     ms, rest = divmod(num * MS_PER_S, den)
     if rest:
-        raise SubMillisecondError(f"{seconds!r} has digits below the millisecond")
+        raise ValueError(f"{seconds!r} has digits below the millisecond")
     return ms
 
 

@@ -18,7 +18,7 @@ from functools import cache, cached_property, lru_cache, partial
 from itertools import cycle
 from types import MappingProxyType
 
-from . import attacks
+from . import attacks, crypto
 from .gst import (
     AlternateThreshold,
     Gst,
@@ -53,7 +53,6 @@ from .tesla import (
     dsm_hkroot_blocks,
     generate_keypair,
     load_public_key_point,
-    public_key_pem,
     public_key_point,
     sign_root,
 )
@@ -101,8 +100,8 @@ class ConstellationBundle:
             _observations(self.streams, self.receiver_ecef, 0.0))
 
     def chain_json(self) -> dict:
-        return {**self.chain.as_dict(),
-                "pubkey_pem": public_key_pem(load_public_key_point(self.pubkey))}
+        pem = crypto.spki_pem(load_public_key_point(self.pubkey))
+        return {**self.chain.as_dict(), "pubkey_pem": pem}
 
 
 def _sky_direction(lat_deg, lon_deg, az_deg, el_deg):
@@ -333,7 +332,8 @@ class Scenario:
             raise SchemaError(f"$.constellation.subframes: {con['subframes']}"
                                 f" is below {attacks.TSF_MIN_SUBFRAMES}, the "
                                 "fewest a tsf forgery runs over")
-        rounds = cfg.get("duration_rounds", con["subframes"])  # type read above
+        rounds = con["subframes"] if top["duration_rounds"] is None \
+            else top["duration_rounds"]
         if not 1 <= rounds <= con["subframes"]:
             raise SchemaError(f"$.duration_rounds: {rounds} is outside "
                                 f"1..{con['subframes']} (constellation.subframes)")

@@ -192,11 +192,6 @@ def load_public_key_point(point: bytes) -> tuple:
     return crypto.point_from_x(int.from_bytes(point[1:], "big"), point[0] & 1)
 
 
-def public_key_pem(public_key: tuple) -> str:
-    """SubjectPublicKeyInfo PEM, for chain JSON files."""
-    return crypto.spki_pem(public_key)
-
-
 def dsm_hkroot_blocks(body: bytes, signature: bytes) -> list:
     """Serialize a root message body and its signature into per-subframe
     HKROOT strings.

@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .gst import Gst, SECONDS_PER_WEEK, SubMillisecondError, to_millis
+from .gst import Gst, SECONDS_PER_WEEK, to_millis
 from .navdata import PRN_BITS, WN_BITS
 from .pages import PAGE_BYTES, SLOTS_PER_SUBFRAME, Subframe, check_raws
 
@@ -102,16 +102,13 @@ def read_keys(block, keys: dict, path: str) -> dict:
             raise SchemaError(f"{where}: expected {names}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise SchemaError(f"{where}: {value!r} is not a finite number")
+        if kind is SECONDS and isinstance(value, str) \
+                and not _SECONDS_TEXT.fullmatch(value):
+            raise SchemaError(f"{where}: {value!r} is not a number of seconds")
         try:
-            if kind is SECONDS and isinstance(value, str) \
-                    and not _SECONDS_TEXT.fullmatch(value):
-                raise ValueError(value)
             out[key] = to_millis(value) if kind is SECONDS else value
-        except SubMillisecondError as exc:
+        except ValueError as exc:           # digits below the millisecond
             raise SchemaError(f"{where}: {exc}") from None
-        except (ValueError, ArithmeticError):
-            raise SchemaError(f"{where}: {value!r} is not a number "
-                              "of seconds") from None
         if bounds:
             low, high = bounds
             if not (low <= out[key] and (high is None or out[key] <= high)):
@@ -186,14 +183,18 @@ class TestVectorSet:
             else read_json(mapping_path, _read_mapping)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise SchemaError("empty file")
-            missing = [columns[c] for c in HEADER
-                       if columns[c] not in reader.fieldnames]
-            if missing:
-                raise SchemaError(f"missing columns {missing}")
-            rows = [cls._parse_row(row, columns, index_base, lineno)
-                    for lineno, row in enumerate(reader, start=2)]
+            try:
+                if reader.fieldnames is None:
+                    raise SchemaError("empty file")
+                missing = [columns[c] for c in HEADER
+                           if columns[c] not in reader.fieldnames]
+                if missing:
+                    raise SchemaError(f"missing columns {missing}")
+                rows = [cls._parse_row(row, columns, index_base, lineno)
+                        for lineno, row in enumerate(reader, start=2)]
+            except csv.Error as exc:    # e.g. a field past csv's size limit
+                line = reader.reader.line_num   # DictReader's lags behind
+                raise SchemaError(str(exc), row=line) from None
         groups: dict = {}           # (wn, tow, prn) -> {page_index: page}
         first_row: dict = {}        # (wn, tow, prn) -> row of its first page
         for lineno, (wn, tow, prn, idx, raw) in enumerate(rows, start=2):

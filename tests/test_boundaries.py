@@ -8,7 +8,10 @@ boundary's closed form, with the equality case as an explicit example:
   the receiver authenticating iff replay_delay + t_acq <= 2 s, the
   takeover landing within the round's first page;
 - ``tsr_realtime`` under the alternate rule: the receiver authenticates
-  with exit code 0 iff delay < T_L.
+  with exit code 0 iff delay < T_L;
+- ``tsr_realtime`` under the symmetric rule: iff |delay + lrt_offset| < B;
+- ``tsr_recorded`` under the alternate rule: iff staleness - mitm_delay
+  < T_L.
 
 Authenticating means a final status of ``authenticating``, exit code 0
 and an authentic verdict; after a splice, one naming a data subframe
@@ -30,7 +33,7 @@ TSR_ROUNDS = DSM_BLOCKS
 
 
 def _seconds(ms: int) -> str:
-    return f"{ms // 1000}.{ms % 1000:03d}"
+    return f"{'-' * (ms < 0)}{abs(ms) // 1000}.{abs(ms) % 1000:03d}"
 
 
 def _run(seed, sats, rounds, attack, receiver=None) -> dict:
@@ -80,3 +83,34 @@ def test_tsr_realtime_authenticates_iff_the_delay_is_below_t_l(
                   {"policy": {"type": "alternate",
                               "t_l_s": _seconds(t_l_ms)}})
     assert _authenticates(report) == (delay_ms < t_l_ms)
+
+
+@settings(deadline=None)
+@given(seeds, sats, st.integers(0, 60_000), st.integers(-60_000, 60_000),
+       st.integers(0, 60_000))
+@example(20230816, 4, 15_000, -5_000, 20_000)   # |delay + offset| == B: fails
+@example(20230816, 4, 15_000, -5_001, 20_000)
+@example(20230816, 4, 15_000, -15_000, 0)       # == B below GST: fails
+def test_tsr_realtime_authenticates_iff_the_offset_delay_is_within_b(
+        seed, sats, b_ms, lrt_offset_ms, delay_ms):
+    report = _run(seed, sats, TSR_ROUNDS,
+                  {"type": "tsr_realtime", "delay_s": _seconds(delay_ms)},
+                  {"policy": {"type": "symmetric", "b_s": _seconds(b_ms)},
+                   "lrt_offset_s": _seconds(lrt_offset_ms)})
+    assert _authenticates(report) == (abs(delay_ms + lrt_offset_ms) < b_ms)
+
+
+@settings(deadline=None)
+@given(seeds, sats, st.integers(0, 60_000), st.integers(0, 120_000),
+       st.integers(0, 120_000))
+@example(20230816, 4, 30_000, 90_000, 60_000)   # staleness - mitm == T_L
+@example(20230816, 4, 30_000, 89_999, 60_000)
+def test_tsr_recorded_authenticates_iff_the_staleness_left_is_below_t_l(
+        seed, sats, t_l_ms, staleness_ms, mitm_delay_ms):
+    report = _run(seed, sats, TSR_ROUNDS,
+                  {"type": "tsr_recorded",
+                   "staleness_s": _seconds(staleness_ms),
+                   "mitm_delay_s": _seconds(mitm_delay_ms)},
+                  {"policy": {"type": "alternate",
+                              "t_l_s": _seconds(t_l_ms)}})
+    assert _authenticates(report) == (staleness_ms - mitm_delay_ms < t_l_ms)

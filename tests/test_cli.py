@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -213,6 +214,48 @@ def test_vectors_validate_rejects_corruption(tmp_path, capsys):
         f"invalid: 1 page(s) fail CRC: [({', '.join(row[:4])})]\n"
 
 
+def test_vectors_validate_reads_a_foreign_layout_through_its_mapping(
+        tmp_path, capsys):
+    """A copy with renamed columns and pages counted from 0 validates
+    through a mapping file that names both."""
+    out = tmp_path / "con"
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(out)])
+    rows = [line.split(",") for line in
+            (out / "vectors.csv").read_text().splitlines()[1:]]
+    path = tmp_path / "foreign.csv"
+    path.write_text("WEEK,TOW,SV,PAGE,HEX\n" + "".join(
+        f"{wn},{tow},{prn},{int(index) - 1},{page}\n"
+        for wn, tow, prn, index, page in rows))
+    mapping = tmp_path / "mapping.json"
+    mapping.write_text(json.dumps({
+        "columns": {"wn": "WEEK", "tow": "TOW", "prn": "SV",
+                    "page_index": "PAGE", "page_hex": "HEX"},
+        "page_index_base": 0}))
+    capsys.readouterr()
+    assert main(["vectors", "validate", str(path),
+                 "--mapping", str(mapping)]) == 0
+    assert capsys.readouterr().out == "ok: 180 pages, 12 subframes\n"
+
+
+@pytest.mark.parametrize("argv,failure", [
+    (["vectors", "validate", "big.csv"], "invalid"),
+    (["forge", "tsf", "--vectors", "big.csv", "--out", "forged.csv"], "error"),
+])
+def test_a_field_past_the_csv_size_limit_is_one_line(tmp_path, monkeypatch,
+                                                     capsys, argv, failure):
+    """A field longer than the csv module reads is one line naming its row,
+    not a csv.Error traceback."""
+    monkeypatch.chdir(tmp_path)
+    limit = csv.field_size_limit()
+    Path("big.csv").write_text("wn,tow,prn,page_index,page_hex\n"
+                               f"1251,277200,1,1,{'a' * (limit + 1)}\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"{failure}: field larger than field limit ({limit}) (row 2)\n"
+    assert not Path("forged.csv").exists()
+
+
 def test_vectors_out_of_range_tow_is_invalid(tmp_path, capsys):
     """A tow no GST can hold is named with its row at load, by both
     vectors validate and forge tsf."""
@@ -302,8 +345,8 @@ def test_forge_tsf_out_of_range_iono_is_an_error(tmp_path, capsys):
     forged = tmp_path / "forged.csv"
     assert main(["forge", "tsf", "--vectors", str(out / "vectors.csv"),
                  "--iono-a0", "3000", "--out", str(forged)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "iono_a0" in err
+    assert capsys.readouterr().err == \
+        "error: iono_a0 3000 does not fit 11 bits\n"
     assert not forged.exists()
 
 

@@ -6,6 +6,7 @@ P-256 vectors are pinned.  The properties take the active profile's
 example count, so CI's long profile draws 2,000 of each."""
 
 import hmac
+import importlib
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -18,11 +19,10 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 from hypothesis import example, given, settings, strategies as st
 
 from osnmasim import crypto
-from osnmasim.crypto import N, P
+from osnmasim.crypto import N, P, spki_pem
 from osnmasim.tesla import (
     generate_keypair,
     load_public_key_point,
-    public_key_pem,
     public_key_point,
     sign_root,
     verify_root,
@@ -42,6 +42,20 @@ RFC6979_SIGNATURES = {
         "F1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367"
         "019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083"),
 }
+
+
+def test_sha256_is_the_interpreters_built_in_module():
+    """SHA-256 comes from CPython's built-in module, _sha2 on 3.12+ and
+    _sha256 on 3.10 and 3.11, never from hashlib, whenever the interpreter
+    has one."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            module = importlib.import_module(name)
+        except ImportError:
+            continue
+        assert crypto.sha256 is module.sha256, crypto.sha256.__module__
+        return
+    pytest.skip("an interpreter built without _sha2 or _sha256")
 
 
 @pytest.mark.parametrize("message", sorted(RFC6979_SIGNATURES))
@@ -92,7 +106,7 @@ def test_sign_root_is_the_oracle_deterministic_ecdsa(seed, message):
         message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True)))
     assert sign_root(message, sk) == b"".join(
         half.to_bytes(32, "big") for half in (r, s))
-    assert public_key_pem(pk) == oracle.public_key().public_bytes(
+    assert spki_pem(pk) == oracle.public_key().public_bytes(
         serialization.Encoding.PEM,
         serialization.PublicFormat.SubjectPublicKeyInfo).decode()
 

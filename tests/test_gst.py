@@ -5,7 +5,6 @@ from osnmasim.gst import (
     AlternateThreshold,
     Gst,
     LrtSource,
-    SubMillisecondError,
     SymmetricBound,
     check_time_sync,
     to_millis,
@@ -50,7 +49,7 @@ def test_to_millis_exact_decimals():
 @pytest.mark.parametrize("seconds", ["29.5004", 0.0005, "1e-4", 1.0001,
                                      "1234567890123456789012345.6789"])
 def test_to_millis_rejects_sub_millisecond_digits(seconds):
-    with pytest.raises(SubMillisecondError, match="below the millisecond"):
+    with pytest.raises(ValueError, match="below the millisecond"):
         to_millis(seconds)
 
 

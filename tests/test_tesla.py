@@ -5,6 +5,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import assume, given, settings, strategies as st
 
+from osnmasim.crypto import spki_pem
 from osnmasim.gst import Gst
 from osnmasim.tesla import (
     DSM_BLOCKS,
@@ -17,7 +18,6 @@ from osnmasim.tesla import (
     dsm_hkroot_blocks,
     generate_keypair,
     load_public_key_point,
-    public_key_pem,
     public_key_point,
     root_key,
     sign_root,
@@ -221,7 +221,7 @@ def test_point_round_trip(seed):
     assert len(point) == 33 and point[0] in (2, 3)
     assert public_key_point(again) == point
     assert again == pk == oracle_point(sk)
-    assert public_key_pem(again) == public_key_pem(pk)
+    assert spki_pem(again) == spki_pem(pk)
 
 
 # -- references for the hash and the key point: hashlib and the curve equation
