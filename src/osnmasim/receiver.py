@@ -30,9 +30,7 @@ from .mack import DEFAULT_SEG_COUNT, disclosed_key, unpack_mack, verify_tags
 from .navdata import parse_nav_data
 from .pages import SUBFRAME_MS, assemble_rounds
 from .tesla import (
-    AlignmentError,
     DsmAccumulator,
-    GstOrderError,
     TeslaKey,
     load_public_key_point,
     root_key,
@@ -178,15 +176,16 @@ class Receiver:
 
     def _feed_dsm(self, prn: int, hkroot: bytes, gst: Gst) -> None:
         """Fed only in AWAITING_ROOT_KEY.  Each satellite's blocks are
-        accumulated apart, so one satellite's bad block drops only its own
-        blocks.  A root message is parsed only once the bytes received
-        verify under the public key."""
+        accumulated apart, and a root message is parsed only once its bytes
+        verify under the public key: a bad signature, or a root slot that
+        is no GST, drops only that satellite's blocks."""
         dsm = self._dsm.setdefault(prn, DsmAccumulator())
         signed = dsm.feed(hkroot)
         if signed is None:
             return
-        if verify_root(*signed, self._pubkey):
-            self.trusted_key = root_key(signed[0])
+        key = verify_root(*signed, self._pubkey) and root_key(signed[0])
+        if key:
+            self.trusted_key = key
             self._enter(Status.AUTHENTICATING, gst)
         else:
             dsm.reset()
@@ -197,11 +196,7 @@ class Receiver:
         data i, tags i+1, key i+2, each as (GST, nav, MACK, NavFields)."""
         (gst, nav, _, _), (tag_gst, _, tags, _), (key_gst, _, key, _) = window
         candidate = TeslaKey(disclosed_key(key), key_gst)
-        try:
-            steps = verify_key(candidate, self.trusted_key)
-        except (GstOrderError, AlignmentError):
-            steps = None
-        if steps is None:
+        if verify_key(candidate, self.trusted_key) is None:
             self.key_rejections += 1
             if self.key_rejections >= self.key_reject_threshold:
                 self._enter(Status.SPOOF_DETECTED, gst)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import crypto
 from .crypto import sha256
-from .gst import Gst, SUBFRAME_SECONDS
+from .gst import Gst, SECONDS_PER_WEEK, SUBFRAME_SECONDS
 from .pages import HKROOT_BYTES, pack_fields, unpack_fields
 
 KEY_BYTES = 16
@@ -41,14 +41,6 @@ SIGNATURE_BYTES = 64
 DSM_PAYLOAD_BYTES = HKROOT_BYTES - 2
 DSM_BODY_BYTES = 1 + ROOT_MESSAGE_BYTES + SIGNATURE_BYTES
 DSM_BLOCKS = math.ceil(DSM_BODY_BYTES / DSM_PAYLOAD_BYTES)
-
-
-class GstOrderError(ValueError):
-    """Candidate key is not newer than the trusted key (stale disclosure)."""
-
-
-class AlignmentError(ValueError):
-    """GST difference is not a whole number of subframe slots."""
 
 
 POINT_BYTES = 33            # compressed P-256 point: 0x02 | y parity, then x
@@ -116,17 +108,15 @@ class TeslaChain:
 def verify_key(candidate: TeslaKey, trusted: TeslaKey) -> int | None:
     """Verify a disclosed key against a trusted one.
 
-    Returns the number of hash steps walked on success, None when the walk
-    does not land on the trusted key.  A candidate whose slot is not newer
-    than the trusted key is stale and raises GstOrderError; a slot gap that
-    is not a multiple of the slot duration raises AlignmentError.
+    Returns the number of hash steps walked on success, and None for every
+    rejected key: a slot not newer than the trusted key's (stale), a GST gap
+    that is not a whole number of slots (misaligned), or a walk that does
+    not land on the trusted key.  The two GSTs tell the three apart.
     """
     diff = candidate.gst.total_seconds() - trusted.gst.total_seconds()
-    if diff <= 0:
-        raise GstOrderError("candidate key is not newer than trusted key")
     steps, rem = divmod(diff, SUBFRAME_SECONDS)
-    if rem:
-        raise AlignmentError(f"GST gap {diff}s is not slot-aligned")
+    if diff <= 0 or rem:
+        return None
     bits = candidate.bits
     for _ in range(steps):
         bits = truncate_hash(bits)
@@ -143,14 +133,17 @@ def build_root_message(nma_header: int, mf: int, wnk: int, towk: int,
             ROOT_MESSAGE_BYTES, "big")
 
 
-def root_key(body: bytes) -> TeslaKey:
+def root_key(body: bytes) -> TeslaKey | None:
     """The root key a root-key message body announces: its key bits, bound
-    to the slot time it names.  Read a body only once its signature has
+    to the slot time it names; None when its 20-bit towk names no time of
+    week (604,800 or more).  Read a body only once its signature has
     verified."""
     if len(body) != ROOT_MESSAGE_BYTES:
         raise ValueError(f"root message must be {ROOT_MESSAGE_BYTES} bytes")
     _, _, wnk, towk, kroot = unpack_fields(
         _MSG_LAYOUT, ROOT_MESSAGE_BITS, int.from_bytes(body, "big"))
+    if towk >= SECONDS_PER_WEEK:
+        return None
     return TeslaKey(kroot.to_bytes(KEY_BYTES, "big"), Gst(wnk, towk))
 
 

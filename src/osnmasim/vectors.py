@@ -57,12 +57,12 @@ def _unique_keys(pairs) -> dict:
 
 def read_json(path, read):
     """The JSON value in the file at path, passed through read.  Bad JSON,
-    a key given twice or a ValueError of read raises SchemaError, its text
-    prefixed with the path."""
+    JSON nested past the recursion limit, a key given twice or a ValueError
+    of read raises SchemaError, its text prefixed with the path."""
     with open(path) as fh:
         try:
             return read(json.load(fh, object_pairs_hook=_unique_keys))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"{path}: {exc}") from None
 
 
@@ -174,7 +174,8 @@ class TestVectorSet:
 
     @classmethod
     def load(cls, path, mapping_path=None) -> "TestVectorSet":
-        """Schema-check every row, then check that each (wn, tow, prn) has
+        """Check that the header names each mapped column once and
+        schema-check every row, then check that each (wn, tow, prn) has
         its 15 pages once, then check every page's flags and CRC in one
         kernel call.  A SchemaError names the row (and column) at fault:
         a duplicate page's second row, an incomplete subframe's first; or
@@ -190,6 +191,11 @@ class TestVectorSet:
                            if columns[c] not in reader.fieldnames]
                 if missing:
                     raise SchemaError(f"missing columns {missing}")
+                repeated = [columns[c] for c in HEADER
+                            if reader.fieldnames.count(columns[c]) > 1]
+                if repeated:        # DictReader would read the last one
+                    raise SchemaError("repeated column", row=1,
+                                      column=repeated[0])
                 rows = [cls._parse_row(row, columns, index_base, lineno)
                         for lineno, row in enumerate(reader, start=2)]
             except csv.Error as exc:    # e.g. a field past csv's size limit

@@ -9,11 +9,12 @@ checked against the tags of r-1 under the key disclosed in r, and that key
 against the one trusted at the start of round r (or, before the first
 verified key, the root key acquired during round r).  Each satellite's
 HKROOT blocks are accumulated apart, and a root message that fails its
-signature drops only that satellite's blocks.  The TS gate, the
-status rules and the destroyed-round rule are spelled out here with no
-shortcut that depends on which statuses can occur where.  Only the
-message-level checks are shared with the program: verify_key, verify_tags,
-the HKROOT accumulator and the round assembly of pages into subframes.
+signature, or whose root slot is no GST, drops only that satellite's
+blocks.  The TS gate, the status rules and the destroyed-round rule are
+spelled out here with no shortcut that depends on which statuses can
+occur where.  Only the message-level checks are shared with the program:
+verify_key, root_key, verify_tags, the HKROOT accumulator and the round
+assembly of pages into subframes.
 """
 
 from typing import NamedTuple
@@ -24,9 +25,7 @@ from osnmasim.navdata import parse_nav_data, subframe_nav_data
 from osnmasim.pages import SUBFRAME_MS, assemble_round
 from osnmasim.receiver import AuthResult, Outcome, Status
 from osnmasim.tesla import (
-    AlignmentError,
     DsmAccumulator,
-    GstOrderError,
     TeslaKey,
     load_public_key_point,
     root_key,
@@ -78,10 +77,7 @@ def assemble(events_by_round, gst0, t0, osnma_running) -> list:
 def _outcome(data, tagged, keyed, trusted, seg_count) -> tuple:
     """The outcome for data's subframe and the key keyed discloses."""
     key = TeslaKey(disclosed_key(osnma(keyed)[1]), keyed.gst)
-    try:
-        if verify_key(key, trusted) is None:
-            return Outcome.KEY_REJECTED, key
-    except (GstOrderError, AlignmentError):
+    if verify_key(key, trusted) is None:
         return Outcome.KEY_REJECTED, key
     tags = unpack_mack(osnma(tagged)[1], seg_count)
     if all(verify_tags(subframe_nav_data(data), tags, key.bits, prn_d=data.prn,
@@ -133,10 +129,10 @@ def run(policy, lrt, pubkey, gst0, t0, events_by_round, *, seg_count=6,
                 if signed is not None:
                     if verify_root(*signed, pubkey):
                         root = root_key(signed[0])
-                        if status() is Status.AWAITING_ROOT_KEY:
-                            enter(Status.AUTHENTICATING, sf.gst)
-                    else:
+                    if root is None:
                         dsm.reset()
+                    elif status() is Status.AWAITING_ROOT_KEY:
+                        enter(Status.AUTHENTICATING, sf.gst)
             if status() is Status.SPOOF_DETECTED or (trusted or root) is None \
                     or not (complete(p, r - 2) and complete(p, r - 1)):
                 continue

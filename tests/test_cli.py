@@ -549,6 +549,51 @@ def test_every_json_input_is_named_once(tmp_path, capsys, command):
         f"{failure}: {bad}: repeated key 'seed'\n"
 
 
+@pytest.mark.parametrize("command", ["run", "vectors validate", "report diff"])
+def test_json_nested_past_the_recursion_limit_is_one_line(tmp_path, capsys,
+                                                          command):
+    """A JSON input nested deeper than the parser recurses is one error
+    line naming the file, not a RecursionError traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    argv = {"run": ["run", str(deep)],
+            "vectors validate": ["vectors", "validate",
+                                 str(tmp_path / "con" / "vectors.csv"),
+                                 "--mapping", str(deep)],
+            "report diff": ["report", "diff", str(deep), str(deep)]}[command]
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", str(tmp_path / "con")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    failure = "invalid" if command == "vectors validate" else "error"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{failure}: {deep}: maximum recursion")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,failure", [
+    (["vectors", "validate", "vectors.csv"], "invalid"),
+    (["forge", "tsf", "--vectors", "vectors.csv", "--out", "forged.csv"],
+     "error"),
+])
+def test_a_repeated_column_is_one_line(tmp_path, monkeypatch, capsys, argv,
+                                       failure):
+    """A header that names the week column twice is rejected by name, not
+    read from the last of the two: the first holds a week no GST has."""
+    monkeypatch.chdir(tmp_path)
+    main(["gen-constellation", "--seed", "3", "--sats", "4",
+          "--subframes", "3", "--out-dir", "."])
+    lines = Path("vectors.csv").read_text().splitlines()
+    Path("vectors.csv").write_text("\n".join(
+        [f"wn,{lines[0]}"] + [f"99999,{line}" for line in lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"{failure}: repeated column (row 1, column 'wn')\n"
+    assert not Path("forged.csv").exists()
+
+
 # sha256 of the outputs of `gen-constellation --seed 3 --sats 4
 # --subframes 6` and of `forge tsf` (default options) on its vector set
 GEN_FORGE_DIGESTS = {

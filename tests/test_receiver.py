@@ -8,6 +8,7 @@ from osnmasim.gst import (
     AlternateThreshold,
     Gst,
     LrtSource,
+    SUBFRAME_SECONDS,
     SymmetricBound,
     check_time_sync,
 )
@@ -53,8 +54,6 @@ from osnmasim.tesla import (
     DSM_BODY_BYTES,
     DSM_PAYLOAD_BYTES,
     NMA_HEADER,
-    AlignmentError,
-    GstOrderError,
     build_root_message,
     dsm_hkroot_blocks,
     generate_keypair,
@@ -295,12 +294,12 @@ def test_poisoned_hkroot_blocks_delay_acquisition_by_whole_cycles(
         assert gst == GST0.add_seconds(30 * (DSM_BLOCKS * (cycle + 1) - 1))
 
 
-def _resigned(bundle, root_gst, seed):
-    """The bundle's streams with its root key announced at root_gst in a
-    root message signed by generate_keypair(seed), every stream's HKROOT
-    column resealed; and that key pair's public point."""
+def _resigned(bundle, towk, seed):
+    """The bundle's streams with its root key announced at (GST0's week,
+    towk) in a root message signed by generate_keypair(seed), every
+    stream's HKROOT column resealed; and that key pair's public point."""
     private_key, public_key = generate_keypair(seed)
-    body = build_root_message(NMA_HEADER, 0, root_gst.wn, root_gst.tow,
+    body = build_root_message(NMA_HEADER, 0, GST0.wn, towk,
                               bundle.chain.root.bits)
     blocks = dsm_hkroot_blocks(body, sign_root(body, private_key))
     streams = {prn: Stream(stream.gst, prn, seal_pages(
@@ -310,39 +309,51 @@ def _resigned(bundle, root_gst, seed):
     return streams, public_key_point(public_key)
 
 
-# the root key's slot 15 s off the grid, or the slot of the first key checked
-# against it: the key disclosed in the round the root key is acquired
-@pytest.mark.parametrize("root_gst,error", [
-    (GST0.add_seconds(-15), AlignmentError),
-    (GST0.add_seconds(30 * (DSM_BLOCKS - 1)), GstOrderError)],
-    ids=["misaligned", "stale"])
+# a signed root message is acquired in round DSM_BLOCKS - 1, and the first
+# key checked against its root key is the one disclosed in that round
+_ACQUIRED_S = SUBFRAME_SECONDS * (DSM_BLOCKS - 1)
+
+
+# the root key's slot 15 s off the grid, or the slot of that first key; or
+# a towk that names no time of week, so no root key is acquired
+@pytest.mark.parametrize("towk,gaps", [
+    (GST0.tow - 15, [_ACQUIRED_S + 15]),
+    (GST0.tow + _ACQUIRED_S, [0]),
+    (700_000, []),
+    ((1 << 20) - 1, [])],
+    ids=["misaligned", "stale", "towk_700000", "towk_max"])
 def test_misaligned_or_stale_chain_key_is_rejected(small_bundle, monkeypatch,
-                                                   root_gst, error):
+                                                   towk, gaps):
     """A root key whose signature verifies but whose slot is misaligned
-    with, or not older than, the first key checked against it: that check
-    raises, the key is rejected, and at threshold 1 the receiver detects
-    spoofing, with the verdicts and timeline of the reference receiver."""
-    raised = []
+    with, or not older than, the first key checked against it: that key is
+    rejected, and at threshold 1 the receiver detects spoofing.  A root
+    message whose towk is no time of week is dropped: every round runs,
+    with no verdict, still awaiting a root key.  Either way the verdicts and
+    timeline are the reference receiver's."""
+    checked = []        # the GST gap, in seconds, of every key checked
 
     def recording(candidate, trusted):
-        try:
-            return tesla.verify_key(candidate, trusted)
-        except ValueError as exc:
-            raised.append(type(exc))
-            raise
+        checked.append(candidate.gst.total_seconds()
+                       - trusted.gst.total_seconds())
+        return tesla.verify_key(candidate, trusted)
 
     monkeypatch.setattr(osnmasim.receiver, "verify_key", recording)
-    streams, pubkey = _resigned(small_bundle, root_gst, seed=5)
+    streams, pubkey = _resigned(small_bundle, towk, seed=5)
     t0, round_events = shifted_stream(streams)
     windows = [round_events(r) for r in range(len(streams[1]))]
     rx = _receiver(small_bundle, t0, pubkey=pubkey)
     results = [rx.ingest_round(events) for events in windows]
     ref = receiver_reference.run(AlternateThreshold(30000), LrtSource(),
                                  pubkey, GST0, t0, windows)
-    assert raised == [error]
+    assert checked == gaps
     verdicts = [v for result in results for v in result.verdicts]
-    assert verdicts and {v.outcome for v in verdicts} == {Outcome.KEY_REJECTED}
-    assert rx.status is Status.SPOOF_DETECTED
+    if gaps:
+        assert verdicts and \
+            {v.outcome for v in verdicts} == {Outcome.KEY_REJECTED}
+        assert rx.status is Status.SPOOF_DETECTED
+    else:
+        assert verdicts == [] and rx.trusted_key is None
+        assert rx.status is Status.AWAITING_ROOT_KEY
     assert [result.verdicts for result in results] == ref.verdicts
     assert [c for result in results for c in result.changes] == ref.timeline
 

@@ -3,15 +3,13 @@ import random
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from osnmasim.crypto import spki_pem
-from osnmasim.gst import Gst
+from osnmasim.gst import SECONDS_PER_WEEK, Gst
 from osnmasim.tesla import (
     DSM_BLOCKS,
-    AlignmentError,
     DsmAccumulator,
-    GstOrderError,
     TeslaChain,
     TeslaKey,
     build_root_message,
@@ -100,19 +98,42 @@ def test_verify_counts_match_brute_force_walk():
             assert verify_key(chain.keys[i], chain.keys[j]) == steps == i - j
 
 
-def test_stale_key_raises_order_error():
+def test_stale_key_is_rejected():
     chain = TeslaChain.generate(b"\x04" * 16, 5, GST0)
-    with pytest.raises(GstOrderError):
-        verify_key(chain.keys[2], chain.keys[3])
-    with pytest.raises(GstOrderError):
-        verify_key(chain.keys[2], chain.keys[2])
+    assert verify_key(chain.keys[2], chain.keys[3]) is None
+    assert verify_key(chain.keys[2], chain.keys[2]) is None
 
 
-def test_misaligned_gst_raises():
+def test_misaligned_gst_is_rejected():
     chain = TeslaChain.generate(b"\x05" * 16, 5, GST0)
     shifted = TeslaKey(chain.keys[3].bits, chain.keys[3].gst.add_seconds(7))
-    with pytest.raises(AlignmentError):
-        verify_key(shifted, chain.keys[1])
+    assert verify_key(shifted, chain.keys[1]) is None
+
+
+_CHAIN = TeslaChain.generate(b"\x08" * 16, 64, GST0)
+_BITS = st.binary(min_size=16, max_size=16)
+
+
+@given(st.integers(0, 64),
+       st.one_of(st.integers(-64, 64).map(lambda n: 30 * n),
+                 st.integers(-30 * 64, 30 * 64)),
+       st.data())
+def test_verify_key_answers_every_pair_with_a_value(j, gap_s, data):
+    """For any two keys at most 64 slots apart, verify_key raises nothing:
+    it returns the step count iff the GST gap is a positive whole number of
+    slots and that many hashes of the candidate land on the trusted key,
+    and None otherwise.  Keys are drawn from one chain, each at its own
+    slot, or as random bits."""
+    trusted = TeslaKey(data.draw(st.just(_CHAIN.keys[j].bits) | _BITS),
+                       _CHAIN.keys[j].gst)
+    slot_key = _CHAIN.keys[(j + gap_s // 30) % len(_CHAIN.keys)]
+    candidate = TeslaKey(data.draw(st.just(slot_key.bits) | _BITS),
+                         trusted.gst.add_seconds(gap_s))
+    steps, bits = gap_s // 30, candidate.bits
+    for _ in range(max(steps, 0)):
+        bits = hashlib.sha256(bits).digest()[:16]
+    lands = gap_s > 0 and gap_s % 30 == 0 and bits == trusted.bits
+    assert verify_key(candidate, trusted) == (steps if lands else None)
 
 
 def test_slot_shift_flips_verdict():
@@ -174,6 +195,18 @@ def test_root_key_reads_the_body():
     assert root_key(m) == TeslaKey(b"\x11" * 16, Gst(1251, 277170))
     with pytest.raises(ValueError, match="^root message must be 22 bytes$"):
         root_key(m + b"\x00")
+
+
+@given(st.binary(min_size=22, max_size=22))
+@example(build_root_message(0x52, 0, 1251, SECONDS_PER_WEEK - 1, bytes(16)))
+@example(build_root_message(0x52, 0, 1251, SECONDS_PER_WEEK, bytes(16)))
+def test_root_key_is_none_iff_towk_names_no_time_of_week(body):
+    """Any 22-byte body: root_key reads its wnk, towk and key bits, and
+    answers None exactly when the 20-bit towk is 604,800 or more."""
+    word = int.from_bytes(body, "big")
+    wnk, towk = word >> 148 & 0xFFF, word >> 128 & 0xFFFFF
+    assert root_key(body) == (None if towk >= SECONDS_PER_WEEK
+                              else TeslaKey(body[6:], Gst(wnk, towk)))
 
 
 def test_sign_verify_round_trip():

@@ -274,6 +274,44 @@ def test_mapping_with_a_repeated_key_schema_error(small_bundle, tmp_path,
     assert str(err.value) == f"{path}: repeated key '{key}'"
 
 
+def _with_a_first_column(path, name, value):
+    """Prepend a column headed name, holding value in every data row."""
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([f"{name},{lines[0]}"] + [
+        f"{value},{line}" for line in lines[1:]]) + "\n")
+
+
+@pytest.mark.parametrize("mapping,column", [
+    (None, "wn"),
+    ({"columns": {"wn": "WEEK"}}, "WEEK"),
+])
+def test_a_repeated_mapped_column_schema_error(small_bundle, tmp_path,
+                                               mapping, column):
+    """A header that names a mapped column twice is rejected by name: the
+    csv module would read only the last of the two, so the week below
+    would load from the second column."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    if mapping is not None:
+        path.write_text(path.read_text().replace("wn,", f"{column},", 1))
+        (tmp_path / "mapping.json").write_text(json.dumps(mapping))
+        mapping = tmp_path / "mapping.json"
+    _with_a_first_column(path, column, 99999)
+    with pytest.raises(SchemaError) as err:
+        TestVectorSet.load(path, mapping_path=mapping)
+    assert str(err.value) == f"repeated column (row 1, column {column!r})"
+
+
+def test_a_repeated_unmapped_column_loads(small_bundle, tmp_path):
+    """Columns no field reads may repeat: they are never read."""
+    path = tmp_path / "vectors.csv"
+    small_bundle.vectors.save(path)
+    _with_a_first_column(path, "note", "x")
+    _with_a_first_column(path, "note", "y")
+    assert TestVectorSet.load(path).subframes() == \
+        _bundle_subframes(small_bundle)
+
+
 def _with_column(path, column, value, rows):
     """Rewrite one column in the given data rows (1-based) of a CSV."""
     lines = path.read_text().splitlines()
