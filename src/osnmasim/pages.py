@@ -26,9 +26,16 @@ self-verify under it.
 A page is its 30 transmitted bytes from sealing to reception;
 PageContent is only the codec's view of one page's fields, what
 encode_page takes and decode_page gives back.  A satellite's broadcast is
-a Stream, its sealed pages laid end to end in one bytes object; a round's
-pages are cut from it as they are sent, and a received subframe holds its
-slots' bytes.
+a Stream, its sealed pages laid end to end in one bytes object, and a
+round's pages reach the receiver as runs cut from it.  Slot ownership has
+one rule.  Slot j of a round covers [w0 + 2000*j, w0 + 2000*(j+1)) ms,
+and a run's pages arrive one per slot from its t_ms: a run on the grid
+covers one slot per page, and one off it partly covers every slot its
+pages overlap.  Adversary pages capture the slots they cover, and a slot
+is owned only by the one page of its capturing source covering it, on
+the grid; any other overlap, or none, destroys it.  The rule is decided
+once per span of slots that share their covers, and a round's owned
+spans are joined once, checked and unpacked, never cut into pages.
 
 Every bit-packed message -- a page's fields, the navigation blob, the
 root-key message and the tag-message header -- is one layout table of
@@ -37,27 +44,25 @@ unpack_fields reads.  A value outside its field raises ValueError naming
 it: "<name> <value> does not fit <width>[ signed] bits".
 
 The page CRC has one implementation, the column-wise kernel
-``_crc_columns``, which seals many pages in one call; a page checks when
-its framing flags hold and resealing it leaves it unchanged.  The
-fields a subframe carries -- its 240-byte navigation blob and its 15-byte
-HKROOT and 60-byte MACK blobs -- have one codec too, the column-wise
-``pack_pages`` and ``_unpack`` (``unpack_pages`` for received slots).
+``_crc_columns``, which seals or checks many pages in one call; a page
+checks when its framing flags hold and resealing it leaves it unchanged.
+A subframe's 240-byte navigation blob and 15-byte HKROOT and 60-byte MACK
+blobs have one codec too, the column-wise ``pack_pages`` and ``_unpack``.
 With the pages laid end to end and shifted left by 2 bits, every field
 sits on byte boundaries: bytes 0..13 of each 30-byte page are the even
 data, byte 14 the even tail and the odd half's flags (0b10), bytes
 15..16 the odd data, byte 17 the HKROOT portion and bytes 18..21 the MACK
-portion.  Packing writes the blobs into those byte columns of the pages
-it is given and shifts back, keeping every other bit; unpacking reads
-them, whatever the number of subframes.  A kernel call costs a fixed
-amount plus a little per page, so pages go through in batches; a lone
-page or subframe pays the fixed cost.  A received page is checked and
-read once per reception, and nothing is kept from one round to the next.
+portion.  Packing writes the blobs into those byte columns, keeping every
+other bit, and unpacking reads them.  A kernel call costs a fixed amount
+plus a little per page, so pages go through in batches, and nothing is
+kept from one round to the next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 from .gst import MS_PER_S, SUBFRAME_SECONDS, Gst
@@ -83,30 +88,35 @@ CRC = (202, 24)
 FILL = (226, 14)
 
 
+@cache
+def _table(layout, nbits: int) -> tuple:
+    """layout's rows as (name, shift, mask, lowest value, width text), and
+    the mask of every bit no row holds: worked out once per layout."""
+    rows = tuple((name, nbits - pos - width, (1 << width) - 1,
+                  -signed << width - 1, f"{width}{' signed' if signed else ''}")
+                 for name, pos, width, signed in layout)
+    return rows, ~sum(mask << shift for _, shift, mask, *_ in rows)
+
+
 def pack_fields(layout, nbits: int, values, message: int = 0) -> int:
     """The nbits-bit message int with each value written at its row's
     position, MSB first, two's complement where the row is signed, and
     every other bit as in message; a value that is not an int in the row's
     range raises ValueError naming the row."""
-    for (name, pos, width, signed), value in zip(layout, values, strict=True):
-        low = -(1 << width - 1) if signed else 0
-        if not (isinstance(value, int) and low <= value < low + (1 << width)):
-            raise ValueError(f"{name} {value!r} does not fit {width}"
-                             f"{' signed' if signed else ''} bits")
-        shift = nbits - pos - width
-        message ^= ((message >> shift ^ value) & (1 << width) - 1) << shift
+    rows, others = _table(layout, nbits)
+    message &= others
+    for (name, shift, mask, low, fit), value in zip(rows, values, strict=True):
+        if not (isinstance(value, int) and low <= value <= low + mask):
+            raise ValueError(f"{name} {value!r} does not fit {fit} bits")
+        message |= (value & mask) << shift
     return message
 
 
 def unpack_fields(layout, nbits: int, message: int) -> list:
     """Each row's value read out of the nbits-bit message int: the inverse
-    of pack_fields."""
-    values = []
-    for _, pos, width, signed in layout:
-        raw = message >> nbits - pos - width & (1 << width) - 1
-        values.append(raw - (1 << width) if signed and raw >> width - 1
-                      else raw)
-    return values
+    of pack_fields; a signed row's sign bit is worth low."""
+    return [(message >> shift & mask ^ -low) + low
+            for _, shift, mask, low, _ in _table(layout, nbits)[0]]
 
 
 def _build_crc_table() -> list:
@@ -223,21 +233,26 @@ def _seal(joined: bytes) -> bytes:
     return bytes(buf)
 
 
-def check_raws(raws: list) -> list:
-    """Whether each page checks: its framing flags hold and resealing it
-    leaves it unchanged, all pages resealed in one kernel call and, unless
-    some page fails, compared with the batch in one compare."""
-    joined, n = _joined(raws), len(raws)
-    sealed = _seal(joined)
+def _checks(joined: bytes) -> list:
+    """Whether each page laid end to end in joined checks, in one kernel call
+    and, unless one fails, one compare: failing's byte i is nonzero where
+    page i's flags are not 00 and 10 or its CRC field is not its bits' CRC."""
+    n = len(joined) // PAGE_BYTES
     lanes = int.from_bytes(b"\1" * n, "big")
-    # flags: 00 at the top of byte 0, 10 at the top of byte 15
-    flags = (_column(joined, 0) & 0xC0 * lanes
-             | (_column(joined, 15) & 0xC0 * lanes) ^ 0x80 * lanes)
-    if not flags and sealed == joined:
+    crc25, crc26, crc27, crc28 = _crc_columns(joined, lanes)
+    top2, low6 = 0xC0 * lanes, 0x3F * lanes
+    failing = (_column(joined, 0) & top2 | (_column(joined, 15) & top2)
+               ^ 0x80 * lanes | (_column(joined, 25) & low6) ^ crc25
+               | _column(joined, 26) ^ crc26 | _column(joined, 27) ^ crc27
+               | (_column(joined, 28) & top2) ^ crc28)
+    if not failing:
         return [True] * n
-    return [not flag and joined[i:i + PAGE_BYTES] == sealed[i:i + PAGE_BYTES]
-            for flag, i in zip(flags.to_bytes(n, "big"),
-                               range(0, len(joined), PAGE_BYTES))]
+    return [not fail for fail in failing.to_bytes(n, "big")]
+
+
+def check_raws(raws: list) -> list:
+    """Whether each page checks, by _checks over the pages joined."""
+    return _checks(_joined(raws))
 
 
 class PageContent(NamedTuple):
@@ -483,58 +498,52 @@ class Stream:
                 for i, gst in enumerate(self.gsts())]
 
 
-def _owned(events, prn: int, w0: int) -> list:
-    """The bytes of each slot's owner among prn's events, None for a slot
-    no source owns.
-
-    Slot j covers [w0 + 2000*j, w0 + 2000*(j+1)) ms, and an event's pages
-    arrive one per slot from its t_ms.  A run on the grid covers one slot
-    per page; one off it partly covers every slot its pages overlap.  Adversary
-    pages capture the slots they cover, and a slot is owned only by the one
-    page of its capturing source covering it, on the grid: any other
-    overlap, or none, destroys it.
-    """
-    # (adversary, authentic) covers of each slot: a page's bytes, or None
-    covering = [([], []) for _ in range(SLOTS_PER_SUBFRAME)]
+def _spans(events, prn: int, w0: int) -> list:
+    """The slots that prn's events own, by the ownership rule above, as
+    (first slot, bytes) spans in slot order, each one slice of its owner's
+    run; a slot in no span is destroyed.  The window is cut wherever a
+    run's cover starts or ends, and the rule is decided once per span."""
+    covers = []                 # (first, end, adversary, start or None, raw)
     for e in events:
         if e.prn != prn:
             continue
         if not e.raw or len(e.raw) % PAGE_BYTES:
             raise ValueError(f"expected whole pages, got {len(e.raw)} bytes")
         k, offset = divmod(e.t_ms - w0, PAGE_MS)
-        end = k + len(e.raw) // PAGE_BYTES + (offset > 0)
-        for j in range(max(k, 0), min(end, SLOTS_PER_SUBFRAME)):
-            i = PAGE_BYTES * (j - k)
-            covering[j][e.source is Source.AUTHENTIC].append(
-                None if offset else e.raw[i:i + PAGE_BYTES])
-    return [owners[0] if len(owners) == 1 else None
-            for owners in (adv or auth for adv, auth in covering)]
-
-
-def _slots(events_by_prn: dict, prns, window_start_ms: int) -> dict:
-    """One 30-second round of page events as each of prns' 15 slots, by
-    PRN in their order; a PRN with no events gets a destroyed round.
-
-    Slots are owned by _owned's capture and overlap rules, and the owned
-    pages of every PRN are then checked in one check_raws call: each
-    received page is checked once per reception.  A slot keeps the bytes
-    that pass.
-    """
-    owned = {prn: _owned(events_by_prn.get(prn, ()), prn, window_start_ms)
-             for prn in prns}
-    oks = iter(check_raws([raw for raws in owned.values()
-                           for raw in raws if raw is not None]))
-    return {prn: tuple(raw if raw is not None and next(oks) else None
-                       for raw in raws) for prn, raws in owned.items()}
+        end = min(k + len(e.raw) // PAGE_BYTES + (offset > 0),
+                  SLOTS_PER_SUBFRAME)
+        if max(k, 0) < end:
+            covers.append((max(k, 0), end, e.source is Source.ADVERSARY,
+                           None if offset else k, e.raw))
+    cuts = sorted({0, SLOTS_PER_SUBFRAME, *(x for c in covers for x in c[:2])})
+    spans = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        over = [c for c in covers if c[0] <= lo < c[1]]
+        owners = [c for c in over if c[2]] or over
+        if len(owners) == 1 and owners[0][3] is not None:
+            _, _, _, k, raw = owners[0]
+            spans.append((lo, raw[PAGE_BYTES * (lo - k):PAGE_BYTES * (hi - k)]))
+    return spans
 
 
 def assemble_rounds(events_by_prn: dict, prns, window_start_ms: int) -> dict:
     """Assemble one 30-second round of page events for each of prns: the
     (nav, hkroot, mack) blobs of the PRNs whose subframe is complete, by
-    PRN in prns' order, read in one unpack_pages call."""
-    slots = _slots(events_by_prn, prns, window_start_ms)
-    complete = [prn for prn, raws in slots.items() if None not in raws]
-    return dict(zip(complete, unpack_pages(slots[prn] for prn in complete)))
+    PRN in prns' order, unpacked from the round's checked buffer itself
+    when every PRN is complete, else from one join of the complete ones."""
+    spans = {prn: _spans(events_by_prn.get(prn, ()), prn, window_start_ms)
+             for prn in prns}
+    joined = b"".join(run for runs in spans.values() for _, run in runs)
+    oks, start, complete = _checks(joined), 0, {}
+    for prn, runs in spans.items():
+        n = sum(len(run) for _, run in runs) // PAGE_BYTES
+        if n == SLOTS_PER_SUBFRAME and all(oks[start:start + n]):
+            complete[prn] = PAGE_BYTES * start
+        start += n
+    if len(complete) < len(spans):
+        joined = b"".join(joined[i:i + SUBFRAME_BYTES]
+                          for i in complete.values())
+    return dict(zip(complete, _unpack(joined)))
 
 
 def assemble_round(events, gst: Gst, prn: int,
@@ -544,4 +553,8 @@ def assemble_round(events, gst: Gst, prn: int,
     events may come mixed with other satellites', and the window starts
     at gst unless window_start_ms says otherwise."""
     w0 = gst.total_millis() if window_start_ms is None else window_start_ms
-    return Subframe(gst, prn, _slots({prn: events}, (prn,), w0)[prn])
+    spans = _spans(events, prn, w0)
+    oks = iter(_checks(b"".join(run for _, run in spans)))
+    owned = {lo + i // PAGE_BYTES: run[i:i + PAGE_BYTES] for lo, run in spans
+             for i in range(0, len(run), PAGE_BYTES) if next(oks)}
+    return Subframe(gst, prn, tuple(map(owned.get, range(SLOTS_PER_SUBFRAME))))

@@ -392,23 +392,6 @@ def rounds_by_prn(draw):
     return prns, by_prn
 
 
-@given(rounds_by_prn())
-def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
-    """The owned pages of every PRN share one check_raws batch, and each
-    result lands on its own slot: every PRN's slots are those of the
-    subframe assembled for it alone, and every kept slot passes the
-    reference check."""
-    prns, by_prn = prns_and_events
-    got = pages._slots(by_prn, prns, _T0)
-    assert list(got) == prns
-    for prn, raws in got.items():
-        assert raws == assemble_round(by_prn.get(prn, ()), GST0, prn,
-                                      _T0).raws
-        assert raws == ref_assemble_round(by_prn.get(prn, ()), GST0, prn,
-                                          _T0).raws
-        assert all(ref_check(raw) for raw in raws if raw is not None)
-
-
 def test_standalone_round_is_checked_in_one_call(monkeypatch):
     """A round of 15 pages never assembled before costs one kernel call."""
     events = _events(indices=range(15))
@@ -464,10 +447,14 @@ def near_grid_rounds(draw):
 @given(near_grid_rounds())
 def test_on_grid_rounds_match_the_slot_reference(events):
     """Rounds on, and one move off, the slot grid: each slot is owned
-    exactly as the slot-by-slot reference owns it."""
-    got = pages._slots({5: events, 6: events}, [5, 6], _T0)
-    for prn in (5, 6):
-        assert got[prn] == ref_assemble_round(events, GST0, prn, _T0).raws
+    exactly as the slot-by-slot reference owns it, and the round gives the
+    reference's blobs."""
+    by_prn = {5: events, 6: events}
+    alone, want = ref_assemble_rounds(by_prn, [5, 6])
+    assert list(pages.assemble_rounds(by_prn, [5, 6], _T0).items()) == \
+        list(want.items())
+    for prn, sf in alone.items():
+        assert assemble_round(events, GST0, prn, _T0) == sf
 
 
 @given(st.binary(min_size=PAGE_BYTES, max_size=PAGE_BYTES))
@@ -557,6 +544,57 @@ def test_runs_own_what_their_pages_sent_one_each_own(events, prn):
     sf = assemble_round(events, GST0, prn, _T0)
     assert sf == assemble_round(pages_one_each, GST0, prn, _T0)
     assert sf == ref_assemble_round(pages_one_each, GST0, prn, _T0)
+
+
+def ref_assemble_rounds(by_prn, prns):
+    """Each PRN's round assembled slot by slot from its runs' pages sent one
+    event each, and the blobs unpack_pages reads from the complete ones,
+    by PRN in prns' order."""
+    alone = {prn: ref_assemble_round(ref.page_events(by_prn.get(prn, ())),
+                                     GST0, prn, _T0) for prn in prns}
+    return alone, {prn: unpack_pages([sf.raws])[0]
+                   for prn, sf in alone.items() if sf.complete}
+
+
+@st.composite
+def runs_by_prn(draw):
+    """Two to eight PRNs in some order, and for each but possibly one a few
+    runs drawn from run_events (many pages long, from before the window or
+    into it, off the grid, from both sources, with a flipped bit, some
+    filed under another PRN), beside a whole authentic round or not."""
+    prns = draw(st.lists(st.integers(1, 36), min_size=2, max_size=8,
+                         unique=True))
+    by_prn = {}
+    for prn in prns[draw(st.integers(0, 1)):]:
+        runs = draw(st.lists(run_events, max_size=3))
+        if draw(st.booleans()):
+            runs.insert(draw(st.integers(0, len(runs))),
+                        _run(Source.AUTHENTIC, _T0, 0, SLOTS_PER_SUBFRAME))
+        by_prn[prn] = [e._replace(prn=prn) if e.prn == 5 else e
+                       for e in runs]
+    return prns, by_prn
+
+
+@given(runs_by_prn())
+# PRN 5 handed over from an adversary run (slots 0-4) to an authentic one
+# (slots 5-14), beside a CRC failure on PRN 6 and a clean PRN 7
+@example(([5, 6, 7], {
+    5: [_run(Source.ADVERSARY, _T0, 0, 5),
+        _run(Source.AUTHENTIC, _T0 + PAGE_MS * 5, 5, 10)],
+    6: [_run(Source.AUTHENTIC, _T0, 0, 15, flip=PAGE_BITS * 3 + 40, prn=6)],
+    7: [_run(Source.AUTHENTIC, _T0, 0, 15, prn=7)]}))
+def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
+    """Every PRN's owned spans share one checked buffer, and each PRN's
+    pages stay in its own lane: the round's blobs are, in PRN order, those
+    of the PRNs whose slot-by-slot reference subframe is complete, read
+    from it by unpack_pages, and each PRN assembled alone gives its
+    reference subframe."""
+    prns, by_prn = prns_and_events
+    alone, want = ref_assemble_rounds(by_prn, prns)
+    got = pages.assemble_rounds(by_prn, prns, _T0)
+    assert list(got.items()) == list(want.items())
+    for prn, sf in alone.items():
+        assert assemble_round(by_prn.get(prn, ()), GST0, prn, _T0) == sf
 
 
 def test_assemble_full_round_intact():
@@ -860,14 +898,13 @@ def test_a_round_is_unpacked_in_one_call(monkeypatch):
     """Three satellites, one missing a page: one unpack call reads the two
     complete subframes."""
     calls = []
-    unpack = pages.unpack_pages
+    unpack = pages._unpack
 
-    def counting(slots):
-        slots = list(slots)
-        calls.append(len(slots))
-        return unpack(slots)
+    def counting(joined):
+        calls.append(len(joined) // (PAGE_BYTES * SLOTS_PER_SUBFRAME))
+        return unpack(joined)
 
-    monkeypatch.setattr(pages, "unpack_pages", counting)
+    monkeypatch.setattr(pages, "_unpack", counting)
     events = {prn: [e._replace(prn=prn) for e in _events(indices=indices)]
               for prn, indices in ((5, range(15)), (6, range(14)), (7, range(15)))}
     blobs = pages.assemble_rounds(events, [5, 6, 7], _T0)

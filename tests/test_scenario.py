@@ -851,17 +851,22 @@ def test_each_event_is_assembled_once_per_round(monkeypatch):
 def test_each_subframe_is_concatenated_once(monkeypatch):
     """A subframe's nav data and OSNMA blobs are read once however many
     read them (the observations, the receiver's tag and key checks, each
-    fix): on a run of long_clean's size, reception unpacks each round's
-    subframes in one call, the observations unpack each satellite's bundle
-    stream in one call and forge its ranges in one, and each distinct
-    fix is solved and put in report form once.  No Subframe is built: a
-    round hands the receiver blobs alone."""
-    unpacks = []
-    unpack = osnmasim.pages._unpack
+    fix): on a run of long_clean's size, reception checks each round's
+    pages, 120 of them, in one kernel call and unpacks that same buffer,
+    the one bytes object, in one call; the observations unpack each
+    satellite's bundle stream in one call and forge its ranges in one, and
+    each distinct fix is solved and put in report form once.  No Subframe
+    is built: a round hands the receiver blobs alone."""
+    unpacked, checked = [], []
+    unpack, kernel = osnmasim.pages._unpack, osnmasim.pages._crc_columns
 
     def counting(joined):
-        unpacks.append(len(joined) // SUBFRAME_BYTES)
+        unpacked.append(joined)
         return unpack(joined)
+
+    def checking(joined, lanes):
+        checked.append(joined)
+        return kernel(joined, lanes)
 
     def tallying(module, name, tally):
         fn = getattr(module, name)
@@ -885,6 +890,7 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
         return blobs
 
     monkeypatch.setattr(osnmasim.pages, "_unpack", counting)
+    monkeypatch.setattr(osnmasim.pages, "_crc_columns", checking)
     monkeypatch.setattr(osnmasim.receiver, "assemble_rounds", recording)
     osnmasim.scenario._constellation.cache_clear()
     sc = _scenario({"type": "none"}, subframes=128)
@@ -892,7 +898,12 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     assert report["receiver"]["status"] == "authenticating"
     assert received == [([*range(1, 9)], [*range(1, 9)])] * 128
     assert built == []
-    assert unpacks == [128] * 8 + [8] * 128
+    # generation seals and the observations unpack 128 subframes a
+    # satellite; each round checks and unpacks 8
+    for buffers in (unpacked, checked):
+        assert [len(b) // SUBFRAME_BYTES for b in buffers] == \
+            [128] * 8 + [8] * 128
+    assert all(u is c for u, c in zip(unpacked[8:], checked[8:]))
     assert [len(sats) for _, _, sats in forges] == [128] * 8
     assert 0 < len(solves) == len(reports) < 8
 
