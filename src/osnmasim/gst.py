@@ -56,9 +56,6 @@ class Gst:
             raise ValueError("GST before epoch")
         return Gst(total // SECONDS_PER_WEEK, total % SECONDS_PER_WEEK)
 
-    def as_dict(self) -> dict:
-        return {"wn": self.wn, "tow": self.tow}
-
 
 @dataclass(frozen=True)
 class SymmetricBound:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from .pages import (
     NAV_BYTES,
     SLOTS_PER_SUBFRAME,
+    Stream,
     Subframe,
     pack_fields,
     unpack_fields,
-    unpack_pages,
 )
 
 NAV_BITS = 8 * NAV_BYTES
@@ -92,5 +92,5 @@ def parse_nav_data(blob: bytes) -> NavFields:
 
 def subframe_nav_data(sf: Subframe) -> bytes:
     """Concatenate the data portions of a complete subframe, 240 bytes; a
-    destroyed page raises ValueError."""
-    return unpack_pages((sf.raws,))[0][0]
+    destroyed page raises ValueError naming the destroyed slots."""
+    return Stream.of([sf]).blobs()[0][0]

@@ -47,15 +47,16 @@ The page CRC has one implementation, the column-wise kernel
 ``_crc_columns``, which seals or checks many pages in one call; a page
 checks when its framing flags hold and resealing it leaves it unchanged.
 A subframe's 240-byte navigation blob and 15-byte HKROOT and 60-byte MACK
-blobs have one codec too, the column-wise ``pack_pages`` and ``_unpack``.
-With the pages laid end to end and shifted left by 2 bits, every field
-sits on byte boundaries: bytes 0..13 of each 30-byte page are the even
-data, byte 14 the even tail and the odd half's flags (0b10), bytes
-15..16 the odd data, byte 17 the HKROOT portion and bytes 18..21 the MACK
-portion.  Packing writes the blobs into those byte columns, keeping every
-other bit, and unpacking reads them.  A kernel call costs a fixed amount
-plus a little per page, so pages go through in batches, and nothing is
-kept from one round to the next.
+blobs have one codec too: ``seal_pages`` writes them, and ``_unpack``
+reads them for ``Stream.blobs`` and the round assembly.  With the pages
+laid end to end and shifted left by 2 bits, every field sits on byte
+boundaries: bytes 0..13 of each 30-byte page are the even data, byte 14
+the even tail and the odd half's flags (0b10), bytes 15..16 the odd data,
+byte 17 the HKROOT portion and bytes 18..21 the MACK portion.  Writing
+puts the blobs into those byte columns, keeping every other bit, and
+reading takes them out.  A kernel call costs a fixed amount plus a
+little per page, so pages go through in batches, and nothing is kept
+from one round to the next.
 """
 
 from __future__ import annotations
@@ -297,15 +298,17 @@ HKROOT_BYTES = SLOTS_PER_SUBFRAME                           # 15
 MACK_BYTES = len(_MACK_COLUMNS) * SLOTS_PER_SUBFRAME        # 60
 
 
-def pack_pages(blobs, pages: bytes | None = None) -> bytes:
+def seal_pages(blobs, pages: bytes | None = None) -> bytes:
     """pages, laid end to end, with every (nav, hkroot, mack) blob triple
-    written over them: subframe i's pages 15*i..15*i+14 carry its 240-byte
-    nav blob in their data portions and its 15- and 60-byte blobs in their
-    HKROOT and MACK portions, in page order, and every other bit as given.
-    pages defaults to blank pages, zero but for the odd halves' flags.
+    written over them and every CRC field recomputed: subframe i's pages
+    15*i..15*i+14 carry its 240-byte nav blob in their data portions and
+    its 15- and 60-byte blobs in their HKROOT and MACK portions, in page
+    order, and every other bit as given.  pages defaults to blank pages,
+    zero but for the odd halves' flags.
 
     The blobs' bytes are written into the byte columns of the pages
-    shifted left by 2 bits, and the whole run is shifted back once.
+    shifted left by 2 bits, the whole run is shifted back once, and it is
+    sealed in one kernel call.
     """
     navs, hkroots, macks = [], [], []
     for nav, hkroot, mack in blobs:
@@ -329,20 +332,7 @@ def pack_pages(blobs, pages: bytes | None = None) -> bytes:
     buf[1 + _HKROOT_COLUMN::PAGE_BYTES] = b"".join(hkroots)
     for j, k in enumerate(_MACK_COLUMNS):
         buf[1 + k::PAGE_BYTES] = mack[j::len(_MACK_COLUMNS)]
-    return (int.from_bytes(buf, "big") >> 2).to_bytes(len(pages), "big")
-
-
-def unpack_pages(slots) -> list:
-    """The (nav, hkroot, mack) blobs of each subframe's 15 slots, read in
-    one pass over all of them.  A destroyed slot raises ValueError naming
-    the subframe's destroyed slots."""
-    raws = []
-    for sf_raws in slots:
-        if None in sf_raws:
-            raise ValueError("destroyed slots: " + str(tuple(
-                i for i, raw in enumerate(sf_raws) if raw is None)))
-        raws += sf_raws
-    return _unpack(_joined(raws))
+    return _seal((int.from_bytes(buf, "big") >> 2).to_bytes(len(pages), "big"))
 
 
 def _shifted(joined: bytes) -> bytearray:
@@ -354,7 +344,7 @@ def _shifted(joined: bytes) -> bytearray:
 
 def _unpack(joined: bytes) -> list:
     """The (nav, hkroot, mack) blobs of the subframes whose pages are laid
-    end to end in joined: the inverse of pack_pages."""
+    end to end in joined: the inverse of seal_pages' writing."""
     shifted = _shifted(joined)
     count = len(joined) // PAGE_BYTES
     nav = bytearray(count * len(_NAV_COLUMNS))
@@ -369,13 +359,6 @@ def _unpack(joined: bytes) -> list:
              hkroot[HKROOT_BYTES * i:HKROOT_BYTES * (i + 1)],
              mack[MACK_BYTES * i:MACK_BYTES * (i + 1)])
             for i in range(count // SLOTS_PER_SUBFRAME)]
-
-
-def seal_pages(blobs, pages: bytes | None = None) -> bytes:
-    """pages, blank by default, with every (nav, hkroot, mack) blob triple
-    written over them as pack_pages writes them, packed in one call and
-    sealed in one kernel call."""
-    return _seal(pack_pages(blobs, pages))
 
 
 def reseal_raw(raw: bytes) -> bytes:
@@ -418,8 +401,8 @@ class Subframe:
     """Fifteen 2-second page slots stamped with the GST of the round.
 
     Each slot holds a page's 30 sealed bytes or None for a destroyed page.
-    The subframe is produced even when slots are destroyed; its blobs are
-    only extractable from complete subframes, by unpack_pages.  A subframe
+    The subframe is produced even when slots are destroyed; only a complete
+    one's blobs can be read, through Stream.of.  A subframe
     is its slots; pages is a view decoded afresh on each access (a receiver
     reads its round's blobs from assemble_rounds instead).
     """
@@ -465,9 +448,13 @@ class Stream:
     def of(cls, subframes) -> "Stream":
         """The stream of one satellite's complete subframes, given in GST
         order; a GST out of step raises ValueError naming the satellite and
-        the GST missing there."""
+        the GST missing there, and an incomplete subframe one naming its
+        destroyed slots."""
         first = subframes[0]
         for i, sf in enumerate(subframes):
+            if None in sf.raws:
+                raise ValueError("destroyed slots: " + str(tuple(
+                    k for k, raw in enumerate(sf.raws) if raw is None)))
             expected = first.gst.add_seconds(SUBFRAME_SECONDS * i)
             if sf.gst != expected:
                 raise ValueError(

@@ -41,16 +41,6 @@ class Fix:
     clock_offset: float   # seconds
     residual_norm: float  # metres
 
-    def as_dict(self) -> dict:
-        return {
-            "ecef_m": [round(c, 6) for c in self.position],
-            "geodetic": dict(zip(
-                ("lat_deg", "lon_deg", "height_m"),
-                (round(v, 9) for v in ecef_to_geodetic(*self.position)))),
-            "clock_offset_s": self.clock_offset,
-            "residual_norm_m": self.residual_norm,
-        }
-
 
 def geodetic_to_ecef(lat_deg: float, lon_deg: float, height_m: float) -> tuple:
     lat = math.radians(lat_deg)

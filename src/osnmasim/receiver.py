@@ -66,10 +66,6 @@ class AuthResult:
     prn: int
     outcome: Outcome
 
-    def as_dict(self) -> dict:
-        return {"gst": self.gst.as_dict(), "prn": self.prn,
-                "outcome": self.outcome.value}
-
 
 @dataclass
 class RoundResult:

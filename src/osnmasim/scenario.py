@@ -41,6 +41,7 @@ from .pages import PAGE_BYTES, PAGE_MS, Stream, seal_pages
 from .positioning import (
     LAT_RANGE,
     LON_RANGE,
+    ecef_to_geodetic,
     forge_pseudoranges,
     geodetic_to_ecef,
     solve_position,
@@ -100,8 +101,13 @@ class ConstellationBundle:
             _observations(self.streams, self.receiver_ecef, 0.0))
 
     def chain_json(self) -> dict:
-        pem = crypto.spki_pem(load_public_key_point(self.pubkey))
-        return {**self.chain.as_dict(), "pubkey_pem": pem}
+        """The chain description written to chain.json; the chain's last
+        key is its seed."""
+        root, seed = self.chain.root, self.chain.keys[-1]
+        return {"gst0": _gst_entry(root.gst), "delta_t": SUBFRAME_SECONDS,
+                "n": len(self.chain.keys) - 1, "seed_hex": seed.bits.hex(),
+                "root_hex": root.bits.hex(), "pubkey_pem": crypto.spki_pem(
+                    load_public_key_point(self.pubkey))}
 
 
 def _sky_direction(lat_deg, lon_deg, az_deg, el_deg):
@@ -420,10 +426,7 @@ def simulate(sc: Scenario):
             fix = solve_position(list(sats), list(rhos))
         except ValueError as exc:
             return {"error": str(exc)}
-        report = fix.as_dict()
-        if steer_s:                 # adding 0 would turn -0.0 into 0.0
-            report["clock_offset_s"] += steer_s
-        return report
+        return _fix_entry(fix, steer_s)
 
     for r in range(sc.duration_rounds):
         result = receiver.ingest_round(round_events(r))
@@ -431,6 +434,37 @@ def simulate(sc: Scenario):
         yield result, raw, (fix_report(_solver_inputs(
             result.authenticated_gst, result.authenticated, obs))
             if len(result.authenticated) >= 4 else None)
+
+
+# -- report entries: no other module names an output field ------------------
+
+
+def _gst_entry(gst: Gst) -> dict:
+    return {"wn": gst.wn, "tow": gst.tow}
+
+
+def _fix_entry(fix, steer_s: int) -> dict:
+    """A fix in report form: ECEF to 1e-6 m, geodetic to 1e-9, and the
+    clock offset with steer_s whole seconds given back, added only when
+    nonzero, as adding 0 would turn -0.0 into 0.0."""
+    return {
+        "ecef_m": [round(c, 6) for c in fix.position],
+        "geodetic": dict(zip(("lat_deg", "lon_deg", "height_m"), (
+            round(v, 9) for v in ecef_to_geodetic(*fix.position)))),
+        "clock_offset_s": fix.clock_offset + steer_s if steer_s
+        else fix.clock_offset,
+        "residual_norm_m": fix.residual_norm,
+    }
+
+
+def _verdict_entry(verdict) -> dict:
+    return {"gst": _gst_entry(verdict.gst), "prn": verdict.prn,
+            "outcome": verdict.outcome.value}
+
+
+def _timeline_entry(gst, status) -> dict:
+    return {"gst": None if gst is None else _gst_entry(gst),
+            "status": status.value}
 
 
 def run_scenario(sc: Scenario) -> dict:
@@ -449,9 +483,8 @@ def run_scenario(sc: Scenario) -> dict:
                      "duration_rounds": sc.duration_rounds},
         "receiver": {
             "status": changes[-1][1].value,
-            "timeline": [{"gst": g.as_dict() if g else None, "status": s.value}
-                         for g, s in changes],
-            "verdicts": [v.as_dict() for v in verdicts],
+            "timeline": [_timeline_entry(*change) for change in changes],
+            "verdicts": [_verdict_entry(v) for v in verdicts],
             "gst_lrt_delta_ms": deltas, "rounds": len(deltas)},
         "raw_fixes": raw_fixes, "auth_fixes": auth_fixes,
         "exit_code": 2 if any(v.outcome in (Outcome.KEY_REJECTED,

@@ -88,21 +88,11 @@ class TeslaChain:
         return cls(keys)
 
     @property
-    def seed(self) -> TeslaKey:
-        return self.keys[-1]
-
-    @property
     def root(self) -> TeslaKey:
         return self.keys[0]
 
     def key_at(self, index: int) -> TeslaKey:
         return self.keys[index]
-
-    def as_dict(self) -> dict:
-        """The chain description written to chain JSON files."""
-        return {"gst0": self.root.gst.as_dict(), "delta_t": SUBFRAME_SECONDS,
-                "n": len(self.keys) - 1, "seed_hex": self.seed.bits.hex(),
-                "root_hex": self.root.bits.hex()}
 
 
 def verify_key(candidate: TeslaKey, trusted: TeslaKey) -> int | None:

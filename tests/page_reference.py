@@ -8,9 +8,9 @@ program packs and unpacks whole batches through byte columns instead.
 The field helpers read and write a field through the bytes that hold it,
 where the program's one packer shifts it within the whole message int.
 The tests also flip page bits, list a subframe's destroyed slots, read
-a subframe's OSNMA blobs through the program's unpack_pages and split
-page events' runs into one event per page here; the program does none of
-these.
+a lone subframe's OSNMA blobs through the program's one reader,
+Stream.of([sf]).blobs(), and split page events' runs into one event per
+page here; the program does none of these.
 """
 
 from osnmasim.pages import (
@@ -19,7 +19,7 @@ from osnmasim.pages import (
     PAGE_MS,
     PageEvent,
     SLOTS_PER_SUBFRAME,
-    unpack_pages,
+    Stream,
 )
 
 # even/odd flag and page type of both halves: 00 at bits 0..1, 10 at 120..121
@@ -97,9 +97,9 @@ def flip_page_bit(raw: bytes, bit: int) -> bytes:
 
 def osnma(sf) -> tuple:
     """A subframe's HKROOT and MACK blobs, 15 and 60 bytes, as the
-    program's unpack_pages reads them; a destroyed slot raises
+    program's Stream.blobs reads them; a destroyed slot raises
     ValueError."""
-    return unpack_pages((sf.raws,))[0][1:]
+    return Stream.of([sf]).blobs()[0][1:]
 
 
 def destroyed_slots(sf) -> tuple:

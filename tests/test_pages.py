@@ -31,7 +31,6 @@ from osnmasim.pages import (
     encode_page,
     reseal_raw,
     seal_pages,
-    unpack_pages,
 )
 from page_reference import destroyed_slots, flip_page_bit
 
@@ -548,11 +547,11 @@ def test_runs_own_what_their_pages_sent_one_each_own(events, prn):
 
 def ref_assemble_rounds(by_prn, prns):
     """Each PRN's round assembled slot by slot from its runs' pages sent one
-    event each, and the blobs unpack_pages reads from the complete ones,
-    by PRN in prns' order."""
+    event each, and the blobs a one-subframe Stream reads from the complete
+    ones, by PRN in prns' order."""
     alone = {prn: ref_assemble_round(ref.page_events(by_prn.get(prn, ())),
                                      GST0, prn, _T0) for prn in prns}
-    return alone, {prn: unpack_pages([sf.raws])[0]
+    return alone, {prn: Stream.of([sf]).blobs()[0]
                    for prn, sf in alone.items() if sf.complete}
 
 
@@ -587,7 +586,7 @@ def test_assemble_rounds_keeps_each_prn_in_its_lane(prns_and_events):
     """Every PRN's owned spans share one checked buffer, and each PRN's
     pages stay in its own lane: the round's blobs are, in PRN order, those
     of the PRNs whose slot-by-slot reference subframe is complete, read
-    from it by unpack_pages, and each PRN assembled alone gives its
+    from it as a one-subframe Stream, and each PRN assembled alone gives its
     reference subframe."""
     prns, by_prn = prns_and_events
     alone, want = ref_assemble_rounds(by_prn, prns)
@@ -831,18 +830,26 @@ SUBFRAME_BATCHES = [0, 1, 8, 15, 64]
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
 def test_pack_matches_the_per_page_reference(size, seed):
-    """Before sealing, the packed batch is the per-page reference's pages
-    byte for byte; sealed, every page passes the check; unpacked, the
-    sealed pages give back the blobs."""
+    """The sealed batch is the per-page reference's pages, each resealed,
+    byte for byte, and every page passes the check; written over pages of
+    random bytes, it keeps every bit outside the blobs and the CRC; read
+    as a stream, either gives back the blobs."""
     blobs = _blob_batch(size, seed)
-    packed = pages.pack_pages(blobs)
-    assert type(packed) is bytes
-    assert packed == b"".join(raw for triple in blobs
+    sealed = seal_pages(blobs)
+    assert type(sealed) is bytes
+    assert sealed == b"".join(reseal_raw(raw) for triple in blobs
                               for raw in ref.blob_pages(*triple))
-    sealed = [reseal_raw(raw) for slots in _slots(packed) for raw in slots]
-    assert check_raws(sealed) == [True] * len(sealed)
-    assert unpack_pages(_slots(packed)) == blobs
-    assert unpack_pages(_slots(b"".join(sealed))) == blobs
+    raws = [raw for slots in _slots(sealed) for raw in slots]
+    assert check_raws(raws) == [True] * len(raws)
+    assert Stream(GST0, 5, sealed).blobs() == blobs
+    under = random.Random(seed).randbytes(len(sealed))
+    over = seal_pages(blobs, under)
+    assert Stream(GST0, 5, over).blobs() == blobs
+    kept = ~sum((1 << width) - 1 << PAGE_BITS - pos - width for pos, width
+                in (EVEN_DATA, ODD_DATA, HKROOT, MACK, CRC))
+    for new, old in zip(_slots(over), _slots(under)):
+        assert [int.from_bytes(raw, "big") & kept for raw in new] == \
+            [int.from_bytes(raw, "big") & kept for raw in old]
 
 
 @settings(max_examples=25, deadline=None)
@@ -853,16 +860,17 @@ def test_unpack_of_any_pages_matches_the_per_page_reference(size, seed):
     rng = random.Random(seed)
     slots = [tuple(rng.randbytes(PAGE_BYTES) for _ in range(SLOTS_PER_SUBFRAME))
              for _ in range(size)]
-    assert unpack_pages(slots) == [
+    stream = Stream(GST0, 5, b"".join(raw for raws in slots for raw in raws))
+    assert stream.blobs() == [
         (ref.join_nav_data(raws), *ref.join_osnma(raws)) for raws in slots]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SUBFRAME_BATCHES), st.integers(0, 1 << 32))
 def test_built_subframes_read_back_their_blobs(size, seed):
-    """seal_pages packs and seals a batch in one call each; the stream of
-    its pages reads its blobs back in one pass, and each subframe cut from
-    it, a lone subframe, reads its own back through unpack_pages."""
+    """seal_pages writes and seals a batch in one call; the stream of its
+    pages reads its blobs back in one pass, and each subframe cut from it,
+    a lone subframe, reads its own back as a one-subframe stream."""
     blobs = _blob_batch(size, seed)
     stream = Stream(GST0, 5, seal_pages(blobs))
     assert len(stream) == size and stream.blobs() == blobs
@@ -924,22 +932,26 @@ def test_a_subframe_is_its_slots():
 
 
 def test_a_batch_with_an_incomplete_subframe_raises():
-    """An incomplete subframe anywhere in a batch raises ValueError naming
-    its destroyed slots, and so does subframe_nav_data of a lone
-    subframe."""
+    """An incomplete subframe anywhere in a stream's subframes raises
+    ValueError naming its destroyed slots, and so does subframe_nav_data
+    of a lone subframe."""
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
     broken = good[:3] + (None,) + good[4:9] + (None,) + good[10:]
+    sfs = [Subframe(gst=GST0.add_seconds(30 * i), prn=5, raws=raws)
+           for i, raws in enumerate((good, broken, good))]
     with pytest.raises(ValueError, match=r"^destroyed slots: \(3, 9\)$"):
-        unpack_pages([good, broken, good])
-    sf = Subframe(gst=GST0, prn=5, raws=broken)
+        Stream.of(sfs)
     with pytest.raises(ValueError, match=r"^destroyed slots: \(3, 9\)$"):
-        subframe_nav_data(sf)
+        subframe_nav_data(sfs[1])
 
 
 def test_unpack_rejects_a_page_of_the_wrong_length():
     good = tuple(_page_raw(i) for i in range(SLOTS_PER_SUBFRAME))
+    sf = Subframe(gst=GST0, prn=5, raws=good[:14] + (good[14][:29],))
     with pytest.raises(ValueError, match="^expected 30 bytes, got 29$"):
-        unpack_pages([good[:14] + (good[14][:29],)])
+        Stream.of([sf])
+    with pytest.raises(ValueError, match="^expected 30 bytes, got 29$"):
+        subframe_nav_data(sf)
 
 
 @pytest.mark.parametrize("which, length", [(0, 239), (0, 241), (1, 14),
@@ -947,8 +959,15 @@ def test_unpack_rejects_a_page_of_the_wrong_length():
 def test_pack_rejects_a_blob_of_the_wrong_length(which, length):
     blobs = list(_blob_batch(1, 0)[0])
     blobs[which] = bytes(length)
-    with pytest.raises(ValueError, match=("nav", "hkroot", "mack")[which]):
-        pages.pack_pages([_blob_batch(1, 1)[0], tuple(blobs)])
+    with pytest.raises(ValueError, match=(
+            "^nav blob must be 240 bytes$", "^hkroot must supply one byte "
+            "per page$", "^mack blob must supply four bytes per page$")[which]):
+        seal_pages([_blob_batch(1, 1)[0], tuple(blobs)])
+
+
+def test_seal_rejects_pages_that_do_not_fit_the_blobs():
+    with pytest.raises(ValueError, match="^30 pages to write, got 450 bytes$"):
+        seal_pages(_blob_batch(2, 0), seal_pages(_blob_batch(1, 0)))
 
 
 def test_a_stream_needs_consecutive_whole_subframes():

@@ -106,6 +106,27 @@ def test_four_satellites_land_on_the_root_near_the_surface():
         assert math.dist(fix.position, receiver) < 1e-3
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21: with four satellites the solve "
+                          "keeps the root nearer the sphere, here the "
+                          "mirror one")
+def test_four_satellites_far_below_the_surface_give_the_site_or_no_fix():
+    """A site 163,861 m below the ellipsoid under four satellites: both
+    roots of the range equations fit every range.  The fix lies within
+    1 mm of the site, or the solve raises SolveError.  Today it returns
+    the other root, 42,443 m above the ellipsoid and 233,124 m off."""
+    site = geodetic_to_ecef(9.553701, 154.879805, -163_861.208)
+    sats = [(-19729747.874, 20387361.479, -644447.085),
+            (-11075404.435, 27182970.869, 6552603.999),
+            (-13562866.557, 4778058.841, 22913665.08),
+            (-29585429.302, 12962946.255, 416416.08)]
+    try:
+        fix = solve_position(sats, forge_pseudoranges(site, 0.0, sats))
+    except SolveError:
+        return
+    assert math.dist(fix.position, site) < 1e-3
+
+
 def test_reference_target_position():
     """The forged-position experiment target: 4 deg N, 50 deg E, 100 m."""
     target = geodetic_to_ecef(4.0, 50.0, 100.0)

@@ -38,7 +38,6 @@ from osnmasim.pages import (
     assemble_round,
     reseal_raw,
     seal_pages,
-    unpack_pages,
 )
 import osnmasim.receiver
 from osnmasim import tesla
@@ -632,8 +631,9 @@ def _moved(events, move, earlier):
 
 def _blobs(events) -> tuple:
     """The (nav, hkroot, mack) blobs of one round's events as broadcast,
-    and the GST its nav data names."""
-    nav, hkroot, mack = unpack_pages([tuple(e.raw for e in events)])[0]
+    read as a one-subframe stream, and the GST its nav data names."""
+    (nav, hkroot, mack), = Stream(GST0, events[0].prn, b"".join(
+        e.raw for e in events)).blobs()
     fields = parse_nav_data(nav)
     return nav, hkroot, mack, Gst(fields.wn, fields.tow)
 

@@ -21,9 +21,11 @@ import osnmasim.pages
 import osnmasim.positioning
 import osnmasim.receiver
 import osnmasim.scenario
+from osnmasim.gst import Gst
 from osnmasim.navdata import build_nav_data, parse_nav_data
 from osnmasim.pages import SUBFRAME_BYTES
-from osnmasim.receiver import Outcome
+from osnmasim.positioning import Fix
+from osnmasim.receiver import AuthResult, Outcome, Status
 from osnmasim.scenario import (
     ATTACKS,
     POLICIES,
@@ -35,6 +37,7 @@ from osnmasim.scenario import (
     simulate,
     write_report,
 )
+from osnmasim.tesla import TeslaKey, verify_key
 from osnmasim.vectors import SchemaError, TestVectorSet
 from page_reference import page_events
 from report_text import report_to_json
@@ -575,6 +578,58 @@ def test_diff_reports_flags_scalar_type_and_sign(a, b):
     assert diff_reports([a], [a]) == []
 
 
+# -- the report's and chain.json's entries, all built in scenario -------------
+
+
+def test_fix_entry_rounds_and_steers_the_clock_offset():
+    """ECEF is rounded to 1e-6 m and the geodetic triple to 1e-9; the
+    clock offset gets steer_s back only when it is nonzero, so a -0.0
+    offset survives an unsteered run."""
+    fix_entry = osnmasim.scenario._fix_entry
+    position = tuple(c + 0.1234567891 for c in
+                     osnmasim.positioning.geodetic_to_ecef(4.0, 50.0, 100.0))
+    entry = fix_entry(Fix(position, -0.0, 2.5e-9), 0)
+    assert entry == {
+        "ecef_m": [4089931.419464, 4874190.438936, 441952.204352],
+        "geodetic": {"lat_deg": 4.000001004, "lon_deg": 49.999999863,
+                     "height_m": 100.182118109},
+        "clock_offset_s": -0.0, "residual_norm_m": 2.5e-9}
+    assert '"clock_offset_s": -0.0' in json.dumps(entry)
+    assert fix_entry(Fix(position, -0.0, 0.0), 2)["clock_offset_s"] == 2.0
+    assert fix_entry(Fix(position, 0.25, 0.0), -3)["clock_offset_s"] == -2.75
+
+
+def test_verdict_and_timeline_entries_name_their_gst():
+    gst = Gst(1251, 277200)
+    verdict = AuthResult(gst, 5, Outcome.TAG_MISMATCH)
+    assert osnmasim.scenario._verdict_entry(verdict) == {
+        "gst": {"wn": 1251, "tow": 277200}, "prn": 5,
+        "outcome": "tag_mismatch"}
+    timeline = osnmasim.scenario._timeline_entry
+    assert timeline(None, Status.COLD_START) == {"gst": None,
+                                                 "status": "cold_start"}
+    assert timeline(gst, Status.AUTHENTICATING) == {
+        "gst": {"wn": 1251, "tow": 277200}, "status": "authenticating"}
+
+
+def test_chain_json_describes_a_chain_that_walks_back_to_its_root(
+        small_bundle):
+    """chain.json's seed, hashed n times 30 s apart, gives its root at
+    gst0, and the public key is a PEM block."""
+    chain = small_bundle.chain_json()
+    assert set(chain) == {"gst0", "delta_t", "n", "seed_hex", "root_hex",
+                          "pubkey_pem"}
+    gst0 = Gst(**chain["gst0"])
+    assert gst0 == small_bundle.gst0.add_seconds(-chain["delta_t"])
+    assert chain["delta_t"] == 30
+    seed = TeslaKey(bytes.fromhex(chain["seed_hex"]),
+                    gst0.add_seconds(30 * chain["n"]))
+    root = TeslaKey(bytes.fromhex(chain["root_hex"]), gst0)
+    assert verify_key(seed, root) == chain["n"] == len(
+        small_bundle.chain.keys) - 1
+    assert chain["pubkey_pem"].startswith("-----BEGIN PUBLIC KEY-----\n")
+
+
 SHIPPED = {
     "baseline.json": ("authenticating", 0, {"authentic"}),
     "tsr_realtime_29_5.json": ("authenticating", 0, {"authentic"}),
@@ -880,7 +935,7 @@ def test_each_subframe_is_concatenated_once(monkeypatch):
     received, forges, solves, reports, built = [], [], [], [], []
     tallying(osnmasim.scenario, "forge_pseudoranges", forges)
     tallying(osnmasim.scenario, "solve_position", solves)
-    tallying(osnmasim.positioning.Fix, "as_dict", reports)
+    tallying(osnmasim.scenario, "_fix_entry", reports)
     tallying(osnmasim.pages.Subframe, "__post_init__", built)
     assemble = osnmasim.receiver.assemble_rounds
 

@@ -269,7 +269,7 @@ def ref_truncate_hash(data):
        st.binary(max_size=100))
 def test_chain_keys_equal_the_hashlib_reference(seed, n, data):
     chain = TeslaChain.generate(seed, n, GST0)
-    assert chain.seed.bits == seed
+    assert chain.keys[-1].bits == seed
     for older, newer in zip(chain.keys, chain.keys[1:]):
         assert older.bits == ref_truncate_hash(newer.bits)
     assert truncate_hash(data) == ref_truncate_hash(data)
